@@ -368,22 +368,6 @@ def error_norms(spline, quad, ref=None, ref_batch=None):
     )
 
 
-def field_norms(quad, ref):
-    """(L2, H1, H2) norms of an analytic field given by callables."""
-    rv, rg, rh = ref
-
-    def data(t):
-        pts = quad.nodes[t]
-        return np.asarray(rv(pts)), np.asarray(rg(pts)), np.asarray(rh(pts))
-
-    l2, h1s, h2s = _accumulate_norms(quad, data)
-    return (
-        float(np.sqrt(l2)),
-        float(np.sqrt(l2 + h1s)),
-        float(np.sqrt(l2 + h1s + h2s)),
-    )
-
-
 def l2_norm(spline, quad):
     """L2 norm of a spline (values only, no derivatives)."""
     total = 0.0

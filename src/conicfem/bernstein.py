@@ -295,25 +295,6 @@ def product_matrix(d1, d2, c2):
     return P
 
 
-def edge_product(dp, p_edge, dq, q_edge):
-    """Univariate Bernstein product of edge restrictions.
-
-    p_edge[m] is the coefficient with m steps toward the edge's second
-    endpoint; returns the degree dp+dq edge coefficient array.
-    """
-    p_edge = np.asarray(p_edge, dtype=float)
-    q_edge = np.asarray(q_edge, dtype=float)
-    out = np.zeros(dp + dq + 1)
-    for m1 in range(dp + 1):
-        for m2 in range(dq + 1):
-            m = m1 + m2
-            out[m] += (
-                p_edge[m1] * q_edge[m2]
-                * math.comb(dp, m1) * math.comb(dq, m2) / math.comb(dp + dq, m)
-            )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vertex rings and cross-edge smoothness
 
@@ -391,26 +372,28 @@ def cross_edge_rows(d, coef_src, src_slots, dst_slots, b_off):
     c0 = {}
     for m, g in enumerate(edge_row_indices(d, dst_slots, 0)):
         c0[g] = coef_src[im[_edge_index(d, src_slots, m)]]
-    c1 = {}
-    for m, g in enumerate(edge_row_indices(d, dst_slots, 1)):
-        c1[g] = c1_point(d, coef_src, src_slots, b_off, m)
+    c1 = dict(zip(edge_row_indices(d, dst_slots, 1),
+                  c1_matrix(d, src_slots, b_off) @ coef_src))
     return c0, c1
 
 
-def c1_point(d, coef_src, src_slots, b_off, m):
-    """Single smoothness-implied value on the neighbor's first interior row.
+def c1_matrix(d, src_slots, b_off):
+    """The C1 rule across an edge, as a linear map on the source patch.
 
-    m counts steps toward the edge's second shared vertex (src_slots[1]).
+    Row m gives the neighbor's first-interior-row coefficient with m steps
+    toward the edge's second shared vertex (src_slots[1]): the degree-d
+    source coefficients one step off the edge point (d-1-m, m) toward each
+    vertex, weighted by b_off.
     """
     im = index_map(d)
-    coef_src = np.asarray(coef_src, dtype=float)
-    base = list(_edge_index(d - 1, src_slots, m))
-    val = 0.0
-    for s in range(3):
-        g = base.copy()
-        g[s] += 1
-        val += b_off[s] * coef_src[im[tuple(g)]]
-    return val
+    C = np.zeros((d, n_coeffs(d)))
+    for m in range(d):
+        base = _edge_index(d - 1, src_slots, m)
+        for s in range(3):
+            g = list(base)
+            g[s] += 1
+            C[m, im[tuple(g)]] = b_off[s]
+    return C
 
 
 def smoothness_gaps(d, tri_a, coef_a, slots_a, tri_b, coef_b, slots_b):

@@ -25,16 +25,24 @@ from .space import SpaceError, build_space, load_spline, save_spline
 _CONFIG_KEYS = (
     "problem", "mesh", "g_expr", "levels", "tol", "max_iter", "quad_degree",
     "pie_order", "output", "plot_data", "plot_grid", "save_solution",
-    "dump_matrix", "deterministic_assembly",
+    "dump_matrix",
 )
 
 
-def _fmt(x):
-    return "" if x is None else f"{x:.6e}"
+_COLUMNS = ("level", "L2", "L2_rate", "H1", "H1_rate", "H2", "H2_rate",
+            "R", "R_rate", "m")
 
 
-def _fmt_rate(x):
-    return "" if x is None else f"{x:.2f}"
+def _cell(col, value):
+    """Text of one table cell: counts as is, rates with 2 decimals, norms
+    in 6-digit scientific notation, missing values empty."""
+    if value is None:
+        return ""
+    if col in ("level", "m"):
+        return str(value)
+    if col.endswith("_rate"):
+        return f"{value:.2f}"
+    return f"{value:.6e}"
 
 
 def convergence_rows(reports, use_exact):
@@ -71,22 +79,9 @@ def convergence_rows(reports, use_exact):
 
 
 def write_csv(rows, path):
-    cols = ("level", "L2", "L2_rate", "H1", "H1_rate", "H2", "H2_rate",
-            "R", "R_rate", "m")
-    lines = [",".join(cols)]
+    lines = [",".join(_COLUMNS)]
     for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c)
-            if v is None:
-                cells.append("")
-            elif c == "level" or c == "m":
-                cells.append(str(v))
-            elif c.endswith("_rate"):
-                cells.append(_fmt_rate(v))
-            else:
-                cells.append(_fmt(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(_cell(c, row.get(c)) for c in _COLUMNS))
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w") as f:
@@ -96,27 +91,14 @@ def write_csv(rows, path):
 
 def print_table(rows, stream=None):
     stream = stream if stream is not None else sys.stdout
-    cols = ("level", "L2", "L2_rate", "H1", "H1_rate", "H2", "H2_rate",
-            "R", "R_rate", "m")
     widths = {c: max(len(c), 12 if not c.endswith("rate") and c != "level"
-                     and c != "m" else 7) for c in cols}
-    head = " ".join(c.rjust(widths[c]) for c in cols)
+                     and c != "m" else 7) for c in _COLUMNS}
+    head = " ".join(c.rjust(widths[c]) for c in _COLUMNS)
     print(head, file=stream)
     print("-" * len(head), file=stream)
     for row in rows:
-        cells = []
-        for c in cols:
-            v = row.get(c)
-            if v is None:
-                s = ""
-            elif c in ("level", "m"):
-                s = str(v)
-            elif c.endswith("_rate"):
-                s = _fmt_rate(v)
-            else:
-                s = _fmt(v)
-            cells.append(s.rjust(widths[c]))
-        print(" ".join(cells), file=stream)
+        print(" ".join(_cell(c, row.get(c)).rjust(widths[c]) for c in _COLUMNS),
+              file=stream)
 
 
 def _custom_g(expr):
@@ -268,8 +250,6 @@ def build_parser():
     ps.add_argument("--save-solution", help="save final-level spline (JSON)")
     ps.add_argument("--dump-matrix", help="Matrix Market dump of the final "
                                           "linearized system")
-    ps.add_argument("--deterministic-assembly", action="store_true",
-                    help="reserved; assembly is always deterministic")
     ps.add_argument("--verbose", action="store_true")
     ps.add_argument("--config", help="JSON file with defaults for the flags")
     ps.set_defaults(fn=cmd_solve)

@@ -468,22 +468,6 @@ def refine_uniform(mesh, star_samples=50):
     )
 
 
-def refine_hierarchy(mesh, levels, star_samples=50):
-    """Meshes for levels 1..levels, starting from the given level-1 mesh."""
-    out = [mesh]
-    for _ in range(levels - 1):
-        out.append(refine_uniform(out[-1], star_samples=star_samples))
-    return out
-
-
-def ancestor_triangle(fine_meshes, fine_level_idx, t, coarse_level_idx):
-    """Triangle index on a coarser mesh containing fine triangle t."""
-    while fine_level_idx > coarse_level_idx:
-        t = fine_meshes[fine_level_idx].parents[t]
-        fine_level_idx -= 1
-    return t
-
-
 # ---------------------------------------------------------------------------
 # mesh file IO
 

@@ -12,8 +12,11 @@ five categories:
   pie             five factor coefficients per pie triangle
   buffer          two interior coefficients per buffer triangle
 
-``build_space`` runs the constructive fill once symbolically and stores,
-per triangle, the linear map from global dofs to patch coefficients;
+``build_space`` runs the constructive fill once, as sparse linear
+equations: each step sets BB coefficients to fixed weighted sums of dofs
+or of coefficients set before it, and a repeated definition of a
+coefficient is checked against the first.  Solving them gives, per
+triangle, the linear map from global dofs to patch coefficients;
 propagating a dof vector is then a per-triangle matrix product.  Spaces
 and splines are immutable after construction and safe to share across
 threads; propagation of different dof vectors may run concurrently.
@@ -21,9 +24,9 @@ threads; propagation of different dof vectors may run concurrently.
 
 import json
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
+from scipy import sparse
 
 from . import bernstein as bb
 from .geometry import eval_conic, grad_conic, normalized_pie_conic
@@ -37,6 +40,9 @@ BUFFER_INTERIOR = "buffer"
 
 _PIE_LOCALS = ((1, 3, 0), (1, 2, 1), (1, 1, 2), (1, 0, 3), (0, 2, 2))
 _BUFFER_LOCALS = ((4, 1, 1), (2, 2, 2))
+
+# degree of the coefficients stored per triangle (the quartic factor on pies)
+_STORED_DEGREE = {ORDINARY: 5, BUFFER: 6, PIE: 4}
 
 
 class SpaceError(RuntimeError):
@@ -115,11 +121,9 @@ def build_mds(mesh):
             raise SpaceError(f"edge {rec.verts} has no ordinary side")
         t = min(cands)
         slots = tuple(_vertex_slot(mesh.triangles[t], v) for v in rec.verts)
-        off = 6 - slots[0] - slots[1]
-        g = [2, 2, 2]
-        g[off - 1] = 1
         edge_pos[e] = len(dofs)
-        dofs.append(DofDescriptor(EDGE_INTERIOR, ("e", e), t, tuple(g)))
+        g = bb.edge_row_indices(5, slots, 1)[2]   # middle of the first row
+        dofs.append(DofDescriptor(EDGE_INTERIOR, ("e", e), t, g))
 
     for v in mesh.boundary_vertices():
         if not mesh.vertex_tangent[v]:
@@ -127,11 +131,9 @@ def build_mds(mesh):
         pies = sorted(t for t in mesh.vertex_triangles(v)
                       if mesh.triangles[t].kind == PIE)
         t = pies[0]
-        slot = _vertex_slot(mesh.triangles[t], v)
-        g = [0, 0, 0]
-        g[slot - 1] = 4
+        g = bb.vertex_ring(4, _vertex_slot(mesh.triangles[t], v))[0]
         corner_pos[v] = len(dofs)
-        dofs.append(DofDescriptor(TANGENT_CORNER, ("v", v), t, tuple(g)))
+        dofs.append(DofDescriptor(TANGENT_CORNER, ("v", v), t, g))
 
     for t in mesh.triangles_of_kind(PIE):
         pie_block[t] = len(dofs)
@@ -211,138 +213,177 @@ def solve_factor_ring(a_ring, q110, q101, q011):
     """Recover the quartic factor's vertex ring from the product's.
 
     a_ring holds the degree-6 ring coefficients of (factor * conic) at the
-    pie interior vertex, canonical ring order; returns the factor's
-    degree-4 ring, same order.  The system is unconditionally
-    lower-triangular with positive diagonal.
+    pie interior vertex, canonical ring order (or a map to them, one column
+    per input); returns the factor's degree-4 ring, same order.  The system
+    is unconditionally lower-triangular with positive diagonal.
     """
-    L = factor_ring_matrix(q110, q101, q011)
-    out = np.zeros(6)
-    for i in range(6):
-        out[i] = (float(a_ring[i]) - L[i, :i] @ out[:i]) / L[i, i]
-    return out
+    return np.linalg.solve(factor_ring_matrix(q110, q101, q011),
+                           np.asarray(a_ring, dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# symbolic rows (linear forms in the global dofs)
+# the fill as sparse linear equations
 
-def _axpy(acc, row, w):
-    if w == 0.0:
-        return
-    for k, v in row.items():
-        acc[k] = acc.get(k, 0.0) + w * v
+def _row_absmax(M):
+    return abs(M).max(axis=1).toarray().ravel()
 
 
-def _combo(weights, rows):
-    acc = {}
-    for w, r in zip(weights, rows):
-        _axpy(acc, r, float(w))
-    return acc
-
-
-def _matvec(M, rows):
-    return [_combo(M[i], rows) for i in range(M.shape[0])]
-
-
-def _row_gap(r1, r2):
-    keys = set(r1) | set(r2)
-    if not keys:
-        return 0.0
-    scale = max(max((abs(v) for v in r1.values()), default=0.0),
-                max((abs(v) for v in r2.values()), default=0.0), 1.0)
-    return max(abs(r1.get(k, 0.0) - r2.get(k, 0.0)) for k in keys) / scale
+def _concat(entries):
+    return tuple(np.concatenate(x) for x in zip(*entries))
 
 
 class _Propagator:
-    """Runs the constructive fill once, symbolically, over a mesh."""
+    """Runs the constructive fill over a mesh as sparse linear equations.
+
+    Every stored BB coefficient (patch coefficients on ordinary and buffer
+    triangles, factor coefficients on pies) has a global index.  Each fill
+    step sets target coefficients to weighted sums of dofs or of
+    coefficients set by earlier steps.  The first equation of a coefficient
+    defines it, as a row of W (coefficient sources) or of S (dof sources);
+    every later equation for it is a check row.  A step reads only
+    coefficients set before it, so W is strictly triangular and sweeps
+    Z <- S + W Z reach the map Z from dofs to coefficients exactly, one
+    sweep per level of the fill.
+    """
 
     def __init__(self, mesh, mds):
         self.mesh = mesh
         self.mds = mds
-        self.defect = 0.0
-        self.ord_c = {t: [None] * 21 for t in mesh.triangles_of_kind(ORDINARY)}
-        self.buf_c = {t: [None] * 28 for t in mesh.triangles_of_kind(BUFFER)}
-        self.pie_p = {t: [None] * 15 for t in mesh.triangles_of_kind(PIE)}
+        sizes = [bb.n_coeffs(_STORED_DEGREE[rec.kind]) for rec in mesh.triangles]
+        self.offset = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self.targets = []                      # per step, in fill order
+        self.n_eq = 0
+        self.entries = {False: [], True: []}   # keyed by "sources are dofs"
         self.pie_q = {}
         self.pie_scale = {}
+        self.pie_P = {}
         for t in mesh.triangles_of_kind(PIE):
             tri = mesh.tri_coords(t)
             conic = mesh.pie_conic(t)
             self.pie_q[t] = normalized_pie_conic(conic, tri)
             self.pie_scale[t] = float(eval_conic(conic, tri[0]))
-        self.jets = {}
+            self.pie_P[t] = bb.product_matrix(4, 2, self.pie_q[t])
 
     # -- helpers ----------------------------------------------------------
 
-    def _store(self, table, t, d, g, row):
-        idx = bb.index_map(d)[g]
-        old = table[t][idx]
-        if old is None:
-            table[t][idx] = row
-        else:
-            gap = _row_gap(old, row)
-            self.defect = max(self.defect, gap)
-            if gap > 1e-8:
-                raise PropagationError(
-                    f"inconsistent fill at triangle {t}, index {g} (gap {gap:.2e})"
-                )
+    def _coefs(self, t):
+        return np.arange(self.offset[t], self.offset[t + 1])
+
+    def _emit(self, t, gs, weights, src, from_dofs=False):
+        """Equations coef(t, gs[i]) = sum_j weights[i, j] * source src[j].
+
+        Sources are dof numbers when from_dofs is set, else global
+        coefficient indices, which earlier steps must have set.
+        """
+        im = bb.index_map(_STORED_DEGREE[self.mesh.triangles[t].kind])
+        weights = np.asarray(weights, dtype=float).reshape(len(gs), -1)
+        i, j = np.nonzero(weights)
+        src = np.asarray(src, dtype=np.int64)
+        self.entries[from_dofs].append((self.n_eq + i, src[j], weights[i, j]))
+        self.targets.append(self.offset[t] + np.array([im[g] for g in gs], dtype=np.int64))
+        self.n_eq += len(gs)
+
+    def _where(self, k):
+        """(triangle, local position) of a global coefficient index."""
+        t = int(np.searchsorted(self.offset, k, side="right")) - 1
+        return t, int(k - self.offset[t])
 
     def _qparts(self, t):
         q = self.pie_q[t]
         im = bb.index_map(2)
         return q[im[(1, 1, 0)]], q[im[(1, 0, 1)]], q[im[(0, 1, 1)]]
 
+    def _across(self, src, dst, shared):
+        """Slots of the shared vertices in src and dst, and the barycentric
+        coordinates of dst's off-edge vertex w.r.t. src (the C1 weights)."""
+        mesh = self.mesh
+        src_slots = tuple(_vertex_slot(mesh.triangles[src], v) for v in shared)
+        dst_slots = tuple(_vertex_slot(mesh.triangles[dst], v) for v in shared)
+        w = mesh.vertices[mesh.triangles[dst].verts[5 - sum(dst_slots)]]
+        return src_slots, dst_slots, bb.barycentric(mesh.tri_coords(src), w)
+
     # -- pipeline ----------------------------------------------------------
 
     def run(self):
+        """Run the fill and return the coefficient map Z (sparse, global
+        coefficients x dofs); sets self.defect from the check rows."""
         self._seed_dofs()
-        self._vertex_jets()
+        self._fill_rings()
         self._fill_ordinary()
-        self._fill_near_boundary_rings()
         self._fill_buffer_from_ordinary()
         self._fill_factor_corners()
         self._fill_chords_and_buffer_edges()
         self._finish_pies_and_buffers()
-        for t, rows in list(self.ord_c.items()) + list(self.buf_c.items()) + \
-                list(self.pie_p.items()):
-            for i, r in enumerate(rows):
-                if r is None:
-                    raise PropagationError(f"coefficient {i} of triangle {t} unset")
-        return self
+        return self._solve()
+
+    def _solve(self):
+        n = self.offset[-1]
+        target = np.concatenate(self.targets)
+        first = np.full(n, self.n_eq)      # first equation of each coefficient
+        defined, pos = np.unique(target, return_index=True)
+        first[defined] = pos
+        eq, src, w = _concat(self.entries[False])
+        for e in eq[first[src] >= eq][:1]:
+            t, _ = self._where(target[e])
+            raise PropagationError(f"fill of triangle {t} reads an unset coefficient")
+        # definitions are rows 0..n-1 (by target), check rows follow
+        check = first[target] != np.arange(self.n_eq)
+        row = np.where(check, n + np.cumsum(check) - 1, target)
+        A = sparse.csr_matrix((w, (row[eq], src)), shape=(n + check.sum(), n))
+        eq, dof, w = _concat(self.entries[True])
+        B = sparse.csr_matrix((w, (row[eq], dof)),
+                              shape=(n + check.sum(), self.mds.dimension))
+        W, S = A[:n], B[:n]
+        # exact after one sweep per fill level; the next sweep changes nothing
+        Z, prev = S, None
+        while prev is None or (Z != prev).nnz:
+            Z, prev = S + W @ Z, Z
+        again = B[n:] + A[n:] @ Z
+        first_def = Z[target[check]]
+        scale = np.maximum(np.maximum(_row_absmax(again), _row_absmax(first_def)), 1.0)
+        gaps = _row_absmax(again - first_def) / scale
+        self.defect = float(gaps.max(initial=0.0))
+        for c in np.flatnonzero(gaps > 1e-8)[:1]:
+            t, i = self._where(target[check][c])
+            g = bb.multi_indices(_STORED_DEGREE[self.mesh.triangles[t].kind])[i]
+            raise PropagationError(
+                f"inconsistent fill at triangle {t}, index {g} (gap {gaps[c]:.2e})"
+            )
+        for k in np.flatnonzero(first == self.n_eq)[:1]:
+            t, i = self._where(k)
+            raise PropagationError(f"coefficient {i} of triangle {t} unset")
+        return Z
 
     def _seed_dofs(self):
         for j, dof in enumerate(self.mds.dofs):
-            row = {j: 1.0}
-            if dof.category in (VERTEX_JET, EDGE_INTERIOR):
-                self._store(self.ord_c, dof.tri, 5, dof.local, row)
-            elif dof.category in (TANGENT_CORNER, PIE_FACTOR):
-                self._store(self.pie_p, dof.tri, 4, dof.local, row)
-            elif dof.category == BUFFER_INTERIOR:
-                self._store(self.buf_c, dof.tri, 6, dof.local, row)
-            else:
-                raise SpaceError(f"unknown dof category {dof.category}")
+            self._emit(dof.tri, [dof.local], [[1.0]], [j], from_dofs=True)
 
-    def _vertex_jets(self):
+    def _fill_rings(self):
+        """The ring of every triangle at each interior vertex, from the
+        vertex's 2-jet (the product's ring, then the factor's, on pies)."""
         mesh, mds = self.mesh, self.mds
+        jets = {}   # interior vertex -> (2-jet from its six dofs, their numbers)
         for v, start in mds.vertex_block.items():
-            dof = mds.dofs[start]
-            tri = mesh.tri_coords(dof.tri)
-            slot = _vertex_slot(mesh.triangles[dof.tri], v)
-            R = ring_to_jet_matrix(tri, slot, 5)
-            unit = [{start + i: 1.0} for i in range(6)]
-            self.jets[v] = _matvec(R, unit)
+            t = mds.dofs[start].tri
+            slot = _vertex_slot(mesh.triangles[t], v)
+            jets[v] = (ring_to_jet_matrix(mesh.tri_coords(t), slot, 5),
+                       np.arange(start, start + 6))
+        for t, rec in enumerate(mesh.triangles):
+            for slot, v in enumerate(rec.verts, start=1):
+                if v not in jets:
+                    continue
+                R, cols = jets[v]
+                d = 5 if rec.kind == ORDINARY else 6
+                weights = jet_to_ring_matrix(mesh.tri_coords(t), slot, d) @ R
+                if rec.kind == PIE:
+                    weights = solve_factor_ring(weights, *self._qparts(t))
+                self._emit(t, bb.vertex_ring(_STORED_DEGREE[rec.kind], slot),
+                           weights, cols, from_dofs=True)
 
     def _fill_ordinary(self):
+        """Edge-interior coefficients via the smoothness rule."""
         mesh = self.mesh
-        # vertex rings from jets
-        for t in self.ord_c:
-            tri = mesh.tri_coords(t)
-            for slot in (1, 2, 3):
-                v = mesh.triangles[t].verts[slot - 1]
-                rows = _matvec(jet_to_ring_matrix(tri, slot, 5), self.jets[v])
-                for g, r in zip(bb.vertex_ring(5, slot), rows):
-                    self._store(self.ord_c, t, 5, g, r)
-        # remaining edge-interior coefficients via the smoothness rule
-        for e in self.mesh.plain_interior_edges():
+        for e in mesh.plain_interior_edges():
             rec = mesh.edges[e]
             tris = [t for t in rec.tris if mesh.triangles[t].kind == ORDINARY]
             if len(tris) < 2:
@@ -353,216 +394,90 @@ class _Propagator:
 
     def _fill_edge_middle(self, src, dst, shared):
         """Fill the middle first-interior-row coefficient of dst across an edge."""
-        mesh = self.mesh
-        rec_src, rec_dst = mesh.triangles[src], mesh.triangles[dst]
-        src_slots = tuple(_vertex_slot(rec_src, v) for v in shared)
-        dst_slots = tuple(_vertex_slot(rec_dst, v) for v in shared)
-        off_dst = 6 - dst_slots[0] - dst_slots[1]
-        w = mesh.vertices[rec_dst.verts[off_dst - 1]]
-        b_off = bb.barycentric(mesh.tri_coords(src), w)
-        for m, g_dst in enumerate(bb.edge_row_indices(5, dst_slots, 1)):
-            if sorted(g_dst) != [1, 2, 2]:
-                continue
-            base = [0, 0, 0]
-            base[src_slots[0] - 1] = 4 - m
-            base[src_slots[1] - 1] = m
-            rows, weights = [], []
-            for s in range(3):
-                gg = base.copy()
-                gg[s] += 1
-                rows.append(self.ord_c[src][bb.index_map(5)[tuple(gg)]])
-                weights.append(b_off[s])
-            self._store(self.ord_c, dst, 5, g_dst, _combo(weights, rows))
-
-    def _fill_near_boundary_rings(self):
-        mesh = self.mesh
-        for t in self.buf_c:
-            tri = mesh.tri_coords(t)
-            for slot in (2, 3):
-                v = mesh.triangles[t].verts[slot - 1]
-                rows = _matvec(jet_to_ring_matrix(tri, slot, 6), self.jets[v])
-                for g, r in zip(bb.vertex_ring(6, slot), rows):
-                    self._store(self.buf_c, t, 6, g, r)
-        for t in self.pie_p:
-            tri = mesh.tri_coords(t)
-            v = mesh.triangles[t].verts[0]
-            a_ring = _matvec(jet_to_ring_matrix(tri, 1, 6), self.jets[v])
-            L = factor_ring_matrix(*self._qparts(t))
-            p_ring = []
-            for i in range(6):
-                acc = dict(a_ring[i])
-                for jcol in range(i):
-                    _axpy(acc, p_ring[jcol], -L[i, jcol])
-                p_ring.append({k: val / L[i, i] for k, val in acc.items()})
-            for g, r in zip(bb.vertex_ring(4, 1), p_ring):
-                self._store(self.pie_p, t, 4, g, r)
+        src_slots, dst_slots, b_off = self._across(src, dst, shared)
+        self._emit(dst, [bb.edge_row_indices(5, dst_slots, 1)[2]],
+                   bb.c1_matrix(5, src_slots, b_off)[2], self._coefs(src))
 
     def _fill_buffer_from_ordinary(self):
         mesh = self.mesh
         raise_m = bb.degree_raise_matrix(5, 6)
-        for t in self.buf_c:
+        im6 = bb.index_map(6)
+        for t in mesh.triangles_of_kind(BUFFER):
             rec = mesh.triangles[t]
             shared = (rec.verts[1], rec.verts[2])
             e = mesh.edge_id(*shared)
             src = [x for x in mesh.edges[e].tris if x != t][0]
             if mesh.triangles[src].kind != ORDINARY:
                 raise SpaceError(f"buffer {t} inner edge not shared with ordinary")
-            raised = _matvec(raise_m, self.ord_c[src])
-            rec_src = mesh.triangles[src]
-            src_slots = tuple(_vertex_slot(rec_src, v) for v in shared)
-            dst_slots = (2, 3)
-            w = mesh.vertices[rec.verts[0]]
-            b_off = bb.barycentric(mesh.tri_coords(src), w)
-            for m, g in enumerate(bb.edge_row_indices(6, dst_slots, 0)):
-                base = [0, 0, 0]
-                base[src_slots[0] - 1] = 6 - m
-                base[src_slots[1] - 1] = m
-                self._store(self.buf_c, t, 6, g, raised[bb.index_map(6)[tuple(base)]])
-            for m, g in enumerate(bb.edge_row_indices(6, dst_slots, 1)):
-                base = [0, 0, 0]
-                base[src_slots[0] - 1] = 5 - m
-                base[src_slots[1] - 1] = m
-                rows, weights = [], []
-                for s in range(3):
-                    gg = base.copy()
-                    gg[s] += 1
-                    rows.append(raised[bb.index_map(6)[tuple(gg)]])
-                    weights.append(b_off[s])
-                self._store(self.buf_c, t, 6, g, _combo(weights, rows))
+            src_slots, dst_slots, b_off = self._across(src, t, shared)
+            c0 = [im6[g] for g in bb.edge_row_indices(6, src_slots, 0)]
+            self._emit(t, bb.edge_row_indices(6, dst_slots, 0), raise_m[c0],
+                       self._coefs(src))
+            self._emit(t, bb.edge_row_indices(6, dst_slots, 1),
+                       bb.c1_matrix(6, src_slots, b_off) @ raise_m, self._coefs(src))
 
     def _fill_factor_corners(self):
         mesh, mds = self.mesh, self.mds
         for v in mesh.boundary_vertices():
             pies = sorted(t for t in mesh.vertex_triangles(v)
                           if mesh.triangles[t].kind == PIE)
-            locs = []
-            for t in pies:
-                slot = _vertex_slot(mesh.triangles[t], v)
-                g = [0, 0, 0]
-                g[slot - 1] = 4
-                locs.append(tuple(g))
+            locs = [bb.vertex_ring(4, _vertex_slot(mesh.triangles[t], v))[0]
+                    for t in pies]
             if not mesh.vertex_tangent[v]:
                 for t, g in zip(pies, locs):
-                    self._store(self.pie_p, t, 4, g, {})
+                    self._emit(t, [g], np.zeros((1, 0)), [])
                 continue
             pos = mds.corner_pos[v]
-            base_row = {pos: 1.0}
             # value on the designated pie is the dof; the partner is scaled
             # by the ratio of the normalized conic gradients
-            g1 = self._normalized_grad(pies[0], v)
-            g2 = self._normalized_grad(pies[1], v)
+            g1, g2 = (grad_conic(mesh.pie_conic(t), mesh.vertices[v]) / self.pie_scale[t]
+                      for t in pies)
             i = int(np.argmax(np.abs(g2)))
             if abs(g2[i]) == 0.0:
                 raise SpaceError(f"vanishing conic gradient at boundary vertex {v}")
             alpha = g1[i] / g2[i]
-            self._store(self.pie_p, pies[0], 4, locs[0], base_row)
-            self._store(self.pie_p, pies[1], 4, locs[1], {pos: alpha})
-
-    def _normalized_grad(self, t, v):
-        mesh = self.mesh
-        conic = mesh.pie_conic(t)
-        return grad_conic(conic, mesh.vertices[v]) / self.pie_scale[t]
+            self._emit(pies[0], [locs[0]], [[1.0]], [pos], from_dofs=True)
+            self._emit(pies[1], [locs[1]], [[alpha]], [pos], from_dofs=True)
 
     def _pie_edges(self):
-        """(pie, buffer, edge verts (v1, other), chord local index, q parts)."""
+        """(pie, buffer, edge verts (v1, other), chord local index, conic
+        edge coefficient)."""
         mesh = self.mesh
-        out = []
-        for t in self.pie_p:
-            rec = mesh.triangles[t]
-            v1, v2, v3 = rec.verts
-            q110, q101, q011 = self._qparts(t)
-            for other, chord_g, qe, qo in (
-                (v3, (0, 1, 3), q101, (q110, q011)),
-                (v2, (0, 3, 1), q110, (q101, q011)),
-            ):
+        for t in mesh.triangles_of_kind(PIE):
+            v1, v2, v3 = mesh.triangles[t].verts
+            q110, q101, _ = self._qparts(t)
+            for other, chord_g, qe in ((v3, (0, 1, 3), q101), (v2, (0, 3, 1), q110)):
                 e = mesh.edge_id(v1, other)
                 buf = [x for x in mesh.edges[e].tris if x != t][0]
-                out.append((t, buf, (v1, other), chord_g, qe, qo))
-        return out
+                yield t, buf, (v1, other), chord_g, qe
 
     def _fill_chords_and_buffer_edges(self):
-        mesh = self.mesh
         im4, im6 = bb.index_map(4), bb.index_map(6)
-        for t, buf, shared, chord_g, q_edge_mid, (q_same, q_cross) in self._pie_edges():
-            rec, rec_b = mesh.triangles[t], mesh.triangles[buf]
-            src_slots = tuple(_vertex_slot(rec, v) for v in shared)
-            dst_slots = tuple(_vertex_slot(rec_b, v) for v in shared)
-            # restriction of the factor to the straight edge (all known)
-            p_edge = []
-            for m in range(5):
-                base = [0, 0, 0]
-                base[src_slots[0] - 1] = 4 - m
-                base[src_slots[1] - 1] = m
-                p_edge.append(self.pie_p[t][im4[tuple(base)]])
-            # univariate product with the conic restriction (1, q_mid, 0)
-            a_edge = []
-            for m in range(7):
-                acc = {}
-                for m1 in range(max(0, m - 2), min(4, m) + 1):
-                    m2 = m - m1
-                    qv = (1.0, q_edge_mid, 0.0)[m2]
-                    wgt = qv * comb(4, m1) * comb(2, m2) / comb(6, m)
-                    _axpy(acc, p_edge[m1], wgt)
-                a_edge.append(acc)
-            # continuity row of the buffer across this edge
-            for m, g in enumerate(bb.edge_row_indices(6, dst_slots, 0)):
-                self._store(self.buf_c, buf, 6, g, a_edge[m])
-            # smoothness fixes the product's first-row entry at the
-            # boundary-vertex end, and with it the chord coefficient
-            off_src = 6 - src_slots[0] - src_slots[1]
-            w = mesh.vertices[rec.verts[off_src - 1]]
-            b_off = bb.barycentric(mesh.tri_coords(buf), w)
-            base = [0, 0, 0]
-            base[dst_slots[0] - 1] = 1
-            base[dst_slots[1] - 1] = 4
-            rows, weights = [], []
-            for s in range(3):
-                gg = base.copy()
-                gg[s] += 1
-                rows.append(self.buf_c[buf][im6[tuple(gg)]])
-                weights.append(b_off[s])
-            a_row1 = _combo(weights, rows)
-            # product identity: 15 a = q_mid*4*c_chord + q_same*c_corner + 4*q_cross*c_dofside
-            corner_g = [0, 0, 0]
-            corner_g[src_slots[1] - 1] = 4
-            dof_g = [0, 0, 0]
-            dof_g[src_slots[0] - 1] = 1
-            dof_g[src_slots[1] - 1] = 3
+        for t, buf, shared, chord_g, q_edge_mid in self._pie_edges():
+            P = self.pie_P[t]
+            # continuity row of the buffer: the product's edge row
+            src_slots, dst_slots, b_off = self._across(buf, t, shared)
+            c0 = [im6[g] for g in bb.edge_row_indices(6, dst_slots, 0)]
+            self._emit(buf, bb.edge_row_indices(6, src_slots, 0), P[c0],
+                       self._coefs(t))
+            # C1 from the buffer fixes the product's first-row entry at the
+            # boundary-vertex end; its product-matrix row gives the chord
             if abs(q_edge_mid) < 1e-12:
                 raise SpaceError(
                     f"pie {t}: conic edge coefficient vanishes (gradient condition)"
                 )
-            acc = {}
-            _axpy(acc, a_row1, 15.0)
-            _axpy(acc, self.pie_p[t][im4[tuple(corner_g)]], -q_same)
-            _axpy(acc, self.pie_p[t][im4[tuple(dof_g)]], -4.0 * q_cross)
-            chord_row = {k: v / (4.0 * q_edge_mid) for k, v in acc.items()}
-            self._store(self.pie_p, t, 4, chord_g, chord_row)
+            row = P[im6[bb.edge_row_indices(6, dst_slots, 1)[4]]]
+            chord = im4[chord_g]
+            weights = np.concatenate([bb.c1_matrix(6, src_slots, b_off)[4], -row])
+            weights[bb.n_coeffs(6) + chord] = 0.0   # the unknown itself
+            self._emit(t, [chord_g], weights / row[chord],
+                       np.concatenate([self._coefs(buf), self._coefs(t)]))
 
     def _finish_pies_and_buffers(self):
-        mesh = self.mesh
-        self.pie_a = {}
-        for t in self.pie_p:
-            P = bb.product_matrix(4, 2, self.pie_q[t])
-            self.pie_a[t] = _matvec(P, self.pie_p[t])
-        for t, buf, shared, _, _, _ in self._pie_edges():
-            rec, rec_b = mesh.triangles[t], mesh.triangles[buf]
-            src_slots = tuple(_vertex_slot(rec, v) for v in shared)
-            dst_slots = tuple(_vertex_slot(rec_b, v) for v in shared)
-            off_dst = 6 - dst_slots[0] - dst_slots[1]
-            w = mesh.vertices[rec_b.verts[off_dst - 1]]
-            b_off = bb.barycentric(mesh.tri_coords(t), w)
-            for m, g in enumerate(bb.edge_row_indices(6, dst_slots, 1)):
-                base = [0, 0, 0]
-                base[src_slots[0] - 1] = 5 - m
-                base[src_slots[1] - 1] = m
-                rows, weights = [], []
-                for s in range(3):
-                    gg = base.copy()
-                    gg[s] += 1
-                    rows.append(self.pie_a[t][bb.index_map(6)[tuple(gg)]])
-                    weights.append(b_off[s])
-                self._store(self.buf_c, buf, 6, g, _combo(weights, rows))
+        for t, buf, shared, _, _ in self._pie_edges():
+            src_slots, dst_slots, b_off = self._across(t, buf, shared)
+            self._emit(buf, bb.edge_row_indices(6, dst_slots, 1),
+                       bb.c1_matrix(6, src_slots, b_off) @ self.pie_P[t], self._coefs(t))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +489,8 @@ class SplineSpace:
     def __init__(self, mesh):
         self.mesh = mesh
         self.mds = build_mds(mesh)
-        prop = _Propagator(mesh, self.mds).run()
+        prop = _Propagator(mesh, self.mds)
+        Z = prop.run()
         self.fill_defect = prop.defect
         self.pie_q = prop.pie_q
         self.pie_scale = prop.pie_scale
@@ -582,15 +498,14 @@ class SplineSpace:
         self.tri_maps = {}      # ordinary/buffer: coefficient matrix
         self.pie_factor_maps = {}
         self.pie_product_maps = {}
-        for t, rows in prop.ord_c.items():
-            self.tri_cols[t], self.tri_maps[t] = _densify(rows)
-        for t, rows in prop.buf_c.items():
-            self.tri_cols[t], self.tri_maps[t] = _densify(rows)
-        for t, rows in prop.pie_p.items():
-            cols, Zp = _densify(rows)
+        for t in range(mesh.n_triangles):
+            cols, Zt = _densify(Z, prop.offset[t], prop.offset[t + 1])
             self.tri_cols[t] = cols
-            self.pie_factor_maps[t] = Zp
-            self.pie_product_maps[t] = bb.product_matrix(4, 2, self.pie_q[t]) @ Zp
+            if mesh.triangles[t].kind == PIE:
+                self.pie_factor_maps[t] = Zt
+                self.pie_product_maps[t] = prop.pie_P[t] @ Zt
+            else:
+                self.tri_maps[t] = Zt
 
     @property
     def dimension(self):
@@ -609,12 +524,9 @@ class SplineSpace:
         """Apply every determining functional to a spline (dual extraction)."""
         out = np.zeros(self.dimension)
         for j, dof in enumerate(self.mds.dofs):
-            if dof.category in (TANGENT_CORNER, PIE_FACTOR):
-                out[j] = spline.factor(dof.tri)[bb.index_map(4)[dof.local]]
-            elif dof.category == BUFFER_INTERIOR:
-                out[j] = spline.patch(dof.tri)[bb.index_map(6)[dof.local]]
-            else:
-                out[j] = spline.patch(dof.tri)[bb.index_map(5)[dof.local]]
+            kind = self.mesh.triangles[dof.tri].kind
+            coefs = spline.factor(dof.tri) if kind == PIE else spline.patch(dof.tri)
+            out[j] = coefs[bb.index_map(_STORED_DEGREE[kind])[dof.local]]
         return out
 
     def vertex_dofs_from_jet(self, v, jet):
@@ -626,28 +538,21 @@ class SplineSpace:
         return jet_to_ring_matrix(tri, slot, 5) @ np.asarray(jet, dtype=float)
 
 
-def _densify(rows):
-    cols = sorted({k for r in rows for k in r})
-    pos = {c: i for i, c in enumerate(cols)}
-    Z = np.zeros((len(rows), len(cols)))
-    for i, r in enumerate(rows):
-        for k, v in r.items():
-            Z[i, pos[k]] = v
-    if len(cols) == 0:
-        Z = np.zeros((len(rows), 0))
-    scale = np.abs(Z).max() if Z.size else 1.0
-    Z[np.abs(Z) < 1e-15 * max(scale, 1.0)] = 0.0
-    return np.array(cols, dtype=np.int64), Z
+def _densify(Z, lo, hi):
+    """Rows lo..hi of the CSR map Z as (dof columns, dense matrix)."""
+    a, b = Z.indptr[lo], Z.indptr[hi]
+    cols, pos = np.unique(Z.indices[a:b], return_inverse=True)
+    rows = np.repeat(np.arange(hi - lo), np.diff(Z.indptr[lo:hi + 1]))
+    M = np.zeros((hi - lo, len(cols)))
+    M[rows, pos] = Z.data[a:b]
+    scale = np.abs(M).max() if M.size else 1.0
+    M[np.abs(M) < 1e-15 * max(scale, 1.0)] = 0.0
+    return cols.astype(np.int64), M
 
 
 def build_space(mesh):
     """Build the spline space (determining set + propagation maps)."""
     return SplineSpace(mesh)
-
-
-def propagate(space, dofs):
-    """Spline with the given determining-set values, all patches filled."""
-    return space.spline(dofs)
 
 
 class SplineFunction:
@@ -681,16 +586,15 @@ class SplineFunction:
         return self._factors[t]
 
     def eval_on_triangle(self, t, x, order=0):
-        mesh = self.space.mesh
-        d = 6 if mesh.triangles[t].kind != ORDINARY else 5
-        return bb.eval_bb(d, self._patches[t], mesh.tri_coords(t), x, order=order)
+        d = self.space.tri_degree(t)
+        return bb.eval_bb(d, self._patches[t], self.space.mesh.tri_coords(t), x,
+                          order=order)
 
     def eval_batch(self, t, pts, order=2):
         """Values, gradients and Hessians of the piece on triangle t at many
         points (vectorized; points need not lie inside the triangle)."""
-        mesh = self.space.mesh
-        d = 6 if mesh.triangles[t].kind != ORDINARY else 5
-        tri = mesh.tri_coords(t)
+        d = self.space.tri_degree(t)
+        tri = self.space.mesh.tri_coords(t)
         bary = bb.barycentric_many(tri, pts)
         V, G, H = bb.design_matrices(d, tri, bary, order=order)
         c = self._patches[t]
@@ -745,11 +649,6 @@ class SplineFunction:
         return self.eval_on_triangle(self.locate(x), x, order=2)
 
 
-def eval_spline(spline, x, order=0):
-    """Value (order 0), gradient (1) or Hessian (2) of a spline at a point."""
-    return spline.eval_on_triangle(spline.locate(x), x, order=order)
-
-
 def basis_support(space, lam, tol=1e-13):
     """Triangles on which the dual basis function of dof lam is nonzero."""
     out = set()
@@ -765,11 +664,6 @@ def basis_support(space, lam, tol=1e-13):
         if np.abs(Z[:, hit[0]]).max() > tol:
             out.add(t)
     return out
-
-
-def active_dofs(space, t):
-    """Dofs that influence the piece on triangle t."""
-    return space.tri_cols[t]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,11 @@ def ellipse_space(ellipse_mesh):
     return build_space(ellipse_mesh)
 
 
+@pytest.fixture(scope="session")
+def c2_space(c2dom):
+    return build_space(c2dom[1])
+
+
 def make_lens_domain(radius=1.25, offset=0.75):
     """Lens bounded by two circular arcs crossing at non-tangent corners."""
     half_width = np.sqrt(radius**2 - offset**2)
@@ -89,3 +94,8 @@ def lens_mesh():
     dom = make_lens_domain()
     pts, arcs = lens_boundary_points(dom)
     return wheel_mesh(dom, pts, arcs, shrink=0.45)
+
+
+@pytest.fixture(scope="session")
+def lens_space(lens_mesh):
+    return build_space(lens_mesh)

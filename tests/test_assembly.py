@@ -7,7 +7,7 @@ from conicfem import assembly as asm
 from conicfem.mesh import PIE
 from conicfem.problems import (builtin_domain, disk_exact_solution,
                                wheel_mesh)
-from conicfem.space import build_space, propagate
+from conicfem.space import build_space
 
 from _oracles import disk_radial_integral
 
@@ -153,7 +153,7 @@ def test_dense_bilinear_form_agreement():
     idx = rng.integers(0, space.dimension, size=(25, 2))
     splines = {}
     for lam in np.unique(idx):
-        splines[lam] = propagate(space, eye[lam])
+        splines[lam] = space.spline(eye[lam])
     for lam, mu in idx:
         s_l, s_m = splines[lam], splines[mu]
         total = 0.0
@@ -167,7 +167,7 @@ def test_dense_bilinear_form_agreement():
 
 def test_error_norms_self_is_zero(disk_space):
     rng = np.random.default_rng(2)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     quad = asm.TriangleQuadrature(disk_space)
     errs = asm.error_norms(s, quad, ref_batch=lambda t, pts: s.eval_batch(t, pts))
     assert max(errs) < 1e-12

@@ -15,7 +15,7 @@ def run(argv):
 def test_solve_writes_deterministic_csv(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    args = ["solve", "--problem", "disk", "--levels", "2", "--deterministic-assembly"]
+    args = ["solve", "--problem", "disk", "--levels", "2"]
     assert run(args + ["--output", str(out1)]) == 0
     assert run(args + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()

@@ -5,7 +5,6 @@ from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import solver as sol
 from conicfem.problems import disk_exact_solution, problem_g
-from conicfem.space import propagate
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +90,7 @@ def test_linearize_ma_on_paraboloid(disk_ctx):
 
 def test_ellipticity_monitor_flags_indefinite(disk_ctx):
     rng = np.random.default_rng(2)
-    u = propagate(disk_ctx.space, rng.standard_normal(disk_ctx.space.dimension))
+    u = disk_ctx.space.spline(rng.standard_normal(disk_ctx.space.dimension))
     _, eigmin = sol.linearize_ma(u, lambda x: np.ones(len(x)), disk_ctx.quad)
     assert eigmin < 0  # random splines are nowhere near convex
 

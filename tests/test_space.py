@@ -6,8 +6,8 @@ import pytest
 from conicfem import bernstein as bb
 from conicfem import space as sp
 from conicfem.mesh import BUFFER, ORDINARY, PIE
-from conicfem.space import (basis_support, build_space, eval_spline,
-                            factor_ring_matrix, propagate, solve_factor_ring)
+from conicfem.space import (basis_support, build_space, factor_ring_matrix,
+                            solve_factor_ring)
 
 from _oracles import (boundary_samples_max, smoothness_report,
                       space_dimension_by_rank)
@@ -86,8 +86,8 @@ def test_dimension_matches_rank_oracle_level2(disk_mesh2, disk_space2):
     assert len(disk_mesh2.triangles_of_kind(PIE)) == 16
 
 
-def test_non_tangent_corner_has_no_dof(lens_mesh):
-    space = build_space(lens_mesh)
+def test_non_tangent_corner_has_no_dof(lens_mesh, lens_space):
+    space = lens_space
     corner_ids = []
     for z in lens_mesh.domain.corners:
         d = np.linalg.norm(lens_mesh.vertices - z, axis=1)
@@ -106,25 +106,67 @@ def test_zero_dofs_give_zero_spline(disk_space):
         assert np.abs(z.patch(t)).max() == 0.0
 
 
-def test_duality(disk_space):
-    n = disk_space.dimension
-    eye = np.eye(n)
-    for j in range(n):
-        ex = disk_space.extract_dofs(disk_space.spline(eye[j]))
-        assert np.abs(ex - eye[j]).max() < 1e-12
+def test_duality(disk_space, lens_space, c2_space):
+    # lens: non-tangent corners; c2 domain: conics meeting at tangent corners
+    for space in (disk_space, lens_space, c2_space):
+        eye = np.eye(space.dimension)
+        for j in range(space.dimension):
+            ex = space.extract_dofs(space.spline(eye[j]))
+            assert np.abs(ex - eye[j]).max() < 1e-12
 
 
-def test_propagation_consistency_defect(disk_space, ellipse_space):
-    assert disk_space.fill_defect < 1e-12
-    assert ellipse_space.fill_defect < 1e-12
+def test_propagation_consistency_defect(disk_space, ellipse_space, lens_space,
+                                        c2_space):
+    for space in (disk_space, ellipse_space, lens_space, c2_space):
+        assert space.fill_defect < 1e-12
 
 
-def test_smoothness_and_boundary_random(disk_space, ellipse_space):
+def _seed_and_then(extra):
+    """The dof seeding step followed by extra(self, t, g) on the triangle
+    and multi-index of dof 0."""
+    seed = sp._Propagator._seed_dofs
+
+    def step(self):
+        seed(self)
+        dof = self.mds.dofs[0]
+        extra(self, dof.tri, dof.local)
+    return step
+
+
+def test_fill_checks_raise(disk_mesh, monkeypatch):
+    def redefine(rel):
+        return _seed_and_then(lambda self, t, g: self._emit(
+            t, [g], [[1.0 + rel]], [0], from_dofs=True))
+
+    # a second definition within 1e-8 is reported as the fill defect
+    monkeypatch.setattr(sp._Propagator, "_seed_dofs", redefine(1e-10))
+    assert 0.5e-10 < build_space(disk_mesh).fill_defect < 2e-10
+    # beyond 1e-8 it fails the fill
+    monkeypatch.setattr(sp._Propagator, "_seed_dofs", redefine(1e-7))
+    with pytest.raises(sp.PropagationError, match="inconsistent fill"):
+        build_space(disk_mesh)
+    # so does a step that reads a coefficient before a later step sets it
+    late = (disk_mesh.triangles_of_kind(BUFFER)[0], bb.index_map(6)[(0, 3, 3)])
+    monkeypatch.setattr(sp._Propagator, "_seed_dofs", _seed_and_then(
+        lambda self, t, g: self._emit(
+            t, [g], [[1.0]], [self.offset[late[0]] + late[1]])))
+    with pytest.raises(sp.PropagationError, match="reads an unset"):
+        build_space(disk_mesh)
+    monkeypatch.undo()
+    # and a coefficient that no step defines
+    monkeypatch.setattr(sp._Propagator, "_finish_pies_and_buffers",
+                        lambda self: None)
+    with pytest.raises(sp.PropagationError, match="unset"):
+        build_space(disk_mesh)
+
+
+def test_smoothness_and_boundary_random(disk_space, ellipse_space, lens_space,
+                                        c2_space):
     rng = np.random.default_rng(1)
-    for space in (disk_space, ellipse_space):
+    for space in (disk_space, ellipse_space, lens_space, c2_space):
         for _ in range(5):
             dofs = rng.standard_normal(space.dimension)
-            s = propagate(space, dofs)
+            s = space.spline(dofs)
             g0, g1 = smoothness_report(space, s)
             assert g0 < 1e-10 and g1 < 1e-10
             bmax = boundary_samples_max(space, s)
@@ -134,7 +176,7 @@ def test_smoothness_and_boundary_random(disk_space, ellipse_space):
 def test_twice_differentiable_at_interior_vertices(disk_space):
     rng = np.random.default_rng(2)
     mesh = disk_space.mesh
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     for v in mesh.interior_vertices():
         hs = [s.eval_on_triangle(t, mesh.vertices[v], 2)
               for t in mesh.vertex_triangles(v)]
@@ -145,7 +187,7 @@ def test_twice_differentiable_at_interior_vertices(disk_space):
 
 def test_pie_patch_is_product(disk_space):
     rng = np.random.default_rng(3)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     mesh = disk_space.mesh
     for t in mesh.triangles_of_kind(PIE):
         a = s.patch(t)
@@ -160,7 +202,7 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
     # condition from the buffer side, and through the full product; they
     # must agree
     rng = np.random.default_rng(8)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     mesh = disk_space.mesh
     im6 = bb.index_map(6)
     for t in mesh.triangles_of_kind(PIE):
@@ -189,24 +231,24 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
 
 def test_eval_spline_matches_patches(disk_space):
     rng = np.random.default_rng(4)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     for _ in range(30):
         x = rng.uniform(-0.6, 0.6, 2)
         if x @ x > 0.9:
             continue
         t = s.locate(x)
-        assert abs(eval_spline(s, x) - s.eval_on_triangle(t, x, 0)) == 0.0
+        assert abs(s.value(x) - s.eval_on_triangle(t, x, 0)) == 0.0
     # boundary points vanish
     for th in np.linspace(0, 2 * np.pi, 17)[:-1]:
         x = np.array([np.cos(th), np.sin(th)]) * (1 - 1e-14)
-        assert abs(eval_spline(s, x)) < 1e-10 * np.abs(s.dofs).max()
+        assert abs(s.value(x)) < 1e-10 * np.abs(s.dofs).max()
     with pytest.raises(ValueError):
         s.locate(np.array([2.0, 2.0]))
 
 
 def test_eval_gradient_fd(disk_space):
     rng = np.random.default_rng(5)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     h = 1e-5
     count = 0
     while count < 50:
@@ -224,7 +266,7 @@ def test_eval_gradient_fd(disk_space):
 
 def test_eval_batch_consistent(disk_space):
     rng = np.random.default_rng(6)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     t = 0
     tri = disk_space.mesh.tri_coords(t)
     pts = bb.barycentric_many(tri, tri).mean(axis=0, keepdims=True) @ tri
@@ -266,7 +308,7 @@ def test_all_supports_within_three_stars(disk_space):
 
 def test_spline_file_roundtrip(tmp_path, disk_space):
     rng = np.random.default_rng(7)
-    s = propagate(disk_space, rng.standard_normal(disk_space.dimension))
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     path = tmp_path / "spline.json"
     sp.save_spline(s, path, include_patches=True)
     s2 = sp.load_spline(path)
