@@ -11,7 +11,8 @@ Assembly loops triangles sequentially (deterministic by construction);
 rules and maps are immutable and shareable across threads.
 """
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
@@ -111,7 +112,6 @@ def pie_quadrature(mesh, t, order=12):
         tdot = -tpar * float(g @ cdir) / denom
         apts[j] = a
         adot[j] = tdot * (c - v1) + tpar * cdir
-    js = apts[:, 0] * 0.0
     js = (apts[:, 0] - v1[0]) * adot[:, 1] - (apts[:, 1] - v1[1]) * adot[:, 0]
     if np.any(js <= 0):
         raise AssemblyError(f"non-positive blending Jacobian on pie triangle {t}")
@@ -146,57 +146,42 @@ class TriangleQuadrature:
             )
         self.nodes = []
         self.weights = []
-        self.basis = []        # (V, Gx, Gy, Hxx, Hxy, Hyy) per triangle
+        self.basis = []        # (V, [Gx, Gy], [Hxx, Hxy, Hyy]) per triangle
         for t in range(mesh.n_triangles):
             rec = mesh.triangles[t]
             tri = mesh.tri_coords(t)
             d = 5 if rec.kind == ORDINARY else 6
             if rec.kind == PIE:
                 pq = pie_quadrature(mesh, t, order=pie_order)
-                nodes, w, bary = pq.nodes, pq.weights, pq.bary
-                B = bb.bernstein_matrix(d, bary)
-                B1 = bb.bernstein_matrix(d - 1, bary)
-                B2 = bb.bernstein_matrix(d - 2, bary)
+                nodes, w = pq.nodes, pq.weights
+                basis = bb.design_matrices(d, tri, pq.bary)
             else:
-                bary = self.rule.bary
-                nodes = bary @ tri
-                area = abs(bb.triangle_area(tri))
-                w = area * self.rule.weights
-                B, B1, B2 = self._ref[d]
-            ax = bb.directional_coords(tri, (1.0, 0.0))
-            ay = bb.directional_coords(tri, (0.0, 1.0))
-            Mx, My = bb.diff_matrix(d, ax), bb.diff_matrix(d, ay)
-            Gx, Gy = d * (B1 @ Mx), d * (B1 @ My)
-            fac = d * (d - 1)
-            Hxx = fac * (B2 @ (bb.diff_matrix(d - 1, ax) @ Mx))
-            Hxy = fac * (B2 @ (bb.diff_matrix(d - 1, ay) @ Mx))
-            Hyy = fac * (B2 @ (bb.diff_matrix(d - 1, ay) @ My))
+                nodes = self.rule.bary @ tri
+                w = abs(bb.triangle_area(tri)) * self.rule.weights
+                basis = bb.derivative_matrices(d, tri, *self._ref[d])
             self.nodes.append(nodes)
             self.weights.append(w)
-            self.basis.append((B, Gx, Gy, Hxx, Hxy, Hyy))
+            self.basis.append(basis)
 
     def spline_data(self, spline, t, order=2):
         """(values, grads, hessians) of a spline at this triangle's nodes."""
-        c = spline.patch(t)
-        B, Gx, Gy, Hxx, Hxy, Hyy = self.basis[t]
-        vals = B @ c
-        grads = np.column_stack([Gx @ c, Gy @ c]) if order >= 1 else None
-        hess = None
-        if order >= 2:
-            hess = np.empty((len(vals), 2, 2))
-            hess[:, 0, 0] = Hxx @ c
-            hess[:, 0, 1] = hess[:, 1, 0] = Hxy @ c
-            hess[:, 1, 1] = Hyy @ c
-        return vals, grads, hess
+        V, G, H = self.basis[t]
+        return bb.apply_design(V, G if order >= 1 else None,
+                               H if order >= 2 else None, spline.patch(t))
 
 
-def integrate(quad, field, triangles=None):
-    """Integral of a pointwise field over the mesh (or a triangle subset)."""
-    tris = range(quad.space.mesh.n_triangles) if triangles is None else triangles
-    total = 0.0
-    for t in tris:
-        total += float(quad.weights[t] @ np.asarray(field(quad.nodes[t])))
-    return total
+def _quadrature_sums(quad, fields):
+    """Integrals of the fields that fields(t) returns at triangle t's nodes
+    (a sequence of arrays), summed triangle by triangle in mesh order."""
+    totals = itertools.repeat(0.0)     # a list of sums after triangle 0
+    for t, w in enumerate(quad.weights):
+        totals = [s + float(w @ f) for s, f in zip(totals, fields(t))]
+    return totals
+
+
+def integrate(quad, field):
+    """Integral of a pointwise field over the mesh."""
+    return _quadrature_sums(quad, lambda t: [np.asarray(field(quad.nodes[t]))])[0]
 
 
 def domain_area(quad):
@@ -253,7 +238,7 @@ def assemble(problem, space, quad=None):
             Z = space.pie_product_maps[t]
         else:
             Z = space.tri_maps[t]
-        B, Gx, Gy, _, _, _ = quad.basis[t]
+        B, (Gx, Gy), _ = quad.basis[t]
         w = quad.weights[t]
         pts = quad.nodes[t]
         Phi = B @ Z
@@ -318,22 +303,9 @@ def solve_sparse(system):
 # ---------------------------------------------------------------------------
 # norms
 
-def _accumulate_norms(quad, data_fn):
-    """Sum L2^2, H1-seminorm^2, H2-seminorm^2 of a field given per-triangle
-    (values, grads, hessians)."""
-    l2 = h1 = h2 = 0.0
-    mesh = quad.space.mesh
-    for t in range(mesh.n_triangles):
-        w = quad.weights[t]
-        vals, grads, hess = data_fn(t)
-        l2 += float(w @ (vals * vals))
-        if grads is not None:
-            h1 += float(w @ (grads[:, 0] ** 2 + grads[:, 1] ** 2))
-        if hess is not None:
-            h2 += float(w @ (
-                hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2 + hess[:, 1, 1] ** 2
-            ))
-    return l2, h1, h2
+def hessian_det(hess):
+    """Pointwise determinants of an (n, 2, 2) array of Hessians."""
+    return hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
 
 
 def error_norms(spline, quad, ref=None, ref_batch=None):
@@ -345,22 +317,20 @@ def error_norms(spline, quad, ref=None, ref_batch=None):
     spline from another level.  Full norms: H1 and H2 include the
     lower-order terms.
     """
-    def data(t):
+    def fields(t):
         vals, grads, hess = quad.spline_data(spline, t)
         pts = quad.nodes[t]
         if ref is not None:
-            rv, rg, rh = ref
-            vals = vals - np.asarray(rv(pts))
-            grads = grads - np.asarray(rg(pts))
-            hess = hess - np.asarray(rh(pts))
+            rv, rg, rh = (np.asarray(r(pts)) for r in ref)
         elif ref_batch is not None:
             rv, rg, rh = ref_batch(t, pts)
-            vals = vals - rv
-            grads = grads - rg
-            hess = hess - rh
-        return vals, grads, hess
+        else:
+            rv = rg = rh = 0.0
+        vals, grads, hess = vals - rv, grads - rg, hess - rh
+        return (vals * vals, grads[:, 0] ** 2 + grads[:, 1] ** 2,
+                hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2 + hess[:, 1, 1] ** 2)
 
-    l2, h1s, h2s = _accumulate_norms(quad, data)
+    l2, h1s, h2s = _quadrature_sums(quad, fields)
     return (
         float(np.sqrt(l2)),
         float(np.sqrt(l2 + h1s)),
@@ -370,19 +340,17 @@ def error_norms(spline, quad, ref=None, ref_batch=None):
 
 def l2_norm(spline, quad):
     """L2 norm of a spline (values only, no derivatives)."""
-    total = 0.0
-    for t in range(quad.space.mesh.n_triangles):
-        vals = quad.basis[t][0] @ spline.patch(t)
-        total += float(quad.weights[t] @ (vals * vals))
-    return float(np.sqrt(total))
+    def fields(t):
+        vals = quad.spline_data(spline, t, order=0)[0]
+        return [vals * vals]
+
+    return float(np.sqrt(_quadrature_sums(quad, fields)[0]))
 
 
 def residual_norm(spline, quad, g):
     """L2 norm of det(Hessian of spline) - g over the domain."""
-    total = 0.0
-    for t in range(quad.space.mesh.n_triangles):
-        _, _, hess = quad.spline_data(spline, t)
-        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
-        r = det - np.asarray(g(quad.nodes[t]))
-        total += float(quad.weights[t] @ (r * r))
-    return float(np.sqrt(total))
+    def fields(t):
+        r = hessian_det(quad.spline_data(spline, t)[2]) - np.asarray(g(quad.nodes[t]))
+        return [r * r]
+
+    return float(np.sqrt(_quadrature_sums(quad, fields)[0]))

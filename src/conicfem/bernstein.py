@@ -207,23 +207,44 @@ def design_matrices(d, tri, bary, order=2):
     H = [Dxx, Dxy, Dyy] (each (n, nc)), so that e.g. values = V @ coeffs.
     G and H are None when not requested via order.
     """
-    V = bernstein_matrix(d, bary)
+    B1 = bernstein_matrix(d - 1, bary) if order >= 1 and d >= 1 else None
+    B2 = bernstein_matrix(d - 2, bary) if order >= 2 and d >= 2 else None
+    return derivative_matrices(d, tri, bernstein_matrix(d, bary), B1, B2)
+
+
+def derivative_matrices(d, tri, B, B1=None, B2=None):
+    """(V, G, H) of design_matrices from the Bernstein matrices B, B1, B2
+    of degrees d, d-1, d-2 at one point set (G, H are None without B1, B2).
+
+    The Cartesian derivatives come from coefficient differencing in the
+    directional coordinates of tri."""
     G = H = None
-    if order >= 1 and d >= 1:
+    if B1 is not None:
         ax = directional_coords(tri, (1.0, 0.0))
         ay = directional_coords(tri, (0.0, 1.0))
-        B1 = bernstein_matrix(d - 1, bary)
         Mx, My = diff_matrix(d, ax), diff_matrix(d, ay)
         G = [d * (B1 @ Mx), d * (B1 @ My)]
-        if order >= 2 and d >= 2:
-            B2 = bernstein_matrix(d - 2, bary)
+        if B2 is not None:
             fac = d * (d - 1)
             H = [
                 fac * (B2 @ (diff_matrix(d - 1, ax) @ Mx)),
                 fac * (B2 @ (diff_matrix(d - 1, ay) @ Mx)),
                 fac * (B2 @ (diff_matrix(d - 1, ay) @ My)),
             ]
-    return V, G, H
+    return B, G, H
+
+
+def apply_design(V, G, H, coeffs):
+    """(values, gradients (n, 2), Hessians (n, 2, 2)) of coefficients from
+    design matrices; a missing G or H gives None."""
+    vals = V @ coeffs
+    grads = None if G is None else np.column_stack([G[0] @ coeffs, G[1] @ coeffs])
+    hess = None
+    if H is not None:
+        hess = np.empty((len(vals), 2, 2))
+        hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1] = (M @ coeffs for M in H)
+        hess[:, 1, 0] = hess[:, 0, 1]
+    return vals, grads, hess
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ Verbs:
 
 import argparse
 import json
+import logging
 import sys
 
 import numpy as np
@@ -46,7 +47,9 @@ def _cell(col, value):
 
 
 def convergence_rows(reports, use_exact):
-    """Table rows (dicts) in the layout of the convergence tables."""
+    """Table rows (dicts) in the layout of the convergence tables: exact
+    errors and their rates when use_exact, eps errors and eps rates
+    otherwise."""
     rows = []
     init = reports[0]
     rows.append({
@@ -57,23 +60,14 @@ def convergence_rows(reports, use_exact):
         "L2_rate": None, "H1_rate": None, "H2_rate": None,
         "R": init.init_residual, "R_rate": None, "m": None,
     })
-    prev = {}
     for rep in reports:
         errs = rep.errors if use_exact else rep.eps_errors
-        row = {
-            "level": rep.level,
-            "L2": errs[0] if errs else None,
-            "H1": errs[1] if errs else None,
-            "H2": errs[2] if errs else None,
-            "R": rep.residual,
-            "m": rep.iterations,
-        }
-        for key in ("L2", "H1", "H2", "R"):
-            a, b = prev.get(key), row.get(key)
-            row[f"{key}_rate"] = (
-                float(np.log2(a / b)) if a and b and a > 0 and b > 0 else None
-            )
-        prev = {k: row[k] for k in ("L2", "H1", "H2", "R")}
+        rates = rep.rates if use_exact else rep.eps_rates
+        row = {"level": rep.level, "R": rep.residual, "m": rep.iterations,
+               "R_rate": rep.rates.get("R")}
+        for k, key in enumerate(("L2", "H1", "H2")):
+            row[key] = errs[k] if errs else None
+            row[f"{key}_rate"] = rates.get(key)
         rows.append(row)
     return rows
 
@@ -122,6 +116,9 @@ def _custom_g(expr):
 
 
 def cmd_solve(args):
+    if args.verbose:
+        logging.basicConfig(format="%(message)s")
+        logging.getLogger("conicfem").setLevel(logging.INFO)
     if args.problem == "custom":
         if not args.mesh or not args.g_expr:
             raise ValueError("--problem custom requires --mesh and --g-expr")
@@ -137,7 +134,6 @@ def cmd_solve(args):
     reports, u = sol.multilevel_run(
         prob, args.levels, tol=args.tol, max_iter=args.max_iter,
         quad_degree=args.quad_degree, pie_order=args.pie_order,
-        verbose=args.verbose,
     )
     rows = convergence_rows(reports, use_exact=exact is not None)
     print_table(rows)
@@ -250,7 +246,8 @@ def build_parser():
     ps.add_argument("--save-solution", help="save final-level spline (JSON)")
     ps.add_argument("--dump-matrix", help="Matrix Market dump of the final "
                                           "linearized system")
-    ps.add_argument("--verbose", action="store_true")
+    ps.add_argument("--verbose", action="store_true",
+                    help="log one line per level to stderr")
     ps.add_argument("--config", help="JSON file with defaults for the flags")
     ps.set_defaults(fn=cmd_solve)
 
@@ -292,12 +289,15 @@ def main(argv=None):
     if getattr(args, "config", None):
         with open(args.config) as f:
             conf = json.load(f)
+        unknown = [k for k in conf if k.replace("-", "_") not in _CONFIG_KEYS]
+        if unknown:
+            parser.error(f"unknown --config key(s): {', '.join(unknown)}")
         passed = {a.lstrip("-").replace("-", "_").split("=")[0]
                   for a in (argv if argv is not None else sys.argv[1:])
                   if a.startswith("--")}
         for key, val in conf.items():
             k = key.replace("-", "_")
-            if k in _CONFIG_KEYS and k not in passed:
+            if k not in passed:
                 setattr(args, k, val)
     if hasattr(args, "levels") and hasattr(args, "tol"):
         if args.levels < 1 or args.tol <= 0:

@@ -14,6 +14,7 @@ solution of the Poisson problem laplace(u) = 2 sqrt(g); refined levels
 start from a quasi-interpolant of the previous level's last iterate.
 """
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from . import bernstein as bb
 from .mesh import PIE, refine_uniform
 from .space import build_space
 from .geometry import grad_conic
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -58,7 +61,8 @@ class LevelReport:
     residual: float
     errors: tuple = None        # vs exact solution, (L2, H1, H2)
     eps_errors: tuple = None    # vs next level, (L2, H1, H2)
-    rates: dict = field(default_factory=dict)
+    rates: dict = field(default_factory=dict)       # of errors, and "R"
+    eps_rates: dict = field(default_factory=dict)   # of eps_errors
     hessian_eigmin: float = None
     diverged: bool = False
     init_errors: tuple = None
@@ -99,8 +103,7 @@ def linearize_ma(u, g, quad):
         cof[:, 1, 1] = hess[:, 0, 0]
         cof[:, 0, 1] = cof[:, 1, 0] = -hess[:, 0, 1]
         cof_tab[t] = cof
-        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
-        res_tab[t] = det - np.asarray(g(quad.nodes[t]))
+        res_tab[t] = asm.hessian_det(hess) - np.asarray(g(quad.nodes[t]))
         half_tr = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
         rad = np.sqrt((0.5 * (hess[:, 0, 0] - hess[:, 1, 1])) ** 2
                       + hess[:, 0, 1] ** 2)
@@ -253,22 +256,13 @@ def transfer_guess(coarse_ctx, u_coarse, fine_ctx):
     return fine.spline(dofs)
 
 
-def _coarse_batch_evaluator(u_coarse, fine_mesh):
-    """Per-fine-triangle evaluator of a previous-level spline (via parents)."""
-    parents = fine_mesh.parents
-
-    def ref_batch(t, pts):
-        return u_coarse.eval_batch(parents[t], pts, order=2)
-
-    return ref_batch
-
-
 def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
-                   quad_degree=16, pie_order=12, verbose=False):
+                   quad_degree=16, pie_order=12):
     """Newton-Galerkin runs on a hierarchy of uniformly refined meshes.
 
     Returns the list of LevelReports (with consecutive-level eps errors
-    and rates filled in) and the final-level solution spline.
+    and rates filled in) and the final-level solution spline.  Each level
+    logs one INFO line.
     """
     reports = []
     meshes = [problem.initial_mesh]
@@ -309,10 +303,12 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
         if prev_report is not None:
             # difference of consecutive-level solutions, measured on the
             # finer quadrature with the coarse spline read through parents
-            prev_report.eps_errors = _eps_errors(prev_u, u, ctx, mesh)
-        if verbose:
-            print(f"level {lev}: dim={rep.dimension} m={rep.iterations} "
-                  f"R={rep.residual:.3e} updates={['%.1e' % n for n in rep.update_norms]}")
+            prev_report.eps_errors = asm.error_norms(
+                u, ctx.quad,
+                ref_batch=lambda t, pts: prev_u.eval_batch(mesh.parents[t], pts))
+        log.info("level %d: dim=%d m=%d R=%.3e updates=%s", lev, rep.dimension,
+                 rep.iterations, rep.residual,
+                 ["%.1e" % n for n in rep.update_norms])
         reports.append(rep)
         prev_ctx, prev_u, prev_report = ctx, u, rep
 
@@ -320,28 +316,18 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
     return reports, u
 
 
-def _eps_errors(u_coarse, u_fine, fine_ctx, fine_mesh):
-    """(L2, H1, H2) norms of the difference of consecutive-level solutions."""
-    return asm.error_norms(
-        u_fine, fine_ctx.quad,
-        ref_batch=_coarse_batch_evaluator(u_coarse, fine_mesh),
-    )
+def _rate(a, b):
+    """log2(a / b), or None unless both are positive."""
+    return float(np.log2(a / b)) if a and b and a > 0 and b > 0 else None
 
 
 def _fill_rates(reports):
-    def rate(a, b):
-        if a is None or b is None or a <= 0 or b <= 0:
-            return None
-        return float(np.log2(a / b))
-
-    for i, rep in enumerate(reports):
-        if i == 0:
-            continue
-        prev = reports[i - 1]
-        if rep.errors and prev.errors:
-            for k, name in enumerate(("L2", "H1", "H2")):
-                rep.rates[name] = rate(prev.errors[k], rep.errors[k])
-        if rep.eps_errors and prev.eps_errors:
-            for k, name in enumerate(("L2", "H1", "H2")):
-                rep.rates[name] = rate(prev.eps_errors[k], rep.eps_errors[k])
-        rep.rates["R"] = rate(prev.residual, rep.residual)
+    """Rates between consecutive levels: `rates` of the exact errors (when
+    known) and of the residual "R", `eps_rates` of the eps errors."""
+    for prev, rep in zip(reports, reports[1:]):
+        for rates, a, b in ((rep.rates, prev.errors, rep.errors),
+                            (rep.eps_rates, prev.eps_errors, rep.eps_errors)):
+            if a and b:
+                for name, x, y in zip(("L2", "H1", "H2"), a, b):
+                    rates[name] = _rate(x, y)
+        rep.rates["R"] = _rate(prev.residual, rep.residual)

@@ -596,20 +596,8 @@ class SplineFunction:
         d = self.space.tri_degree(t)
         tri = self.space.mesh.tri_coords(t)
         bary = bb.barycentric_many(tri, pts)
-        V, G, H = bb.design_matrices(d, tri, bary, order=order)
-        c = self._patches[t]
-        vals = V @ c
-        grads = hesses = None
-        if order >= 1:
-            grads = np.column_stack([G[0] @ c, G[1] @ c])
-        if order >= 2:
-            hxx, hxy, hyy = (H[0] @ c, H[1] @ c, H[2] @ c)
-            hesses = np.empty((len(vals), 2, 2))
-            hesses[:, 0, 0] = hxx
-            hesses[:, 0, 1] = hxy
-            hesses[:, 1, 0] = hxy
-            hesses[:, 1, 1] = hyy
-        return vals, grads, hesses
+        return bb.apply_design(*bb.design_matrices(d, tri, bary, order=order),
+                               self._patches[t])
 
     def locate(self, x):
         """Triangle containing the point, honoring curved pie regions."""

@@ -141,7 +141,7 @@ def test_criterion_3_disk_tables(tp1):
 def test_criterion_4_ellipse_exp_tables(tp2):
     reports, _, elapsed = tp2
     r_rate = reports[3].rates["R"]
-    l2_rates = [rep.rates.get("L2") for rep in reports[1:3]]
+    l2_rates = [rep.eps_rates.get("L2") for rep in reports[1:3]]
     best_l2 = max(r for r in l2_rates if r is not None)
     ok = abs(r_rate - 3.8) <= 0.7 and best_l2 >= 4.5 and elapsed <= 600.0
     _line(4, ok,
@@ -151,7 +151,7 @@ def test_criterion_4_ellipse_exp_tables(tp2):
 
 def test_criterion_5_ellipse_sin_tables(tp3):
     reports, _ = tp3
-    h2_rate = reports[3].rates["H2"]
+    h2_rate = reports[3].eps_rates["H2"]
     r_rate = reports[3].rates["R"]
     ok = 1.0 <= h2_rate <= 2.2 and 1.2 <= r_rate <= 1.8
     _line(5, ok, f"level-4 H2 eps-rate {h2_rate:.2f} in [1.0,2.2]; "
@@ -160,8 +160,8 @@ def test_criterion_5_ellipse_sin_tables(tp3):
 
 def test_criterion_6_c2_domain_tables(tp5):
     reports, _ = tp5
-    l2_rate = reports[3].rates["L2"]
-    h2_rate = reports[3].rates["H2"]
+    l2_rate = reports[3].eps_rates["L2"]
+    h2_rate = reports[3].eps_rates["H2"]
     ok = l2_rate >= 3.3 and 1.5 <= h2_rate <= 2.5
     _line(6, ok, f"eps L2 rate {l2_rate:.2f} >= 3.3; "
                  f"H2 eps-rate {h2_rate:.2f} in [1.5,2.5]")

@@ -103,6 +103,15 @@ def test_config_file_defaults(tmp_path, capsys):
     assert "init" in out
 
 
+def test_unknown_config_key_fails(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"problem": "disk", "levles": 2}))
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--config", str(conf), "--levels", "1"])
+    assert exc.value.code != 0
+    assert "levles" in capsys.readouterr().err
+
+
 def test_unknown_problem_fails():
     with pytest.raises(SystemExit):
         run(["solve", "--problem", "lemniscate"])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,24 @@ def test_multilevel_single_level_report(disk_problem):
     assert reports[0].rates == {}
     assert reports[0].eps_errors is None
     assert reports[0].errors is not None
+
+
+def test_level_line_is_logged(disk_problem, caplog):
+    with caplog.at_level(logging.INFO, logger="conicfem"):
+        sol.multilevel_run(disk_problem, 1)
+    assert "level 1: dim=134 m=3" in caplog.text
+
+
+def test_rates_do_not_depend_on_levels_run(disk_problem):
+    two, _ = sol.multilevel_run(disk_problem, 2)
+    three, _ = sol.multilevel_run(disk_problem, 3)
+    assert two[1].rates == three[1].rates
+    for k, name in enumerate(("L2", "H1", "H2")):
+        for reports in (two, three):
+            assert reports[1].rates[name] == np.log2(
+                reports[0].errors[k] / reports[1].errors[k])
+        assert three[1].eps_rates[name] == np.log2(
+            three[0].eps_errors[k] / three[1].eps_errors[k])
 
 
 def test_convexity_monitor_from_level_two(disk_problem):
