@@ -169,6 +169,16 @@ class TriangleQuadrature:
         return bb.apply_design(V, G if order >= 1 else None,
                                H if order >= 2 else None, spline.patch(t))
 
+    def design(self, t, d):
+        """(V, G, H) of degree d at triangle t's nodes: the cached basis at
+        the triangle's own degree, else (straight triangles, d in 5, 6) one
+        built from the reference Bernstein matrices."""
+        if d == self.space.tri_degree(t):
+            return self.basis[t]
+        if self.space.mesh.triangles[t].kind == PIE:
+            raise AssemblyError(f"pie triangle {t} has only its degree-6 basis")
+        return bb.derivative_matrices(d, self.space.mesh.tri_coords(t), *self._ref[d])
+
 
 def _quadrature_sums(quad, fields):
     """Integrals of the fields that fields(t) returns at triangle t's nodes
@@ -308,25 +318,34 @@ def hessian_det(hess):
     return hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
 
 
-def error_norms(spline, quad, ref=None, ref_batch=None):
+def error_norms(spline, quad, ref=None, ref_batch=None, ref_coeffs=None):
     """(L2, H1, H2) norms of spline - reference.
 
     ref: (value, gradient, hessian) callables on (n,2) arrays, or None to
     measure the spline itself.  ref_batch: alternative per-triangle batch
-    evaluator t, pts -> (vals, grads, hess), used for comparing against a
-    spline from another level.  Full norms: H1 and H2 include the
+    evaluator t, pts -> (vals, grads, hess).  ref_coeffs: per triangle, a
+    (degree, BB coefficients) pair of a polynomial on that triangle, at
+    least the spline's degree there (a coarser spline re-expanded, see
+    solver.coarse_on_fine); its coefficients are subtracted from the
+    spline's before evaluation.  Full norms: H1 and H2 include the
     lower-order terms.
     """
     def fields(t):
-        vals, grads, hess = quad.spline_data(spline, t)
-        pts = quad.nodes[t]
-        if ref is not None:
-            rv, rg, rh = (np.asarray(r(pts)) for r in ref)
-        elif ref_batch is not None:
-            rv, rg, rh = ref_batch(t, pts)
+        if ref_coeffs is not None:
+            d, coeffs = ref_coeffs[t]
+            own = quad.space.tri_degree(t)
+            diff = bb.degree_raise(own, spline.patch(t), d) if d > own else spline.patch(t)
+            vals, grads, hess = bb.apply_design(*quad.design(t, d), diff - coeffs)
         else:
-            rv = rg = rh = 0.0
-        vals, grads, hess = vals - rv, grads - rg, hess - rh
+            vals, grads, hess = quad.spline_data(spline, t)
+            pts = quad.nodes[t]
+            if ref is not None:
+                rv, rg, rh = (np.asarray(r(pts)) for r in ref)
+            elif ref_batch is not None:
+                rv, rg, rh = ref_batch(t, pts)
+            else:
+                rv = rg = rh = 0.0
+            vals, grads, hess = vals - rv, grads - rg, hess - rh
         return (vals * vals, grads[:, 0] ** 2 + grads[:, 1] ** 2,
                 hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2 + hess[:, 1, 1] ** 2)
 

@@ -81,20 +81,27 @@ def barycentric(tri, x):
 
 
 def barycentric_many(tri, pts):
-    """Barycentric coordinates for an (n, 2) array of points; returns (n, 3)."""
+    """Barycentric coordinates for an (n, 2) array of points; returns (n, 3).
+
+    Also batched over triangles: tri (m, 3, 2) and pts (m, n, 2) give
+    (m, n, 3), each point set measured against its own triangle.
+    """
     tri = np.asarray(tri, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    v1, v2, v3 = tri
-    area2 = float(_cross2(v2 - v1, v3 - v1))
-    scale = max(np.abs(tri).max(), 1.0)
-    if abs(area2) < 2e-14 * scale * scale:
+    v1 = tri[..., :1, :]
+    e2, e3 = tri[..., 1:2, :] - v1, tri[..., 2:, :] - v1
+    area2 = e2[..., 0] * e3[..., 1] - e2[..., 1] * e3[..., 0]
+    scale = np.maximum(np.abs(tri).max(axis=(-2, -1), keepdims=True)[..., 0], 1.0)
+    if (np.abs(area2) < 2e-14 * scale * scale).any():
         raise ValueError("degenerate triangle in barycentric computation")
     d = pts - v1
-    e2, e3 = v2 - v1, v3 - v1
-    b2 = (d[:, 0] * e3[1] - d[:, 1] * e3[0]) / area2
-    b3 = (e2[0] * d[:, 1] - e2[1] * d[:, 0]) / area2
-    b1 = 1.0 - b2 - b3
-    return np.column_stack([b1, b2, b3])
+    b2 = (d[..., 0] * e3[..., 1] - d[..., 1] * e3[..., 0]) / area2
+    b3 = (e2[..., 0] * d[..., 1] - e2[..., 1] * d[..., 0]) / area2
+    out = np.empty(pts.shape[:-1] + (3,))
+    out[..., 0] = 1.0 - b2 - b3
+    out[..., 1] = b2
+    out[..., 2] = b3
+    return out
 
 
 def directional_coords(tri, u):
@@ -274,6 +281,60 @@ def degree_raise_matrix(d, d_to):
 def degree_raise(d, coeffs, d_to):
     """Coefficients of the same polynomial written at degree d_to >= d."""
     return degree_raise_matrix(d, d_to) @ np.asarray(coeffs, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _collocation(d):
+    """Barycentric domain points of degree d and the inverse of the
+    Bernstein collocation matrix at them."""
+    lam = np.array(multi_indices(d), dtype=float) / d
+    return lam, np.linalg.inv(bernstein_matrix(d, lam))
+
+
+def _de_casteljau_step(r, X, b):
+    """One de Casteljau step on each row of X (degree r -> r - 1), with
+    the barycentric point b[k] for row k."""
+    st = _diff_structure(r)
+    return (b[:, None, 0] * X[:, st[:, 0]] + b[:, None, 1] * X[:, st[:, 1]]
+            + b[:, None, 2] * X[:, st[:, 2]])
+
+
+def reexpand(d, coeffs, S, d_to):
+    """Degree-d BB polynomials on a triangle T rewritten on other triangles.
+
+    coeffs: (n, n_coeffs(d)), one polynomial per row; S: (n, 3, 3), row i
+    of S[k] holding the barycentric coordinates w.r.t. T of vertex i of
+    target triangle k (which may reach outside T).  Returns the (n,
+    n_coeffs(d_to)) coefficients on the targets: the same polynomials when
+    d_to >= d, otherwise their interpolants at the targets' degree-d_to
+    domain points.
+
+    The exact case is de Casteljau subdivision: target coefficient
+    (i, j, k) is the blossom at i copies of the first target vertex, j of
+    the second and k of the third.  On sub-triangles every step is a
+    convex combination, so no conditioning is lost.
+    """
+    S = np.asarray(S, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if d_to < d:
+        lam, inv = _collocation(d_to)
+        B = bernstein_matrix(d, (lam @ S).reshape(-1, 3)).reshape(len(S), len(lam), -1)
+        return np.einsum("kpc,kc->kp", B, coeffs) @ inv.T
+    out = np.empty_like(coeffs)
+    im = index_map(d)
+    P = coeffs
+    for i in range(d + 1):              # P: i steps toward vertex 1
+        Q = P
+        for j in range(d - i + 1):      # Q: then j steps toward vertex 2
+            R = Q
+            for r in range(d - i - j, 0, -1):
+                R = _de_casteljau_step(r, R, S[:, 2])
+            out[:, im[(i, j, d - i - j)]] = R[:, 0]
+            if j < d - i:
+                Q = _de_casteljau_step(d - i - j, Q, S[:, 1])
+        if i < d:
+            P = _de_casteljau_step(d - i, P, S[:, 0])
+    return out if d_to == d else out @ degree_raise_matrix(d, d_to).T
 
 
 @lru_cache(maxsize=None)

@@ -147,10 +147,10 @@ def cmd_solve(args):
         _write_plot(u, args.plot_grid, args.plot_data)
         print(f"wrote {args.plot_data}")
     if args.dump_matrix:
-        ctx = sol.LevelContext(u.space.mesh, quad_degree=args.quad_degree,
-                               pie_order=args.pie_order)
-        problem, _ = sol.linearize_ma(u, prob.g, ctx.quad)
-        system = asm.assemble(problem, u.space, ctx.quad)
+        quad = asm.TriangleQuadrature(u.space, degree=args.quad_degree,
+                                      pie_order=args.pie_order)
+        problem, _ = sol.linearize_ma(u, prob.g, quad)
+        system = asm.assemble(problem, u.space, quad)
         from scipy.io import mmwrite
         mmwrite(args.dump_matrix, system.matrix)
         print(f"wrote {args.dump_matrix}")
@@ -285,6 +285,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = list(argv if argv is not None else sys.argv[1:])
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
         with open(args.config) as f:
@@ -293,12 +294,12 @@ def main(argv=None):
         if unknown:
             parser.error(f"unknown --config key(s): {', '.join(unknown)}")
         passed = {a.lstrip("-").replace("-", "_").split("=")[0]
-                  for a in (argv if argv is not None else sys.argv[1:])
-                  if a.startswith("--")}
-        for key, val in conf.items():
-            k = key.replace("-", "_")
-            if k not in passed:
-                setattr(args, k, val)
+                  for a in argv if a.startswith("--")}
+        # each value is parsed as its flag's text (type and choices
+        # checked by argparse); explicit flags win, null keeps the default
+        extra = [f"--{key.replace('_', '-')}={val}" for key, val in conf.items()
+                 if key.replace("-", "_") not in passed and val is not None]
+        args = parser.parse_args(argv + extra)
     if hasattr(args, "levels") and hasattr(args, "tol"):
         if args.levels < 1 or args.tol <= 0:
             parser.error("levels must be >= 1 and tol > 0")

@@ -15,6 +15,7 @@ start from a quasi-interpolant of the previous level's last iterate.
 """
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,8 @@ import numpy as np
 from . import assembly as asm
 from . import bernstein as bb
 from .mesh import PIE, refine_uniform
-from .space import build_space
+from .space import (BUFFER_INTERIOR, EDGE_INTERIOR, PIE_FACTOR, build_space,
+                    ring_to_jet_matrix)
 from .geometry import grad_conic
 
 log = logging.getLogger(__name__)
@@ -67,6 +69,10 @@ class LevelReport:
     diverged: bool = False
     init_errors: tuple = None
     init_residual: float = None
+    # perf_counter seconds of the level's phases: space, quad, transfer
+    # (the initial iterate: Poisson solve on level 1), newton, norms
+    # (residual, errors, init norms and the previous level's eps errors)
+    timings: dict = field(default_factory=dict)
 
 
 class LevelContext:
@@ -74,9 +80,13 @@ class LevelContext:
 
     def __init__(self, mesh, quad_degree=16, pie_order=12):
         self.mesh = mesh
+        start = time.perf_counter()
         self.space = build_space(mesh)
+        built = time.perf_counter()
         self.quad = asm.TriangleQuadrature(self.space, degree=quad_degree,
                                            pie_order=pie_order)
+        self.timings = {"space": built - start,
+                        "quad": time.perf_counter() - built}
 
 
 def _check_positive_g(problem, ctx):
@@ -175,83 +185,97 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20, floor_factor=100.0):
     return state, eigmin
 
 
-def transfer_guess(coarse_ctx, u_coarse, fine_ctx):
+@dataclass
+class CoarseOnFine:
+    """A coarse spline written in the BB basis of each triangle of the next,
+    uniformly refined level (the parent's piece re-expanded on the child).
+
+    Per fine triangle t: degree[t] is the larger of its own and its
+    parent's degree, exact[t] the parent's piece at that degree (exact),
+    and own[t] the piece at t's own degree (interpolated at t's domain
+    points where the parent's degree is higher).  factor maps each fine pie
+    to its parent's degree-4 factor on the fine chord triangle.
+    """
+
+    degree: list
+    exact: list
+    own: list
+    factor: dict
+
+
+def coarse_on_fine(u_coarse, fine_space):
+    """Re-expand every piece of a coarse spline on its fine children."""
+    mesh_f = fine_space.mesh
+    if mesh_f.parents is None:
+        raise ValueError("fine mesh does not record its parent triangles")
+    space_c = u_coarse.space
+    mesh_c = space_c.mesh
+    parents = mesh_f.parents
+    n = mesh_f.n_triangles
+    S = bb.barycentric_many(
+        mesh_c.vertices[[mesh_c.triangles[p].verts for p in parents]],
+        mesh_f.vertices[[rec.verts for rec in mesh_f.triangles]])
+    d_parent = [space_c.tri_degree(p) for p in parents]
+    d_own = [fine_space.tri_degree(t) for t in range(n)]
+    exact, own = [None] * n, [None] * n
+    for dp, do in set(zip(d_parent, d_own)):
+        idx = [t for t in range(n) if (d_parent[t], d_own[t]) == (dp, do)]
+        C = np.array([u_coarse.patch(parents[t]) for t in idx])
+        rows = bb.reexpand(dp, C, S[idx], max(dp, do))
+        low = rows if do >= dp else bb.reexpand(dp, C, S[idx], do)
+        for t, e, o in zip(idx, rows, low):
+            exact[t], own[t] = e, o
+    pies = mesh_f.triangles_of_kind(PIE)
+    if any(mesh_c.triangles[parents[t]].kind != PIE for t in pies):
+        raise ValueError("pie triangle refined from a non-pie parent")
+    factor = {}
+    if pies:
+        C = np.array([u_coarse.factor(parents[t]) for t in pies])
+        factor = dict(zip(pies, bb.reexpand(4, C, S[pies], 4)))
+    return CoarseOnFine(list(map(max, d_parent, d_own)), exact, own, factor)
+
+
+def transfer_guess(coarse_ctx, u_coarse, fine_ctx, coarse=None):
     """Quasi-interpolant of a coarse spline in the next level's space.
 
-    Vertex dofs are read off the coarse 2-jet; edge/pie/buffer dofs come
-    from re-expanding the coarse piece on the fine triangle (exact where
-    the coarse restriction has matching degree, interpolation at the fine
-    domain points otherwise)."""
+    The dofs are read off the coarse pieces re-expanded on the fine
+    triangles (coarse, from coarse_on_fine when not given): vertex dofs
+    from the 2-jet of the parent-degree vertex ring, edge/pie/buffer dofs
+    from the coefficients at the fine degree.  Only tangent-corner dofs
+    evaluate the coarse gradient at the point."""
     fine = fine_ctx.space
     mesh_f = fine.mesh
-    mesh_c = coarse_ctx.space.mesh
-    parents = mesh_f.parents
-    if parents is None:
-        raise ValueError("fine mesh does not record its parent triangles")
+    if coarse is None:
+        coarse = coarse_on_fine(u_coarse, fine)
     dofs = np.zeros(fine.dimension)
     mds = fine.mds
 
-    dom_pts5 = np.array(bb.multi_indices(5), dtype=float) / 5.0
-    dom_pts6 = np.array(bb.multi_indices(6), dtype=float) / 6.0
-    coll5 = bb.bernstein_matrix(5, dom_pts5)
-    coll6 = bb.bernstein_matrix(6, dom_pts6)
-    coll4 = bb.bernstein_matrix(4, np.array(bb.multi_indices(4), dtype=float) / 4.0)
-
     for v, start in mds.vertex_block.items():
-        t_f = mds.dofs[start].tri
-        tc = parents[t_f]
-        x = mesh_f.vertices[v]
-        val = u_coarse.eval_on_triangle(tc, x, 0)
-        gr = u_coarse.eval_on_triangle(tc, x, 1)
-        he = u_coarse.eval_on_triangle(tc, x, 2)
-        jet = np.array([val, gr[0], gr[1], he[0, 0], he[0, 1], he[1, 1]])
+        t = mds.dofs[start].tri
+        d = coarse.degree[t]
+        slot = mesh_f.triangles[t].verts.index(v) + 1
+        im = bb.index_map(d)
+        ring = coarse.exact[t][[im[g] for g in bb.vertex_ring(d, slot)]]
+        jet = ring_to_jet_matrix(mesh_f.tri_coords(t), slot, d) @ ring
         dofs[start:start + 6] = fine.vertex_dofs_from_jet(v, jet)
 
-    for e, pos in mds.edge_pos.items():
-        dof = mds.dofs[pos]
-        t_f = dof.tri
-        tc = parents[t_f]
-        tri_f = mesh_f.tri_coords(t_f)
-        pts = dom_pts5 @ tri_f
-        vals, _, _ = u_coarse.eval_batch(tc, pts, order=0)
-        c5 = np.linalg.solve(coll5, vals)
-        dofs[pos] = c5[bb.index_map(5)[dof.local]]
-
     for v, pos in mds.corner_pos.items():
-        dof = mds.dofs[pos]
-        t_f = dof.tri
-        tc = parents[t_f]
+        t = mds.dofs[pos].tri
         x = mesh_f.vertices[v]
-        gr = u_coarse.eval_on_triangle(tc, x, 1)
-        conic = mesh_f.pie_conic(t_f)
-        gq = grad_conic(conic, x) / fine.pie_scale[t_f]
+        gr = u_coarse.eval_on_triangle(mesh_f.parents[t], x, 1)
+        gq = grad_conic(mesh_f.pie_conic(t), x) / fine.pie_scale[t]
         dofs[pos] = float(gr @ gq) / float(gq @ gq)
 
-    for t_f, start in mds.pie_block.items():
-        tc = parents[t_f]
-        if mesh_c.triangles[tc].kind != PIE:
-            raise ValueError("pie triangle refined from a non-pie parent")
-        tri_f = mesh_f.tri_coords(t_f)
-        tri_c = mesh_c.tri_coords(tc)
-        # s = p_c * conic/scale_c = p_f * conic/scale_f  =>  p_f = (scale_f/scale_c) p_c
-        ratio = fine.pie_scale[t_f] / coarse_ctx.space.pie_scale[tc]
-        pts = (np.array(bb.multi_indices(4), dtype=float) / 4.0) @ tri_f
-        bary_c = bb.barycentric_many(tri_c, pts)
-        vals = bb.bernstein_matrix(4, bary_c) @ u_coarse.factor(tc)
-        c4 = np.linalg.solve(coll4, ratio * vals)
-        for i, g_loc in enumerate(
-                d.local for d in mds.dofs[start:start + 5]):
-            dofs[start + i] = c4[bb.index_map(4)[g_loc]]
-
-    for t_f, start in mds.buffer_block.items():
-        tc = parents[t_f]
-        tri_f = mesh_f.tri_coords(t_f)
-        pts = dom_pts6 @ tri_f
-        vals, _, _ = u_coarse.eval_batch(tc, pts, order=0)
-        c6 = np.linalg.solve(coll6, vals)
-        for i, g_loc in enumerate(
-                d.local for d in mds.dofs[start:start + 2]):
-            dofs[start + i] = c6[bb.index_map(6)[g_loc]]
+    # s = p_c * conic/scale_c = p_f * conic/scale_f  =>  p_f = (scale_f/scale_c) p_c
+    scale_c = coarse_ctx.space.pie_scale
+    for pos, dof in enumerate(mds.dofs):
+        t = dof.tri
+        if dof.category == PIE_FACTOR:
+            ratio = fine.pie_scale[t] / scale_c[mesh_f.parents[t]]
+            dofs[pos] = ratio * coarse.factor[t][bb.index_map(4)[dof.local]]
+        elif dof.category in (EDGE_INTERIOR, BUFFER_INTERIOR):
+            im = bb.index_map(fine.tri_degree(t))
+            dofs[pos] = coarse.own[t][im[dof.local]]
 
     return fine.spline(dofs)
 
@@ -275,17 +299,24 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
     u = None
     for lev, mesh in enumerate(meshes, start=1):
         ctx = LevelContext(mesh, quad_degree=quad_degree, pie_order=pie_order)
+        timings = dict(ctx.timings)
         _check_positive_g(problem, ctx)
+        start = time.perf_counter()
         if lev == 1:
             u0 = poisson_initial_guess(ctx, problem.g)
+        else:
+            coarse = coarse_on_fine(prev_u, ctx.space)
+            u0 = transfer_guess(prev_ctx, prev_u, ctx, coarse)
+        timings["transfer"] = time.perf_counter() - start
+        start = time.perf_counter()
+        state, eigmin = run_level(ctx, problem.g, u0, tol=tol, max_iter=max_iter)
+        timings["newton"] = time.perf_counter() - start
+        start = time.perf_counter()
+        init_res = init_err = None
+        if lev == 1:
             init_res = asm.residual_norm(u0, ctx.quad, problem.g)
-            init_err = None
             if problem.exact is not None:
                 init_err = asm.error_norms(u0, ctx.quad, ref=problem.exact)
-        else:
-            u0 = transfer_guess(prev_ctx, prev_u, ctx)
-            init_res = init_err = None
-        state, eigmin = run_level(ctx, problem.g, u0, tol=tol, max_iter=max_iter)
         u = state.spline
         rep = LevelReport(
             level=lev,
@@ -297,15 +328,17 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
             diverged=state.diverged,
             init_errors=init_err,
             init_residual=init_res,
+            timings=timings,
         )
         if problem.exact is not None:
             rep.errors = asm.error_norms(u, ctx.quad, ref=problem.exact)
         if prev_report is not None:
-            # difference of consecutive-level solutions, measured on the
-            # finer quadrature with the coarse spline read through parents
+            # difference of consecutive-level solutions on the finer
+            # quadrature: the coarse pieces re-expanded on the fine
+            # triangles are subtracted coefficient by coefficient
             prev_report.eps_errors = asm.error_norms(
-                u, ctx.quad,
-                ref_batch=lambda t, pts: prev_u.eval_batch(mesh.parents[t], pts))
+                u, ctx.quad, ref_coeffs=list(zip(coarse.degree, coarse.exact)))
+        timings["norms"] = time.perf_counter() - start
         log.info("level %d: dim=%d m=%d R=%.3e updates=%s", lev, rep.dimension,
                  rep.iterations, rep.residual,
                  ["%.1e" % n for n in rep.update_norms])

@@ -118,6 +118,31 @@ def test_degree_raise_preserves_values():
         assert abs(v0 - v1) < 1e-13 * max(1.0, abs(v0))
 
 
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_reexpand_matches_parent_evaluation(d):
+    rng = np.random.default_rng(10 + d)
+    mid = 0.5 * (SKEW + SKEW[[1, 2, 0]])      # midpoints of v1v2, v2v3, v3v1
+    child = np.array([SKEW[0], mid[0], mid[2]])
+    outside = np.array([[0.1, -0.4], [1.6, 0.2], [0.3, 1.5]])
+    targets = (child, mid, outside)
+    S = np.array([bb.barycentric_many(SKEW, tri) for tri in targets])
+    c = rng.standard_normal((len(targets), bb.n_coeffs(d)))
+    for d_to in (d, d + 1):
+        got = bb.reexpand(d, c, S, d_to)
+        for k, tri in enumerate(targets):
+            for x in rand_bary(rng, 10) @ tri:
+                for order in (0, 1):
+                    want = bb.eval_bb(d, c[k], SKEW, x, order=order)
+                    assert np.abs(bb.eval_bb(d_to, got[k], tri, x, order=order)
+                                  - want).max() <= 1e-12
+    # below the source degree: interpolation at the target's domain points
+    low = bb.reexpand(d, c, S, d - 1)
+    for k, tri in enumerate(targets):
+        for x in bb.domain_points(d - 1, tri):
+            assert abs(bb.eval_bb(d - 1, low[k], tri, x)
+                       - bb.eval_bb(d, c[k], SKEW, x)) <= 1e-12
+
+
 def test_product_identity_factor():
     rng = np.random.default_rng(5)
     q = rng.standard_normal(bb.n_coeffs(2))

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conicfem import assembly as asm
 from conicfem import cli
 from conicfem import mesh as msh
-from conicfem.problems import disk_domain
+from conicfem import solver as sol
+from conicfem.problems import disk_domain, problem_g
 
 
 def run(argv):
@@ -110,6 +112,57 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         run(["solve", "--config", str(conf), "--levels", "1"])
     assert exc.value.code != 0
     assert "levles" in capsys.readouterr().err
+
+
+def test_config_values_are_parsed_like_flags(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"problem": "disk", "levels": "2"}))
+    try:
+        rc = run(["solve", "--config", str(conf)])
+    except SystemExit as exc:      # a clean usage error is also acceptable
+        rc = exc.code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if rc == 0:
+        rows = [line.split() for line in captured.out.splitlines()]
+        assert [r[0] for r in rows if r and r[0].isdigit()] == ["1", "2"]
+    else:
+        assert rc == 2
+    # a value its flag cannot parse fails as a usage error naming the flag
+    conf.write_text(json.dumps({"problem": "disk", "levels": "two"}))
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--config", str(conf)])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
+
+
+def test_dump_matrix_reuses_final_space(tmp_path, monkeypatch):
+    from scipy.io import mmread
+
+    builds = []
+    real_build = sol.build_space
+    monkeypatch.setattr(sol, "build_space",
+                        lambda mesh: builds.append(mesh) or real_build(mesh))
+    final = {}
+    real_run = sol.multilevel_run
+
+    def keep_final(*args, **kwargs):
+        reports, u = real_run(*args, **kwargs)
+        final["u"] = u
+        return reports, u
+
+    monkeypatch.setattr(sol, "multilevel_run", keep_final)
+    mat = tmp_path / "m.mtx"
+    assert run(["solve", "--problem", "disk", "--levels", "3",
+                "--dump-matrix", str(mat)]) == 0
+    assert len(builds) == 3
+    u = final["u"]
+    quad = asm.TriangleQuadrature(u.space)
+    problem, _ = sol.linearize_ma(u, problem_g("disk"), quad)
+    want = asm.assemble(problem, u.space, quad).matrix
+    got = mmread(str(mat)).tocsr()
+    assert got.shape == want.shape
+    assert abs(got - want).max() <= 1e-14 * abs(want).max()
 
 
 def test_unknown_problem_fails():

@@ -6,12 +6,18 @@ import pytest
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import solver as sol
+from conicfem.mesh import BUFFER, ORDINARY
 from conicfem.problems import disk_exact_solution, problem_g
 
 
 @pytest.fixture(scope="module")
 def disk_ctx(disk_mesh):
     return sol.LevelContext(disk_mesh)
+
+
+@pytest.fixture(scope="module")
+def disk_ctx2(disk_mesh2):
+    return sol.LevelContext(disk_mesh2)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +171,70 @@ def test_transfer_makes_newton_fast(disk_ctx, disk_mesh2, disk_problem):
     assert state2.iterations <= 2
     # first fine correction is at the coarse-error scale, far below the guess
     assert state2.update_norms[0] < 1e-4
+
+
+def test_transfer_needs_parent_triangles(disk_ctx):
+    with pytest.raises(ValueError, match="parent triangles"):
+        sol.transfer_guess(disk_ctx, disk_ctx.space.zero(), disk_ctx)
+
+
+def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
+                                                      disk_problem):
+    g = disk_problem.g
+    u1, _ = sol.run_level(disk_ctx, g, sol.poisson_initial_guess(disk_ctx, g))
+    u1 = u1.spline
+    u2, _ = sol.run_level(disk_ctx2, g, sol.transfer_guess(disk_ctx, u1, disk_ctx2))
+    u2 = u2.spline
+    coarse = sol.coarse_on_fine(u1, disk_ctx2.space)
+    mesh2, mesh1 = disk_ctx2.mesh, disk_ctx.mesh
+    # buffer parents with ordinary children: compared at the parent's degree
+    assert any(mesh1.triangles[mesh2.parents[t]].kind == BUFFER
+               and mesh2.triangles[t].kind == ORDINARY
+               and coarse.degree[t] == 6 for t in range(mesh2.n_triangles))
+    got = asm.error_norms(u2, disk_ctx2.quad,
+                          ref_coeffs=list(zip(coarse.degree, coarse.exact)))
+    want = asm.error_norms(
+        u2, disk_ctx2.quad,
+        ref_batch=lambda t, pts: u1.eval_batch(mesh2.parents[t], pts))
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_transfer_and_eps_norms_build_no_design_matrices(disk_problem,
+                                                         monkeypatch):
+    # the coarse spline is re-expanded once per level pair, never evaluated
+    # through design matrices at fine quadrature points
+    depth, calls = [0], {"inside": 0, "all": 0}
+    real = bb.design_matrices
+
+    def counting(*args, **kwargs):
+        calls["all"] += 1
+        calls["inside"] += depth[0] > 0
+        return real(*args, **kwargs)
+
+    def watched(fn):
+        def run(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
+
+    monkeypatch.setattr(bb, "design_matrices", counting)
+    for name in ("coarse_on_fine", "transfer_guess"):
+        monkeypatch.setattr(sol, name, watched(getattr(sol, name)))
+    monkeypatch.setattr(asm, "error_norms", watched(asm.error_norms))
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    assert reports[0].eps_errors is not None
+    assert calls["all"] > 0          # pie quadrature still uses them
+    assert calls["inside"] == 0
+
+
+def test_level_timings(disk_problem):
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    for rep in reports:
+        assert set(rep.timings) == {"space", "quad", "transfer", "newton", "norms"}
+        assert all(v >= 0.0 for v in rep.timings.values())
 
 
 def test_multilevel_single_level_report(disk_problem):
