@@ -7,8 +7,9 @@ onto the boundary arc by per-node ray intersection, with exact Jacobians,
 so the curved geometry enters the integrals without any polynomial
 approximation of the boundary.
 
-Assembly loops triangles sequentially (deterministic by construction);
-rules and maps are immutable and shareable across threads.
+Assembly works on chunks of triangles of one kind and sums the local
+contributions in mesh order (deterministic by construction); rules and
+maps are immutable and shareable across threads.
 """
 
 import itertools
@@ -234,49 +235,89 @@ class SparseSystem:
     rhs: np.ndarray
 
 
+# triangles per chunk: keeps each stacked (g, q, c) array of assemble near 2 MB
+CHUNK = 128
+
+
+def triangle_chunks(space):
+    """Triangle indices grouped by kind and local dof count, in mesh order
+    within a group, in chunks of at most CHUNK: the per-triangle
+    quadrature data and dof maps of one chunk stack into (g, ...) arrays."""
+    groups = {}
+    for t in range(space.mesh.n_triangles):
+        key = (space.mesh.triangles[t].kind, len(space.tri_cols[t]))
+        groups.setdefault(key, []).append(t)
+    for idx in groups.values():
+        for start in range(0, len(idx), CHUNK):
+            yield idx[start:start + CHUNK]
+
+
+def stack_shared(mats):
+    """The matrix itself when every entry is one object (the reference
+    design matrix of straight triangles), else the (g, ...) stack.  Batched
+    matmul with either gives what each triangle's own product gives."""
+    first = mats[0]
+    return first if all(m is first for m in mats) else np.stack(mats)
+
+
 def assemble(problem, space, quad=None):
-    """Galerkin system of the weak form in the determining-set basis."""
+    """Galerkin system of the weak form in the determining-set basis.
+
+    Local matrices are computed for a chunk of triangles at a time with
+    stacked matmuls, which per triangle run the same BLAS products as a
+    loop over single triangles; the local blocks and right-hand-side pieces
+    are then summed in mesh order, so the system does not depend on the
+    chunking."""
     if quad is None:
         quad = TriangleQuadrature(space)
-    mesh = space.mesh
     n = space.dimension
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    for t in range(mesh.n_triangles):
-        gdofs = space.tri_cols[t]
-        if mesh.triangles[t].kind == PIE:
-            Z = space.pie_product_maps[t]
-        else:
-            Z = space.tri_maps[t]
-        B, (Gx, Gy), _ = quad.basis[t]
-        w = quad.weights[t]
-        pts = quad.nodes[t]
-        Phi = B @ Z
+    tri_cols = [space.tri_cols[t] for t in range(space.mesh.n_triangles)]
+    sizes = np.array([len(c) for c in tri_cols])
+    block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # COO slots
+    piece = np.concatenate([[0], np.cumsum(sizes)])           # rhs slots
+    rows = np.empty(block[-1], dtype=np.int64)
+    cols = np.empty(block[-1], dtype=np.int64)
+    vals = np.empty(block[-1])
+    rhs_vals = np.empty(piece[-1])
+    for idx in triangle_chunks(space):
+        k = sizes[idx[0]]
+        gdofs = np.array([tri_cols[t] for t in idx])
+        Z = np.stack([space.patch_map(t) for t in idx])
+        V = stack_shared([quad.basis[t][0] for t in idx])
+        Gx = np.stack([quad.basis[t][1][0] for t in idx])
+        Gy = np.stack([quad.basis[t][1][1] for t in idx])
+        w = np.stack([quad.weights[t] for t in idx])[:, :, None]
+
+        def field(fn):
+            return np.stack([np.asarray(fn(quad.nodes[t], t)) for t in idx])
+
+        Phi = V @ Z
         Dx = Gx @ Z
         Dy = Gy @ Z
-        loc = np.zeros((len(gdofs), len(gdofs)))
+        PhiT = Phi.swapaxes(1, 2)
+        loc = np.zeros((len(idx), k, k))
         if problem.A is not None:
-            Amat = np.asarray(problem.A(pts, t))
-            qx = Amat[:, 0, 0, None] * Dx + Amat[:, 0, 1, None] * Dy
-            qy = Amat[:, 1, 0, None] * Dx + Amat[:, 1, 1, None] * Dy
-            loc += Dx.T @ (w[:, None] * qx) + Dy.T @ (w[:, None] * qy)
+            Amat = field(problem.A)
+            qx = Amat[:, :, 0, 0, None] * Dx + Amat[:, :, 0, 1, None] * Dy
+            qy = Amat[:, :, 1, 0, None] * Dx + Amat[:, :, 1, 1, None] * Dy
+            loc += Dx.swapaxes(1, 2) @ (w * qx) + Dy.swapaxes(1, 2) @ (w * qy)
         if problem.b is not None:
-            bvec = np.asarray(problem.b(pts, t))
-            loc += Phi.T @ (w[:, None] * (bvec[:, 0, None] * Dx + bvec[:, 1, None] * Dy))
+            bvec = field(problem.b)
+            loc += PhiT @ (w * (bvec[:, :, 0, None] * Dx + bvec[:, :, 1, None] * Dy))
         if problem.c is not None:
-            cvals = np.asarray(problem.c(pts, t))
-            loc += Phi.T @ ((w * cvals)[:, None] * Phi)
+            loc += PhiT @ ((w[:, :, 0] * field(problem.c))[:, :, None] * Phi)
         if problem.f is not None:
-            fvals = np.asarray(problem.f(pts, t))
-            rhs[gdofs] += Phi.T @ (w * fvals)
-        ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        vals.append(loc.ravel())
-    matrix = sps.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
+            wf = (w[:, :, 0] * field(problem.f))[:, :, None]
+            rhs_vals[piece[idx][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
+        slots = block[idx][:, None] + np.arange(k * k)
+        rows[slots] = np.repeat(gdofs, k, axis=1)
+        cols[slots] = np.tile(gdofs, (1, k))
+        vals[slots] = loc.reshape(len(idx), k * k)
+    rhs = np.zeros(n)
+    if problem.f is not None:
+        # one unbuffered sum per dof, triangle by triangle in mesh order
+        np.add.at(rhs, np.concatenate(tri_cols), rhs_vals)
+    matrix = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return SparseSystem(matrix, rhs)
 
 
@@ -284,19 +325,24 @@ def assemble(problem, space, quad=None):
 class SolveResult:
     dofs: np.ndarray
     rel_residual: float
+    lu_fill: int            # nonzeros of the L and U factors
 
 
 def solve_sparse(system):
-    """Direct sparse solve with a residual check."""
-    import warnings
+    """Direct sparse solve with a residual check.
 
+    The Galerkin matrices are symmetric (or nearly so), so SuperLU runs in
+    symmetric mode: minimum-degree ordering on A + A^T and diagonal pivots
+    unless one is below 0.01 of its column's largest entry.  One step of
+    iterative refinement with the same factors follows."""
     A, b = system.matrix, system.rhs
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", spla.MatrixRankWarning)
-        try:
-            x = spla.spsolve(A.tocsc(), b)
-        except spla.MatrixRankWarning as exc:
-            raise SolverError(f"matrix is singular: {exc}") from exc
+    try:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+        raise SolverError(f"matrix is singular: {exc}") from exc
+    x = lu.solve(b)
+    x += lu.solve(b - A @ x)
     if not np.all(np.isfinite(x)):
         raise SolverError("sparse factorization produced non-finite values "
                           "(matrix singular or severely ill-conditioned)")
@@ -307,15 +353,15 @@ def solve_sparse(system):
         raise SolverError(
             f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
         )
-    return SolveResult(x, float(res))
+    return SolveResult(x, float(res), int(lu.L.nnz + lu.U.nnz))
 
 
 # ---------------------------------------------------------------------------
 # norms
 
 def hessian_det(hess):
-    """Pointwise determinants of an (n, 2, 2) array of Hessians."""
-    return hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+    """Pointwise determinants of an (..., 2, 2) array of Hessians."""
+    return hess[..., 0, 0] * hess[..., 1, 1] - hess[..., 0, 1] * hess[..., 1, 0]
 
 
 def error_norms(spline, quad, ref=None, ref_batch=None, ref_coeffs=None):

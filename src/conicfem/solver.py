@@ -52,6 +52,7 @@ class NewtonState:
     iterations: int
     update_norms: list
     diverged: bool = False
+    solver: dict = field(default_factory=dict)     # see LevelReport.solver
 
 
 @dataclass
@@ -73,6 +74,10 @@ class LevelReport:
     # (the initial iterate: Poisson solve on level 1), newton, norms
     # (residual, errors, init norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
+    # facts of the level's Newton solves: the largest matrix "nnz",
+    # "lu_fill" (L + U nonzeros) and "rel_residual", and the "newton_floor"
+    # (the effective tolerance of the last correction, see run_level)
+    solver: dict = field(default_factory=dict)
 
 
 class LevelContext:
@@ -106,17 +111,23 @@ def linearize_ma(u, g, quad):
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
-    for t in range(quad.space.mesh.n_triangles):
-        _, _, hess = quad.spline_data(u, t)
+    for idx in asm.triangle_chunks(quad.space):
+        coeffs = np.stack([u.patch(t) for t in idx])[:, :, None]
+        hxx, hxy, hyy = (
+            (asm.stack_shared([quad.basis[t][2][i] for t in idx]) @ coeffs)[:, :, 0]
+            for i in range(3))
+        hess = np.empty(hxx.shape + (2, 2))
+        hess[..., 0, 0], hess[..., 1, 1] = hxx, hyy
+        hess[..., 0, 1] = hess[..., 1, 0] = hxy
         cof = np.empty_like(hess)
-        cof[:, 0, 0] = hess[:, 1, 1]
-        cof[:, 1, 1] = hess[:, 0, 0]
-        cof[:, 0, 1] = cof[:, 1, 0] = -hess[:, 0, 1]
-        cof_tab[t] = cof
-        res_tab[t] = asm.hessian_det(hess) - np.asarray(g(quad.nodes[t]))
-        half_tr = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
-        rad = np.sqrt((0.5 * (hess[:, 0, 0] - hess[:, 1, 1])) ** 2
-                      + hess[:, 0, 1] ** 2)
+        cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
+        cof[..., 0, 1] = cof[..., 1, 0] = -hxy
+        det = asm.hessian_det(hess)
+        for i, t in enumerate(idx):
+            cof_tab[t] = cof[i]
+            res_tab[t] = det[i] - np.asarray(g(quad.nodes[t]))
+        half_tr = 0.5 * (hxx + hyy)
+        rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
         eigmin = min(eigmin, float((half_tr - rad).min()))
     problem = asm.LinearEllipticProblem(
         A=lambda pts, t: cof_tab[t],
@@ -136,11 +147,15 @@ def poisson_initial_guess(ctx, g):
     return ctx.space.spline(result.dofs)
 
 
-def newton_step(ctx, u, g):
-    """One Newton update; returns (new iterate, L2 norm of the correction)."""
+def newton_step(ctx, u, g, solves=None):
+    """One Newton update; returns (new iterate, L2 norm of the correction,
+    eigmin of the linearization).  Appends (matrix nnz, SolveResult) of the
+    step's solve to the list solves when one is given."""
     problem, eigmin = linearize_ma(u, g, ctx.quad)
     system = asm.assemble(problem, ctx.space, ctx.quad)
     result = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
+    if solves is not None:
+        solves.append((system.matrix.nnz, result))
     w = ctx.space.spline(result.dofs)
     u_next = ctx.space.spline(u.dofs - w.dofs)
     return u_next, asm.l2_norm(w, ctx.quad), eigmin
@@ -158,11 +173,12 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20, floor_factor=100.0):
     """
     u = u0
     norms = []
+    solves = []
     eigmin = np.inf
     diverged = False
     converged = False
     for k in range(1, max_iter + 1):
-        u, n, e = newton_step(ctx, u, g)
+        u, n, e = newton_step(ctx, u, g, solves)
         norms.append(n)
         eigmin = min(eigmin, e)
         tol_eff = max(tol, floor_factor * np.finfo(float).eps
@@ -181,7 +197,13 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20, floor_factor=100.0):
         m = len(norms) - 1
     else:
         m = len(norms)
-    state = NewtonState(u, m, norms, diverged)
+    facts = {}
+    if solves:
+        facts = {"nnz": max(nnz for nnz, _ in solves),
+                 "lu_fill": max(r.lu_fill for _, r in solves),
+                 "rel_residual": max(r.rel_residual for _, r in solves),
+                 "newton_floor": float(tol_eff)}
+    state = NewtonState(u, m, norms, diverged, facts)
     return state, eigmin
 
 
@@ -329,6 +351,7 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
             init_errors=init_err,
             init_residual=init_res,
             timings=timings,
+            solver=state.solver,
         )
         if problem.exact is not None:
             rep.errors = asm.error_norms(u, ctx.quad, ref=problem.exact)

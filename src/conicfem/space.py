@@ -514,6 +514,13 @@ class SplineSpace:
     def tri_degree(self, t):
         return 5 if self.mesh.triangles[t].kind == ORDINARY else 6
 
+    def patch_map(self, t):
+        """Local dofs (tri_cols[t]) -> BB coefficients of the piece on t
+        (the degree-6 product form over the chord triangle on pies)."""
+        if self.mesh.triangles[t].kind == PIE:
+            return self.pie_product_maps[t]
+        return self.tri_maps[t]
+
     def spline(self, dofs):
         return SplineFunction(self, dofs)
 
@@ -572,9 +579,7 @@ class SplineFunction:
             local = dofs[space.tri_cols[t]]
             if space.mesh.triangles[t].kind == PIE:
                 self._factors[t] = space.pie_factor_maps[t] @ local
-                self._patches[t] = space.pie_product_maps[t] @ local
-            else:
-                self._patches[t] = space.tri_maps[t] @ local
+            self._patches[t] = space.patch_map(t) @ local
 
     def patch(self, t):
         """BB coefficients of the piece on triangle t (degree-6 product form

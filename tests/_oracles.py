@@ -4,12 +4,16 @@ These deliberately avoid the code paths they check: the dimension oracle
 assembles the raw smoothness/boundary constraint system on unreduced patch
 coefficients and counts its rank; the product oracle multiplies in the
 monomial basis; radial quadrature integrates rotationally symmetric fields
-with a 1-D Gauss rule.
+with a 1-D Gauss rule.  The per-triangle assembly and linearization loops
+are the straightforward forms of the batched kernels in ``assembly`` and
+``solver``, which must reproduce them bit for bit.
 """
 
 import numpy as np
+import scipy.sparse as sps
 from scipy.special import roots_legendre
 
+from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem.geometry import normalized_pie_conic
 from conicfem.mesh import ORDINARY, PIE
@@ -322,3 +326,72 @@ def disk_radial_integral(f_of_r, n=200):
     x, w = roots_legendre(n)
     r = 0.5 * (x + 1.0)
     return 2.0 * np.pi * 0.5 * float(w @ (f_of_r(r) * r))
+
+
+# ---------------------------------------------------------------------------
+# per-triangle Galerkin assembly and Monge-Ampere linearization
+
+def assemble_per_triangle(problem, space, quad):
+    """(CSR matrix, rhs) of a LinearEllipticProblem, one triangle at a time
+    in mesh order."""
+    mesh = space.mesh
+    n = space.dimension
+    rows, cols, vals = [], [], []
+    rhs = np.zeros(n)
+    for t in range(mesh.n_triangles):
+        gdofs = space.tri_cols[t]
+        if mesh.triangles[t].kind == PIE:
+            Z = space.pie_product_maps[t]
+        else:
+            Z = space.tri_maps[t]
+        B, (Gx, Gy), _ = quad.basis[t]
+        w = quad.weights[t]
+        pts = quad.nodes[t]
+        Phi = B @ Z
+        Dx = Gx @ Z
+        Dy = Gy @ Z
+        loc = np.zeros((len(gdofs), len(gdofs)))
+        if problem.A is not None:
+            Amat = np.asarray(problem.A(pts, t))
+            qx = Amat[:, 0, 0, None] * Dx + Amat[:, 0, 1, None] * Dy
+            qy = Amat[:, 1, 0, None] * Dx + Amat[:, 1, 1, None] * Dy
+            loc += Dx.T @ (w[:, None] * qx) + Dy.T @ (w[:, None] * qy)
+        if problem.b is not None:
+            bvec = np.asarray(problem.b(pts, t))
+            loc += Phi.T @ (w[:, None] * (bvec[:, 0, None] * Dx + bvec[:, 1, None] * Dy))
+        if problem.c is not None:
+            cvals = np.asarray(problem.c(pts, t))
+            loc += Phi.T @ ((w * cvals)[:, None] * Phi)
+        if problem.f is not None:
+            fvals = np.asarray(problem.f(pts, t))
+            rhs[gdofs] += Phi.T @ (w * fvals)
+        ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
+        rows.append(ii.ravel())
+        cols.append(jj.ravel())
+        vals.append(loc.ravel())
+    matrix = sps.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
+    return matrix, rhs
+
+
+def linearize_ma_per_triangle(u, g, quad):
+    """(cofactor table, residual table, eigmin) of the Monge-Ampere
+    linearization at u, one triangle at a time."""
+    cof_tab = {}
+    res_tab = {}
+    eigmin = np.inf
+    for t in range(quad.space.mesh.n_triangles):
+        _, _, hess = quad.spline_data(u, t)
+        cof = np.empty_like(hess)
+        cof[:, 0, 0] = hess[:, 1, 1]
+        cof[:, 1, 1] = hess[:, 0, 0]
+        cof[:, 0, 1] = cof[:, 1, 0] = -hess[:, 0, 1]
+        cof_tab[t] = cof
+        res_tab[t] = asm.hessian_det(hess) - np.asarray(g(quad.nodes[t]))
+        half_tr = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
+        rad = np.sqrt((0.5 * (hess[:, 0, 0] - hess[:, 1, 1])) ** 2
+                      + hess[:, 0, 1] ** 2)
+        eigmin = min(eigmin, float((half_tr - rad).min()))
+    return cof_tab, res_tab, eigmin

@@ -9,7 +9,7 @@ from conicfem.problems import (builtin_domain, disk_exact_solution,
                                wheel_mesh)
 from conicfem.space import build_space
 
-from _oracles import disk_radial_integral
+from _oracles import assemble_per_triangle, disk_radial_integral
 
 EYE = asm.constant_matrix(np.eye(2))
 
@@ -89,6 +89,62 @@ def test_singular_solve_raises(disk_space):
     A = sps.csr_matrix((n, n))
     with pytest.raises(asm.SolverError):
         asm.solve_sparse(asm.SparseSystem(A, np.ones(n)))
+
+
+def test_singular_poisson_solve_raises_solver_error(disk_space):
+    # the Poisson pattern (structurally nonsingular) with one dof's row and
+    # column set to explicit zeros
+    n = disk_space.dimension
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(asm.LinearEllipticProblem(A=EYE), disk_space, quad).matrix
+    coo = K.tocoo()
+    coo.data[(coo.row == n // 2) | (coo.col == n // 2)] = 0.0
+    A = coo.tocsr()
+    assert A.nnz == K.nnz
+    with pytest.raises(asm.SolverError, match="singular"):
+        asm.solve_sparse(asm.SparseSystem(A, np.ones(n)))
+
+
+def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
+    import scipy.sparse.linalg as spla
+    quad = asm.TriangleQuadrature(disk_space2)
+    system = asm.assemble(asm.LinearEllipticProblem(
+        A=EYE, f=asm.pointwise(lambda x: np.ones(len(x)))), disk_space2, quad)
+    res = asm.solve_sparse(system)
+    colamd = spla.splu(system.matrix.tocsc())
+    assert 0 < res.lu_fill < colamd.L.nnz + colamd.U.nnz
+    assert res.rel_residual < 1e-12
+
+
+def _all_terms_problem():
+    def A(pts, t):
+        out = np.empty((len(pts), 2, 2))
+        out[:, 0, 0] = 1.0 + pts[:, 0] ** 2
+        out[:, 1, 1] = 2.0 + np.sin(pts[:, 1]) + 0.01 * t
+        out[:, 0, 1] = out[:, 1, 0] = 0.3 * pts[:, 0] * pts[:, 1]
+        return out
+
+    return asm.LinearEllipticProblem(
+        A=A,
+        b=lambda pts, t: np.column_stack([np.cos(pts[:, 0]), pts[:, 1] - 0.1 * t]),
+        c=asm.pointwise(lambda x: 1.0 + np.exp(x[:, 0])),
+        f=asm.pointwise(lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1] - 0.5),
+    )
+
+
+@pytest.mark.parametrize("space_name", ["c2_space", "disk_space2"])
+def test_assemble_is_bit_identical_to_per_triangle_loop(space_name, request):
+    # c2_space has ordinary, buffer and pie triangles
+    space = request.getfixturevalue(space_name)
+    quad = asm.TriangleQuadrature(space)
+    problem = _all_terms_problem()
+    system = asm.assemble(problem, space, quad)
+    matrix, rhs = assemble_per_triangle(problem, space, quad)
+    np.testing.assert_array_equal(system.matrix.indptr, matrix.indptr)
+    np.testing.assert_array_equal(system.matrix.indices, matrix.indices)
+    np.testing.assert_array_equal(system.matrix.data, matrix.data)
+    np.testing.assert_array_equal(system.rhs, rhs)
+    assert np.abs(rhs).max() > 0
 
 
 def test_poisson_reproduces_in_space_solution(disk_space2):
