@@ -7,12 +7,13 @@ onto the boundary arc by per-node ray intersection, with exact Jacobians,
 so the curved geometry enters the integrals without any polynomial
 approximation of the boundary.
 
-Assembly works on chunks of triangles of one kind and sums the local
-contributions in mesh order (deterministic by construction); rules and
-maps are immutable and shareable across threads.
+The quadrature data is stored per chunk of triangles of one kind and
+local dof count (stacked arrays, see QuadratureChunk).  Assembly and the
+norms walk those chunks and sum the per-triangle contributions in mesh
+order (deterministic by construction); rules and maps are immutable and
+shareable across threads.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from . import bernstein as bb
 from .geometry import arc_point_on_ray, grad_conic
-from .mesh import ORDINARY, PIE
+from .mesh import PIE
 
 
 class AssemblyError(RuntimeError):
@@ -31,6 +32,10 @@ class AssemblyError(RuntimeError):
 
 class SolverError(RuntimeError):
     pass
+
+
+QUAD_DEGREE = 16    # polynomial exactness of the straight-triangle rule
+PIE_ORDER = 12      # Gauss points per direction of the pie rule
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +54,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def triangle_rule(degree=16):
+def triangle_rule(degree):
     """Rule of the requested polynomial exactness via a collapsed tensor grid."""
     n = degree // 2 + 1
     xj, wj = roots_jacobi(n, 1.0, 0.0)
@@ -71,17 +76,9 @@ def triangle_rule(degree=16):
 # ---------------------------------------------------------------------------
 # pie triangles: radial blending map
 
-@dataclass(frozen=True)
-class PieQuadratureMap:
-    """Mapped quadrature nodes and weights on one pie triangle."""
-
-    nodes: np.ndarray       # (npts, 2) physical points
-    weights: np.ndarray     # (npts,) positive, sum = curved area
-    bary: np.ndarray        # (npts, 3) w.r.t. the chord triangle
-
-
-def pie_quadrature(mesh, t, order=12):
-    """Tensor Gauss rule mapped onto the curved pie triangle t.
+def pie_quadrature(mesh, t):
+    """Tensor Gauss rule mapped onto the curved pie triangle t: physical
+    nodes (PIE_ORDER**2, 2) and positive weights that sum to its area.
 
     The map is (r, s) -> v1 + r*(A(s) - v1) where A(s) is the ray/arc
     intersection through the chord point at parameter s; the Jacobian
@@ -90,19 +87,18 @@ def pie_quadrature(mesh, t, order=12):
     rec = mesh.triangles[t]
     if rec.kind != PIE:
         raise AssemblyError(f"triangle {t} is not pie-shaped")
-    tri = mesh.tri_coords(t)
-    v1, v2, v3 = tri
+    v1, v2, v3 = mesh.tri_coords(t)
     arc = mesh.domain.arcs[rec.arc]
     conic = arc.conic
-    xg, wg = roots_legendre(order)
+    xg, wg = roots_legendre(PIE_ORDER)
     r = 0.5 * (xg + 1.0)
     wr = 0.5 * wg
     s = 0.5 * (xg + 1.0)
     ws = 0.5 * wg
     cdir = v3 - v2
-    apts = np.empty((order, 2))
-    adot = np.empty((order, 2))
-    for j in range(order):
+    apts = np.empty((PIE_ORDER, 2))
+    adot = np.empty((PIE_ORDER, 2))
+    for j in range(PIE_ORDER):
         c = v2 + s[j] * cdir
         a = arc_point_on_ray(arc, v1, c)
         g = grad_conic(conic, a)
@@ -116,83 +112,122 @@ def pie_quadrature(mesh, t, order=12):
     js = (apts[:, 0] - v1[0]) * adot[:, 1] - (apts[:, 1] - v1[1]) * adot[:, 0]
     if np.any(js <= 0):
         raise AssemblyError(f"non-positive blending Jacobian on pie triangle {t}")
-    nodes = np.empty((order * order, 2))
-    weights = np.empty(order * order)
-    k = 0
-    for i in range(order):
-        for j in range(order):
-            nodes[k] = v1 + r[i] * (apts[j] - v1)
-            weights[k] = wr[i] * ws[j] * r[i] * js[j]
-            k += 1
-    bary = bb.barycentric_many(tri, nodes)
-    return PieQuadratureMap(nodes, weights, bary)
+    # node PIE_ORDER * i + j at radius r[i] on the ray through apts[j]
+    nodes = (v1 + r[:, None, None] * (apts - v1)).reshape(-1, 2)
+    weights = (wr[:, None] * ws * r[:, None] * js).ravel()
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
-# per-triangle quadrature data shared by assembly and norms
+# quadrature data per chunk of triangles, shared by assembly and norms
+
+# triangles per chunk: keeps each stacked (g, q, c) array of assemble near 2 MB
+CHUNK = 128
+
+
+@dataclass(eq=False)
+class QuadratureChunk:
+    """Quadrature data of g triangles of one kind and local dof count,
+    stacked along the leading axis: triangles tris (g,) in mesh order,
+    their vertices coords (g, 3, 2), dofs cols (g, k) and patch maps Z
+    (g, nc, k); nodes (g, nq, 2) and weights (g, nq); the design matrix V
+    of the degree-`degree` Bernstein basis, shared (nq, nc) on straight
+    triangles and (g, nq, nc) on pies, and its derivatives G = [Gx, Gy]
+    and H = [Hxx, Hxy, Hyy], each (g, nq, nc).  Chunks compare by
+    identity, so they can key per-chunk tables."""
+
+    degree: int
+    tris: np.ndarray
+    coords: np.ndarray
+    cols: np.ndarray
+    Z: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+    V: np.ndarray
+    G: list
+    H: list
+
+    def at_nodes(self, fn):
+        """A callable of (n, 2) points evaluated at the chunk's nodes
+        (flattened to (g * nq, 2)), shaped (g, nq, ...)."""
+        vals = np.asarray(fn(self.nodes.reshape(-1, 2)))
+        return vals.reshape(self.weights.shape + vals.shape[1:])
+
+    def patches(self, spline):
+        """(g, nc, 1) BB coefficients of a spline's pieces on the chunk."""
+        return self.Z @ spline.dofs[self.cols][:, :, None]
+
+
+def apply_stacked(mats, coeffs):
+    """Design matrices (shared or stacked) applied to coefficients (g, nc,
+    1): (g, nq) arrays, per triangle the same product as M @ c."""
+    return [(M @ coeffs)[:, :, 0] for M in mats]
+
 
 class TriangleQuadrature:
-    """Physical nodes/weights plus basis design matrices per triangle."""
+    """Quadrature nodes, weights and basis design matrices of a space,
+    stored once per chunk (at most CHUNK triangles of one kind and local
+    dof count) in `chunks`.  nodes[t] and weights[t] are per-triangle views
+    into the chunks."""
 
-    def __init__(self, space, degree=16, pie_order=12):
+    def __init__(self, space):
         self.space = space
         mesh = space.mesh
-        self.rule = triangle_rule(degree)
-        self._ref = {}
-        for d in (5, 6):
-            self._ref[d] = (
-                bb.bernstein_matrix(d, self.rule.bary),
-                bb.bernstein_matrix(d - 1, self.rule.bary),
-                bb.bernstein_matrix(d - 2, self.rule.bary),
-            )
-        self.nodes = []
-        self.weights = []
-        self.basis = []        # (V, [Gx, Gy], [Hxx, Hxy, Hyy]) per triangle
+        self.rule = triangle_rule(QUAD_DEGREE)
+        self._ref = {d: [bb.bernstein_matrix(d - s, self.rule.bary) for s in range(3)]
+                     for d in (5, 6)}
+        groups = {}
         for t in range(mesh.n_triangles):
-            rec = mesh.triangles[t]
-            tri = mesh.tri_coords(t)
-            d = 5 if rec.kind == ORDINARY else 6
-            if rec.kind == PIE:
-                pq = pie_quadrature(mesh, t, order=pie_order)
-                nodes, w = pq.nodes, pq.weights
-                basis = bb.design_matrices(d, tri, pq.bary)
-            else:
-                nodes = self.rule.bary @ tri
-                w = abs(bb.triangle_area(tri)) * self.rule.weights
-                basis = bb.derivative_matrices(d, tri, *self._ref[d])
-            self.nodes.append(nodes)
-            self.weights.append(w)
-            self.basis.append(basis)
+            groups.setdefault((mesh.triangles[t].kind, len(space.tri_cols[t])), []).append(t)
+        self.chunks = [self._chunk(idx[i:i + CHUNK])
+                       for idx in groups.values() for i in range(0, len(idx), CHUNK)]
+        self.nodes = [None] * mesh.n_triangles
+        self.weights = [None] * mesh.n_triangles
+        for ch in self.chunks:
+            for i, t in enumerate(ch.tris):
+                self.nodes[t], self.weights[t] = ch.nodes[i], ch.weights[i]
 
-    def spline_data(self, spline, t, order=2):
-        """(values, grads, hessians) of a spline at this triangle's nodes."""
-        V, G, H = self.basis[t]
-        return bb.apply_design(V, G if order >= 1 else None,
-                               H if order >= 2 else None, spline.patch(t))
+    def _chunk(self, idx):
+        space, mesh = self.space, self.space.mesh
+        d = space.tri_degree(idx[0])
+        coords = mesh.vertices[[mesh.triangles[t].verts for t in idx]]
+        if mesh.triangles[idx[0]].kind == PIE:
+            nodes = np.empty((len(idx), PIE_ORDER ** 2, 2))
+            weights = np.empty((len(idx), PIE_ORDER ** 2))
+            for i, t in enumerate(idx):
+                nodes[i], weights[i] = pie_quadrature(mesh, t)
+            # basis of the chord triangle, evaluated at the curved nodes
+            V, G, H = bb.design_matrices(d, coords, bb.barycentric_many(coords, nodes))
+        else:
+            nodes = self.rule.bary @ coords
+            weights = np.abs(bb.triangle_area(coords))[:, None] * self.rule.weights
+            V, G, H = self.straight_design(coords, d)
+        return QuadratureChunk(
+            d, np.array(idx), coords, np.array([space.tri_cols[t] for t in idx]),
+            np.array([space.patch_map(t) for t in idx]), nodes, weights, V, G, H)
 
-    def design(self, t, d):
-        """(V, G, H) of degree d at triangle t's nodes: the cached basis at
-        the triangle's own degree, else (straight triangles, d in 5, 6) one
-        built from the reference Bernstein matrices."""
-        if d == self.space.tri_degree(t):
-            return self.basis[t]
-        if self.space.mesh.triangles[t].kind == PIE:
-            raise AssemblyError(f"pie triangle {t} has only its degree-6 basis")
-        return bb.derivative_matrices(d, self.space.mesh.tri_coords(t), *self._ref[d])
+    def straight_design(self, coords, d):
+        """(V, G, H) of degree d (5 or 6) at the reference-rule nodes of
+        straight triangles (g, 3, 2): V is shared, G and H are stacked."""
+        return bb.derivative_matrices(d, coords, *self._ref[d])
 
 
 def _quadrature_sums(quad, fields):
-    """Integrals of the fields that fields(t) returns at triangle t's nodes
-    (a sequence of arrays), summed triangle by triangle in mesh order."""
-    totals = itertools.repeat(0.0)     # a list of sums after triangle 0
-    for t, w in enumerate(quad.weights):
-        totals = [s + float(w @ f) for s, f in zip(totals, fields(t))]
-    return totals
+    """Integrals of the fields that fields(chunk) returns at the chunk's
+    nodes (a sequence of (g, nq) arrays): one integral per triangle, then
+    summed triangle by triangle in mesh order."""
+    per_tri = None
+    for ch in quad.chunks:
+        ints = [(ch.weights[:, None, :] @ f[:, :, None])[:, 0, 0] for f in fields(ch)]
+        if per_tri is None:
+            per_tri = np.empty((len(ints), quad.space.mesh.n_triangles))
+        per_tri[:, ch.tris] = ints
+    return [float(np.cumsum(row)[-1]) for row in per_tri]
 
 
 def integrate(quad, field):
     """Integral of a pointwise field over the mesh."""
-    return _quadrature_sums(quad, lambda t: [np.asarray(field(quad.nodes[t]))])[0]
+    return _quadrature_sums(quad, lambda ch: [ch.at_nodes(field)])[0]
 
 
 def domain_area(quad):
@@ -207,10 +242,11 @@ class LinearEllipticProblem:
     """Coefficients of the weak form
     int grad(u) . A grad(v) + int v b . grad(u) + int c u v = int f v.
 
-    Each field is a callable of (points, triangle_index): A returns
-    (n,2,2) matrices, b returns (n,2), c and f return (n,).  None means
-    the term is absent.  Analytic coefficients can ignore the triangle
-    index (see ``pointwise`` and ``constant_matrix``)."""
+    Each field is a callable of one QuadratureChunk that returns its
+    values at the chunk's nodes: A (g, nq, 2, 2) matrices, b (g, nq, 2),
+    c and f (g, nq).  None means the term is absent.  Analytic
+    coefficients are functions of the points alone (see ``pointwise`` and
+    ``constant_matrix``)."""
 
     A: object = None
     b: object = None
@@ -219,14 +255,14 @@ class LinearEllipticProblem:
 
 
 def pointwise(fn):
-    """Wrap a points-only callable as a weak-form coefficient field."""
-    return lambda pts, t: fn(pts)
+    """Wrap a callable of (n, 2) points as a weak-form coefficient field."""
+    return lambda chunk: chunk.at_nodes(fn)
 
 
 def constant_matrix(M):
     """Constant matrix-valued coefficient field (e.g. the identity)."""
     M = np.asarray(M, dtype=float)
-    return lambda pts, t: np.tile(M, (len(pts), 1, 1))
+    return lambda chunk: np.tile(M, chunk.weights.shape + (1, 1))
 
 
 @dataclass
@@ -235,41 +271,16 @@ class SparseSystem:
     rhs: np.ndarray
 
 
-# triangles per chunk: keeps each stacked (g, q, c) array of assemble near 2 MB
-CHUNK = 128
-
-
-def triangle_chunks(space):
-    """Triangle indices grouped by kind and local dof count, in mesh order
-    within a group, in chunks of at most CHUNK: the per-triangle
-    quadrature data and dof maps of one chunk stack into (g, ...) arrays."""
-    groups = {}
-    for t in range(space.mesh.n_triangles):
-        key = (space.mesh.triangles[t].kind, len(space.tri_cols[t]))
-        groups.setdefault(key, []).append(t)
-    for idx in groups.values():
-        for start in range(0, len(idx), CHUNK):
-            yield idx[start:start + CHUNK]
-
-
-def stack_shared(mats):
-    """The matrix itself when every entry is one object (the reference
-    design matrix of straight triangles), else the (g, ...) stack.  Batched
-    matmul with either gives what each triangle's own product gives."""
-    first = mats[0]
-    return first if all(m is first for m in mats) else np.stack(mats)
-
-
-def assemble(problem, space, quad=None):
-    """Galerkin system of the weak form in the determining-set basis.
+def assemble(problem, quad):
+    """Galerkin system of the weak form in the determining-set basis of
+    quad.space.
 
     Local matrices are computed for a chunk of triangles at a time with
     stacked matmuls, which per triangle run the same BLAS products as a
     loop over single triangles; the local blocks and right-hand-side pieces
     are then summed in mesh order, so the system does not depend on the
     chunking."""
-    if quad is None:
-        quad = TriangleQuadrature(space)
+    space = quad.space
     n = space.dimension
     tri_cols = [space.tri_cols[t] for t in range(space.mesh.n_triangles)]
     sizes = np.array([len(c) for c in tri_cols])
@@ -279,40 +290,30 @@ def assemble(problem, space, quad=None):
     cols = np.empty(block[-1], dtype=np.int64)
     vals = np.empty(block[-1])
     rhs_vals = np.empty(piece[-1])
-    for idx in triangle_chunks(space):
-        k = sizes[idx[0]]
-        gdofs = np.array([tri_cols[t] for t in idx])
-        Z = np.stack([space.patch_map(t) for t in idx])
-        V = stack_shared([quad.basis[t][0] for t in idx])
-        Gx = np.stack([quad.basis[t][1][0] for t in idx])
-        Gy = np.stack([quad.basis[t][1][1] for t in idx])
-        w = np.stack([quad.weights[t] for t in idx])[:, :, None]
-
-        def field(fn):
-            return np.stack([np.asarray(fn(quad.nodes[t], t)) for t in idx])
-
-        Phi = V @ Z
-        Dx = Gx @ Z
-        Dy = Gy @ Z
+    for ch in quad.chunks:
+        g, k = ch.cols.shape
+        w = ch.weights[:, :, None]
+        Phi = ch.V @ ch.Z
+        Dx, Dy = (M @ ch.Z for M in ch.G)
         PhiT = Phi.swapaxes(1, 2)
-        loc = np.zeros((len(idx), k, k))
+        loc = np.zeros((g, k, k))
         if problem.A is not None:
-            Amat = field(problem.A)
+            Amat = np.asarray(problem.A(ch))
             qx = Amat[:, :, 0, 0, None] * Dx + Amat[:, :, 0, 1, None] * Dy
             qy = Amat[:, :, 1, 0, None] * Dx + Amat[:, :, 1, 1, None] * Dy
             loc += Dx.swapaxes(1, 2) @ (w * qx) + Dy.swapaxes(1, 2) @ (w * qy)
         if problem.b is not None:
-            bvec = field(problem.b)
+            bvec = np.asarray(problem.b(ch))
             loc += PhiT @ (w * (bvec[:, :, 0, None] * Dx + bvec[:, :, 1, None] * Dy))
         if problem.c is not None:
-            loc += PhiT @ ((w[:, :, 0] * field(problem.c))[:, :, None] * Phi)
+            loc += PhiT @ ((ch.weights * np.asarray(problem.c(ch)))[:, :, None] * Phi)
         if problem.f is not None:
-            wf = (w[:, :, 0] * field(problem.f))[:, :, None]
-            rhs_vals[piece[idx][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
-        slots = block[idx][:, None] + np.arange(k * k)
-        rows[slots] = np.repeat(gdofs, k, axis=1)
-        cols[slots] = np.tile(gdofs, (1, k))
-        vals[slots] = loc.reshape(len(idx), k * k)
+            wf = (ch.weights * np.asarray(problem.f(ch)))[:, :, None]
+            rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
+        slots = block[ch.tris][:, None] + np.arange(k * k)
+        rows[slots] = np.repeat(ch.cols, k, axis=1)
+        cols[slots] = np.tile(ch.cols, (1, k))
+        vals[slots] = loc.reshape(g, k * k)
     rhs = np.zeros(n)
     if problem.f is not None:
         # one unbuffered sum per dof, triangle by triangle in mesh order
@@ -359,41 +360,48 @@ def solve_sparse(system):
 # ---------------------------------------------------------------------------
 # norms
 
-def hessian_det(hess):
-    """Pointwise determinants of an (..., 2, 2) array of Hessians."""
-    return hess[..., 0, 0] * hess[..., 1, 1] - hess[..., 0, 1] * hess[..., 1, 0]
+def hessian_det(hxx, hxy, hyy):
+    """Pointwise determinants of symmetric 2x2 Hessians from their entries."""
+    return hxx * hyy - hxy * hxy
 
 
-def error_norms(spline, quad, ref=None, ref_batch=None, ref_coeffs=None):
+def error_norms(spline, quad, ref=None, ref_coeffs=None):
     """(L2, H1, H2) norms of spline - reference.
 
     ref: (value, gradient, hessian) callables on (n,2) arrays, or None to
-    measure the spline itself.  ref_batch: alternative per-triangle batch
-    evaluator t, pts -> (vals, grads, hess).  ref_coeffs: per triangle, a
-    (degree, BB coefficients) pair of a polynomial on that triangle, at
-    least the spline's degree there (a coarser spline re-expanded, see
+    measure the spline itself.  ref_coeffs: per triangle, a (degree, BB
+    coefficients) pair of a polynomial on that triangle, at least the
+    spline's degree there (a coarser spline re-expanded, see
     solver.coarse_on_fine); its coefficients are subtracted from the
     spline's before evaluation.  Full norms: H1 and H2 include the
     lower-order terms.
     """
-    def fields(t):
-        if ref_coeffs is not None:
-            d, coeffs = ref_coeffs[t]
-            own = quad.space.tri_degree(t)
-            diff = bb.degree_raise(own, spline.patch(t), d) if d > own else spline.patch(t)
-            vals, grads, hess = bb.apply_design(*quad.design(t, d), diff - coeffs)
-        else:
-            vals, grads, hess = quad.spline_data(spline, t)
-            pts = quad.nodes[t]
+    def fields(ch):
+        C = ch.patches(spline)
+        if ref_coeffs is None:
+            diff = apply_stacked([ch.V, *ch.G, *ch.H], C)
             if ref is not None:
-                rv, rg, rh = (np.asarray(r(pts)) for r in ref)
-            elif ref_batch is not None:
-                rv, rg, rh = ref_batch(t, pts)
-            else:
-                rv = rg = rh = 0.0
-            vals, grads, hess = vals - rv, grads - rg, hess - rh
-        return (vals * vals, grads[:, 0] ** 2 + grads[:, 1] ** 2,
-                hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2 + hess[:, 1, 1] ** 2)
+                rv, rg, rh = (ch.at_nodes(r) for r in ref)
+                diff = [a - b for a, b in zip(diff, (
+                    rv, rg[..., 0], rg[..., 1], rh[..., 0, 0], rh[..., 0, 1], rh[..., 1, 1]))]
+        else:
+            diff = [np.empty(ch.weights.shape) for _ in range(6)]
+            degree = np.array([ref_coeffs[t][0] for t in ch.tris])
+            for d in np.unique(degree):
+                rows = slice(None) if (degree == d).all() else degree == d
+                R = np.array([ref_coeffs[t][1] for t in ch.tris[rows]])[:, :, None]
+                if d == ch.degree:
+                    V = ch.V if ch.V.ndim == 2 else ch.V[rows]
+                    mats = [V] + [M[rows] for M in ch.G + ch.H]
+                    D = C[rows] - R
+                else:   # a straight triangle under a parent of higher degree
+                    V, G, H = quad.straight_design(ch.coords[rows], int(d))
+                    mats = [V, *G, *H]
+                    D = bb.degree_raise_matrix(ch.degree, int(d)) @ C[rows] - R
+                for out, f in zip(diff, apply_stacked(mats, D)):
+                    out[rows] = f
+        v, gx, gy, hxx, hxy, hyy = diff
+        return (v * v, gx ** 2 + gy ** 2, hxx ** 2 + 2.0 * hxy ** 2 + hyy ** 2)
 
     l2, h1s, h2s = _quadrature_sums(quad, fields)
     return (
@@ -405,8 +413,8 @@ def error_norms(spline, quad, ref=None, ref_batch=None, ref_coeffs=None):
 
 def l2_norm(spline, quad):
     """L2 norm of a spline (values only, no derivatives)."""
-    def fields(t):
-        vals = quad.spline_data(spline, t, order=0)[0]
+    def fields(ch):
+        vals = apply_stacked([ch.V], ch.patches(spline))[0]
         return [vals * vals]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))
@@ -414,8 +422,8 @@ def l2_norm(spline, quad):
 
 def residual_norm(spline, quad, g):
     """L2 norm of det(Hessian of spline) - g over the domain."""
-    def fields(t):
-        r = hessian_det(quad.spline_data(spline, t)[2]) - np.asarray(g(quad.nodes[t]))
+    def fields(ch):
+        r = hessian_det(*apply_stacked(ch.H, ch.patches(spline))) - ch.at_nodes(g)
         return [r * r]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))

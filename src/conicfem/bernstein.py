@@ -63,12 +63,13 @@ def domain_points(d, tri):
 # barycentric coordinates
 
 def _cross2(a, b):
-    return a[0] * b[1] - a[1] * b[0]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def triangle_area(tri):
+    """Signed area of a triangle (3, 2) or of each of (..., 3, 2)."""
     tri = np.asarray(tri, dtype=float)
-    return 0.5 * float(_cross2(tri[1] - tri[0], tri[2] - tri[0]))
+    return 0.5 * _cross2(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
 
 
 def barycentric(tri, x):
@@ -108,8 +109,8 @@ def directional_coords(tri, u):
     """Barycentric directional coordinates of a vector u (they sum to 0)."""
     tri = np.asarray(tri, dtype=float)
     u = np.asarray(u, dtype=float)
-    b = barycentric_many(tri, np.vstack([tri[0] + u, tri[0]]))
-    return b[0] - b[1]
+    b = barycentric_many(tri, np.stack([tri[..., 0, :] + u, tri[..., 0, :]], axis=-2))
+    return b[..., 0, :] - b[..., 1, :]
 
 
 # ---------------------------------------------------------------------------
@@ -118,19 +119,20 @@ def directional_coords(tri, u):
 def bernstein_matrix(d, bary):
     """Design matrix of all degree-d Bernstein polynomials at barycentric points.
 
-    bary: (n, 3) array; returns (n, n_coeffs(d)).
+    bary: (..., n, 3) array; returns (..., n, n_coeffs(d)).
     """
     bary = np.asarray(bary, dtype=float)
     if bary.ndim == 1:
         bary = bary.reshape(1, 3)
+    flat = bary.reshape(-1, 3)
     cols = []
     for ijk in multi_indices(d):
         i, j, k = ijk
         cols.append(
             multinomial(d, ijk)
-            * bary[:, 0] ** i * bary[:, 1] ** j * bary[:, 2] ** k
+            * flat[:, 0] ** i * flat[:, 1] ** j * flat[:, 2] ** k
         )
-    return np.column_stack(cols)
+    return np.column_stack(cols).reshape(bary.shape[:-1] + (len(cols),))
 
 
 def de_casteljau(d, coeffs, b):
@@ -166,10 +168,10 @@ def diff_matrix(d, a):
     directional derivative: D_u p = d * sum (diff_matrix(d, a) @ c)_g B^{d-1}_g.
     """
     st = _diff_structure(d)
-    m = np.zeros((len(st), n_coeffs(d)))
+    m = np.zeros(a.shape[:-1] + (len(st), n_coeffs(d)))
     rows = np.arange(len(st))
     for s in range(3):
-        m[rows, st[:, s]] += a[s]
+        m[..., rows, st[:, s]] += a[..., s, None]
     return m
 
 
@@ -212,7 +214,8 @@ def design_matrices(d, tri, bary, order=2):
 
     Returns (V, G, H) where V is (n, nc), G = [Dx, Dy] and
     H = [Dxx, Dxy, Dyy] (each (n, nc)), so that e.g. values = V @ coeffs.
-    G and H are None when not requested via order.
+    G and H are None when not requested via order.  Triangles (g, 3, 2)
+    and points (g, n, 3) give (g, n, nc) stacks.
     """
     B1 = bernstein_matrix(d - 1, bary) if order >= 1 and d >= 1 else None
     B2 = bernstein_matrix(d - 2, bary) if order >= 2 and d >= 2 else None
@@ -224,7 +227,8 @@ def derivative_matrices(d, tri, B, B1=None, B2=None):
     of degrees d, d-1, d-2 at one point set (G, H are None without B1, B2).
 
     The Cartesian derivatives come from coefficient differencing in the
-    directional coordinates of tri."""
+    directional coordinates of tri.  Triangles (g, 3, 2) give stacks G and
+    H from shared or stacked B1, B2: entry i is what tri[i] alone gives."""
     G = H = None
     if B1 is not None:
         ax = directional_coords(tri, (1.0, 0.0))

@@ -24,9 +24,8 @@ from .problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_
 from .space import SpaceError, build_space, load_spline, save_spline
 
 _CONFIG_KEYS = (
-    "problem", "mesh", "g_expr", "levels", "tol", "max_iter", "quad_degree",
-    "pie_order", "output", "plot_data", "plot_grid", "save_solution",
-    "dump_matrix",
+    "problem", "mesh", "g_expr", "levels", "tol", "max_iter", "output",
+    "plot_data", "plot_grid", "save_solution", "dump_matrix",
 )
 
 
@@ -131,10 +130,8 @@ def cmd_solve(args):
         exact = disk_exact_solution() if args.problem == "disk" else None
         prob = sol.MongeAmpereProblem(domain, mesh, problem_g(args.problem),
                                       exact=exact, name=args.problem)
-    reports, u = sol.multilevel_run(
-        prob, args.levels, tol=args.tol, max_iter=args.max_iter,
-        quad_degree=args.quad_degree, pie_order=args.pie_order,
-    )
+    reports, u = sol.multilevel_run(prob, args.levels, tol=args.tol,
+                                    max_iter=args.max_iter)
     rows = convergence_rows(reports, use_exact=exact is not None)
     print_table(rows)
     if args.output:
@@ -147,10 +144,9 @@ def cmd_solve(args):
         _write_plot(u, args.plot_grid, args.plot_data)
         print(f"wrote {args.plot_data}")
     if args.dump_matrix:
-        quad = asm.TriangleQuadrature(u.space, degree=args.quad_degree,
-                                      pie_order=args.pie_order)
+        quad = asm.TriangleQuadrature(u.space)
         problem, _ = sol.linearize_ma(u, prob.g, quad)
-        system = asm.assemble(problem, u.space, quad)
+        system = asm.assemble(problem, quad)
         from scipy.io import mmwrite
         mmwrite(args.dump_matrix, system.matrix)
         print(f"wrote {args.dump_matrix}")
@@ -238,8 +234,6 @@ def build_parser():
     ps.add_argument("--levels", type=int, default=3)
     ps.add_argument("--tol", type=float, default=1e-15)
     ps.add_argument("--max-iter", type=int, default=20)
-    ps.add_argument("--quad-degree", type=int, default=16)
-    ps.add_argument("--pie-order", type=int, default=12)
     ps.add_argument("--output", help="CSV output path")
     ps.add_argument("--plot-data", help="lattice sample output path")
     ps.add_argument("--plot-grid", type=int, default=81)

@@ -70,33 +70,34 @@ class LevelReport:
     diverged: bool = False
     init_errors: tuple = None
     init_residual: float = None
-    # perf_counter seconds of the level's phases: space, quad, transfer
-    # (the initial iterate: Poisson solve on level 1), newton, norms
-    # (residual, errors, init norms and the previous level's eps errors)
+    # perf_counter seconds of the level's phases: refine (building its
+    # mesh, 0.0 on level 1), space, quad, transfer (the initial iterate:
+    # Poisson solve on level 1), newton, norms (residual, errors, init
+    # norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
     # facts of the level's Newton solves: the largest matrix "nnz",
     # "lu_fill" (L + U nonzeros) and "rel_residual", and the "newton_floor"
-    # (the effective tolerance of the last correction, see run_level)
+    # (the effective tolerance of the last correction, see run_level),
+    # and the "fill_defect" of the level's space
     solver: dict = field(default_factory=dict)
 
 
 class LevelContext:
     """Space + quadrature of one refinement level."""
 
-    def __init__(self, mesh, quad_degree=16, pie_order=12):
+    def __init__(self, mesh):
         self.mesh = mesh
         start = time.perf_counter()
         self.space = build_space(mesh)
         built = time.perf_counter()
-        self.quad = asm.TriangleQuadrature(self.space, degree=quad_degree,
-                                           pie_order=pie_order)
+        self.quad = asm.TriangleQuadrature(self.space)
         self.timings = {"space": built - start,
                         "quad": time.perf_counter() - built}
 
 
 def _check_positive_g(problem, ctx):
-    for t in range(ctx.mesh.n_triangles):
-        if np.any(np.asarray(problem.g(ctx.quad.nodes[t])) <= 0.0):
+    for ch in ctx.quad.chunks:
+        if np.any(ch.at_nodes(problem.g) <= 0.0):
             raise ValueError("datum g must be positive at all quadrature points")
 
 
@@ -107,32 +108,21 @@ def linearize_ma(u, g, quad):
     nodes), b and c vanish, and f is the current residual det(Hessian) - g.
     Also returns the minimum eigenvalue of A over all quadrature points
     (the ellipticity monitor; for 2x2 cofactors these are exactly the
-    Hessian eigenvalues)."""
+    Hessian eigenvalues).  A and f are tabulated per chunk of quad."""
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
-    for idx in asm.triangle_chunks(quad.space):
-        coeffs = np.stack([u.patch(t) for t in idx])[:, :, None]
-        hxx, hxy, hyy = (
-            (asm.stack_shared([quad.basis[t][2][i] for t in idx]) @ coeffs)[:, :, 0]
-            for i in range(3))
-        hess = np.empty(hxx.shape + (2, 2))
-        hess[..., 0, 0], hess[..., 1, 1] = hxx, hyy
-        hess[..., 0, 1] = hess[..., 1, 0] = hxy
-        cof = np.empty_like(hess)
+    for ch in quad.chunks:
+        hxx, hxy, hyy = asm.apply_stacked(ch.H, ch.patches(u))
+        cof = np.empty(hxx.shape + (2, 2))
         cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
         cof[..., 0, 1] = cof[..., 1, 0] = -hxy
-        det = asm.hessian_det(hess)
-        for i, t in enumerate(idx):
-            cof_tab[t] = cof[i]
-            res_tab[t] = det[i] - np.asarray(g(quad.nodes[t]))
+        cof_tab[ch] = cof
+        res_tab[ch] = asm.hessian_det(hxx, hxy, hyy) - ch.at_nodes(g)
         half_tr = 0.5 * (hxx + hyy)
         rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
         eigmin = min(eigmin, float((half_tr - rad).min()))
-    problem = asm.LinearEllipticProblem(
-        A=lambda pts, t: cof_tab[t],
-        f=lambda pts, t: res_tab[t],
-    )
+    problem = asm.LinearEllipticProblem(A=cof_tab.__getitem__, f=res_tab.__getitem__)
     return problem, eigmin
 
 
@@ -140,9 +130,9 @@ def poisson_initial_guess(ctx, g):
     """Galerkin solution of laplace(u) = 2 sqrt(g) with zero boundary values."""
     prob = asm.LinearEllipticProblem(
         A=asm.constant_matrix(np.eye(2)),
-        f=lambda pts, t: 2.0 * np.sqrt(np.asarray(g(pts))),
+        f=asm.pointwise(lambda pts: 2.0 * np.sqrt(np.asarray(g(pts)))),
     )
-    system = asm.assemble(prob, ctx.space, ctx.quad)
+    system = asm.assemble(prob, ctx.quad)
     result = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
     return ctx.space.spline(result.dofs)
 
@@ -152,7 +142,7 @@ def newton_step(ctx, u, g, solves=None):
     eigmin of the linearization).  Appends (matrix nnz, SolveResult) of the
     step's solve to the list solves when one is given."""
     problem, eigmin = linearize_ma(u, g, ctx.quad)
-    system = asm.assemble(problem, ctx.space, ctx.quad)
+    system = asm.assemble(problem, ctx.quad)
     result = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
     if solves is not None:
         solves.append((system.matrix.nnz, result))
@@ -302,8 +292,7 @@ def transfer_guess(coarse_ctx, u_coarse, fine_ctx, coarse=None):
     return fine.spline(dofs)
 
 
-def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
-                   quad_degree=16, pie_order=12):
+def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
     """Newton-Galerkin runs on a hierarchy of uniformly refined meshes.
 
     Returns the list of LevelReports (with consecutive-level eps errors
@@ -312,16 +301,19 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
     """
     reports = []
     meshes = [problem.initial_mesh]
+    refine_s = [0.0]
     for _ in range(levels - 1):
+        start = time.perf_counter()
         meshes.append(refine_uniform(meshes[-1]))
+        refine_s.append(time.perf_counter() - start)
 
     prev_ctx = None
     prev_u = None
     prev_report = None
     u = None
     for lev, mesh in enumerate(meshes, start=1):
-        ctx = LevelContext(mesh, quad_degree=quad_degree, pie_order=pie_order)
-        timings = dict(ctx.timings)
+        ctx = LevelContext(mesh)
+        timings = {"refine": refine_s[lev - 1], **ctx.timings}
         _check_positive_g(problem, ctx)
         start = time.perf_counter()
         if lev == 1:
@@ -351,7 +343,7 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20,
             init_errors=init_err,
             init_residual=init_res,
             timings=timings,
-            solver=state.solver,
+            solver=dict(state.solver, fill_defect=ctx.space.fill_defect),
         )
         if problem.exact is not None:
             rep.errors = asm.error_norms(u, ctx.quad, ref=problem.exact)

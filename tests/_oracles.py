@@ -4,9 +4,10 @@ These deliberately avoid the code paths they check: the dimension oracle
 assembles the raw smoothness/boundary constraint system on unreduced patch
 coefficients and counts its rank; the product oracle multiplies in the
 monomial basis; radial quadrature integrates rotationally symmetric fields
-with a 1-D Gauss rule.  The per-triangle assembly and linearization loops
-are the straightforward forms of the batched kernels in ``assembly`` and
-``solver``, which must reproduce them bit for bit.
+with a 1-D Gauss rule.  The per-triangle design matrices, assembly and
+linearization loops are the straightforward forms of the chunked kernels
+in ``assembly`` and ``solver``, which must reproduce them bit for bit; the
+per-triangle error norms evaluate the spline through its own pieces.
 """
 
 import numpy as np
@@ -329,13 +330,49 @@ def disk_radial_integral(f_of_r, n=200):
 
 
 # ---------------------------------------------------------------------------
-# per-triangle Galerkin assembly and Monge-Ampere linearization
+# per-triangle design matrices, Galerkin assembly, Monge-Ampere
+# linearization and error norms
 
-def assemble_per_triangle(problem, space, quad):
+def triangle_designs(quad):
+    """(V, G, H) per triangle at its quadrature nodes, each built for that
+    triangle alone: from the reference Bernstein matrices on straight
+    triangles, from the pie rule's barycentric points on pies."""
+    mesh = quad.space.mesh
+    rule = asm.triangle_rule(asm.QUAD_DEGREE)
+    ref = {d: [bb.bernstein_matrix(d - s, rule.bary) for s in range(3)] for d in (5, 6)}
+    out = []
+    for t in range(mesh.n_triangles):
+        d = quad.space.tri_degree(t)
+        tri = mesh.tri_coords(t)
+        if mesh.triangles[t].kind == PIE:
+            nodes, _ = asm.pie_quadrature(mesh, t)
+            out.append(bb.design_matrices(d, tri, bb.barycentric_many(tri, nodes)))
+        else:
+            out.append(bb.derivative_matrices(d, tri, *ref[d]))
+    return out
+
+
+def _chunk_rows(quad):
+    """Triangle -> (its chunk, its row in the chunk)."""
+    return {t: (ch, i) for ch in quad.chunks for i, t in enumerate(ch.tris)}
+
+
+def assemble_per_triangle(problem, quad):
     """(CSR matrix, rhs) of a LinearEllipticProblem, one triangle at a time
-    in mesh order."""
+    in mesh order.  Coefficient fields are evaluated once per chunk and
+    read row by row."""
+    space = quad.space
     mesh = space.mesh
     n = space.dimension
+    designs = triangle_designs(quad)
+    at = _chunk_rows(quad)
+    tables = {name: {ch: np.asarray(fn(ch)) for ch in quad.chunks}
+              for name, fn in vars(problem).items() if fn is not None}
+
+    def field(name, t):
+        ch, i = at[t]
+        return tables[name][ch][i]
+
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
     for t in range(mesh.n_triangles):
@@ -344,26 +381,25 @@ def assemble_per_triangle(problem, space, quad):
             Z = space.pie_product_maps[t]
         else:
             Z = space.tri_maps[t]
-        B, (Gx, Gy), _ = quad.basis[t]
+        B, (Gx, Gy), _ = designs[t]
         w = quad.weights[t]
-        pts = quad.nodes[t]
         Phi = B @ Z
         Dx = Gx @ Z
         Dy = Gy @ Z
         loc = np.zeros((len(gdofs), len(gdofs)))
         if problem.A is not None:
-            Amat = np.asarray(problem.A(pts, t))
+            Amat = field("A", t)
             qx = Amat[:, 0, 0, None] * Dx + Amat[:, 0, 1, None] * Dy
             qy = Amat[:, 1, 0, None] * Dx + Amat[:, 1, 1, None] * Dy
             loc += Dx.T @ (w[:, None] * qx) + Dy.T @ (w[:, None] * qy)
         if problem.b is not None:
-            bvec = np.asarray(problem.b(pts, t))
+            bvec = field("b", t)
             loc += Phi.T @ (w[:, None] * (bvec[:, 0, None] * Dx + bvec[:, 1, None] * Dy))
         if problem.c is not None:
-            cvals = np.asarray(problem.c(pts, t))
+            cvals = field("c", t)
             loc += Phi.T @ ((w * cvals)[:, None] * Phi)
         if problem.f is not None:
-            fvals = np.asarray(problem.f(pts, t))
+            fvals = field("f", t)
             rhs[gdofs] += Phi.T @ (w * fvals)
         ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
         rows.append(ii.ravel())
@@ -382,16 +418,35 @@ def linearize_ma_per_triangle(u, g, quad):
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
-    for t in range(quad.space.mesh.n_triangles):
-        _, _, hess = quad.spline_data(u, t)
+    for t, (V, _, H) in enumerate(triangle_designs(quad)):
+        _, _, hess = bb.apply_design(V, None, H, u.patch(t))
         cof = np.empty_like(hess)
         cof[:, 0, 0] = hess[:, 1, 1]
         cof[:, 1, 1] = hess[:, 0, 0]
         cof[:, 0, 1] = cof[:, 1, 0] = -hess[:, 0, 1]
         cof_tab[t] = cof
-        res_tab[t] = asm.hessian_det(hess) - np.asarray(g(quad.nodes[t]))
+        res_tab[t] = (hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
+                      - np.asarray(g(quad.nodes[t])))
         half_tr = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
         rad = np.sqrt((0.5 * (hess[:, 0, 0] - hess[:, 1, 1])) ** 2
                       + hess[:, 0, 1] ** 2)
         eigmin = min(eigmin, float((half_tr - rad).min()))
     return cof_tab, res_tab, eigmin
+
+
+def error_norms_per_triangle(spline, quad, ref_batch):
+    """(L2, H1, H2) norms of spline - reference, with the spline evaluated
+    triangle by triangle at its quadrature nodes (SplineFunction.eval_batch)
+    and the reference given per triangle: ref_batch(t, points) ->
+    (values, gradients, hessians)."""
+    l2 = h1s = h2s = 0.0
+    for t in range(quad.space.mesh.n_triangles):
+        pts, w = quad.nodes[t], quad.weights[t]
+        vals, grads, hess = spline.eval_batch(t, pts)
+        rv, rg, rh = ref_batch(t, pts)
+        vals, grads, hess = vals - rv, grads - rg, hess - rh
+        l2 += float(w @ (vals * vals))
+        h1s += float(w @ (grads[:, 0] ** 2 + grads[:, 1] ** 2))
+        h2s += float(w @ (hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2
+                          + hess[:, 1, 1] ** 2))
+    return np.sqrt(l2), np.sqrt(l2 + h1s), np.sqrt(l2 + h1s + h2s)

@@ -221,7 +221,7 @@ def test_criterion_8_geometry_and_poisson():
         A=asm.constant_matrix(np.eye(2)),
         f=asm.pointwise(lambda x: 2.0 * np.ones(len(x))),
     )
-    system = asm.assemble(prob, dspace, dquad)
+    system = asm.assemble(prob, dquad)
     res = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
     u = dspace.spline(res.dofs)
     ref = (

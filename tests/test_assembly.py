@@ -9,7 +9,8 @@ from conicfem.problems import (builtin_domain, disk_exact_solution,
                                wheel_mesh)
 from conicfem.space import build_space
 
-from _oracles import assemble_per_triangle, disk_radial_integral
+from _oracles import (assemble_per_triangle, disk_radial_integral,
+                      error_norms_per_triangle, triangle_designs)
 
 EYE = asm.constant_matrix(np.eye(2))
 
@@ -40,8 +41,8 @@ def test_areas(disk_space2, ellipse_mesh2):
 def test_pie_quadrature_jacobians(disk_space):
     mesh = disk_space.mesh
     for t in mesh.triangles_of_kind(PIE):
-        pq = asm.pie_quadrature(mesh, t)
-        assert np.all(pq.weights > 0)
+        _, weights = asm.pie_quadrature(mesh, t)
+        assert np.all(weights > 0)
     with pytest.raises(asm.AssemblyError):
         asm.pie_quadrature(mesh, mesh.triangles_of_kind("ordinary")[0])
 
@@ -49,7 +50,7 @@ def test_pie_quadrature_jacobians(disk_space):
 def test_mass_matrix_spd_and_symmetry(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
     mass = asm.assemble(asm.LinearEllipticProblem(
-        c=asm.pointwise(lambda x: np.ones(len(x)))), disk_space, quad)
+        c=asm.pointwise(lambda x: np.ones(len(x)))), quad)
     M = mass.matrix.toarray()
     assert np.abs(M - M.T).max() < 1e-12 * np.abs(M).max()
     assert np.linalg.eigvalsh(M).min() > 0
@@ -57,13 +58,14 @@ def test_mass_matrix_spd_and_symmetry(disk_space):
 
 def test_stiffness_symmetric_for_symmetric_A(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
-    def A(pts, t):
-        out = np.empty((len(pts), 2, 2))
-        out[:, 0, 0] = 1.0 + pts[:, 0] ** 2
-        out[:, 1, 1] = 2.0 + pts[:, 1] ** 2
-        out[:, 0, 1] = out[:, 1, 0] = 0.3 * pts[:, 0] * pts[:, 1]
+    def A(chunk):
+        pts = chunk.nodes
+        out = np.empty(pts.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + pts[..., 0] ** 2
+        out[..., 1, 1] = 2.0 + pts[..., 1] ** 2
+        out[..., 0, 1] = out[..., 1, 0] = 0.3 * pts[..., 0] * pts[..., 1]
         return out
-    K = asm.assemble(asm.LinearEllipticProblem(A=A), disk_space, quad).matrix.toarray()
+    K = asm.assemble(asm.LinearEllipticProblem(A=A), quad).matrix.toarray()
     assert np.abs(K - K.T).max() < 1e-12 * np.abs(K).max()
 
 
@@ -76,7 +78,7 @@ def test_solve_sparse_identity_and_mass_roundtrip(disk_space):
     assert np.allclose(res.dofs, b)
     quad = asm.TriangleQuadrature(disk_space)
     mass = asm.assemble(asm.LinearEllipticProblem(
-        c=asm.pointwise(lambda x: np.ones(len(x)))), disk_space, quad)
+        c=asm.pointwise(lambda x: np.ones(len(x)))), quad)
     x = rng.standard_normal(n)
     res = asm.solve_sparse(asm.SparseSystem(mass.matrix, mass.matrix @ x))
     assert np.abs(res.dofs - x).max() < 1e-10 * max(1.0, np.abs(x).max())
@@ -96,7 +98,7 @@ def test_singular_poisson_solve_raises_solver_error(disk_space):
     # column set to explicit zeros
     n = disk_space.dimension
     quad = asm.TriangleQuadrature(disk_space)
-    K = asm.assemble(asm.LinearEllipticProblem(A=EYE), disk_space, quad).matrix
+    K = asm.assemble(asm.LinearEllipticProblem(A=EYE), quad).matrix
     coo = K.tocoo()
     coo.data[(coo.row == n // 2) | (coo.col == n // 2)] = 0.0
     A = coo.tocsr()
@@ -109,7 +111,7 @@ def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
     import scipy.sparse.linalg as spla
     quad = asm.TriangleQuadrature(disk_space2)
     system = asm.assemble(asm.LinearEllipticProblem(
-        A=EYE, f=asm.pointwise(lambda x: np.ones(len(x)))), disk_space2, quad)
+        A=EYE, f=asm.pointwise(lambda x: np.ones(len(x)))), quad)
     res = asm.solve_sparse(system)
     colamd = spla.splu(system.matrix.tocsc())
     assert 0 < res.lu_fill < colamd.L.nnz + colamd.U.nnz
@@ -117,19 +119,46 @@ def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
 
 
 def _all_terms_problem():
-    def A(pts, t):
-        out = np.empty((len(pts), 2, 2))
-        out[:, 0, 0] = 1.0 + pts[:, 0] ** 2
-        out[:, 1, 1] = 2.0 + np.sin(pts[:, 1]) + 0.01 * t
-        out[:, 0, 1] = out[:, 1, 0] = 0.3 * pts[:, 0] * pts[:, 1]
+    # A and b also depend on the triangle index
+    def A(chunk):
+        pts, t = chunk.nodes, chunk.tris[:, None]
+        out = np.empty(pts.shape[:-1] + (2, 2))
+        out[..., 0, 0] = 1.0 + pts[..., 0] ** 2
+        out[..., 1, 1] = 2.0 + np.sin(pts[..., 1]) + 0.01 * t
+        out[..., 0, 1] = out[..., 1, 0] = 0.3 * pts[..., 0] * pts[..., 1]
         return out
+
+    def b(chunk):
+        pts, t = chunk.nodes, chunk.tris[:, None]
+        return np.stack([np.cos(pts[..., 0]), pts[..., 1] - 0.1 * t], axis=-1)
 
     return asm.LinearEllipticProblem(
         A=A,
-        b=lambda pts, t: np.column_stack([np.cos(pts[:, 0]), pts[:, 1] - 0.1 * t]),
+        b=b,
         c=asm.pointwise(lambda x: 1.0 + np.exp(x[:, 0])),
         f=asm.pointwise(lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1] - 0.5),
     )
+
+
+@pytest.mark.parametrize("space_name", ["c2_space", "disk_space2"])
+def test_chunk_design_matrices_are_bit_identical_to_per_triangle_build(
+        space_name, request):
+    space = request.getfixturevalue(space_name)
+    quad = asm.TriangleQuadrature(space)
+    designs = triangle_designs(quad)
+    seen = []
+    for ch in quad.chunks:
+        for i, t in enumerate(ch.tris):
+            V, G, H = designs[t]
+            np.testing.assert_array_equal(ch.V if ch.V.ndim == 2 else ch.V[i], V)
+            for got, want in zip(ch.G + ch.H, G + H):
+                np.testing.assert_array_equal(got[i], want)
+            np.testing.assert_array_equal(ch.Z[i], space.patch_map(t))
+            np.testing.assert_array_equal(ch.cols[i], space.tri_cols[t])
+            assert np.shares_memory(quad.nodes[t], ch.nodes)
+            assert np.shares_memory(quad.weights[t], ch.weights)
+        seen.extend(ch.tris)
+    assert sorted(seen) == list(range(space.mesh.n_triangles))
 
 
 @pytest.mark.parametrize("space_name", ["c2_space", "disk_space2"])
@@ -138,8 +167,8 @@ def test_assemble_is_bit_identical_to_per_triangle_loop(space_name, request):
     space = request.getfixturevalue(space_name)
     quad = asm.TriangleQuadrature(space)
     problem = _all_terms_problem()
-    system = asm.assemble(problem, space, quad)
-    matrix, rhs = assemble_per_triangle(problem, space, quad)
+    system = asm.assemble(problem, quad)
+    matrix, rhs = assemble_per_triangle(problem, quad)
     np.testing.assert_array_equal(system.matrix.indptr, matrix.indptr)
     np.testing.assert_array_equal(system.matrix.indices, matrix.indices)
     np.testing.assert_array_equal(system.matrix.data, matrix.data)
@@ -150,7 +179,7 @@ def test_assemble_is_bit_identical_to_per_triangle_loop(space_name, request):
 def test_poisson_reproduces_in_space_solution(disk_space2):
     quad = asm.TriangleQuadrature(disk_space2)
     prob = asm.LinearEllipticProblem(A=EYE, f=asm.pointwise(lambda x: 2.0 * np.ones(len(x))))
-    sys0 = asm.assemble(prob, disk_space2, quad)
+    sys0 = asm.assemble(prob, quad)
     res = asm.solve_sparse(asm.SparseSystem(sys0.matrix, -sys0.rhs))
     u = disk_space2.spline(res.dofs)
     ref = (
@@ -169,7 +198,7 @@ def test_manufactured_solution_and_orthogonality(disk_space2):
         A=EYE,
         f=asm.pointwise(lambda x: 8.0 - 16.0 * (x[:, 0] ** 2 + x[:, 1] ** 2)),
     )
-    system = asm.assemble(prob, disk_space2, quad)
+    system = asm.assemble(prob, quad)
     res = asm.solve_sparse(asm.SparseSystem(system.matrix, system.rhs))
     u = disk_space2.spline(res.dofs)
 
@@ -203,7 +232,7 @@ def test_dense_bilinear_form_agreement():
     space = build_space(mesh)
     quad = asm.TriangleQuadrature(space)
     prob = asm.LinearEllipticProblem(A=EYE)
-    K = asm.assemble(prob, space, quad).matrix.toarray()
+    K = asm.assemble(prob, quad).matrix.toarray()
     rng = np.random.default_rng(1)
     eye = np.eye(space.dimension)
     idx = rng.integers(0, space.dimension, size=(25, 2))
@@ -214,8 +243,8 @@ def test_dense_bilinear_form_agreement():
         s_l, s_m = splines[lam], splines[mu]
         total = 0.0
         for t in range(mesh.n_triangles):
-            _, gl, _ = quad.spline_data(s_l, t, order=1)
-            _, gm, _ = quad.spline_data(s_m, t, order=1)
+            _, gl, _ = s_l.eval_batch(t, quad.nodes[t], order=1)
+            _, gm, _ = s_m.eval_batch(t, quad.nodes[t], order=1)
             total += float(quad.weights[t] @ (gl[:, 0] * gm[:, 0] + gl[:, 1] * gm[:, 1]))
         scale = max(np.abs(K).max(), 1e-12)
         assert abs(K[lam, mu] - total) < 1e-10 * scale
@@ -225,8 +254,22 @@ def test_error_norms_self_is_zero(disk_space):
     rng = np.random.default_rng(2)
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     quad = asm.TriangleQuadrature(disk_space)
-    errs = asm.error_norms(s, quad, ref_batch=lambda t, pts: s.eval_batch(t, pts))
+    # s from the chunks' stored design matrices against s evaluated
+    # triangle by triangle through its own pieces
+    stored = {}
+    for ch in quad.chunks:
+        v, gx, gy, hxx, hxy, hyy = asm.apply_stacked(
+            [ch.V, *ch.G, *ch.H], ch.patches(s))
+        grads = np.stack([gx, gy], axis=-1)
+        hess = np.stack([np.stack([hxx, hxy], axis=-1),
+                         np.stack([hxy, hyy], axis=-1)], axis=-2)
+        for i, t in enumerate(ch.tris):
+            stored[t] = (v[i], grads[i], hess[i])
+    errs = error_norms_per_triangle(s, quad, lambda t, pts: stored[t])
     assert max(errs) < 1e-12
+    zero = lambda t, pts: (0.0, 0.0, 0.0)
+    np.testing.assert_allclose(asm.error_norms(s, quad),
+                               error_norms_per_triangle(s, quad, zero), rtol=1e-12)
 
 
 def test_zero_spline_vs_exact_matches_radial_oracle(disk_space2):
@@ -248,7 +291,7 @@ def test_residual_norm_cases(disk_space2):
     quad = asm.TriangleQuadrature(disk_space2)
     # det(Hessian) of the in-space paraboloid (r^2-1)/2 is exactly 1
     prob = asm.LinearEllipticProblem(A=EYE, f=asm.pointwise(lambda x: 2.0 * np.ones(len(x))))
-    system = asm.assemble(prob, disk_space2, quad)
+    system = asm.assemble(prob, quad)
     res = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
     u = disk_space2.spline(res.dofs)
     assert asm.residual_norm(u, quad, lambda x: np.ones(len(x))) < 1e-10

@@ -159,7 +159,7 @@ def test_dump_matrix_reuses_final_space(tmp_path, monkeypatch):
     u = final["u"]
     quad = asm.TriangleQuadrature(u.space)
     problem, _ = sol.linearize_ma(u, problem_g("disk"), quad)
-    want = asm.assemble(problem, u.space, quad).matrix
+    want = asm.assemble(problem, quad).matrix
     got = mmread(str(mat)).tocsr()
     assert got.shape == want.shape
     assert abs(got - want).max() <= 1e-14 * abs(want).max()

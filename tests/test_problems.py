@@ -104,3 +104,19 @@ def test_disk_and_ellipse_conics():
     for arc in edom.arcs:
         assert np.allclose(arc.conic.coeffs, (-1, 0, -6.25, 0, 0, 1))
     assert np.allclose(edom.interior_angles, np.pi)
+
+
+def test_generated_meshes_equal_shipped_data():
+    import importlib.util
+    from importlib import resources
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "generate_builtin_data.py"
+    spec = importlib.util.spec_from_file_location("generate_builtin_data", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    meshes = tool.builtin_meshes()
+    assert len(meshes) == 3
+    for name, mesh in meshes.items():
+        shipped = resources.files("conicfem.data").joinpath(name).read_text()
+        assert tool.mesh_text(mesh) == shipped

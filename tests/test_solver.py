@@ -7,9 +7,11 @@ from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import solver as sol
 from conicfem.mesh import BUFFER, ORDINARY
+from conicfem.mesh import refine_uniform
 from conicfem.problems import disk_exact_solution, problem_g
+from conicfem.space import build_space
 
-from _oracles import linearize_ma_per_triangle
+from _oracles import error_norms_per_triangle, linearize_ma_per_triangle
 
 
 @pytest.fixture(scope="module")
@@ -93,13 +95,11 @@ def test_linearize_ma_on_paraboloid(disk_ctx):
     # Hessian of the in-space paraboloid is I: cofactor I, residual 1 - g
     u = sol.poisson_initial_guess(disk_ctx, lambda x: np.ones(len(x)))
     problem, eigmin = sol.linearize_ma(u, lambda x: np.ones(len(x)), disk_ctx.quad)
-    for t in (0, len(disk_ctx.mesh.triangles) - 1):
-        pts = disk_ctx.quad.nodes[t]
-        A = problem.A(pts, t)
+    for ch in disk_ctx.quad.chunks:
         # the discrete paraboloid matches (r^2-1)/2 up to the curved-panel
         # quadrature perturbation of the level-1 stiffness entries
-        assert np.abs(A - np.eye(2)).max() < 1e-6
-        assert np.abs(problem.f(pts, t)).max() < 1e-6
+        assert np.abs(problem.A(ch) - np.eye(2)).max() < 1e-6
+        assert np.abs(problem.f(ch)).max() < 1e-6
     assert abs(eigmin - 1.0) < 1e-6
 
 
@@ -113,10 +113,11 @@ def test_linearize_ma_is_bit_identical_to_per_triangle_loop(ctx_name, request):
     problem, eigmin = sol.linearize_ma(u, g, ctx.quad)
     cof_tab, res_tab, want_eigmin = linearize_ma_per_triangle(u, g, ctx.quad)
     assert eigmin == want_eigmin
-    for t in range(ctx.mesh.n_triangles):
-        pts = ctx.quad.nodes[t]
-        np.testing.assert_array_equal(problem.A(pts, t), cof_tab[t])
-        np.testing.assert_array_equal(problem.f(pts, t), res_tab[t])
+    for ch in ctx.quad.chunks:
+        A, f = problem.A(ch), problem.f(ch)
+        for i, t in enumerate(ch.tris):
+            np.testing.assert_array_equal(A[i], cof_tab[t])
+            np.testing.assert_array_equal(f[i], res_tab[t])
 
 
 def test_ellipticity_monitor_flags_indefinite(disk_ctx):
@@ -163,7 +164,7 @@ def test_newton_fixed_point_and_quadratic_decay(disk_ctx, disk_problem):
     assert n < 5e-14
     # defining equations: the residual functional vanishes on all basis fns
     problem, _ = sol.linearize_ma(state.spline, disk_problem.g, disk_ctx.quad)
-    system = asm.assemble(problem, disk_ctx.space, disk_ctx.quad)
+    system = asm.assemble(problem, disk_ctx.quad)
     assert np.abs(system.rhs).max() < 1e-9
 
 
@@ -183,7 +184,7 @@ def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     u = sol.poisson_initial_guess(disk_ctx, lambda x: np.ones(len(x)))
     tu = sol.transfer_guess(disk_ctx, u, fine_ctx)
     ref_batch = lambda t, pts: u.eval_batch(disk_mesh2.parents[t], pts)
-    diff = asm.error_norms(tu, fine_ctx.quad, ref_batch=ref_batch)
+    diff = error_norms_per_triangle(tu, fine_ctx.quad, ref_batch)
     assert diff[0] < 1e-10
 
 
@@ -218,9 +219,8 @@ def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
                and coarse.degree[t] == 6 for t in range(mesh2.n_triangles))
     got = asm.error_norms(u2, disk_ctx2.quad,
                           ref_coeffs=list(zip(coarse.degree, coarse.exact)))
-    want = asm.error_norms(
-        u2, disk_ctx2.quad,
-        ref_batch=lambda t, pts: u1.eval_batch(mesh2.parents[t], pts))
+    want = error_norms_per_triangle(
+        u2, disk_ctx2.quad, lambda t, pts: u1.eval_batch(mesh2.parents[t], pts))
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
@@ -258,8 +258,11 @@ def test_transfer_and_eps_norms_build_no_design_matrices(disk_problem,
 def test_level_timings(disk_problem):
     reports, _ = sol.multilevel_run(disk_problem, 2)
     for rep in reports:
-        assert set(rep.timings) == {"space", "quad", "transfer", "newton", "norms"}
+        assert set(rep.timings) == {"refine", "space", "quad", "transfer",
+                                    "newton", "norms"}
         assert all(v >= 0.0 for v in rep.timings.values())
+    assert reports[0].timings["refine"] == 0.0
+    assert reports[1].timings["refine"] > 0.0
 
 
 def test_level_solver_facts(disk_problem):
@@ -272,6 +275,14 @@ def test_level_solver_facts(disk_problem):
     floor = 100.0 * np.finfo(float).eps * asm.l2_norm(
         u, asm.TriangleQuadrature(u.space))
     assert reports[-1].solver["newton_floor"] == floor
+
+
+def test_level_reports_fill_defect(disk, disk_problem):
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    meshes = [disk[1], refine_uniform(disk[1])]
+    for rep, mesh in zip(reports, meshes):
+        assert rep.solver["fill_defect"] == build_space(mesh).fill_defect
+        assert rep.solver["fill_defect"] < 1e-12
 
 
 def test_multilevel_single_level_report(disk_problem):
