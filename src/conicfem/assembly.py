@@ -130,11 +130,11 @@ class QuadratureChunk:
     """Quadrature data of g triangles of one kind and local dof count,
     stacked along the leading axis: triangles tris (g,) in mesh order,
     their vertices coords (g, 3, 2), dofs cols (g, k) and patch maps Z
-    (g, nc, k); nodes (g, nq, 2) and weights (g, nq); the design matrix V
-    of the degree-`degree` Bernstein basis, shared (nq, nc) on straight
-    triangles and (g, nq, nc) on pies, and its derivatives G = [Gx, Gy]
-    and H = [Hxx, Hxy, Hyy], each (g, nq, nc).  Chunks compare by
-    identity, so they can key per-chunk tables."""
+    (g, nc, k) (views into the space's MapGroup); nodes (g, nq, 2) and
+    weights (g, nq); the design matrix V of the degree-`degree` Bernstein
+    basis, shared (nq, nc) on straight triangles and (g, nq, nc) on pies,
+    and its derivatives G = [Gx, Gy] and H = [Hxx, Hxy, Hyy], each (g, nq,
+    nc).  Chunks compare by identity, so they can key per-chunk tables."""
 
     degree: int
     tris: np.ndarray
@@ -153,10 +153,6 @@ class QuadratureChunk:
         vals = np.asarray(fn(self.nodes.reshape(-1, 2)))
         return vals.reshape(self.weights.shape + vals.shape[1:])
 
-    def patches(self, spline):
-        """(g, nc, 1) BB coefficients of a spline's pieces on the chunk."""
-        return self.Z @ spline.dofs[self.cols][:, :, None]
-
 
 def apply_stacked(mats, coeffs):
     """Design matrices (shared or stacked) applied to coefficients (g, nc,
@@ -166,32 +162,28 @@ def apply_stacked(mats, coeffs):
 
 class TriangleQuadrature:
     """Quadrature nodes, weights and basis design matrices of a space,
-    stored once per chunk (at most CHUNK triangles of one kind and local
-    dof count) in `chunks`.  nodes[t] and weights[t] are per-triangle views
-    into the chunks."""
+    stored once per chunk (at most CHUNK triangles of one of the space's
+    map groups) in `chunks`.  nodes[t] and weights[t] are per-triangle
+    views into the chunks."""
 
     def __init__(self, space):
         self.space = space
-        mesh = space.mesh
         self.rule = triangle_rule(QUAD_DEGREE)
         self._ref = {d: [bb.bernstein_matrix(d - s, self.rule.bary) for s in range(3)]
                      for d in (5, 6)}
-        groups = {}
-        for t in range(mesh.n_triangles):
-            groups.setdefault((mesh.triangles[t].kind, len(space.tri_cols[t])), []).append(t)
-        self.chunks = [self._chunk(idx[i:i + CHUNK])
-                       for idx in groups.values() for i in range(0, len(idx), CHUNK)]
-        self.nodes = [None] * mesh.n_triangles
-        self.weights = [None] * mesh.n_triangles
+        self.chunks = [self._chunk(grp, slice(i, i + CHUNK))
+                       for grp in space.groups for i in range(0, len(grp.tris), CHUNK)]
+        self.nodes = [None] * space.mesh.n_triangles
+        self.weights = [None] * space.mesh.n_triangles
         for ch in self.chunks:
             for i, t in enumerate(ch.tris):
                 self.nodes[t], self.weights[t] = ch.nodes[i], ch.weights[i]
 
-    def _chunk(self, idx):
-        space, mesh = self.space, self.space.mesh
-        d = space.tri_degree(idx[0])
+    def _chunk(self, grp, rows):
+        mesh = self.space.mesh
+        idx, d = grp.tris[rows], grp.degree
         coords = mesh.vertices[[mesh.triangles[t].verts for t in idx]]
-        if mesh.triangles[idx[0]].kind == PIE:
+        if grp.kind == PIE:
             nodes = np.empty((len(idx), PIE_ORDER ** 2, 2))
             weights = np.empty((len(idx), PIE_ORDER ** 2))
             for i, t in enumerate(idx):
@@ -202,9 +194,8 @@ class TriangleQuadrature:
             nodes = self.rule.bary @ coords
             weights = np.abs(bb.triangle_area(coords))[:, None] * self.rule.weights
             V, G, H = self.straight_design(coords, d)
-        return QuadratureChunk(
-            d, np.array(idx), coords, np.array([space.tri_cols[t] for t in idx]),
-            np.array([space.patch_map(t) for t in idx]), nodes, weights, V, G, H)
+        return QuadratureChunk(d, idx, coords, grp.cols[rows], grp.Z[rows],
+                               nodes, weights, V, G, H)
 
     def straight_design(self, coords, d):
         """(V, G, H) of degree d (5 or 6) at the reference-rule nodes of
@@ -282,8 +273,7 @@ def assemble(problem, quad):
     chunking."""
     space = quad.space
     n = space.dimension
-    tri_cols = [space.tri_cols[t] for t in range(space.mesh.n_triangles)]
-    sizes = np.array([len(c) for c in tri_cols])
+    sizes = np.array([len(c) for c in space.tri_cols])
     block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # COO slots
     piece = np.concatenate([[0], np.cumsum(sizes)])           # rhs slots
     rows = np.empty(block[-1], dtype=np.int64)
@@ -317,7 +307,7 @@ def assemble(problem, quad):
     rhs = np.zeros(n)
     if problem.f is not None:
         # one unbuffered sum per dof, triangle by triangle in mesh order
-        np.add.at(rhs, np.concatenate(tri_cols), rhs_vals)
+        np.add.at(rhs, np.concatenate(space.tri_cols), rhs_vals)
     matrix = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return SparseSystem(matrix, rhs)
 
@@ -377,7 +367,7 @@ def error_norms(spline, quad, ref=None, ref_coeffs=None):
     lower-order terms.
     """
     def fields(ch):
-        C = ch.patches(spline)
+        C = spline.pieces(ch.Z, ch.cols)
         if ref_coeffs is None:
             diff = apply_stacked([ch.V, *ch.G, *ch.H], C)
             if ref is not None:
@@ -414,7 +404,7 @@ def error_norms(spline, quad, ref=None, ref_coeffs=None):
 def l2_norm(spline, quad):
     """L2 norm of a spline (values only, no derivatives)."""
     def fields(ch):
-        vals = apply_stacked([ch.V], ch.patches(spline))[0]
+        vals = apply_stacked([ch.V], spline.pieces(ch.Z, ch.cols))[0]
         return [vals * vals]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))
@@ -423,7 +413,7 @@ def l2_norm(spline, quad):
 def residual_norm(spline, quad, g):
     """L2 norm of det(Hessian of spline) - g over the domain."""
     def fields(ch):
-        r = hessian_det(*apply_stacked(ch.H, ch.patches(spline))) - ch.at_nodes(g)
+        r = hessian_det(*apply_stacked(ch.H, spline.pieces(ch.Z, ch.cols))) - ch.at_nodes(g)
         return [r * r]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))

@@ -72,21 +72,18 @@ class EdgeRecord:
 class CurvedTriangulation:
     """Validated triangulation of a piecewise-conic domain."""
 
-    def __init__(self, domain, vertices, triangles, edges, edge_index,
+    def __init__(self, domain, vertices, triangles, edges, edge_index, vertex_tris,
                  vertex_is_boundary, vertex_tangent, level=1, parents=None):
         self.domain = domain
         self.vertices = vertices
         self.triangles = triangles
         self.edges = edges
         self._edge_index = edge_index            # sorted pair -> edge id
+        self._vertex_tris = vertex_tris          # vertex -> triangles, ascending
         self.vertex_is_boundary = vertex_is_boundary
         self.vertex_tangent = vertex_tangent     # member of V_B^1
         self.level = level
         self.parents = parents                   # triangle -> parent triangle
-        self._vertex_tris = [[] for _ in range(len(vertices))]
-        for t, rec in enumerate(triangles):
-            for v in rec.verts:
-                self._vertex_tris[v].append(t)
 
     # -- basic queries ----------------------------------------------------
 
@@ -119,20 +116,10 @@ class CurvedTriangulation:
     def interior_edges(self):
         return [e for e, rec in enumerate(self.edges) if not rec.is_boundary]
 
-    def pie_buffer_edges(self):
-        out = []
-        for e, rec in enumerate(self.edges):
-            if rec.is_boundary:
-                continue
-            kinds = {self.triangles[t].kind for t in rec.tris}
-            if kinds == {PIE, BUFFER}:
-                out.append(e)
-        return out
-
     def plain_interior_edges(self):
         """Interior edges that are not pie/buffer edges."""
-        pb = set(self.pie_buffer_edges())
-        return [e for e in self.interior_edges() if e not in pb]
+        return [e for e, rec in enumerate(self.edges) if not rec.is_boundary
+                and {self.triangles[t].kind for t in rec.tris} != {PIE, BUFFER}]
 
     def pie_conic(self, t):
         """The boundary conic of a pie triangle."""
@@ -332,8 +319,10 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
             raise MeshError("mesh", f"isolated vertex {v}")
         inner = 0
         adj = {ti: [] for ti in owners}
-        for key, ow in edge_tris.items():
-            if v in key and len(ow) == 2:
+        # the edges at v are the edges of its own triangles
+        for key in {(min(v, u), max(v, u)) for ti in owners for u in tris[ti] if u != v}:
+            ow = edge_tris[key]
+            if len(ow) == 2:
                 adj[ow[0]].append(ow[1])
                 adj[ow[1]].append(ow[0])
                 inner += 1
@@ -386,7 +375,7 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
                     raise MeshError("e", f"conic not positive inside pie {ti} at {tuple(x)}")
 
     mesh = CurvedTriangulation(
-        domain, vertices, records, edges, edge_index,
+        domain, vertices, records, edges, edge_index, vert_tris,
         vertex_is_boundary, vertex_tangent, level=level, parents=parents,
     )
 

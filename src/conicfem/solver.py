@@ -24,7 +24,7 @@ from . import assembly as asm
 from . import bernstein as bb
 from .mesh import PIE, refine_uniform
 from .space import (BUFFER_INTERIOR, EDGE_INTERIOR, PIE_FACTOR, build_space,
-                    ring_to_jet_matrix)
+                    jet_to_ring_matrix, ring_to_jet_matrix, vertex_slot)
 from .geometry import grad_conic
 
 log = logging.getLogger(__name__)
@@ -66,6 +66,9 @@ class LevelReport:
     eps_errors: tuple = None    # vs next level, (L2, H1, H2)
     rates: dict = field(default_factory=dict)       # of errors, and "R"
     eps_rates: dict = field(default_factory=dict)   # of eps_errors
+    # least Hessian eigenvalue over all iterates linearized at: below 0 at
+    # the start of some converging levels (ellipse-sin L1 -9.80e-2, Poisson
+    # guess; c2-domain L2 -4.00e-1, transfer guess; next step 0.455, 0.393)
     hessian_eigmin: float = None
     diverged: bool = False
     init_errors: tuple = None
@@ -113,7 +116,7 @@ def linearize_ma(u, g, quad):
     res_tab = {}
     eigmin = np.inf
     for ch in quad.chunks:
-        hxx, hxy, hyy = asm.apply_stacked(ch.H, ch.patches(u))
+        hxx, hxy, hyy = asm.apply_stacked(ch.H, u.pieces(ch.Z, ch.cols))
         cof = np.empty(hxx.shape + (2, 2))
         cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
         cof[..., 0, 1] = cof[..., 1, 0] = -hxy
@@ -229,10 +232,17 @@ def coarse_on_fine(u_coarse, fine_space):
         mesh_f.vertices[[rec.verts for rec in mesh_f.triangles]])
     d_parent = [space_c.tri_degree(p) for p in parents]
     d_own = [fine_space.tri_degree(t) for t in range(n)]
+    # the coarse pieces and pie factors, formed one map group at a time
+    patch_c, factor_c = {}, {}
+    for grp in space_c.groups:
+        patch_c.update(zip(grp.tris.tolist(), u_coarse.pieces(grp.Z, grp.cols)[:, :, 0]))
+        if grp.kind == PIE:
+            factor_c.update(zip(grp.tris.tolist(),
+                                u_coarse.pieces(grp.stored, grp.cols)[:, :, 0]))
     exact, own = [None] * n, [None] * n
     for dp, do in set(zip(d_parent, d_own)):
         idx = [t for t in range(n) if (d_parent[t], d_own[t]) == (dp, do)]
-        C = np.array([u_coarse.patch(parents[t]) for t in idx])
+        C = np.array([patch_c[parents[t]] for t in idx])
         rows = bb.reexpand(dp, C, S[idx], max(dp, do))
         low = rows if do >= dp else bb.reexpand(dp, C, S[idx], do)
         for t, e, o in zip(idx, rows, low):
@@ -242,12 +252,12 @@ def coarse_on_fine(u_coarse, fine_space):
         raise ValueError("pie triangle refined from a non-pie parent")
     factor = {}
     if pies:
-        C = np.array([u_coarse.factor(parents[t]) for t in pies])
+        C = np.array([factor_c[parents[t]] for t in pies])
         factor = dict(zip(pies, bb.reexpand(4, C, S[pies], 4)))
     return CoarseOnFine(list(map(max, d_parent, d_own)), exact, own, factor)
 
 
-def transfer_guess(coarse_ctx, u_coarse, fine_ctx, coarse=None):
+def transfer_guess(u_coarse, fine_space, coarse=None):
     """Quasi-interpolant of a coarse spline in the next level's space.
 
     The dofs are read off the coarse pieces re-expanded on the fine
@@ -255,41 +265,41 @@ def transfer_guess(coarse_ctx, u_coarse, fine_ctx, coarse=None):
     from the 2-jet of the parent-degree vertex ring, edge/pie/buffer dofs
     from the coefficients at the fine degree.  Only tangent-corner dofs
     evaluate the coarse gradient at the point."""
-    fine = fine_ctx.space
-    mesh_f = fine.mesh
+    mesh_f = fine_space.mesh
     if coarse is None:
-        coarse = coarse_on_fine(u_coarse, fine)
-    dofs = np.zeros(fine.dimension)
-    mds = fine.mds
+        coarse = coarse_on_fine(u_coarse, fine_space)
+    dofs = np.zeros(fine_space.dimension)
+    mds = fine_space.mds
 
     for v, start in mds.vertex_block.items():
         t = mds.dofs[start].tri
         d = coarse.degree[t]
-        slot = mesh_f.triangles[t].verts.index(v) + 1
+        slot = vertex_slot(mesh_f.triangles[t], v)
         im = bb.index_map(d)
         ring = coarse.exact[t][[im[g] for g in bb.vertex_ring(d, slot)]]
-        jet = ring_to_jet_matrix(mesh_f.tri_coords(t), slot, d) @ ring
-        dofs[start:start + 6] = fine.vertex_dofs_from_jet(v, jet)
+        tri = mesh_f.tri_coords(t)
+        jet = ring_to_jet_matrix(tri, slot, d) @ ring
+        dofs[start:start + 6] = jet_to_ring_matrix(tri, slot, 5) @ jet
 
     for v, pos in mds.corner_pos.items():
         t = mds.dofs[pos].tri
         x = mesh_f.vertices[v]
         gr = u_coarse.eval_on_triangle(mesh_f.parents[t], x, 1)
-        gq = grad_conic(mesh_f.pie_conic(t), x) / fine.pie_scale[t]
+        gq = grad_conic(mesh_f.pie_conic(t), x) / fine_space.pie_scale[t]
         dofs[pos] = float(gr @ gq) / float(gq @ gq)
 
     # s = p_c * conic/scale_c = p_f * conic/scale_f  =>  p_f = (scale_f/scale_c) p_c
-    scale_c = coarse_ctx.space.pie_scale
+    scale_c = u_coarse.space.pie_scale
     for pos, dof in enumerate(mds.dofs):
         t = dof.tri
         if dof.category == PIE_FACTOR:
-            ratio = fine.pie_scale[t] / scale_c[mesh_f.parents[t]]
+            ratio = fine_space.pie_scale[t] / scale_c[mesh_f.parents[t]]
             dofs[pos] = ratio * coarse.factor[t][bb.index_map(4)[dof.local]]
         elif dof.category in (EDGE_INTERIOR, BUFFER_INTERIOR):
-            im = bb.index_map(fine.tri_degree(t))
+            im = bb.index_map(fine_space.tri_degree(t))
             dofs[pos] = coarse.own[t][im[dof.local]]
 
-    return fine.spline(dofs)
+    return fine_space.spline(dofs)
 
 
 def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
@@ -307,7 +317,6 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
         meshes.append(refine_uniform(meshes[-1]))
         refine_s.append(time.perf_counter() - start)
 
-    prev_ctx = None
     prev_u = None
     prev_report = None
     u = None
@@ -320,7 +329,7 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             u0 = poisson_initial_guess(ctx, problem.g)
         else:
             coarse = coarse_on_fine(prev_u, ctx.space)
-            u0 = transfer_guess(prev_ctx, prev_u, ctx, coarse)
+            u0 = transfer_guess(prev_u, ctx.space, coarse)
         timings["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
         state, eigmin = run_level(ctx, problem.g, u0, tol=tol, max_iter=max_iter)
@@ -358,7 +367,7 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
                  rep.iterations, rep.residual,
                  ["%.1e" % n for n in rep.update_norms])
         reports.append(rep)
-        prev_ctx, prev_u, prev_report = ctx, u, rep
+        prev_u, prev_report = u, rep
 
     _fill_rates(reports)
     return reports, u

@@ -16,8 +16,10 @@ five categories:
 equations: each step sets BB coefficients to fixed weighted sums of dofs
 or of coefficients set before it, and a repeated definition of a
 coefficient is checked against the first.  Solving them gives, per
-triangle, the linear map from global dofs to patch coefficients;
-propagating a dof vector is then a per-triangle matrix product.  Spaces
+triangle, the linear map from its local dofs to its BB coefficients.
+The maps are stored once, stacked per group of triangles of one kind and
+local dof count (MapGroup); a spline is its dof vector, and its pieces
+are these maps applied to it.  Spaces
 and splines are immutable after construction and safe to share across
 threads; propagation of different dof vectors may run concurrently.
 """
@@ -86,7 +88,8 @@ class MinimalDeterminingSet:
         return len(self.dofs)
 
 
-def _vertex_slot(rec, v):
+def vertex_slot(rec, v):
+    """Slot (1, 2 or 3) of vertex v in the triangle record rec."""
     return rec.verts.index(v) + 1
 
 
@@ -109,7 +112,7 @@ def build_mds(mesh):
         if not cands:
             raise SpaceError(f"interior vertex {v} touches no ordinary triangle")
         t = min(cands)
-        slot = _vertex_slot(mesh.triangles[t], v)
+        slot = vertex_slot(mesh.triangles[t], v)
         vertex_block[v] = len(dofs)
         for g in bb.vertex_ring(5, slot):
             dofs.append(DofDescriptor(VERTEX_JET, ("v", v), t, g))
@@ -120,7 +123,7 @@ def build_mds(mesh):
         if not cands:
             raise SpaceError(f"edge {rec.verts} has no ordinary side")
         t = min(cands)
-        slots = tuple(_vertex_slot(mesh.triangles[t], v) for v in rec.verts)
+        slots = tuple(vertex_slot(mesh.triangles[t], v) for v in rec.verts)
         edge_pos[e] = len(dofs)
         g = bb.edge_row_indices(5, slots, 1)[2]   # middle of the first row
         dofs.append(DofDescriptor(EDGE_INTERIOR, ("e", e), t, g))
@@ -131,7 +134,7 @@ def build_mds(mesh):
         pies = sorted(t for t in mesh.vertex_triangles(v)
                       if mesh.triangles[t].kind == PIE)
         t = pies[0]
-        g = bb.vertex_ring(4, _vertex_slot(mesh.triangles[t], v))[0]
+        g = bb.vertex_ring(4, vertex_slot(mesh.triangles[t], v))[0]
         corner_pos[v] = len(dofs)
         dofs.append(DofDescriptor(TANGENT_CORNER, ("v", v), t, g))
 
@@ -297,8 +300,8 @@ class _Propagator:
         """Slots of the shared vertices in src and dst, and the barycentric
         coordinates of dst's off-edge vertex w.r.t. src (the C1 weights)."""
         mesh = self.mesh
-        src_slots = tuple(_vertex_slot(mesh.triangles[src], v) for v in shared)
-        dst_slots = tuple(_vertex_slot(mesh.triangles[dst], v) for v in shared)
+        src_slots = tuple(vertex_slot(mesh.triangles[src], v) for v in shared)
+        dst_slots = tuple(vertex_slot(mesh.triangles[dst], v) for v in shared)
         w = mesh.vertices[mesh.triangles[dst].verts[5 - sum(dst_slots)]]
         return src_slots, dst_slots, bb.barycentric(mesh.tri_coords(src), w)
 
@@ -365,7 +368,7 @@ class _Propagator:
         jets = {}   # interior vertex -> (2-jet from its six dofs, their numbers)
         for v, start in mds.vertex_block.items():
             t = mds.dofs[start].tri
-            slot = _vertex_slot(mesh.triangles[t], v)
+            slot = vertex_slot(mesh.triangles[t], v)
             jets[v] = (ring_to_jet_matrix(mesh.tri_coords(t), slot, 5),
                        np.arange(start, start + 6))
         for t, rec in enumerate(mesh.triangles):
@@ -421,7 +424,7 @@ class _Propagator:
         for v in mesh.boundary_vertices():
             pies = sorted(t for t in mesh.vertex_triangles(v)
                           if mesh.triangles[t].kind == PIE)
-            locs = [bb.vertex_ring(4, _vertex_slot(mesh.triangles[t], v))[0]
+            locs = [bb.vertex_ring(4, vertex_slot(mesh.triangles[t], v))[0]
                     for t in pies]
             if not mesh.vertex_tangent[v]:
                 for t, g in zip(pies, locs):
@@ -484,28 +487,21 @@ class _Propagator:
 # the assembled space
 
 class SplineSpace:
-    """Mesh + determining set + per-triangle dof-to-coefficient maps."""
+    """Mesh + determining set + dof-to-coefficient maps, stored once per
+    group of triangles (see MapGroup) in `groups`."""
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.mds = build_mds(mesh)
         prop = _Propagator(mesh, self.mds)
-        Z = prop.run()
+        self.groups = _map_groups(mesh, prop, prop.run())
         self.fill_defect = prop.defect
-        self.pie_q = prop.pie_q
-        self.pie_scale = prop.pie_scale
-        self.tri_cols = {}
-        self.tri_maps = {}      # ordinary/buffer: coefficient matrix
-        self.pie_factor_maps = {}
-        self.pie_product_maps = {}
-        for t in range(mesh.n_triangles):
-            cols, Zt = _densify(Z, prop.offset[t], prop.offset[t + 1])
-            self.tri_cols[t] = cols
-            if mesh.triangles[t].kind == PIE:
-                self.pie_factor_maps[t] = Zt
-                self.pie_product_maps[t] = prop.pie_P[t] @ Zt
-            else:
-                self.tri_maps[t] = Zt
+        self.pie_q, self.pie_scale = prop.pie_q, prop.pie_scale
+        self._at = [None] * mesh.n_triangles     # triangle -> (group, row)
+        for grp in self.groups:
+            for i, t in enumerate(grp.tris):
+                self._at[t] = (grp, i)
+        self.tri_cols = [grp.cols[i] for grp, i in self._at]
 
     @property
     def dimension(self):
@@ -514,12 +510,12 @@ class SplineSpace:
     def tri_degree(self, t):
         return 5 if self.mesh.triangles[t].kind == ORDINARY else 6
 
-    def patch_map(self, t):
-        """Local dofs (tri_cols[t]) -> BB coefficients of the piece on t
-        (the degree-6 product form over the chord triangle on pies)."""
-        if self.mesh.triangles[t].kind == PIE:
-            return self.pie_product_maps[t]
-        return self.tri_maps[t]
+    def local_map(self, t, stored=False):
+        """(tri_cols[t], map from them to the BB coefficients of t's piece:
+        the degree-6 product form on pies), or with stored set, to the
+        coefficients the fill stores (the degree-4 factor on pies)."""
+        grp, i = self._at[t]
+        return grp.cols[i], (grp.stored if stored else grp.Z)[i]
 
     def spline(self, dofs):
         return SplineFunction(self, dofs)
@@ -531,30 +527,52 @@ class SplineSpace:
         """Apply every determining functional to a spline (dual extraction)."""
         out = np.zeros(self.dimension)
         for j, dof in enumerate(self.mds.dofs):
-            kind = self.mesh.triangles[dof.tri].kind
-            coefs = spline.factor(dof.tri) if kind == PIE else spline.patch(dof.tri)
-            out[j] = coefs[bb.index_map(_STORED_DEGREE[kind])[dof.local]]
+            im = bb.index_map(_STORED_DEGREE[self.mesh.triangles[dof.tri].kind])
+            out[j] = spline.factor(dof.tri)[im[dof.local]]
         return out
 
-    def vertex_dofs_from_jet(self, v, jet):
-        """The six vertex-jet dof values matching a Cartesian 2-jet at v."""
-        start = self.mds.vertex_block[v]
-        dof = self.mds.dofs[start]
-        tri = self.mesh.tri_coords(dof.tri)
-        slot = _vertex_slot(self.mesh.triangles[dof.tri], v)
-        return jet_to_ring_matrix(tri, slot, 5) @ np.asarray(jet, dtype=float)
+
+@dataclass(frozen=True, eq=False)
+class MapGroup:
+    """The triangles of one kind and local dof count, in mesh order, and
+    their maps stacked along the leading axis: tris (g,), dofs cols (g, k),
+    Z (g, nc, k) from them to the BB coefficients of the degree-`degree`
+    pieces (the product form on pies), and stored to the coefficients the
+    fill stores: the degree-4 factor (g, 15, k) on pies, Z elsewhere."""
+
+    kind: str
+    degree: int
+    tris: np.ndarray
+    cols: np.ndarray
+    Z: np.ndarray
+    stored: np.ndarray
 
 
-def _densify(Z, lo, hi):
-    """Rows lo..hi of the CSR map Z as (dof columns, dense matrix)."""
-    a, b = Z.indptr[lo], Z.indptr[hi]
-    cols, pos = np.unique(Z.indices[a:b], return_inverse=True)
-    rows = np.repeat(np.arange(hi - lo), np.diff(Z.indptr[lo:hi + 1]))
-    M = np.zeros((hi - lo, len(cols)))
-    M[rows, pos] = Z.data[a:b]
-    scale = np.abs(M).max() if M.size else 1.0
-    M[np.abs(M) < 1e-15 * max(scale, 1.0)] = 0.0
-    return cols.astype(np.int64), M
+def _map_groups(mesh, prop, Z):
+    """Split the CSR map Z (stored coefficients x dofs) into MapGroups.
+
+    Per triangle the dofs are the sorted columns its rows touch, and
+    entries below 1e-15 of the triangle's largest (or of 1) are dropped."""
+    dim = Z.shape[1]
+    row = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr))    # per entry
+    tri = np.searchsorted(prop.offset, row, side="right") - 1
+    keys, pos = np.unique(tri * dim + Z.indices, return_inverse=True)
+    k = np.bincount(keys // dim, minlength=mesh.n_triangles)
+    pos -= np.concatenate([[0], np.cumsum(k)])[tri]     # column in its triangle
+    members = {}
+    for t, rec in enumerate(mesh.triangles):
+        members.setdefault((rec.kind, int(k[t])), []).append(t)
+    groups = []
+    for (kind, kt), tris in members.items():
+        tris, nz = np.array(tris, dtype=np.int64), np.isin(tri, tris)
+        M = np.zeros((len(tris), bb.n_coeffs(_STORED_DEGREE[kind]), kt))
+        M[np.searchsorted(tris, tri[nz]), (row - prop.offset[tri])[nz], pos[nz]] = Z.data[nz]
+        scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1.0)
+        M[np.abs(M) < 1e-15 * scale[:, None, None]] = 0.0
+        cols = keys[np.isin(keys // dim, tris)].reshape(len(tris), kt) % dim
+        piece = np.array([prop.pie_P[t] for t in tris]) @ M if kind == PIE else M
+        groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))
+    return groups
 
 
 def build_space(mesh):
@@ -563,7 +581,8 @@ def build_space(mesh):
 
 
 class SplineFunction:
-    """A spline: dof vector plus fully propagated patch coefficients."""
+    """A spline: the space and a dof vector.  Its pieces are formed from
+    the space's maps on demand, per triangle or per stack of triangles."""
 
     def __init__(self, space, dofs):
         dofs = np.asarray(dofs, dtype=float)
@@ -573,26 +592,28 @@ class SplineFunction:
             )
         self.space = space
         self.dofs = dofs
-        self._patches = {}
-        self._factors = {}
-        for t in range(space.mesh.n_triangles):
-            local = dofs[space.tri_cols[t]]
-            if space.mesh.triangles[t].kind == PIE:
-                self._factors[t] = space.pie_factor_maps[t] @ local
-            self._patches[t] = space.patch_map(t) @ local
+
+    def pieces(self, Z, cols):
+        """(g, nc, 1) BB coefficients of the pieces on a stack of triangles
+        with dofs cols (g, k) and maps Z (g, nc, k) (a MapGroup's or a
+        QuadratureChunk's)."""
+        return Z @ self.dofs[cols][:, :, None]
 
     def patch(self, t):
         """BB coefficients of the piece on triangle t (degree-6 product form
         over the chord triangle for pies)."""
-        return self._patches[t]
+        cols, Z = self.space.local_map(t)
+        return Z @ self.dofs[cols]
 
     def factor(self, t):
-        """Degree-4 factor coefficients of a pie triangle."""
-        return self._factors[t]
+        """Degree-4 factor coefficients of a pie triangle (the coefficients
+        the fill stores; the piece itself on other triangles)."""
+        cols, F = self.space.local_map(t, stored=True)
+        return F @ self.dofs[cols]
 
     def eval_on_triangle(self, t, x, order=0):
         d = self.space.tri_degree(t)
-        return bb.eval_bb(d, self._patches[t], self.space.mesh.tri_coords(t), x,
+        return bb.eval_bb(d, self.patch(t), self.space.mesh.tri_coords(t), x,
                           order=order)
 
     def eval_batch(self, t, pts, order=2):
@@ -602,7 +623,7 @@ class SplineFunction:
         tri = self.space.mesh.tri_coords(t)
         bary = bb.barycentric_many(tri, pts)
         return bb.apply_design(*bb.design_matrices(d, tri, bary, order=order),
-                               self._patches[t])
+                               self.patch(t))
 
     def locate(self, x):
         """Triangle containing the point, honoring curved pie regions."""
@@ -638,24 +659,14 @@ class SplineFunction:
     def gradient(self, x):
         return self.eval_on_triangle(self.locate(x), x, order=1)
 
-    def hessian(self, x):
-        return self.eval_on_triangle(self.locate(x), x, order=2)
-
 
 def basis_support(space, lam, tol=1e-13):
     """Triangles on which the dual basis function of dof lam is nonzero."""
     out = set()
-    for t in range(space.mesh.n_triangles):
-        cols = space.tri_cols[t]
-        hit = np.nonzero(cols == lam)[0]
-        if hit.size == 0:
-            continue
-        if space.mesh.triangles[t].kind == PIE:
-            Z = space.pie_factor_maps[t]
-        else:
-            Z = space.tri_maps[t]
-        if np.abs(Z[:, hit[0]]).max() > tol:
-            out.add(t)
+    for grp in space.groups:
+        for i, k in zip(*np.nonzero(grp.cols == lam)):
+            if np.abs(grp.stored[i, :, k]).max() > tol:
+                out.add(int(grp.tris[i]))
     return out
 
 

@@ -6,8 +6,10 @@ coefficients and counts its rank; the product oracle multiplies in the
 monomial basis; radial quadrature integrates rotationally symmetric fields
 with a 1-D Gauss rule.  The per-triangle design matrices, assembly and
 linearization loops are the straightforward forms of the chunked kernels
-in ``assembly`` and ``solver``, which must reproduce them bit for bit; the
-per-triangle error norms evaluate the spline through its own pieces.
+in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
+the space's stacked maps must reproduce the per-triangle extraction from
+the fill; the per-triangle error norms evaluate the spline through its
+own pieces.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem.geometry import normalized_pie_conic
 from conicfem.mesh import ORDINARY, PIE
-from conicfem.space import ring_to_jet_matrix
+from conicfem.space import _Propagator, ring_to_jet_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +191,9 @@ def _global_degree6_maps(space):
     raise56 = bb.degree_raise_matrix(5, 6)
     out = []
     for t in range(mesh.n_triangles):
-        cols = space.tri_cols[t]
-        if mesh.triangles[t].kind == PIE:
-            Z = space.pie_product_maps[t]
-        elif mesh.triangles[t].kind == ORDINARY:
-            Z = raise56 @ space.tri_maps[t]
-        else:
-            Z = space.tri_maps[t]
+        cols, Z = space.local_map(t)
+        if mesh.triangles[t].kind == ORDINARY:
+            Z = raise56 @ Z
         G = np.zeros((28, dim))
         G[:, cols] = Z
         out.append(G)
@@ -252,7 +250,8 @@ def boundary_sample_matrix(space, per_arc=30):
         ])
         V = bb.bernstein_matrix(6, bb.barycentric_many(tri, pts))
         G = np.zeros((per_arc, space.dimension))
-        G[:, space.tri_cols[t]] = V @ space.pie_product_maps[t]
+        cols, Z = space.local_map(t)
+        G[:, cols] = V @ Z
         rows.append(G)
     return np.vstack(rows)
 
@@ -262,17 +261,44 @@ def extraction_matrix(space):
     dim = space.dimension
     E = np.zeros((dim, dim))
     for j, dof in enumerate(space.mds.dofs):
-        cols = space.tri_cols[dof.tri]
+        cols, Z = space.local_map(dof.tri, stored=True)
         if dof.category in ("tangent-corner", "pie"):
-            Z = space.pie_factor_maps[dof.tri]
             E[j, cols] = Z[bb.index_map(4)[dof.local]]
         elif dof.category == "buffer":
-            Z = space.tri_maps[dof.tri]
             E[j, cols] = Z[bb.index_map(6)[dof.local]]
         else:
-            Z = space.tri_maps[dof.tri]
             E[j, cols] = Z[bb.index_map(5)[dof.local]]
     return E
+
+
+# ---------------------------------------------------------------------------
+# the fill's maps read off one triangle at a time
+
+def _densify(Z, lo, hi):
+    """Rows lo..hi of the CSR map Z as (dof columns, dense matrix)."""
+    a, b = Z.indptr[lo], Z.indptr[hi]
+    cols, pos = np.unique(Z.indices[a:b], return_inverse=True)
+    rows = np.repeat(np.arange(hi - lo), np.diff(Z.indptr[lo:hi + 1]))
+    M = np.zeros((hi - lo, len(cols)))
+    M[rows, pos] = Z.data[a:b]
+    scale = np.abs(M).max() if M.size else 1.0
+    M[np.abs(M) < 1e-15 * max(scale, 1.0)] = 0.0
+    return cols.astype(np.int64), M
+
+
+def triangle_maps(space):
+    """Per triangle, (dofs, piece map, stored map) read off the fill's
+    sparse map one triangle at a time: the stored map takes its rows of
+    the fill, the piece map is the product form on pies (the stored map
+    elsewhere)."""
+    prop = _Propagator(space.mesh, space.mds)
+    Z = prop.run()
+    out = []
+    for t in range(space.mesh.n_triangles):
+        cols, M = _densify(Z, prop.offset[t], prop.offset[t + 1])
+        piece = prop.pie_P[t] @ M if space.mesh.triangles[t].kind == PIE else M
+        out.append((cols, piece, M))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +402,7 @@ def assemble_per_triangle(problem, quad):
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
     for t in range(mesh.n_triangles):
-        gdofs = space.tri_cols[t]
-        if mesh.triangles[t].kind == PIE:
-            Z = space.pie_product_maps[t]
-        else:
-            Z = space.tri_maps[t]
+        gdofs, Z = space.local_map(t)
         B, (Gx, Gy), _ = designs[t]
         w = quad.weights[t]
         Phi = B @ Z

@@ -10,7 +10,8 @@ from conicfem.problems import (builtin_domain, disk_exact_solution,
 from conicfem.space import build_space
 
 from _oracles import (assemble_per_triangle, disk_radial_integral,
-                      error_norms_per_triangle, triangle_designs)
+                      error_norms_per_triangle, triangle_designs,
+                      triangle_maps)
 
 EYE = asm.constant_matrix(np.eye(2))
 
@@ -146,6 +147,7 @@ def test_chunk_design_matrices_are_bit_identical_to_per_triangle_build(
     space = request.getfixturevalue(space_name)
     quad = asm.TriangleQuadrature(space)
     designs = triangle_designs(quad)
+    maps = triangle_maps(space)
     seen = []
     for ch in quad.chunks:
         for i, t in enumerate(ch.tris):
@@ -153,8 +155,10 @@ def test_chunk_design_matrices_are_bit_identical_to_per_triangle_build(
             np.testing.assert_array_equal(ch.V if ch.V.ndim == 2 else ch.V[i], V)
             for got, want in zip(ch.G + ch.H, G + H):
                 np.testing.assert_array_equal(got[i], want)
-            np.testing.assert_array_equal(ch.Z[i], space.patch_map(t))
-            np.testing.assert_array_equal(ch.cols[i], space.tri_cols[t])
+            cols, piece, stored = maps[t]
+            np.testing.assert_array_equal(ch.Z[i], piece)
+            np.testing.assert_array_equal(ch.cols[i], cols)
+            np.testing.assert_array_equal(space.local_map(t, stored=True)[1], stored)
             assert np.shares_memory(quad.nodes[t], ch.nodes)
             assert np.shares_memory(quad.weights[t], ch.weights)
         seen.extend(ch.tris)
@@ -259,7 +263,7 @@ def test_error_norms_self_is_zero(disk_space):
     stored = {}
     for ch in quad.chunks:
         v, gx, gy, hxx, hxy, hyy = asm.apply_stacked(
-            [ch.V, *ch.G, *ch.H], ch.patches(s))
+            [ch.V, *ch.G, *ch.H], s.pieces(ch.Z, ch.cols))
         grads = np.stack([gx, gy], axis=-1)
         hess = np.stack([np.stack([hxx, hxy], axis=-1),
                          np.stack([hxy, hyy], axis=-1)], axis=-2)

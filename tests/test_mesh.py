@@ -73,6 +73,22 @@ def test_condition_e_rejected(disk_mesh):
     assert err.value.condition in ("d", "e")
 
 
+def test_fans_joined_at_one_vertex_rejected(disk_mesh):
+    # two copies of the disk mesh that share only their centre vertex pass
+    # the Euler relation; the centre's triangle fan is disconnected
+    n = disk_mesh.n_vertices
+    centre = int(np.argmin(np.linalg.norm(disk_mesh.vertices, axis=1)))
+    copy = [v if v == centre else n + v - (v > centre) for v in range(n)]
+    verts = np.vstack([disk_mesh.vertices, np.delete(disk_mesh.vertices, centre, axis=0)])
+    tris = [rec.verts for rec in disk_mesh.triangles]
+    tris += [tuple(copy[v] for v in t) for t in tris]
+    boundary = [(*rec.verts, rec.arc) for rec in disk_mesh.edges if rec.arc is not None]
+    boundary += [(copy[a], copy[b], arc) for a, b, arc in boundary]
+    assert len(verts) - 2 * len(disk_mesh.edges) + len(tris) == 1
+    with pytest.raises(MeshError, match=f"vertex {centre} has a disconnected triangle fan"):
+        msh.classify_and_validate(disk_mesh.domain, verts, tris, boundary)
+
+
 def test_refine_counts_and_midpoints(disk_mesh, disk_mesh2):
     assert disk_mesh2.n_triangles == 4 * disk_mesh.n_triangles
     for rec in disk_mesh2.edges:

@@ -9,7 +9,7 @@ from conicfem import solver as sol
 from conicfem.mesh import BUFFER, ORDINARY
 from conicfem.mesh import refine_uniform
 from conicfem.problems import disk_exact_solution, problem_g
-from conicfem.space import build_space
+from conicfem.space import SplineFunction, build_space
 
 from _oracles import error_norms_per_triangle, linearize_ma_per_triangle
 
@@ -178,11 +178,11 @@ def test_run_level_infinite_tolerance(disk_ctx, disk_problem):
 def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     fine_ctx = sol.LevelContext(disk_mesh2)
     zero = disk_ctx.space.zero()
-    tz = sol.transfer_guess(disk_ctx, zero, fine_ctx)
+    tz = sol.transfer_guess(zero, fine_ctx.space)
     assert asm.l2_norm(tz, fine_ctx.quad) == 0.0
     # a globally smooth in-space function transfers exactly
     u = sol.poisson_initial_guess(disk_ctx, lambda x: np.ones(len(x)))
-    tu = sol.transfer_guess(disk_ctx, u, fine_ctx)
+    tu = sol.transfer_guess(u, fine_ctx.space)
     ref_batch = lambda t, pts: u.eval_batch(disk_mesh2.parents[t], pts)
     diff = error_norms_per_triangle(tu, fine_ctx.quad, ref_batch)
     assert diff[0] < 1e-10
@@ -192,7 +192,7 @@ def test_transfer_makes_newton_fast(disk_ctx, disk_mesh2, disk_problem):
     u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
     state, _ = sol.run_level(disk_ctx, disk_problem.g, u0)
     fine_ctx = sol.LevelContext(disk_mesh2)
-    guess = sol.transfer_guess(disk_ctx, state.spline, fine_ctx)
+    guess = sol.transfer_guess(state.spline, fine_ctx.space)
     state2, _ = sol.run_level(fine_ctx, disk_problem.g, guess)
     assert state2.iterations <= 2
     # first fine correction is at the coarse-error scale, far below the guess
@@ -201,7 +201,7 @@ def test_transfer_makes_newton_fast(disk_ctx, disk_mesh2, disk_problem):
 
 def test_transfer_needs_parent_triangles(disk_ctx):
     with pytest.raises(ValueError, match="parent triangles"):
-        sol.transfer_guess(disk_ctx, disk_ctx.space.zero(), disk_ctx)
+        sol.transfer_guess(disk_ctx.space.zero(), disk_ctx.space)
 
 
 def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
@@ -209,7 +209,7 @@ def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
     g = disk_problem.g
     u1, _ = sol.run_level(disk_ctx, g, sol.poisson_initial_guess(disk_ctx, g))
     u1 = u1.spline
-    u2, _ = sol.run_level(disk_ctx2, g, sol.transfer_guess(disk_ctx, u1, disk_ctx2))
+    u2, _ = sol.run_level(disk_ctx2, g, sol.transfer_guess(u1, disk_ctx2.space))
     u2 = u2.spline
     coarse = sol.coarse_on_fine(u1, disk_ctx2.space)
     mesh2, mesh1 = disk_ctx2.mesh, disk_ctx.mesh
@@ -321,3 +321,25 @@ def test_g_positivity_checked(disk):
     bad = sol.MongeAmpereProblem(dom, mesh, lambda x: -np.ones(len(x)))
     with pytest.raises(ValueError):
         sol.multilevel_run(bad, 1)
+
+
+def test_chunks_and_splines_read_the_space_maps(disk_ctx, disk_ctx2, disk_problem,
+                                                monkeypatch):
+    # every map is stored once: the chunks hold views of the space's groups
+    for ctx in (disk_ctx, disk_ctx2):
+        for ch in ctx.quad.chunks:
+            assert any(np.shares_memory(ch.Z, grp.Z) for grp in ctx.space.groups)
+            assert any(np.shares_memory(ch.cols, grp.cols) for grp in ctx.space.groups)
+    # and the Newton step and the coarse-to-fine re-expansion form the
+    # pieces per group, never one triangle at a time
+    g = disk_problem.g
+    u = sol.poisson_initial_guess(disk_ctx2, g)
+    u1 = sol.poisson_initial_guess(disk_ctx, g)
+
+    def per_triangle(self, t):
+        raise AssertionError("per-triangle piece formed")
+
+    monkeypatch.setattr(SplineFunction, "patch", per_triangle)
+    monkeypatch.setattr(SplineFunction, "factor", per_triangle)
+    sol.newton_step(disk_ctx2, u, g)
+    sol.coarse_on_fine(u1, disk_ctx2.space)
