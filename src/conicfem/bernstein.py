@@ -135,22 +135,6 @@ def bernstein_matrix(d, bary):
     return np.column_stack(cols).reshape(bary.shape[:-1] + (len(cols),))
 
 
-def de_casteljau(d, coeffs, b):
-    """Reference scalar evaluation of a BB polynomial by de Casteljau steps."""
-    b1, b2, b3 = b
-    work = {ijk: float(c) for ijk, c in zip(multi_indices(d), coeffs)}
-    for r in range(d, 0, -1):
-        nxt = {}
-        for (i, j, k) in multi_indices(r - 1):
-            nxt[(i, j, k)] = (
-                b1 * work[(i + 1, j, k)]
-                + b2 * work[(i, j + 1, k)]
-                + b3 * work[(i, j, k + 1)]
-            )
-        work = nxt
-    return work[(0, 0, 0)]
-
-
 @lru_cache(maxsize=None)
 def _diff_structure(d):
     """Index triples ((pos+e1, pos+e2, pos+e3) per reduced index) for differencing."""
@@ -173,40 +157,6 @@ def diff_matrix(d, a):
     for s in range(3):
         m[..., rows, st[:, s]] += a[..., s, None]
     return m
-
-
-def eval_bb(d, coeffs, tri, x, order=0):
-    """Evaluate a BB polynomial (or its Cartesian derivatives) at a point.
-
-    order 0 -> value, 1 -> gradient (2,), 2 -> Hessian (2,2).
-    Exact for polynomials; evaluation uses coefficient differencing in
-    directional coordinates followed by de Casteljau.
-    """
-    if order > d:
-        if order == 1:
-            return np.zeros(2)
-        if order == 2:
-            return np.zeros((2, 2))
-    coeffs = np.asarray(coeffs, dtype=float)
-    b = barycentric(tri, x)
-    if order == 0:
-        return de_casteljau(d, coeffs, b)
-    ax = directional_coords(tri, (1.0, 0.0))
-    ay = directional_coords(tri, (0.0, 1.0))
-    if order == 1:
-        fac = float(d)
-        gx = de_casteljau(d - 1, diff_matrix(d, ax) @ coeffs, b)
-        gy = de_casteljau(d - 1, diff_matrix(d, ay) @ coeffs, b)
-        return fac * np.array([gx, gy])
-    if order == 2:
-        fac = float(d * (d - 1))
-        dx = diff_matrix(d, ax) @ coeffs
-        dy = diff_matrix(d, ay) @ coeffs
-        hxx = de_casteljau(d - 2, diff_matrix(d - 1, ax) @ dx, b)
-        hxy = de_casteljau(d - 2, diff_matrix(d - 1, ay) @ dx, b)
-        hyy = de_casteljau(d - 2, diff_matrix(d - 1, ay) @ dy, b)
-        return fac * np.array([[hxx, hxy], [hxy, hyy]])
-    raise ValueError(f"derivative order {order} not supported")
 
 
 def design_matrices(d, tri, bary, order=2):
@@ -287,14 +237,6 @@ def degree_raise(d, coeffs, d_to):
     return degree_raise_matrix(d, d_to) @ np.asarray(coeffs, dtype=float)
 
 
-@lru_cache(maxsize=None)
-def _collocation(d):
-    """Barycentric domain points of degree d and the inverse of the
-    Bernstein collocation matrix at them."""
-    lam = np.array(multi_indices(d), dtype=float) / d
-    return lam, np.linalg.inv(bernstein_matrix(d, lam))
-
-
 def _de_casteljau_step(r, X, b):
     """One de Casteljau step on each row of X (degree r -> r - 1), with
     the barycentric point b[k] for row k."""
@@ -309,11 +251,10 @@ def reexpand(d, coeffs, S, d_to):
     coeffs: (n, n_coeffs(d)), one polynomial per row; S: (n, 3, 3), row i
     of S[k] holding the barycentric coordinates w.r.t. T of vertex i of
     target triangle k (which may reach outside T).  Returns the (n,
-    n_coeffs(d_to)) coefficients on the targets: the same polynomials when
-    d_to >= d, otherwise their interpolants at the targets' degree-d_to
-    domain points.
+    n_coeffs(d_to)) coefficients of the same polynomials on the targets,
+    at degree d_to >= d.
 
-    The exact case is de Casteljau subdivision: target coefficient
+    This is de Casteljau subdivision: target coefficient
     (i, j, k) is the blossom at i copies of the first target vertex, j of
     the second and k of the third.  On sub-triangles every step is a
     convex combination, so no conditioning is lost.
@@ -321,9 +262,7 @@ def reexpand(d, coeffs, S, d_to):
     S = np.asarray(S, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     if d_to < d:
-        lam, inv = _collocation(d_to)
-        B = bernstein_matrix(d, (lam @ S).reshape(-1, 3)).reshape(len(S), len(lam), -1)
-        return np.einsum("kpc,kc->kp", B, coeffs) @ inv.T
+        raise DegreeError("cannot lower degree")
     out = np.empty_like(coeffs)
     im = index_map(d)
     P = coeffs

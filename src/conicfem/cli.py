@@ -158,18 +158,18 @@ def cmd_solve(args):
 
 
 def _write_plot(u, n, path):
+    """Values of u on the n x n lattice over the mesh's bounding box, row
+    by row; points outside the domain are left out."""
     verts = u.space.mesh.vertices
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
+    xs, ys = np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n)
+    pts = np.column_stack([np.tile(xs, n), np.repeat(ys, n)])
+    tris = u.space.locate(pts)
+    pts = pts[tris >= 0]
+    vals = u.evaluate(pts, tris[tris >= 0], order=0)[0]
     lines = ["x,y,value"]
-    for y in np.linspace(lo[1], hi[1], n):
-        for x in np.linspace(lo[0], hi[0], n):
-            try:
-                t = u.locate(np.array([x, y]))
-            except ValueError:
-                continue
-            v = u.eval_on_triangle(t, np.array([x, y]), 0)
-            lines.append(f"{x:.8e},{y:.8e},{v:.8e}")
+    lines += [f"{x:.8e},{y:.8e},{v:.8e}" for (x, y), v in zip(pts, vals)]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -297,6 +297,8 @@ def main(argv=None):
     if hasattr(args, "levels") and hasattr(args, "tol"):
         if args.levels < 1 or args.tol <= 0:
             parser.error("levels must be >= 1 and tol > 0")
+    if args.fn is cmd_space_info and args.levels < 1:
+        parser.error("levels must be >= 1")
     try:
         return args.fn(args)
     except (MeshError, GeometryError, SpaceError, asm.AssemblyError,

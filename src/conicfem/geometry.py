@@ -91,6 +91,15 @@ def grad_conic(q, x):
     )
 
 
+def conics_tangent_at(q1, q2, x, tol=1e-10):
+    """True if the curves of q1 and q2 through x share a tangent line there:
+    their gradients at x are parallel up to tol relative."""
+    g1 = grad_conic(q1, x)
+    g2 = grad_conic(q2, x)
+    cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
+    return cross <= tol * np.linalg.norm(g1) * np.linalg.norm(g2)
+
+
 def conic_scale(q, x):
     """Magnitude scale of q near x, for relative on-curve tolerances."""
     k = np.abs(np.asarray(q.coeffs))
@@ -294,11 +303,8 @@ class ConicDomain:
     def corner_is_tangent(self, j, tol=1e-10):
         """True if incoming and outgoing arcs share a tangent line at corner j."""
         n = len(self.arcs)
-        z = self.corners[j]
-        g1 = grad_conic(self.arcs[(j - 1) % n].conic, z)
-        g2 = grad_conic(self.arcs[j].conic, z)
-        cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
-        return cross <= tol * np.linalg.norm(g1) * np.linalg.norm(g2)
+        return conics_tangent_at(self.arcs[(j - 1) % n].conic, self.arcs[j].conic,
+                                 self.corners[j], tol)
 
 
 def _corner_angle(arc_in, arc_out):

@@ -25,10 +25,10 @@ import numpy as np
 from .geometry import (
     GeometryError,
     arc_point_on_ray,
+    conics_tangent_at,
     domain_from_dict,
     domain_to_dict,
     eval_conic,
-    grad_conic,
 )
 
 ORDINARY = "ordinary"
@@ -348,12 +348,8 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     for v, arc_ids in bd_edges_at.items():
         if len(arc_ids) != 2:
             raise MeshError("mesh", f"boundary vertex {v} has {len(arc_ids)} boundary edges")
-        q1 = domain.arcs[arc_ids[0]].conic
-        q2 = domain.arcs[arc_ids[1]].conic
-        g1 = grad_conic(q1, vertices[v])
-        g2 = grad_conic(q2, vertices[v])
-        cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
-        vertex_tangent[v] = cross <= 1e-10 * np.linalg.norm(g1) * np.linalg.norm(g2)
+        vertex_tangent[v] = conics_tangent_at(domain.arcs[arc_ids[0]].conic,
+                                              domain.arcs[arc_ids[1]].conic, vertices[v])
 
     # (d) + (e): pie star-shapedness and conic positivity
     for ti, rec in enumerate(records):

@@ -22,10 +22,8 @@ import numpy as np
 
 from . import assembly as asm
 from . import bernstein as bb
-from .mesh import PIE, refine_uniform
-from .space import (BUFFER_INTERIOR, EDGE_INTERIOR, PIE_FACTOR, build_space,
-                    jet_to_ring_matrix, ring_to_jet_matrix, vertex_slot)
-from .geometry import grad_conic
+from .mesh import ORDINARY, PIE, refine_uniform
+from .space import build_space, quintic_reduction
 
 log = logging.getLogger(__name__)
 
@@ -206,16 +204,17 @@ class CoarseOnFine:
     uniformly refined level (the parent's piece re-expanded on the child).
 
     Per fine triangle t: degree[t] is the larger of its own and its
-    parent's degree, exact[t] the parent's piece at that degree (exact),
-    and own[t] the piece at t's own degree (interpolated at t's domain
-    points where the parent's degree is higher).  factor maps each fine pie
-    to its parent's degree-4 factor on the fine chord triangle.
+    parent's degree and exact[t] the parent's piece at that degree.  stored
+    is the fine space's stored form (see SplineSpace) of these pieces:
+    the parent's factor times the ratio of the pie scales on pies, since
+    s = p_c q / scale_c = p_f q / scale_f; on ordinary children of
+    degree-6 parents the quintic_reduction of the exact piece; the exact
+    piece elsewhere.
     """
 
     degree: list
     exact: list
-    own: list
-    factor: dict
+    stored: np.ndarray
 
 
 def coarse_on_fine(u_coarse, fine_space):
@@ -230,8 +229,10 @@ def coarse_on_fine(u_coarse, fine_space):
     S = bb.barycentric_many(
         mesh_c.vertices[[mesh_c.triangles[p].verts for p in parents]],
         mesh_f.vertices[[rec.verts for rec in mesh_f.triangles]])
+    kinds = [rec.kind for rec in mesh_f.triangles]
+    if any(k == PIE and mesh_c.triangles[p].kind != PIE for k, p in zip(kinds, parents)):
+        raise ValueError("pie triangle refined from a non-pie parent")
     d_parent = [space_c.tri_degree(p) for p in parents]
-    d_own = [fine_space.tri_degree(t) for t in range(n)]
     # the coarse pieces and pie factors, formed one map group at a time
     patch_c, factor_c = {}, {}
     for grp in space_c.groups:
@@ -239,67 +240,32 @@ def coarse_on_fine(u_coarse, fine_space):
         if grp.kind == PIE:
             factor_c.update(zip(grp.tris.tolist(),
                                 u_coarse.pieces(grp.stored, grp.cols)[:, :, 0]))
-    exact, own = [None] * n, [None] * n
-    for dp, do in set(zip(d_parent, d_own)):
-        idx = [t for t in range(n) if (d_parent[t], d_own[t]) == (dp, do)]
+    degree = [max(dp, fine_space.tri_degree(t)) for t, dp in enumerate(d_parent)]
+    exact = [None] * n
+    stored = np.empty(fine_space.coef_offset[-1])
+    for dp, kind in set(zip(d_parent, kinds)):
+        idx = [t for t in range(n) if (d_parent[t], kinds[t]) == (dp, kind)]
         C = np.array([patch_c[parents[t]] for t in idx])
-        rows = bb.reexpand(dp, C, S[idx], max(dp, do))
-        low = rows if do >= dp else bb.reexpand(dp, C, S[idx], do)
-        for t, e, o in zip(idx, rows, low):
-            exact[t], own[t] = e, o
-    pies = mesh_f.triangles_of_kind(PIE)
-    if any(mesh_c.triangles[parents[t]].kind != PIE for t in pies):
-        raise ValueError("pie triangle refined from a non-pie parent")
-    factor = {}
-    if pies:
-        C = np.array([factor_c[parents[t]] for t in pies])
-        factor = dict(zip(pies, bb.reexpand(4, C, S[pies], 4)))
-    return CoarseOnFine(list(map(max, d_parent, d_own)), exact, own, factor)
+        rows = bb.reexpand(dp, C, S[idx], degree[idx[0]])
+        for t, e in zip(idx, rows):
+            exact[t] = e
+        if kind == PIE:
+            ratio = [fine_space.pie_scale[t] / space_c.pie_scale[parents[t]] for t in idx]
+            F = np.array([factor_c[parents[t]] for t in idx])
+            rows = np.array(ratio)[:, None] * bb.reexpand(4, F, S[idx], 4)
+        elif kind == ORDINARY and dp == 6:
+            rows = rows @ quintic_reduction().T
+        stored[fine_space.coef_offset[idx][:, None] + np.arange(rows.shape[1])] = rows
+    return CoarseOnFine(degree, exact, stored)
 
 
 def transfer_guess(u_coarse, fine_space, coarse=None):
-    """Quasi-interpolant of a coarse spline in the next level's space.
-
-    The dofs are read off the coarse pieces re-expanded on the fine
-    triangles (coarse, from coarse_on_fine when not given): vertex dofs
-    from the 2-jet of the parent-degree vertex ring, edge/pie/buffer dofs
-    from the coefficients at the fine degree.  Only tangent-corner dofs
-    evaluate the coarse gradient at the point."""
-    mesh_f = fine_space.mesh
+    """Quasi-interpolant of a coarse spline in the next level's space: the
+    fine determining functionals applied to the coarse spline in the fine
+    stored form (coarse.stored, from coarse_on_fine when not given)."""
     if coarse is None:
         coarse = coarse_on_fine(u_coarse, fine_space)
-    dofs = np.zeros(fine_space.dimension)
-    mds = fine_space.mds
-
-    for v, start in mds.vertex_block.items():
-        t = mds.dofs[start].tri
-        d = coarse.degree[t]
-        slot = vertex_slot(mesh_f.triangles[t], v)
-        im = bb.index_map(d)
-        ring = coarse.exact[t][[im[g] for g in bb.vertex_ring(d, slot)]]
-        tri = mesh_f.tri_coords(t)
-        jet = ring_to_jet_matrix(tri, slot, d) @ ring
-        dofs[start:start + 6] = jet_to_ring_matrix(tri, slot, 5) @ jet
-
-    for v, pos in mds.corner_pos.items():
-        t = mds.dofs[pos].tri
-        x = mesh_f.vertices[v]
-        gr = u_coarse.eval_on_triangle(mesh_f.parents[t], x, 1)
-        gq = grad_conic(mesh_f.pie_conic(t), x) / fine_space.pie_scale[t]
-        dofs[pos] = float(gr @ gq) / float(gq @ gq)
-
-    # s = p_c * conic/scale_c = p_f * conic/scale_f  =>  p_f = (scale_f/scale_c) p_c
-    scale_c = u_coarse.space.pie_scale
-    for pos, dof in enumerate(mds.dofs):
-        t = dof.tri
-        if dof.category == PIE_FACTOR:
-            ratio = fine_space.pie_scale[t] / scale_c[mesh_f.parents[t]]
-            dofs[pos] = ratio * coarse.factor[t][bb.index_map(4)[dof.local]]
-        elif dof.category in (EDGE_INTERIOR, BUFFER_INTERIOR):
-            im = bb.index_map(fine_space.tri_degree(t))
-            dofs[pos] = coarse.own[t][im[dof.local]]
-
-    return fine_space.spline(dofs)
+    return fine_space.spline(fine_space.extract_dofs(coarse.stored))
 
 
 def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
@@ -309,6 +275,8 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
     and rates filled in) and the final-level solution spline.  Each level
     logs one INFO line.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     reports = []
     meshes = [problem.initial_mesh]
     refine_s = [0.0]

@@ -19,13 +19,16 @@ coefficient is checked against the first.  Solving them gives, per
 triangle, the linear map from its local dofs to its BB coefficients.
 The maps are stored once, stacked per group of triangles of one kind and
 local dof count (MapGroup); a spline is its dof vector, and its pieces
-are these maps applied to it.  Spaces
+are these maps applied to it.  Point queries locate all points at once
+(SplineSpace.locate) and evaluate each piece at its points through
+design matrices (SplineFunction.evaluate).  Spaces
 and splines are immutable after construction and safe to share across
 threads; propagation of different dof vectors may run concurrently.
 """
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -45,6 +48,9 @@ _BUFFER_LOCALS = ((4, 1, 1), (2, 2, 2))
 
 # degree of the coefficients stored per triangle (the quartic factor on pies)
 _STORED_DEGREE = {ORDINARY: 5, BUFFER: 6, PIE: 4}
+
+# points and triangles per block of SplineSpace.locate (a few MB of scores)
+_BLOCK = 256
 
 
 class SpaceError(RuntimeError):
@@ -73,14 +79,13 @@ class DofDescriptor:
 
 class MinimalDeterminingSet:
     def __init__(self, mesh, dofs, counts, vertex_block, edge_pos, corner_pos,
-                 pie_block, buffer_block):
+                 buffer_block):
         self.mesh = mesh
         self.dofs = dofs
         self.counts = counts
         self.vertex_block = vertex_block
         self.edge_pos = edge_pos
         self.corner_pos = corner_pos
-        self.pie_block = pie_block
         self.buffer_block = buffer_block
 
     @property
@@ -103,7 +108,6 @@ def build_mds(mesh):
     vertex_block = {}
     edge_pos = {}
     corner_pos = {}
-    pie_block = {}
     buffer_block = {}
 
     for v in mesh.interior_vertices():
@@ -138,8 +142,8 @@ def build_mds(mesh):
         corner_pos[v] = len(dofs)
         dofs.append(DofDescriptor(TANGENT_CORNER, ("v", v), t, g))
 
-    for t in mesh.triangles_of_kind(PIE):
-        pie_block[t] = len(dofs)
+    pies = mesh.triangles_of_kind(PIE)
+    for t in pies:
         for g in _PIE_LOCALS:
             dofs.append(DofDescriptor(PIE_FACTOR, ("t", t), t, g))
 
@@ -152,12 +156,11 @@ def build_mds(mesh):
         VERTEX_JET: len(vertex_block),
         EDGE_INTERIOR: len(edge_pos),
         TANGENT_CORNER: len(corner_pos),
-        PIE_FACTOR: len(pie_block),
+        PIE_FACTOR: len(pies),
         BUFFER_INTERIOR: len(buffer_block),
     }
     return MinimalDeterminingSet(
-        mesh, dofs, counts, vertex_block, edge_pos, corner_pos,
-        pie_block, buffer_block,
+        mesh, dofs, counts, vertex_block, edge_pos, corner_pos, buffer_block,
     )
 
 
@@ -190,6 +193,27 @@ def jet_to_ring_matrix(tri, slot, d):
 
 def ring_to_jet_matrix(tri, slot, d):
     return np.linalg.inv(jet_to_ring_matrix(tri, slot, d))
+
+
+@lru_cache(maxsize=None)
+def quintic_reduction():
+    """21x28 map from a sextic's BB coefficients on a triangle to those of
+    the quintic with the same 2-jet at each vertex whose three middle
+    coefficients interpolate the sextic at the quintic's domain points.
+
+    A vertex ring depends only on the derivatives along the two edges at
+    the vertex, so the map is the same on every triangle; it is formed on
+    the unit triangle."""
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    lam = np.array(bb.multi_indices(5), dtype=float) / 5
+    R = np.linalg.solve(bb.bernstein_matrix(5, lam), bb.bernstein_matrix(6, lam))
+    K = jet_to_ring_matrix(unit, 1, 5) @ ring_to_jet_matrix(unit, 1, 6)
+    im5, im6 = bb.index_map(5), bb.index_map(6)
+    for slot in (1, 2, 3):
+        rows = [im5[g] for g in bb.vertex_ring(5, slot)]
+        R[rows] = 0.0
+        R[np.ix_(rows, [im6[g] for g in bb.vertex_ring(6, slot)])] = K
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +512,12 @@ class _Propagator:
 
 class SplineSpace:
     """Mesh + determining set + dof-to-coefficient maps, stored once per
-    group of triangles (see MapGroup) in `groups`."""
+    group of triangles (see MapGroup) in `groups`.
+
+    The stored form of a spline is the flat vector of every triangle's
+    stored coefficients (the quartic factor on pies) in triangle order,
+    those of triangle t at coef_offset[t]:coef_offset[t + 1]; determining
+    functional j reads its entry dof_coef[j]."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -496,6 +525,11 @@ class SplineSpace:
         prop = _Propagator(mesh, self.mds)
         self.groups = _map_groups(mesh, prop, prop.run())
         self.fill_defect = prop.defect
+        self.coef_offset = prop.offset
+        self.dof_coef = np.array(
+            [prop.offset[dof.tri]
+             + bb.index_map(_STORED_DEGREE[mesh.triangles[dof.tri].kind])[dof.local]
+             for dof in self.mds.dofs], dtype=np.int64)
         self.pie_q, self.pie_scale = prop.pie_q, prop.pie_scale
         self._at = [None] * mesh.n_triangles     # triangle -> (group, row)
         for grp in self.groups:
@@ -523,13 +557,58 @@ class SplineSpace:
     def zero(self):
         return self.spline(np.zeros(self.dimension))
 
-    def extract_dofs(self, spline):
-        """Apply every determining functional to a spline (dual extraction)."""
-        out = np.zeros(self.dimension)
-        for j, dof in enumerate(self.mds.dofs):
-            im = bb.index_map(_STORED_DEGREE[self.mesh.triangles[dof.tri].kind])
-            out[j] = spline.factor(dof.tri)[im[dof.local]]
-        return out
+    def extract_dofs(self, stored):
+        """Apply every determining functional to coefficients in the stored
+        form (dual extraction); stored need not be smooth."""
+        stored = np.asarray(stored, dtype=float)
+        if stored.shape != (self.coef_offset[-1],):
+            raise ValueError(f"stored form has shape {stored.shape}, "
+                             f"expected ({self.coef_offset[-1]},)")
+        return stored[self.dof_coef]
+
+    def locate(self, pts):
+        """Triangle of each point (n, 2), -1 for points outside.
+
+        A point lies in the first triangle in mesh order that misses it by
+        at most 1e-12, else in the first that misses it least if by less
+        than 1e-9.  A straight triangle misses by its most negative
+        barycentric coordinate, or by inf outside its bounding box widened
+        by 1e-12 of its span; a pie by the most negative of its chord
+        triangle's coordinates at the boundary vertices and its conic
+        (normalized to 1 at the interior vertex).  Points and triangles
+        are taken _BLOCK at a time."""
+        mesh = self.mesh
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        coords = mesh.vertices[[rec.verts for rec in mesh.triangles]]
+        span = np.abs(coords).max(axis=(1, 2)) + 1.0
+        lo = coords.min(axis=1) - 1e-12 * span[:, None]
+        hi = coords.max(axis=1) + 1e-12 * span[:, None]
+        straight = np.array([rec.kind != PIE for rec in mesh.triangles])
+        found = np.full(len(pts), -1)
+        for p in range(0, len(pts), _BLOCK):
+            x = pts[p:p + _BLOCK]
+            best = np.full(len(x), np.inf)
+            for start in range(0, mesh.n_triangles, _BLOCK):
+                tris = np.arange(start, min(start + _BLOCK, mesh.n_triangles))
+                b = bb.barycentric_many(coords[tris], np.broadcast_to(x, (len(tris),) + x.shape))
+                miss = np.maximum(0.0, -np.minimum(np.minimum(b[..., 0], b[..., 1]), b[..., 2]))
+                box = ((x[:, 0] < lo[tris, 0, None]) | (x[:, 0] > hi[tris, 0, None])
+                       | (x[:, 1] < lo[tris, 1, None]) | (x[:, 1] > hi[tris, 1, None]))
+                miss[box & straight[tris, None]] = np.inf
+                for j in np.flatnonzero(~straight[tris]):
+                    t = int(tris[j])
+                    q = eval_conic(mesh.pie_conic(t), x) / self.pie_scale[t]
+                    miss[j] = np.maximum(np.maximum(-b[j, :, 1], -b[j, :, 2]),
+                                         np.maximum(-q, 0.0))
+                # the first triangle that holds the point, else the first closest
+                miss[miss <= 1e-12] = 0.0
+                first = miss.argmin(axis=0)
+                m = miss[first, np.arange(len(x))]
+                closer = m < best
+                best[closer] = m[closer]
+                found[p:p + _BLOCK][closer] = tris[first[closer]]
+            found[p:p + _BLOCK][best >= 1e-9] = -1
+        return found
 
 
 @dataclass(frozen=True, eq=False)
@@ -611,11 +690,6 @@ class SplineFunction:
         cols, F = self.space.local_map(t, stored=True)
         return F @ self.dofs[cols]
 
-    def eval_on_triangle(self, t, x, order=0):
-        d = self.space.tri_degree(t)
-        return bb.eval_bb(d, self.patch(t), self.space.mesh.tri_coords(t), x,
-                          order=order)
-
     def eval_batch(self, t, pts, order=2):
         """Values, gradients and Hessians of the piece on triangle t at many
         points (vectorized; points need not lie inside the triangle)."""
@@ -625,39 +699,22 @@ class SplineFunction:
         return bb.apply_design(*bb.design_matrices(d, tri, bary, order=order),
                                self.patch(t))
 
-    def locate(self, x):
-        """Triangle containing the point, honoring curved pie regions."""
-        mesh = self.space.mesh
-        x = np.asarray(x, dtype=float)
-        best, best_score = None, np.inf
-        for t in range(mesh.n_triangles):
-            rec = mesh.triangles[t]
-            tri = mesh.tri_coords(t)
-            span = np.abs(tri).max() + 1.0
-            if rec.kind != PIE and (
-                np.any(x < tri.min(axis=0) - 1e-12 * span)
-                or np.any(x > tri.max(axis=0) + 1e-12 * span)
-            ):
-                continue
-            b = bb.barycentric(tri, x)
-            if rec.kind == PIE:
-                qv = eval_conic(mesh.pie_conic(t), x) / self.space.pie_scale[t]
-                score = max(-b[1], -b[2], -qv, 0.0)
-            else:
-                score = max(0.0, float(-b.min()))
-            if score < best_score:
-                best, best_score = t, score
-            if score <= 1e-12:
-                return t
-        if best_score < 1e-9:
-            return best
-        raise ValueError(f"point {tuple(x)} is outside the triangulation")
-
-    def value(self, x):
-        return self.eval_on_triangle(self.locate(x), x, order=0)
-
-    def gradient(self, x):
-        return self.eval_on_triangle(self.locate(x), x, order=1)
+    def evaluate(self, pts, tris=None, order=2):
+        """(values, gradients, Hessians) at points (n, 2) as eval_batch gives
+        them, each point on its triangle in tris (space.locate when not
+        given).  Raises ValueError for a point outside the triangulation."""
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        tris = self.space.locate(pts) if tris is None else np.asarray(tris)
+        if (tris < 0).any():
+            raise ValueError(f"point {tuple(pts[np.argmin(tris)])} is outside "
+                             "the triangulation")
+        out = [np.empty(len(pts)), np.empty((len(pts), 2)),
+               np.empty((len(pts), 2, 2))][:order + 1]
+        for t in np.unique(tris):
+            rows = np.flatnonzero(tris == t)
+            for o, r in zip(out, self.eval_batch(t, pts[rows], order)):
+                o[rows] = r
+        return tuple(out) + (None,) * (2 - order)
 
 
 def basis_support(space, lam, tol=1e-13):

@@ -1,6 +1,7 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the code paths they check: the dimension oracle
+These deliberately avoid the code paths they check: scalar de Casteljau
+evaluation stands in for the design matrices, the dimension oracle
 assembles the raw smoothness/boundary constraint system on unreduced patch
 coefficients and counts its rank; the product oracle multiplies in the
 monomial basis; radial quadrature integrates rotationally symmetric fields
@@ -9,7 +10,8 @@ linearization loops are the straightforward forms of the chunked kernels
 in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
 the space's stacked maps must reproduce the per-triangle extraction from
 the fill; the per-triangle error norms evaluate the spline through its
-own pieces.
+own pieces.  The level transfer's tangent-corner dofs are checked
+against the projection of the coarse gradient at the corner.
 """
 
 import numpy as np
@@ -20,7 +22,61 @@ from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem.geometry import normalized_pie_conic
 from conicfem.mesh import ORDINARY, PIE
+from conicfem.geometry import grad_conic
 from conicfem.space import _Propagator, ring_to_jet_matrix
+
+
+# ---------------------------------------------------------------------------
+# scalar evaluation of one BB polynomial at one point
+
+def de_casteljau(d, coeffs, b):
+    """Reference scalar evaluation of a BB polynomial by de Casteljau steps."""
+    b1, b2, b3 = b
+    work = {ijk: float(c) for ijk, c in zip(bb.multi_indices(d), coeffs)}
+    for r in range(d, 0, -1):
+        nxt = {}
+        for (i, j, k) in bb.multi_indices(r - 1):
+            nxt[(i, j, k)] = (
+                b1 * work[(i + 1, j, k)]
+                + b2 * work[(i, j + 1, k)]
+                + b3 * work[(i, j, k + 1)]
+            )
+        work = nxt
+    return work[(0, 0, 0)]
+
+
+def eval_bb(d, coeffs, tri, x, order=0):
+    """Evaluate a BB polynomial (or its Cartesian derivatives) at a point.
+
+    order 0 -> value, 1 -> gradient (2,), 2 -> Hessian (2,2).
+    Exact for polynomials; evaluation uses coefficient differencing in
+    directional coordinates followed by de Casteljau.
+    """
+    if order > d:
+        if order == 1:
+            return np.zeros(2)
+        if order == 2:
+            return np.zeros((2, 2))
+    coeffs = np.asarray(coeffs, dtype=float)
+    b = bb.barycentric(tri, x)
+    if order == 0:
+        return de_casteljau(d, coeffs, b)
+    ax = bb.directional_coords(tri, (1.0, 0.0))
+    ay = bb.directional_coords(tri, (0.0, 1.0))
+    if order == 1:
+        fac = float(d)
+        gx = de_casteljau(d - 1, bb.diff_matrix(d, ax) @ coeffs, b)
+        gy = de_casteljau(d - 1, bb.diff_matrix(d, ay) @ coeffs, b)
+        return fac * np.array([gx, gy])
+    if order == 2:
+        fac = float(d * (d - 1))
+        dx = bb.diff_matrix(d, ax) @ coeffs
+        dy = bb.diff_matrix(d, ay) @ coeffs
+        hxx = de_casteljau(d - 2, bb.diff_matrix(d - 1, ax) @ dx, b)
+        hxy = de_casteljau(d - 2, bb.diff_matrix(d - 1, ay) @ dx, b)
+        hyy = de_casteljau(d - 2, bb.diff_matrix(d - 1, ay) @ dy, b)
+        return fac * np.array([[hxx, hxy], [hxy, hyy]])
+    raise ValueError(f"derivative order {order} not supported")
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +92,7 @@ def bb_to_monomial(d, coeffs, tri):
         [x**a * y**b for a in range(d + 1) for b in range(d + 1 - a)]
         for x, y in pts
     ])
-    vals = [bb.de_casteljau(d, coeffs, bb.barycentric(tri, p)) for p in pts]
+    vals = [de_casteljau(d, coeffs, bb.barycentric(tri, p)) for p in pts]
     return np.linalg.solve(V, vals)
 
 
@@ -341,7 +397,7 @@ def boundary_samples_max(space, spline, per_arc=30):
         arc = mesh.domain.arcs[rec.arc]
         for u in np.linspace(0.03, 0.97, per_arc):
             x = arc_point_on_ray(arc, v1, v2 + u * (v3 - v2))
-            worst = max(worst, abs(spline.eval_on_triangle(t, x, 0)))
+            worst = max(worst, abs(eval_bb(6, spline.patch(t), mesh.tri_coords(t), x)))
     return worst
 
 
@@ -472,3 +528,23 @@ def error_norms_per_triangle(spline, quad, ref_batch):
         h2s += float(w @ (hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2
                           + hess[:, 1, 1] ** 2))
     return np.sqrt(l2), np.sqrt(l2 + h1s), np.sqrt(l2 + h1s + h2s)
+
+
+# ---------------------------------------------------------------------------
+# the transfer's tangent-corner dofs from the coarse gradient
+
+def corner_dofs_by_gradient(u_coarse, fine_space):
+    """Tangent-corner dof position -> value, by projecting the coarse
+    spline's gradient at the boundary vertex onto the gradient of the fine
+    pie's conic normalized by its pie scale (the gradient of s = p q / scale
+    there is p grad q / scale, as q vanishes)."""
+    mesh_f, space_c = fine_space.mesh, u_coarse.space
+    out = {}
+    for v, pos in fine_space.mds.corner_pos.items():
+        t = fine_space.mds.dofs[pos].tri
+        p, x = mesh_f.parents[t], mesh_f.vertices[v]
+        gr = eval_bb(space_c.tri_degree(p), u_coarse.patch(p),
+                     space_c.mesh.tri_coords(p), x, order=1)
+        gq = grad_conic(mesh_f.pie_conic(t), x) / fine_space.pie_scale[t]
+        out[pos] = float(gr @ gq) / float(gq @ gq)
+    return out

@@ -18,7 +18,7 @@ from conicfem.mesh import refine_uniform
 from conicfem.problems import builtin_domain, disk_exact_solution, problem_g
 from conicfem.space import basis_support, build_space, solve_factor_ring
 
-from _oracles import (boundary_sample_matrix, extraction_matrix,
+from _oracles import (boundary_sample_matrix, eval_bb, extraction_matrix,
                       smoothness_residual_matrix, space_dimension_by_rank)
 
 
@@ -181,8 +181,8 @@ def test_criterion_7_linearization():
         cu = rng.standard_normal(bb.n_coeffs(5))
         cv = rng.standard_normal(bb.n_coeffs(5))
         x = rng.dirichlet((2, 2, 2)) @ tri
-        Hu = bb.eval_bb(5, cu, tri, x, order=2)
-        Hv = bb.eval_bb(5, cv, tri, x, order=2)
+        Hu = eval_bb(5, cu, tri, x, order=2)
+        Hv = eval_bb(5, cv, tri, x, order=2)
         Hu = Hu / np.linalg.norm(Hu)
         Hv = Hv / np.linalg.norm(Hv)
         cof = np.array([[Hu[1, 1], -Hu[0, 1]], [-Hu[0, 1], Hu[0, 0]]])

@@ -97,6 +97,14 @@ def test_space_info(capsys):
     assert "dimension: 134" in out
 
 
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_space_info_rejects_levels_below_one(levels, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["space", "info", "--problem", "disk", "--levels", levels])
+    assert exc.value.code == 2
+    assert "levels must be >= 1" in capsys.readouterr().err
+
+
 def test_config_file_defaults(tmp_path, capsys):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"problem": "disk", "levels": 1}))

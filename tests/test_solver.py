@@ -9,9 +9,10 @@ from conicfem import solver as sol
 from conicfem.mesh import BUFFER, ORDINARY
 from conicfem.mesh import refine_uniform
 from conicfem.problems import disk_exact_solution, problem_g
-from conicfem.space import SplineFunction, build_space
+from conicfem.space import SplineFunction, SplineSpace, build_space
 
-from _oracles import error_norms_per_triangle, linearize_ma_per_triangle
+from _oracles import (corner_dofs_by_gradient, error_norms_per_triangle, eval_bb,
+                      linearize_ma_per_triangle)
 
 
 @pytest.fixture(scope="module")
@@ -61,8 +62,8 @@ def test_frechet_finite_difference_on_patches():
         cv = rng.standard_normal(bb.n_coeffs(5))
         x = bb.barycentric_many(tri, tri).mean(axis=0) @ tri
         x = x + rng.uniform(-0.05, 0.05, 2)
-        Hu = bb.eval_bb(5, cu, tri, x, order=2)
-        Hv = bb.eval_bb(5, cv, tri, x, order=2)
+        Hu = eval_bb(5, cu, tri, x, order=2)
+        Hv = eval_bb(5, cv, tri, x, order=2)
         Hu = Hu / np.linalg.norm(Hu)
         Hv = Hv / np.linalg.norm(Hv)
         cof = np.array([[Hu[1, 1], -Hu[0, 1]], [-Hu[0, 1], Hu[0, 0]]])
@@ -80,7 +81,7 @@ def test_frechet_first_order_in_t():
     cv = rng.standard_normal(bb.n_coeffs(5))
     tri = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 1.0]])
     x = np.array([0.4, 0.3])
-    Hv = bb.eval_bb(5, cv, tri, x, order=2)
+    Hv = eval_bb(5, cv, tri, x, order=2)
     cof = np.array([[Hu[1, 1], -Hu[0, 1]], [-Hu[0, 1], Hu[0, 0]]])
     exact = float(np.trace(cof @ Hv))
     errs = []
@@ -199,6 +200,23 @@ def test_transfer_makes_newton_fast(disk_ctx, disk_mesh2, disk_problem):
     assert state2.update_norms[0] < 1e-4
 
 
+@pytest.mark.parametrize("space_name", ["disk_space", "c2_space"])
+def test_transfer_corner_dofs_follow_the_coarse_gradient(space_name, request):
+    # read as the coarse factor at the vertex times the ratio of the pie
+    # scales, they equal the projection of the coarse gradient on the
+    # fine pie's normalized conic gradient
+    space = request.getfixturevalue(space_name)
+    fine = build_space(refine_uniform(space.mesh))
+    assert fine.mds.corner_pos
+    rng = np.random.default_rng(6)
+    u = space.spline(rng.standard_normal(space.dimension))
+    got = sol.transfer_guess(u, fine).dofs
+    want = corner_dofs_by_gradient(u, fine)
+    scale = max(abs(w) for w in want.values())
+    for pos, w in want.items():
+        assert abs(got[pos] - w) <= 1e-12 * scale
+
+
 def test_transfer_needs_parent_triangles(disk_ctx):
     with pytest.raises(ValueError, match="parent triangles"):
         sol.transfer_guess(disk_ctx.space.zero(), disk_ctx.space)
@@ -227,7 +245,7 @@ def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
 def test_transfer_and_eps_norms_build_no_design_matrices(disk_problem,
                                                          monkeypatch):
     # the coarse spline is re-expanded once per level pair, never evaluated
-    # through design matrices at fine quadrature points
+    # through design matrices at fine quadrature points or located at points
     depth, calls = [0], {"inside": 0, "all": 0}
     real = bb.design_matrices
 
@@ -245,7 +263,12 @@ def test_transfer_and_eps_norms_build_no_design_matrices(disk_problem,
                 depth[0] -= 1
         return run
 
+    def point_query(*args, **kwargs):
+        raise AssertionError("point query in the level transfer")
+
     monkeypatch.setattr(bb, "design_matrices", counting)
+    monkeypatch.setattr(SplineFunction, "eval_batch", point_query)
+    monkeypatch.setattr(SplineSpace, "locate", point_query)
     for name in ("coarse_on_fine", "transfer_guess"):
         monkeypatch.setattr(sol, name, watched(getattr(sol, name)))
     monkeypatch.setattr(asm, "error_norms", watched(asm.error_norms))
@@ -291,6 +314,12 @@ def test_multilevel_single_level_report(disk_problem):
     assert reports[0].rates == {}
     assert reports[0].eps_errors is None
     assert reports[0].errors is not None
+
+
+@pytest.mark.parametrize("levels", [0, -2])
+def test_multilevel_run_rejects_levels_below_one(disk_problem, levels):
+    with pytest.raises(ValueError, match="levels must be >= 1"):
+        sol.multilevel_run(disk_problem, levels)
 
 
 def test_level_line_is_logged(disk_problem, caplog):

@@ -5,11 +5,12 @@ import pytest
 
 from conicfem import bernstein as bb
 from conicfem import space as sp
+from conicfem.geometry import arc_point_on_ray
 from conicfem.mesh import BUFFER, ORDINARY, PIE
 from conicfem.space import (basis_support, build_space, factor_ring_matrix,
-                            solve_factor_ring)
+                            quintic_reduction, solve_factor_ring)
 
-from _oracles import (boundary_samples_max, smoothness_report,
+from _oracles import (boundary_samples_max, eval_bb, smoothness_report,
                       space_dimension_by_rank)
 
 
@@ -111,7 +112,9 @@ def test_duality(disk_space, lens_space, c2_space):
     for space in (disk_space, lens_space, c2_space):
         eye = np.eye(space.dimension)
         for j in range(space.dimension):
-            ex = space.extract_dofs(space.spline(eye[j]))
+            s = space.spline(eye[j])
+            stored = [s.factor(t) for t in range(space.mesh.n_triangles)]
+            ex = space.extract_dofs(np.concatenate(stored))
             assert np.abs(ex - eye[j]).max() < 1e-12
 
 
@@ -178,7 +181,7 @@ def test_twice_differentiable_at_interior_vertices(disk_space):
     mesh = disk_space.mesh
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     for v in mesh.interior_vertices():
-        hs = [s.eval_on_triangle(t, mesh.vertices[v], 2)
+        hs = [s.eval_batch(t, mesh.vertices[v][None])[2][0]
               for t in mesh.vertex_triangles(v)]
         scale = max(np.abs(hs[0]).max(), 1.0)
         for h in hs[1:]:
@@ -229,53 +232,83 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def test_eval_spline_matches_patches(disk_space):
+def _points_by_kind(space, rng, per_tri=3):
+    """Points and the triangle each lies in: inside every triangle, away
+    from its sides, and on pies also between the chord and the arc."""
+    mesh = space.mesh
+    pts, tris = [], []
+    for t, rec in enumerate(mesh.triangles):
+        tri = mesh.tri_coords(t)
+        b = 0.1 + 0.7 * rng.dirichlet((1.0, 1.0, 1.0), per_tri)
+        pts += list((b / b.sum(axis=1, keepdims=True)) @ tri)
+        tris += [t] * per_tri
+        if rec.kind == PIE:
+            arc = mesh.domain.arcs[rec.arc]
+            for u in rng.uniform(0.1, 0.9, per_tri):
+                c = tri[1] + u * (tri[2] - tri[1])
+                a = arc_point_on_ray(arc, tri[0], c)
+                pts.append(tri[0] + rng.uniform(0.3, 0.9) * (a - tri[0]))
+                if bb.barycentric(tri, a)[0] < 0:    # the arc bulges out
+                    pts.append(c + rng.uniform(0.1, 0.9) * (a - c))
+                tris += [t] * (len(pts) - len(tris))
+    return np.array(pts), np.array(tris)
+
+
+def test_point_queries_match_oracle(c2_space):
+    # c2: ordinary, buffer and pie triangles
+    space, mesh = c2_space, c2_space.mesh
     rng = np.random.default_rng(4)
-    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
-    for _ in range(30):
-        x = rng.uniform(-0.6, 0.6, 2)
-        if x @ x > 0.9:
-            continue
-        t = s.locate(x)
-        assert abs(s.value(x) - s.eval_on_triangle(t, x, 0)) == 0.0
-    # boundary points vanish
-    for th in np.linspace(0, 2 * np.pi, 17)[:-1]:
-        x = np.array([np.cos(th), np.sin(th)]) * (1 - 1e-14)
-        assert abs(s.value(x)) < 1e-10 * np.abs(s.dofs).max()
-    with pytest.raises(ValueError):
-        s.locate(np.array([2.0, 2.0]))
+    s = space.spline(rng.standard_normal(space.dimension))
+    pts, want = _points_by_kind(space, rng)
+    beyond = [t for t, x in zip(want, pts) if mesh.triangles[t].kind == PIE
+              and bb.barycentric(mesh.tri_coords(t), x)[0] < 0]
+    assert len(beyond) > 20        # between a pie's chord and its arc
+    np.testing.assert_array_equal(space.locate(pts), want)
+    got = s.evaluate(pts)
+    for order in range(3):
+        ref = np.array([eval_bb(space.tri_degree(t), s.patch(t), mesh.tri_coords(t),
+                                x, order=order) for t, x in zip(want, pts)])
+        assert np.abs(got[order] - ref).max() <= 1e-12 * np.abs(ref).max()
+    # values only, on points located once
+    vals, grads, hess = s.evaluate(pts, want, order=0)
+    np.testing.assert_array_equal(vals, got[0])
+    assert grads is None and hess is None
+    # points on the boundary arcs: located on their pie, where s vanishes
+    arc_pts = []
+    for t in mesh.triangles_of_kind(PIE):
+        tri = mesh.tri_coords(t)
+        arc = mesh.domain.arcs[mesh.triangles[t].arc]
+        arc_pts += [arc_point_on_ray(arc, tri[0], tri[1] + u * (tri[2] - tri[1]))
+                    for u in (0.25, 0.5, 0.75)]
+    assert (space.locate(arc_pts) >= 0).all()
+    assert np.abs(s.evaluate(arc_pts, order=0)[0]).max() < 1e-10 * np.abs(s.dofs).max()
+    # outside the domain
+    out = np.array([[5.0, 5.0], [-5.0, 0.0]])
+    np.testing.assert_array_equal(space.locate(out), [-1, -1])
+    with pytest.raises(ValueError, match="outside"):
+        s.evaluate(np.vstack([pts[:3], out]))
 
 
-def test_eval_gradient_fd(disk_space):
-    rng = np.random.default_rng(5)
-    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
-    h = 1e-5
-    count = 0
-    while count < 50:
-        x = rng.uniform(-0.7, 0.7, 2)
-        if x @ x > 0.8:
-            continue
-        count += 1
-        g = s.gradient(x)
-        fd = np.array([
-            (s.value(x + (h, 0)) - s.value(x - (h, 0))) / (2 * h),
-            (s.value(x + (0, h)) - s.value(x - (0, h))) / (2 * h),
-        ])
-        assert np.abs(g - fd).max() < 1e-6 * max(1.0, np.abs(g).max())
-
-
-def test_eval_batch_consistent(disk_space):
-    rng = np.random.default_rng(6)
-    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
-    t = 0
-    tri = disk_space.mesh.tri_coords(t)
-    pts = bb.barycentric_many(tri, tri).mean(axis=0, keepdims=True) @ tri
-    pts = np.vstack([pts, tri.mean(axis=0)[None, :] * 0.9])
-    vals, grads, hess = s.eval_batch(t, pts)
-    for i, x in enumerate(pts):
-        assert abs(vals[i] - s.eval_on_triangle(t, x, 0)) < 1e-12
-        assert np.abs(grads[i] - s.eval_on_triangle(t, x, 1)).max() < 1e-10
-        assert np.abs(hess[i] - s.eval_on_triangle(t, x, 2)).max() < 1e-8
+def test_quintic_reduction():
+    # the 6 -> 5 reduction of the level transfer: each vertex keeps the
+    # sextic's 2-jet, the middle coefficients are those of the interpolant
+    # at the quintic's domain points, and raised quintics come back
+    R = quintic_reduction()
+    rng = np.random.default_rng(9)
+    tri = np.array([[0.2, -0.1], [1.3, 0.4], [0.5, 1.1]])
+    for _ in range(5):
+        c6 = rng.standard_normal(bb.n_coeffs(6))
+        c5 = R @ c6
+        for x in tri:
+            for order in range(3):
+                assert np.abs(eval_bb(5, c5, tri, x, order=order)
+                              - eval_bb(6, c6, tri, x, order=order)).max() < 1e-11
+        lam = np.array(bb.multi_indices(5)) / 5
+        interp = np.linalg.solve(bb.bernstein_matrix(5, lam),
+                                 [eval_bb(6, c6, tri, x) for x in lam @ tri])
+        middle = [bb.index_map(5)[g] for g in ((2, 2, 1), (2, 1, 2), (1, 2, 2))]
+        assert np.abs(c5[middle] - interp[middle]).max() < 1e-12
+    np.testing.assert_allclose(R @ bb.degree_raise_matrix(5, 6), np.eye(21), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
