@@ -289,6 +289,54 @@ def test_point_queries_match_oracle(c2_space):
         s.evaluate(np.vstack([pts[:3], out]))
 
 
+def test_eval_spline_matches_patches(disk_space):
+    rng = np.random.default_rng(4)
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
+    for _ in range(30):
+        x = rng.uniform(-0.6, 0.6, 2)
+        if x @ x > 0.9:
+            continue
+        t = disk_space.locate(x)[0]
+        assert abs(s.evaluate(x, order=0)[0][0] - s.eval_batch(t, x[None], 0)[0][0]) == 0.0
+    # boundary points vanish
+    th = np.linspace(0, 2 * np.pi, 17)[:-1]
+    x = np.column_stack([np.cos(th), np.sin(th)]) * (1 - 1e-14)
+    assert np.abs(s.evaluate(x, order=0)[0]).max() < 1e-10 * np.abs(s.dofs).max()
+    with pytest.raises(ValueError):
+        s.evaluate(np.array([2.0, 2.0]))
+
+
+def test_eval_gradient_fd(disk_space):
+    rng = np.random.default_rng(5)
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
+    h = 1e-5
+    count = 0
+    while count < 50:
+        x = rng.uniform(-0.7, 0.7, 2)
+        if x @ x > 0.8:
+            continue
+        count += 1
+        g = s.evaluate(x, order=1)[1][0]
+        v = s.evaluate([x + (h, 0), x - (h, 0), x + (0, h), x - (0, h)], order=0)[0]
+        fd = np.array([v[0] - v[1], v[2] - v[3]]) / (2 * h)
+        assert np.abs(g - fd).max() < 1e-6 * max(1.0, np.abs(g).max())
+
+
+def test_eval_batch_consistent(disk_space):
+    rng = np.random.default_rng(6)
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
+    t = 0
+    tri = disk_space.mesh.tri_coords(t)
+    pts = bb.barycentric_many(tri, tri).mean(axis=0, keepdims=True) @ tri
+    pts = np.vstack([pts, tri.mean(axis=0)[None, :] * 0.9])
+    vals, grads, hess = s.eval_batch(t, pts)
+    d, c = disk_space.tri_degree(t), s.patch(t)
+    for i, x in enumerate(pts):
+        assert abs(vals[i] - eval_bb(d, c, tri, x, 0)) < 1e-12
+        assert np.abs(grads[i] - eval_bb(d, c, tri, x, 1)).max() < 1e-10
+        assert np.abs(hess[i] - eval_bb(d, c, tri, x, 2)).max() < 1e-8
+
+
 def test_quintic_reduction():
     # the 6 -> 5 reduction of the level transfer: each vertex keeps the
     # sextic's 2-jet, the middle coefficients are those of the interpolant
