@@ -273,9 +273,9 @@ def assemble(problem, quad):
     chunking."""
     space = quad.space
     n = space.dimension
-    sizes = np.array([len(c) for c in space.tri_cols])
+    sizes = np.diff(space.tri_cols_offset)
     block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # COO slots
-    piece = np.concatenate([[0], np.cumsum(sizes)])           # rhs slots
+    piece = space.tri_cols_offset                             # rhs slots
     rows = np.empty(block[-1], dtype=np.int64)
     cols = np.empty(block[-1], dtype=np.int64)
     vals = np.empty(block[-1])
@@ -307,7 +307,7 @@ def assemble(problem, quad):
     rhs = np.zeros(n)
     if problem.f is not None:
         # one unbuffered sum per dof, triangle by triangle in mesh order
-        np.add.at(rhs, np.concatenate(space.tri_cols), rhs_vals)
+        np.add.at(rhs, space.tri_cols, rhs_vals)
     matrix = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return SparseSystem(matrix, rhs)
 

@@ -381,6 +381,17 @@ def edge_row_indices(d, slots, off):
     return out
 
 
+@lru_cache(maxsize=None)
+def edge_row_positions(d, off):
+    """(3, 3, d - off + 1) table: entry [a - 1, b - 1] holds the positions
+    of edge_row_indices(d, (a, b), off)."""
+    im = index_map(d)
+    out = np.zeros((3, 3, d - off + 1), dtype=np.int64)
+    for a, b in ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)):
+        out[a - 1, b - 1] = [im[g] for g in edge_row_indices(d, (a, b), off)]
+    return out
+
+
 def cross_edge_rows(d, coef_src, src_slots, dst_slots, b_off):
     """Edge row and first interior row of the neighbor patch across an edge.
 
@@ -402,22 +413,37 @@ def cross_edge_rows(d, coef_src, src_slots, dst_slots, b_off):
     return c0, c1
 
 
+@lru_cache(maxsize=None)
+def c1_positions(d):
+    """(3, 3, d, 3) table of the C1 rule across an edge: for the shared
+    slots (a, b), row m of c1_matrix holds b_off[s] at column
+    c1_positions(d)[a - 1, b - 1, m, s]."""
+    im = index_map(d)
+    pos = np.zeros((3, 3, d, 3), dtype=np.int64)
+    for a, b in ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)):
+        for m in range(d):
+            base = _edge_index(d - 1, (a, b), m)
+            for s in range(3):
+                g = list(base)
+                g[s] += 1
+                pos[a - 1, b - 1, m, s] = im[tuple(g)]
+    return pos
+
+
 def c1_matrix(d, src_slots, b_off):
     """The C1 rule across an edge, as a linear map on the source patch.
 
     Row m gives the neighbor's first-interior-row coefficient with m steps
     toward the edge's second shared vertex (src_slots[1]): the degree-d
     source coefficients one step off the edge point (d-1-m, m) toward each
-    vertex, weighted by b_off.
+    vertex, weighted by b_off.  Slot pairs (n, 2) and weights (n, 3) give
+    the n maps stacked.
     """
-    im = index_map(d)
-    C = np.zeros((d, n_coeffs(d)))
-    for m in range(d):
-        base = _edge_index(d - 1, src_slots, m)
-        for s in range(3):
-            g = list(base)
-            g[s] += 1
-            C[m, im[tuple(g)]] = b_off[s]
+    slots = np.asarray(src_slots)
+    pos = c1_positions(d)[slots[..., 0] - 1, slots[..., 1] - 1]
+    C = np.zeros(pos.shape[:-1] + (n_coeffs(d),))
+    b_off = np.asarray(b_off, dtype=float)[..., None, :]
+    np.put_along_axis(C, pos, np.broadcast_to(b_off, pos.shape), axis=-1)
     return C
 
 

@@ -10,6 +10,7 @@ Verbs:
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -25,7 +26,7 @@ from .space import SpaceError, build_space, load_spline, save_spline
 
 _CONFIG_KEYS = (
     "problem", "mesh", "g_expr", "levels", "tol", "max_iter", "output",
-    "plot_data", "plot_grid", "save_solution", "dump_matrix",
+    "plot_data", "plot_grid", "save_solution", "dump_matrix", "report_json",
 )
 
 
@@ -114,6 +115,19 @@ def _custom_g(expr):
     return g
 
 
+def write_report_json(reports, path):
+    """Every field of each level's LevelReport, one JSON object per level,
+    as a list in level order."""
+    def plain(x):    # numpy scalars and arrays as Python numbers and lists
+        if isinstance(x, (np.generic, np.ndarray)):
+            return x.tolist()
+        raise TypeError(f"{type(x).__name__} in a level report")
+
+    with open(path, "w") as f:
+        json.dump([dataclasses.asdict(rep) for rep in reports], f, indent=1,
+                  default=plain)
+
+
 def cmd_solve(args):
     if args.verbose:
         logging.basicConfig(format="%(message)s")
@@ -137,6 +151,9 @@ def cmd_solve(args):
     if args.output:
         write_csv(rows, args.output)
         print(f"wrote {args.output}")
+    if args.report_json:
+        write_report_json(reports, args.report_json)
+        print(f"wrote {args.report_json}")
     if args.save_solution:
         save_spline(u, args.save_solution)
         print(f"wrote {args.save_solution}")
@@ -240,6 +257,8 @@ def build_parser():
     ps.add_argument("--save-solution", help="save final-level spline (JSON)")
     ps.add_argument("--dump-matrix", help="Matrix Market dump of the final "
                                           "linearized system")
+    ps.add_argument("--report-json", help="JSON of every level's report "
+                                          "(errors, timings, solver facts)")
     ps.add_argument("--verbose", action="store_true",
                     help="log one line per level to stderr")
     ps.add_argument("--config", help="JSON file with defaults for the flags")
@@ -299,6 +318,8 @@ def main(argv=None):
             parser.error("levels must be >= 1 and tol > 0")
     if args.fn is cmd_space_info and args.levels < 1:
         parser.error("levels must be >= 1")
+    if args.fn is cmd_mesh_refine and args.levels < 0:
+        parser.error("levels must be >= 0")
     try:
         return args.fn(args)
     except (MeshError, GeometryError, SpaceError, asm.AssemblyError,

@@ -13,16 +13,16 @@ five categories:
   buffer          two interior coefficients per buffer triangle
 
 ``build_space`` runs the constructive fill once, as sparse linear
-equations: each step sets BB coefficients to fixed weighted sums of dofs
-or of coefficients set before it, and a repeated definition of a
-coefficient is checked against the first.  Solving them gives, per
-triangle, the linear map from its local dofs to its BB coefficients.
-The maps are stored once, stacked per group of triangles of one kind and
-local dof count (MapGroup); a spline is its dof vector, and its pieces
-are these maps applied to it.  Point queries locate all points at once
-(SplineSpace.locate) and evaluate each piece at its points through
-design matrices (SplineFunction.evaluate).  Spaces
-and splines are immutable after construction and safe to share across
+equations: each step sets BB coefficients of all its triangles at once
+to weighted sums of dofs or of coefficients set before it, and a later
+definition of a coefficient is checked against the first.  Solving them
+gives, per triangle, the linear map from its local dofs to its BB
+coefficients.  The maps are stored once, stacked per group of triangles
+of one kind and local dof count (MapGroup); a spline is its dof vector,
+and its pieces are these maps applied to it.  Point queries locate all
+points at once (SplineSpace.locate) and evaluate each piece at its
+points through design matrices (SplineFunction.evaluate).  Spaces and
+splines are immutable after construction and safe to share across
 threads; propagation of different dof vectors may run concurrently.
 """
 
@@ -61,41 +61,60 @@ class PropagationError(SpaceError):
     """Inconsistent coefficient fill (should not happen on valid meshes)."""
 
 
-@dataclass(frozen=True)
-class DofDescriptor:
-    """One coefficient-extraction functional of the determining set.
-
-    tri is the designated triangle whose representation carries the
-    coefficient; local is the multi-index inside that representation
-    (the quartic factor for pie/tangent-corner dofs).  The triangle is
-    also the functional's supporting set.
-    """
-
-    category: str
-    owner: tuple
-    tri: int
-    local: tuple
-
-
+@dataclass(eq=False)
 class MinimalDeterminingSet:
-    def __init__(self, mesh, dofs, counts, vertex_block, edge_pos, corner_pos,
-                 buffer_block):
-        self.mesh = mesh
-        self.dofs = dofs
-        self.counts = counts
-        self.vertex_block = vertex_block
-        self.edge_pos = edge_pos
-        self.corner_pos = corner_pos
-        self.buffer_block = buffer_block
+    """The determining set as arrays over its dofs: the designated triangle
+    `tri`, whose stored coefficients carry the dof's coefficient (the
+    quartic factor's on pies) at position `pos`, and the `owner` vertex,
+    edge or triangle.  Dofs come in category blocks (slices in `blocks`),
+    in the order of `counts`; the dicts map each owner to its first dof."""
+
+    mesh: object
+    tri: np.ndarray
+    pos: np.ndarray
+    owner: np.ndarray
+    counts: dict
+
+    def __post_init__(self):
+        ends = np.cumsum([n * self.counts[c] for c, n in _PER_OWNER.items()])
+        self.blocks = {c: slice(int(e) - n * self.counts[c], int(e))
+                       for (c, n), e in zip(_PER_OWNER.items(), ends)}
+        self.vertex_block, self.edge_pos, self.corner_pos, _, self.buffer_block = (
+            dict(zip(self.owner[s][::n].tolist(), range(s.start, s.stop, n)))
+            for s, n in zip(self.blocks.values(), _PER_OWNER.values()))
 
     @property
     def dimension(self):
-        return len(self.dofs)
+        return len(self.tri)
 
 
-def vertex_slot(rec, v):
-    """Slot (1, 2 or 3) of vertex v in the triangle record rec."""
-    return rec.verts.index(v) + 1
+# dofs per owner of each category, in dof order
+_PER_OWNER = {VERTEX_JET: 6, EDGE_INTERIOR: 1, TANGENT_CORNER: 1, PIE_FACTOR: 5,
+              BUFFER_INTERIOR: 2}
+
+
+def _triangle_arrays(mesh):
+    """Vertex indices (T, 3) and kinds (T,) of the mesh's triangles."""
+    return (np.array([rec.verts for rec in mesh.triangles], dtype=np.int64).reshape(-1, 3),
+            np.array([rec.kind for rec in mesh.triangles]))
+
+
+def _slots(verts, tris, v):
+    """0-based slots of the vertices v (n, m) in the triangles tris (n,)."""
+    return (verts[tris][:, None, :] == v[:, :, None]).argmax(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _ring_pos(d):
+    """(3, 6) positions of the degree-d vertex ring at each 0-based slot."""
+    im = bb.index_map(d)
+    return np.array([[im[g] for g in bb.vertex_ring(d, s)] for s in (1, 2, 3)])
+
+
+def _edge_rows(d, slots, off):
+    """Positions (n, d - off + 1) of bb.edge_row_indices(d, slots + 1, off)
+    for 0-based slot pairs (n, 2)."""
+    return bb.edge_row_positions(d, off)[slots[:, 0], slots[:, 1]]
 
 
 def build_mds(mesh):
@@ -104,95 +123,87 @@ def build_mds(mesh):
     Designated triangles are chosen by lowest triangle index.  The
     dimension is 6|V_I| + |E_I0| + |V_B1| + 5|pies| + 2|buffers|.
     """
-    dofs = []
-    vertex_block = {}
-    edge_pos = {}
-    corner_pos = {}
-    buffer_block = {}
+    verts, kinds = _triangle_arrays(mesh)
+    n_tri = len(verts)
 
-    for v in mesh.interior_vertices():
-        cands = [t for t in mesh.vertex_triangles(v)
-                 if mesh.triangles[t].kind == ORDINARY]
-        if not cands:
-            raise SpaceError(f"interior vertex {v} touches no ordinary triangle")
-        t = min(cands)
-        slot = vertex_slot(mesh.triangles[t], v)
-        vertex_block[v] = len(dofs)
-        for g in bb.vertex_ring(5, slot):
-            dofs.append(DofDescriptor(VERTEX_JET, ("v", v), t, g))
+    def lowest(kind):     # lowest triangle of a kind at each vertex, else n_tri
+        tris = np.flatnonzero(kinds == kind)
+        out = np.full(mesh.n_vertices, n_tri)
+        np.minimum.at(out, verts[tris].ravel(), np.repeat(tris, 3))
+        return out
 
-    for e in mesh.plain_interior_edges():
-        rec = mesh.edges[e]
-        cands = [t for t in rec.tris if mesh.triangles[t].kind == ORDINARY]
-        if not cands:
-            raise SpaceError(f"edge {rec.verts} has no ordinary side")
-        t = min(cands)
-        slots = tuple(vertex_slot(mesh.triangles[t], v) for v in rec.verts)
-        edge_pos[e] = len(dofs)
-        g = bb.edge_row_indices(5, slots, 1)[2]   # middle of the first row
-        dofs.append(DofDescriptor(EDGE_INTERIOR, ("e", e), t, g))
+    boundary = np.asarray(mesh.vertex_is_boundary, dtype=bool)
+    iv = np.flatnonzero(~boundary)
+    vt = lowest(ORDINARY)[iv]
+    for v in iv[vt == n_tri][:1]:
+        raise SpaceError(f"interior vertex {v} touches no ordinary triangle")
 
-    for v in mesh.boundary_vertices():
-        if not mesh.vertex_tangent[v]:
-            continue
-        pies = sorted(t for t in mesh.vertex_triangles(v)
-                      if mesh.triangles[t].kind == PIE)
-        t = pies[0]
-        g = bb.vertex_ring(4, vertex_slot(mesh.triangles[t], v))[0]
-        corner_pos[v] = len(dofs)
-        dofs.append(DofDescriptor(TANGENT_CORNER, ("v", v), t, g))
+    ev = np.array([rec.verts for rec in mesh.edges], dtype=np.int64).reshape(-1, 2)
+    et = np.array([rec.tris + (rec.tris[0],) * (2 - len(rec.tris))
+                   for rec in mesh.edges], dtype=np.int64).reshape(-1, 2)
+    ek = kinds[et]
+    pie_buffer = (np.sort(ek, axis=1) == [BUFFER, PIE]).all(axis=1)
+    pe = np.flatnonzero((et[:, 0] != et[:, 1]) & ~pie_buffer)
+    edge_t = np.where(ek[pe] == ORDINARY, et[pe], n_tri).min(axis=1)
+    for e in pe[edge_t == n_tri][:1]:
+        raise SpaceError(f"edge {mesh.edges[e].verts} has no ordinary side")
+    edge_slots = _slots(verts, edge_t, ev[pe])
 
-    pies = mesh.triangles_of_kind(PIE)
-    for t in pies:
-        for g in _PIE_LOCALS:
-            dofs.append(DofDescriptor(PIE_FACTOR, ("t", t), t, g))
-
-    for t in mesh.triangles_of_kind(BUFFER):
-        buffer_block[t] = len(dofs)
-        for g in _BUFFER_LOCALS:
-            dofs.append(DofDescriptor(BUFFER_INTERIOR, ("t", t), t, g))
-
-    counts = {
-        VERTEX_JET: len(vertex_block),
-        EDGE_INTERIOR: len(edge_pos),
-        TANGENT_CORNER: len(corner_pos),
-        PIE_FACTOR: len(pies),
-        BUFFER_INTERIOR: len(buffer_block),
+    bv = np.flatnonzero(boundary & np.asarray(mesh.vertex_tangent, dtype=bool))
+    ct = lowest(PIE)[bv]
+    pies, buffers = np.flatnonzero(kinds == PIE), np.flatnonzero(kinds == BUFFER)
+    im4, im6 = bb.index_map(4), bb.index_map(6)
+    # per category: owners, designated triangles, positions (owner, dof)
+    parts = {
+        VERTEX_JET: (iv, vt, _ring_pos(5)[_slots(verts, vt, iv[:, None])[:, 0]]),
+        EDGE_INTERIOR: (pe, edge_t, _edge_rows(5, edge_slots, 1)[:, 2:3]),
+        TANGENT_CORNER: (bv, ct, _ring_pos(4)[_slots(verts, ct, bv[:, None])[:, 0], :1]),
+        PIE_FACTOR: (pies, pies, np.tile([im4[g] for g in _PIE_LOCALS], (len(pies), 1))),
+        BUFFER_INTERIOR: (buffers, buffers,
+                          np.tile([im6[g] for g in _BUFFER_LOCALS], (len(buffers), 1))),
     }
-    return MinimalDeterminingSet(
-        mesh, dofs, counts, vertex_block, edge_pos, corner_pos, buffer_block,
-    )
+    owner, tri = (np.concatenate([np.repeat(p[k], _PER_OWNER[c]) for c, p in parts.items()])
+                  for k in (0, 1))
+    pos = np.concatenate([p[2].ravel() for p in parts.values()]).astype(np.int64)
+    return MinimalDeterminingSet(mesh, tri, pos, owner,
+                                 {c: len(p[0]) for c, p in parts.items()})
 
 
 # ---------------------------------------------------------------------------
 # jet <-> vertex ring maps
 
-def jet_to_ring_matrix(tri, slot, d):
-    """6x6 map from a Cartesian 2-jet (v, gx, gy, hxx, hxy, hyy) at a
-    vertex to the six ring coefficients in canonical ring order."""
-    tri = np.asarray(tri, dtype=float)
-    corner = tri[slot - 1]
-    sa, sb = bb.ring_edge_slots(slot)
-    ua = tri[sa - 1] - corner
-    ub = tri[sb - 1] - corner
-    d1 = float(d)
-    d2 = float(d * (d - 1))
-    rows = np.zeros((6, 6))
-    rows[0] = [1, 0, 0, 0, 0, 0]
-    rows[1] = [1, ua[0] / d1, ua[1] / d1, 0, 0, 0]
-    rows[2] = [1, ub[0] / d1, ub[1] / d1, 0, 0, 0]
-    rows[3] = [1, 2 * ua[0] / d1, 2 * ua[1] / d1,
-               ua[0] ** 2 / d2, 2 * ua[0] * ua[1] / d2, ua[1] ** 2 / d2]
-    rows[4] = [1, 2 * ub[0] / d1, 2 * ub[1] / d1,
-               ub[0] ** 2 / d2, 2 * ub[0] * ub[1] / d2, ub[1] ** 2 / d2]
-    rows[5] = [1, (ua[0] + ub[0]) / d1, (ua[1] + ub[1]) / d1,
-               ua[0] * ub[0] / d2, (ua[0] * ub[1] + ua[1] * ub[0]) / d2,
-               ua[1] * ub[1] / d2]
-    return rows
+_RING_EDGE = np.array([[1, 2], [0, 2], [0, 1]])   # bb.ring_edge_slots, 0-based
 
 
-def ring_to_jet_matrix(tri, slot, d):
-    return np.linalg.inv(jet_to_ring_matrix(tri, slot, d))
+def _stack(rows):
+    """Rows of (...)-shaped entries as a contiguous (..., r, c) stack."""
+    return np.ascontiguousarray(np.moveaxis(np.array(rows), (0, 1), (-2, -1)))
+
+
+def jet_to_ring_matrices(tris, slots, d):
+    """(n, 6, 6) maps from a Cartesian 2-jet (v, gx, gy, hxx, hxy, hyy) at a
+    vertex to the six ring coefficients in canonical ring order, for
+    triangles (n, 3, 2), the vertex's slots (n,) (1, 2 or 3) and degrees d.
+
+    Squares go through np.float_power, the C pow of a scalar x ** 2: x * x
+    rounds differently for about 1 in 1000 inputs, and the Newton counts
+    depend on the last bits of the fill."""
+    tris, rows = np.asarray(tris, dtype=float), np.arange(len(tris))
+    slots = np.asarray(slots) - 1
+    (a0, a1), (b0, b1) = (tris[rows, _RING_EDGE[slots, k]].T - tris[rows, slots].T
+                          for k in (0, 1))
+    d1 = np.broadcast_to(np.asarray(d, dtype=float), rows.shape)
+    d2 = d1 * (d1 - 1)
+    o, c, sq = np.zeros_like(d1), np.ones_like(d1), lambda x: np.float_power(x, 2)
+    return _stack([
+        [c, o, o, o, o, o],
+        [c, a0 / d1, a1 / d1, o, o, o],
+        [c, b0 / d1, b1 / d1, o, o, o],
+        [c, 2 * a0 / d1, 2 * a1 / d1, sq(a0) / d2, 2 * a0 * a1 / d2, sq(a1) / d2],
+        [c, 2 * b0 / d1, 2 * b1 / d1, sq(b0) / d2, 2 * b0 * b1 / d2, sq(b1) / d2],
+        [c, (a0 + b0) / d1, (a1 + b1) / d1,
+         a0 * b0 / d2, (a0 * b1 + a1 * b0) / d2, a1 * b1 / d2],
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +218,8 @@ def quintic_reduction():
     unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     lam = np.array(bb.multi_indices(5), dtype=float) / 5
     R = np.linalg.solve(bb.bernstein_matrix(5, lam), bb.bernstein_matrix(6, lam))
-    K = jet_to_ring_matrix(unit, 1, 5) @ ring_to_jet_matrix(unit, 1, 6)
+    J = jet_to_ring_matrices(np.stack([unit, unit]), [1, 1], [5, 6])
+    K = J[0] @ np.linalg.inv(J[1])
     im5, im6 = bb.index_map(5), bb.index_map(6)
     for slot in (1, 2, 3):
         rows = [im5[g] for g in bb.vertex_ring(5, slot)]
@@ -220,19 +232,22 @@ def quintic_reduction():
 # the corner system of the pie factor
 
 def factor_ring_matrix(q110, q101, q011):
-    """Lower-triangular map from the factor's vertex ring to the product's.
+    """Lower-triangular map from the factor's vertex ring to the product's
+    (one per entry, stacked, for arrays of conic coefficients).
 
     Ring order is canonical (corner, +A, +B, ++A, ++B, mixed) at the pie
     interior vertex; the conic is normalized to 1 there and vanishes at the
     other two vertices.  Derived from the Bernstein product identity.
     """
-    return np.array([
-        [1.0, 0, 0, 0, 0, 0],
-        [q110 / 3.0, 2 / 3.0, 0, 0, 0, 0],
-        [q101 / 3.0, 0, 2 / 3.0, 0, 0, 0],
-        [0, 8 * q110 / 15.0, 0, 2 / 5.0, 0, 0],
-        [0, 0, 8 * q101 / 15.0, 0, 2 / 5.0, 0],
-        [q011 / 15.0, 4 * q101 / 15.0, 4 * q110 / 15.0, 0, 0, 2 / 5.0],
+    q110, q101, q011 = (np.asarray(q, dtype=float) for q in (q110, q101, q011))
+    o, c = np.zeros_like(q110), np.ones_like(q110)
+    return _stack([
+        [c, o, o, o, o, o],
+        [q110 / 3.0, 2 / 3.0 * c, o, o, o, o],
+        [q101 / 3.0, o, 2 / 3.0 * c, o, o, o],
+        [o, 8 * q110 / 15.0, o, 2 / 5.0 * c, o, o],
+        [o, o, 8 * q101 / 15.0, o, 2 / 5.0 * c, o],
+        [q011 / 15.0, 4 * q101 / 15.0, 4 * q110 / 15.0, o, o, 2 / 5.0 * c],
     ])
 
 
@@ -276,58 +291,63 @@ class _Propagator:
     def __init__(self, mesh, mds):
         self.mesh = mesh
         self.mds = mds
-        sizes = [bb.n_coeffs(_STORED_DEGREE[rec.kind]) for rec in mesh.triangles]
-        self.offset = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+        self.verts, self.kinds = _triangle_arrays(mesh)
+        self.coords = mesh.vertices[self.verts]
+        self.degree = np.select([self.kinds == k for k in _STORED_DEGREE],
+                                list(_STORED_DEGREE.values()))
+        self.offset = np.concatenate([[0], np.cumsum((self.degree + 1) * (self.degree + 2) // 2)])
         self.targets = []                      # per step, in fill order
         self.n_eq = 0
         self.entries = {False: [], True: []}   # keyed by "sources are dofs"
-        self.pie_q = {}
-        self.pie_scale = {}
-        self.pie_P = {}
+        self.pie_q, self.pie_scale, self.pie_P = {}, {}, {}
         for t in mesh.triangles_of_kind(PIE):
-            tri = mesh.tri_coords(t)
             conic = mesh.pie_conic(t)
-            self.pie_q[t] = normalized_pie_conic(conic, tri)
-            self.pie_scale[t] = float(eval_conic(conic, tri[0]))
+            self.pie_q[t] = normalized_pie_conic(conic, self.coords[t])
+            self.pie_scale[t] = float(eval_conic(conic, self.coords[t, 0]))
             self.pie_P[t] = bb.product_matrix(4, 2, self.pie_q[t])
 
     # -- helpers ----------------------------------------------------------
 
-    def _coefs(self, t):
-        return np.arange(self.offset[t], self.offset[t + 1])
-
-    def _emit(self, t, gs, weights, src, from_dofs=False):
-        """Equations coef(t, gs[i]) = sum_j weights[i, j] * source src[j].
+    def _emit(self, tris, locs, weights, src, from_dofs=False):
+        """Equations coef(tris[a], locs[a, i]) = sum_j weights[a, i, j] *
+        source src[a, j], for triangles (n,), stored positions (n, r),
+        weights (n, r, c) and sources (n, c), numbered a-major.
 
         Sources are dof numbers when from_dofs is set, else global
-        coefficient indices, which earlier steps must have set.
-        """
-        im = bb.index_map(_STORED_DEGREE[self.mesh.triangles[t].kind])
-        weights = np.asarray(weights, dtype=float).reshape(len(gs), -1)
-        i, j = np.nonzero(weights)
-        src = np.asarray(src, dtype=np.int64)
-        self.entries[from_dofs].append((self.n_eq + i, src[j], weights[i, j]))
-        self.targets.append(self.offset[t] + np.array([im[g] for g in gs], dtype=np.int64))
-        self.n_eq += len(gs)
+        coefficient indices, which earlier steps must have set."""
+        locs = np.asarray(locs, dtype=np.int64)
+        weights = np.asarray(weights, dtype=float)
+        a, i, j = np.nonzero(weights)
+        self.entries[from_dofs].append((self.n_eq + a * locs.shape[1] + i,
+                                        np.asarray(src, dtype=np.int64)[a, j], weights[a, i, j]))
+        self.targets.append((self.offset[np.asarray(tris), None] + locs).ravel())
+        self.n_eq += locs.size
 
     def _where(self, k):
         """(triangle, local position) of a global coefficient index."""
         t = int(np.searchsorted(self.offset, k, side="right")) - 1
         return t, int(k - self.offset[t])
 
-    def _qparts(self, t):
-        q = self.pie_q[t]
+    def _qparts(self, pies):
+        """q110, q101, q011 (each (n,)) of the normalized conics of pies (n,)."""
         im = bb.index_map(2)
-        return q[im[(1, 1, 0)]], q[im[(1, 0, 1)]], q[im[(0, 1, 1)]]
+        q = np.array([self.pie_q[t] for t in pies]).reshape(-1, 6)
+        return q[:, [im[(1, 1, 0)], im[(1, 0, 1)], im[(0, 1, 1)]]].T
+
+    def _neighbours(self, tris, shared):
+        """The triangle across the edge shared[i] (n, 2) from tris[i]."""
+        mesh = self.mesh
+        return np.array([[x for x in mesh.edges[mesh.edge_id(a, b)].tris if x != t][0]
+                         for t, (a, b) in zip(tris.tolist(), shared.tolist())],
+                        dtype=np.int64)
 
     def _across(self, src, dst, shared):
-        """Slots of the shared vertices in src and dst, and the barycentric
-        coordinates of dst's off-edge vertex w.r.t. src (the C1 weights)."""
-        mesh = self.mesh
-        src_slots = tuple(vertex_slot(mesh.triangles[src], v) for v in shared)
-        dst_slots = tuple(vertex_slot(mesh.triangles[dst], v) for v in shared)
-        w = mesh.vertices[mesh.triangles[dst].verts[5 - sum(dst_slots)]]
-        return src_slots, dst_slots, bb.barycentric(mesh.tri_coords(src), w)
+        """0-based slots (n, 2) of the shared vertices (n, 2) in src (n,)
+        and in dst (n,), and the barycentric coordinates (n, 3) of dst's
+        off-edge vertex w.r.t. src (the C1 weights)."""
+        ss, ds = _slots(self.verts, src, shared), _slots(self.verts, dst, shared)
+        w = self.coords[dst, 3 - ds.sum(axis=1)]
+        return ss, ds, bb.barycentric_many(self.coords[src], w[:, None])[:, 0]
 
     # -- pipeline ----------------------------------------------------------
 
@@ -372,139 +392,129 @@ class _Propagator:
         self.defect = float(gaps.max(initial=0.0))
         for c in np.flatnonzero(gaps > 1e-8)[:1]:
             t, i = self._where(target[check][c])
-            g = bb.multi_indices(_STORED_DEGREE[self.mesh.triangles[t].kind])[i]
-            raise PropagationError(
-                f"inconsistent fill at triangle {t}, index {g} (gap {gaps[c]:.2e})"
-            )
+            g = bb.multi_indices(int(self.degree[t]))[i]
+            raise PropagationError(f"inconsistent fill at triangle {t}, index {g} "
+                                   f"(gap {gaps[c]:.2e})")
         for k in np.flatnonzero(first == self.n_eq)[:1]:
             t, i = self._where(k)
             raise PropagationError(f"coefficient {i} of triangle {t} unset")
         return Z
 
     def _seed_dofs(self):
-        for j, dof in enumerate(self.mds.dofs):
-            self._emit(dof.tri, [dof.local], [[1.0]], [j], from_dofs=True)
+        n = self.mds.dimension
+        self._emit(self.mds.tri, self.mds.pos[:, None], np.ones((n, 1, 1)),
+                   np.arange(n)[:, None], from_dofs=True)
 
     def _fill_rings(self):
         """The ring of every triangle at each interior vertex, from the
-        vertex's 2-jet (the product's ring, then the factor's, on pies)."""
-        mesh, mds = self.mesh, self.mds
-        jets = {}   # interior vertex -> (2-jet from its six dofs, their numbers)
-        for v, start in mds.vertex_block.items():
-            t = mds.dofs[start].tri
-            slot = vertex_slot(mesh.triangles[t], v)
-            jets[v] = (ring_to_jet_matrix(mesh.tri_coords(t), slot, 5),
-                       np.arange(start, start + 6))
-        for t, rec in enumerate(mesh.triangles):
-            for slot, v in enumerate(rec.verts, start=1):
-                if v not in jets:
-                    continue
-                R, cols = jets[v]
-                d = 5 if rec.kind == ORDINARY else 6
-                weights = jet_to_ring_matrix(mesh.tri_coords(t), slot, d) @ R
-                if rec.kind == PIE:
-                    weights = solve_factor_ring(weights, *self._qparts(t))
-                self._emit(t, bb.vertex_ring(_STORED_DEGREE[rec.kind], slot),
-                           weights, cols, from_dofs=True)
+        vertex's 2-jet (the product's ring, then the factor's, on pies),
+        in the order of triangles, then slots."""
+        mds, kinds = self.mds, self.kinds
+        # the 2-jet of each interior vertex from its six dofs
+        jet_t, jet_v = (x[mds.blocks[VERTEX_JET]][::6] for x in (mds.tri, mds.owner))
+        slots = _slots(self.verts, jet_t, jet_v[:, None])[:, 0] + 1
+        R = np.linalg.inv(jet_to_ring_matrices(self.coords[jet_t], slots, 5))
+        jet = np.full(self.mesh.n_vertices, -1)
+        jet[jet_v] = np.arange(len(jet_v))
+        tt, ss = np.nonzero(jet[self.verts] >= 0)
+        j = jet[self.verts[tt, ss]]
+        weights = jet_to_ring_matrices(self.coords[tt], ss + 1,
+                                       np.where(kinds[tt] == ORDINARY, 5, 6)) @ R[j]
+        pie = np.flatnonzero(kinds[tt] == PIE)
+        weights[pie] = solve_factor_ring(weights[pie], *self._qparts(tt[pie]))
+        locs = np.array([_ring_pos(d) for d in (4, 5, 6)])[self.degree[tt] - 4, ss]
+        self._emit(tt, locs, weights, 6 * j[:, None] + np.arange(6), from_dofs=True)
 
     def _fill_ordinary(self):
-        """Edge-interior coefficients via the smoothness rule."""
-        mesh = self.mesh
-        for e in mesh.plain_interior_edges():
-            rec = mesh.edges[e]
-            tris = [t for t in rec.tris if mesh.triangles[t].kind == ORDINARY]
-            if len(tris) < 2:
-                continue
-            src = self.mds.dofs[self.mds.edge_pos[e]].tri
-            dst = tris[0] if tris[1] == src else tris[1]
-            self._fill_edge_middle(src, dst, rec.verts)
-
-    def _fill_edge_middle(self, src, dst, shared):
-        """Fill the middle first-interior-row coefficient of dst across an edge."""
-        src_slots, dst_slots, b_off = self._across(src, dst, shared)
-        self._emit(dst, [bb.edge_row_indices(5, dst_slots, 1)[2]],
-                   bb.c1_matrix(5, src_slots, b_off)[2], self._coefs(src))
+        """Edge-interior coefficients via the smoothness rule, across each
+        plain edge from the edge dof's triangle to an ordinary neighbour."""
+        src, edges = (x[self.mds.blocks[EDGE_INTERIOR]] for x in (self.mds.tri, self.mds.owner))
+        shared = np.array([self.mesh.edges[e].verts for e in edges], dtype=np.int64).reshape(-1, 2)
+        dst = self._neighbours(src, shared)
+        keep = self.kinds[dst] == ORDINARY
+        src, dst, shared = src[keep], dst[keep], shared[keep]
+        ss, ds, b_off = self._across(src, dst, shared)
+        self._emit(dst, _edge_rows(5, ds, 1)[:, 2:3], bb.c1_matrix(5, ss + 1, b_off)[:, 2:3],
+                   self.offset[src, None] + np.arange(bb.n_coeffs(5)))
 
     def _fill_buffer_from_ordinary(self):
-        mesh = self.mesh
+        """Each buffer's edge row and first row off its inner edge, from
+        the ordinary triangle across it."""
+        bufs = np.flatnonzero(self.kinds == BUFFER)
+        shared = self.verts[bufs, 1:]
+        src = self._neighbours(bufs, shared)
+        for t in bufs[self.kinds[src] != ORDINARY][:1]:
+            raise SpaceError(f"buffer {t} inner edge not shared with ordinary")
+        ss, ds, b_off = self._across(src, bufs, shared)
         raise_m = bb.degree_raise_matrix(5, 6)
-        im6 = bb.index_map(6)
-        for t in mesh.triangles_of_kind(BUFFER):
-            rec = mesh.triangles[t]
-            shared = (rec.verts[1], rec.verts[2])
-            e = mesh.edge_id(*shared)
-            src = [x for x in mesh.edges[e].tris if x != t][0]
-            if mesh.triangles[src].kind != ORDINARY:
-                raise SpaceError(f"buffer {t} inner edge not shared with ordinary")
-            src_slots, dst_slots, b_off = self._across(src, t, shared)
-            c0 = [im6[g] for g in bb.edge_row_indices(6, src_slots, 0)]
-            self._emit(t, bb.edge_row_indices(6, dst_slots, 0), raise_m[c0],
-                       self._coefs(src))
-            self._emit(t, bb.edge_row_indices(6, dst_slots, 1),
-                       bb.c1_matrix(6, src_slots, b_off) @ raise_m, self._coefs(src))
+        weights = np.concatenate([raise_m[_edge_rows(6, ss, 0)],
+                                  bb.c1_matrix(6, ss + 1, b_off) @ raise_m], axis=1)
+        self._emit(bufs, np.hstack([_edge_rows(6, ds, 0), _edge_rows(6, ds, 1)]),
+                   weights, self.offset[src, None] + np.arange(bb.n_coeffs(5)))
 
     def _fill_factor_corners(self):
-        mesh, mds = self.mesh, self.mds
+        """The factor's value at each boundary vertex on both pies there:
+        zero at a non-tangent corner, else the corner dof and its scaled
+        copy."""
+        mesh = self.mesh
+        rows = []    # (triangle, positions, weights, sources), stacked below
         for v in mesh.boundary_vertices():
             pies = sorted(t for t in mesh.vertex_triangles(v)
                           if mesh.triangles[t].kind == PIE)
-            locs = [bb.vertex_ring(4, vertex_slot(mesh.triangles[t], v))[0]
-                    for t in pies]
-            if not mesh.vertex_tangent[v]:
-                for t, g in zip(pies, locs):
-                    self._emit(t, [g], np.zeros((1, 0)), [])
-                continue
-            pos = mds.corner_pos[v]
-            # value on the designated pie is the dof; the partner is scaled
-            # by the ratio of the normalized conic gradients
-            g1, g2 = (grad_conic(mesh.pie_conic(t), mesh.vertices[v]) / self.pie_scale[t]
-                      for t in pies)
-            i = int(np.argmax(np.abs(g2)))
-            if abs(g2[i]) == 0.0:
-                raise SpaceError(f"vanishing conic gradient at boundary vertex {v}")
-            alpha = g1[i] / g2[i]
-            self._emit(pies[0], [locs[0]], [[1.0]], [pos], from_dofs=True)
-            self._emit(pies[1], [locs[1]], [[alpha]], [pos], from_dofs=True)
+            weights, src = [0.0, 0.0], 0
+            if mesh.vertex_tangent[v]:
+                # value on the designated pie is the dof; the partner is
+                # scaled by the ratio of the normalized conic gradients
+                g1, g2 = (grad_conic(mesh.pie_conic(t), mesh.vertices[v]) / self.pie_scale[t]
+                          for t in pies)
+                i = int(np.argmax(np.abs(g2)))
+                if abs(g2[i]) == 0.0:
+                    raise SpaceError(f"vanishing conic gradient at boundary vertex {v}")
+                weights, src = [1.0, g1[i] / g2[i]], self.mds.corner_pos[v]
+            rows += [(t, [_ring_pos(4)[mesh.triangles[t].verts.index(v), 0]], [[w]], [src])
+                     for t, w in zip(pies, weights)]
+        self._emit(*map(np.array, zip(*rows)), from_dofs=True)
 
     def _pie_edges(self):
-        """(pie, buffer, edge verts (v1, other), chord local index, conic
-        edge coefficient)."""
-        mesh = self.mesh
-        for t in mesh.triangles_of_kind(PIE):
-            v1, v2, v3 = mesh.triangles[t].verts
-            q110, q101, _ = self._qparts(t)
-            for other, chord_g, qe in ((v3, (0, 1, 3), q101), (v2, (0, 3, 1), q110)):
-                e = mesh.edge_id(v1, other)
-                buf = [x for x in mesh.edges[e].tris if x != t][0]
-                yield t, buf, (v1, other), chord_g, qe
+        """Two per pie, (v1, v3) then (v1, v2): the pie, the buffer across
+        the edge, the edge's vertices (n, 2), the position of the chord
+        coefficient at its boundary end, the conic's edge coefficient."""
+        pies = np.repeat(np.flatnonzero(self.kinds == PIE), 2)
+        shared = np.column_stack([self.verts[pies, 0],
+                                  self.verts[pies[::2]][:, [2, 1]].ravel()])
+        chord = np.tile([bb.index_map(4)[g] for g in ((0, 1, 3), (0, 3, 1))], len(pies) // 2)
+        q110, q101, _ = self._qparts(pies[::2])
+        q_edge = np.column_stack([q101, q110]).ravel()
+        return pies, self._neighbours(pies, shared), shared, chord, q_edge
 
     def _fill_chords_and_buffer_edges(self):
-        im4, im6 = bb.index_map(4), bb.index_map(6)
-        for t, buf, shared, chord_g, q_edge_mid in self._pie_edges():
-            P = self.pie_P[t]
-            # continuity row of the buffer: the product's edge row
-            src_slots, dst_slots, b_off = self._across(buf, t, shared)
-            c0 = [im6[g] for g in bb.edge_row_indices(6, dst_slots, 0)]
-            self._emit(buf, bb.edge_row_indices(6, src_slots, 0), P[c0],
-                       self._coefs(t))
-            # C1 from the buffer fixes the product's first-row entry at the
-            # boundary-vertex end; its product-matrix row gives the chord
-            if abs(q_edge_mid) < 1e-12:
-                raise SpaceError(
-                    f"pie {t}: conic edge coefficient vanishes (gradient condition)"
-                )
-            row = P[im6[bb.edge_row_indices(6, dst_slots, 1)[4]]]
-            chord = im4[chord_g]
-            weights = np.concatenate([bb.c1_matrix(6, src_slots, b_off)[4], -row])
-            weights[bb.n_coeffs(6) + chord] = 0.0   # the unknown itself
-            self._emit(t, [chord_g], weights / row[chord],
-                       np.concatenate([self._coefs(buf), self._coefs(t)]))
+        """Per pie edge, in turn: the buffer's edge row from the product's,
+        then the pie's chord coefficient, which C1 from the buffer fixes
+        through the product's first-row entry at the boundary-vertex end."""
+        t, buf, shared, chord, q_edge = self._pie_edges()
+        for i in np.flatnonzero(np.abs(q_edge) < 1e-12)[:1]:
+            raise SpaceError(f"pie {t[i]}: conic edge coefficient vanishes (gradient condition)")
+        ss, ds, b_off = self._across(buf, t, shared)
+        n, P = len(t), np.array([self.pie_P[x] for x in t])
+        row = P[np.arange(n), _edge_rows(6, ds, 1)[:, 4]]
+        weights = np.concatenate([bb.c1_matrix(6, ss + 1, b_off)[:, 4], -row], axis=1)
+        weights[np.arange(n), bb.n_coeffs(6) + chord] = 0.0   # the unknown itself
+        weights /= row[np.arange(n), chord][:, None]
+        continuity = P[np.arange(n)[:, None], _edge_rows(6, ds, 0)]
+        own = self.offset[t, None] + np.arange(bb.n_coeffs(4))
+        both = np.hstack([self.offset[buf, None] + np.arange(bb.n_coeffs(6)), own])
+        for i in range(n):
+            e = slice(i, i + 1)
+            self._emit(buf[e], _edge_rows(6, ss[e], 0), continuity[e], own[e])
+            self._emit(t[e], chord[e, None], weights[e, None], both[e])
 
     def _finish_pies_and_buffers(self):
-        for t, buf, shared, _, _ in self._pie_edges():
-            src_slots, dst_slots, b_off = self._across(t, buf, shared)
-            self._emit(buf, bb.edge_row_indices(6, dst_slots, 1),
-                       bb.c1_matrix(6, src_slots, b_off) @ self.pie_P[t], self._coefs(t))
+        """Each buffer's first row off its pie edges, from the pie."""
+        t, buf, shared, _, _ = self._pie_edges()
+        ss, ds, b_off = self._across(t, buf, shared)
+        weights = bb.c1_matrix(6, ss + 1, b_off) @ np.array([self.pie_P[x] for x in t])
+        self._emit(buf, _edge_rows(6, ds, 1), weights,
+                   self.offset[t, None] + np.arange(bb.n_coeffs(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +533,16 @@ class SplineSpace:
         self.mesh = mesh
         self.mds = build_mds(mesh)
         prop = _Propagator(mesh, self.mds)
-        self.groups = _map_groups(mesh, prop, prop.run())
+        self.groups, self.tri_cols, self.tri_cols_offset = _map_groups(mesh, prop, prop.run())
         self.fill_defect = prop.defect
         self.coef_offset = prop.offset
-        self.dof_coef = np.array(
-            [prop.offset[dof.tri]
-             + bb.index_map(_STORED_DEGREE[mesh.triangles[dof.tri].kind])[dof.local]
-             for dof in self.mds.dofs], dtype=np.int64)
+        self.dof_coef = prop.offset[self.mds.tri] + self.mds.pos
         self.pie_q, self.pie_scale = prop.pie_q, prop.pie_scale
-        self._at = [None] * mesh.n_triangles     # triangle -> (group, row)
-        for grp in self.groups:
-            for i, t in enumerate(grp.tris):
-                self._at[t] = (grp, i)
-        self.tri_cols = [grp.cols[i] for grp, i in self._at]
+        # the dofs of triangle t are tri_cols[tri_cols_offset[t]:...[t + 1]],
+        # its map is row _row[t] of groups[_group[t]]
+        self._group, self._row = np.zeros((2, mesh.n_triangles), dtype=np.int64)
+        for g, grp in enumerate(self.groups):
+            self._group[grp.tris], self._row[grp.tris] = g, np.arange(len(grp.tris))
 
     @property
     def dimension(self):
@@ -545,10 +552,10 @@ class SplineSpace:
         return 5 if self.mesh.triangles[t].kind == ORDINARY else 6
 
     def local_map(self, t, stored=False):
-        """(tri_cols[t], map from them to the BB coefficients of t's piece:
+        """(t's dofs, the map from them to the BB coefficients of t's piece:
         the degree-6 product form on pies), or with stored set, to the
         coefficients the fill stores (the degree-4 factor on pies)."""
-        grp, i = self._at[t]
+        grp, i = self.groups[self._group[t]], self._row[t]
         return grp.cols[i], (grp.stored if stored else grp.Z)[i]
 
     def spline(self, dofs):
@@ -628,7 +635,8 @@ class MapGroup:
 
 
 def _map_groups(mesh, prop, Z):
-    """Split the CSR map Z (stored coefficients x dofs) into MapGroups.
+    """Split the CSR map Z (stored coefficients x dofs) into MapGroups;
+    also gives every triangle's dofs, concatenated, and where each starts.
 
     Per triangle the dofs are the sorted columns its rows touch, and
     entries below 1e-15 of the triangle's largest (or of 1) are dropped."""
@@ -637,21 +645,23 @@ def _map_groups(mesh, prop, Z):
     tri = np.searchsorted(prop.offset, row, side="right") - 1
     keys, pos = np.unique(tri * dim + Z.indices, return_inverse=True)
     k = np.bincount(keys // dim, minlength=mesh.n_triangles)
-    pos -= np.concatenate([[0], np.cumsum(k)])[tri]     # column in its triangle
-    members = {}
-    for t, rec in enumerate(mesh.triangles):
-        members.setdefault((rec.kind, int(k[t])), []).append(t)
+    start = np.concatenate([[0], np.cumsum(k)])
+    pos -= start[tri]                                   # column in its triangle
+    # groups in the order of their first triangle
+    _, first, member = np.unique(prop.degree * (k.max(initial=0) + 1) + k,
+                                 return_index=True, return_inverse=True)
     groups = []
-    for (kind, kt), tris in members.items():
-        tris, nz = np.array(tris, dtype=np.int64), np.isin(tri, tris)
+    for g in np.argsort(first):
+        tris, nz = np.flatnonzero(member == g), member[tri] == g
+        kind, kt = mesh.triangles[tris[0]].kind, int(k[tris[0]])
         M = np.zeros((len(tris), bb.n_coeffs(_STORED_DEGREE[kind]), kt))
         M[np.searchsorted(tris, tri[nz]), (row - prop.offset[tri])[nz], pos[nz]] = Z.data[nz]
         scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1.0)
         M[np.abs(M) < 1e-15 * scale[:, None, None]] = 0.0
-        cols = keys[np.isin(keys // dim, tris)].reshape(len(tris), kt) % dim
+        cols = keys[member[keys // dim] == g].reshape(len(tris), kt) % dim
         piece = np.array([prop.pie_P[t] for t in tris]) @ M if kind == PIE else M
         groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))
-    return groups
+    return groups, keys % dim, start
 
 
 def build_space(mesh):
@@ -715,16 +725,6 @@ class SplineFunction:
             for o, r in zip(out, self.eval_batch(t, pts[rows], order)):
                 o[rows] = r
         return tuple(out) + (None,) * (2 - order)
-
-
-def basis_support(space, lam, tol=1e-13):
-    """Triangles on which the dual basis function of dof lam is nonzero."""
-    out = set()
-    for grp in space.groups:
-        for i, k in zip(*np.nonzero(grp.cols == lam)):
-            if np.abs(grp.stored[i, :, k]).max() > tol:
-                out.add(int(grp.tris[i]))
-    return out
 
 
 # ---------------------------------------------------------------------------

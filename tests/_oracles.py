@@ -23,7 +23,7 @@ from conicfem import bernstein as bb
 from conicfem.geometry import normalized_pie_conic
 from conicfem.mesh import ORDINARY, PIE
 from conicfem.geometry import grad_conic
-from conicfem.space import _Propagator, ring_to_jet_matrix
+from conicfem.space import _Propagator
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +238,38 @@ def _jet_rows(mesh, t, v):
 
 
 # ---------------------------------------------------------------------------
+# jet <-> vertex ring maps, one triangle and vertex at a time
+
+def jet_to_ring_matrix(tri, slot, d):
+    """6x6 map from a Cartesian 2-jet (v, gx, gy, hxx, hxy, hyy) at a
+    vertex to the six ring coefficients in canonical ring order (the
+    scalar form of space.jet_to_ring_matrices)."""
+    tri = np.asarray(tri, dtype=float)
+    corner = tri[slot - 1]
+    sa, sb = bb.ring_edge_slots(slot)
+    ua = tri[sa - 1] - corner
+    ub = tri[sb - 1] - corner
+    d1 = float(d)
+    d2 = float(d * (d - 1))
+    rows = np.zeros((6, 6))
+    rows[0] = [1, 0, 0, 0, 0, 0]
+    rows[1] = [1, ua[0] / d1, ua[1] / d1, 0, 0, 0]
+    rows[2] = [1, ub[0] / d1, ub[1] / d1, 0, 0, 0]
+    rows[3] = [1, 2 * ua[0] / d1, 2 * ua[1] / d1,
+               ua[0] ** 2 / d2, 2 * ua[0] * ua[1] / d2, ua[1] ** 2 / d2]
+    rows[4] = [1, 2 * ub[0] / d1, 2 * ub[1] / d1,
+               ub[0] ** 2 / d2, 2 * ub[0] * ub[1] / d2, ub[1] ** 2 / d2]
+    rows[5] = [1, (ua[0] + ub[0]) / d1, (ua[1] + ub[1]) / d1,
+               ua[0] * ub[0] / d2, (ua[0] * ub[1] + ua[1] * ub[0]) / d2,
+               ua[1] * ub[1] / d2]
+    return rows
+
+
+def ring_to_jet_matrix(tri, slot, d):
+    return np.linalg.inv(jet_to_ring_matrix(tri, slot, d))
+
+
+# ---------------------------------------------------------------------------
 # vectorized checks over many dof vectors at once
 
 def _global_degree6_maps(space):
@@ -316,14 +348,9 @@ def extraction_matrix(space):
     """Matrix of all determining functionals applied to all dual splines."""
     dim = space.dimension
     E = np.zeros((dim, dim))
-    for j, dof in enumerate(space.mds.dofs):
-        cols, Z = space.local_map(dof.tri, stored=True)
-        if dof.category in ("tangent-corner", "pie"):
-            E[j, cols] = Z[bb.index_map(4)[dof.local]]
-        elif dof.category == "buffer":
-            E[j, cols] = Z[bb.index_map(6)[dof.local]]
-        else:
-            E[j, cols] = Z[bb.index_map(5)[dof.local]]
+    for j, (t, pos) in enumerate(zip(space.mds.tri, space.mds.pos)):
+        cols, Z = space.local_map(t, stored=True)
+        E[j, cols] = Z[pos]
     return E
 
 
@@ -354,6 +381,16 @@ def triangle_maps(space):
         cols, M = _densify(Z, prop.offset[t], prop.offset[t + 1])
         piece = prop.pie_P[t] @ M if space.mesh.triangles[t].kind == PIE else M
         out.append((cols, piece, M))
+    return out
+
+
+def basis_support(space, lam, tol=1e-13):
+    """Triangles on which the dual basis function of dof lam is nonzero."""
+    out = set()
+    for grp in space.groups:
+        for i, k in zip(*np.nonzero(grp.cols == lam)):
+            if np.abs(grp.stored[i, :, k]).max() > tol:
+                out.add(int(grp.tris[i]))
     return out
 
 
@@ -541,7 +578,7 @@ def corner_dofs_by_gradient(u_coarse, fine_space):
     mesh_f, space_c = fine_space.mesh, u_coarse.space
     out = {}
     for v, pos in fine_space.mds.corner_pos.items():
-        t = fine_space.mds.dofs[pos].tri
+        t = fine_space.mds.tri[pos]
         p, x = mesh_f.parents[t], mesh_f.vertices[v]
         gr = eval_bb(space_c.tri_degree(p), u_coarse.patch(p),
                      space_c.mesh.tri_coords(p), x, order=1)

@@ -16,10 +16,11 @@ from conicfem import bernstein as bb
 from conicfem import solver as sol
 from conicfem.mesh import refine_uniform
 from conicfem.problems import builtin_domain, disk_exact_solution, problem_g
-from conicfem.space import basis_support, build_space, solve_factor_ring
+from conicfem.space import build_space, solve_factor_ring
 
-from _oracles import (boundary_sample_matrix, eval_bb, extraction_matrix,
-                      smoothness_residual_matrix, space_dimension_by_rank)
+from _oracles import (basis_support, boundary_sample_matrix, eval_bb,
+                      extraction_matrix, smoothness_residual_matrix,
+                      space_dimension_by_rank)
 
 
 def _line(criterion, ok, detail):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -103,6 +104,50 @@ def test_space_info_rejects_levels_below_one(levels, capsys):
         run(["space", "info", "--problem", "disk", "--levels", levels])
     assert exc.value.code == 2
     assert "levels must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["-1", "-2"])
+def test_mesh_refine_rejects_negative_levels(tmp_path, disk_mesh, levels, capsys):
+    path = tmp_path / "mesh.json"
+    msh.save_mesh(disk_mesh, path)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["mesh", "refine", str(path), "--levels", levels, "--output", str(out)])
+    assert exc.value.code == 2
+    assert "levels must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_report_json(tmp_path, monkeypatch):
+    returned = {}
+    real_run = sol.multilevel_run
+
+    def keep(*args, **kwargs):
+        returned["reports"], u = real_run(*args, **kwargs)
+        return returned["reports"], u
+
+    monkeypatch.setattr(sol, "multilevel_run", keep)
+    path = tmp_path / "report.json"
+    assert run(["solve", "--problem", "disk", "--levels", "2",
+                "--report-json", str(path)]) == 0
+    levels = json.loads(path.read_text())
+    reports = returned["reports"]
+    assert len(levels) == len(reports) == 2
+
+    def same(want, got):
+        if isinstance(want, dict):
+            return set(want) == set(got) and all(same(v, got[k]) for k, v in want.items())
+        if isinstance(want, (list, tuple)):
+            return len(want) == len(got) and all(map(same, want, got))
+        return want == got
+
+    names = {f.name for f in dataclasses.fields(sol.LevelReport)}
+    for rep, got in zip(reports, levels):
+        assert set(got) == names
+        for name in names:
+            assert same(getattr(rep, name), got[name]), name
+    assert {"space", "quad", "newton"} <= set(levels[1]["timings"])
+    assert {"nnz", "lu_fill", "fill_defect"} <= set(levels[1]["solver"])
 
 
 def test_config_file_defaults(tmp_path, capsys):

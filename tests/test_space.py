@@ -6,11 +6,12 @@ import pytest
 from conicfem import bernstein as bb
 from conicfem import space as sp
 from conicfem.geometry import arc_point_on_ray
-from conicfem.mesh import BUFFER, ORDINARY, PIE
-from conicfem.space import (basis_support, build_space, factor_ring_matrix,
-                            quintic_reduction, solve_factor_ring)
+from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
+from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
+                            solve_factor_ring)
 
-from _oracles import (boundary_samples_max, eval_bb, smoothness_report,
+from _oracles import (basis_support, boundary_samples_max, eval_bb,
+                      jet_to_ring_matrix, smoothness_report,
                       space_dimension_by_rank)
 
 
@@ -70,9 +71,9 @@ def test_mds_counts_and_dimension(disk_mesh, disk_space):
         "pie": npie, "buffer": nbuf,
     }
     # designated triangles of vertex/edge dofs are ordinary
-    for dof in mds.dofs:
-        if dof.category in ("vertex-jet", "edge"):
-            assert mesh.triangles[dof.tri].kind == ORDINARY
+    for cat in ("vertex-jet", "edge"):
+        for t in mds.tri[mds.blocks[cat]]:
+            assert mesh.triangles[t].kind == ORDINARY
 
 
 def test_dimension_matches_rank_oracle(disk_mesh, ellipse_mesh, disk_space,
@@ -125,21 +126,20 @@ def test_propagation_consistency_defect(disk_space, ellipse_space, lens_space,
 
 
 def _seed_and_then(extra):
-    """The dof seeding step followed by extra(self, t, g) on the triangle
-    and multi-index of dof 0."""
+    """The dof seeding step followed by extra(self, t, pos) on the triangle
+    and stored position of dof 0."""
     seed = sp._Propagator._seed_dofs
 
     def step(self):
         seed(self)
-        dof = self.mds.dofs[0]
-        extra(self, dof.tri, dof.local)
+        extra(self, self.mds.tri[0], self.mds.pos[0])
     return step
 
 
 def test_fill_checks_raise(disk_mesh, monkeypatch):
     def redefine(rel):
-        return _seed_and_then(lambda self, t, g: self._emit(
-            t, [g], [[1.0 + rel]], [0], from_dofs=True))
+        return _seed_and_then(lambda self, t, pos: self._emit(
+            [t], [[pos]], [[[1.0 + rel]]], [[0]], from_dofs=True))
 
     # a second definition within 1e-8 is reported as the fill defect
     monkeypatch.setattr(sp._Propagator, "_seed_dofs", redefine(1e-10))
@@ -151,8 +151,8 @@ def test_fill_checks_raise(disk_mesh, monkeypatch):
     # so does a step that reads a coefficient before a later step sets it
     late = (disk_mesh.triangles_of_kind(BUFFER)[0], bb.index_map(6)[(0, 3, 3)])
     monkeypatch.setattr(sp._Propagator, "_seed_dofs", _seed_and_then(
-        lambda self, t, g: self._emit(
-            t, [g], [[1.0]], [self.offset[late[0]] + late[1]])))
+        lambda self, t, pos: self._emit(
+            [t], [[pos]], [[[1.0]]], [[self.offset[late[0]] + late[1]]])))
     with pytest.raises(sp.PropagationError, match="reads an unset"):
         build_space(disk_mesh)
     monkeypatch.undo()
@@ -161,6 +161,40 @@ def test_fill_checks_raise(disk_mesh, monkeypatch):
                         lambda self: None)
     with pytest.raises(sp.PropagationError, match="unset"):
         build_space(disk_mesh)
+
+
+def test_fill_steps_emit_once_per_step(disk_mesh, disk_mesh2):
+    # the seed, ring and plain-edge steps are whole-mesh array steps: their
+    # number of _emit calls does not grow with the mesh
+    def calls(mesh):
+        prop = sp._Propagator(mesh, sp.build_mds(mesh))
+        count = []
+        emit = prop._emit
+        prop._emit = lambda *args, **kwargs: count.append(1) or emit(*args, **kwargs)
+        out = []
+        for step in (prop._seed_dofs, prop._fill_rings, prop._fill_ordinary):
+            before = len(count)
+            step()
+            out.append(len(count) - before)
+        return out
+
+    assert calls(disk_mesh) == calls(refine_uniform(disk_mesh2)) == [1, 1, 1]
+
+
+def test_jet_to_ring_matches_scalar_rule(c2_space):
+    # bit for bit, on every (triangle, slot) of the fill and on random
+    # triangles, where x * x in place of the scalar x ** 2 shows
+    mesh = c2_space.mesh
+    tris = np.array([mesh.tri_coords(t) for t in range(mesh.n_triangles)])
+    tris, slots = np.repeat(tris, 3, axis=0), np.tile([1, 2, 3], mesh.n_triangles)
+    d = np.repeat([5 if rec.kind == ORDINARY else 6 for rec in mesh.triangles], 3)
+    rng = np.random.default_rng(10)
+    tris = np.concatenate([tris, rng.standard_normal((10_000, 3, 2))])
+    slots = np.concatenate([slots, rng.integers(1, 4, 10_000)])
+    d = np.concatenate([d, rng.integers(5, 7, 10_000)])
+    got = sp.jet_to_ring_matrices(tris, slots, d)
+    want = np.array([jet_to_ring_matrix(*args) for args in zip(tris, slots, d)])
+    assert np.array_equal(got, want)
 
 
 def test_smoothness_and_boundary_random(disk_space, ellipse_space, lens_space,
