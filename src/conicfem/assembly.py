@@ -22,8 +22,8 @@ import scipy.sparse.linalg as spla
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import bernstein as bb
-from .geometry import arc_point_on_ray, grad_conic
-from .mesh import PIE
+from .geometry import grad_conic
+from .mesh import PIE, conic_at_pies, pie_arc_points
 
 
 class AssemblyError(RuntimeError):
@@ -76,46 +76,59 @@ def triangle_rule(degree):
 # ---------------------------------------------------------------------------
 # pie triangles: radial blending map
 
-def pie_quadrature(mesh, t):
-    """Tensor Gauss rule mapped onto the curved pie triangle t: physical
-    nodes (PIE_ORDER**2, 2) and positive weights that sum to its area.
+def pie_quadrature(mesh, tris):
+    """Tensor Gauss rule mapped onto the curved pie triangles tris: physical
+    nodes (g, PIE_ORDER**2, 2) and positive weights (g, PIE_ORDER**2) that
+    sum to each pie's area.
 
     The map is (r, s) -> v1 + r*(A(s) - v1) where A(s) is the ray/arc
     intersection through the chord point at parameter s; the Jacobian
     r * det[A - v1, A'(s)] is exact (implicit differentiation of the arc).
+    The rays of all pies on one arc are one batched query; an error names
+    the first pie, in the order of tris, whose rule fails.
     """
-    rec = mesh.triangles[t]
-    if rec.kind != PIE:
-        raise AssemblyError(f"triangle {t} is not pie-shaped")
-    v1, v2, v3 = mesh.tri_coords(t)
-    arc = mesh.domain.arcs[rec.arc]
-    conic = arc.conic
+    tris = np.asarray(tris)
+    recs = [mesh.triangles[t] for t in tris]
+    for t, rec in zip(tris, recs):
+        if rec.kind != PIE:
+            raise AssemblyError(f"triangle {t} is not pie-shaped")
+    arcs = np.array([rec.arc for rec in recs])
+    v1, v2, v3 = mesh.vertices[[rec.verts for rec in recs]].transpose(1, 0, 2)
     xg, wg = roots_legendre(PIE_ORDER)
     r = 0.5 * (xg + 1.0)
     wr = 0.5 * wg
     s = 0.5 * (xg + 1.0)
     ws = 0.5 * wg
-    cdir = v3 - v2
-    apts = np.empty((PIE_ORDER, 2))
-    adot = np.empty((PIE_ORDER, 2))
-    for j in range(PIE_ORDER):
-        c = v2 + s[j] * cdir
-        a = arc_point_on_ray(arc, v1, c)
-        g = grad_conic(conic, a)
-        denom = float(g @ (c - v1))
-        if denom == 0.0:
-            raise AssemblyError(f"tangential ray on pie {t} (star-shape violated)")
-        tpar = float((a - v1) @ (c - v1)) / float((c - v1) @ (c - v1))
-        tdot = -tpar * float(g @ cdir) / denom
-        apts[j] = a
-        adot[j] = tdot * (c - v1) + tpar * cdir
-    js = (apts[:, 0] - v1[0]) * adot[:, 1] - (apts[:, 1] - v1[1]) * adot[:, 0]
-    if np.any(js <= 0):
-        raise AssemblyError(f"non-positive blending Jacobian on pie triangle {t}")
-    # node PIE_ORDER * i + j at radius r[i] on the ray through apts[j]
-    nodes = (v1 + r[:, None, None] * (apts - v1)).reshape(-1, 2)
-    weights = (wr[:, None] * ws * r[:, None] * js).ravel()
-    return nodes, weights
+    cdir = (v3 - v2)[:, None]
+    c = v2[:, None] + s[:, None] * cdir
+    a, failure = pie_arc_points(mesh.domain, arcs, v1, c)
+    g = conic_at_pies(grad_conic, mesh.domain, arcs, a)
+    cv = c - v1[:, None]
+    denom = np.vecdot(g, cv)
+    with np.errstate(all="ignore"):     # failing rays are reported below
+        tpar = np.vecdot(a - v1[:, None], cv) / np.vecdot(cv, cv)
+        tdot = -tpar * np.vecdot(g, cdir) / denom
+        adot = tdot[:, :, None] * cv + tpar[:, :, None] * cdir
+        js = ((a[:, :, 0] - v1[:, None, 0]) * adot[:, :, 1]
+              - (a[:, :, 1] - v1[:, None, 1]) * adot[:, :, 0])
+    # the first failure of a walk over the pies: rays in order, then the Jacobian
+    fails = []
+    if failure is not None:
+        fails.append((failure[:2], failure[2]))
+    if (denom == 0.0).any():
+        p, j = np.unravel_index(np.argmax(denom == 0.0), denom.shape)
+        fails.append(((p, j), AssemblyError(
+            f"tangential ray on pie {tris[p]} (star-shape violated)")))
+    if (js <= 0).any():
+        p = int(np.argmax((js <= 0).any(axis=1)))
+        fails.append(((p, PIE_ORDER), AssemblyError(
+            f"non-positive blending Jacobian on pie triangle {tris[p]}")))
+    if fails:
+        raise min(fails, key=lambda f: f[0])[1]
+    # node PIE_ORDER * i + j at radius r[i] on the ray through a[:, j]
+    nodes = v1[:, None, None] + r[:, None, None] * (a - v1[:, None])[:, None]
+    weights = (wr[:, None] * ws * r[:, None]) * js[:, None]
+    return nodes.reshape(len(tris), -1, 2), weights.reshape(len(tris), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +197,7 @@ class TriangleQuadrature:
         idx, d = grp.tris[rows], grp.degree
         coords = mesh.vertices[[mesh.triangles[t].verts for t in idx]]
         if grp.kind == PIE:
-            nodes = np.empty((len(idx), PIE_ORDER ** 2, 2))
-            weights = np.empty((len(idx), PIE_ORDER ** 2))
-            for i, t in enumerate(idx):
-                nodes[i], weights[i] = pie_quadrature(mesh, t)
+            nodes, weights = pie_quadrature(mesh, idx)
             # basis of the chord triangle, evaluated at the curved nodes
             V, G, H = bb.design_matrices(d, coords, bb.barycentric_many(coords, nodes))
         else:

@@ -16,7 +16,12 @@ from .bernstein import index_map, multi_indices
 
 
 class GeometryError(ValueError):
-    """Invalid or degenerate geometric input."""
+    """Invalid or degenerate geometric input.  `row` is the first failing
+    row of a batched query (see arc_point_on_ray), None otherwise."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -182,45 +187,55 @@ def normalize_arc_sign(arc):
 def arc_point_on_ray(arc, origin, through):
     """Intersection of the arc with the ray origin -> through (extended).
 
-    `through` must lie between the origin and the arc; the quadratic in the
+    origin and through are points (2,) or rows of points (n, 2), broadcast
+    against each other; the result has their broadcast shape.  Each
+    `through` must lie between its origin and the arc; the quadratic in the
     ray parameter must then have exactly one admissible root at or beyond
     `through`.  Anything else is reported as a geometry error (a violation
-    of the star-shapedness the construction relies on).
+    of the star-shapedness the construction relies on) for the first
+    failing row, whose index is the error's `row`.  Rows do not affect one
+    another: each gets the value, or the message, it gets alone.
     """
     origin = np.asarray(origin, dtype=float)
     through = np.asarray(through, dtype=float)
-    d = through - origin
-    if np.linalg.norm(d) < 1e-15:
-        raise GeometryError("ray direction degenerate")
-    k = arc.conic.coeffs
-    a2 = k[0] * d[0] ** 2 + k[1] * d[0] * d[1] + k[2] * d[1] ** 2
-    a1 = float(grad_conic(arc.conic, origin) @ d)
-    a0 = float(eval_conic(arc.conic, origin))
-    roots = []
-    if abs(a2) < 1e-15 * max(abs(a1), abs(a0), 1.0):
-        if a1 != 0.0:
-            roots = [-a0 / a1]
-    else:
+    shape = np.broadcast_shapes(origin.shape, through.shape)
+    o = np.broadcast_to(origin, shape).reshape(-1, 2)
+    d = (through - origin).reshape(-1, 2)
+    conic = arc.conic
+    k = conic.coeffs
+    with np.errstate(all="ignore"):
+        # float_power and vecdot round as the scalar d[0] ** 2 and g @ d do
+        a2 = (k[0] * np.float_power(d[:, 0], 2) + k[1] * d[:, 0] * d[:, 1]
+              + k[2] * np.float_power(d[:, 1], 2))
+        a1 = np.vecdot(grad_conic(conic, o), d)
+        a0 = eval_conic(conic, o)
+        linear = np.abs(a2) < 1e-15 * np.maximum(np.maximum(np.abs(a1), np.abs(a0)), 1.0)
         disc = a1 * a1 - 4 * a2 * a0
-        if disc < 0:
-            raise GeometryError("ray does not reach the arc (no real root)")
         sq = np.sqrt(disc)
-        roots = [(-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)]
-    admissible = [t for t in roots if t >= 1.0 - 1e-9]
-    if len(admissible) != 1:
-        if len(admissible) > 1 and abs(admissible[0] - admissible[1]) < 1e-12:
-            admissible = admissible[:1]
+        t1 = np.where(linear, -a0 / a1, (-a1 - sq) / (2 * a2))
+        t2 = (-a1 + sq) / (2 * a2)
+        ok1 = (t1 >= 1.0 - 1e-9) & ~(linear & (a1 == 0.0))
+        ok2 = (t2 >= 1.0 - 1e-9) & ~linear
+        found = ok1.astype(int) + ok2
+        x = o + np.where(ok1, t1, t2)[:, None] * d
+        # polish with one Newton step along the ray to kill rounding
+        g1 = np.vecdot(grad_conic(conic, x), d)
+        x = np.where((g1 != 0.0)[:, None], x + (-eval_conic(conic, x) / g1)[:, None] * d, x)
+    degenerate = np.sqrt(np.vecdot(d, d)) < 1e-15
+    no_root = ~linear & (disc < 0)
+    double = (found == 2) & (np.abs(t1 - t2) < 1e-12)
+    bad = degenerate | no_root | ((found != 1) & ~double)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if degenerate[r]:
+            message = "ray direction degenerate"
+        elif no_root[r]:
+            message = "ray does not reach the arc (no real root)"
         else:
-            raise GeometryError(
-                f"expected one ray/arc crossing beyond the through point, "
-                f"found {len(admissible)} (star-shapedness violated?)"
-            )
-    x = origin + admissible[0] * d
-    # polish with one Newton step along the ray to kill rounding
-    g1 = float(grad_conic(arc.conic, x) @ d)
-    if g1 != 0.0:
-        x = x + (-eval_conic(arc.conic, x) / g1) * d
-    return x
+            message = (f"expected one ray/arc crossing beyond the through point, "
+                       f"found {found[r]} (star-shapedness violated?)")
+        raise GeometryError(message, row=r)
+    return x.reshape(shape)
 
 
 def conic_bb_form(q, tri):

@@ -164,7 +164,7 @@ class CurvedTriangulation:
 # classification + validation
 
 def classify_and_validate(domain, vertices, triangles, boundary_edges,
-                          level=1, parents=None, star_samples=50):
+                          level=1, parents=None):
     """Build a validated CurvedTriangulation from raw mesh data.
 
     vertices: (n, 2) float array; triangles: (m, 3) int array (any
@@ -352,23 +352,7 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
                                               domain.arcs[arc_ids[1]].conic, vertices[v])
 
     # (d) + (e): pie star-shapedness and conic positivity
-    for ti, rec in enumerate(records):
-        if rec.kind != PIE:
-            continue
-        v1, v2, v3 = (vertices[i] for i in rec.verts)
-        arc = domain.arcs[rec.arc]
-        if eval_conic(arc.conic, v1) <= 0:
-            raise MeshError("e", f"conic not positive at interior vertex of pie {ti}")
-        for s in np.linspace(0.02, 0.98, star_samples):
-            chord_pt = v2 + s * (v3 - v2)
-            try:
-                apt = arc_point_on_ray(arc, v1, chord_pt)
-            except GeometryError as exc:
-                raise MeshError("d", f"pie {ti} not star-shaped: {exc}") from exc
-            for r in (0.25, 0.55, 0.8, 0.95):
-                x = v1 + r * (apt - v1)
-                if eval_conic(arc.conic, x) <= 0:
-                    raise MeshError("e", f"conic not positive inside pie {ti} at {tuple(x)}")
+    _check_pies(domain, vertices, records)
 
     mesh = CurvedTriangulation(
         domain, vertices, records, edges, edge_index, vert_tris,
@@ -392,9 +376,88 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
 
 
 # ---------------------------------------------------------------------------
+# pie rays: arc points of many pies, one batched query per arc
+
+def pie_arc_points(domain, arcs, v1, through):
+    """Ray points of pies on their arcs: points[p, j] is arc_point_on_ray
+    of arc arcs[p] from pie p's interior vertex v1[p] through through[p, j]
+    ((P, m, 2) chord points), with one call per arc.
+
+    Returns (points, failure).  failure is None when every ray meets its
+    arc once, else (p, j, GeometryError) of the first failing ray in pie
+    order, then j order; from that ray on, the points of its arc are NaN.
+    """
+    P, m = through.shape[:2]
+    points = np.full((P * m, 2), np.nan)
+    failure = None
+    for a in np.unique(arcs):
+        pies = np.flatnonzero(arcs == a)
+        rows = (pies[:, None] * m + np.arange(m)).ravel()
+        origin = np.repeat(v1[pies], m, axis=0)
+        chord = through.reshape(-1, 2)[rows]
+        try:
+            points[rows] = arc_point_on_ray(domain.arcs[a], origin, chord)
+        except GeometryError as exc:
+            r = exc.row
+            points[rows[:r]] = arc_point_on_ray(domain.arcs[a], origin[:r], chord[:r])
+            p, j = divmod(int(rows[r]), m)
+            if failure is None or (p, j) < failure[:2]:
+                failure = (p, j, exc)
+    return points.reshape(P, m, 2), failure
+
+
+def conic_at_pies(fn, domain, arcs, x):
+    """fn(conic, points) (eval_conic or grad_conic) of the arc conic of
+    each pie p at its points x[p], one call per arc."""
+    out = None
+    for a in np.unique(arcs):
+        on = arcs == a
+        val = fn(domain.arcs[a].conic, x[on])
+        if out is None:
+            out = np.empty(x.shape[:1] + val.shape[1:])
+        out[on] = val
+    return out
+
+
+STAR_SAMPLES = np.linspace(0.02, 0.98, 50)      # chord parameters of (d), (e)
+STAR_RADII = np.array([0.25, 0.55, 0.8, 0.95])   # ray fractions of (e)
+
+
+def _check_pies(domain, vertices, records):
+    """Conditions (d) and (e) on every pie: the ray from the interior
+    vertex v1 through each chord sample meets the arc once beyond the
+    chord, and the conic is positive at v1 and at fixed fractions of each
+    ray.  Reports the failure that a walk over the pies in order meets
+    first: per pie, v1, then sample by sample the ray (d) and its points
+    (e)."""
+    pies = [ti for ti, rec in enumerate(records) if rec.kind == PIE]
+    arcs = np.array([records[t].arc for t in pies])
+    v1, v2, v3 = vertices[[records[t].verts for t in pies]].transpose(1, 0, 2)
+    chord = v2[:, None] + STAR_SAMPLES[:, None] * (v3 - v2)[:, None]
+    apt, failure = pie_arc_points(domain, arcs, v1, chord)
+    x = v1[:, None, None] + STAR_RADII[:, None] * (apt - v1[:, None])[:, :, None]
+    fails = []
+    outside = conic_at_pies(eval_conic, domain, arcs, v1) <= 0
+    if outside.any():
+        p = int(np.argmax(outside))
+        fails.append(((p, -1), MeshError(
+            "e", f"conic not positive at interior vertex of pie {pies[p]}")))
+    if failure is not None:
+        p, j, exc = failure
+        fails.append(((p, j), MeshError("d", f"pie {pies[p]} not star-shaped: {exc}")))
+    inside = conic_at_pies(eval_conic, domain, arcs, x) <= 0
+    if inside.any():
+        p, j, k = np.unravel_index(np.argmax(inside), inside.shape)
+        fails.append(((p, j), MeshError(
+            "e", f"conic not positive inside pie {pies[p]} at {tuple(x[p, j, k])}")))
+    if fails:
+        raise min(fails, key=lambda f: f[0])[1]
+
+
+# ---------------------------------------------------------------------------
 # refinement
 
-def refine_uniform(mesh, star_samples=50):
+def refine_uniform(mesh):
     """Uniform refinement: each triangle splits at its edge midpoints.
 
     Straight edges split at the Euclidean midpoint; each curved edge splits
@@ -402,8 +465,16 @@ def refine_uniform(mesh, star_samples=50):
     triangle's interior vertex through the chord midpoint.  The result is
     re-classified and re-validated from scratch.
     """
-    verts = [tuple(p) for p in mesh.vertices]
-    mid_of = {}
+    # curved midpoints first, numbered in pie order
+    pies = [rec for rec in mesh.triangles if rec.kind == PIE]
+    v1, v2, v3 = mesh.vertices[[rec.verts for rec in pies]].transpose(1, 0, 2)
+    apts, failure = pie_arc_points(mesh.domain, np.array([rec.arc for rec in pies]),
+                                   v1, 0.5 * (v2 + v3)[:, None])
+    if failure is not None:
+        raise failure[2]
+    verts = [tuple(p) for p in mesh.vertices] + [tuple(p) for p in apts[:, 0]]
+    mid_of = {(min(b, c), max(b, c)): mesh.n_vertices + i
+              for i, (_, b, c) in enumerate(rec.verts for rec in pies)}
 
     def straight_mid(a, b):
         key = (min(a, b), max(a, b))
@@ -412,20 +483,6 @@ def refine_uniform(mesh, star_samples=50):
             mid_of[key] = len(verts)
             verts.append(tuple(m))
         return mid_of[key]
-
-    # curved edges first, so the pie that owns each arc edge drives the split
-    for ti, rec in enumerate(mesh.triangles):
-        if rec.kind != PIE:
-            continue
-        v1, v2, v3 = rec.verts
-        key = (min(v2, v3), max(v2, v3))
-        if key in mid_of:
-            continue
-        arc = mesh.domain.arcs[rec.arc]
-        chord_mid = 0.5 * (mesh.vertices[v2] + mesh.vertices[v3])
-        apt = arc_point_on_ray(arc, mesh.vertices[v1], chord_mid)
-        mid_of[key] = len(verts)
-        verts.append(tuple(apt))
 
     new_tris = []
     parents = []
@@ -449,7 +506,7 @@ def refine_uniform(mesh, star_samples=50):
 
     return classify_and_validate(
         mesh.domain, np.asarray(verts, dtype=float), new_tris, new_boundary,
-        level=mesh.level + 1, parents=parents, star_samples=star_samples,
+        level=mesh.level + 1, parents=parents,
     )
 
 

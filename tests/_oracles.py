@@ -11,7 +11,11 @@ in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
 the space's stacked maps must reproduce the per-triangle extraction from
 the fill; the per-triangle error norms evaluate the spline through its
 own pieces.  The level transfer's tangent-corner dofs are checked
-against the projection of the coarse gradient at the corner.
+against the projection of the coarse gradient at the corner.  The
+scalar ray/arc rule, one ray at a time, and the pie rules built on it
+(the (d)/(e) walk, curved midpoints, the per-pie quadrature) are the
+straightforward forms of the batched per-arc queries in ``geometry``,
+``mesh`` and ``assembly``, which must reproduce them bit for bit.
 """
 
 import numpy as np
@@ -20,9 +24,9 @@ from scipy.special import roots_legendre
 
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
-from conicfem.geometry import normalized_pie_conic
-from conicfem.mesh import ORDINARY, PIE
-from conicfem.geometry import grad_conic
+from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
+                               normalized_pie_conic)
+from conicfem.mesh import ORDINARY, PIE, MeshError
 from conicfem.space import _Propagator
 
 
@@ -323,19 +327,14 @@ def smoothness_residual_matrix(space):
 
 def boundary_sample_matrix(space, per_arc=30):
     """Boundary point-evaluation functionals as a matrix over the dofs."""
-    from conicfem.geometry import arc_point_on_ray
-
     mesh = space.mesh
     rows = []
+    u = np.linspace(0.03, 0.97, per_arc)[:, None]
     for t in mesh.triangles_of_kind(PIE):
         rec = mesh.triangles[t]
         tri = mesh.tri_coords(t)
         v1, v2, v3 = tri
-        arc = mesh.domain.arcs[rec.arc]
-        pts = np.array([
-            arc_point_on_ray(arc, v1, v2 + u * (v3 - v2))
-            for u in np.linspace(0.03, 0.97, per_arc)
-        ])
+        pts = arc_point_on_ray(mesh.domain.arcs[rec.arc], v1, v2 + u * (v3 - v2))
         V = bb.bernstein_matrix(6, bb.barycentric_many(tri, pts))
         G = np.zeros((per_arc, space.dimension))
         cols, Z = space.local_map(t)
@@ -424,16 +423,13 @@ def smoothness_report(space, spline):
 
 def boundary_samples_max(space, spline, per_arc=30):
     """Max |s| over boundary samples (ray points on each pie's arc)."""
-    from conicfem.geometry import arc_point_on_ray
-
     mesh = space.mesh
     worst = 0.0
+    u = np.linspace(0.03, 0.97, per_arc)[:, None]
     for t in mesh.triangles_of_kind(PIE):
         rec = mesh.triangles[t]
         v1, v2, v3 = (mesh.vertices[i] for i in rec.verts)
-        arc = mesh.domain.arcs[rec.arc]
-        for u in np.linspace(0.03, 0.97, per_arc):
-            x = arc_point_on_ray(arc, v1, v2 + u * (v3 - v2))
+        for x in arc_point_on_ray(mesh.domain.arcs[rec.arc], v1, v2 + u * (v3 - v2)):
             worst = max(worst, abs(eval_bb(6, spline.patch(t), mesh.tri_coords(t), x)))
     return worst
 
@@ -464,7 +460,7 @@ def triangle_designs(quad):
         d = quad.space.tri_degree(t)
         tri = mesh.tri_coords(t)
         if mesh.triangles[t].kind == PIE:
-            nodes, _ = asm.pie_quadrature(mesh, t)
+            nodes = asm.pie_quadrature(mesh, [t])[0][0]
             out.append(bb.design_matrices(d, tri, bb.barycentric_many(tri, nodes)))
         else:
             out.append(bb.derivative_matrices(d, tri, *ref[d]))
@@ -585,3 +581,130 @@ def corner_dofs_by_gradient(u_coarse, fine_space):
         gq = grad_conic(mesh_f.pie_conic(t), x) / fine_space.pie_scale[t]
         out[pos] = float(gr @ gq) / float(gq @ gq)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the ray/arc rule one ray at a time, and the pie rules built on it
+
+def arc_point_on_ray_scalar(arc, origin, through):
+    """Intersection of the arc with one ray origin -> through (extended):
+    the one admissible root at or beyond `through` of the quadratic in the
+    ray parameter, polished by one Newton step along the ray."""
+    origin = np.asarray(origin, dtype=float)
+    through = np.asarray(through, dtype=float)
+    d = through - origin
+    if np.linalg.norm(d) < 1e-15:
+        raise GeometryError("ray direction degenerate")
+    k = arc.conic.coeffs
+    a2 = k[0] * d[0] ** 2 + k[1] * d[0] * d[1] + k[2] * d[1] ** 2
+    a1 = float(grad_conic(arc.conic, origin) @ d)
+    a0 = float(eval_conic(arc.conic, origin))
+    roots = []
+    if abs(a2) < 1e-15 * max(abs(a1), abs(a0), 1.0):
+        if a1 != 0.0:
+            roots = [-a0 / a1]
+    else:
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc < 0:
+            raise GeometryError("ray does not reach the arc (no real root)")
+        sq = np.sqrt(disc)
+        roots = [(-a1 - sq) / (2 * a2), (-a1 + sq) / (2 * a2)]
+    admissible = [t for t in roots if t >= 1.0 - 1e-9]
+    if len(admissible) != 1:
+        if len(admissible) > 1 and abs(admissible[0] - admissible[1]) < 1e-12:
+            admissible = admissible[:1]
+        else:
+            raise GeometryError(
+                f"expected one ray/arc crossing beyond the through point, "
+                f"found {len(admissible)} (star-shapedness violated?)"
+            )
+    x = origin + admissible[0] * d
+    g1 = float(grad_conic(arc.conic, x) @ d)
+    if g1 != 0.0:
+        x = x + (-eval_conic(arc.conic, x) / g1) * d
+    return x
+
+
+def pie_conditions_scalar(domain, vertices, triangles, boundary_edges):
+    """The first (d)/(e) violation of raw mesh data (the inputs of
+    mesh.classify_and_validate), as (condition, message) of the MeshError,
+    or None.  Walks the pies in order: a triangle with a boundary edge,
+    turned counter-clockwise, has its interior vertex v1 opposite that
+    edge; per pie the conic at v1, then for each of 50 chord samples the
+    ray to the arc (d) and the conic at four fractions of it (e)."""
+    vertices = np.asarray(vertices, dtype=float)
+    arc_of = {frozenset((int(a), int(b))): int(arc) for a, b, arc in boundary_edges}
+    for ti, t in enumerate(triangles):
+        a, b, c = (int(v) for v in t)
+        ab, ac = vertices[b] - vertices[a], vertices[c] - vertices[a]
+        if float(ab[0] * ac[1] - ab[1] * ac[0]) < 0:
+            b, c = c, b
+        pie = [(p, q, r) for p, q, r in ((c, a, b), (a, b, c), (b, c, a))
+               if frozenset((q, r)) in arc_of]
+        if not pie:
+            continue
+        v1, v2, v3 = (vertices[i] for i in pie[0])
+        arc = domain.arcs[arc_of[frozenset(pie[0][1:])]]
+        if eval_conic(arc.conic, v1) <= 0:
+            err = MeshError("e", f"conic not positive at interior vertex of pie {ti}")
+            return err.condition, str(err)
+        for s in np.linspace(0.02, 0.98, 50):
+            chord_pt = v2 + s * (v3 - v2)
+            try:
+                apt = arc_point_on_ray_scalar(arc, v1, chord_pt)
+            except GeometryError as exc:
+                err = MeshError("d", f"pie {ti} not star-shaped: {exc}")
+                return err.condition, str(err)
+            for r in (0.25, 0.55, 0.8, 0.95):
+                x = v1 + r * (apt - v1)
+                if eval_conic(arc.conic, x) <= 0:
+                    err = MeshError("e", f"conic not positive inside pie {ti} at {tuple(x)}")
+                    return err.condition, str(err)
+    return None
+
+
+def curved_midpoints_scalar(mesh):
+    """Per pie in mesh order, the point where the ray from its interior
+    vertex through its chord midpoint meets its arc."""
+    out = []
+    for rec in mesh.triangles:
+        if rec.kind == PIE:
+            v1, v2, v3 = (mesh.vertices[i] for i in rec.verts)
+            out.append(arc_point_on_ray_scalar(mesh.domain.arcs[rec.arc], v1, 0.5 * (v2 + v3)))
+    return np.array(out)
+
+
+def pie_quadrature_scalar(mesh, t):
+    """Nodes (PIE_ORDER**2, 2) and weights of the blended tensor Gauss rule
+    on pie t, one ray at a time (see assembly.pie_quadrature)."""
+    rec = mesh.triangles[t]
+    if rec.kind != PIE:
+        raise asm.AssemblyError(f"triangle {t} is not pie-shaped")
+    v1, v2, v3 = mesh.tri_coords(t)
+    arc = mesh.domain.arcs[rec.arc]
+    n = asm.PIE_ORDER
+    xg, wg = roots_legendre(n)
+    r = 0.5 * (xg + 1.0)
+    wr = 0.5 * wg
+    s = 0.5 * (xg + 1.0)
+    ws = 0.5 * wg
+    cdir = v3 - v2
+    apts = np.empty((n, 2))
+    adot = np.empty((n, 2))
+    for j in range(n):
+        c = v2 + s[j] * cdir
+        a = arc_point_on_ray_scalar(arc, v1, c)
+        g = grad_conic(arc.conic, a)
+        denom = float(g @ (c - v1))
+        if denom == 0.0:
+            raise asm.AssemblyError(f"tangential ray on pie {t} (star-shape violated)")
+        tpar = float((a - v1) @ (c - v1)) / float((c - v1) @ (c - v1))
+        tdot = -tpar * float(g @ cdir) / denom
+        apts[j] = a
+        adot[j] = tdot * (c - v1) + tpar * cdir
+    js = (apts[:, 0] - v1[0]) * adot[:, 1] - (apts[:, 1] - v1[1]) * adot[:, 0]
+    if np.any(js <= 0):
+        raise asm.AssemblyError(f"non-positive blending Jacobian on pie triangle {t}")
+    nodes = (v1 + r[:, None, None] * (apts - v1)).reshape(-1, 2)
+    weights = (wr[:, None] * ws * r[:, None] * js).ravel()
+    return nodes, weights

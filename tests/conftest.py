@@ -3,7 +3,7 @@ import pytest
 
 from conicfem.geometry import BoundaryArc, Conic, ConicDomain
 from conicfem.mesh import refine_uniform
-from conicfem.problems import builtin_domain, wheel_mesh
+from conicfem.problems import builtin_domain, disk_domain, disk_wheel_points, wheel_mesh
 from conicfem.space import build_space
 
 
@@ -40,6 +40,18 @@ def ellipse_mesh(ellipse):
 @pytest.fixture(scope="session")
 def ellipse_mesh2(ellipse_mesh):
     return refine_uniform(ellipse_mesh)
+
+
+@pytest.fixture(scope="session")
+def hierarchies():
+    """Levels 1-3 of the disk, ellipse-exp and c2-domain meshes."""
+    out = {}
+    for pid in ("disk", "ellipse-exp", "c2-domain"):
+        meshes = [builtin_domain(pid)[1]]
+        while len(meshes) < 3:
+            meshes.append(refine_uniform(meshes[-1]))
+        out[pid] = meshes
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -99,3 +111,40 @@ def lens_mesh():
 @pytest.fixture(scope="session")
 def lens_space(lens_mesh):
     return build_space(lens_mesh)
+
+
+def _wheel_data(pts, arcs, shrink=0.55):
+    """Vertices, triangles and boundary edges of problems.wheel_mesh (centre
+    at the origin), before validation."""
+    b = np.asarray(pts, dtype=float)
+    n = len(b)
+    ring = shrink * (0.5 * (b + np.roll(b, -1, axis=0)))
+    tris = []
+    for i in range(n):
+        tris += [(n + i, i, (i + 1) % n), (i, n + (i - 1) % n, n + i),
+                 (2 * n, n + (i - 1) % n, n + i)]
+    return np.vstack([b, ring, [0.0, 0.0]]), tris, [(i, (i + 1) % n, arcs[i]) for i in range(n)]
+
+
+@pytest.fixture(scope="session")
+def wheels():
+    """Raw wheel meshes (domain, vertices, triangles, boundary edges) of
+    the disk, and of the disk with its lower-right quarter arc replaced by
+    a concave circular arc ("circle-bite", centre (1, -1)) or by a
+    hyperbola branch ("hyperbola-bite", 2(x-y)^2 - (x+y)^2 = 1) through
+    (0, -1) and (1, 0).  The bites fail condition (e), respectively (d),
+    first at pie 18: its rays run through the concave side of the conic."""
+    pts, arcs = disk_wheel_points()
+    out = {"disk": (disk_domain(), *_wheel_data(pts, arcs))}
+    circle = Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))
+    corners = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    for name, bite, mid in (
+            ("circle-bite", Conic((1.0, 0.0, 1.0, -2.0, 2.0, 1.0)),
+             (1.0 - np.sqrt(0.5), np.sqrt(0.5) - 1.0)),
+            ("hyperbola-bite", Conic((1.0, -6.0, 1.0, 0.0, 0.0, -1.0)),
+             (np.sqrt(2.0) / 4.0, -np.sqrt(2.0) / 4.0))):
+        dom = ConicDomain(tuple(BoundaryArc(circle, corners[j], corners[j + 1])
+                                for j in range(3))
+                          + (BoundaryArc(bite, corners[3], corners[0]),))
+        out[name] = (dom, *_wheel_data(pts[:7] + [mid], arcs))
+    return out

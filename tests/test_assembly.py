@@ -1,17 +1,19 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from conicfem import assembly as asm
+from conicfem.geometry import GeometryError
 from conicfem.mesh import PIE
-from conicfem.problems import (builtin_domain, disk_exact_solution,
-                               wheel_mesh)
+from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
+                               disk_wheel_points, wheel_mesh)
 from conicfem.space import build_space
 
 from _oracles import (assemble_per_triangle, disk_radial_integral,
-                      error_norms_per_triangle, triangle_designs,
-                      triangle_maps)
+                      error_norms_per_triangle, pie_quadrature_scalar,
+                      triangle_designs, triangle_maps)
 
 EYE = asm.constant_matrix(np.eye(2))
 
@@ -41,11 +43,70 @@ def test_areas(disk_space2, ellipse_mesh2):
 
 def test_pie_quadrature_jacobians(disk_space):
     mesh = disk_space.mesh
-    for t in mesh.triangles_of_kind(PIE):
-        _, weights = asm.pie_quadrature(mesh, t)
-        assert np.all(weights > 0)
+    pies = mesh.triangles_of_kind(PIE)
+    nodes, weights = asm.pie_quadrature(mesh, pies)
+    assert nodes.shape == (len(pies), asm.PIE_ORDER ** 2, 2)
+    assert weights.shape == (len(pies), asm.PIE_ORDER ** 2)
+    assert np.all(weights > 0)
     with pytest.raises(asm.AssemblyError):
-        asm.pie_quadrature(mesh, mesh.triangles_of_kind("ordinary")[0])
+        asm.pie_quadrature(mesh, mesh.triangles_of_kind("ordinary")[:1])
+
+
+def test_pie_quadrature_is_bit_identical_to_scalar_rule(hierarchies, c2_space):
+    for meshes in hierarchies.values():
+        for mesh in meshes:
+            pies = mesh.triangles_of_kind(PIE)
+            nodes, weights = asm.pie_quadrature(mesh, pies)
+            for i, t in enumerate(pies):
+                want_nodes, want_weights = pie_quadrature_scalar(mesh, t)
+                np.testing.assert_array_equal(nodes[i], want_nodes)
+                np.testing.assert_array_equal(weights[i], want_weights)
+    # the chunks of a space store the same rule
+    quad = asm.TriangleQuadrature(c2_space)
+    for t in c2_space.mesh.triangles_of_kind(PIE):
+        want_nodes, want_weights = pie_quadrature_scalar(c2_space.mesh, t)
+        np.testing.assert_array_equal(quad.nodes[t], want_nodes)
+        np.testing.assert_array_equal(quad.weights[t], want_weights)
+
+
+def _first_scalar_failure(mesh, pies):
+    for t in pies:
+        try:
+            pie_quadrature_scalar(mesh, t)
+        except (asm.AssemblyError, GeometryError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def test_pie_quadrature_errors_name_the_first_failing_pie(disk_mesh2, c2dom, wheels):
+    # interior vertices moved at random: the blending Jacobian changes sign
+    # on several pies at once, and on the disk wheel with its last arc
+    # replaced by a hyperbola branch (fails mesh validation) rays miss
+    hyperbola = copy.copy(wheel_mesh(disk_domain(), *disk_wheel_points()))
+    hyperbola.domain, hyperbola.vertices = wheels["hyperbola-bite"][:2]
+    rng = np.random.default_rng(7)
+    seen = set()
+    for base in (disk_mesh2, c2dom[1], hyperbola):
+        pies = base.triangles_of_kind(PIE)
+        inner = ~base.vertex_is_boundary
+        scale = np.abs(base.vertices).max()
+        for size in np.repeat([0.0, 0.1, 0.2, 0.4], 8):
+            mesh = copy.copy(base)
+            mesh.vertices = base.vertices.copy()
+            mesh.vertices[inner] += size * scale * rng.standard_normal((inner.sum(), 2))
+            want = _first_scalar_failure(mesh, pies)
+            if want is None:
+                nodes, weights = asm.pie_quadrature(mesh, pies)
+                for i, t in enumerate(pies):
+                    want_nodes, want_weights = pie_quadrature_scalar(mesh, t)
+                    np.testing.assert_array_equal(nodes[i], want_nodes)
+                    np.testing.assert_array_equal(weights[i], want_weights)
+            else:
+                with pytest.raises(want[0]) as err:
+                    asm.pie_quadrature(mesh, pies)
+                assert str(err.value) == want[1]
+            seen.add(want and want[0])
+    assert seen == {None, asm.AssemblyError, GeometryError}
 
 
 def test_mass_matrix_spd_and_symmetry(disk_space):

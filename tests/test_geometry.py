@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from conicfem import bernstein as bb
 from conicfem import geometry as geo
+from conicfem.problems import c2_domain, disk_domain, ellipse_domain
 
-from _oracles import de_casteljau
+from _oracles import arc_point_on_ray_scalar, de_casteljau
 
 CIRCLE = geo.Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))      # 1 - x^2 - y^2
 ELLIPSE = geo.Conic((-1.0, 0.0, -6.25, 0.0, 0.0, 1.0))    # 1 - x^2 - 6.25 y^2
@@ -87,6 +91,53 @@ def test_arc_point_on_ray_residual_and_errors():
     with pytest.raises(geo.GeometryError):
         # through point already beyond the arc: both crossings behind it
         geo.arc_point_on_ray(arc, (0.0, 0.0), (2.0, 0.0))
+
+
+BUILTIN_ARCS = [a for dom in (disk_domain(), ellipse_domain(), c2_domain()) for a in dom.arcs]
+
+
+def _scalar_outcome(arc, origin, through):
+    try:
+        return arc_point_on_ray_scalar(arc, origin, through)
+    except geo.GeometryError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BUILTIN_ARCS), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=0, max_value=10**9))
+def test_batched_ray_points_match_scalar_rule(arc, n, seed):
+    # rays between random points around the domain: most meet the arc
+    # once, some twice, not at all or beyond reach; a few are degenerate
+    rng = np.random.default_rng(seed)
+    scale = np.abs(np.array([arc.start, arc.end])).max()
+    origin = rng.uniform(-1.2, 1.2, (n, 2)) * scale
+    through = rng.uniform(-1.2, 1.2, (n, 2)) * scale
+    through[rng.random(n) < 0.05] = origin[0]
+    origin[rng.random(n) < 0.05] = origin[0]
+    want = [_scalar_outcome(arc, o, t) for o, t in zip(origin, through)]
+    failing = [i for i, w in enumerate(want) if isinstance(w, str)]
+    for i in range(n):      # each row alone, as a point and as one row
+        for o, t in ((origin[i], through[i]), (origin[i:i + 1], through[i:i + 1])):
+            if i in failing:
+                with pytest.raises(geo.GeometryError) as err:
+                    geo.arc_point_on_ray(arc, o, t)
+                assert str(err.value) == want[i] and err.value.row == 0
+            else:
+                got = geo.arc_point_on_ray(arc, o, t)
+                assert got.shape == np.shape(t)
+                np.testing.assert_array_equal(got.reshape(2), want[i])
+    if failing:
+        with pytest.raises(geo.GeometryError) as err:
+            geo.arc_point_on_ray(arc, origin, through)
+        assert err.value.row == failing[0] and str(err.value) == want[failing[0]]
+    ok = [i for i in range(n) if i not in failing]
+    got = geo.arc_point_on_ray(arc, origin[ok], through[ok])
+    np.testing.assert_array_equal(got, np.array([want[i] for i in ok]).reshape(-1, 2))
+    # one origin broadcast against many through points
+    got = [_scalar_outcome(arc, origin[0], t) for t in through]
+    if all(not isinstance(g, str) for g in got):
+        np.testing.assert_array_equal(geo.arc_point_on_ray(arc, origin[0], through), got)
 
 
 def test_conic_bb_form_constant_and_circle():

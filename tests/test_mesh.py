@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicfem import mesh as msh
-from conicfem.geometry import eval_conic
+from conicfem.geometry import GeometryError, arc_point_on_ray, eval_conic
 from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError, refine_uniform
 from conicfem.problems import builtin_domain, disk_domain, disk_wheel_points
+
+from _oracles import arc_point_on_ray_scalar, curved_midpoints_scalar, pie_conditions_scalar
 
 
 def test_disk_classification(disk_mesh):
@@ -73,6 +77,118 @@ def test_condition_e_rejected(disk_mesh):
     assert err.value.condition in ("d", "e")
 
 
+def test_condition_e_at_interior_vertex_message(wheels):
+    dom, verts, tris, boundary = wheels["disk"]
+    verts = verts.copy()
+    verts[8] *= 2.64 / np.linalg.norm(verts[8])     # pie 0's interior vertex
+    with pytest.raises(MeshError) as err:
+        msh.classify_and_validate(dom, verts, tris, boundary)
+    assert str(err.value) == "condition (e): conic not positive at interior vertex of pie 0"
+
+
+def test_condition_e_inside_pie_message(wheels):
+    # the ray from pie 18's interior vertex crosses the bite's circle before
+    # the chord and leaves it beyond: one crossing, through negative conic
+    dom, verts, tris, boundary = wheels["circle-bite"]
+    with pytest.raises(MeshError) as err:
+        msh.classify_and_validate(dom, verts, tris, boundary)
+    assert err.value.condition == "e"
+    assert str(err.value).startswith("condition (e): conic not positive inside pie 18 at (")
+    assert pie_conditions_scalar(dom, verts, tris, boundary) == ("e", str(err.value))
+
+
+def test_condition_d_message(wheels):
+    # the rays of pie 18 enter the bite's hyperbola before the chord and
+    # never leave it: no crossing beyond the through point
+    dom, verts, tris, boundary = wheels["hyperbola-bite"]
+    with pytest.raises(MeshError) as err:
+        msh.classify_and_validate(dom, verts, tris, boundary)
+    assert str(err.value) == (
+        "condition (d): pie 18 not star-shaped: expected one ray/arc crossing "
+        "beyond the through point, found 0 (star-shapedness violated?)")
+
+
+def test_pie_check_casts_fifty_rays_per_pie(disk_mesh2, monkeypatch):
+    # (d)/(e) sample every pie at chord parameters 0.02, ..., 0.98 (50),
+    # one batched query per arc with the arc's pies in mesh order
+    calls = []
+
+    def spy(arc, origin, through):
+        calls.append((arc, origin, through))
+        return arc_point_on_ray(arc, origin, through)
+
+    m = disk_mesh2
+    monkeypatch.setattr(msh, "arc_point_on_ray", spy)
+    msh.classify_and_validate(m.domain, m.vertices, [rec.verts for rec in m.triangles],
+                              [(*rec.verts, rec.arc) for rec in m.edges if rec.arc is not None])
+    assert [c[0] for c in calls] == list(m.domain.arcs)
+    s = np.linspace(0.02, 0.98, 50)[:, None]
+    for a, (_, origin, through) in enumerate(calls):
+        pies = [m.triangles[t].verts for t in m.triangles_of_kind(PIE) if m.triangles[t].arc == a]
+        v1, v2, v3 = m.vertices[pies].transpose(1, 0, 2)
+        np.testing.assert_array_equal(origin, np.repeat(v1, 50, axis=0))
+        np.testing.assert_array_equal(
+            through, np.concatenate([b + s * (c - b) for b, c in zip(v2, v3)]))
+
+
+def test_pie_conditions_match_scalar_walk(wheels, hierarchies):
+    # interior vertices moved at random, several pies failing at once: the
+    # batched check reports the scalar walk's first failure, word for word
+    bases = list(wheels.values())
+    for pid, level in (("disk", 2), ("ellipse-exp", 2), ("c2-domain", 1)):
+        m = hierarchies[pid][level - 1]
+        bases.append((m.domain, m.vertices, [rec.verts for rec in m.triangles],
+                      [(*rec.verts, rec.arc) for rec in m.edges if rec.arc is not None]))
+    rng = np.random.default_rng(3)
+    seen = set()
+    for dom, verts, tris, boundary in bases:
+        inner = np.ones(len(verts), dtype=bool)
+        inner[[v for b in boundary for v in b[:2]]] = False
+        scale = np.abs(verts).max()
+        for size in np.repeat([0.0, 0.03, 0.1, 0.3], 3):
+            moved = verts.copy()
+            moved[inner] += size * scale * rng.standard_normal((inner.sum(), 2))
+            try:
+                msh.classify_and_validate(dom, moved, tris, boundary)
+                got = None
+            except MeshError as exc:
+                if exc.condition not in ("d", "e"):
+                    continue
+                got = (exc.condition, str(exc))
+            assert got == pie_conditions_scalar(dom, moved, tris, boundary)
+            seen.add(got and got[1].split(" pie ")[0])
+    assert seen == {None, "condition (d):",
+                    "condition (e): conic not positive at interior vertex of",
+                    "condition (e): conic not positive inside"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10**9))
+def test_pie_arc_points_report_the_first_failing_ray(n_pies, m, seed):
+    # pies on random arcs of the disk, rays from inside through points
+    # that may lie beyond the circle (no crossing ahead)
+    dom = disk_domain()
+    rng = np.random.default_rng(seed)
+    arcs = rng.integers(0, len(dom.arcs), n_pies)
+    v1 = rng.uniform(-0.6, 0.6, (n_pies, 2))
+    through = v1[:, None] + rng.uniform(-0.7, 0.7, (n_pies, m, 2))
+    points, failure = msh.pie_arc_points(dom, arcs, v1, through)
+    first, failed_arcs = None, set()
+    for p in range(n_pies):
+        for j in range(m):
+            try:
+                want = arc_point_on_ray_scalar(dom.arcs[arcs[p]], v1[p], through[p, j])
+            except GeometryError as exc:
+                first = first or (p, j, str(exc))
+                failed_arcs.add(arcs[p])
+                want = np.full(2, np.nan)
+            if arcs[p] in failed_arcs:      # from the arc's first failure on
+                want = np.full(2, np.nan)
+            np.testing.assert_array_equal(points[p, j], want)
+    assert (failure and (*failure[:2], str(failure[2]))) == first
+
+
 def test_fans_joined_at_one_vertex_rejected(disk_mesh):
     # two copies of the disk mesh that share only their centre vertex pass
     # the Euler relation; the centre's triangle fan is disconnected
@@ -135,12 +251,23 @@ def test_refine_pie_curved_midpoint():
     assert abs(np.linalg.norm(x) - 1.0) < 1e-13
 
 
+def test_curved_midpoints_match_scalar_rule(hierarchies):
+    # refinement keeps the coarse vertices, then numbers the curved
+    # midpoints in pie order
+    for meshes in hierarchies.values():
+        for coarse, fine in zip(meshes, meshes[1:]):
+            n = coarse.n_vertices
+            want = curved_midpoints_scalar(coarse)
+            np.testing.assert_array_equal(fine.vertices[:n], coarse.vertices)
+            np.testing.assert_array_equal(fine.vertices[n:n + len(want)], want)
+
+
 def test_refinement_preserves_conditions_deep():
     # six levels on the disk and the ellipse, five on the C2 domain
     for pid, levels in (("disk", 6), ("ellipse-exp", 6), ("c2-domain", 5)):
         _, mesh = builtin_domain(pid)
         for _ in range(levels - 1):
-            mesh = refine_uniform(mesh, star_samples=10)
+            mesh = refine_uniform(mesh)
         assert mesh.level == levels
         assert mesh.n_vertices - len(mesh.edges) + mesh.n_triangles == 1
 

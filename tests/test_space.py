@@ -277,10 +277,8 @@ def _points_by_kind(space, rng, per_tri=3):
         pts += list((b / b.sum(axis=1, keepdims=True)) @ tri)
         tris += [t] * per_tri
         if rec.kind == PIE:
-            arc = mesh.domain.arcs[rec.arc]
-            for u in rng.uniform(0.1, 0.9, per_tri):
-                c = tri[1] + u * (tri[2] - tri[1])
-                a = arc_point_on_ray(arc, tri[0], c)
+            chord = tri[1] + rng.uniform(0.1, 0.9, per_tri)[:, None] * (tri[2] - tri[1])
+            for c, a in zip(chord, arc_point_on_ray(mesh.domain.arcs[rec.arc], tri[0], chord)):
                 pts.append(tri[0] + rng.uniform(0.3, 0.9) * (a - tri[0]))
                 if bb.barycentric(tri, a)[0] < 0:    # the arc bulges out
                     pts.append(c + rng.uniform(0.1, 0.9) * (a - c))
@@ -309,11 +307,11 @@ def test_point_queries_match_oracle(c2_space):
     assert grads is None and hess is None
     # points on the boundary arcs: located on their pie, where s vanishes
     arc_pts = []
+    u = np.array([0.25, 0.5, 0.75])[:, None]
     for t in mesh.triangles_of_kind(PIE):
         tri = mesh.tri_coords(t)
         arc = mesh.domain.arcs[mesh.triangles[t].arc]
-        arc_pts += [arc_point_on_ray(arc, tri[0], tri[1] + u * (tri[2] - tri[1]))
-                    for u in (0.25, 0.5, 0.75)]
+        arc_pts += list(arc_point_on_ray(arc, tri[0], tri[1] + u * (tri[2] - tri[1])))
     assert (space.locate(arc_pts) >= 0).all()
     assert np.abs(s.evaluate(arc_pts, order=0)[0]).max() < 1e-10 * np.abs(s.dofs).max()
     # outside the domain
