@@ -278,25 +278,25 @@ def assemble(problem, quad):
 
     Local matrices are computed for a chunk of triangles at a time with
     stacked matmuls, which per triangle run the same BLAS products as a
-    loop over single triangles; the local blocks and right-hand-side pieces
-    are then summed in mesh order, so the system does not depend on the
-    chunking."""
+    loop over single triangles; the local blocks are then summed in mesh
+    order, so the system does not depend on the chunking.  The
+    right-hand side is assemble_rhs of the problem (zero without f)."""
     space = quad.space
     n = space.dimension
     sizes = np.diff(space.tri_cols_offset)
     block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # COO slots
-    piece = space.tri_cols_offset                             # rhs slots
     rows = np.empty(block[-1], dtype=np.int64)
     cols = np.empty(block[-1], dtype=np.int64)
     vals = np.empty(block[-1])
-    rhs_vals = np.empty(piece[-1])
     for ch in quad.chunks:
         g, k = ch.cols.shape
         w = ch.weights[:, :, None]
-        Phi = ch.V @ ch.Z
-        Dx, Dy = (M @ ch.Z for M in ch.G)
-        PhiT = Phi.swapaxes(1, 2)
         loc = np.zeros((g, k, k))
+        if problem.A is not None or problem.b is not None:
+            Dx, Dy = (M @ ch.Z for M in ch.G)
+        if problem.b is not None or problem.c is not None:
+            Phi = ch.V @ ch.Z
+            PhiT = Phi.swapaxes(1, 2)
         if problem.A is not None:
             Amat = np.asarray(problem.A(ch))
             qx = Amat[:, :, 0, 0, None] * Dx + Amat[:, :, 0, 1, None] * Dy
@@ -307,19 +307,31 @@ def assemble(problem, quad):
             loc += PhiT @ (w * (bvec[:, :, 0, None] * Dx + bvec[:, :, 1, None] * Dy))
         if problem.c is not None:
             loc += PhiT @ ((ch.weights * np.asarray(problem.c(ch)))[:, :, None] * Phi)
-        if problem.f is not None:
-            wf = (ch.weights * np.asarray(problem.f(ch)))[:, :, None]
-            rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
         slots = block[ch.tris][:, None] + np.arange(k * k)
         rows[slots] = np.repeat(ch.cols, k, axis=1)
         cols[slots] = np.tile(ch.cols, (1, k))
         vals[slots] = loc.reshape(g, k * k)
-    rhs = np.zeros(n)
-    if problem.f is not None:
-        # one unbuffered sum per dof, triangle by triangle in mesh order
-        np.add.at(rhs, space.tri_cols, rhs_vals)
+    rhs = assemble_rhs(problem, quad) if problem.f is not None else np.zeros(n)
     matrix = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     return SparseSystem(matrix, rhs)
+
+
+def assemble_rhs(problem, quad):
+    """Right-hand side int f v of the weak form alone (problem.f must be
+    given): per chunk only the basis values Phi = V @ Z and Phi^T (w f),
+    then one unbuffered sum per dof, triangle by triangle in mesh order.
+    A Newton step whose matrix is already factored needs only this."""
+    space = quad.space
+    piece = space.tri_cols_offset
+    rhs_vals = np.empty(piece[-1])
+    for ch in quad.chunks:
+        k = ch.cols.shape[1]
+        PhiT = (ch.V @ ch.Z).swapaxes(1, 2)
+        wf = (ch.weights * np.asarray(problem.f(ch)))[:, :, None]
+        rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
+    rhs = np.zeros(space.dimension)
+    np.add.at(rhs, space.tri_cols, rhs_vals)
+    return rhs
 
 
 @dataclass
@@ -327,34 +339,57 @@ class SolveResult:
     dofs: np.ndarray
     rel_residual: float
     lu_fill: int            # nonzeros of the L and U factors
+    factors: object = None  # of solve_sparse: the Factors it made
 
 
-def solve_sparse(system):
-    """Direct sparse solve with a residual check.
+class Factors:
+    """SuperLU factors of a sparse matrix, kept with the matrix so that
+    every solve with them, the first or a later one with another
+    right-hand side, runs the same refinement step and residual check.
 
     The Galerkin matrices are symmetric (or nearly so), so SuperLU runs in
     symmetric mode: minimum-degree ordering on A + A^T and diagonal pivots
-    unless one is below 0.01 of its column's largest entry.  One step of
-    iterative refinement with the same factors follows."""
-    A, b = system.matrix, system.rhs
-    try:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.01, options={"SymmetricMode": True})
-    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
-        raise SolverError(f"matrix is singular: {exc}") from exc
-    x = lu.solve(b)
-    x += lu.solve(b - A @ x)
-    if not np.all(np.isfinite(x)):
-        raise SolverError("sparse factorization produced non-finite values "
-                          "(matrix singular or severely ill-conditioned)")
-    bn = np.linalg.norm(b)
-    res = np.linalg.norm(A @ x - b) / (bn if bn > 0 else 1.0)
-    if res > 1e-6:
-        est = spla.norm(A) * np.linalg.norm(x) / max(bn, 1e-300)
-        raise SolverError(
-            f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
-        )
-    return SolveResult(x, float(res), int(lu.L.nnz + lu.U.nnz))
+    unless one is below 0.01 of its column's largest entry."""
+
+    def __init__(self, matrix):
+        try:
+            self.lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.01,
+                                options={"SymmetricMode": True})
+        except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"matrix is singular: {exc}") from exc
+        self.matrix = matrix
+        self.lu_fill = int(self.lu.L.nnz + self.lu.U.nnz)
+
+    def solve(self, rhs):
+        """Solve with the factors, one step of iterative refinement, and a
+        residual check; SolverError when the result is not finite or its
+        relative residual exceeds 1e-6."""
+        A, b, lu = self.matrix, rhs, self.lu
+        x = lu.solve(b)
+        x += lu.solve(b - A @ x)
+        if not np.all(np.isfinite(x)):
+            raise SolverError("sparse factorization produced non-finite values "
+                              "(matrix singular or severely ill-conditioned)")
+        bn = np.linalg.norm(b)
+        res = np.linalg.norm(A @ x - b) / (bn if bn > 0 else 1.0)
+        if res > 1e-6:
+            est = spla.norm(A) * np.linalg.norm(x) / max(bn, 1e-300)
+            raise SolverError(
+                f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
+            )
+        return SolveResult(x, float(res), self.lu_fill)
+
+
+def solve_sparse(system):
+    """Direct sparse solve with a residual check (see Factors).  The
+    result's factors solve further right-hand sides with the same matrix
+    without factoring it again; results of those solves hold no factors,
+    so dropping this result and the factors frees them."""
+    factors = Factors(system.matrix)
+    result = factors.solve(system.rhs)
+    result.factors = factors
+    return result
 
 
 # ---------------------------------------------------------------------------

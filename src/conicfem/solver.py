@@ -16,7 +16,7 @@ start from a quasi-interpolant of the previous level's last iterate.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class LevelReport:
     level: int
     dimension: int
     iterations: int
+    # L2 norms of the applied corrections, one per real Newton step; the
+    # last one is the frozen-factor correction that stopped the level
+    # (unless a real correction stopped it, see run_level)
     update_norms: list
     residual: float
     errors: tuple = None        # vs exact solution, (L2, H1, H2)
@@ -66,7 +69,8 @@ class LevelReport:
     eps_rates: dict = field(default_factory=dict)   # of eps_errors
     # least Hessian eigenvalue over all iterates linearized at: below 0 at
     # the start of some converging levels (ellipse-sin L1 -9.80e-2, Poisson
-    # guess; c2-domain L2 -4.00e-1, transfer guess; next step 0.455, 0.393)
+    # guess; c2-domain L2 -4.00e-1, transfer guess; next step 0.455, 0.393);
+    # at any later iterate, eigmin <= 0 stops the level with a SolverError
     hessian_eigmin: float = None
     diverged: bool = False
     init_errors: tuple = None
@@ -77,9 +81,12 @@ class LevelReport:
     # norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
     # facts of the level's Newton solves: the largest matrix "nnz",
-    # "lu_fill" (L + U nonzeros) and "rel_residual", and the "newton_floor"
-    # (the effective tolerance of the last correction, see run_level),
-    # and the "fill_defect" of the level's space
+    # "lu_fill" (L + U nonzeros) and "rel_residual"; the counts of
+    # "factorizations" (one per real step) and "frozen_solves" (solves with
+    # the factors of the step before); the "newton_floor" (the roundoff
+    # floor at the final iterate, see newton_floor) and the "stop_ratio"
+    # (the last correction over the threshold STOP_MARGIN * newton_floor
+    # it passed); and the "fill_defect" of the level's space
     solver: dict = field(default_factory=dict)
 
 
@@ -138,63 +145,157 @@ def poisson_initial_guess(ctx, g):
     return ctx.space.spline(result.dofs)
 
 
-def newton_step(ctx, u, g, solves=None):
-    """One Newton update; returns (new iterate, L2 norm of the correction,
-    eigmin of the linearization).  Appends (matrix nnz, SolveResult) of the
-    step's solve to the list solves when one is given."""
+# The stop rule of run_level.  A correction below the floor
+# NEWTON_FLOOR * eps * |u| is roundoff: the nominal tolerance can sit below
+# what double precision resolves in an assembled correction.  A level stops
+# on a correction below STOP_MARGIN times that floor.  Roundoff-only
+# corrections measure up to 1.7x the floor (c2-domain L5; up to 0.82x on
+# c2-domain L4 under one-ulp changes of its iterate), and the smallest real
+# correction that must not stop a level is 42.8x (ellipse-sin L3;
+# c2-domain L3 55x, disk L3 100x).  A margin of 8 leaves 4.7x below it and
+# 5.3x above it.
+NEWTON_FLOOR = 100.0
+STOP_MARGIN = 8.0
+
+
+class NewtonSolves:
+    """Facts of one level's sparse solves, and its live factorization.
+
+    Keeps the largest matrix nnz, LU fill and relative residual, and counts
+    factorizations and frozen-factor solves.  factors holds the Factors of
+    the latest factorization only: the caller sets it to None before the
+    next matrix is assembled, so at most one factorization is alive."""
+
+    def __init__(self):
+        self.nnz = self.lu_fill = self.factorizations = self.frozen_solves = 0
+        self.rel_residual = 0.0
+        self.factors = None
+
+    def factored(self, nnz, result):
+        """Record the solve of a fresh factorization and keep its factors."""
+        self.factorizations += 1
+        self.nnz = max(self.nnz, nnz)
+        self.lu_fill = max(self.lu_fill, result.lu_fill)
+        self.rel_residual = max(self.rel_residual, result.rel_residual)
+        self.factors = result.factors
+
+    def re_solved(self, result):
+        """Record a solve with the kept factors."""
+        self.frozen_solves += 1
+        self.rel_residual = max(self.rel_residual, result.rel_residual)
+
+    def facts(self):
+        return {"nnz": self.nnz, "lu_fill": self.lu_fill,
+                "rel_residual": self.rel_residual,
+                "factorizations": self.factorizations,
+                "frozen_solves": self.frozen_solves}
+
+
+def newton_rhs(ctx, u, g):
+    """The linearization at u and the right-hand side of its Galerkin
+    system: (problem, eigmin, rhs), see linearize_ma."""
     problem, eigmin = linearize_ma(u, g, ctx.quad)
-    system = asm.assemble(problem, ctx.quad)
-    result = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
+    return problem, eigmin, asm.assemble_rhs(problem, ctx.quad)
+
+
+def _corrected(ctx, u, dofs):
+    """(u - w, L2 norm of w) for the correction w with the given dofs."""
+    w = ctx.space.spline(dofs)
+    return ctx.space.spline(u.dofs - w.dofs), asm.l2_norm(w, ctx.quad)
+
+
+def newton_step(ctx, u, g, solves=None, linearized=None):
+    """One real Newton step: linearize at u, assemble, factor and solve.
+    Returns (new iterate, L2 norm of the correction, eigmin of the
+    linearization).  linearized, the newton_rhs of u when the caller has
+    it, is used instead of forming it again.  solves, a NewtonSolves,
+    records the solve and keeps the step's factors."""
+    if linearized is None:
+        linearized = newton_rhs(ctx, u, g)
+    problem, eigmin, rhs = linearized
+    # the right-hand side comes with the linearization: the matrix alone here
+    matrix = asm.assemble(replace(problem, f=None), ctx.quad).matrix
+    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs))
     if solves is not None:
-        solves.append((system.matrix.nnz, result))
-    w = ctx.space.spline(result.dofs)
-    u_next = ctx.space.spline(u.dofs - w.dofs)
-    return u_next, asm.l2_norm(w, ctx.quad), eigmin
+        solves.factored(matrix.nnz, result)
+    return (*_corrected(ctx, u, result.dofs), eigmin)
 
 
-def run_level(ctx, g, u0, tol=1e-15, max_iter=20, floor_factor=100.0):
-    """Newton iteration on one level until the correction norm drops below tol.
+def frozen_step(ctx, u, linearized, factors):
+    """Simplified Newton correction at u: the right-hand side of
+    linearized (the newton_rhs of u) solved with the factors of an earlier
+    step.  Returns (new iterate, L2 norm of the correction, SolveResult)."""
+    result = factors.solve(-linearized[2])
+    return (*_corrected(ctx, u, result.dofs), result)
 
-    Corrections smaller than floor_factor * eps * |u| are roundoff-level
-    and also terminate the loop: the nominal tolerance 1e-15 can sit below
-    the double-precision floor of the assembled correction.  The reported
-    iteration count excludes the final below-tolerance correction (except
-    that a single immediately-converged step counts as one), matching the
+
+def newton_floor(u, quad, tol):
+    """The roundoff floor max(tol, NEWTON_FLOOR * eps * |u|) of a Newton
+    correction that gave the iterate u; the stop threshold is STOP_MARGIN
+    times it."""
+    return max(tol, NEWTON_FLOOR * np.finfo(float).eps * asm.l2_norm(u, quad))
+
+
+def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
+    """Newton iteration on one level, stopped by the termination test of
+    Deuflhard's error-oriented Newton code NLEQ-ERR (P. Deuflhard, Newton
+    Methods for Nonlinear Problems, Springer 2004, sec. 2.1).
+
+    Each real step (newton_step) linearizes, assembles, factors and solves.
+    After it, the linearization at the new iterate gives a right-hand side
+    alone, solved with that step's factors: the simplified Newton
+    correction.  Near convergence it differs from the full correction by
+    O(|previous correction| * |correction|).  When it is below STOP_MARGIN
+    times newton_floor of the corrected iterate it is applied and the level
+    stops; otherwise the factors are released and the next real step
+    assembles its matrix from that same linearization.  A real correction
+    below the threshold also stops the level.  At most max_iter real steps
+    run; four growing corrections in a row count as divergence.
+
+    Every iterate after the starting one must be strictly convex (Hessian
+    eigmin > 0 at all quadrature nodes), or the linearization is not
+    elliptic and SolverError names the level and the iterate.  The reported
+    iteration count is the number of real steps, less a final real
+    correction that passed the stop rule unless it is the only one: the
     convention of the reference convergence tables.
     """
-    u = u0
-    norms = []
-    solves = []
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    solves = NewtonSolves()
+    u, norms, linearized = u0, [], None
     eigmin = np.inf
-    diverged = False
-    converged = False
+    stopped_by = None
     for k in range(1, max_iter + 1):
-        u, n, e = newton_step(ctx, u, g, solves)
+        solves.factors = None       # released before the next assembly
+        u, n, e = newton_step(ctx, u, g, solves, linearized)
         norms.append(n)
         eigmin = min(eigmin, e)
-        tol_eff = max(tol, floor_factor * np.finfo(float).eps
-                      * asm.l2_norm(u, ctx.quad))
-        if n < tol_eff:
-            converged = True
+        floor = newton_floor(u, ctx.quad, tol)
+        if n < STOP_MARGIN * floor:
+            stopped_by = "real"
             break
         if len(norms) >= 4 and norms[-1] > norms[-2] > norms[-3] > norms[-4]:
-            diverged = True
             break
-    else:
-        diverged = True
-    if len(norms) == 1:
-        m = 1
-    elif converged:
-        m = len(norms) - 1
-    else:
-        m = len(norms)
-    facts = {}
-    if solves:
-        facts = {"nnz": max(nnz for nnz, _ in solves),
-                 "lu_fill": max(r.lu_fill for _, r in solves),
-                 "rel_residual": max(r.rel_residual for _, r in solves),
-                 "newton_floor": float(tol_eff)}
-    state = NewtonState(u, m, norms, diverged, facts)
+        linearized = newton_rhs(ctx, u, g)
+        e = linearized[1]
+        eigmin = min(eigmin, e)
+        if not e > 0.0:
+            raise asm.SolverError(
+                f"level {ctx.mesh.level}: Newton iterate {k} is not convex "
+                f"(least Hessian eigenvalue {e:.3e}), so its linearization "
+                "is not elliptic")
+        u_next, n_next, result = frozen_step(ctx, u, linearized, solves.factors)
+        solves.re_solved(result)
+        floor_next = newton_floor(u_next, ctx.quad, tol)
+        if n_next < STOP_MARGIN * floor_next:
+            u, n, floor = u_next, n_next, floor_next
+            norms.append(n)
+            stopped_by = "frozen"
+            break
+    m = k - 1 if stopped_by == "real" and k > 1 else k
+    facts = dict(solves.facts(), newton_floor=float(floor),
+                 stop_ratio=float(n / (STOP_MARGIN * floor)))
+    state = NewtonState(u, m, norms, stopped_by is None, facts)
     return state, eigmin
 
 
@@ -331,8 +432,9 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             prev_report.eps_errors = asm.error_norms(
                 u, ctx.quad, ref_coeffs=list(zip(coarse.degree, coarse.exact)))
         timings["norms"] = time.perf_counter() - start
-        log.info("level %d: dim=%d m=%d R=%.3e updates=%s", lev, rep.dimension,
-                 rep.iterations, rep.residual,
+        log.info("level %d: dim=%d m=%d factorizations=%d R=%.3e updates=%s",
+                 lev, rep.dimension, rep.iterations,
+                 rep.solver["factorizations"], rep.residual,
                  ["%.1e" % n for n in rep.update_norms])
         reports.append(rep)
         prev_u, prev_report = u, rep

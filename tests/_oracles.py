@@ -10,7 +10,9 @@ linearization loops are the straightforward forms of the chunked kernels
 in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
 the space's stacked maps must reproduce the per-triangle extraction from
 the fill; the per-triangle error norms evaluate the spline through its
-own pieces.  The level transfer's tangent-corner dofs are checked
+own pieces.  Newton's termination by a frozen-factor correction is
+checked against the loop that confirms convergence with one more full
+step.  The level transfer's tangent-corner dofs are checked
 against the projection of the coarse gradient at the corner.  The
 scalar ray/arc rule, one ray at a time, and the pie rules built on it
 (the (d)/(e) walk, curved midpoints, the per-pie quadrature) are the
@@ -24,6 +26,7 @@ from scipy.special import roots_legendre
 
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
+from conicfem import solver as sol
 from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
                                normalized_pie_conic)
 from conicfem.mesh import ORDINARY, PIE, MeshError
@@ -561,6 +564,31 @@ def error_norms_per_triangle(spline, quad, ref_batch):
         h2s += float(w @ (hess[:, 0, 0] ** 2 + 2.0 * hess[:, 0, 1] ** 2
                           + hess[:, 1, 1] ** 2))
     return np.sqrt(l2), np.sqrt(l2 + h1s), np.sqrt(l2 + h1s + h2s)
+
+
+# ---------------------------------------------------------------------------
+# Newton termination by one more full step
+
+def run_level_full_steps(ctx, g, u0, tol=1e-15, max_iter=20):
+    """Newton iteration that confirms convergence with one more full step:
+    every correction, the confirming one too, linearizes, assembles and
+    factors anew (solver.newton_step), and the loop stops on the first
+    correction below max(tol, 100 eps |u|) at the corrected iterate.
+    Returns (final iterate, m, correction norms, diverged), m counting the
+    corrections but the confirming one, unless that is the only one."""
+    u = u0
+    norms = []
+    converged = False
+    for _ in range(max_iter):
+        u, n, _ = sol.newton_step(ctx, u, g)
+        norms.append(n)
+        if n < max(tol, 100.0 * np.finfo(float).eps * asm.l2_norm(u, ctx.quad)):
+            converged = True
+            break
+        if len(norms) >= 4 and norms[-1] > norms[-2] > norms[-3] > norms[-4]:
+            break
+    m = len(norms) - 1 if converged and len(norms) > 1 else len(norms)
+    return u, m, norms, not converged
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,51 @@ def test_singular_poisson_solve_raises_solver_error(disk_space):
         asm.solve_sparse(asm.SparseSystem(A, np.ones(n)))
 
 
+@pytest.mark.parametrize("scale, message", [(1e-100, "residual"),
+                                            (1e-160, "non-finite")])
+def test_frozen_resolve_of_ill_conditioned_system_raises(disk_space, scale, message):
+    # the Poisson matrix with one dof's row and column scaled down: the
+    # factors solve a right-hand side that does not reach that dof, and a
+    # re-solve with them that does runs the same checks and fails
+    import scipy.sparse as sps
+    n = disk_space.dimension
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(asm.LinearEllipticProblem(A=EYE), quad).matrix
+    d = np.ones(n)
+    d[n // 2] = scale
+    A = (sps.diags(d) @ K @ sps.diags(d)).tocsr()
+    first = asm.solve_sparse(asm.SparseSystem(A, np.eye(n)[0]))
+    assert first.rel_residual < 1e-12
+    with np.errstate(all="ignore"), pytest.raises(asm.SolverError, match=message):
+        first.factors.solve(np.ones(n))
+
+
+def test_frozen_resolve_matches_a_fresh_solve(disk_space):
+    quad = asm.TriangleQuadrature(disk_space)
+    system = asm.assemble(asm.LinearEllipticProblem(
+        A=EYE, f=asm.pointwise(lambda x: np.ones(len(x)))), quad)
+    first = asm.solve_sparse(system)
+    b = np.random.default_rng(3).standard_normal(disk_space.dimension)
+    again = first.factors.solve(b)
+    fresh = asm.solve_sparse(asm.SparseSystem(system.matrix, b))
+    np.testing.assert_array_equal(again.dofs, fresh.dofs)
+    assert again.rel_residual == fresh.rel_residual < 1e-12
+    assert again.lu_fill == first.lu_fill
+    assert again.factors is None      # only solve_sparse hands factors back
+
+
+def test_rhs_only_assembly_is_the_assembled_rhs(disk_space2, monkeypatch):
+    # the right-hand side alone forms no derivative products and no matrix
+    quad = asm.TriangleQuadrature(disk_space2)
+    problem = asm.LinearEllipticProblem(
+        A=EYE, f=asm.pointwise(lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2))
+    want = asm.assemble(problem, quad).rhs
+    monkeypatch.setattr(asm.sps, "coo_matrix", None)
+    for ch in quad.chunks:
+        monkeypatch.setattr(ch, "G", None)
+    np.testing.assert_array_equal(asm.assemble_rhs(problem, quad), want)
+
+
 def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
     import scipy.sparse.linalg as spla
     quad = asm.TriangleQuadrature(disk_space2)

@@ -8,11 +8,11 @@ from conicfem import bernstein as bb
 from conicfem import solver as sol
 from conicfem.mesh import BUFFER, ORDINARY
 from conicfem.mesh import refine_uniform
-from conicfem.problems import disk_exact_solution, problem_g
+from conicfem.problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
 from conicfem.space import SplineFunction, SplineSpace, build_space
 
 from _oracles import (corner_dofs_by_gradient, error_norms_per_triangle, eval_bb,
-                      linearize_ma_per_triangle)
+                      linearize_ma_per_triangle, run_level_full_steps)
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,12 @@ def test_run_level_infinite_tolerance(disk_ctx, disk_problem):
     assert len(state.update_norms) == 1
 
 
+def test_run_level_needs_one_step(disk_ctx, disk_problem):
+    u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        sol.run_level(disk_ctx, disk_problem.g, u0, max_iter=0)
+
+
 def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     fine_ctx = sol.LevelContext(disk_mesh2)
     zero = disk_ctx.space.zero()
@@ -294,6 +300,13 @@ def test_level_solver_facts(disk_problem):
         facts = rep.solver
         assert facts["lu_fill"] > facts["nnz"] > 0
         assert facts["rel_residual"] < 1e-10
+        # one factorization per real step, each followed by a frozen solve;
+        # the last one stopped the level
+        assert facts["factorizations"] == facts["frozen_solves"] == rep.iterations
+        assert len(rep.update_norms) == rep.iterations + 1
+        assert facts["stop_ratio"] == rep.update_norms[-1] / (
+            sol.STOP_MARGIN * facts["newton_floor"])
+        assert facts["stop_ratio"] < 1.0
     # the last level stopped at the roundoff floor of its final iterate
     floor = 100.0 * np.finfo(float).eps * asm.l2_norm(
         u, asm.TriangleQuadrature(u.space))
@@ -325,7 +338,7 @@ def test_multilevel_run_rejects_levels_below_one(disk_problem, levels):
 def test_level_line_is_logged(disk_problem, caplog):
     with caplog.at_level(logging.INFO, logger="conicfem"):
         sol.multilevel_run(disk_problem, 1)
-    assert "level 1: dim=134 m=3" in caplog.text
+    assert "level 1: dim=134 m=3 factorizations=3" in caplog.text
 
 
 def test_rates_do_not_depend_on_levels_run(disk_problem):
@@ -372,3 +385,137 @@ def test_chunks_and_splines_read_the_space_maps(disk_ctx, disk_ctx2, disk_proble
     monkeypatch.setattr(SplineFunction, "factor", per_triangle)
     sol.newton_step(disk_ctx2, u, g)
     sol.coarse_on_fine(u1, disk_ctx2.space)
+
+
+def test_non_convex_iterate_after_the_first_raises(disk_ctx, disk_problem):
+    # from the concave mirror of the Poisson guess Newton heads for the
+    # concave solution of det(Hessian u) = g; the start is exempt, the
+    # first iterate is not
+    g = disk_problem.g
+    u0 = sol.poisson_initial_guess(disk_ctx, g)
+    with pytest.raises(asm.SolverError,
+                       match="level 1: Newton iterate 1 is not convex"):
+        sol.run_level(disk_ctx, g, disk_ctx.space.spline(-u0.dofs))
+
+
+def test_no_factorization_outlives_its_step(disk_problem, monkeypatch):
+    # at most one set of factors is alive, and none while a matrix is
+    # assembled: each is released before the next real step assembles
+    import weakref
+    made = []
+    real_assemble = asm.assemble
+
+    class Tracked(asm.Factors):
+        def __init__(self, matrix):
+            assert all(ref() is None for ref in made)
+            super().__init__(matrix)
+            made.append(weakref.ref(self))
+
+    def assemble(problem, quad):
+        assert all(ref() is None for ref in made)
+        return real_assemble(problem, quad)
+
+    monkeypatch.setattr(asm, "Factors", Tracked)
+    monkeypatch.setattr(asm, "assemble", assemble)
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    assert len(made) == 1 + sum(rep.iterations for rep in reports)
+    assert all(ref() is None for ref in made)
+
+
+# m of levels 1-2 in the convergence tables
+SHIPPED_M = {"disk": [3, 2], "ellipse-exp": [5, 1], "ellipse-sin": [5, 3],
+             "c2-domain": [4, 4]}
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_shipped_problems_pass_the_convexity_check(pid):
+    # ellipse-sin L1 (Poisson guess) and c2-domain L2 (transfer guess)
+    # start outside the convex cone, which only the start may do
+    dom, mesh = builtin_domain(pid)
+    reports, _ = sol.multilevel_run(
+        sol.MongeAmpereProblem(dom, mesh, problem_g(pid), name=pid), 2)
+    assert [rep.iterations for rep in reports] == SHIPPED_M[pid]
+    assert not any(rep.diverged for rep in reports)
+    starts_concave = {"ellipse-sin": 0, "c2-domain": 1}.get(pid)
+    for lev, rep in enumerate(reports):
+        assert (rep.hessian_eigmin < 0.0) == (lev == starts_concave)
+
+
+@pytest.mark.parametrize("pid, levels", [("disk", 3), ("ellipse-exp", 2),
+                                         ("ellipse-sin", 3), ("c2-domain", 2)])
+def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
+                                               monkeypatch):
+    # the same m and, to roundoff, the same final iterate as confirming
+    # convergence by one more full step, with one factorization (one
+    # solve_sparse call) per counted step instead of m + 1, and one
+    # right-hand side per iterate linearized at.  ellipse-sin L3 has the
+    # smallest real correction relative to the floor (42.8x), which a
+    # wider stop margin would take for converged
+    calls = [0]
+    rhs_calls = [0]
+    real, real_rhs = asm.solve_sparse, asm.assemble_rhs
+
+    def counting(system):
+        calls[0] += 1
+        return real(system)
+
+    def counting_rhs(problem, quad):
+        rhs_calls[0] += 1
+        return real_rhs(problem, quad)
+
+    monkeypatch.setattr(asm, "solve_sparse", counting)
+    monkeypatch.setattr(asm, "assemble_rhs", counting_rhs)
+    g = problem_g(pid)
+    u = None
+    for mesh in hierarchies[pid.replace("-sin", "-exp")][:levels]:
+        ctx = sol.LevelContext(mesh)
+        u0 = (sol.poisson_initial_guess(ctx, g) if u is None
+              else sol.transfer_guess(u, ctx.space))
+        calls[0] = rhs_calls[0] = 0
+        state, _ = sol.run_level(ctx, g, u0)
+        new_calls, calls[0] = calls[0], 0
+        assert rhs_calls[0] == len(state.update_norms) == state.iterations + 1
+        want, m, norms, diverged = run_level_full_steps(ctx, g, u0)
+        assert not state.diverged and not diverged
+        assert (state.spline.space.dimension, state.iterations) == (
+            want.space.dimension, m)
+        assert state.solver["factorizations"] == new_calls == m
+        assert calls[0] == len(norms) == m + 1
+        # measured 0: the two last corrections differ far below one ulp
+        # of the dofs, so the final iterates agree bit for bit here
+        rel = np.abs(state.spline.dofs - want.dofs).max() / np.abs(want.dofs).max()
+        assert rel < 1e-12
+        u = state.spline
+
+
+@pytest.fixture(scope="module")
+def c2_ctx4(hierarchies):
+    return sol.LevelContext(refine_uniform(hierarchies["c2-domain"][2]))
+
+
+def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
+    # c2-domain L4 from the Poisson guess: the frozen correction fails the
+    # stop rule after real steps 1-3 and passes after step 4, also when
+    # the iterate after step 4 moves by random one-ulp changes, so m = 4
+    # is no roundoff draw
+    ctx, g = c2_ctx4, problem_g("c2-domain")
+
+    def frozen_ratio(u, factors):
+        u_next, n, _ = sol.frozen_step(ctx, u, sol.newton_rhs(ctx, u, g), factors)
+        return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad, 1e-15))
+
+    solves = sol.NewtonSolves()
+    u = sol.poisson_initial_guess(ctx, g)
+    for k in range(1, 5):
+        solves.factors = None
+        u, n, _ = sol.newton_step(ctx, u, g, solves)
+        assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
+        assert (frozen_ratio(u, solves.factors) < 1.0) == (k == 4)
+    rng = np.random.default_rng(11)
+    ratios = [frozen_ratio(ctx.space.spline(
+                  u.dofs + rng.integers(-1, 2, u.dofs.shape) * np.spacing(u.dofs)),
+                  solves.factors)
+              for _ in range(20)]
+    # measured at most 0.097 (0.78x the floor), so this keeps more than a
+    # 4x margin under the threshold
+    assert max(ratios) < 0.25
