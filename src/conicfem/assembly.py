@@ -137,6 +137,30 @@ def pie_quadrature(mesh, tris):
 # triangles per chunk: keeps each stacked (g, q, c) array of assemble near 2 MB
 CHUNK = 128
 
+# The reference triangle of the straight design matrices.  Its barycentric
+# coordinates are (x, y, 1 - x - y), so the directional coordinates of x and
+# y are e0 - e2 and e1 - e2: its Cartesian derivative matrices are the
+# derivatives along those two reference directions.
+REFERENCE_TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+def reference_design(d, rule):
+    """(V, [G0, G1], [H00, H01, H11]) of degree d at the nodes of rule,
+    each (nq, nc): the Bernstein design matrix and its first and second
+    derivatives along the reference directions e0 - e2 and e1 - e2."""
+    B = [bb.bernstein_matrix(d - s, rule.bary) for s in range(3)]
+    return bb.derivative_matrices(d, REFERENCE_TRIANGLE, *B)
+
+
+def straight_frames(coords):
+    """(g, 2, 2) frames of straight triangles (g, 3, 2): row 0 holds the
+    first two directional coordinates of x, row 1 those of y, so that the
+    Cartesian gradient is M @ (the gradient along the reference
+    directions) and the Hessian M @ Href @ M^T."""
+    ax = bb.directional_coords(coords, (1.0, 0.0))
+    ay = bb.directional_coords(coords, (0.0, 1.0))
+    return np.stack([ax[..., :2], ay[..., :2]], axis=-2)
+
 
 @dataclass(eq=False)
 class QuadratureChunk:
@@ -144,10 +168,17 @@ class QuadratureChunk:
     stacked along the leading axis: triangles tris (g,) in mesh order,
     their vertices coords (g, 3, 2), dofs cols (g, k) and patch maps Z
     (g, nc, k) (views into the space's MapGroup); nodes (g, nq, 2) and
-    weights (g, nq); the design matrix V of the degree-`degree` Bernstein
-    basis, shared (nq, nc) on straight triangles and (g, nq, nc) on pies,
-    and its derivatives G = [Gx, Gy] and H = [Hxx, Hxy, Hyy], each (g, nq,
-    nc).  Chunks compare by identity, so they can key per-chunk tables."""
+    weights (g, nq); V, the design matrix of the degree-`degree`
+    Bernstein basis.
+
+    How the derivatives are held depends on the kind, and only this class
+    reads them:
+    - pies: G = [Gx, Gy] and H = [Hxx, Hxy, Hyy], the Cartesian
+      derivatives of V, each a (g, nq, nc) stack like V itself;
+    - straight triangles: ref, the shared reference_design of each degree
+      (V is ref[degree][0]), and the frames M (g, 2, 2) of
+      straight_frames; G and H are None.
+    Chunks compare by identity, so they can key per-chunk tables."""
 
     degree: int
     tris: np.ndarray
@@ -157,14 +188,99 @@ class QuadratureChunk:
     nodes: np.ndarray
     weights: np.ndarray
     V: np.ndarray
-    G: list
-    H: list
+    G: list = None
+    H: list = None
+    M: np.ndarray = None
+    ref: dict = None
 
     def at_nodes(self, fn):
         """A callable of (n, 2) points evaluated at the chunk's nodes
         (flattened to (g * nq, 2)), shaped (g, nq, ...)."""
         vals = np.asarray(fn(self.nodes.reshape(-1, 2)))
         return vals.reshape(self.weights.shape + vals.shape[1:])
+
+    def arrays(self):
+        """The arrays of the chunk's quadrature data, each once, the shared
+        reference matrices included (the maps Z and cols are the space's)."""
+        out = [self.coords, self.nodes, self.weights]
+        if self.M is None:
+            return out + [self.V, *self.G, *self.H]
+        return out + [self.M] + [m for V, G, H in self.ref.values() for m in [V, *G, *H]]
+
+    def _design(self, degree):
+        """(V, G, H) of a degree: the chunk's own on pies, the shared
+        reference_design on straight triangles."""
+        if self.M is not None:
+            return self.ref[self.degree if degree is None else degree]
+        if degree not in (None, self.degree):
+            raise ValueError(f"pie chunk of degree {self.degree} has no "
+                             f"degree-{degree} design")
+        return self.V, self.G, self.H
+
+    def gradient_maps(self):
+        """Gradients of the local basis at the nodes, [D0, D1] with each
+        (g, nq, k), in the chunk's frame: along x and y on pies, along the
+        reference directions on straight triangles.  in_frame writes the
+        weak form's coefficients in the same frame."""
+        return [Gs @ self.Z for Gs in self._design(None)[1]]
+
+    def in_frame(self, A=None, b=None):
+        """A (g, nq, 2, 2) and b (g, nq, 2) in the frame of gradient_maps:
+        M^T A M and M^T b on straight triangles (grad u . A grad v equals
+        D u . (M^T A M) D v for the frame gradients D), unchanged on pies."""
+        if self.M is None:
+            return A, b
+        m = [[self.M[:, i, j, None] for j in range(2)] for i in range(2)]
+        if A is not None:
+            AM = [[A[..., i, 0] * m[0][j] + A[..., i, 1] * m[1][j] for j in range(2)]
+                  for i in range(2)]
+            MtAM = np.empty(A.shape)
+            for i in range(2):
+                for j in range(2):
+                    MtAM[..., i, j] = m[0][i] * AM[0][j] + m[1][i] * AM[1][j]
+            A = MtAM
+        if b is not None:
+            b = np.stack([m[0][j] * b[..., 0] + m[1][j] * b[..., 1] for j in range(2)],
+                         axis=-1)
+        return A, b
+
+    def values(self, C, rows=slice(None), degree=None):
+        """Values (g, nq) at the nodes of the polynomials with BB
+        coefficients C (g, nc, 1) of degree `degree` (the chunk's by
+        default; a higher one only on straight triangles), one for each
+        triangle of the chunk that rows selects."""
+        V = self._design(degree)[0]
+        return apply_stacked([V if V.ndim == 2 else V[rows]], C)[0]
+
+    def gradients(self, C, rows=slice(None), degree=None):
+        """Cartesian gradients (gx, gy), each (g, nq), of the polynomials
+        of values."""
+        G = self._design(degree)[1]
+        if self.M is None:
+            return apply_stacked([Gs[rows] for Gs in G], C)
+        r0, r1 = apply_stacked(G, C)
+        m = self.M[rows]
+        return (m[:, 0, 0, None] * r0 + m[:, 0, 1, None] * r1,
+                m[:, 1, 0, None] * r0 + m[:, 1, 1, None] * r1)
+
+    def hessians(self, C, rows=slice(None), degree=None):
+        """Cartesian Hessian entries (hxx, hxy, hyy), each (g, nq), of the
+        polynomials of values."""
+        H = self._design(degree)[2]
+        if self.M is None:
+            return apply_stacked([Hs[rows] for Hs in H], C)
+        h00, h01, h11 = apply_stacked(H, C)
+        m = self.M[rows]
+        m00, m01 = m[:, 0, 0, None], m[:, 0, 1, None]
+        m10, m11 = m[:, 1, 0, None], m[:, 1, 1, None]
+        p00, p01 = m00 * h00 + m01 * h01, m00 * h01 + m01 * h11     # M Href
+        p10, p11 = m10 * h00 + m11 * h01, m10 * h01 + m11 * h11
+        return p00 * m00 + p01 * m01, p00 * m10 + p01 * m11, p10 * m10 + p11 * m11
+
+    def derivatives(self, C, rows=slice(None), degree=None):
+        """[v, gx, gy, hxx, hxy, hyy]: values, gradients and hessians."""
+        return [self.values(C, rows, degree), *self.gradients(C, rows, degree),
+                *self.hessians(C, rows, degree)]
 
 
 def apply_stacked(mats, coeffs):
@@ -176,41 +292,43 @@ def apply_stacked(mats, coeffs):
 class TriangleQuadrature:
     """Quadrature nodes, weights and basis design matrices of a space,
     stored once per chunk (at most CHUNK triangles of one of the space's
-    map groups) in `chunks`.  nodes[t] and weights[t] are per-triangle
-    views into the chunks."""
+    map groups) in `chunks`.  Straight chunks share the reference design
+    matrices `ref` of each degree."""
 
     def __init__(self, space):
         self.space = space
         self.rule = triangle_rule(QUAD_DEGREE)
-        self._ref = {d: [bb.bernstein_matrix(d - s, self.rule.bary) for s in range(3)]
-                     for d in (5, 6)}
+        self.ref = {d: reference_design(d, self.rule) for d in (5, 6)}
         self.chunks = [self._chunk(grp, slice(i, i + CHUNK))
                        for grp in space.groups for i in range(0, len(grp.tris), CHUNK)]
-        self.nodes = [None] * space.mesh.n_triangles
-        self.weights = [None] * space.mesh.n_triangles
-        for ch in self.chunks:
-            for i, t in enumerate(ch.tris):
-                self.nodes[t], self.weights[t] = ch.nodes[i], ch.weights[i]
 
     def _chunk(self, grp, rows):
         mesh = self.space.mesh
         idx, d = grp.tris[rows], grp.degree
         coords = mesh.vertices[[mesh.triangles[t].verts for t in idx]]
+        data = (d, idx, coords, grp.cols[rows], grp.Z[rows])
         if grp.kind == PIE:
             nodes, weights = pie_quadrature(mesh, idx)
             # basis of the chord triangle, evaluated at the curved nodes
             V, G, H = bb.design_matrices(d, coords, bb.barycentric_many(coords, nodes))
-        else:
-            nodes = self.rule.bary @ coords
-            weights = np.abs(bb.triangle_area(coords))[:, None] * self.rule.weights
-            V, G, H = self.straight_design(coords, d)
-        return QuadratureChunk(d, idx, coords, grp.cols[rows], grp.Z[rows],
-                               nodes, weights, V, G, H)
+            return QuadratureChunk(*data, nodes, weights, V, G, H)
+        nodes = self.rule.bary @ coords
+        weights = np.abs(bb.triangle_area(coords))[:, None] * self.rule.weights
+        return QuadratureChunk(*data, nodes, weights, self.ref[d][0],
+                               M=straight_frames(coords), ref=self.ref)
 
-    def straight_design(self, coords, d):
-        """(V, G, H) of degree d (5 or 6) at the reference-rule nodes of
-        straight triangles (g, 3, 2): V is shared, G and H are stacked."""
-        return bb.derivative_matrices(d, coords, *self._ref[d])
+    @property
+    def nodes(self):
+        """The quadrature nodes of each chunk, flattened to (g * nq, 2)
+        (the benchmark's traced runs count quadrature points with it)."""
+        return [ch.nodes.reshape(-1, 2) for ch in self.chunks]
+
+    @property
+    def nbytes(self):
+        """Bytes held by the quadrature data of all chunks, each shared
+        array (the reference design matrices) counted once."""
+        arrays = {id(a): a for ch in self.chunks for a in ch.arrays()}
+        return sum(a.nbytes for a in arrays.values())
 
 
 def _quadrature_sums(quad, fields):
@@ -229,10 +347,6 @@ def _quadrature_sums(quad, fields):
 def integrate(quad, field):
     """Integral of a pointwise field over the mesh."""
     return _quadrature_sums(quad, lambda ch: [ch.at_nodes(field)])[0]
-
-
-def domain_area(quad):
-    return integrate(quad, lambda x: np.ones(len(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,32 +393,44 @@ def assemble(problem, quad):
     Local matrices are computed for a chunk of triangles at a time with
     stacked matmuls, which per triangle run the same BLAS products as a
     loop over single triangles; the local blocks are then summed in mesh
-    order, so the system does not depend on the chunking.  The
-    right-hand side is assemble_rhs of the problem (zero without f)."""
+    order, so the system does not depend on the chunking.  The gradient
+    terms are formed in each chunk's frame (QuadratureChunk.gradient_maps
+    and in_frame).  The right-hand side is assemble_rhs of the problem
+    (zero without f)."""
     space = quad.space
     n = space.dimension
     sizes = np.diff(space.tri_cols_offset)
     block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # COO slots
-    rows = np.empty(block[-1], dtype=np.int64)
-    cols = np.empty(block[-1], dtype=np.int64)
+    # scipy keeps 32-bit indices whenever they fit; 64-bit ones it would copy
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    rows = np.empty(block[-1], dtype=index)
+    cols = np.empty(block[-1], dtype=index)
     vals = np.empty(block[-1])
     for ch in quad.chunks:
         g, k = ch.cols.shape
         w = ch.weights[:, :, None]
         loc = np.zeros((g, k, k))
         if problem.A is not None or problem.b is not None:
-            Dx, Dy = (M @ ch.Z for M in ch.G)
+            D0, D1 = ch.gradient_maps()
+            Amat, bvec = ch.in_frame(
+                None if problem.A is None else np.asarray(problem.A(ch)),
+                None if problem.b is None else np.asarray(problem.b(ch)))
         if problem.b is not None or problem.c is not None:
             Phi = ch.V @ ch.Z
             PhiT = Phi.swapaxes(1, 2)
+        # weighting the (g, nq, 2, 2) coefficients costs less than the (g, nq, k) products
         if problem.A is not None:
-            Amat = np.asarray(problem.A(ch))
-            qx = Amat[:, :, 0, 0, None] * Dx + Amat[:, :, 0, 1, None] * Dy
-            qy = Amat[:, :, 1, 0, None] * Dx + Amat[:, :, 1, 1, None] * Dy
-            loc += Dx.swapaxes(1, 2) @ (w * qx) + Dy.swapaxes(1, 2) @ (w * qy)
+            wA = w[..., None] * Amat
+            q0 = wA[:, :, 0, 0, None] * D0
+            q0 += wA[:, :, 0, 1, None] * D1
+            q1 = wA[:, :, 1, 0, None] * D0
+            q1 += wA[:, :, 1, 1, None] * D1
+            loc += D0.swapaxes(1, 2) @ q0 + D1.swapaxes(1, 2) @ q1
         if problem.b is not None:
-            bvec = np.asarray(problem.b(ch))
-            loc += PhiT @ (w * (bvec[:, :, 0, None] * Dx + bvec[:, :, 1, None] * Dy))
+            wb = w * bvec
+            q = wb[:, :, 0, None] * D0
+            q += wb[:, :, 1, None] * D1
+            loc += PhiT @ q
         if problem.c is not None:
             loc += PhiT @ ((ch.weights * np.asarray(problem.c(ch)))[:, :, None] * Phi)
         slots = block[ch.tris][:, None] + np.arange(k * k)
@@ -414,7 +540,7 @@ def error_norms(spline, quad, ref=None, ref_coeffs=None):
     def fields(ch):
         C = spline.pieces(ch.Z, ch.cols)
         if ref_coeffs is None:
-            diff = apply_stacked([ch.V, *ch.G, *ch.H], C)
+            diff = ch.derivatives(C)
             if ref is not None:
                 rv, rg, rh = (ch.at_nodes(r) for r in ref)
                 diff = [a - b for a, b in zip(diff, (
@@ -422,18 +548,14 @@ def error_norms(spline, quad, ref=None, ref_coeffs=None):
         else:
             diff = [np.empty(ch.weights.shape) for _ in range(6)]
             degree = np.array([ref_coeffs[t][0] for t in ch.tris])
-            for d in np.unique(degree):
+            for d in np.unique(degree).tolist():
                 rows = slice(None) if (degree == d).all() else degree == d
                 R = np.array([ref_coeffs[t][1] for t in ch.tris[rows]])[:, :, None]
                 if d == ch.degree:
-                    V = ch.V if ch.V.ndim == 2 else ch.V[rows]
-                    mats = [V] + [M[rows] for M in ch.G + ch.H]
                     D = C[rows] - R
                 else:   # a straight triangle under a parent of higher degree
-                    V, G, H = quad.straight_design(ch.coords[rows], int(d))
-                    mats = [V, *G, *H]
-                    D = bb.degree_raise_matrix(ch.degree, int(d)) @ C[rows] - R
-                for out, f in zip(diff, apply_stacked(mats, D)):
+                    D = bb.degree_raise_matrix(ch.degree, d) @ C[rows] - R
+                for out, f in zip(diff, ch.derivatives(D, rows, d)):
                     out[rows] = f
         v, gx, gy, hxx, hxy, hyy = diff
         return (v * v, gx ** 2 + gy ** 2, hxx ** 2 + 2.0 * hxy ** 2 + hyy ** 2)
@@ -449,7 +571,7 @@ def error_norms(spline, quad, ref=None, ref_coeffs=None):
 def l2_norm(spline, quad):
     """L2 norm of a spline (values only, no derivatives)."""
     def fields(ch):
-        vals = apply_stacked([ch.V], spline.pieces(ch.Z, ch.cols))[0]
+        vals = ch.values(spline.pieces(ch.Z, ch.cols))
         return [vals * vals]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))
@@ -458,7 +580,7 @@ def l2_norm(spline, quad):
 def residual_norm(spline, quad, g):
     """L2 norm of det(Hessian of spline) - g over the domain."""
     def fields(ch):
-        r = hessian_det(*apply_stacked(ch.H, spline.pieces(ch.Z, ch.cols))) - ch.at_nodes(g)
+        r = hessian_det(*ch.hessians(spline.pieces(ch.Z, ch.cols))) - ch.at_nodes(g)
         return [r * r]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))

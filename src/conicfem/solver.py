@@ -86,7 +86,8 @@ class LevelReport:
     # the factors of the step before); the "newton_floor" (the roundoff
     # floor at the final iterate, see newton_floor) and the "stop_ratio"
     # (the last correction over the threshold STOP_MARGIN * newton_floor
-    # it passed); and the "fill_defect" of the level's space
+    # it passed); the "fill_defect" of the level's space; and "quad_mb",
+    # the MB (2**20 bytes) of its quadrature data (TriangleQuadrature.nbytes)
     solver: dict = field(default_factory=dict)
 
 
@@ -121,7 +122,7 @@ def linearize_ma(u, g, quad):
     res_tab = {}
     eigmin = np.inf
     for ch in quad.chunks:
-        hxx, hxy, hyy = asm.apply_stacked(ch.H, u.pieces(ch.Z, ch.cols))
+        hxx, hxy, hyy = ch.hessians(u.pieces(ch.Z, ch.cols))
         cof = np.empty(hxx.shape + (2, 2))
         cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
         cof[..., 0, 1] = cof[..., 1, 0] = -hxy
@@ -421,7 +422,8 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             init_errors=init_err,
             init_residual=init_res,
             timings=timings,
-            solver=dict(state.solver, fill_defect=ctx.space.fill_defect),
+            solver=dict(state.solver, fill_defect=ctx.space.fill_defect,
+                        quad_mb=ctx.quad.nbytes / 2**20),
         )
         if problem.exact is not None:
             rep.errors = asm.error_norms(u, ctx.quad, ref=problem.exact)

@@ -10,15 +10,20 @@ linearization loops are the straightforward forms of the chunked kernels
 in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
 the space's stacked maps must reproduce the per-triangle extraction from
 the fill; the per-triangle error norms evaluate the spline through its
-own pieces.  Newton's termination by a frozen-factor correction is
-checked against the loop that confirms convergence with one more full
-step.  The level transfer's tangent-corner dofs are checked
+own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
+every straight triangle, the form the shared reference matrices replace;
+the two agree to a few eps.  Newton's termination by a frozen-factor
+correction is checked against the loop that confirms convergence with
+one more full step.  The level transfer's tangent-corner dofs are checked
 against the projection of the coarse gradient at the corner.  The
 scalar ray/arc rule, one ray at a time, and the pie rules built on it
 (the (d)/(e) walk, curved midpoints, the per-pie quadrature) are the
 straightforward forms of the batched per-arc queries in ``geometry``,
 ``mesh`` and ``assembly``, which must reproduce them bit for bit.
 """
+
+import copy
+import dataclasses
 
 import numpy as np
 import scipy.sparse as sps
@@ -448,25 +453,75 @@ def disk_radial_integral(f_of_r, n=200):
 
 
 # ---------------------------------------------------------------------------
-# per-triangle design matrices, Galerkin assembly, Monge-Ampere
-# linearization and error norms
+# per-triangle design data, Galerkin assembly, Monge-Ampere linearization
+# and error norms
+
+REFERENCE_TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
 
 def triangle_designs(quad):
-    """(V, G, H) per triangle at its quadrature nodes, each built for that
-    triangle alone: from the reference Bernstein matrices on straight
-    triangles, from the pie rule's barycentric points on pies."""
+    """(V, G, H, M) per triangle at its quadrature nodes, each built for
+    that triangle alone.  On pies: the Cartesian design matrices at the pie
+    rule's barycentric points, and M None.  On straight triangles: the
+    design matrices of the reference triangle (1, 0), (0, 1), (0, 0) at the
+    reference rule's nodes, whose derivatives run along e0 - e2 and
+    e1 - e2, and M (2, 2), the first two directional coordinates of x
+    (row 0) and of y (row 1)."""
     mesh = quad.space.mesh
     rule = asm.triangle_rule(asm.QUAD_DEGREE)
-    ref = {d: [bb.bernstein_matrix(d - s, rule.bary) for s in range(3)] for d in (5, 6)}
+    ref = {d: bb.design_matrices(d, REFERENCE_TRIANGLE, rule.bary) for d in (5, 6)}
     out = []
     for t in range(mesh.n_triangles):
         d = quad.space.tri_degree(t)
         tri = mesh.tri_coords(t)
         if mesh.triangles[t].kind == PIE:
             nodes = asm.pie_quadrature(mesh, [t])[0][0]
-            out.append(bb.design_matrices(d, tri, bb.barycentric_many(tri, nodes)))
+            out.append((*bb.design_matrices(d, tri, bb.barycentric_many(tri, nodes)), None))
         else:
-            out.append(bb.derivative_matrices(d, tri, *ref[d]))
+            M = np.array([bb.directional_coords(tri, (1.0, 0.0))[:2],
+                          bb.directional_coords(tri, (0.0, 1.0))[:2]])
+            out.append((*ref[d], M))
+    return out
+
+
+def frame_hessians(H, M, c):
+    """(hxx, hxy, hyy) of coefficients c from the design of
+    triangle_designs: H @ c on pies, M Href M^T on straight triangles."""
+    h = [Hs @ c for Hs in H]
+    if M is None:
+        return h
+    (m00, m01), (m10, m11) = M
+    h00, h01, h11 = h
+    p00, p01 = m00 * h00 + m01 * h01, m00 * h01 + m01 * h11
+    p10, p11 = m10 * h00 + m11 * h01, m10 * h01 + m11 * h11
+    return p00 * m00 + p01 * m01, p00 * m10 + p01 * m11, p10 * m10 + p11 * m11
+
+
+def triangle_nodes(quad):
+    """Triangle -> (its quadrature nodes (nq, 2), its weights (nq,)), read
+    from the chunks."""
+    return {t: (ch.nodes[i], ch.weights[i]) for ch in quad.chunks
+            for i, t in enumerate(ch.tris)}
+
+
+def domain_area(quad):
+    """Area of the mesh's domain by quadrature."""
+    return asm.integrate(quad, lambda x: np.ones(len(x)))
+
+
+def stored_quadrature(quad):
+    """A copy of quad whose straight chunks store Cartesian design matrices
+    G = [Gx, Gy] and H = [Hxx, Hxy, Hyy] (g, nq, nc), built by one batched
+    bb.derivative_matrices over each chunk's triangles, as pie chunks
+    store theirs: the stored form the reference matrices replace."""
+    out = copy.copy(quad)
+    out.chunks = []
+    for ch in quad.chunks:
+        if ch.M is not None:
+            B = [bb.bernstein_matrix(ch.degree - s, quad.rule.bary) for s in range(3)]
+            _, G, H = bb.derivative_matrices(ch.degree, ch.coords, *B)
+            ch = dataclasses.replace(ch, G=G, H=H, M=None, ref=None)
+        out.chunks.append(ch)
     return out
 
 
@@ -478,11 +533,14 @@ def _chunk_rows(quad):
 def assemble_per_triangle(problem, quad):
     """(CSR matrix, rhs) of a LinearEllipticProblem, one triangle at a time
     in mesh order.  Coefficient fields are evaluated once per chunk and
-    read row by row."""
+    read row by row.  On straight triangles the gradient terms are formed
+    along the reference directions, with A and b written in them as
+    M^T A M and M^T b."""
     space = quad.space
     mesh = space.mesh
     n = space.dimension
     designs = triangle_designs(quad)
+    nodes = triangle_nodes(quad)
     at = _chunk_rows(quad)
     tables = {name: {ch: np.asarray(fn(ch)) for ch in quad.chunks}
               for name, fn in vars(problem).items() if fn is not None}
@@ -495,20 +553,32 @@ def assemble_per_triangle(problem, quad):
     rhs = np.zeros(n)
     for t in range(mesh.n_triangles):
         gdofs, Z = space.local_map(t)
-        B, (Gx, Gy), _ = designs[t]
-        w = quad.weights[t]
+        B, (G0, G1), _, M = designs[t]
+        w = nodes[t][1]
         Phi = B @ Z
-        Dx = Gx @ Z
-        Dy = Gy @ Z
+        D0 = G0 @ Z
+        D1 = G1 @ Z
         loc = np.zeros((len(gdofs), len(gdofs)))
         if problem.A is not None:
             Amat = field("A", t)
-            qx = Amat[:, 0, 0, None] * Dx + Amat[:, 0, 1, None] * Dy
-            qy = Amat[:, 1, 0, None] * Dx + Amat[:, 1, 1, None] * Dy
-            loc += Dx.T @ (w[:, None] * qx) + Dy.T @ (w[:, None] * qy)
+            if M is not None:
+                AM = [[Amat[:, i, 0] * M[0, j] + Amat[:, i, 1] * M[1, j] for j in range(2)]
+                      for i in range(2)]
+                Amat = np.empty(Amat.shape)
+                for i in range(2):
+                    for j in range(2):
+                        Amat[:, i, j] = M[0, i] * AM[0][j] + M[1, i] * AM[1][j]
+            wA = w[:, None, None] * Amat
+            q0 = wA[:, 0, 0, None] * D0 + wA[:, 0, 1, None] * D1
+            q1 = wA[:, 1, 0, None] * D0 + wA[:, 1, 1, None] * D1
+            loc += D0.T @ q0 + D1.T @ q1
         if problem.b is not None:
             bvec = field("b", t)
-            loc += Phi.T @ (w[:, None] * (bvec[:, 0, None] * Dx + bvec[:, 1, None] * Dy))
+            if M is not None:
+                bvec = np.stack([M[0, j] * bvec[:, 0] + M[1, j] * bvec[:, 1]
+                                 for j in range(2)], axis=-1)
+            wb = w[:, None] * bvec
+            loc += Phi.T @ (wb[:, 0, None] * D0 + wb[:, 1, None] * D1)
         if problem.c is not None:
             cvals = field("c", t)
             loc += Phi.T @ ((w * cvals)[:, None] * Phi)
@@ -532,18 +602,17 @@ def linearize_ma_per_triangle(u, g, quad):
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
-    for t, (V, _, H) in enumerate(triangle_designs(quad)):
-        _, _, hess = bb.apply_design(V, None, H, u.patch(t))
-        cof = np.empty_like(hess)
-        cof[:, 0, 0] = hess[:, 1, 1]
-        cof[:, 1, 1] = hess[:, 0, 0]
-        cof[:, 0, 1] = cof[:, 1, 0] = -hess[:, 0, 1]
+    nodes = triangle_nodes(quad)
+    for t, (_, _, H, M) in enumerate(triangle_designs(quad)):
+        hxx, hxy, hyy = frame_hessians(H, M, u.patch(t))
+        cof = np.empty(hxx.shape + (2, 2))
+        cof[:, 0, 0] = hyy
+        cof[:, 1, 1] = hxx
+        cof[:, 0, 1] = cof[:, 1, 0] = -hxy
         cof_tab[t] = cof
-        res_tab[t] = (hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] * hess[:, 1, 0]
-                      - np.asarray(g(quad.nodes[t])))
-        half_tr = 0.5 * (hess[:, 0, 0] + hess[:, 1, 1])
-        rad = np.sqrt((0.5 * (hess[:, 0, 0] - hess[:, 1, 1])) ** 2
-                      + hess[:, 0, 1] ** 2)
+        res_tab[t] = hxx * hyy - hxy * hxy - np.asarray(g(nodes[t][0]))
+        half_tr = 0.5 * (hxx + hyy)
+        rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
         eigmin = min(eigmin, float((half_tr - rad).min()))
     return cof_tab, res_tab, eigmin
 
@@ -554,8 +623,9 @@ def error_norms_per_triangle(spline, quad, ref_batch):
     and the reference given per triangle: ref_batch(t, points) ->
     (values, gradients, hessians)."""
     l2 = h1s = h2s = 0.0
+    nodes = triangle_nodes(quad)
     for t in range(quad.space.mesh.n_triangles):
-        pts, w = quad.nodes[t], quad.weights[t]
+        pts, w = nodes[t]
         vals, grads, hess = spline.eval_batch(t, pts)
         rv, rg, rh = ref_batch(t, pts)
         vals, grads, hess = vals - rv, grads - rg, hess - rh

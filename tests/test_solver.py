@@ -12,7 +12,8 @@ from conicfem.problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, 
 from conicfem.space import SplineFunction, SplineSpace, build_space
 
 from _oracles import (corner_dofs_by_gradient, error_norms_per_triangle, eval_bb,
-                      linearize_ma_per_triangle, run_level_full_steps)
+                      linearize_ma_per_triangle, run_level_full_steps,
+                      stored_quadrature)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,53 @@ def test_linearize_ma_is_bit_identical_to_per_triangle_loop(ctx_name, request):
         for i, t in enumerate(ch.tris):
             np.testing.assert_array_equal(A[i], cof_tab[t])
             np.testing.assert_array_equal(f[i], res_tab[t])
+
+
+@pytest.mark.parametrize("name", ["disk", "c2-domain"])
+def test_reference_quadrature_matches_stored_derivatives(name, hierarchies):
+    # the straight chunks' reference matrices and frames against the
+    # Cartesian G, H stacks they replace (stored_quadrature), at L3 on a
+    # random spline; differences are in units of eps relative to the
+    # largest entry (measured at most: G and H 3.5, cofactor 4.1, residual
+    # 12.4, matrix 3.2, rhs 7.2; eigmin 2 ulps)
+    eps = np.finfo(float).eps
+    quad = asm.TriangleQuadrature(build_space(hierarchies[name][2]))
+    old = stored_quadrature(quad)
+    for ch, st in zip(quad.chunks, old.chunks):
+        if ch.M is None:
+            continue
+        _, (G0, G1), (H00, H01, H11) = quad.ref[ch.degree]
+        m = ch.M[:, :, :, None, None]
+        rebuilt = [m[:, 0, 0] * G0 + m[:, 0, 1] * G1, m[:, 1, 0] * G0 + m[:, 1, 1] * G1]
+        for i, j in ((0, 0), (1, 0), (1, 1)):
+            rebuilt.append(m[:, i, 0] * m[:, j, 0] * H00 + m[:, i, 1] * m[:, j, 1] * H11
+                           + (m[:, i, 0] * m[:, j, 1] + m[:, i, 1] * m[:, j, 0]) * H01)
+        for got, want in zip(rebuilt, st.G + st.H, strict=True):
+            scale = np.abs(want).max(axis=(1, 2), keepdims=True)
+            assert (np.abs(got - want) <= 16 * eps * scale).all()
+    g = problem_g(name)
+    rng = np.random.default_rng(4)
+    u = quad.space.spline(rng.standard_normal(quad.space.dimension))
+    new_problem, new_eigmin = sol.linearize_ma(u, g, quad)
+    old_problem, old_eigmin = sol.linearize_ma(u, g, old)
+    for field, bound in (("A", 16), ("f", 64)):
+        new_tab = [getattr(new_problem, field)(ch) for ch in quad.chunks]
+        old_tab = [getattr(old_problem, field)(ch) for ch in old.chunks]
+        scale = max(np.abs(t).max() for t in old_tab)
+        assert max(np.abs(a - b).max() for a, b in zip(new_tab, old_tab)) <= bound * eps * scale
+    assert abs(new_eigmin - old_eigmin) <= 8 * np.spacing(abs(old_eigmin))
+    new_system = asm.assemble(new_problem, quad)
+    old_system = asm.assemble(old_problem, old)
+    np.testing.assert_array_equal(new_system.matrix.indices, old_system.matrix.indices)
+    np.testing.assert_array_equal(new_system.matrix.indptr, old_system.matrix.indptr)
+    for got, want, bound in ((new_system.matrix.data, old_system.matrix.data, 16),
+                             (new_system.rhs, old_system.rhs, 64)):
+        assert np.abs(got - want).max() <= bound * eps * np.abs(want).max()
+    # the norms read values, gradients and Hessians through the chunks
+    np.testing.assert_allclose(asm.error_norms(u, quad), asm.error_norms(u, old),
+                               rtol=16 * eps)
+    np.testing.assert_allclose(asm.residual_norm(u, quad, g),
+                               asm.residual_norm(u, old, g), rtol=16 * eps)
 
 
 def test_ellipticity_monitor_flags_indefinite(disk_ctx):
@@ -319,6 +367,12 @@ def test_level_reports_fill_defect(disk, disk_problem):
     for rep, mesh in zip(reports, meshes):
         assert rep.solver["fill_defect"] == build_space(mesh).fill_defect
         assert rep.solver["fill_defect"] < 1e-12
+
+
+def test_level_reports_quadrature_megabytes(disk, disk_problem):
+    reports, _ = sol.multilevel_run(disk_problem, 1)
+    quad = asm.TriangleQuadrature(build_space(disk[1]))
+    assert reports[0].solver["quad_mb"] == quad.nbytes / 2**20 > 0
 
 
 def test_multilevel_single_level_report(disk_problem):
