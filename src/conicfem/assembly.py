@@ -23,7 +23,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from . import bernstein as bb
 from .geometry import grad_conic
-from .mesh import PIE, conic_at_pies, pie_arc_points
+from .mesh import PIE, conic_rows, pie_arc_points
 
 
 class AssemblyError(RuntimeError):
@@ -88,12 +88,10 @@ def pie_quadrature(mesh, tris):
     the first pie, in the order of tris, whose rule fails.
     """
     tris = np.asarray(tris)
-    recs = [mesh.triangles[t] for t in tris]
-    for t, rec in zip(tris, recs):
-        if rec.kind != PIE:
-            raise AssemblyError(f"triangle {t} is not pie-shaped")
-    arcs = np.array([rec.arc for rec in recs])
-    v1, v2, v3 = mesh.vertices[[rec.verts for rec in recs]].transpose(1, 0, 2)
+    for t in tris[mesh.tri_kind[tris] != PIE][:1]:
+        raise AssemblyError(f"triangle {t} is not pie-shaped")
+    arcs = mesh.tri_arc[tris]
+    v1, v2, v3 = mesh.vertices[mesh.tri_verts[tris]].transpose(1, 0, 2)
     xg, wg = roots_legendre(PIE_ORDER)
     r = 0.5 * (xg + 1.0)
     wr = 0.5 * wg
@@ -102,7 +100,7 @@ def pie_quadrature(mesh, tris):
     cdir = (v3 - v2)[:, None]
     c = v2[:, None] + s[:, None] * cdir
     a, failure = pie_arc_points(mesh.domain, arcs, v1, c)
-    g = conic_at_pies(grad_conic, mesh.domain, arcs, a)
+    g = conic_rows(grad_conic, mesh.domain, arcs, a)
     cv = c - v1[:, None]
     denom = np.vecdot(g, cv)
     with np.errstate(all="ignore"):     # failing rays are reported below
@@ -305,7 +303,7 @@ class TriangleQuadrature:
     def _chunk(self, grp, rows):
         mesh = self.space.mesh
         idx, d = grp.tris[rows], grp.degree
-        coords = mesh.vertices[[mesh.triangles[t].verts for t in idx]]
+        coords = mesh.vertices[mesh.tri_verts[idx]]
         data = (d, idx, coords, grp.cols[rows], grp.Z[rows])
         if grp.kind == PIE:
             nodes, weights = pie_quadrature(mesh, idx)

@@ -232,11 +232,6 @@ def degree_raise_matrix(d, d_to):
     return R
 
 
-def degree_raise(d, coeffs, d_to):
-    """Coefficients of the same polynomial written at degree d_to >= d."""
-    return degree_raise_matrix(d, d_to) @ np.asarray(coeffs, dtype=float)
-
-
 def _de_casteljau_step(r, X, b):
     """One de Casteljau step on each row of X (degree r -> r - 1), with
     the barycentric point b[k] for row k."""

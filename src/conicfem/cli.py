@@ -194,7 +194,7 @@ def _write_plot(u, n, path):
 def cmd_mesh_validate(args):
     domain = load_domain(args.domain) if args.domain else None
     mesh = load_mesh(args.path, domain=domain)
-    kinds = {k: len(mesh.triangles_of_kind(k)) for k in ("ordinary", "buffer", "pie")}
+    kinds = {k: int(np.count_nonzero(mesh.tri_kind == k)) for k in ("ordinary", "buffer", "pie")}
     print(f"OK: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles "
           f"({kinds['ordinary']} ordinary, {kinds['buffer']} buffer, "
           f"{kinds['pie']} pie), level {mesh.level}")

@@ -96,13 +96,12 @@ def grad_conic(q, x):
     )
 
 
-def conics_tangent_at(q1, q2, x, tol=1e-10):
-    """True if the curves of q1 and q2 through x share a tangent line there:
-    their gradients at x are parallel up to tol relative."""
-    g1 = grad_conic(q1, x)
-    g2 = grad_conic(q2, x)
-    cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
-    return cross <= tol * np.linalg.norm(g1) * np.linalg.norm(g2)
+def gradients_parallel(g1, g2, tol=1e-10):
+    """True where the gradients g1, g2 (..., 2) are parallel up to tol
+    relative: the curves through a point with these gradients share a
+    tangent line there."""
+    cross = np.abs(g1[..., 0] * g2[..., 1] - g1[..., 1] * g2[..., 0])
+    return cross <= tol * np.sqrt(np.vecdot(g1, g1)) * np.sqrt(np.vecdot(g2, g2))
 
 
 def conic_scale(q, x):
@@ -314,12 +313,6 @@ class ConicDomain:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "interior_angles", angles)
-
-    def corner_is_tangent(self, j, tol=1e-10):
-        """True if incoming and outgoing arcs share a tangent line at corner j."""
-        n = len(self.arcs)
-        return conics_tangent_at(self.arcs[(j - 1) % n].conic, self.arcs[j].conic,
-                                 self.corners[j], tol)
 
 
 def _corner_angle(arc_in, arc_out):

@@ -13,22 +13,27 @@ reports violations by condition letter:
   (f) all boundary edges are curved
   (g) no two buffer triangles share an edge
 
-Triangulations are immutable after validation; refinement returns a new
-value, so read-sharing across threads needs no coordination.
+A triangulation is a bundle of read-only arrays, built and checked in
+whole-mesh array steps.  Triangulations are immutable after validation;
+refinement returns a new value, so read-sharing across threads needs no
+coordination.
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .geometry import (
     GeometryError,
     arc_point_on_ray,
-    conics_tangent_at,
     domain_from_dict,
     domain_to_dict,
     eval_conic,
+    grad_conic,
+    gradients_parallel,
 )
 
 ORDINARY = "ordinary"
@@ -44,48 +49,45 @@ class MeshError(ValueError):
         super().__init__(f"condition ({condition}): {message}")
 
 
-@dataclass(frozen=True)
-class TriangleRecord:
-    """One triangle: vertex indices, class, and the arc index for pies.
+@dataclass(frozen=True, eq=False, repr=False)
+class CurvedTriangulation:
+    """Validated triangulation of a piecewise-conic domain: V vertices,
+    T triangles and E edges as read-only arrays.
 
-    Pie triangles store the interior vertex in slot 1 and the curved edge
-    as (slot 2, slot 3); buffer triangles store their boundary vertex in
-    slot 1.  All triangles are counter-clockwise.
+    tri_verts (T, 3) are counter-clockwise vertex triples; pies hold their
+    interior vertex in slot 0 and the curved edge as (slot 1, slot 2),
+    buffers their boundary vertex in slot 0.  tri_kind (T,) is ORDINARY,
+    BUFFER or PIE, tri_arc (T,) the arc of a pie's curved edge (-1 off
+    pies), tri_edges (T, 3) the edge from slot k to slot k + 1, parents
+    (T,) the triangle of the coarser level (None on an unrefined mesh).
+    edge_verts (E, 2) are sorted vertex pairs in lexicographic order,
+    edge_tris (E, 2) the incident triangles, ascending (-1 in column 1 of
+    a boundary edge), edge_arc (E,) the arc of a boundary edge (-1 on
+    interior edges).  vertex_tangent marks V_B^1, the boundary vertices
+    whose two arcs share a tangent.  The triangles at vertex v are
+    vertex_tris[vertex_tri_start[v]:vertex_tri_start[v + 1]], ascending.
     """
 
-    verts: tuple
-    kind: str
-    arc: int = None
+    domain: object
+    vertices: np.ndarray
+    tri_verts: np.ndarray
+    tri_kind: np.ndarray
+    tri_arc: np.ndarray
+    tri_edges: np.ndarray
+    edge_verts: np.ndarray
+    edge_tris: np.ndarray
+    edge_arc: np.ndarray
+    vertex_is_boundary: np.ndarray
+    vertex_tangent: np.ndarray
+    vertex_tri_start: np.ndarray
+    vertex_tris: np.ndarray
+    level: int = 1
+    parents: np.ndarray = None
 
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    verts: tuple          # sorted vertex pair
-    tris: tuple           # one or two incident triangle indices
-    arc: int = None       # arc index for boundary (curved) edges
-
-    @property
-    def is_boundary(self):
-        return len(self.tris) == 1
-
-
-class CurvedTriangulation:
-    """Validated triangulation of a piecewise-conic domain."""
-
-    def __init__(self, domain, vertices, triangles, edges, edge_index, vertex_tris,
-                 vertex_is_boundary, vertex_tangent, level=1, parents=None):
-        self.domain = domain
-        self.vertices = vertices
-        self.triangles = triangles
-        self.edges = edges
-        self._edge_index = edge_index            # sorted pair -> edge id
-        self._vertex_tris = vertex_tris          # vertex -> triangles, ascending
-        self.vertex_is_boundary = vertex_is_boundary
-        self.vertex_tangent = vertex_tangent     # member of V_B^1
-        self.level = level
-        self.parents = parents                   # triangle -> parent triangle
-
-    # -- basic queries ----------------------------------------------------
+    def __post_init__(self):
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     @property
     def n_vertices(self):
@@ -93,71 +95,17 @@ class CurvedTriangulation:
 
     @property
     def n_triangles(self):
-        return len(self.triangles)
-
-    def edge_id(self, va, vb):
-        return self._edge_index[(min(va, vb), max(va, vb))]
+        return len(self.tri_verts)
 
     def vertex_triangles(self, v):
-        return self._vertex_tris[v]
+        return self.vertex_tris[self.vertex_tri_start[v]:self.vertex_tri_start[v + 1]]
 
     def tri_coords(self, t):
-        return self.vertices[list(self.triangles[t].verts)]
-
-    def triangles_of_kind(self, kind):
-        return [t for t, rec in enumerate(self.triangles) if rec.kind == kind]
-
-    def interior_vertices(self):
-        return [v for v in range(self.n_vertices) if not self.vertex_is_boundary[v]]
-
-    def boundary_vertices(self):
-        return [v for v in range(self.n_vertices) if self.vertex_is_boundary[v]]
-
-    def interior_edges(self):
-        return [e for e, rec in enumerate(self.edges) if not rec.is_boundary]
-
-    def plain_interior_edges(self):
-        """Interior edges that are not pie/buffer edges."""
-        return [e for e, rec in enumerate(self.edges) if not rec.is_boundary
-                and {self.triangles[t].kind for t in rec.tris} != {PIE, BUFFER}]
+        return self.vertices[self.tri_verts[t]]
 
     def pie_conic(self, t):
         """The boundary conic of a pie triangle."""
-        return self.domain.arcs[self.triangles[t].arc].conic
-
-    # -- stars ------------------------------------------------------------
-
-    def star(self, simplices, level=1):
-        """Triangles whose closure meets the given simplices, iterated.
-
-        Accepts triangle indices or ('v'|'e'|'t', index) tags.  In a valid
-        triangulation two closed simplices intersect iff they share a
-        vertex, so stars are computed through vertex incidence.
-        """
-        if level < 1:
-            raise ValueError("star level must be >= 1")
-        tris = set()
-        verts = set()
-        for s in simplices:
-            if isinstance(s, tuple):
-                tag, idx = s
-                if tag == "v":
-                    verts.add(idx)
-                elif tag == "e":
-                    verts.update(self.edges[idx].verts)
-                elif tag == "t":
-                    verts.update(self.triangles[idx].verts)
-                else:
-                    raise ValueError(f"unknown simplex tag {tag}")
-            else:
-                verts.update(self.triangles[s].verts)
-        for _ in range(level):
-            for v in verts:
-                tris.update(self._vertex_tris[v])
-            verts = set()
-            for t in tris:
-                verts.update(self.triangles[t].verts)
-        return tris
+        return self.domain.arcs[self.tri_arc[t]].conic
 
 
 # ---------------------------------------------------------------------------
@@ -169,36 +117,50 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
 
     vertices: (n, 2) float array; triangles: (m, 3) int array (any
     orientation); boundary_edges: list of (va, vb, arc_index) chords lying
-    under the domain arcs.
+    under the domain arcs.  The mesh keeps copies of the arrays.
+
+    Each check reports the failure that a walk in mesh order meets first:
+    triangles, edges in order of first occurrence over the triangles'
+    edges (slots 0-1, 1-2, 2-0), vertices, declared boundary edges.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    tris_in = [tuple(int(v) for v in t) for t in np.asarray(triangles, dtype=int)]
+    vertices = np.array(vertices, dtype=float)
+    n = len(vertices)
+    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
     scale = max(1.0, float(np.abs(vertices).max()))
 
     # consistent ccw orientation
-    tris = []
-    for t in tris_in:
-        a, b, c = vertices[t[0]], vertices[t[1]], vertices[t[2]]
-        ab, ac = b - a, c - a
-        area2 = float(ab[0] * ac[1] - ab[1] * ac[0])
-        if abs(area2) < 1e-14 * scale * scale:
-            raise MeshError("mesh", f"degenerate triangle {t}")
-        tris.append(t if area2 > 0 else (t[0], t[2], t[1]))
+    a, b, c = vertices[tris].transpose(1, 0, 2)
+    ab, ac = b - a, c - a
+    area2 = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    for t in np.flatnonzero(np.abs(area2) < 1e-14 * scale * scale)[:1]:
+        raise MeshError("mesh", f"degenerate triangle {tuple(tris[t].tolist())}")
+    tris = np.where((area2 > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
-    # edge -> incident triangles
-    edge_tris = {}
-    for ti, t in enumerate(tris):
-        for k in range(3):
-            key = tuple(sorted((t[k], t[(k + 1) % 3])))
-            edge_tris.setdefault(key, []).append(ti)
-    for key, owners in edge_tris.items():
-        if len(owners) > 2:
-            raise MeshError("mesh", f"edge {key} shared by {len(owners)} triangles")
+    # edges: one per sorted vertex pair; half-edge 3t + k runs from slot k to k + 1
+    halves = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1), axis=-1)
+    halves = halves.reshape(-1, 2)
+    _, first, he_edge, count = np.unique(halves[:, 0] * n + halves[:, 1], return_index=True,
+                                         return_inverse=True, return_counts=True)
+    edge_verts = halves[first]
+    walk = np.argsort(first)                 # edges in order of first occurrence
+
+    def key(e):
+        return tuple(edge_verts[e].tolist())
+
+    for e in walk[count[walk] > 2][:1]:
+        raise MeshError("mesh", f"edge {key(e)} shared by {count[e]} triangles")
+    inner = count == 2
+    by_edge = np.argsort(he_edge, kind="stable")
+    start = np.cumsum(count) - count
+    edge_tris = np.full((len(count), 2), -1)
+    edge_tris[:, 0] = by_edge[start] // 3
+    edge_tris[inner, 1] = by_edge[start[inner] + 1] // 3
+    he_edge = he_edge.reshape(-1, 3)
 
     declared = {}
-    for va, vb, arc in boundary_edges:
-        declared[tuple(sorted((int(va), int(vb))))] = int(arc)
-    actual_boundary = {k for k, owners in edge_tris.items() if len(owners) == 1}
+    for va, vb, arc in np.asarray(boundary_edges, dtype=int).reshape(-1, 3).tolist():
+        declared[(min(va, vb), max(va, vb))] = arc
+    actual_boundary = set(map(tuple, edge_verts[~inner].tolist()))
     if actual_boundary != set(declared):
         missing = actual_boundary - set(declared)
         extra = set(declared) - actual_boundary
@@ -207,22 +169,27 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
             f"boundary edge mismatch (undeclared: {sorted(missing)}, "
             f"declared-but-interior: {sorted(extra)})",
         )
+    edge_arc = np.full(len(count), -1)
+    edge_arc[~inner] = [declared[k] for k in map(tuple, edge_verts[~inner].tolist())]
 
-    # boundary edge endpoints must sit on their arc's conic
-    for key, arc_idx in declared.items():
-        conic = domain.arcs[arc_idx].conic
-        for v in key:
-            q = abs(eval_conic(conic, vertices[v]))
-            if q > 1e-9 * scale * scale * max(np.abs(conic.coeffs)):
-                raise MeshError(
-                    "mesh", f"vertex {v} not on conic of arc {arc_idx} (|q|={q:.2e})"
-                )
-        if domain.arcs[arc_idx].conic.degree != 2:
-            raise MeshError("f", f"boundary edge {key} lies on a straight segment")
+    # boundary edge endpoints must sit on their arc's conic, and the conic be curved
+    ends = np.array(list(declared), dtype=int).reshape(-1, 2)
+    arcs = np.array(list(declared.values()), dtype=int)
+    q = np.abs(conic_rows(eval_conic, domain, arcs, vertices[ends]))
+    kmax = np.array([max(np.abs(arc.conic.coeffs)) for arc in domain.arcs])
+    straight = np.array([arc.conic.degree != 2 for arc in domain.arcs])
+    bad = np.column_stack([q > 1e-9 * scale * scale * kmax[arcs, None], straight[arcs]])
+    if bad.any():
+        i, k = divmod(int(np.argmax(bad)), 3)
+        if k == 2:
+            raise MeshError(
+                "f", f"boundary edge {tuple(ends[i].tolist())} lies on a straight segment")
+        raise MeshError(
+            "mesh", f"vertex {ends[i, k]} not on conic of arc {arcs[i]} (|q|={q[i, k]:.2e})"
+        )
 
-    vertex_is_boundary = np.zeros(len(vertices), dtype=bool)
-    for key in actual_boundary:
-        vertex_is_boundary[list(key)] = True
+    vertex_is_boundary = np.zeros(n, dtype=bool)
+    vertex_is_boundary[edge_verts[~inner]] = True
 
     # (a) arc corners are vertices
     for j, z in enumerate(domain.corners):
@@ -232,147 +199,96 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
             raise MeshError("a", f"arc corner {j} at {tuple(z)} is not a boundary vertex")
 
     # (b) interior edges with both endpoints on the boundary
-    for key, owners in edge_tris.items():
-        if len(owners) == 2 and vertex_is_boundary[key[0]] and vertex_is_boundary[key[1]]:
-            raise MeshError("b", f"interior edge {key} has both endpoints on the boundary")
+    chord = inner & vertex_is_boundary[edge_verts].all(axis=1)
+    for e in walk[chord[walk]][:1]:
+        raise MeshError("b", f"interior edge {key(e)} has both endpoints on the boundary")
 
-    # classification
-    kinds = [None] * len(tris)
-    arcs = [None] * len(tris)
-    for ti, t in enumerate(tris):
-        bedges = [
-            k for k in range(3)
-            if tuple(sorted((t[k], t[(k + 1) % 3]))) in actual_boundary
-        ]
-        if len(bedges) > 1:
-            raise MeshError("mesh", f"triangle {ti} has {len(bedges)} boundary edges")
-        if bedges:
-            kinds[ti] = PIE
-            arcs[ti] = declared[tuple(sorted((t[bedges[0]], t[(bedges[0] + 1) % 3])))]
-    for ti, t in enumerate(tris):
-        if kinds[ti] == PIE:
-            continue
-        for k in range(3):
-            key = tuple(sorted((t[k], t[(k + 1) % 3])))
-            owners = edge_tris[key]
-            if len(owners) == 2:
-                other = owners[0] if owners[1] == ti else owners[1]
-                if kinds[other] == PIE:
-                    kinds[ti] = BUFFER
-                    break
-        if kinds[ti] is None:
-            kinds[ti] = ORDINARY
+    # classification: a pie has a boundary edge, a buffer a pie across an edge
+    he_boundary = ~inner[he_edge]
+    nb = he_boundary.sum(axis=1)
+    for t in np.flatnonzero(nb > 1)[:1]:
+        raise MeshError("mesh", f"triangle {t} has {nb[t]} boundary edges")
+    pie = nb == 1
+    across = edge_tris[he_edge].sum(axis=-1) - np.arange(len(tris))[:, None]
+    buffer = ~pie & (pie[across] & ~he_boundary).any(axis=1)
+    tri_kind = np.where(pie, PIE, np.where(buffer, BUFFER, ORDINARY))
 
-    # canonical slot ordering
-    records = []
-    for ti, t in enumerate(tris):
-        if kinds[ti] == PIE:
-            off = next(
-                k for k in range(3)
-                if tuple(sorted((t[k], t[(k + 1) % 3]))) in actual_boundary
-            )
-            v1 = t[(off + 2) % 3]
-            v2, v3 = t[off], t[(off + 1) % 3]
-            if vertex_is_boundary[v1]:
-                raise MeshError("b", f"pie triangle {ti} has all vertices on the boundary")
-            records.append(TriangleRecord((v1, v2, v3), PIE, arcs[ti]))
-        elif kinds[ti] == BUFFER:
-            bverts = [k for k in range(3) if vertex_is_boundary[t[k]]]
-            if len(bverts) != 1:
-                raise MeshError(
-                    "mesh", f"buffer triangle {ti} has {len(bverts)} boundary vertices"
-                )
-            k = bverts[0]
-            records.append(TriangleRecord((t[k], t[(k + 1) % 3], t[(k + 2) % 3]), BUFFER))
-        else:
-            records.append(TriangleRecord(t, ORDINARY))
+    # canonical slots: a pie starts at the vertex opposite its boundary edge,
+    # a buffer at its one boundary vertex (the chord rule (b) leaves it one)
+    off = np.argmax(he_boundary, axis=1)
+    first_slot = np.where(pie, (off + 2) % 3,
+                          np.where(buffer, np.argmax(vertex_is_boundary[tris], axis=1), 0))
+    slots = (first_slot[:, None] + np.arange(3)) % 3
+    tri_verts = np.take_along_axis(tris, slots, axis=1)
+    tri_edges = np.take_along_axis(he_edge, slots, axis=1)
+    tri_arc = np.where(pie, edge_arc[tri_edges[:, 1]], -1)
 
     # (c), (g): forbidden adjacencies
-    for key, owners in edge_tris.items():
-        if len(owners) != 2:
-            continue
-        ka, kb = kinds[owners[0]], kinds[owners[1]]
-        if ka == kb == PIE:
-            raise MeshError("c", f"pie triangles {owners} share edge {key}")
-        if ka == kb == BUFFER:
-            raise MeshError("g", f"buffer triangles {owners} share edge {key}")
-
-    # edge records
-    edges = []
-    edge_index = {}
-    for key in sorted(edge_tris):
-        edge_index[key] = len(edges)
-        edges.append(EdgeRecord(key, tuple(edge_tris[key]), declared.get(key)))
+    pies_meet = inner & pie[edge_tris].all(axis=1)
+    buffers_meet = inner & buffer[edge_tris].all(axis=1)
+    for e in walk[(pies_meet | buffers_meet)[walk]][:1]:
+        letter, name = ("c", "pie") if pies_meet[e] else ("g", "buffer")
+        raise MeshError(letter, f"{name} triangles {edge_tris[e].tolist()} share edge {key(e)}")
 
     # euler characteristic of a disk
-    if len(vertices) - len(edges) + len(tris) != 1:
+    if n - len(edge_verts) + len(tris) != 1:
         raise MeshError("mesh", "Euler relation |V|-|E|+|T| = 1 violated")
 
-    # vertex links: single fan, cycle for interior / path for boundary
-    vert_tris = [[] for _ in range(len(vertices))]
-    for ti, t in enumerate(tris):
-        for v in t:
-            vert_tris[v].append(ti)
-    for v in range(len(vertices)):
-        owners = vert_tris[v]
-        if not owners:
-            raise MeshError("mesh", f"isolated vertex {v}")
-        inner = 0
-        adj = {ti: [] for ti in owners}
-        # the edges at v are the edges of its own triangles
-        for key in {(min(v, u), max(v, u)) for ti in owners for u in tris[ti] if u != v}:
-            ow = edge_tris[key]
-            if len(ow) == 2:
-                adj[ow[0]].append(ow[1])
-                adj[ow[1]].append(ow[0])
-                inner += 1
-        seen = {owners[0]}
-        stack = [owners[0]]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if len(seen) != len(owners):
-            raise MeshError("mesh", f"vertex {v} has a disconnected triangle fan")
-        expected = len(owners) - 1 if vertex_is_boundary[v] else len(owners)
-        if inner != expected:
-            raise MeshError("mesh", f"vertex {v} link is not a simple fan")
+    # vertex fans: the corners 3t + k (triangle t at slot k) of a vertex
+    # must be joined through the interior edges at it.  A triangle has two
+    # edges at each of its vertices, so a connected fan is a cycle at an
+    # interior vertex and a path between two boundary edges at a boundary
+    # vertex; its link needs no further check.
+    corners = tris.ravel()
+    vertex_tris = np.argsort(corners, kind="stable")
+    fan_size = np.bincount(corners, minlength=n)
+    vertex_tri_start = np.concatenate([[0], np.cumsum(fan_size)])
+    h1, h2 = by_edge[start[inner]], by_edge[start[inner] + 1]   # the halves of interior edges
+    e1, e2 = (h - h % 3 + (h + 1) % 3 for h in (h1, h2))         # the corners at their ends
+    same = corners[h1] == corners[h2]
+    rows = np.concatenate([h1, e1])
+    cols = np.concatenate([np.where(same, h2, e2), np.where(same, e2, h2)])
+    joins = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(corners),) * 2)
+    label = connected_components(joins, directed=False)[1][vertex_tris]
+    at = corners[vertex_tris]
+    split = np.zeros(n, dtype=bool)
+    split[at[1:][(at[1:] == at[:-1]) & (label[1:] != label[:-1])]] = True
+    isolated = fan_size == 0
+    for v in np.flatnonzero(isolated | split)[:1]:
+        raise MeshError("mesh", f"isolated vertex {v}" if isolated[v]
+                        else f"vertex {v} has a disconnected triangle fan")
+    vertex_tris //= 3
 
     # V_B^1: boundary tangent continuity via gradient collinearity
-    vertex_tangent = np.zeros(len(vertices), dtype=bool)
-    bd_edges_at = {}
-    for key, arc_idx in declared.items():
-        for v in key:
-            bd_edges_at.setdefault(v, []).append(arc_idx)
-    for v, arc_ids in bd_edges_at.items():
-        if len(arc_ids) != 2:
-            raise MeshError("mesh", f"boundary vertex {v} has {len(arc_ids)} boundary edges")
-        vertex_tangent[v] = conics_tangent_at(domain.arcs[arc_ids[0]].conic,
-                                              domain.arcs[arc_ids[1]].conic, vertices[v])
+    bd = np.flatnonzero(~inner)
+    order = np.argsort(edge_verts[bd].ravel(), kind="stable")
+    bv = edge_verts[bd].ravel()[order][::2]
+    two_arcs = np.repeat(edge_arc[bd], 2)[order].reshape(-1, 2)
+    vertex_tangent = np.zeros(n, dtype=bool)
+    vertex_tangent[bv] = gradients_parallel(
+        *(conic_rows(grad_conic, domain, two_arcs[:, i], vertices[bv]) for i in (0, 1)))
 
     # (d) + (e): pie star-shapedness and conic positivity
-    _check_pies(domain, vertices, records)
+    pies = np.flatnonzero(pie)
+    _check_pies(domain, vertices, pies, tri_verts[pies], tri_arc[pies])
 
-    mesh = CurvedTriangulation(
-        domain, vertices, records, edges, edge_index, vert_tris,
-        vertex_is_boundary, vertex_tangent, level=level, parents=parents,
+    # structural prerequisite of the dof construction: every boundary fan
+    # is buffer between pies (an interior fan always holds an ordinary
+    # triangle, by (b), (c) and (g))
+    pies_at = np.bincount(corners[np.repeat(pie, 3)], minlength=n)
+    buffers_at = np.bincount(corners[np.repeat(buffer, 3)], minlength=n)
+    fan = (fan_size == 3) & (pies_at == 2) & (buffers_at == 1)
+    for v in np.flatnonzero(vertex_is_boundary & ~fan)[:1]:
+        ks = sorted(tri_kind[vertex_tris[vertex_tri_start[v]:vertex_tri_start[v + 1]]].tolist())
+        raise MeshError(
+            "mesh", f"boundary vertex {v} fan is {ks}, expected one buffer between two pies"
+        )
+
+    return CurvedTriangulation(
+        domain, vertices, tri_verts, tri_kind, tri_arc, tri_edges, edge_verts, edge_tris,
+        edge_arc, vertex_is_boundary, vertex_tangent, vertex_tri_start, vertex_tris,
+        level=level, parents=None if parents is None else np.array(parents, dtype=int),
     )
-
-    # structural prerequisites of the dof construction
-    for v in mesh.interior_vertices():
-        if not any(mesh.triangles[t].kind == ORDINARY for t in mesh.vertex_triangles(v)):
-            raise MeshError(
-                "mesh", f"interior vertex {v} touches no ordinary triangle"
-            )
-    for v in mesh.boundary_vertices():
-        ks = sorted(mesh.triangles[t].kind for t in mesh.vertex_triangles(v))
-        if ks != [BUFFER, PIE, PIE]:
-            raise MeshError(
-                "mesh",
-                f"boundary vertex {v} fan is {ks}, expected one buffer between two pies",
-            )
-    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +322,13 @@ def pie_arc_points(domain, arcs, v1, through):
     return points.reshape(P, m, 2), failure
 
 
-def conic_at_pies(fn, domain, arcs, x):
-    """fn(conic, points) (eval_conic or grad_conic) of the arc conic of
-    each pie p at its points x[p], one call per arc."""
-    out = None
+def conic_rows(fn, domain, arcs, x):
+    """fn(conic, points) (eval_conic or grad_conic) of the conic of arc
+    arcs[p] at the points x[p], one call per arc."""
+    out = np.empty(x.shape[:1] + fn(domain.arcs[0].conic, x[:0]).shape[1:])
     for a in np.unique(arcs):
         on = arcs == a
-        val = fn(domain.arcs[a].conic, x[on])
-        if out is None:
-            out = np.empty(x.shape[:1] + val.shape[1:])
-        out[on] = val
+        out[on] = fn(domain.arcs[a].conic, x[on])
     return out
 
 
@@ -423,21 +336,19 @@ STAR_SAMPLES = np.linspace(0.02, 0.98, 50)      # chord parameters of (d), (e)
 STAR_RADII = np.array([0.25, 0.55, 0.8, 0.95])   # ray fractions of (e)
 
 
-def _check_pies(domain, vertices, records):
-    """Conditions (d) and (e) on every pie: the ray from the interior
-    vertex v1 through each chord sample meets the arc once beyond the
-    chord, and the conic is positive at v1 and at fixed fractions of each
-    ray.  Reports the failure that a walk over the pies in order meets
-    first: per pie, v1, then sample by sample the ray (d) and its points
-    (e)."""
-    pies = [ti for ti, rec in enumerate(records) if rec.kind == PIE]
-    arcs = np.array([records[t].arc for t in pies])
-    v1, v2, v3 = vertices[[records[t].verts for t in pies]].transpose(1, 0, 2)
+def _check_pies(domain, vertices, pies, verts, arcs):
+    """Conditions (d) and (e) on the pies (their triangle indices, vertex
+    triples and arcs): the ray from the interior vertex v1 through each
+    chord sample meets the arc once beyond the chord, and the conic is
+    positive at v1 and at fixed fractions of each ray.  Reports the failure
+    that a walk over the pies in order meets first: per pie, v1, then
+    sample by sample the ray (d) and its points (e)."""
+    v1, v2, v3 = vertices[verts].transpose(1, 0, 2)
     chord = v2[:, None] + STAR_SAMPLES[:, None] * (v3 - v2)[:, None]
     apt, failure = pie_arc_points(domain, arcs, v1, chord)
     x = v1[:, None, None] + STAR_RADII[:, None] * (apt - v1[:, None])[:, :, None]
     fails = []
-    outside = conic_at_pies(eval_conic, domain, arcs, v1) <= 0
+    outside = conic_rows(eval_conic, domain, arcs, v1) <= 0
     if outside.any():
         p = int(np.argmax(outside))
         fails.append(((p, -1), MeshError(
@@ -445,7 +356,7 @@ def _check_pies(domain, vertices, records):
     if failure is not None:
         p, j, exc = failure
         fails.append(((p, j), MeshError("d", f"pie {pies[p]} not star-shaped: {exc}")))
-    inside = conic_at_pies(eval_conic, domain, arcs, x) <= 0
+    inside = conic_rows(eval_conic, domain, arcs, x) <= 0
     if inside.any():
         p, j, k = np.unravel_index(np.argmax(inside), inside.shape)
         fails.append(((p, j), MeshError(
@@ -465,48 +376,31 @@ def refine_uniform(mesh):
     triangle's interior vertex through the chord midpoint.  The result is
     re-classified and re-validated from scratch.
     """
-    # curved midpoints first, numbered in pie order
-    pies = [rec for rec in mesh.triangles if rec.kind == PIE]
-    v1, v2, v3 = mesh.vertices[[rec.verts for rec in pies]].transpose(1, 0, 2)
-    apts, failure = pie_arc_points(mesh.domain, np.array([rec.arc for rec in pies]),
-                                   v1, 0.5 * (v2 + v3)[:, None])
+    pies = np.flatnonzero(mesh.tri_kind == PIE)
+    v1, v2, v3 = mesh.vertices[mesh.tri_verts[pies]].transpose(1, 0, 2)
+    apts, failure = pie_arc_points(mesh.domain, mesh.tri_arc[pies], v1, 0.5 * (v2 + v3)[:, None])
     if failure is not None:
         raise failure[2]
-    verts = [tuple(p) for p in mesh.vertices] + [tuple(p) for p in apts[:, 0]]
-    mid_of = {(min(b, c), max(b, c)): mesh.n_vertices + i
-              for i, (_, b, c) in enumerate(rec.verts for rec in pies)}
+    # the midpoint vertex of each edge: curved ones in pie order, then
+    # straight ones in order of first occurrence over the triangles' edges
+    n, walk = mesh.n_vertices, mesh.tri_edges.ravel()
+    mid = np.full(len(mesh.edge_verts), -1)
+    mid[mesh.tri_edges[pies, 1]] = n + np.arange(len(pies))
+    straight, first = np.unique(walk[mid[walk] < 0], return_index=True)
+    straight = straight[np.argsort(first)]
+    mid[straight] = n + len(pies) + np.arange(len(straight))
+    vertices = np.concatenate([mesh.vertices, apts[:, 0],
+                               0.5 * mesh.vertices[mesh.edge_verts[straight]].sum(axis=1)])
 
-    def straight_mid(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid_of:
-            m = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            mid_of[key] = len(verts)
-            verts.append(tuple(m))
-        return mid_of[key]
-
-    new_tris = []
-    parents = []
-    for ti, rec in enumerate(mesh.triangles):
-        a, b, c = rec.verts
-        mab = straight_mid(a, b)
-        mbc = straight_mid(b, c)
-        mca = straight_mid(c, a)
-        for child in ((a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)):
-            new_tris.append(child)
-            parents.append(ti)
-
-    new_boundary = []
-    for rec in mesh.edges:
-        if rec.arc is None:
-            continue
-        va, vb = rec.verts
-        m = mid_of[(min(va, vb), max(va, vb))]
-        new_boundary.append((va, m, rec.arc))
-        new_boundary.append((m, vb, rec.arc))
-
+    a, b, c = mesh.tri_verts.T
+    mab, mbc, mca = mid[mesh.tri_edges].T
+    children = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1)
+    curved = np.flatnonzero(mesh.edge_arc >= 0)
+    (va, vb), m, arc = mesh.edge_verts[curved].T, mid[curved], mesh.edge_arc[curved]
     return classify_and_validate(
-        mesh.domain, np.asarray(verts, dtype=float), new_tris, new_boundary,
-        level=mesh.level + 1, parents=parents,
+        mesh.domain, vertices, children.reshape(-1, 3),
+        np.stack([va, m, arc, m, vb, arc], axis=1).reshape(-1, 3),
+        level=mesh.level + 1, parents=np.repeat(np.arange(mesh.n_triangles), 4),
     )
 
 
@@ -515,12 +409,9 @@ def refine_uniform(mesh):
 
 def mesh_to_dict(mesh, include_domain=True):
     data = {
-        "vertices": [list(p) for p in mesh.vertices],
-        "triangles": [list(rec.verts) for rec in mesh.triangles],
-        "boundary": [
-            [int(rec.verts[0]), int(rec.verts[1]), int(rec.arc)]
-            for rec in mesh.edges if rec.arc is not None
-        ],
+        "vertices": mesh.vertices.tolist(),
+        "triangles": mesh.tri_verts.tolist(),
+        "boundary": np.column_stack([mesh.edge_verts, mesh.edge_arc])[mesh.edge_arc >= 0].tolist(),
     }
     if include_domain:
         data["domain"] = domain_to_dict(mesh.domain)

@@ -328,12 +328,11 @@ def coarse_on_fine(u_coarse, fine_space):
     mesh_c = space_c.mesh
     parents = mesh_f.parents
     n = mesh_f.n_triangles
-    S = bb.barycentric_many(
-        mesh_c.vertices[[mesh_c.triangles[p].verts for p in parents]],
-        mesh_f.vertices[[rec.verts for rec in mesh_f.triangles]])
-    kinds = [rec.kind for rec in mesh_f.triangles]
-    if any(k == PIE and mesh_c.triangles[p].kind != PIE for k, p in zip(kinds, parents)):
+    S = bb.barycentric_many(mesh_c.vertices[mesh_c.tri_verts[parents]],
+                            mesh_f.vertices[mesh_f.tri_verts])
+    if ((mesh_f.tri_kind == PIE) & (mesh_c.tri_kind[parents] != PIE)).any():
         raise ValueError("pie triangle refined from a non-pie parent")
+    kinds = mesh_f.tri_kind.tolist()
     d_parent = [space_c.tri_degree(p) for p in parents]
     # the coarse pieces and pie factors, formed one map group at a time
     patch_c, factor_c = {}, {}

@@ -35,7 +35,7 @@ from scipy import sparse
 
 from . import bernstein as bb
 from .geometry import eval_conic, grad_conic, normalized_pie_conic
-from .mesh import BUFFER, ORDINARY, PIE, mesh_from_dict, mesh_to_dict
+from .mesh import BUFFER, ORDINARY, PIE, conic_rows, mesh_from_dict, mesh_to_dict
 
 VERTEX_JET = "vertex-jet"
 EDGE_INTERIOR = "edge"
@@ -93,12 +93,6 @@ _PER_OWNER = {VERTEX_JET: 6, EDGE_INTERIOR: 1, TANGENT_CORNER: 1, PIE_FACTOR: 5,
               BUFFER_INTERIOR: 2}
 
 
-def _triangle_arrays(mesh):
-    """Vertex indices (T, 3) and kinds (T,) of the mesh's triangles."""
-    return (np.array([rec.verts for rec in mesh.triangles], dtype=np.int64).reshape(-1, 3),
-            np.array([rec.kind for rec in mesh.triangles]))
-
-
 def _slots(verts, tris, v):
     """0-based slots of the vertices v (n, m) in the triangles tris (n,)."""
     return (verts[tris][:, None, :] == v[:, :, None]).argmax(axis=-1)
@@ -123,7 +117,7 @@ def build_mds(mesh):
     Designated triangles are chosen by lowest triangle index.  The
     dimension is 6|V_I| + |E_I0| + |V_B1| + 5|pies| + 2|buffers|.
     """
-    verts, kinds = _triangle_arrays(mesh)
+    verts, kinds = mesh.tri_verts, mesh.tri_kind
     n_tri = len(verts)
 
     def lowest(kind):     # lowest triangle of a kind at each vertex, else n_tri
@@ -132,24 +126,18 @@ def build_mds(mesh):
         np.minimum.at(out, verts[tris].ravel(), np.repeat(tris, 3))
         return out
 
-    boundary = np.asarray(mesh.vertex_is_boundary, dtype=bool)
-    iv = np.flatnonzero(~boundary)
+    # validation leaves every interior vertex and plain interior edge an
+    # ordinary triangle
+    iv = np.flatnonzero(~mesh.vertex_is_boundary)
     vt = lowest(ORDINARY)[iv]
-    for v in iv[vt == n_tri][:1]:
-        raise SpaceError(f"interior vertex {v} touches no ordinary triangle")
-
-    ev = np.array([rec.verts for rec in mesh.edges], dtype=np.int64).reshape(-1, 2)
-    et = np.array([rec.tris + (rec.tris[0],) * (2 - len(rec.tris))
-                   for rec in mesh.edges], dtype=np.int64).reshape(-1, 2)
+    et = mesh.edge_tris
     ek = kinds[et]
     pie_buffer = (np.sort(ek, axis=1) == [BUFFER, PIE]).all(axis=1)
-    pe = np.flatnonzero((et[:, 0] != et[:, 1]) & ~pie_buffer)
+    pe = np.flatnonzero((et[:, 1] >= 0) & ~pie_buffer)
     edge_t = np.where(ek[pe] == ORDINARY, et[pe], n_tri).min(axis=1)
-    for e in pe[edge_t == n_tri][:1]:
-        raise SpaceError(f"edge {mesh.edges[e].verts} has no ordinary side")
-    edge_slots = _slots(verts, edge_t, ev[pe])
+    edge_slots = _slots(verts, edge_t, mesh.edge_verts[pe])
 
-    bv = np.flatnonzero(boundary & np.asarray(mesh.vertex_tangent, dtype=bool))
+    bv = np.flatnonzero(mesh.vertex_tangent)
     ct = lowest(PIE)[bv]
     pies, buffers = np.flatnonzero(kinds == PIE), np.flatnonzero(kinds == BUFFER)
     im4, im6 = bb.index_map(4), bb.index_map(6)
@@ -291,7 +279,7 @@ class _Propagator:
     def __init__(self, mesh, mds):
         self.mesh = mesh
         self.mds = mds
-        self.verts, self.kinds = _triangle_arrays(mesh)
+        self.verts, self.kinds = mesh.tri_verts, mesh.tri_kind
         self.coords = mesh.vertices[self.verts]
         self.degree = np.select([self.kinds == k for k in _STORED_DEGREE],
                                 list(_STORED_DEGREE.values()))
@@ -300,7 +288,7 @@ class _Propagator:
         self.n_eq = 0
         self.entries = {False: [], True: []}   # keyed by "sources are dofs"
         self.pie_q, self.pie_scale, self.pie_P = {}, {}, {}
-        for t in mesh.triangles_of_kind(PIE):
+        for t in np.flatnonzero(self.kinds == PIE).tolist():
             conic = mesh.pie_conic(t)
             self.pie_q[t] = normalized_pie_conic(conic, self.coords[t])
             self.pie_scale[t] = float(eval_conic(conic, self.coords[t, 0]))
@@ -334,12 +322,9 @@ class _Propagator:
         q = np.array([self.pie_q[t] for t in pies]).reshape(-1, 6)
         return q[:, [im[(1, 1, 0)], im[(1, 0, 1)], im[(0, 1, 1)]]].T
 
-    def _neighbours(self, tris, shared):
-        """The triangle across the edge shared[i] (n, 2) from tris[i]."""
-        mesh = self.mesh
-        return np.array([[x for x in mesh.edges[mesh.edge_id(a, b)].tris if x != t][0]
-                         for t, (a, b) in zip(tris.tolist(), shared.tolist())],
-                        dtype=np.int64)
+    def _neighbours(self, tris, edges):
+        """The triangle across the interior edge edges[i] from tris[i]."""
+        return self.mesh.edge_tris[edges].sum(axis=1) - tris
 
     def _across(self, src, dst, shared):
         """0-based slots (n, 2) of the shared vertices (n, 2) in src (n,)
@@ -429,8 +414,8 @@ class _Propagator:
         """Edge-interior coefficients via the smoothness rule, across each
         plain edge from the edge dof's triangle to an ordinary neighbour."""
         src, edges = (x[self.mds.blocks[EDGE_INTERIOR]] for x in (self.mds.tri, self.mds.owner))
-        shared = np.array([self.mesh.edges[e].verts for e in edges], dtype=np.int64).reshape(-1, 2)
-        dst = self._neighbours(src, shared)
+        shared = self.mesh.edge_verts[edges]
+        dst = self._neighbours(src, edges)
         keep = self.kinds[dst] == ORDINARY
         src, dst, shared = src[keep], dst[keep], shared[keep]
         ss, ds, b_off = self._across(src, dst, shared)
@@ -439,12 +424,10 @@ class _Propagator:
 
     def _fill_buffer_from_ordinary(self):
         """Each buffer's edge row and first row off its inner edge, from
-        the ordinary triangle across it."""
+        the triangle across it, ordinary by (b), (c) and (g)."""
         bufs = np.flatnonzero(self.kinds == BUFFER)
         shared = self.verts[bufs, 1:]
-        src = self._neighbours(bufs, shared)
-        for t in bufs[self.kinds[src] != ORDINARY][:1]:
-            raise SpaceError(f"buffer {t} inner edge not shared with ordinary")
+        src = self._neighbours(bufs, self.mesh.tri_edges[bufs, 1])
         ss, ds, b_off = self._across(src, bufs, shared)
         raise_m = bb.degree_raise_matrix(5, 6)
         weights = np.concatenate([raise_m[_edge_rows(6, ss, 0)],
@@ -457,23 +440,26 @@ class _Propagator:
         zero at a non-tangent corner, else the corner dof and its scaled
         copy."""
         mesh = self.mesh
-        rows = []    # (triangle, positions, weights, sources), stacked below
-        for v in mesh.boundary_vertices():
-            pies = sorted(t for t in mesh.vertex_triangles(v)
-                          if mesh.triangles[t].kind == PIE)
-            weights, src = [0.0, 0.0], 0
-            if mesh.vertex_tangent[v]:
-                # value on the designated pie is the dof; the partner is
-                # scaled by the ratio of the normalized conic gradients
-                g1, g2 = (grad_conic(mesh.pie_conic(t), mesh.vertices[v]) / self.pie_scale[t]
-                          for t in pies)
-                i = int(np.argmax(np.abs(g2)))
-                if abs(g2[i]) == 0.0:
-                    raise SpaceError(f"vanishing conic gradient at boundary vertex {v}")
-                weights, src = [1.0, g1[i] / g2[i]], self.mds.corner_pos[v]
-            rows += [(t, [_ring_pos(4)[mesh.triangles[t].verts.index(v), 0]], [[w]], [src])
-                     for t, w in zip(pies, weights)]
-        self._emit(*map(np.array, zip(*rows)), from_dofs=True)
+        # each boundary vertex is slot 1 or 2 of two pies: rows by vertex, then pie
+        pies = np.flatnonzero(self.kinds == PIE)
+        v, t, slot = self.verts[pies, 1:].ravel(), np.repeat(pies, 2), np.tile([1, 2], len(pies))
+        order = np.lexsort((t, v))
+        v, t, slot = v[order], t[order], slot[order]
+        tangent = mesh.vertex_tangent[v]
+        # value on the designated pie is the dof; the partner is scaled by
+        # the ratio of the normalized conic gradients
+        scale = np.array([self.pie_scale[x] for x in t.tolist()])
+        g = (conic_rows(grad_conic, mesh.domain, mesh.tri_arc[t], mesh.vertices[v])
+             / scale[:, None]).reshape(-1, 2, 2)
+        i = np.argmax(np.abs(g[:, 1]), axis=1)
+        g1, g2 = (g[np.arange(len(i)), k, i] for k in (0, 1))
+        for u in v[::2][tangent[::2] & (g2 == 0.0)][:1]:
+            raise SpaceError(f"vanishing conic gradient at boundary vertex {u}")
+        ratio = np.divide(g1, g2, out=np.zeros_like(g1), where=tangent[::2])
+        weights = np.where(tangent, np.column_stack([np.ones_like(ratio), ratio]).ravel(), 0.0)
+        src = [self.mds.corner_pos.get(u, 0) for u in v.tolist()]
+        self._emit(t, _ring_pos(4)[slot, :1], weights[:, None, None], np.array(src)[:, None],
+                   from_dofs=True)
 
     def _pie_edges(self):
         """Two per pie, (v1, v3) then (v1, v2): the pie, the buffer across
@@ -485,7 +471,8 @@ class _Propagator:
         chord = np.tile([bb.index_map(4)[g] for g in ((0, 1, 3), (0, 3, 1))], len(pies) // 2)
         q110, q101, _ = self._qparts(pies[::2])
         q_edge = np.column_stack([q101, q110]).ravel()
-        return pies, self._neighbours(pies, shared), shared, chord, q_edge
+        edges = self.mesh.tri_edges[pies[::2]][:, [2, 0]].ravel()
+        return pies, self._neighbours(pies, edges), shared, chord, q_edge
 
     def _fill_chords_and_buffer_edges(self):
         """Per pie edge, in turn: the buffer's edge row from the product's,
@@ -549,7 +536,7 @@ class SplineSpace:
         return self.mds.dimension
 
     def tri_degree(self, t):
-        return 5 if self.mesh.triangles[t].kind == ORDINARY else 6
+        return 5 if self.mesh.tri_kind[t] == ORDINARY else 6
 
     def local_map(self, t, stored=False):
         """(t's dofs, the map from them to the BB coefficients of t's piece:
@@ -586,11 +573,11 @@ class SplineSpace:
         are taken _BLOCK at a time."""
         mesh = self.mesh
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        coords = mesh.vertices[[rec.verts for rec in mesh.triangles]]
+        coords = mesh.vertices[mesh.tri_verts]
         span = np.abs(coords).max(axis=(1, 2)) + 1.0
         lo = coords.min(axis=1) - 1e-12 * span[:, None]
         hi = coords.max(axis=1) + 1e-12 * span[:, None]
-        straight = np.array([rec.kind != PIE for rec in mesh.triangles])
+        straight = mesh.tri_kind != PIE
         found = np.full(len(pts), -1)
         for p in range(0, len(pts), _BLOCK):
             x = pts[p:p + _BLOCK]
@@ -653,7 +640,7 @@ def _map_groups(mesh, prop, Z):
     groups = []
     for g in np.argsort(first):
         tris, nz = np.flatnonzero(member == g), member[tri] == g
-        kind, kt = mesh.triangles[tris[0]].kind, int(k[tris[0]])
+        kind, kt = str(mesh.tri_kind[tris[0]]), int(k[tris[0]])
         M = np.zeros((len(tris), bb.n_coeffs(_STORED_DEGREE[kind]), kt))
         M[np.searchsorted(tris, tri[nz]), (row - prop.offset[tri])[nz], pos[nz]] = Z.data[nz]
         scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1.0)

@@ -19,11 +19,17 @@ against the projection of the coarse gradient at the corner.  The
 scalar ray/arc rule, one ray at a time, and the pie rules built on it
 (the (d)/(e) walk, curved midpoints, the per-pie quadrature) are the
 straightforward forms of the batched per-arc queries in ``geometry``,
-``mesh`` and ``assembly``, which must reproduce them bit for bit.
+``mesh`` and ``assembly``, which must reproduce them bit for bit.  The
+mesh's array classification and validation are checked against the walk
+that builds the triangles and edges one at a time as records, and its
+array refinement against the refinement that numbers midpoints one
+triangle at a time; the mesh queries that only tests use (stars,
+interior edges) are written here over the mesh arrays.
 """
 
 import copy
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sps
@@ -34,7 +40,7 @@ from conicfem import bernstein as bb
 from conicfem import solver as sol
 from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
                                normalized_pie_conic)
-from conicfem.mesh import ORDINARY, PIE, MeshError
+from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError
 from conicfem.space import _Propagator
 
 
@@ -89,6 +95,11 @@ def eval_bb(d, coeffs, tri, x, order=0):
         hyy = de_casteljau(d - 2, bb.diff_matrix(d - 1, ay) @ dy, b)
         return fac * np.array([[hxx, hxy], [hxy, hyy]])
     raise ValueError(f"derivative order {order} not supported")
+
+
+def degree_raise(d, coeffs, d_to):
+    """Coefficients of the same polynomial written at degree d_to >= d."""
+    return bb.degree_raise_matrix(d, d_to) @ np.asarray(coeffs, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +173,7 @@ def space_dimension_by_rank(mesh):
     to6 = []
     raise56 = bb.degree_raise_matrix(5, 6)
     for t in range(mesh.n_triangles):
-        kind = mesh.triangles[t].kind
+        kind = mesh.tri_kind[t]
         n = {ORDINARY: 21, PIE: 15}.get(kind, 28)
         offsets.append(pos)
         sizes.append(n)
@@ -185,11 +196,9 @@ def space_dimension_by_rank(mesh):
         rows.append(row)
 
     im6 = bb.index_map(6)
-    for e in mesh.interior_edges():
-        rec = mesh.edges[e]
-        ta, tb = rec.tris
-        slots_a = tuple(mesh.triangles[ta].verts.index(v) + 1 for v in rec.verts)
-        slots_b = tuple(mesh.triangles[tb].verts.index(v) + 1 for v in rec.verts)
+    for e in interior_edges(mesh):
+        ta, tb = mesh.edge_tris[e]
+        slots_a, slots_b = _edge_slots(mesh, e, ta), _edge_slots(mesh, e, tb)
         A6, B6 = to6[ta], to6[tb]
         # C0: matching edge rows
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 0)):
@@ -199,7 +208,7 @@ def space_dimension_by_rank(mesh):
             add_row([(tb, B6[im6[gb]]), (ta, -A6[im6[tuple(ga)]])])
         # C1: first interior row of side b from side a
         off_b = 6 - slots_b[0] - slots_b[1]
-        w = mesh.vertices[mesh.triangles[tb].verts[off_b - 1]]
+        w = mesh.vertices[mesh.tri_verts[tb, off_b - 1]]
         b_off = bb.barycentric(mesh.tri_coords(ta), w)
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 1)):
             base = [0, 0, 0]
@@ -214,13 +223,13 @@ def space_dimension_by_rank(mesh):
             add_row([(tb, local), (ta, contrib_a)])
 
     # twice differentiable at interior vertices: adjacent pieces share jets
-    for v in mesh.interior_vertices():
+    for v in np.flatnonzero(~mesh.vertex_is_boundary):
         tris = mesh.vertex_triangles(v)
         pairs = []
         for t in tris:
             for u in tris:
                 if t < u:
-                    shared = set(mesh.triangles[t].verts) & set(mesh.triangles[u].verts)
+                    shared = set(mesh.tri_verts[t].tolist()) & set(mesh.tri_verts[u].tolist())
                     if len(shared) == 2:
                         pairs.append((t, u))
         for ta, tb in pairs:
@@ -240,13 +249,23 @@ def space_dimension_by_rank(mesh):
 def _jet_rows(mesh, t, v):
     """Rows extracting the 2-jet at vertex v from a degree-6 patch on t."""
     tri = mesh.tri_coords(t)
-    slot = mesh.triangles[t].verts.index(v) + 1
+    slot = _slot(mesh, t, v)
     ring = bb.vertex_ring(6, slot)
     im = bb.index_map(6)
     sel = np.zeros((6, 28))
     for i, g in enumerate(ring):
         sel[i, im[g]] = 1.0
     return ring_to_jet_matrix(tri, slot, 6) @ sel
+
+
+def _slot(mesh, t, v):
+    """1-based slot of vertex v in triangle t."""
+    return mesh.tri_verts[t].tolist().index(v) + 1
+
+
+def _edge_slots(mesh, e, t):
+    """1-based slots of edge e's vertices (in their sorted order) in t."""
+    return tuple(_slot(mesh, t, v) for v in mesh.edge_verts[e].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +311,7 @@ def _global_degree6_maps(space):
     out = []
     for t in range(mesh.n_triangles):
         cols, Z = space.local_map(t)
-        if mesh.triangles[t].kind == ORDINARY:
+        if mesh.tri_kind[t] == ORDINARY:
             Z = raise56 @ Z
         G = np.zeros((28, dim))
         G[:, cols] = Z
@@ -306,11 +325,9 @@ def smoothness_residual_matrix(space):
     maps = _global_degree6_maps(space)
     im6 = bb.index_map(6)
     rows = []
-    for e in mesh.interior_edges():
-        rec = mesh.edges[e]
-        ta, tb = rec.tris
-        slots_a = tuple(mesh.triangles[ta].verts.index(v) + 1 for v in rec.verts)
-        slots_b = tuple(mesh.triangles[tb].verts.index(v) + 1 for v in rec.verts)
+    for e in interior_edges(mesh):
+        ta, tb = mesh.edge_tris[e]
+        slots_a, slots_b = _edge_slots(mesh, e, ta), _edge_slots(mesh, e, tb)
         A6, B6 = maps[ta], maps[tb]
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 0)):
             ga = [0, 0, 0]
@@ -318,7 +335,7 @@ def smoothness_residual_matrix(space):
             ga[slots_a[1] - 1] = m
             rows.append(B6[im6[gb]] - A6[im6[tuple(ga)]])
         off_b = 6 - slots_b[0] - slots_b[1]
-        w = mesh.vertices[mesh.triangles[tb].verts[off_b - 1]]
+        w = mesh.vertices[mesh.tri_verts[tb, off_b - 1]]
         b_off = bb.barycentric(mesh.tri_coords(ta), w)
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 1)):
             base = [0, 0, 0]
@@ -338,11 +355,10 @@ def boundary_sample_matrix(space, per_arc=30):
     mesh = space.mesh
     rows = []
     u = np.linspace(0.03, 0.97, per_arc)[:, None]
-    for t in mesh.triangles_of_kind(PIE):
-        rec = mesh.triangles[t]
+    for t in np.flatnonzero(mesh.tri_kind == PIE):
         tri = mesh.tri_coords(t)
         v1, v2, v3 = tri
-        pts = arc_point_on_ray(mesh.domain.arcs[rec.arc], v1, v2 + u * (v3 - v2))
+        pts = arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2))
         V = bb.bernstein_matrix(6, bb.barycentric_many(tri, pts))
         G = np.zeros((per_arc, space.dimension))
         cols, Z = space.local_map(t)
@@ -386,7 +402,7 @@ def triangle_maps(space):
     out = []
     for t in range(space.mesh.n_triangles):
         cols, M = _densify(Z, prop.offset[t], prop.offset[t + 1])
-        piece = prop.pie_P[t] @ M if space.mesh.triangles[t].kind == PIE else M
+        piece = prop.pie_P[t] @ M if space.mesh.tri_kind[t] == PIE else M
         out.append((cols, piece, M))
     return out
 
@@ -408,19 +424,17 @@ def smoothness_report(space, spline):
     """Worst relative C0 / C1 violations across all interior edges."""
     mesh = space.mesh
     worst0 = worst1 = 0.0
-    for e in mesh.interior_edges():
-        rec = mesh.edges[e]
-        ta, tb = rec.tris
+    for e in interior_edges(mesh):
+        ta, tb = mesh.edge_tris[e]
         ca, cb = spline.patch(ta), spline.patch(tb)
-        da = 5 if mesh.triangles[ta].kind == ORDINARY else 6
-        db = 5 if mesh.triangles[tb].kind == ORDINARY else 6
+        da = 5 if mesh.tri_kind[ta] == ORDINARY else 6
+        db = 5 if mesh.tri_kind[tb] == ORDINARY else 6
         if da < 6 <= db:
-            ca = bb.degree_raise(5, ca, 6)
+            ca = degree_raise(5, ca, 6)
         if db < 6 <= da:
-            cb = bb.degree_raise(5, cb, 6)
+            cb = degree_raise(5, cb, 6)
         d = max(da, db)
-        slots_a = tuple(mesh.triangles[ta].verts.index(v) + 1 for v in rec.verts)
-        slots_b = tuple(mesh.triangles[tb].verts.index(v) + 1 for v in rec.verts)
+        slots_a, slots_b = _edge_slots(mesh, e, ta), _edge_slots(mesh, e, tb)
         g0, g1 = bb.smoothness_gaps(d, mesh.tri_coords(ta), ca, slots_a,
                                     mesh.tri_coords(tb), cb, slots_b)
         scale = max(np.abs(ca).max(), np.abs(cb).max(), 1e-300)
@@ -434,10 +448,9 @@ def boundary_samples_max(space, spline, per_arc=30):
     mesh = space.mesh
     worst = 0.0
     u = np.linspace(0.03, 0.97, per_arc)[:, None]
-    for t in mesh.triangles_of_kind(PIE):
-        rec = mesh.triangles[t]
-        v1, v2, v3 = (mesh.vertices[i] for i in rec.verts)
-        for x in arc_point_on_ray(mesh.domain.arcs[rec.arc], v1, v2 + u * (v3 - v2)):
+    for t in np.flatnonzero(mesh.tri_kind == PIE):
+        v1, v2, v3 = mesh.tri_coords(t)
+        for x in arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2)):
             worst = max(worst, abs(eval_bb(6, spline.patch(t), mesh.tri_coords(t), x)))
     return worst
 
@@ -474,7 +487,7 @@ def triangle_designs(quad):
     for t in range(mesh.n_triangles):
         d = quad.space.tri_degree(t)
         tri = mesh.tri_coords(t)
-        if mesh.triangles[t].kind == PIE:
+        if mesh.tri_kind[t] == PIE:
             nodes = asm.pie_quadrature(mesh, [t])[0][0]
             out.append((*bb.design_matrices(d, tri, bb.barycentric_many(tri, nodes)), None))
         else:
@@ -765,21 +778,19 @@ def curved_midpoints_scalar(mesh):
     """Per pie in mesh order, the point where the ray from its interior
     vertex through its chord midpoint meets its arc."""
     out = []
-    for rec in mesh.triangles:
-        if rec.kind == PIE:
-            v1, v2, v3 = (mesh.vertices[i] for i in rec.verts)
-            out.append(arc_point_on_ray_scalar(mesh.domain.arcs[rec.arc], v1, 0.5 * (v2 + v3)))
+    for t in np.flatnonzero(mesh.tri_kind == PIE):
+        v1, v2, v3 = mesh.tri_coords(t)
+        out.append(arc_point_on_ray_scalar(mesh.domain.arcs[mesh.tri_arc[t]], v1, 0.5 * (v2 + v3)))
     return np.array(out)
 
 
 def pie_quadrature_scalar(mesh, t):
     """Nodes (PIE_ORDER**2, 2) and weights of the blended tensor Gauss rule
     on pie t, one ray at a time (see assembly.pie_quadrature)."""
-    rec = mesh.triangles[t]
-    if rec.kind != PIE:
+    if mesh.tri_kind[t] != PIE:
         raise asm.AssemblyError(f"triangle {t} is not pie-shaped")
     v1, v2, v3 = mesh.tri_coords(t)
-    arc = mesh.domain.arcs[rec.arc]
+    arc = mesh.domain.arcs[mesh.tri_arc[t]]
     n = asm.PIE_ORDER
     xg, wg = roots_legendre(n)
     r = 0.5 * (xg + 1.0)
@@ -806,3 +817,301 @@ def pie_quadrature_scalar(mesh, t):
     nodes = (v1 + r[:, None, None] * (apts - v1)).reshape(-1, 2)
     weights = (wr[:, None] * ws * r[:, None] * js).ravel()
     return nodes, weights
+
+
+# ---------------------------------------------------------------------------
+# mesh queries over the arrays
+
+def interior_edges(mesh):
+    return np.flatnonzero(mesh.edge_tris[:, 1] >= 0).tolist()
+
+
+def plain_interior_edges(mesh):
+    """Interior edges that are not pie/buffer edges."""
+    return [e for e in interior_edges(mesh)
+            if set(mesh.tri_kind[mesh.edge_tris[e]].tolist()) != {PIE, BUFFER}]
+
+
+def star(mesh, simplices, level=1):
+    """Triangles whose closure meets the given simplices, iterated.
+
+    Accepts triangle indices or ('v'|'e'|'t', index) tags.  In a valid
+    triangulation two closed simplices intersect iff they share a vertex,
+    so stars are computed through vertex incidence.
+    """
+    if level < 1:
+        raise ValueError("star level must be >= 1")
+    tris = set()
+    verts = set()
+    for s in simplices:
+        if isinstance(s, tuple):
+            tag, idx = s
+            if tag == "v":
+                verts.add(idx)
+            elif tag == "e":
+                verts.update(mesh.edge_verts[idx].tolist())
+            elif tag == "t":
+                verts.update(mesh.tri_verts[idx].tolist())
+            else:
+                raise ValueError(f"unknown simplex tag {tag}")
+        else:
+            verts.update(mesh.tri_verts[s].tolist())
+    for _ in range(level):
+        for v in verts:
+            tris.update(mesh.vertex_triangles(v).tolist())
+        verts = set()
+        for t in tris:
+            verts.update(mesh.tri_verts[t].tolist())
+    return tris
+
+
+def _tangent_at(q1, q2, x, tol=1e-10):
+    """True if the curves of q1 and q2 through x share a tangent line there:
+    their gradients at x are parallel up to tol relative."""
+    g1 = grad_conic(q1, x)
+    g2 = grad_conic(q2, x)
+    cross = abs(g1[0] * g2[1] - g1[1] * g2[0])
+    return cross <= tol * np.linalg.norm(g1) * np.linalg.norm(g2)
+
+
+def corner_is_tangent(domain, j, tol=1e-10):
+    """True if incoming and outgoing arcs share a tangent line at corner j."""
+    n = len(domain.arcs)
+    return _tangent_at(domain.arcs[(j - 1) % n].conic, domain.arcs[j].conic,
+                       domain.corners[j], tol)
+
+
+# ---------------------------------------------------------------------------
+# classification, validation and refinement one triangle at a time
+
+def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
+    """The classification and validation of mesh.classify_and_validate as a
+    walk over triangles, edges and vertices that builds records: raises the
+    same MeshError, else returns triangles [(verts, kind, arc or None)],
+    edges [(sorted verts, incident triangles, arc or None)] in sorted
+    order, vertex_is_boundary, vertex_tangent and vertex_tris (vertex ->
+    ascending triangles).  (d)/(e) are pie_conditions_scalar."""
+    vertices = np.asarray(vertices, dtype=float)
+    tris_in = [tuple(int(v) for v in t) for t in np.asarray(triangles, dtype=int)]
+    scale = max(1.0, float(np.abs(vertices).max()))
+
+    # consistent ccw orientation
+    tris = []
+    for t in tris_in:
+        a, b, c = vertices[t[0]], vertices[t[1]], vertices[t[2]]
+        ab, ac = b - a, c - a
+        area2 = float(ab[0] * ac[1] - ab[1] * ac[0])
+        if abs(area2) < 1e-14 * scale * scale:
+            raise MeshError("mesh", f"degenerate triangle {t}")
+        tris.append(t if area2 > 0 else (t[0], t[2], t[1]))
+
+    # edge -> incident triangles
+    edge_tris = {}
+    for ti, t in enumerate(tris):
+        for k in range(3):
+            key = tuple(sorted((t[k], t[(k + 1) % 3])))
+            edge_tris.setdefault(key, []).append(ti)
+    for key, owners in edge_tris.items():
+        if len(owners) > 2:
+            raise MeshError("mesh", f"edge {key} shared by {len(owners)} triangles")
+
+    declared = {}
+    for va, vb, arc in boundary_edges:
+        declared[tuple(sorted((int(va), int(vb))))] = int(arc)
+    actual_boundary = {k for k, owners in edge_tris.items() if len(owners) == 1}
+    if actual_boundary != set(declared):
+        missing = actual_boundary - set(declared)
+        extra = set(declared) - actual_boundary
+        raise MeshError(
+            "mesh",
+            f"boundary edge mismatch (undeclared: {sorted(missing)}, "
+            f"declared-but-interior: {sorted(extra)})",
+        )
+
+    # boundary edge endpoints must sit on their arc's conic
+    for key, arc_idx in declared.items():
+        conic = domain.arcs[arc_idx].conic
+        for v in key:
+            q = abs(eval_conic(conic, vertices[v]))
+            if q > 1e-9 * scale * scale * max(np.abs(conic.coeffs)):
+                raise MeshError(
+                    "mesh", f"vertex {v} not on conic of arc {arc_idx} (|q|={q:.2e})"
+                )
+        if domain.arcs[arc_idx].conic.degree != 2:
+            raise MeshError("f", f"boundary edge {key} lies on a straight segment")
+
+    vertex_is_boundary = np.zeros(len(vertices), dtype=bool)
+    for key in actual_boundary:
+        vertex_is_boundary[list(key)] = True
+
+    # (a) arc corners are vertices
+    for j, z in enumerate(domain.corners):
+        d = np.linalg.norm(vertices - np.asarray(z), axis=1)
+        v = int(np.argmin(d))
+        if d[v] > 1e-9 * scale or not vertex_is_boundary[v]:
+            raise MeshError("a", f"arc corner {j} at {tuple(z)} is not a boundary vertex")
+
+    # (b) interior edges with both endpoints on the boundary
+    for key, owners in edge_tris.items():
+        if len(owners) == 2 and vertex_is_boundary[key[0]] and vertex_is_boundary[key[1]]:
+            raise MeshError("b", f"interior edge {key} has both endpoints on the boundary")
+
+    # classification
+    kinds = [None] * len(tris)
+    arcs = [None] * len(tris)
+    for ti, t in enumerate(tris):
+        bedges = [
+            k for k in range(3)
+            if tuple(sorted((t[k], t[(k + 1) % 3]))) in actual_boundary
+        ]
+        if len(bedges) > 1:
+            raise MeshError("mesh", f"triangle {ti} has {len(bedges)} boundary edges")
+        if bedges:
+            kinds[ti] = PIE
+            arcs[ti] = declared[tuple(sorted((t[bedges[0]], t[(bedges[0] + 1) % 3])))]
+    for ti, t in enumerate(tris):
+        if kinds[ti] == PIE:
+            continue
+        for k in range(3):
+            key = tuple(sorted((t[k], t[(k + 1) % 3])))
+            owners = edge_tris[key]
+            if len(owners) == 2:
+                other = owners[0] if owners[1] == ti else owners[1]
+                if kinds[other] == PIE:
+                    kinds[ti] = BUFFER
+                    break
+        if kinds[ti] is None:
+            kinds[ti] = ORDINARY
+
+    # canonical slot ordering
+    records = []
+    for ti, t in enumerate(tris):
+        if kinds[ti] == PIE:
+            off = next(
+                k for k in range(3)
+                if tuple(sorted((t[k], t[(k + 1) % 3]))) in actual_boundary
+            )
+            v1 = t[(off + 2) % 3]
+            v2, v3 = t[off], t[(off + 1) % 3]
+            if vertex_is_boundary[v1]:
+                raise MeshError("b", f"pie triangle {ti} has all vertices on the boundary")
+            records.append(((v1, v2, v3), PIE, arcs[ti]))
+        elif kinds[ti] == BUFFER:
+            bverts = [k for k in range(3) if vertex_is_boundary[t[k]]]
+            if len(bverts) != 1:
+                raise MeshError(
+                    "mesh", f"buffer triangle {ti} has {len(bverts)} boundary vertices"
+                )
+            k = bverts[0]
+            records.append(((t[k], t[(k + 1) % 3], t[(k + 2) % 3]), BUFFER, None))
+        else:
+            records.append((t, ORDINARY, None))
+
+    # (c), (g): forbidden adjacencies
+    for key, owners in edge_tris.items():
+        if len(owners) != 2:
+            continue
+        ka, kb = kinds[owners[0]], kinds[owners[1]]
+        if ka == kb == PIE:
+            raise MeshError("c", f"pie triangles {owners} share edge {key}")
+        if ka == kb == BUFFER:
+            raise MeshError("g", f"buffer triangles {owners} share edge {key}")
+
+    edges = [(key, tuple(edge_tris[key]), declared.get(key)) for key in sorted(edge_tris)]
+
+    # euler characteristic of a disk
+    if len(vertices) - len(edges) + len(tris) != 1:
+        raise MeshError("mesh", "Euler relation |V|-|E|+|T| = 1 violated")
+
+    # vertex links: single fan, cycle for interior / path for boundary
+    vert_tris = [[] for _ in range(len(vertices))]
+    for ti, t in enumerate(tris):
+        for v in t:
+            vert_tris[v].append(ti)
+    for v in range(len(vertices)):
+        owners = vert_tris[v]
+        if not owners:
+            raise MeshError("mesh", f"isolated vertex {v}")
+        inner = 0
+        adj = {ti: [] for ti in owners}
+        for key in {(min(v, u), max(v, u)) for ti in owners for u in tris[ti] if u != v}:
+            ow = edge_tris[key]
+            if len(ow) == 2:
+                adj[ow[0]].append(ow[1])
+                adj[ow[1]].append(ow[0])
+                inner += 1
+        seen = {owners[0]}
+        stack = [owners[0]]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if len(seen) != len(owners):
+            raise MeshError("mesh", f"vertex {v} has a disconnected triangle fan")
+        expected = len(owners) - 1 if vertex_is_boundary[v] else len(owners)
+        if inner != expected:
+            raise MeshError("mesh", f"vertex {v} link is not a simple fan")
+
+    # V_B^1: boundary tangent continuity via gradient collinearity
+    vertex_tangent = np.zeros(len(vertices), dtype=bool)
+    bd_edges_at = {}
+    for key, arc_idx in declared.items():
+        for v in key:
+            bd_edges_at.setdefault(v, []).append(arc_idx)
+    for v, arc_ids in bd_edges_at.items():
+        if len(arc_ids) != 2:
+            raise MeshError("mesh", f"boundary vertex {v} has {len(arc_ids)} boundary edges")
+        vertex_tangent[v] = _tangent_at(domain.arcs[arc_ids[0]].conic,
+                                        domain.arcs[arc_ids[1]].conic, vertices[v])
+
+    # (d) + (e): pie star-shapedness and conic positivity
+    failure = pie_conditions_scalar(domain, vertices, triangles, boundary_edges)
+    if failure is not None:
+        condition, message = failure
+        raise MeshError(condition, message[len(f"condition ({condition}): "):])
+
+    # structural prerequisites of the dof construction
+    for v in np.flatnonzero(~vertex_is_boundary):
+        if not any(records[t][1] == ORDINARY for t in vert_tris[v]):
+            raise MeshError("mesh", f"interior vertex {v} touches no ordinary triangle")
+    for v in np.flatnonzero(vertex_is_boundary):
+        ks = sorted(records[t][1] for t in vert_tris[v])
+        if ks != [BUFFER, PIE, PIE]:
+            raise MeshError(
+                "mesh",
+                f"boundary vertex {v} fan is {ks}, expected one buffer between two pies",
+            )
+    return SimpleNamespace(triangles=records, edges=edges,
+                           vertex_is_boundary=vertex_is_boundary,
+                           vertex_tangent=vertex_tangent, vertex_tris=vert_tris)
+
+
+def refine_inputs_scalar(mesh):
+    """The raw data that mesh.refine_uniform validates, built one triangle
+    at a time: (vertices, children, boundary edges, parents).  Curved
+    midpoints come first in pie order, then straight midpoints in order of
+    first occurrence over the triangles' edges (slots 0-1, 1-2, 2-0)."""
+    n = mesh.n_vertices
+    verts = [tuple(p) for p in mesh.vertices] + [tuple(p) for p in curved_midpoints_scalar(mesh)]
+    pies = np.flatnonzero(mesh.tri_kind == PIE).tolist()
+    mid_of = {tuple(sorted(mesh.tri_verts[t, 1:].tolist())): n + i for i, t in enumerate(pies)}
+
+    def straight_mid(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid_of:
+            mid_of[key] = len(verts)
+            verts.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
+        return mid_of[key]
+
+    children, parents = [], []
+    for ti, (a, b, c) in enumerate(mesh.tri_verts.tolist()):
+        mab, mbc, mca = straight_mid(a, b), straight_mid(b, c), straight_mid(c, a)
+        children += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+        parents += [ti] * 4
+    boundary = []
+    for (va, vb), arc in zip(mesh.edge_verts.tolist(), mesh.edge_arc.tolist()):
+        if arc >= 0:
+            m = mid_of[(va, vb)]
+            boundary += [(va, m, arc), (m, vb, arc)]
+    return np.asarray(verts, dtype=float), children, boundary, parents

@@ -20,7 +20,7 @@ from conicfem.space import build_space, solve_factor_ring
 
 from _oracles import (basis_support, boundary_sample_matrix, domain_area, eval_bb,
                       extraction_matrix, smoothness_residual_matrix,
-                      space_dimension_by_rank)
+                      space_dimension_by_rank, star)
 
 
 def _line(criterion, ok, detail):
@@ -247,7 +247,7 @@ def test_criterion_9_locality():
         for lam in range(space.dimension):
             supp = basis_support(space, lam)
             for t in supp:
-                if not supp <= mesh.star([t], level=3):
+                if not supp <= star(mesh, [t], level=3):
                     ok = False
                     worst_detail = f"dof {lam} of {pid} escapes st3({t})"
     _line(9, ok, worst_detail or "all dual supports within st3 of every "

@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -43,19 +43,19 @@ def test_areas(disk_space2, ellipse_mesh2):
 
 def test_pie_quadrature_jacobians(disk_space):
     mesh = disk_space.mesh
-    pies = mesh.triangles_of_kind(PIE)
+    pies = np.flatnonzero(mesh.tri_kind == PIE)
     nodes, weights = asm.pie_quadrature(mesh, pies)
     assert nodes.shape == (len(pies), asm.PIE_ORDER ** 2, 2)
     assert weights.shape == (len(pies), asm.PIE_ORDER ** 2)
     assert np.all(weights > 0)
     with pytest.raises(asm.AssemblyError):
-        asm.pie_quadrature(mesh, mesh.triangles_of_kind("ordinary")[:1])
+        asm.pie_quadrature(mesh, np.flatnonzero(mesh.tri_kind == "ordinary")[:1])
 
 
 def test_pie_quadrature_is_bit_identical_to_scalar_rule(hierarchies, c2_space):
     for meshes in hierarchies.values():
         for mesh in meshes:
-            pies = mesh.triangles_of_kind(PIE)
+            pies = np.flatnonzero(mesh.tri_kind == PIE)
             nodes, weights = asm.pie_quadrature(mesh, pies)
             for i, t in enumerate(pies):
                 want_nodes, want_weights = pie_quadrature_scalar(mesh, t)
@@ -63,7 +63,7 @@ def test_pie_quadrature_is_bit_identical_to_scalar_rule(hierarchies, c2_space):
                 np.testing.assert_array_equal(weights[i], want_weights)
     # the chunks of a space store the same rule
     nodes = triangle_nodes(asm.TriangleQuadrature(c2_space))
-    for t in c2_space.mesh.triangles_of_kind(PIE):
+    for t in np.flatnonzero(c2_space.mesh.tri_kind == PIE):
         want_nodes, want_weights = pie_quadrature_scalar(c2_space.mesh, t)
         np.testing.assert_array_equal(nodes[t][0], want_nodes)
         np.testing.assert_array_equal(nodes[t][1], want_weights)
@@ -82,18 +82,19 @@ def test_pie_quadrature_errors_name_the_first_failing_pie(disk_mesh2, c2dom, whe
     # interior vertices moved at random: the blending Jacobian changes sign
     # on several pies at once, and on the disk wheel with its last arc
     # replaced by a hyperbola branch (fails mesh validation) rays miss
-    hyperbola = copy.copy(wheel_mesh(disk_domain(), *disk_wheel_points()))
-    hyperbola.domain, hyperbola.vertices = wheels["hyperbola-bite"][:2]
+    dom, verts = wheels["hyperbola-bite"][:2]
+    hyperbola = dataclasses.replace(wheel_mesh(disk_domain(), *disk_wheel_points()),
+                                    domain=dom, vertices=verts.copy())
     rng = np.random.default_rng(7)
     seen = set()
     for base in (disk_mesh2, c2dom[1], hyperbola):
-        pies = base.triangles_of_kind(PIE)
+        pies = np.flatnonzero(base.tri_kind == PIE)
         inner = ~base.vertex_is_boundary
         scale = np.abs(base.vertices).max()
         for size in np.repeat([0.0, 0.1, 0.2, 0.4], 8):
-            mesh = copy.copy(base)
-            mesh.vertices = base.vertices.copy()
-            mesh.vertices[inner] += size * scale * rng.standard_normal((inner.sum(), 2))
+            moved = base.vertices.copy()
+            moved[inner] += size * scale * rng.standard_normal((inner.sum(), 2))
+            mesh = dataclasses.replace(base, vertices=moved)
             want = _first_scalar_failure(mesh, pies)
             if want is None:
                 nodes, weights = asm.pie_quadrature(mesh, pies)

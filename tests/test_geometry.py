@@ -10,7 +10,7 @@ from conicfem import bernstein as bb
 from conicfem import geometry as geo
 from conicfem.problems import c2_domain, disk_domain, ellipse_domain
 
-from _oracles import arc_point_on_ray_scalar, de_casteljau
+from _oracles import arc_point_on_ray_scalar, corner_is_tangent, de_casteljau
 
 CIRCLE = geo.Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))      # 1 - x^2 - y^2
 ELLIPSE = geo.Conic((-1.0, 0.0, -6.25, 0.0, 0.0, 1.0))    # 1 - x^2 - 6.25 y^2
@@ -197,7 +197,7 @@ def test_domain_chain_validation():
     arcs = [geo.BoundaryArc(CIRCLE, pts[j], pts[(j + 1) % 4]) for j in range(4)]
     dom = geo.ConicDomain(tuple(arcs))
     assert np.allclose(dom.interior_angles, np.pi, atol=1e-12)
-    assert all(dom.corner_is_tangent(j) for j in range(4))
+    assert all(corner_is_tangent(dom, j) for j in range(4))
     # broken chain
     bad = [arcs[0], arcs[2], arcs[1], arcs[3]]
     with pytest.raises(geo.GeometryError):

@@ -4,32 +4,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicfem import mesh as msh
-from conicfem.geometry import GeometryError, arc_point_on_ray, eval_conic
+from conicfem.geometry import (BoundaryArc, Conic, ConicDomain, GeometryError, arc_point_on_ray,
+                               eval_conic)
 from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError, refine_uniform
 from conicfem.problems import builtin_domain, disk_domain, disk_wheel_points
 
-from _oracles import arc_point_on_ray_scalar, curved_midpoints_scalar, pie_conditions_scalar
+from _oracles import (arc_point_on_ray_scalar, classify_and_validate_scalar,
+                      curved_midpoints_scalar, pie_conditions_scalar, refine_inputs_scalar, star)
+
+
+def raw(m):
+    """The domain, vertices, triangles and boundary edges that rebuild m."""
+    data = msh.mesh_to_dict(m, include_domain=False)
+    return m.domain, m.vertices, data["triangles"], data["boundary"]
+
+
+def counts(m):
+    return {k: int(np.count_nonzero(m.tri_kind == k)) for k in (ORDINARY, BUFFER, PIE)}
 
 
 def test_disk_classification(disk_mesh):
-    counts = {k: len(disk_mesh.triangles_of_kind(k)) for k in (ORDINARY, BUFFER, PIE)}
-    assert counts == {ORDINARY: 8, BUFFER: 8, PIE: 8}
+    assert counts(disk_mesh) == {ORDINARY: 8, BUFFER: 8, PIE: 8}
     # all boundary vertices have a tangent (single conic everywhere)
-    assert all(disk_mesh.vertex_tangent[v] for v in disk_mesh.boundary_vertices())
+    assert disk_mesh.vertex_tangent[disk_mesh.vertex_is_boundary].all()
     # pie slot conventions: interior vertex first, boundary pair after
-    for t in disk_mesh.triangles_of_kind(PIE):
-        rec = disk_mesh.triangles[t]
-        assert not disk_mesh.vertex_is_boundary[rec.verts[0]]
-        assert disk_mesh.vertex_is_boundary[rec.verts[1]]
-        assert disk_mesh.vertex_is_boundary[rec.verts[2]]
-    for t in disk_mesh.triangles_of_kind(BUFFER):
-        rec = disk_mesh.triangles[t]
-        assert disk_mesh.vertex_is_boundary[rec.verts[0]]
+    on_boundary = disk_mesh.vertex_is_boundary[disk_mesh.tri_verts]
+    assert (on_boundary[disk_mesh.tri_kind == PIE] == [False, True, True]).all()
+    assert on_boundary[disk_mesh.tri_kind == BUFFER, 0].all()
+    # arcs on pies only; edge triangles ascending, -1 after a boundary edge's one
+    assert ((disk_mesh.tri_arc >= 0) == (disk_mesh.tri_kind == PIE)).all()
+    et = disk_mesh.edge_tris
+    assert ((et[:, 1] < 0) == (disk_mesh.edge_arc >= 0)).all()
+    assert (et[et[:, 1] >= 0, 0] < et[et[:, 1] >= 0, 1]).all()
 
 
 def test_euler_relation(disk_mesh, disk_mesh2, ellipse_mesh, lens_mesh):
     for m in (disk_mesh, disk_mesh2, ellipse_mesh, lens_mesh):
-        assert m.n_vertices - len(m.edges) + m.n_triangles == 1
+        assert m.n_vertices - len(m.edge_verts) + m.n_triangles == 1
+
+
+def test_mesh_copies_its_input_and_is_read_only(wheels):
+    dom, verts, tris, boundary = wheels["disk"]
+    verts = verts.copy()
+    m = msh.classify_and_validate(dom, verts, tris, boundary)
+    before = m.vertices.copy()
+    verts[0] += 5.0
+    np.testing.assert_array_equal(m.vertices, before)
+    for name in ("vertices", "tri_verts", "tri_kind", "tri_arc", "tri_edges", "edge_verts",
+                 "edge_tris", "edge_arc", "vertex_is_boundary", "vertex_tangent",
+                 "vertex_tri_start", "vertex_tris"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(m, name)[0] = getattr(m, name)[1]
+    with pytest.raises(ValueError, match="read-only"):
+        refine_uniform(m).parents[0] = 1
 
 
 def test_condition_c_rejected():
@@ -119,12 +146,11 @@ def test_pie_check_casts_fifty_rays_per_pie(disk_mesh2, monkeypatch):
 
     m = disk_mesh2
     monkeypatch.setattr(msh, "arc_point_on_ray", spy)
-    msh.classify_and_validate(m.domain, m.vertices, [rec.verts for rec in m.triangles],
-                              [(*rec.verts, rec.arc) for rec in m.edges if rec.arc is not None])
+    msh.classify_and_validate(*raw(m))
     assert [c[0] for c in calls] == list(m.domain.arcs)
     s = np.linspace(0.02, 0.98, 50)[:, None]
     for a, (_, origin, through) in enumerate(calls):
-        pies = [m.triangles[t].verts for t in m.triangles_of_kind(PIE) if m.triangles[t].arc == a]
+        pies = m.tri_verts[(m.tri_kind == PIE) & (m.tri_arc == a)]
         v1, v2, v3 = m.vertices[pies].transpose(1, 0, 2)
         np.testing.assert_array_equal(origin, np.repeat(v1, 50, axis=0))
         np.testing.assert_array_equal(
@@ -136,9 +162,7 @@ def test_pie_conditions_match_scalar_walk(wheels, hierarchies):
     # batched check reports the scalar walk's first failure, word for word
     bases = list(wheels.values())
     for pid, level in (("disk", 2), ("ellipse-exp", 2), ("c2-domain", 1)):
-        m = hierarchies[pid][level - 1]
-        bases.append((m.domain, m.vertices, [rec.verts for rec in m.triangles],
-                      [(*rec.verts, rec.arc) for rec in m.edges if rec.arc is not None]))
+        bases.append(raw(hierarchies[pid][level - 1]))
     rng = np.random.default_rng(3)
     seen = set()
     for dom, verts, tris, boundary in bases:
@@ -196,23 +220,22 @@ def test_fans_joined_at_one_vertex_rejected(disk_mesh):
     centre = int(np.argmin(np.linalg.norm(disk_mesh.vertices, axis=1)))
     copy = [v if v == centre else n + v - (v > centre) for v in range(n)]
     verts = np.vstack([disk_mesh.vertices, np.delete(disk_mesh.vertices, centre, axis=0)])
-    tris = [rec.verts for rec in disk_mesh.triangles]
+    _, _, tris, boundary = raw(disk_mesh)
     tris += [tuple(copy[v] for v in t) for t in tris]
-    boundary = [(*rec.verts, rec.arc) for rec in disk_mesh.edges if rec.arc is not None]
     boundary += [(copy[a], copy[b], arc) for a, b, arc in boundary]
-    assert len(verts) - 2 * len(disk_mesh.edges) + len(tris) == 1
+    assert len(verts) - 2 * len(disk_mesh.edge_verts) + len(tris) == 1
     with pytest.raises(MeshError, match=f"vertex {centre} has a disconnected triangle fan"):
         msh.classify_and_validate(disk_mesh.domain, verts, tris, boundary)
 
 
 def test_refine_counts_and_midpoints(disk_mesh, disk_mesh2):
     assert disk_mesh2.n_triangles == 4 * disk_mesh.n_triangles
-    for rec in disk_mesh2.edges:
-        if rec.arc is not None:
-            conic = disk_mesh2.domain.arcs[rec.arc].conic
-            for v in rec.verts:
-                assert abs(eval_conic(conic, disk_mesh2.vertices[v])) < 1e-13
-    kinds2 = {k: len(disk_mesh2.triangles_of_kind(k)) for k in (ORDINARY, BUFFER, PIE)}
+    curved = disk_mesh2.edge_arc >= 0
+    for (va, vb), arc in zip(disk_mesh2.edge_verts[curved], disk_mesh2.edge_arc[curved]):
+        conic = disk_mesh2.domain.arcs[arc].conic
+        for v in (va, vb):
+            assert abs(eval_conic(conic, disk_mesh2.vertices[v])) < 1e-13
+    kinds2 = counts(disk_mesh2)
     assert kinds2[PIE] == 16 and kinds2[BUFFER] == 16
 
 
@@ -220,7 +243,7 @@ def test_refine_straight_midpoint_rule():
     # an ordinary parent spawns children at the three edge midpoints
     dom, mesh = builtin_domain("disk")
     fine = refine_uniform(mesh)
-    t = mesh.triangles_of_kind(ORDINARY)[0]
+    t = np.flatnonzero(mesh.tri_kind == ORDINARY)[0]
     tri = mesh.tri_coords(t)
     mids = {tuple(np.round(0.5 * (tri[i] + tri[j]), 12))
             for i in range(3) for j in range(i + 1, 3)}
@@ -228,7 +251,7 @@ def test_refine_straight_midpoint_rule():
     assert len(children) == 4
     child_verts = set()
     for c in children:
-        for v in fine.triangles[c].verts:
+        for v in fine.tri_verts[c]:
             child_verts.add(tuple(np.round(fine.vertices[v], 12)))
     assert mids <= child_verts
 
@@ -236,13 +259,13 @@ def test_refine_straight_midpoint_rule():
 def test_refine_pie_curved_midpoint():
     dom, mesh = builtin_domain("disk")
     fine = refine_uniform(mesh)
-    t = mesh.triangles_of_kind(PIE)[0]
-    v1, v2, v3 = (mesh.vertices[i] for i in mesh.triangles[t].verts)
+    t = np.flatnonzero(mesh.tri_kind == PIE)[0]
+    v1, v2, v3 = mesh.tri_coords(t)
     chord_mid = 0.5 * (v2 + v3)
     direction = chord_mid - v1
     # the curved-edge midpoint lies on the ray from the interior vertex
     children = [c for c in range(fine.n_triangles) if fine.parents[c] == t]
-    new_bd = [v for c in children for v in fine.triangles[c].verts
+    new_bd = [v for c in children for v in fine.tri_verts[c]
               if fine.vertex_is_boundary[v]
               and not any(np.allclose(fine.vertices[v], p) for p in (v2, v3))]
     x = fine.vertices[new_bd[0]]
@@ -269,24 +292,24 @@ def test_refinement_preserves_conditions_deep():
         for _ in range(levels - 1):
             mesh = refine_uniform(mesh)
         assert mesh.level == levels
-        assert mesh.n_vertices - len(mesh.edges) + mesh.n_triangles == 1
+        assert mesh.n_vertices - len(mesh.edge_verts) + mesh.n_triangles == 1
 
 
 def test_star_properties(disk_mesh):
-    v = disk_mesh.interior_vertices()[0]
-    st1 = disk_mesh.star([("v", v)])
-    assert st1 == set(disk_mesh.vertex_triangles(v))
+    v = int(np.flatnonzero(~disk_mesh.vertex_is_boundary)[0])
+    st1 = star(disk_mesh, [("v", v)])
+    assert st1 == set(disk_mesh.vertex_triangles(v).tolist())
     t0 = 0
-    assert t0 in disk_mesh.star([t0])
+    assert t0 in star(disk_mesh, [t0])
     rng = np.random.default_rng(0)
     for _ in range(20):
         t = int(rng.integers(disk_mesh.n_triangles))
-        s1 = disk_mesh.star([t])
-        s2 = disk_mesh.star([t], level=2)
+        s1 = star(disk_mesh, [t])
+        s2 = star(disk_mesh, [t], level=2)
         assert s1 <= s2
-    e = disk_mesh.interior_edges()[0]
-    se = disk_mesh.star([("e", e)])
-    assert set(disk_mesh.edges[e].tris) <= se
+    e = int(np.flatnonzero(disk_mesh.edge_tris[:, 1] >= 0)[0])
+    se = star(disk_mesh, [("e", e)])
+    assert set(disk_mesh.edge_tris[e].tolist()) <= se
 
 
 def test_corner_vertices_with_straight_angle_in_tangent_set(disk_mesh):
@@ -304,7 +327,7 @@ def test_lens_corners_not_tangent(lens_mesh):
         d = np.linalg.norm(lens_mesh.vertices - z, axis=1)
         flags.append(bool(lens_mesh.vertex_tangent[int(np.argmin(d))]))
     assert flags == [False, False]
-    others = [v for v in lens_mesh.boundary_vertices()
+    others = [v for v in np.flatnonzero(lens_mesh.vertex_is_boundary)
               if not any(np.allclose(lens_mesh.vertices[v], z) for z in corners)]
     assert all(lens_mesh.vertex_tangent[v] for v in others)
 
@@ -314,7 +337,7 @@ def test_mesh_file_roundtrip(tmp_path, disk_mesh):
     msh.save_mesh(disk_mesh, path)
     again = msh.load_mesh(path)
     assert again.n_triangles == disk_mesh.n_triangles
-    assert [r.kind for r in again.triangles] == [r.kind for r in disk_mesh.triangles]
+    np.testing.assert_array_equal(again.tri_kind, disk_mesh.tri_kind)
 
 
 def test_boundary_mismatch_reported(tmp_path, disk_mesh):
@@ -322,3 +345,175 @@ def test_boundary_mismatch_reported(tmp_path, disk_mesh):
     data["boundary"] = data["boundary"][:-1]
     with pytest.raises(MeshError):
         msh.mesh_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# the array validation against the scalar walk
+
+N_RIM = 8                   # the disk wheel: rim 0-7, ring 8-15, centre 16
+RING, CENTRE = N_RIM, 2 * N_RIM
+
+
+def _without(tris, *drop):
+    return [t for t in tris if tuple(t) not in drop]
+
+
+def _segment_domain():
+    """The disk with its lower-right quarter arc replaced by the chord."""
+    circle = Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))
+    corners = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    chord = Conic((0.0, 0.0, 0.0, -1.0, 1.0, 1.0), degree=1)
+    return ConicDomain(tuple(BoundaryArc(circle, corners[j], corners[j + 1]) for j in range(3))
+                       + (BoundaryArc(chord, corners[3], corners[0]),))
+
+
+def _two_disks(dom, V, T, B, shared):
+    """Two copies of a mesh that share the vertices `shared`, numbered
+    from 1; vertex 0 lies in no triangle."""
+    n = len(V)
+    copy = [v if v in shared else n + v for v in range(n)]
+    used = [v for v in range(2 * n) if v < n or v - n not in shared]
+    new = {v: k + 1 for k, v in enumerate(used)}
+    tris = [tuple(new[v] for v in t) for t in T] + [tuple(new[copy[v]] for v in t) for t in T]
+    boundary = [(new[a], new[b], k) for a, b, k in B] + [(new[copy[a]], new[copy[b]], k)
+                                                       for a, b, k in B]
+    return dom, np.vstack([[0.1, 0.1], V, V])[[0] + [v + 1 for v in used]], tris, boundary
+
+
+def _corrupted(name, dom, V, T, B):
+    """Raw disk-wheel data broken to fail with the named message."""
+    V, i = V.copy(), 2
+    if name == "degenerate triangle":
+        return dom, V, [(1, 1, 8)] + T[1:], B
+    if name == "edge shared by 3 triangles":
+        return dom, V, T + [(CENTRE, RING, RING + 2)], B
+    if name == "vertex not on its conic":
+        V[3] *= 1.001
+        return dom, V, T, B
+    if name == "(f) straight boundary edge":
+        V[7] = (0.5, -0.5)
+        return _segment_domain(), V, T, B
+    if name == "(a) arc corner not a vertex":
+        c, s = np.cos(0.1), np.sin(0.1)
+        return dom, V @ np.array([[c, s], [-s, c]]), T, B
+    if name == "boundary edge mismatch":
+        return dom, V, T, B[:-1]
+    if name == "more than one boundary edge":
+        n, ang = len(V), np.array([0.3, 0.4, 0.5])
+        return (dom, np.vstack([V, np.column_stack([np.cos(ang), np.sin(ang)])]),
+                T + [(n, n + 1, n + 2)], B + [(n, n + 1, 0), (n + 1, n + 2, 0), (n + 2, n, 0)])
+    # split buffer i (and below, the ordinary triangle across its inner edge)
+    a, b, w = RING + i - 1, RING + i, len(V)
+    rest = _without(T, (i, a, b), (CENTRE, a, b))
+    if name == "(g) buffers share an edge":
+        return (dom, np.vstack([V, 0.5 * (V[a] + V[b])]), rest
+                + [(i, a, w), (i, w, b), (CENTRE, a, w), (CENTRE, w, b)], B)
+    if name == "boundary fan not buffer between pies":
+        inside = np.array([[0.6, 0.25, 0.15], [0.6, 0.15, 0.25]]) @ V[[i, a, b]]
+        return (dom, np.vstack([V, inside]), _without(T, (i, a, b))
+                + [(i, a, w), (i, w, w + 1), (i, w + 1, b), (a, w + 1, w), (a, b, w + 1)], B)
+    if name == "Euler relation":
+        n = len(V)
+        return (dom, np.vstack([V, V]), T + [tuple(v + n for v in t) for t in T],
+                B + [(p + n, q + n, k) for p, q, k in B])
+    if name == "isolated vertex":
+        # two disks sharing two opposite ring vertices: Euler holds again
+        return _two_disks(dom, V, T, B, shared=(RING, RING + 4))
+    raise KeyError(name)
+
+
+def _as_records(m):
+    """The array mesh in the oracle's record form."""
+    arc = lambda a: None if a < 0 else a
+    return (
+        [(tuple(v), k, arc(a)) for v, k, a in zip(m.tri_verts.tolist(), m.tri_kind.tolist(),
+                                                   m.tri_arc.tolist())],
+        [(tuple(v), tuple(t for t in ts if t >= 0), arc(a)) for v, ts, a in
+         zip(m.edge_verts.tolist(), m.edge_tris.tolist(), m.edge_arc.tolist())],
+        m.vertex_is_boundary.tolist(), m.vertex_tangent.tolist(),
+        [m.vertex_triangles(v).tolist() for v in range(m.n_vertices)],
+    )
+
+
+def _assert_same_outcome(data):
+    """classify_and_validate and the scalar walk raise the same MeshError,
+    word for word, or build the same triangulation; returns the mesh or
+    the message."""
+    try:
+        ref = classify_and_validate_scalar(*data)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as err:
+            msh.classify_and_validate(*data)
+        assert (err.value.condition, str(err.value)) == (exc.condition, str(exc))
+        return str(exc)
+    m = msh.classify_and_validate(*data)
+    assert _as_records(m) == (ref.triangles, ref.edges, ref.vertex_is_boundary.tolist(),
+                              ref.vertex_tangent.tolist(), ref.vertex_tris)
+    return m
+
+
+@pytest.mark.parametrize("case, message", [
+    ("degenerate triangle", "condition (mesh): degenerate triangle (1, 1, 8)"),
+    ("edge shared by 3 triangles", "condition (mesh): edge (8, 16) shared by 3 triangles"),
+    ("vertex not on its conic",
+     "condition (mesh): vertex 3 not on conic of arc 1 (|q|=2.00e-03)"),
+    ("(f) straight boundary edge",
+     "condition (f): boundary edge (6, 7) lies on a straight segment"),
+    ("(a) arc corner not a vertex", "condition (a): arc corner 0 at ("),
+    ("boundary edge mismatch",
+     "condition (mesh): boundary edge mismatch (undeclared: [(0, 7)], declared-but-interior: [])"),
+    ("more than one boundary edge", "condition (mesh): triangle 24 has 3 boundary edges"),
+    ("(g) buffers share an edge", "condition (g): buffer triangles [22, 23] share edge (2, 17)"),
+    ("Euler relation", "condition (mesh): Euler relation |V|-|E|+|T| = 1 violated"),
+    ("isolated vertex", "condition (mesh): isolated vertex 0"),
+    ("boundary fan not buffer between pies",
+     "condition (mesh): boundary vertex 2 fan is ['buffer', 'buffer', 'ordinary', 'pie', "
+     "'pie'], expected one buffer between two pies"),
+    ("disk", 4), ("ellipse-exp", 4), ("c2-domain", 3),
+])
+def test_validation_matches_scalar_walk(wheels, monkeypatch, case, message):
+    # broken wheels fail with the scalar walk's message; the built-in
+    # hierarchies, and the data refinement hands to validation, match the
+    # walk's records and midpoint numbering
+    if isinstance(message, str):
+        got = _assert_same_outcome(_corrupted(case, *wheels["disk"]))
+        assert got.startswith(message) and (got == message or case.startswith("(a)"))
+        return
+    inputs = []
+    validate = msh.classify_and_validate
+    monkeypatch.setattr(msh, "classify_and_validate",
+                        lambda *args, **kw: inputs.append(args) or validate(*args, **kw))
+    _, mesh = builtin_domain(case)
+    for level in range(2, message + 1):
+        fine = refine_uniform(mesh)
+        verts, children, boundary, parents = refine_inputs_scalar(mesh)
+        np.testing.assert_array_equal(inputs[-1][1], verts)
+        assert inputs[-1][2].tolist() == [list(t) for t in children]
+        assert inputs[-1][3].tolist() == [list(b) for b in boundary]
+        assert fine.parents.tolist() == parents and fine.level == level
+        mesh = fine
+    monkeypatch.undo()
+    for data in inputs:
+        assert _assert_same_outcome(data) is not None
+
+
+def test_validation_matches_scalar_walk_after_edge_flips(wheels, hierarchies):
+    # flipping interior edges breaks (b), (c) and (g), often several at
+    # once: the first failure, or the mesh, is the scalar walk's
+    rng = np.random.default_rng(5)
+    bases = [wheels["disk"], raw(hierarchies["disk"][1]), raw(hierarchies["c2-domain"][0])]
+    seen = set()
+    for _ in range(120):
+        dom, V, T, B = bases[rng.integers(len(bases))]
+        T = [list(t) for t in T]
+        for _ in range(rng.integers(1, 7)):
+            t1, k = rng.integers(len(T)), rng.integers(3)
+            a, b = T[t1][k], T[t1][(k + 1) % 3]
+            t2 = [u for u, t in enumerate(T) if u != t1 and a in t and b in t]
+            if t2:
+                c = [v for v in T[t1] if v not in (a, b)][0]
+                d = [v for v in T[t2[0]] if v not in (a, b)][0]
+                T[t1], T[t2[0]] = [c, d, a], [c, d, b]
+        got = _assert_same_outcome((dom, V, T, B))
+        seen.add(got[:len("condition (x)")] if isinstance(got, str) else "valid")
+    assert {"valid", "condition (b)", "condition (c)", "condition (g)"} <= seen

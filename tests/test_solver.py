@@ -286,8 +286,8 @@ def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
     coarse = sol.coarse_on_fine(u1, disk_ctx2.space)
     mesh2, mesh1 = disk_ctx2.mesh, disk_ctx.mesh
     # buffer parents with ordinary children: compared at the parent's degree
-    assert any(mesh1.triangles[mesh2.parents[t]].kind == BUFFER
-               and mesh2.triangles[t].kind == ORDINARY
+    assert any(mesh1.tri_kind[mesh2.parents[t]] == BUFFER
+               and mesh2.tri_kind[t] == ORDINARY
                and coarse.degree[t] == 6 for t in range(mesh2.n_triangles))
     got = asm.error_norms(u2, disk_ctx2.quad,
                           ref_coeffs=list(zip(coarse.degree, coarse.exact)))

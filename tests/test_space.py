@@ -11,8 +11,8 @@ from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
                             solve_factor_ring)
 
 from _oracles import (basis_support, boundary_samples_max, eval_bb,
-                      jet_to_ring_matrix, smoothness_report,
-                      space_dimension_by_rank)
+                      jet_to_ring_matrix, plain_interior_edges, smoothness_report,
+                      space_dimension_by_rank, star)
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +60,11 @@ def test_factor_ring_matrix_lower_triangular():
 def test_mds_counts_and_dimension(disk_mesh, disk_space):
     mds = disk_space.mds
     mesh = disk_mesh
-    nvi = len(mesh.interior_vertices())
-    ne0 = len(mesh.plain_interior_edges())
-    nvb1 = int(sum(mesh.vertex_tangent[v] for v in mesh.boundary_vertices()))
-    npie = len(mesh.triangles_of_kind(PIE))
-    nbuf = len(mesh.triangles_of_kind(BUFFER))
+    nvi = int(np.count_nonzero(~mesh.vertex_is_boundary))
+    ne0 = len(plain_interior_edges(mesh))
+    nvb1 = int(np.count_nonzero(mesh.vertex_tangent[mesh.vertex_is_boundary]))
+    npie = int(np.count_nonzero(mesh.tri_kind == PIE))
+    nbuf = int(np.count_nonzero(mesh.tri_kind == BUFFER))
     assert mds.dimension == 6 * nvi + ne0 + nvb1 + 5 * npie + 2 * nbuf
     assert mds.counts == {
         "vertex-jet": nvi, "edge": ne0, "tangent-corner": nvb1,
@@ -73,7 +73,7 @@ def test_mds_counts_and_dimension(disk_mesh, disk_space):
     # designated triangles of vertex/edge dofs are ordinary
     for cat in ("vertex-jet", "edge"):
         for t in mds.tri[mds.blocks[cat]]:
-            assert mesh.triangles[t].kind == ORDINARY
+            assert mesh.tri_kind[t] == ORDINARY
 
 
 def test_dimension_matches_rank_oracle(disk_mesh, ellipse_mesh, disk_space,
@@ -85,7 +85,7 @@ def test_dimension_matches_rank_oracle(disk_mesh, ellipse_mesh, disk_space,
 def test_dimension_matches_rank_oracle_level2(disk_mesh2, disk_space2):
     assert space_dimension_by_rank(disk_mesh2) == disk_space2.dimension
     # pies double under refinement
-    assert len(disk_mesh2.triangles_of_kind(PIE)) == 16
+    assert np.count_nonzero(disk_mesh2.tri_kind == PIE) == 16
 
 
 def test_non_tangent_corner_has_no_dof(lens_mesh, lens_space):
@@ -149,7 +149,7 @@ def test_fill_checks_raise(disk_mesh, monkeypatch):
     with pytest.raises(sp.PropagationError, match="inconsistent fill"):
         build_space(disk_mesh)
     # so does a step that reads a coefficient before a later step sets it
-    late = (disk_mesh.triangles_of_kind(BUFFER)[0], bb.index_map(6)[(0, 3, 3)])
+    late = (np.flatnonzero(disk_mesh.tri_kind == BUFFER)[0], bb.index_map(6)[(0, 3, 3)])
     monkeypatch.setattr(sp._Propagator, "_seed_dofs", _seed_and_then(
         lambda self, t, pos: self._emit(
             [t], [[pos]], [[[1.0]]], [[self.offset[late[0]] + late[1]]])))
@@ -187,7 +187,7 @@ def test_jet_to_ring_matches_scalar_rule(c2_space):
     mesh = c2_space.mesh
     tris = np.array([mesh.tri_coords(t) for t in range(mesh.n_triangles)])
     tris, slots = np.repeat(tris, 3, axis=0), np.tile([1, 2, 3], mesh.n_triangles)
-    d = np.repeat([5 if rec.kind == ORDINARY else 6 for rec in mesh.triangles], 3)
+    d = np.repeat(np.where(mesh.tri_kind == ORDINARY, 5, 6), 3)
     rng = np.random.default_rng(10)
     tris = np.concatenate([tris, rng.standard_normal((10_000, 3, 2))])
     slots = np.concatenate([slots, rng.integers(1, 4, 10_000)])
@@ -214,7 +214,7 @@ def test_twice_differentiable_at_interior_vertices(disk_space):
     rng = np.random.default_rng(2)
     mesh = disk_space.mesh
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
-    for v in mesh.interior_vertices():
+    for v in np.flatnonzero(~mesh.vertex_is_boundary):
         hs = [s.eval_batch(t, mesh.vertices[v][None])[2][0]
               for t in mesh.vertex_triangles(v)]
         scale = max(np.abs(hs[0]).max(), 1.0)
@@ -226,7 +226,7 @@ def test_pie_patch_is_product(disk_space):
     rng = np.random.default_rng(3)
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     mesh = disk_space.mesh
-    for t in mesh.triangles_of_kind(PIE):
+    for t in np.flatnonzero(mesh.tri_kind == PIE):
         a = s.patch(t)
         p = s.factor(t)
         prod = bb.bb_product(4, p, 2, disk_space.pie_q[t])
@@ -242,18 +242,18 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     mesh = disk_space.mesh
     im6 = bb.index_map(6)
-    for t in mesh.triangles_of_kind(PIE):
-        rec = mesh.triangles[t]
-        v1, v2, v3 = rec.verts
+    for t in np.flatnonzero(mesh.tri_kind == PIE):
+        verts = mesh.tri_verts[t].tolist()
+        v1, v2, v3 = verts
         for other, target in ((v3, (1, 1, 4)), (v2, (1, 4, 1))):
-            e = mesh.edge_id(v1, other)
-            buf = [x for x in mesh.edges[e].tris if x != t][0]
-            rec_b = mesh.triangles[buf]
+            e = np.flatnonzero((mesh.edge_verts == sorted((v1, other))).all(axis=1))[0]
+            buf = [x for x in mesh.edge_tris[e] if x != t][0]
+            verts_b = mesh.tri_verts[buf].tolist()
             shared = (v1, other)
-            src_slots = tuple(rec_b.verts.index(v) + 1 for v in shared)
-            dst_slots = tuple(rec.verts.index(v) + 1 for v in shared)
+            src_slots = tuple(verts_b.index(v) + 1 for v in shared)
+            dst_slots = tuple(verts.index(v) + 1 for v in shared)
             off_dst = 6 - dst_slots[0] - dst_slots[1]
-            w = mesh.vertices[rec.verts[off_dst - 1]]
+            w = mesh.vertices[verts[off_dst - 1]]
             b_off = bb.barycentric(mesh.tri_coords(buf), w)
             _, c1 = bb.cross_edge_rows(6, s.patch(buf), src_slots, dst_slots,
                                        b_off)
@@ -271,14 +271,14 @@ def _points_by_kind(space, rng, per_tri=3):
     from its sides, and on pies also between the chord and the arc."""
     mesh = space.mesh
     pts, tris = [], []
-    for t, rec in enumerate(mesh.triangles):
+    for t, (kind, arc) in enumerate(zip(mesh.tri_kind, mesh.tri_arc)):
         tri = mesh.tri_coords(t)
         b = 0.1 + 0.7 * rng.dirichlet((1.0, 1.0, 1.0), per_tri)
         pts += list((b / b.sum(axis=1, keepdims=True)) @ tri)
         tris += [t] * per_tri
-        if rec.kind == PIE:
+        if kind == PIE:
             chord = tri[1] + rng.uniform(0.1, 0.9, per_tri)[:, None] * (tri[2] - tri[1])
-            for c, a in zip(chord, arc_point_on_ray(mesh.domain.arcs[rec.arc], tri[0], chord)):
+            for c, a in zip(chord, arc_point_on_ray(mesh.domain.arcs[arc], tri[0], chord)):
                 pts.append(tri[0] + rng.uniform(0.3, 0.9) * (a - tri[0]))
                 if bb.barycentric(tri, a)[0] < 0:    # the arc bulges out
                     pts.append(c + rng.uniform(0.1, 0.9) * (a - c))
@@ -292,7 +292,7 @@ def test_point_queries_match_oracle(c2_space):
     rng = np.random.default_rng(4)
     s = space.spline(rng.standard_normal(space.dimension))
     pts, want = _points_by_kind(space, rng)
-    beyond = [t for t, x in zip(want, pts) if mesh.triangles[t].kind == PIE
+    beyond = [t for t, x in zip(want, pts) if mesh.tri_kind[t] == PIE
               and bb.barycentric(mesh.tri_coords(t), x)[0] < 0]
     assert len(beyond) > 20        # between a pie's chord and its arc
     np.testing.assert_array_equal(space.locate(pts), want)
@@ -308,9 +308,9 @@ def test_point_queries_match_oracle(c2_space):
     # points on the boundary arcs: located on their pie, where s vanishes
     arc_pts = []
     u = np.array([0.25, 0.5, 0.75])[:, None]
-    for t in mesh.triangles_of_kind(PIE):
+    for t in np.flatnonzero(mesh.tri_kind == PIE):
         tri = mesh.tri_coords(t)
-        arc = mesh.domain.arcs[mesh.triangles[t].arc]
+        arc = mesh.domain.arcs[mesh.tri_arc[t]]
         arc_pts += list(arc_point_on_ray(arc, tri[0], tri[1] + u * (tri[2] - tri[1])))
     assert (space.locate(arc_pts) >= 0).all()
     assert np.abs(s.evaluate(arc_pts, order=0)[0]).max() < 1e-10 * np.abs(s.dofs).max()
@@ -398,14 +398,14 @@ def test_edge_dof_support_is_edge_pair(disk_space):
     mesh = disk_space.mesh
     for e, pos in disk_space.mds.edge_pos.items():
         supp = basis_support(disk_space, pos)
-        assert supp <= set(mesh.edges[e].tris)
+        assert supp <= set(mesh.edge_tris[e].tolist())
 
 
 def test_buffer_interior_dof_support(disk_space):
     mesh = disk_space.mesh
     for t, start in disk_space.mds.buffer_block.items():
         supp = basis_support(disk_space, start + 1)   # the (2,2,2) dof
-        assert supp <= mesh.star([t])
+        assert supp <= star(mesh, [t])
 
 
 def test_all_supports_within_three_stars(disk_space):
@@ -413,7 +413,7 @@ def test_all_supports_within_three_stars(disk_space):
     for lam in range(disk_space.dimension):
         supp = basis_support(disk_space, lam)
         for t in sorted(supp):
-            assert supp <= mesh.star([t], level=3)
+            assert supp <= star(mesh, [t], level=3)
 
 
 # ---------------------------------------------------------------------------
