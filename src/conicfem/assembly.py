@@ -135,48 +135,21 @@ def pie_quadrature(mesh, tris):
 # triangles per chunk: keeps each stacked (g, q, c) array of assemble near 2 MB
 CHUNK = 128
 
-# The reference triangle of the straight design matrices.  Its barycentric
-# coordinates are (x, y, 1 - x - y), so the directional coordinates of x and
-# y are e0 - e2 and e1 - e2: its Cartesian derivative matrices are the
-# derivatives along those two reference directions.
-REFERENCE_TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-
-
-def reference_design(d, rule):
-    """(V, [G0, G1], [H00, H01, H11]) of degree d at the nodes of rule,
-    each (nq, nc): the Bernstein design matrix and its first and second
-    derivatives along the reference directions e0 - e2 and e1 - e2."""
-    B = [bb.bernstein_matrix(d - s, rule.bary) for s in range(3)]
-    return bb.derivative_matrices(d, REFERENCE_TRIANGLE, *B)
-
-
-def straight_frames(coords):
-    """(g, 2, 2) frames of straight triangles (g, 3, 2): row 0 holds the
-    first two directional coordinates of x, row 1 those of y, so that the
-    Cartesian gradient is M @ (the gradient along the reference
-    directions) and the Hessian M @ Href @ M^T."""
-    ax = bb.directional_coords(coords, (1.0, 0.0))
-    ay = bb.directional_coords(coords, (0.0, 1.0))
-    return np.stack([ax[..., :2], ay[..., :2]], axis=-2)
-
-
 @dataclass(eq=False)
 class QuadratureChunk:
     """Quadrature data of g triangles of one kind and local dof count,
     stacked along the leading axis: triangles tris (g,) in mesh order,
     their vertices coords (g, 3, 2), dofs cols (g, k) and patch maps Z
-    (g, nc, k) (views into the space's MapGroup); nodes (g, nq, 2) and
-    weights (g, nq); V, the design matrix of the degree-`degree`
-    Bernstein basis.
+    (g, nc, k) (views into the space's MapGroup); nodes (g, nq, 2),
+    weights (g, nq) and frames M (g, 2, 2) (bernstein.frames of coords,
+    the chord triangle on pies).
 
-    How the derivatives are held depends on the kind, and only this class
-    reads them:
-    - pies: G = [Gx, Gy] and H = [Hxx, Hxy, Hyy], the Cartesian
-      derivatives of V, each a (g, nq, nc) stack like V itself;
-    - straight triangles: ref, the shared reference_design of each degree
-      (V is ref[degree][0]), and the frames M (g, 2, 2) of
-      straight_frames; G and H are None.
-    Chunks compare by identity, so they can key per-chunk tables."""
+    B maps a degree to its Bernstein matrix at the nodes: on straight
+    triangles the quadrature's shared (nq, nc) matrices of degrees 3-6,
+    on pies the chunk's own (g, nq, nc) stacks of degrees 4-6 (the chord
+    triangle's basis at the curved nodes).  Derivatives come from
+    bernstein.frame_derivatives.  Chunks compare by identity, so they can
+    key per-chunk tables."""
 
     degree: int
     tris: np.ndarray
@@ -185,11 +158,8 @@ class QuadratureChunk:
     Z: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
-    V: np.ndarray
-    G: list = None
-    H: list = None
-    M: np.ndarray = None
-    ref: dict = None
+    M: np.ndarray
+    B: dict
 
     def at_nodes(self, fn):
         """A callable of (n, 2) points evaluated at the chunk's nodes
@@ -199,35 +169,20 @@ class QuadratureChunk:
 
     def arrays(self):
         """The arrays of the chunk's quadrature data, each once, the shared
-        reference matrices included (the maps Z and cols are the space's)."""
-        out = [self.coords, self.nodes, self.weights]
-        if self.M is None:
-            return out + [self.V, *self.G, *self.H]
-        return out + [self.M] + [m for V, G, H in self.ref.values() for m in [V, *G, *H]]
-
-    def _design(self, degree):
-        """(V, G, H) of a degree: the chunk's own on pies, the shared
-        reference_design on straight triangles."""
-        if self.M is not None:
-            return self.ref[self.degree if degree is None else degree]
-        if degree not in (None, self.degree):
-            raise ValueError(f"pie chunk of degree {self.degree} has no "
-                             f"degree-{degree} design")
-        return self.V, self.G, self.H
+        Bernstein matrices included (the maps Z and cols are the space's)."""
+        return [self.coords, self.nodes, self.weights, self.M, *self.B.values()]
 
     def gradient_maps(self):
-        """Gradients of the local basis at the nodes, [D0, D1] with each
-        (g, nq, k), in the chunk's frame: along x and y on pies, along the
-        reference directions on straight triangles.  in_frame writes the
-        weak form's coefficients in the same frame."""
-        return [Gs @ self.Z for Gs in self._design(None)[1]]
+        """Gradients of the local basis at the nodes in the chunk's frame,
+        [D0, D1] with each (g, nq, k): the derivatives along e0 - e2 and
+        e1 - e2.  in_frame writes the weak form's coefficients in the same
+        frame."""
+        return bb.frame_gradients(self.degree, self.Z, self.B[self.degree - 1])
 
     def in_frame(self, A=None, b=None):
         """A (g, nq, 2, 2) and b (g, nq, 2) in the frame of gradient_maps:
-        M^T A M and M^T b on straight triangles (grad u . A grad v equals
-        D u . (M^T A M) D v for the frame gradients D), unchanged on pies."""
-        if self.M is None:
-            return A, b
+        M^T A M and M^T b (grad u . A grad v equals D u . (M^T A M) D v for
+        the frame gradients D)."""
         m = [[self.M[:, i, j, None] for j in range(2)] for i in range(2)]
         if A is not None:
             AM = [[A[..., i, 0] * m[0][j] + A[..., i, 1] * m[1][j] for j in range(2)]
@@ -242,61 +197,36 @@ class QuadratureChunk:
                          axis=-1)
         return A, b
 
-    def values(self, C, rows=slice(None), degree=None):
-        """Values (g, nq) at the nodes of the polynomials with BB
-        coefficients C (g, nc, 1) of degree `degree` (the chunk's by
-        default; a higher one only on straight triangles), one for each
-        triangle of the chunk that rows selects."""
-        V = self._design(degree)[0]
-        return apply_stacked([V if V.ndim == 2 else V[rows]], C)[0]
+    def derivatives(self, C, rows=slice(None), degree=None, orders=(0, 1, 2)):
+        """[v, gx, gy, hxx, hxy, hyy], each (g, nq), at the nodes of the
+        polynomials with BB coefficients C (g, nc, 1) of degree `degree`
+        (the chunk's by default; 6 also on straight chunks of degree 5),
+        one for each triangle of the chunk that rows selects; only the
+        entries of the derivative orders in `orders`."""
+        d = self.degree if degree is None else degree
+        B = [self.B[d - s] for s in range(max(orders) + 1)]
+        B = [b if b.ndim == 2 else b[rows] for b in B]
+        return [f[:, :, 0] for f in bb.frame_derivatives(d, C, B, self.M[rows], orders)]
 
-    def gradients(self, C, rows=slice(None), degree=None):
-        """Cartesian gradients (gx, gy), each (g, nq), of the polynomials
-        of values."""
-        G = self._design(degree)[1]
-        if self.M is None:
-            return apply_stacked([Gs[rows] for Gs in G], C)
-        r0, r1 = apply_stacked(G, C)
-        m = self.M[rows]
-        return (m[:, 0, 0, None] * r0 + m[:, 0, 1, None] * r1,
-                m[:, 1, 0, None] * r0 + m[:, 1, 1, None] * r1)
+    def values(self, C):
+        """The values (g, nq) alone of derivatives."""
+        return self.derivatives(C, orders=(0,))[0]
 
-    def hessians(self, C, rows=slice(None), degree=None):
-        """Cartesian Hessian entries (hxx, hxy, hyy), each (g, nq), of the
-        polynomials of values."""
-        H = self._design(degree)[2]
-        if self.M is None:
-            return apply_stacked([Hs[rows] for Hs in H], C)
-        h00, h01, h11 = apply_stacked(H, C)
-        m = self.M[rows]
-        m00, m01 = m[:, 0, 0, None], m[:, 0, 1, None]
-        m10, m11 = m[:, 1, 0, None], m[:, 1, 1, None]
-        p00, p01 = m00 * h00 + m01 * h01, m00 * h01 + m01 * h11     # M Href
-        p10, p11 = m10 * h00 + m11 * h01, m10 * h01 + m11 * h11
-        return p00 * m00 + p01 * m01, p00 * m10 + p01 * m11, p10 * m10 + p11 * m11
-
-    def derivatives(self, C, rows=slice(None), degree=None):
-        """[v, gx, gy, hxx, hxy, hyy]: values, gradients and hessians."""
-        return [self.values(C, rows, degree), *self.gradients(C, rows, degree),
-                *self.hessians(C, rows, degree)]
-
-
-def apply_stacked(mats, coeffs):
-    """Design matrices (shared or stacked) applied to coefficients (g, nc,
-    1): (g, nq) arrays, per triangle the same product as M @ c."""
-    return [(M @ coeffs)[:, :, 0] for M in mats]
+    def hessians(self, C):
+        """The Hessian entries [hxx, hxy, hyy] alone of derivatives."""
+        return self.derivatives(C, orders=(2,))
 
 
 class TriangleQuadrature:
-    """Quadrature nodes, weights and basis design matrices of a space,
+    """Quadrature nodes, weights, frames and Bernstein matrices of a space,
     stored once per chunk (at most CHUNK triangles of one of the space's
-    map groups) in `chunks`.  Straight chunks share the reference design
-    matrices `ref` of each degree."""
+    map groups) in `chunks`.  Straight chunks share the Bernstein matrices
+    `B` of degrees 3-6 at the reference rule's nodes."""
 
     def __init__(self, space):
         self.space = space
         self.rule = triangle_rule(QUAD_DEGREE)
-        self.ref = {d: reference_design(d, self.rule) for d in (5, 6)}
+        self.B = dict(zip(range(6, 2, -1), bb.design_matrices(6, self.rule.bary, order=3)))
         self.chunks = [self._chunk(grp, slice(i, i + CHUNK))
                        for grp in space.groups for i in range(0, len(grp.tris), CHUNK)]
 
@@ -304,16 +234,17 @@ class TriangleQuadrature:
         mesh = self.space.mesh
         idx, d = grp.tris[rows], grp.degree
         coords = mesh.vertices[mesh.tri_verts[idx]]
-        data = (d, idx, coords, grp.cols[rows], grp.Z[rows])
         if grp.kind == PIE:
             nodes, weights = pie_quadrature(mesh, idx)
             # basis of the chord triangle, evaluated at the curved nodes
-            V, G, H = bb.design_matrices(d, coords, bb.barycentric_many(coords, nodes))
-            return QuadratureChunk(*data, nodes, weights, V, G, H)
-        nodes = self.rule.bary @ coords
-        weights = np.abs(bb.triangle_area(coords))[:, None] * self.rule.weights
-        return QuadratureChunk(*data, nodes, weights, self.ref[d][0],
-                               M=straight_frames(coords), ref=self.ref)
+            B = dict(zip(range(d, d - 3, -1),
+                         bb.design_matrices(d, bb.barycentric_many(coords, nodes))))
+        else:
+            nodes = self.rule.bary @ coords
+            weights = np.abs(bb.triangle_area(coords))[:, None] * self.rule.weights
+            B = self.B
+        return QuadratureChunk(d, idx, coords, grp.cols[rows], grp.Z[rows], nodes, weights,
+                               bb.frames(coords), B)
 
     @property
     def nodes(self):
@@ -324,7 +255,7 @@ class TriangleQuadrature:
     @property
     def nbytes(self):
         """Bytes held by the quadrature data of all chunks, each shared
-        array (the reference design matrices) counted once."""
+        array (the straight chunks' Bernstein matrices) counted once."""
         arrays = {id(a): a for ch in self.chunks for a in ch.arrays()}
         return sum(a.nbytes for a in arrays.values())
 
@@ -340,11 +271,6 @@ def _quadrature_sums(quad, fields):
             per_tri = np.empty((len(ints), quad.space.mesh.n_triangles))
         per_tri[:, ch.tris] = ints
     return [float(np.cumsum(row)[-1]) for row in per_tri]
-
-
-def integrate(quad, field):
-    """Integral of a pointwise field over the mesh."""
-    return _quadrature_sums(quad, lambda ch: [ch.at_nodes(field)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +340,7 @@ def assemble(problem, quad):
                 None if problem.A is None else np.asarray(problem.A(ch)),
                 None if problem.b is None else np.asarray(problem.b(ch)))
         if problem.b is not None or problem.c is not None:
-            Phi = ch.V @ ch.Z
+            Phi = ch.B[ch.degree] @ ch.Z
             PhiT = Phi.swapaxes(1, 2)
         # weighting the (g, nq, 2, 2) coefficients costs less than the (g, nq, k) products
         if problem.A is not None:
@@ -442,7 +368,7 @@ def assemble(problem, quad):
 
 def assemble_rhs(problem, quad):
     """Right-hand side int f v of the weak form alone (problem.f must be
-    given): per chunk only the basis values Phi = V @ Z and Phi^T (w f),
+    given): per chunk only the basis values Phi = B_d @ Z and Phi^T (w f),
     then one unbuffered sum per dof, triangle by triangle in mesh order.
     A Newton step whose matrix is already factored needs only this."""
     space = quad.space
@@ -450,7 +376,7 @@ def assemble_rhs(problem, quad):
     rhs_vals = np.empty(piece[-1])
     for ch in quad.chunks:
         k = ch.cols.shape[1]
-        PhiT = (ch.V @ ch.Z).swapaxes(1, 2)
+        PhiT = (ch.B[ch.degree] @ ch.Z).swapaxes(1, 2)
         wf = (ch.weights * np.asarray(problem.f(ch)))[:, :, None]
         rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
     rhs = np.zeros(space.dimension)

@@ -6,7 +6,7 @@ descending).  All functions here are pure and operate on immutable
 inputs, so they are safe to share across threads.
 
 Degrees up to ``MAX_DEGREE`` = 10 are supported; the library itself
-only uses d in {1, 2, 4, 5, 6}.
+only uses d in {1, ..., 6}.
 """
 
 import math
@@ -52,24 +52,14 @@ def multinomial(d, ijk):
     return _FACT[d] // (_FACT[i] * _FACT[j] * _FACT[k])
 
 
-def domain_points(d, tri):
-    """Domain points (i*v1 + j*v2 + k*v3)/d of a triangle, as an (n, 2) array."""
-    tri = np.asarray(tri, dtype=float)
-    lam = np.array(multi_indices(d), dtype=float) / d
-    return lam @ tri
-
-
 # ---------------------------------------------------------------------------
 # barycentric coordinates
-
-def _cross2(a, b):
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
 
 def triangle_area(tri):
     """Signed area of a triangle (3, 2) or of each of (..., 3, 2)."""
     tri = np.asarray(tri, dtype=float)
-    return 0.5 * _cross2(tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :])
+    a, b = tri[..., 1, :] - tri[..., 0, :], tri[..., 2, :] - tri[..., 0, :]
+    return 0.5 * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
 
 
 def barycentric(tri, x):
@@ -122,8 +112,6 @@ def bernstein_matrix(d, bary):
     bary: (..., n, 3) array; returns (..., n, n_coeffs(d)).
     """
     bary = np.asarray(bary, dtype=float)
-    if bary.ndim == 1:
-        bary = bary.reshape(1, 3)
     flat = bary.reshape(-1, 3)
     cols = []
     for ijk in multi_indices(d):
@@ -159,53 +147,67 @@ def diff_matrix(d, a):
     return m
 
 
-def design_matrices(d, tri, bary, order=2):
-    """Vectorized evaluation matrices at fixed barycentric points.
-
-    Returns (V, G, H) where V is (n, nc), G = [Dx, Dy] and
-    H = [Dxx, Dxy, Dyy] (each (n, nc)), so that e.g. values = V @ coeffs.
-    G and H are None when not requested via order.  Triangles (g, 3, 2)
-    and points (g, n, 3) give (g, n, nc) stacks.
-    """
-    B1 = bernstein_matrix(d - 1, bary) if order >= 1 and d >= 1 else None
-    B2 = bernstein_matrix(d - 2, bary) if order >= 2 and d >= 2 else None
-    return derivative_matrices(d, tri, bernstein_matrix(d, bary), B1, B2)
+def design_matrices(d, bary, order=2):
+    """Bernstein matrices [B_d, B_{d-1}, ..., B_{d-order}] at barycentric
+    points (..., n, 3), each (..., n, n_coeffs(d - s)): what
+    frame_derivatives reads for derivatives up to `order`."""
+    return [bernstein_matrix(d - s, bary) for s in range(min(order, d) + 1)]
 
 
-def derivative_matrices(d, tri, B, B1=None, B2=None):
-    """(V, G, H) of design_matrices from the Bernstein matrices B, B1, B2
-    of degrees d, d-1, d-2 at one point set (G, H are None without B1, B2).
-
-    The Cartesian derivatives come from coefficient differencing in the
-    directional coordinates of tri.  Triangles (g, 3, 2) give stacks G and
-    H from shared or stacked B1, B2: entry i is what tri[i] alone gives."""
-    G = H = None
-    if B1 is not None:
-        ax = directional_coords(tri, (1.0, 0.0))
-        ay = directional_coords(tri, (0.0, 1.0))
-        Mx, My = diff_matrix(d, ax), diff_matrix(d, ay)
-        G = [d * (B1 @ Mx), d * (B1 @ My)]
-        if B2 is not None:
-            fac = d * (d - 1)
-            H = [
-                fac * (B2 @ (diff_matrix(d - 1, ax) @ Mx)),
-                fac * (B2 @ (diff_matrix(d - 1, ay) @ Mx)),
-                fac * (B2 @ (diff_matrix(d - 1, ay) @ My)),
-            ]
-    return B, G, H
+def frames(tri):
+    """(..., 2, 2) frames of triangles (..., 3, 2): row 0 holds the first
+    two directional coordinates of x, row 1 those of y, so that the
+    Cartesian gradient is M @ (the gradient along e0 - e2 and e1 - e2)
+    and the Hessian M @ Href @ M^T."""
+    ax = directional_coords(tri, (1.0, 0.0))
+    ay = directional_coords(tri, (0.0, 1.0))
+    return np.stack([ax[..., :2], ay[..., :2]], axis=-2)
 
 
-def apply_design(V, G, H, coeffs):
-    """(values, gradients (n, 2), Hessians (n, 2, 2)) of coefficients from
-    design matrices; a missing G or H gives None."""
-    vals = V @ coeffs
-    grads = None if G is None else np.column_stack([G[0] @ coeffs, G[1] @ coeffs])
-    hess = None
-    if H is not None:
-        hess = np.empty((len(vals), 2, 2))
-        hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1] = (M @ coeffs for M in H)
-        hess[:, 1, 0] = hess[:, 0, 1]
-    return vals, grads, hess
+@lru_cache(maxsize=None)
+def frame_diff(d):
+    """(2, n_coeffs(d - 1), n_coeffs(d)): d times the difference matrices
+    along e0 - e2 and e1 - e2, so that frame_diff(d)[s] @ c holds the
+    degree-(d-1) coefficients of the derivative along direction s."""
+    D = d * diff_matrix(d, np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]))
+    D.flags.writeable = False
+    return D
+
+
+def frame_gradients(d, C, B1):
+    """[D0, D1]: the derivatives along e0 - e2 and e1 - e2, at the points
+    of the degree-(d-1) Bernstein matrix B1, of the degree-d polynomials
+    with BB coefficients C (g, nc, k); each (g, n, k)."""
+    return [B1 @ (Ds @ C) for Ds in frame_diff(d)]
+
+
+def frame_derivatives(d, C, B, M, orders=(0, 1, 2)):
+    """Values, Cartesian gradients and Hessians of degree-d polynomials.
+
+    C (g, nc, k) are BB coefficients on g triangles with frames M
+    (g, 2, 2) (see frames); B[s] is the degree-(d-s) Bernstein matrix at
+    n points, shared (n, .) or stacked (g, n, .).  Derivatives difference
+    the coefficients (frame_diff) and evaluate the differences one and two
+    degrees lower.  Returns, for each derivative order in `orders`
+    (ascending), [v], [gx, gy] (M times the frame gradient) or
+    [hxx, hxy, hyy] (M Href M^T), each (g, n, k)."""
+    m = M[:, :, :, None, None]
+
+    def frame(a, b):        # M (a, b)
+        return [m[:, 0, 0] * a + m[:, 0, 1] * b, m[:, 1, 0] * a + m[:, 1, 1] * b]
+
+    out = []
+    if 0 in orders:
+        out.append(B[0] @ C)
+    if 1 in orders:
+        out += frame(*frame_gradients(d, C, B[1]))
+    if 2 in orders:
+        c0, c1 = (Ds @ C for Ds in frame_diff(d))
+        E0, E1 = frame_diff(d - 1)
+        h00, h01, h11 = (B[2] @ (E @ c) for E, c in ((E0, c0), (E1, c0), (E1, c1)))
+        (p00, p10), (p01, p11) = frame(h00, h01), frame(h01, h11)     # M Href
+        out += frame(p00, p01) + frame(p10, p11)[1:]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +298,9 @@ def product_matrix_structure(d1, d2):
     )
 
 
-def bb_product(d1, c1, d2, c2):
-    """BB coefficients of the product of two polynomials on the same triangle."""
-    c1 = np.asarray(c1, dtype=float)
-    c2 = np.asarray(c2, dtype=float)
-    rows, i1, i2, w = product_matrix_structure(d1, d2)
-    out = np.zeros(n_coeffs(d1 + d2))
-    np.add.at(out, rows, w * c1[i1] * c2[i2])
-    return out
-
-
 def product_matrix(d1, d2, c2):
-    """Matrix P with bb_product(d1, c, d2, c2) = P @ c (second factor fixed)."""
+    """Matrix P mapping c to the BB coefficients of the product of the degree-d1
+    polynomial c with the degree-d2 polynomial c2 on the same triangle."""
     c2 = np.asarray(c2, dtype=float)
     rows, i1, i2, w = product_matrix_structure(d1, d2)
     P = np.zeros((n_coeffs(d1 + d2), n_coeffs(d1)))
@@ -317,9 +310,6 @@ def product_matrix(d1, d2, c2):
 
 # ---------------------------------------------------------------------------
 # vertex rings and cross-edge smoothness
-
-_RING_SLOT1 = ((0, 0), (-1, 1, 0), (-1, 0, 1), (-2, 2, 0), (-2, 0, 2), (-2, 1, 1))
-
 
 def vertex_ring(d, slot):
     """The six domain-point indices closest to a vertex, in canonical order.
@@ -351,14 +341,6 @@ def ring_edge_slots(slot):
     return {1: (2, 3), 2: (1, 3), 3: (1, 2)}[slot]
 
 
-def _edge_index(d, slots, m):
-    """Multi-index on the edge (slots[0], slots[1]) with m steps toward slots[1]."""
-    g = [0, 0, 0]
-    g[slots[0] - 1] = d - m
-    g[slots[1] - 1] = m
-    return tuple(g)
-
-
 def edge_row_indices(d, slots, off):
     """Multi-indices of the row `off` steps away from an edge.
 
@@ -387,27 +369,6 @@ def edge_row_positions(d, off):
     return out
 
 
-def cross_edge_rows(d, coef_src, src_slots, dst_slots, b_off):
-    """Edge row and first interior row of the neighbor patch across an edge.
-
-    The source patch (coefficients coef_src, degree d) and destination patch
-    share an edge; src_slots / dst_slots give the local slots of the two
-    shared vertices, listed in the same physical order.  b_off are the
-    barycentric coordinates of the destination's off-edge vertex w.r.t. the
-    source triangle.  Returns two dicts keyed by destination multi-index:
-    the continuity row (off=0) and the tangent-plane row (off=1) implied by
-    C0/C1 smoothness.
-    """
-    im = index_map(d)
-    coef_src = np.asarray(coef_src, dtype=float)
-    c0 = {}
-    for m, g in enumerate(edge_row_indices(d, dst_slots, 0)):
-        c0[g] = coef_src[im[_edge_index(d, src_slots, m)]]
-    c1 = dict(zip(edge_row_indices(d, dst_slots, 1),
-                  c1_matrix(d, src_slots, b_off) @ coef_src))
-    return c0, c1
-
-
 @lru_cache(maxsize=None)
 def c1_positions(d):
     """(3, 3, d, 3) table of the C1 rule across an edge: for the shared
@@ -416,8 +377,7 @@ def c1_positions(d):
     im = index_map(d)
     pos = np.zeros((3, 3, d, 3), dtype=np.int64)
     for a, b in ((1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)):
-        for m in range(d):
-            base = _edge_index(d - 1, (a, b), m)
+        for m, base in enumerate(edge_row_indices(d - 1, (a, b), 0)):
             for s in range(3):
                 g = list(base)
                 g[s] += 1
@@ -440,21 +400,3 @@ def c1_matrix(d, src_slots, b_off):
     b_off = np.asarray(b_off, dtype=float)[..., None, :]
     np.put_along_axis(C, pos, np.broadcast_to(b_off, pos.shape), axis=-1)
     return C
-
-
-def smoothness_gaps(d, tri_a, coef_a, slots_a, tri_b, coef_b, slots_b):
-    """Max C0 and C1 condition violations across a shared edge.
-
-    slots_a / slots_b identify the shared vertices (same physical order).
-    Returns absolute gaps (max over the edge row / first interior row);
-    callers scale by the coefficient magnitude for a relative test.
-    """
-    off_b = 6 - slots_b[0] - slots_b[1]
-    w = np.asarray(tri_b, dtype=float)[off_b - 1]
-    b_off = barycentric(tri_a, w)
-    c0, c1 = cross_edge_rows(d, coef_a, slots_a, slots_b, b_off)
-    im = index_map(d)
-    coef_b = np.asarray(coef_b, dtype=float)
-    gap0 = max(abs(coef_b[im[g]] - v) for g, v in c0.items())
-    gap1 = max(abs(coef_b[im[g]] - v) for g, v in c1.items())
-    return gap0, gap1

@@ -138,7 +138,7 @@ class BoundaryArc:
         for z in (s, e):
             if not point_on_conic(self.conic, z):
                 raise GeometryError(
-                    f"arc endpoint {tuple(z)} not on conic "
+                    f"arc endpoint {tuple(z.tolist())} not on conic "
                     f"(|q| = {abs(eval_conic(self.conic, z)):.3e})"
                 )
 

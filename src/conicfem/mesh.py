@@ -97,9 +97,6 @@ class CurvedTriangulation:
     def n_triangles(self):
         return len(self.tri_verts)
 
-    def vertex_triangles(self, v):
-        return self.vertex_tris[self.vertex_tri_start[v]:self.vertex_tri_start[v + 1]]
-
     def tri_coords(self, t):
         return self.vertices[self.tri_verts[t]]
 
@@ -126,7 +123,20 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     vertices = np.array(vertices, dtype=float)
     n = len(vertices)
     tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    bnd = np.asarray(boundary_edges, dtype=int).reshape(-1, 3)
     scale = max(1.0, float(np.abs(vertices).max()))
+
+    # indices in range: vertices of triangles and boundary edges, then arcs
+    for t in np.flatnonzero(((tris < 0) | (tris >= n)).any(axis=1))[:1]:
+        raise MeshError("mesh", f"triangle {t} {tuple(tris[t].tolist())} has a vertex "
+                        f"index outside 0..{n - 1}")
+    for i in np.flatnonzero(((bnd[:, :2] < 0) | (bnd[:, :2] >= n)).any(axis=1))[:1]:
+        raise MeshError("mesh", f"boundary edge {i} {tuple(bnd[i].tolist())} has a vertex "
+                        f"index outside 0..{n - 1}")
+    n_arcs = len(domain.arcs)
+    for i in np.flatnonzero((bnd[:, 2] < 0) | (bnd[:, 2] >= n_arcs))[:1]:
+        raise MeshError("mesh", f"boundary edge {i} {tuple(bnd[i].tolist())} has an arc "
+                        f"index outside 0..{n_arcs - 1}")
 
     # consistent ccw orientation
     a, b, c = vertices[tris].transpose(1, 0, 2)
@@ -158,7 +168,7 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     he_edge = he_edge.reshape(-1, 3)
 
     declared = {}
-    for va, vb, arc in np.asarray(boundary_edges, dtype=int).reshape(-1, 3).tolist():
+    for va, vb, arc in bnd.tolist():
         declared[(min(va, vb), max(va, vb))] = arc
     actual_boundary = set(map(tuple, edge_verts[~inner].tolist()))
     if actual_boundary != set(declared):
@@ -196,7 +206,7 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
         d = np.linalg.norm(vertices - np.asarray(z), axis=1)
         v = int(np.argmin(d))
         if d[v] > 1e-9 * scale or not vertex_is_boundary[v]:
-            raise MeshError("a", f"arc corner {j} at {tuple(z)} is not a boundary vertex")
+            raise MeshError("a", f"arc corner {j} at {tuple(z.tolist())} is not a boundary vertex")
 
     # (b) interior edges with both endpoints on the boundary
     chord = inner & vertex_is_boundary[edge_verts].all(axis=1)
@@ -360,7 +370,7 @@ def _check_pies(domain, vertices, pies, verts, arcs):
     if inside.any():
         p, j, k = np.unravel_index(np.argmax(inside), inside.shape)
         fails.append(((p, j), MeshError(
-            "e", f"conic not positive inside pie {pies[p]} at {tuple(x[p, j, k])}")))
+            "e", f"conic not positive inside pie {pies[p]} at {tuple(x[p, j, k].tolist())}")))
     if fails:
         raise min(fails, key=lambda f: f[0])[1]
 

@@ -297,18 +297,21 @@ class _Propagator:
     # -- helpers ----------------------------------------------------------
 
     def _emit(self, tris, locs, weights, src, from_dofs=False):
-        """Equations coef(tris[a], locs[a, i]) = sum_j weights[a, i, j] *
-        source src[a, j], for triangles (n,), stored positions (n, r),
-        weights (n, r, c) and sources (n, c), numbered a-major.
+        """Equations coef(tris[a, i], locs[a, i]) = sum_j weights[a, i, j] *
+        source src[a, j], for triangles (n, r) (or (n,), one per row a),
+        stored positions (n, r), weights (n, r, c) and sources (n, c),
+        numbered a-major.
 
         Sources are dof numbers when from_dofs is set, else global
         coefficient indices, which earlier steps must have set."""
         locs = np.asarray(locs, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
+        tris = np.asarray(tris)
         a, i, j = np.nonzero(weights)
         self.entries[from_dofs].append((self.n_eq + a * locs.shape[1] + i,
                                         np.asarray(src, dtype=np.int64)[a, j], weights[a, i, j]))
-        self.targets.append((self.offset[np.asarray(tris), None] + locs).ravel())
+        self.targets.append((self.offset[tris if tris.ndim == 2 else tris[:, None]]
+                             + locs).ravel())
         self.n_eq += locs.size
 
     def _where(self, k):
@@ -487,13 +490,16 @@ class _Propagator:
         weights = np.concatenate([bb.c1_matrix(6, ss + 1, b_off)[:, 4], -row], axis=1)
         weights[np.arange(n), bb.n_coeffs(6) + chord] = 0.0   # the unknown itself
         weights /= row[np.arange(n), chord][:, None]
-        continuity = P[np.arange(n)[:, None], _edge_rows(6, ds, 0)]
-        own = self.offset[t, None] + np.arange(bb.n_coeffs(4))
-        both = np.hstack([self.offset[buf, None] + np.arange(bb.n_coeffs(6)), own])
-        for i in range(n):
-            e = slice(i, i + 1)
-            self._emit(buf[e], _edge_rows(6, ss[e], 0), continuity[e], own[e])
-            self._emit(t[e], chord[e, None], weights[e, None], both[e])
+        # per edge 8 rows: the buffer's 7 edge-row entries from the pie's
+        # own coefficients, then the chord coefficient from both triangles
+        nb = bb.n_coeffs(6)
+        rows = np.zeros((n, 8, nb + bb.n_coeffs(4)))
+        rows[:, :7, nb:] = P[np.arange(n)[:, None], _edge_rows(6, ds, 0)]
+        rows[:, 7] = weights
+        self._emit(np.column_stack([np.repeat(buf[:, None], 7, axis=1), t]),
+                   np.column_stack([_edge_rows(6, ss, 0), chord]), rows,
+                   np.hstack([self.offset[buf, None] + np.arange(nb),
+                              self.offset[t, None] + np.arange(bb.n_coeffs(4))]))
 
     def _finish_pies_and_buffers(self):
         """Each buffer's first row off its pie edges, from the pie."""
@@ -692,9 +698,12 @@ class SplineFunction:
         points (vectorized; points need not lie inside the triangle)."""
         d = self.space.tri_degree(t)
         tri = self.space.mesh.tri_coords(t)
-        bary = bb.barycentric_many(tri, pts)
-        return bb.apply_design(*bb.design_matrices(d, tri, bary, order=order),
-                               self.patch(t))
+        B = bb.design_matrices(d, bb.barycentric_many(tri, pts), order=order)
+        f = [a[0, :, 0] for a in bb.frame_derivatives(
+            d, self.patch(t)[None, :, None], B, bb.frames(tri[None]), range(order + 1))]
+        grads = np.column_stack(f[1:3]) if order >= 1 else None
+        hess = np.array([f[3:5], f[4:]]).transpose(2, 0, 1) if order >= 2 else None
+        return f[0], grads, hess
 
     def evaluate(self, pts, tris=None, order=2):
         """(values, gradients, Hessians) at points (n, 2) as eval_batch gives
@@ -703,7 +712,7 @@ class SplineFunction:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
         tris = self.space.locate(pts) if tris is None else np.asarray(tris)
         if (tris < 0).any():
-            raise ValueError(f"point {tuple(pts[np.argmin(tris)])} is outside "
+            raise ValueError(f"point {tuple(pts[np.argmin(tris)].tolist())} is outside "
                              "the triangulation")
         out = [np.empty(len(pts)), np.empty((len(pts), 2)),
                np.empty((len(pts), 2, 2))][:order + 1]

@@ -1,18 +1,19 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they check: scalar de Casteljau
-evaluation stands in for the design matrices, the dimension oracle
-assembles the raw smoothness/boundary constraint system on unreduced patch
-coefficients and counts its rank; the product oracle multiplies in the
+evaluation and Cartesian design matrices stand in for the derivative
+rule (coefficient differences in each triangle's frame), the dimension
+oracle assembles the raw smoothness/boundary constraint system on
+unreduced patch coefficients and counts its rank; the product oracle multiplies in the
 monomial basis; radial quadrature integrates rotationally symmetric fields
-with a 1-D Gauss rule.  The per-triangle design matrices, assembly and
-linearization loops are the straightforward forms of the chunked kernels
+with a 1-D Gauss rule.  The per-triangle Bernstein matrices and frames,
+assembly and linearization loops are the straightforward forms of the chunked kernels
 in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
 the space's stacked maps must reproduce the per-triangle extraction from
 the fill; the per-triangle error norms evaluate the spline through its
 own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
-every straight triangle, the form the shared reference matrices replace;
-the two agree to a few eps.  Newton's termination by a frozen-factor
+every chunk, pies included, the form that frames and differenced
+coefficients replace; the two agree to a few eps.  Newton's termination by a frozen-factor
 correction is checked against the loop that confirms convergence with
 one more full step.  The level transfer's tangent-corner dofs are checked
 against the projection of the coarse gradient at the corner.  The
@@ -24,7 +25,9 @@ mesh's array classification and validation are checked against the walk
 that builds the triangles and edges one at a time as records, and its
 array refinement against the refinement that numbers midpoints one
 triangle at a time; the mesh queries that only tests use (stars,
-interior edges) are written here over the mesh arrays.
+interior edges, vertex fans) are written here over the mesh arrays, as
+are the other helpers only tests use (BB products, domain points, the
+cross-edge smoothness gaps, integrals of pointwise fields).
 """
 
 import copy
@@ -100,6 +103,23 @@ def eval_bb(d, coeffs, tri, x, order=0):
 def degree_raise(d, coeffs, d_to):
     """Coefficients of the same polynomial written at degree d_to >= d."""
     return bb.degree_raise_matrix(d, d_to) @ np.asarray(coeffs, dtype=float)
+
+
+def bb_product(d1, c1, d2, c2):
+    """BB coefficients of the product of two polynomials on the same triangle."""
+    c1 = np.asarray(c1, dtype=float)
+    c2 = np.asarray(c2, dtype=float)
+    rows, i1, i2, w = bb.product_matrix_structure(d1, d2)
+    out = np.zeros(bb.n_coeffs(d1 + d2))
+    np.add.at(out, rows, w * c1[i1] * c2[i2])
+    return out
+
+
+def domain_points(d, tri):
+    """Domain points (i*v1 + j*v2 + k*v3)/d of a triangle, as an (n, 2) array."""
+    tri = np.asarray(tri, dtype=float)
+    lam = np.array(bb.multi_indices(d), dtype=float) / d
+    return lam @ tri
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +244,7 @@ def space_dimension_by_rank(mesh):
 
     # twice differentiable at interior vertices: adjacent pieces share jets
     for v in np.flatnonzero(~mesh.vertex_is_boundary):
-        tris = mesh.vertex_triangles(v)
+        tris = vertex_triangles(mesh, v)
         pairs = []
         for t in tris:
             for u in tris:
@@ -420,6 +440,53 @@ def basis_support(space, lam, tol=1e-13):
 # ---------------------------------------------------------------------------
 # smoothness predicates applied to a propagated spline
 
+def _edge_index(d, slots, m):
+    """Multi-index on the edge (slots[0], slots[1]) with m steps toward slots[1]."""
+    g = [0, 0, 0]
+    g[slots[0] - 1] = d - m
+    g[slots[1] - 1] = m
+    return tuple(g)
+
+
+def cross_edge_rows(d, coef_src, src_slots, dst_slots, b_off):
+    """Edge row and first interior row of the neighbor patch across an edge.
+
+    The source patch (coefficients coef_src, degree d) and destination patch
+    share an edge; src_slots / dst_slots give the local slots of the two
+    shared vertices, listed in the same physical order.  b_off are the
+    barycentric coordinates of the destination's off-edge vertex w.r.t. the
+    source triangle.  Returns two dicts keyed by destination multi-index:
+    the continuity row (off=0) and the tangent-plane row (off=1) implied by
+    C0/C1 smoothness.
+    """
+    im = bb.index_map(d)
+    coef_src = np.asarray(coef_src, dtype=float)
+    c0 = {}
+    for m, g in enumerate(bb.edge_row_indices(d, dst_slots, 0)):
+        c0[g] = coef_src[im[_edge_index(d, src_slots, m)]]
+    c1 = dict(zip(bb.edge_row_indices(d, dst_slots, 1),
+                  bb.c1_matrix(d, src_slots, b_off) @ coef_src))
+    return c0, c1
+
+
+def smoothness_gaps(d, tri_a, coef_a, slots_a, tri_b, coef_b, slots_b):
+    """Max C0 and C1 condition violations across a shared edge.
+
+    slots_a / slots_b identify the shared vertices (same physical order).
+    Returns absolute gaps (max over the edge row / first interior row);
+    callers scale by the coefficient magnitude for a relative test.
+    """
+    off_b = 6 - slots_b[0] - slots_b[1]
+    w = np.asarray(tri_b, dtype=float)[off_b - 1]
+    b_off = bb.barycentric(tri_a, w)
+    c0, c1 = cross_edge_rows(d, coef_a, slots_a, slots_b, b_off)
+    im = bb.index_map(d)
+    coef_b = np.asarray(coef_b, dtype=float)
+    gap0 = max(abs(coef_b[im[g]] - v) for g, v in c0.items())
+    gap1 = max(abs(coef_b[im[g]] - v) for g, v in c1.items())
+    return gap0, gap1
+
+
 def smoothness_report(space, spline):
     """Worst relative C0 / C1 violations across all interior edges."""
     mesh = space.mesh
@@ -435,8 +502,8 @@ def smoothness_report(space, spline):
             cb = degree_raise(5, cb, 6)
         d = max(da, db)
         slots_a, slots_b = _edge_slots(mesh, e, ta), _edge_slots(mesh, e, tb)
-        g0, g1 = bb.smoothness_gaps(d, mesh.tri_coords(ta), ca, slots_a,
-                                    mesh.tri_coords(tb), cb, slots_b)
+        g0, g1 = smoothness_gaps(d, mesh.tri_coords(ta), ca, slots_a,
+                                 mesh.tri_coords(tb), cb, slots_b)
         scale = max(np.abs(ca).max(), np.abs(cb).max(), 1e-300)
         worst0 = max(worst0, g0 / scale)
         worst1 = max(worst1, g1 / scale)
@@ -469,42 +536,83 @@ def disk_radial_integral(f_of_r, n=200):
 # per-triangle design data, Galerkin assembly, Monge-Ampere linearization
 # and error norms
 
-REFERENCE_TRIANGLE = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+def derivative_matrices(d, tri, B, B1=None, B2=None):
+    """Cartesian design matrices (V, G, H) from the Bernstein matrices B,
+    B1, B2 of degrees d, d-1, d-2 at one point set: V = B, G = [Dx, Dy]
+    and H = [Dxx, Dxy, Dyy], so that e.g. the x-derivatives are G[0] @ c
+    (G, H are None without B1, B2).
+
+    The derivatives come from coefficient differencing in the directional
+    coordinates of tri.  Triangles (g, 3, 2) give stacks G and H from
+    shared or stacked B1, B2: entry i is what tri[i] alone gives."""
+    G = H = None
+    if B1 is not None:
+        ax = bb.directional_coords(tri, (1.0, 0.0))
+        ay = bb.directional_coords(tri, (0.0, 1.0))
+        Mx, My = bb.diff_matrix(d, ax), bb.diff_matrix(d, ay)
+        G = [d * (B1 @ Mx), d * (B1 @ My)]
+        if B2 is not None:
+            fac = d * (d - 1)
+            H = [
+                fac * (B2 @ (bb.diff_matrix(d - 1, ax) @ Mx)),
+                fac * (B2 @ (bb.diff_matrix(d - 1, ay) @ Mx)),
+                fac * (B2 @ (bb.diff_matrix(d - 1, ay) @ My)),
+            ]
+    return B, G, H
+
+
+def apply_design(V, G, H, coeffs):
+    """(values, gradients (n, 2), Hessians (n, 2, 2)) of coefficients from
+    the design matrices of derivative_matrices; a missing G or H gives
+    None."""
+    vals = V @ coeffs
+    grads = None if G is None else np.column_stack([G[0] @ coeffs, G[1] @ coeffs])
+    hess = None
+    if H is not None:
+        hess = np.empty((len(vals), 2, 2))
+        hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1] = (M @ coeffs for M in H)
+        hess[:, 1, 0] = hess[:, 0, 1]
+    return vals, grads, hess
 
 
 def triangle_designs(quad):
-    """(V, G, H, M) per triangle at its quadrature nodes, each built for
-    that triangle alone.  On pies: the Cartesian design matrices at the pie
-    rule's barycentric points, and M None.  On straight triangles: the
-    design matrices of the reference triangle (1, 0), (0, 1), (0, 0) at the
-    reference rule's nodes, whose derivatives run along e0 - e2 and
-    e1 - e2, and M (2, 2), the first two directional coordinates of x
-    (row 0) and of y (row 1)."""
+    """(B, M) per triangle at its quadrature nodes, each built for that
+    triangle alone: B the Bernstein matrices of degrees d, d-1, d-2 (d the
+    triangle's degree), M (2, 2) the first two directional coordinates of
+    x (row 0) and of y (row 1).  On pies B is evaluated at the pie rule's
+    barycentric points w.r.t. the chord triangle; on straight triangles it
+    is the reference rule's, shared."""
     mesh = quad.space.mesh
     rule = asm.triangle_rule(asm.QUAD_DEGREE)
-    ref = {d: bb.design_matrices(d, REFERENCE_TRIANGLE, rule.bary) for d in (5, 6)}
+    shared = {d: [bb.bernstein_matrix(d - s, rule.bary) for s in range(3)] for d in (5, 6)}
     out = []
     for t in range(mesh.n_triangles):
         d = quad.space.tri_degree(t)
         tri = mesh.tri_coords(t)
+        M = np.array([bb.directional_coords(tri, (1.0, 0.0))[:2],
+                      bb.directional_coords(tri, (0.0, 1.0))[:2]])
         if mesh.tri_kind[t] == PIE:
-            nodes = asm.pie_quadrature(mesh, [t])[0][0]
-            out.append((*bb.design_matrices(d, tri, bb.barycentric_many(tri, nodes)), None))
+            bary = bb.barycentric_many(tri, asm.pie_quadrature(mesh, [t])[0][0])
+            out.append(([bb.bernstein_matrix(d - s, bary) for s in range(3)], M))
         else:
-            M = np.array([bb.directional_coords(tri, (1.0, 0.0))[:2],
-                          bb.directional_coords(tri, (0.0, 1.0))[:2]])
-            out.append((*ref[d], M))
+            out.append((shared[d], M))
     return out
 
 
-def frame_hessians(H, M, c):
-    """(hxx, hxy, hyy) of coefficients c from the design of
-    triangle_designs: H @ c on pies, M Href M^T on straight triangles."""
-    h = [Hs @ c for Hs in H]
-    if M is None:
-        return h
+def frame_gradient_maps(d, B1, Z):
+    """[D0, D1]: the derivatives along e0 - e2 and e1 - e2 of the columns
+    of one triangle's map Z, at the points of B1."""
+    return [B1 @ (Ds @ Z) for Ds in bb.frame_diff(d)]
+
+
+def frame_hessians(d, B, M, c):
+    """(hxx, hxy, hyy) of one triangle's coefficients c from the design of
+    triangle_designs: second differences along e0 - e2 and e1 - e2,
+    evaluated by B[2], then M Href M^T."""
+    c0, c1 = (Ds @ c for Ds in bb.frame_diff(d))
+    E0, E1 = bb.frame_diff(d - 1)
+    h00, h01, h11 = (B[2] @ (E @ x) for E, x in ((E0, c0), (E1, c0), (E1, c1)))
     (m00, m01), (m10, m11) = M
-    h00, h01, h11 = h
     p00, p01 = m00 * h00 + m01 * h01, m00 * h01 + m01 * h11
     p10, p11 = m10 * h00 + m11 * h01, m10 * h01 + m11 * h11
     return p00 * m00 + p01 * m01, p00 * m10 + p01 * m11, p10 * m10 + p11 * m11
@@ -517,24 +625,53 @@ def triangle_nodes(quad):
             for i, t in enumerate(ch.tris)}
 
 
+def integrate(quad, field):
+    """Integral of a pointwise field over the mesh."""
+    return asm._quadrature_sums(quad, lambda ch: [ch.at_nodes(field)])[0]
+
+
 def domain_area(quad):
     """Area of the mesh's domain by quadrature."""
-    return asm.integrate(quad, lambda x: np.ones(len(x)))
+    return integrate(quad, lambda x: np.ones(len(x)))
+
+
+@dataclasses.dataclass(eq=False)
+class StoredChunk(asm.QuadratureChunk):
+    """A quadrature chunk that stores Cartesian design matrices G = [Gx,
+    Gy] and H = [Hxx, Hxy, Hyy], each (g, nq, nc), and reads derivatives
+    and basis gradients from them, in x and y (in_frame leaves A and b as
+    they are): the stored form that frames and differenced coefficients
+    replace."""
+
+    G: list = None
+    H: list = None
+
+    def gradient_maps(self):
+        return [Gs @ self.Z for Gs in self.G]
+
+    def in_frame(self, A=None, b=None):
+        return A, b
+
+    def derivatives(self, C, rows=slice(None), degree=None, orders=(0, 1, 2)):
+        if degree not in (None, self.degree):
+            raise ValueError(f"stored chunk of degree {self.degree} has no "
+                             f"degree-{degree} design")
+        V = self.B[self.degree]
+        mats = {0: [V if V.ndim == 2 else V[rows]],
+                1: [Gs[rows] for Gs in self.G], 2: [Hs[rows] for Hs in self.H]}
+        return [(A @ C)[:, :, 0] for o in orders for A in mats[o]]
 
 
 def stored_quadrature(quad):
-    """A copy of quad whose straight chunks store Cartesian design matrices
-    G = [Gx, Gy] and H = [Hxx, Hxy, Hyy] (g, nq, nc), built by one batched
-    bb.derivative_matrices over each chunk's triangles, as pie chunks
-    store theirs: the stored form the reference matrices replace."""
+    """A copy of quad whose chunks, pies included, are StoredChunks with
+    the Cartesian design matrices of one batched derivative_matrices over
+    each chunk's triangles and Bernstein matrices."""
     out = copy.copy(quad)
     out.chunks = []
     for ch in quad.chunks:
-        if ch.M is not None:
-            B = [bb.bernstein_matrix(ch.degree - s, quad.rule.bary) for s in range(3)]
-            _, G, H = bb.derivative_matrices(ch.degree, ch.coords, *B)
-            ch = dataclasses.replace(ch, G=G, H=H, M=None, ref=None)
-        out.chunks.append(ch)
+        d = ch.degree
+        _, G, H = derivative_matrices(d, ch.coords, ch.B[d], ch.B[d - 1], ch.B[d - 2])
+        out.chunks.append(StoredChunk(**vars(ch), G=G, H=H))
     return out
 
 
@@ -546,8 +683,8 @@ def _chunk_rows(quad):
 def assemble_per_triangle(problem, quad):
     """(CSR matrix, rhs) of a LinearEllipticProblem, one triangle at a time
     in mesh order.  Coefficient fields are evaluated once per chunk and
-    read row by row.  On straight triangles the gradient terms are formed
-    along the reference directions, with A and b written in them as
+    read row by row.  The gradient terms are formed along the reference
+    directions e0 - e2 and e1 - e2, with A and b written in them as
     M^T A M and M^T b."""
     space = quad.space
     mesh = space.mesh
@@ -566,30 +703,27 @@ def assemble_per_triangle(problem, quad):
     rhs = np.zeros(n)
     for t in range(mesh.n_triangles):
         gdofs, Z = space.local_map(t)
-        B, (G0, G1), _, M = designs[t]
+        B, M = designs[t]
         w = nodes[t][1]
-        Phi = B @ Z
-        D0 = G0 @ Z
-        D1 = G1 @ Z
+        Phi = B[0] @ Z
+        D0, D1 = frame_gradient_maps(space.tri_degree(t), B[1], Z)
         loc = np.zeros((len(gdofs), len(gdofs)))
         if problem.A is not None:
             Amat = field("A", t)
-            if M is not None:
-                AM = [[Amat[:, i, 0] * M[0, j] + Amat[:, i, 1] * M[1, j] for j in range(2)]
-                      for i in range(2)]
-                Amat = np.empty(Amat.shape)
-                for i in range(2):
-                    for j in range(2):
-                        Amat[:, i, j] = M[0, i] * AM[0][j] + M[1, i] * AM[1][j]
+            AM = [[Amat[:, i, 0] * M[0, j] + Amat[:, i, 1] * M[1, j] for j in range(2)]
+                  for i in range(2)]
+            Amat = np.empty(Amat.shape)
+            for i in range(2):
+                for j in range(2):
+                    Amat[:, i, j] = M[0, i] * AM[0][j] + M[1, i] * AM[1][j]
             wA = w[:, None, None] * Amat
             q0 = wA[:, 0, 0, None] * D0 + wA[:, 0, 1, None] * D1
             q1 = wA[:, 1, 0, None] * D0 + wA[:, 1, 1, None] * D1
             loc += D0.T @ q0 + D1.T @ q1
         if problem.b is not None:
             bvec = field("b", t)
-            if M is not None:
-                bvec = np.stack([M[0, j] * bvec[:, 0] + M[1, j] * bvec[:, 1]
-                                 for j in range(2)], axis=-1)
+            bvec = np.stack([M[0, j] * bvec[:, 0] + M[1, j] * bvec[:, 1]
+                             for j in range(2)], axis=-1)
             wb = w[:, None] * bvec
             loc += Phi.T @ (wb[:, 0, None] * D0 + wb[:, 1, None] * D1)
         if problem.c is not None:
@@ -616,8 +750,8 @@ def linearize_ma_per_triangle(u, g, quad):
     res_tab = {}
     eigmin = np.inf
     nodes = triangle_nodes(quad)
-    for t, (_, _, H, M) in enumerate(triangle_designs(quad)):
-        hxx, hxy, hyy = frame_hessians(H, M, u.patch(t))
+    for t, (B, M) in enumerate(triangle_designs(quad)):
+        hxx, hxy, hyy = frame_hessians(quad.space.tri_degree(t), B, M, u.patch(t))
         cof = np.empty(hxx.shape + (2, 2))
         cof[:, 0, 0] = hyy
         cof[:, 1, 1] = hxx
@@ -769,7 +903,8 @@ def pie_conditions_scalar(domain, vertices, triangles, boundary_edges):
             for r in (0.25, 0.55, 0.8, 0.95):
                 x = v1 + r * (apt - v1)
                 if eval_conic(arc.conic, x) <= 0:
-                    err = MeshError("e", f"conic not positive inside pie {ti} at {tuple(x)}")
+                    err = MeshError(
+                        "e", f"conic not positive inside pie {ti} at {tuple(x.tolist())}")
                     return err.condition, str(err)
     return None
 
@@ -822,6 +957,11 @@ def pie_quadrature_scalar(mesh, t):
 # ---------------------------------------------------------------------------
 # mesh queries over the arrays
 
+def vertex_triangles(mesh, v):
+    """The triangles at vertex v, ascending."""
+    return mesh.vertex_tris[mesh.vertex_tri_start[v]:mesh.vertex_tri_start[v + 1]]
+
+
 def interior_edges(mesh):
     return np.flatnonzero(mesh.edge_tris[:, 1] >= 0).tolist()
 
@@ -858,7 +998,7 @@ def star(mesh, simplices, level=1):
             verts.update(mesh.tri_verts[s].tolist())
     for _ in range(level):
         for v in verts:
-            tris.update(mesh.vertex_triangles(v).tolist())
+            tris.update(vertex_triangles(mesh, v).tolist())
         verts = set()
         for t in tris:
             verts.update(mesh.tri_verts[t].tolist())
@@ -949,7 +1089,7 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
         d = np.linalg.norm(vertices - np.asarray(z), axis=1)
         v = int(np.argmin(d))
         if d[v] > 1e-9 * scale or not vertex_is_boundary[v]:
-            raise MeshError("a", f"arc corner {j} at {tuple(z)} is not a boundary vertex")
+            raise MeshError("a", f"arc corner {j} at {tuple(z.tolist())} is not a boundary vertex")
 
     # (b) interior edges with both endpoints on the boundary
     for key, owners in edge_tris.items():

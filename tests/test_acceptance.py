@@ -18,8 +18,8 @@ from conicfem.mesh import refine_uniform
 from conicfem.problems import builtin_domain, disk_exact_solution, problem_g
 from conicfem.space import build_space, solve_factor_ring
 
-from _oracles import (basis_support, boundary_sample_matrix, domain_area, eval_bb,
-                      extraction_matrix, smoothness_residual_matrix,
+from _oracles import (basis_support, bb_product, boundary_sample_matrix, domain_area,
+                      eval_bb, extraction_matrix, smoothness_residual_matrix,
                       space_dimension_by_rank, star)
 
 
@@ -114,7 +114,7 @@ def test_criterion_2_factor_ring_round_trip():
         q[im2[(1, 1, 0)]] = q110
         q[im2[(1, 0, 1)]] = q101
         q[im2[(0, 1, 1)]] = q011
-        a = bb.bb_product(4, p, 2, q)
+        a = bb_product(4, p, 2, q)
         c = solve_factor_ring(a[ring6], q110, q101, q011)
         worst = max(worst, np.abs(c - p[ring4]).max()
                     / max(1.0, np.abs(p[ring4]).max()))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conicfem import assembly as asm
+from conicfem import bernstein as bb
 from conicfem.geometry import GeometryError
 from conicfem.mesh import PIE
 from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
@@ -12,7 +13,7 @@ from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
 from conicfem.space import build_space
 
 from _oracles import (assemble_per_triangle, disk_radial_integral, domain_area,
-                      error_norms_per_triangle, pie_quadrature_scalar,
+                      error_norms_per_triangle, integrate, pie_quadrature_scalar,
                       triangle_designs, triangle_maps, triangle_nodes)
 
 EYE = asm.constant_matrix(np.eye(2))
@@ -37,7 +38,7 @@ def test_areas(disk_space2, ellipse_mesh2):
     equad = asm.TriangleQuadrature(build_space(ellipse_mesh2))
     assert abs(domain_area(equad) - np.pi * 0.4) < 1e-10 * np.pi * 0.4
     # second moment over the disk
-    val = asm.integrate(quad, lambda x: x[:, 0] ** 2)
+    val = integrate(quad, lambda x: x[:, 0] ** 2)
     assert abs(val - np.pi / 4) < 1e-9 * np.pi / 4
 
 
@@ -237,27 +238,39 @@ def test_assemble_fills_int32_indices_bit_identical_to_int64(disk_space2, monkey
 
 
 def test_straight_chunks_hold_no_per_triangle_design_stacks(hierarchies):
-    # straight chunks keep the shared reference matrices and (g, 2, 2)
-    # frames; only pies keep (g, nq, nc) stacks
+    # no chunk holds a derivative stack: every chunk keeps (g, 2, 2)
+    # frames and Bernstein matrices, the quadrature's shared (nq, nc) ones
+    # of degrees 3-6 on straight triangles, its own (g, nq, nc) stacks of
+    # degrees 4-6 on pies
     quad = asm.TriangleQuadrature(build_space(hierarchies["disk"][2]))
-    straight = [ch for ch in quad.chunks if ch.M is not None]
+    mesh = quad.space.mesh
+    assert sorted(quad.B) == [3, 4, 5, 6]
+    straight = [ch for ch in quad.chunks if ch.B is quad.B]
     assert straight and len(straight) < len(quad.chunks)
+    sizes = {bb.n_coeffs(d) for d in range(3, 7)}
     for ch in quad.chunks:
         g, nq = ch.weights.shape
+        assert ch.M.shape == (g, 2, 2)
+        assert not {"G", "H", "ref", "V"} & set(vars(ch))
         arrays = [a for v in vars(ch).values()
-                  for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
-        stacks = [a for a in arrays if a.shape in {(g, nq, 21), (g, nq, 28)}]
-        assert len(stacks) == (0 if ch.M is not None else 6)
-        if ch.M is not None:
-            assert ch.G is None and ch.H is None and ch.M.shape == (len(ch.tris), 2, 2)
-            assert ch.ref is quad.ref and ch.V is quad.ref[ch.degree][0]
-    # nbytes counts the reference matrices once, not once per chunk
+                  for a in (v.values() if isinstance(v, dict) else [v])
+                  if isinstance(a, np.ndarray)]
+        stacks = [a for a in arrays if a.ndim == 3 and a.shape[:2] == (g, nq)
+                  and a.shape[2] in sizes]
+        pies = mesh.tri_kind[ch.tris] == PIE
+        if ch.B is quad.B:
+            assert not pies.any() and stacks == []
+        else:
+            assert pies.all() and sorted(ch.B) == [4, 5, 6] and len(stacks) == 3
+            assert all(ch.B[d].shape == (g, nq, bb.n_coeffs(d)) for d in ch.B)
+    # nbytes counts the shared matrices once, not once per chunk
     every = sum(a.nbytes for ch in quad.chunks for a in ch.arrays())
-    ref = sum(m.nbytes for V, G, H in quad.ref.values() for m in [V, *G, *H])
-    assert quad.nbytes == every - (len(straight) - 1) * ref
-    # disk L3 (384 triangles, 32 pies) measures 6.9 MB, 6.0 MB of it the
-    # pies' stacks; the straight chunks' G and H stacks alone took 28.5 MB
-    assert quad.nbytes < 8 * 2**20
+    shared = sum(B.nbytes for B in quad.B.values())
+    assert quad.nbytes == every - (len(straight) - 1) * shared
+    # disk L3 (384 triangles, 32 pies) measures 3.1 MB; with the pies'
+    # Cartesian V, G, H stacks it took 6.9 MB, and with the straight
+    # chunks' G and H stacks 28.5 MB more
+    assert quad.nbytes < 4 * 2**20
 
 
 def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
@@ -303,14 +316,14 @@ def test_chunk_design_matrices_are_bit_identical_to_per_triangle_build(
     seen = []
     for ch in quad.chunks:
         for i, t in enumerate(ch.tris):
-            V, G, H, M = designs[t]
-            if M is None:       # a pie: stacked Cartesian design matrices
-                got = [ch.V[i]] + [A[i] for A in ch.G + ch.H]
-            else:               # shared reference matrices and a frame
-                np.testing.assert_array_equal(ch.M[i], M)
-                got = [ch.V] + ch.ref[ch.degree][1] + ch.ref[ch.degree][2]
-                assert ch.V is ch.ref[ch.degree][0]
-            for a, b in zip(got, [V, *G, *H], strict=True):
+            B, M = designs[t]
+            np.testing.assert_array_equal(ch.M[i], M)
+            got = [ch.B[ch.degree - s] for s in range(3)]
+            if space.mesh.tri_kind[t] == PIE:   # stacked Bernstein matrices
+                got = [A[i] for A in got]
+            else:                               # the quadrature's shared ones
+                assert ch.B is quad.B
+            for a, b in zip(got, B, strict=True):
                 np.testing.assert_array_equal(a, b)
             cols, piece, stored = maps[t]
             np.testing.assert_array_equal(ch.Z[i], piece)

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from conicfem import bernstein as bb
 
-from _oracles import (bb_to_monomial, de_casteljau, degree_raise, eval_bb, monomial_product,
-                      monomial_to_bb)
+from _oracles import (bb_product, bb_to_monomial, de_casteljau, degree_raise,
+                      derivative_matrices, eval_bb, monomial_product, monomial_to_bb,
+                      smoothness_gaps)
 
 TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SKEW = np.array([[0.2, -0.1], [1.3, 0.4], [0.5, 1.1]])
@@ -144,14 +145,14 @@ def test_product_identity_factor():
     rng = np.random.default_rng(5)
     q = rng.standard_normal(bb.n_coeffs(2))
     one4 = np.ones(bb.n_coeffs(4))
-    prod = bb.bb_product(4, one4, 2, q)
+    prod = bb_product(4, one4, 2, q)
     assert np.allclose(prod, degree_raise(2, q, 6), atol=1e-14)
 
 
 def test_product_b1_b2():
     b1 = np.array([1.0, 0.0, 0.0])
     b2 = np.array([0.0, 1.0, 0.0])
-    prod = bb.bb_product(1, b1, 1, b2)
+    prod = bb_product(1, b1, 1, b2)
     im = bb.index_map(2)
     expect = np.zeros(6)
     expect[im[(1, 1, 0)]] = 0.5
@@ -162,7 +163,7 @@ def test_product_matches_monomial_oracle():
     rng = np.random.default_rng(6)
     p = rng.standard_normal(bb.n_coeffs(4))
     q = rng.standard_normal(bb.n_coeffs(2))
-    got = bb.bb_product(4, p, 2, q)
+    got = bb_product(4, p, 2, q)
     mono = monomial_product(4, bb_to_monomial(4, p, SKEW), 2, bb_to_monomial(2, q, SKEW))
     expect = monomial_to_bb(6, mono, SKEW)
     assert np.abs(got - expect).max() < 1e-10 * max(1.0, np.abs(expect).max())
@@ -176,11 +177,11 @@ def test_product_bilinear_commutative(seed):
     p2 = rng.standard_normal(bb.n_coeffs(4))
     q = rng.standard_normal(bb.n_coeffs(2))
     a, b2 = rng.standard_normal(2)
-    lhs = bb.bb_product(4, a * p1 + b2 * p2, 2, q)
-    rhs = a * bb.bb_product(4, p1, 2, q) + b2 * bb.bb_product(4, p2, 2, q)
+    lhs = bb_product(4, a * p1 + b2 * p2, 2, q)
+    rhs = a * bb_product(4, p1, 2, q) + b2 * bb_product(4, p2, 2, q)
     assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
-    sym = bb.bb_product(2, q, 4, p1)
-    assert np.abs(sym - bb.bb_product(4, p1, 2, q)).max() < 1e-14 * max(
+    sym = bb_product(2, q, 4, p1)
+    assert np.abs(sym - bb_product(4, p1, 2, q)).max() < 1e-14 * max(
         1.0, np.abs(sym).max())
 
 
@@ -201,17 +202,49 @@ def test_smoothness_predicates_on_raised_polynomial():
     mono = rng.standard_normal(21)
     ca = monomial_to_bb(5, mono, tri_a)
     cb = monomial_to_bb(5, mono, tri_b)
-    g0, g1 = bb.smoothness_gaps(5, tri_a, ca, (2, 3), tri_b, cb, (3, 2))
+    g0, g1 = smoothness_gaps(5, tri_a, ca, (2, 3), tri_b, cb, (3, 2))
     scale = max(np.abs(ca).max(), np.abs(cb).max())
     assert g0 < 1e-10 * scale
     assert g1 < 1e-10 * scale
     # breaking one interior coefficient of side b trips the C1 predicate
     cb2 = cb.copy()
     cb2[bb.index_map(5)[(1, 2, 2)]] += 1.0
-    _, g1b = bb.smoothness_gaps(5, tri_a, ca, (2, 3), tri_b, cb2, (3, 2))
+    _, g1b = smoothness_gaps(5, tri_a, ca, (2, 3), tri_b, cb2, (3, 2))
     assert g1b > 0.1
 
 
 def test_max_degree_cap():
     with pytest.raises(bb.DegreeError):
         bb.multi_indices(11)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_frame_derivatives_match_cartesian_design(d, stacked):
+    # differenced coefficients in each triangle's frame against the
+    # Cartesian design matrices, on random well-shaped triangles of sizes
+    # 0.05-1 at random points (shared by all triangles or one set each),
+    # to 32 eps of each triangle's largest entry (measured at most: values
+    # 0, gradients 3.0 eps, Hessians 9.3 eps)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(10 * d + stacked)
+    g, n, k = 9, 11, 3
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
+    tri = (rng.uniform(-1, 1, (g, 1, 2)) + rng.uniform(0.05, 1.0, (g, 1, 1))
+           * (ref + 0.2 * rng.standard_normal((g, 3, 2))))
+    bary = rng.dirichlet(np.ones(3), size=(g, n) if stacked else n)
+    C = rng.standard_normal((g, bb.n_coeffs(d), k))
+    M = bb.frames(tri)
+    for order in range(3):
+        B = bb.design_matrices(d, bary, order=order)
+        assert len(B) == order + 1
+        V, G, H = derivative_matrices(d, tri, *B, *[None] * (2 - order))
+        want = [[V], G, H][order]
+        got = bb.frame_derivatives(d, C, B, M, orders=(order,))
+        assert len(got) == len(want)
+        for a, A in zip(got, want):
+            w = A @ C
+            scale = np.abs(w).max(axis=(1, 2), keepdims=True)
+            assert np.all(np.abs(a - w) <= 32 * eps * scale)
+        every = bb.frame_derivatives(d, C, B, M, orders=range(order + 1))
+        np.testing.assert_array_equal(every[-len(got):], got)

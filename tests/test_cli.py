@@ -92,6 +92,27 @@ def test_mesh_validate_reports_condition(tmp_path, capsys):
     assert "condition (c)" in captured.err
 
 
+@pytest.mark.parametrize("where, value, message", [
+    ("centre", 17, "triangle 2 (17, 15, 8) has a vertex index outside 0..16"),
+    ("centre", -1, "triangle 2 (-1, 15, 8) has a vertex index outside 0..16"),
+    ((1, 1), 17, "boundary edge 1 (0, 17, 3) has a vertex index outside 0..16"),
+    ((2, 2), 9, "boundary edge 2 (1, 2, 9) has an arc index outside 0..3"),
+])
+def test_mesh_validate_reports_out_of_range_indices(tmp_path, capsys, where, value, message):
+    # the shipped disk mesh (17 vertices, centre 16, 4 arcs) with one bad
+    # index: the centre in every triangle, or one entry of a boundary edge
+    from importlib import resources
+    data = json.loads(resources.files("conicfem.data").joinpath("disk_mesh.json").read_text())
+    if where == "centre":
+        data["triangles"] = [[value if v == 16 else v for v in t] for t in data["triangles"]]
+    else:
+        data["boundary"][where[0]][where[1]] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["mesh", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: condition (mesh): {message}\n"
+
+
 def test_space_info(capsys):
     assert run(["space", "info", "--problem", "disk"]) == 0
     out = capsys.readouterr().out

@@ -124,18 +124,19 @@ def test_linearize_ma_is_bit_identical_to_per_triangle_loop(ctx_name, request):
 
 @pytest.mark.parametrize("name", ["disk", "c2-domain"])
 def test_reference_quadrature_matches_stored_derivatives(name, hierarchies):
-    # the straight chunks' reference matrices and frames against the
-    # Cartesian G, H stacks they replace (stored_quadrature), at L3 on a
-    # random spline; differences are in units of eps relative to the
-    # largest entry (measured at most: G and H 3.5, cofactor 4.1, residual
-    # 12.4, matrix 3.2, rhs 7.2; eigmin 2 ulps)
+    # the chunks' frames and differenced coefficients against the
+    # Cartesian G, H stacks they replace (stored_quadrature, every chunk,
+    # pies included), at L3 on a random spline; differences are in units
+    # of eps relative to the largest entry (measured at most: G and H
+    # 3.5, cofactor 2.2, residual 9.6, matrix 3.1, rhs 5.9; eigmin 2 ulps)
     eps = np.finfo(float).eps
     quad = asm.TriangleQuadrature(build_space(hierarchies[name][2]))
     old = stored_quadrature(quad)
     for ch, st in zip(quad.chunks, old.chunks):
-        if ch.M is None:
-            continue
-        _, (G0, G1), (H00, H01, H11) = quad.ref[ch.degree]
+        d = ch.degree
+        G0, G1 = (ch.B[d - 1] @ Ds for Ds in bb.frame_diff(d))
+        (D0, D1), (E0, E1) = bb.frame_diff(d), bb.frame_diff(d - 1)
+        H00, H01, H11 = (ch.B[d - 2] @ (E @ D) for E, D in ((E0, D0), (E1, D0), (E1, D1)))
         m = ch.M[:, :, :, None, None]
         rebuilt = [m[:, 0, 0] * G0 + m[:, 0, 1] * G1, m[:, 1, 0] * G0 + m[:, 1, 1] * G1]
         for i, j in ((0, 0), (1, 0), (1, 1)):

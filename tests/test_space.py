@@ -10,9 +10,10 @@ from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
 from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
                             solve_factor_ring)
 
-from _oracles import (basis_support, boundary_samples_max, eval_bb,
-                      jet_to_ring_matrix, plain_interior_edges, smoothness_report,
-                      space_dimension_by_rank, star)
+from _oracles import (apply_design, basis_support, bb_product, boundary_samples_max,
+                      cross_edge_rows, derivative_matrices, eval_bb, jet_to_ring_matrix,
+                      plain_interior_edges, smoothness_report, space_dimension_by_rank, star,
+                      vertex_triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +42,7 @@ def test_factor_ring_product_round_trip():
         q[bb.index_map(2)[(1, 1, 0)]] = q110
         q[bb.index_map(2)[(1, 0, 1)]] = q101
         q[bb.index_map(2)[(0, 1, 1)]] = q011
-        a = bb.bb_product(4, p, 2, q)
+        a = bb_product(4, p, 2, q)
         a_ring = np.array([a[im6[g]] for g in ring6])
         c = solve_factor_ring(a_ring, q110, q101, q011)
         expect = np.array([p[im4[g]] for g in ring4])
@@ -164,21 +165,23 @@ def test_fill_checks_raise(disk_mesh, monkeypatch):
 
 
 def test_fill_steps_emit_once_per_step(disk_mesh, disk_mesh2):
-    # the seed, ring and plain-edge steps are whole-mesh array steps: their
-    # number of _emit calls does not grow with the mesh
+    # every fill step is a whole-mesh array step: its number of _emit
+    # calls does not grow with the mesh
     def calls(mesh):
         prop = sp._Propagator(mesh, sp.build_mds(mesh))
         count = []
         emit = prop._emit
         prop._emit = lambda *args, **kwargs: count.append(1) or emit(*args, **kwargs)
         out = []
-        for step in (prop._seed_dofs, prop._fill_rings, prop._fill_ordinary):
+        for step in (prop._seed_dofs, prop._fill_rings, prop._fill_ordinary,
+                     prop._fill_buffer_from_ordinary, prop._fill_factor_corners,
+                     prop._fill_chords_and_buffer_edges, prop._finish_pies_and_buffers):
             before = len(count)
             step()
             out.append(len(count) - before)
         return out
 
-    assert calls(disk_mesh) == calls(refine_uniform(disk_mesh2)) == [1, 1, 1]
+    assert calls(disk_mesh) == calls(refine_uniform(disk_mesh2)) == [1] * 7
 
 
 def test_jet_to_ring_matches_scalar_rule(c2_space):
@@ -216,7 +219,7 @@ def test_twice_differentiable_at_interior_vertices(disk_space):
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     for v in np.flatnonzero(~mesh.vertex_is_boundary):
         hs = [s.eval_batch(t, mesh.vertices[v][None])[2][0]
-              for t in mesh.vertex_triangles(v)]
+              for t in vertex_triangles(mesh, v)]
         scale = max(np.abs(hs[0]).max(), 1.0)
         for h in hs[1:]:
             assert np.abs(h - hs[0]).max() < 1e-8 * scale
@@ -229,7 +232,7 @@ def test_pie_patch_is_product(disk_space):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         a = s.patch(t)
         p = s.factor(t)
-        prod = bb.bb_product(4, p, 2, disk_space.pie_q[t])
+        prod = bb_product(4, p, 2, disk_space.pie_q[t])
         assert np.abs(a - prod).max() < 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -255,7 +258,7 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
             off_dst = 6 - dst_slots[0] - dst_slots[1]
             w = mesh.vertices[verts[off_dst - 1]]
             b_off = bb.barycentric(mesh.tri_coords(buf), w)
-            _, c1 = bb.cross_edge_rows(6, s.patch(buf), src_slots, dst_slots,
+            _, c1 = cross_edge_rows(6, s.patch(buf), src_slots, dst_slots,
                                        b_off)
             via_smoothness = c1[target]
             via_product = s.patch(t)[im6[target]]
@@ -317,7 +320,7 @@ def test_point_queries_match_oracle(c2_space):
     # outside the domain
     out = np.array([[5.0, 5.0], [-5.0, 0.0]])
     np.testing.assert_array_equal(space.locate(out), [-1, -1])
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(ValueError, match=r"^point \(5\.0, 5\.0\) is outside"):
         s.evaluate(np.vstack([pts[:3], out]))
 
 
@@ -367,6 +370,11 @@ def test_eval_batch_consistent(disk_space):
         assert abs(vals[i] - eval_bb(d, c, tri, x, 0)) < 1e-12
         assert np.abs(grads[i] - eval_bb(d, c, tri, x, 1)).max() < 1e-10
         assert np.abs(hess[i] - eval_bb(d, c, tri, x, 2)).max() < 1e-8
+    # and to a few eps of the Cartesian design matrices (at most 3.8 eps of
+    # the largest entry, measured on every triangle of this mesh)
+    B = bb.design_matrices(d, bb.barycentric_many(tri, pts))
+    for got, want in zip((vals, grads, hess), apply_design(*derivative_matrices(d, tri, *B), c)):
+        assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(want).max()
 
 
 def test_quintic_reduction():
