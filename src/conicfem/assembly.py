@@ -179,23 +179,18 @@ class QuadratureChunk:
         frame."""
         return bb.frame_gradients(self.degree, self.Z, self.B[self.degree - 1])
 
-    def in_frame(self, A=None, b=None):
-        """A (g, nq, 2, 2) and b (g, nq, 2) in the frame of gradient_maps:
-        M^T A M and M^T b (grad u . A grad v equals D u . (M^T A M) D v for
-        the frame gradients D)."""
+    def in_frame(self, A):
+        """A (g, nq, 2, 2) in the frame of gradient_maps: M^T A M
+        (grad u . A grad v equals D u . (M^T A M) D v for the frame
+        gradients D)."""
         m = [[self.M[:, i, j, None] for j in range(2)] for i in range(2)]
-        if A is not None:
-            AM = [[A[..., i, 0] * m[0][j] + A[..., i, 1] * m[1][j] for j in range(2)]
-                  for i in range(2)]
-            MtAM = np.empty(A.shape)
-            for i in range(2):
-                for j in range(2):
-                    MtAM[..., i, j] = m[0][i] * AM[0][j] + m[1][i] * AM[1][j]
-            A = MtAM
-        if b is not None:
-            b = np.stack([m[0][j] * b[..., 0] + m[1][j] * b[..., 1] for j in range(2)],
-                         axis=-1)
-        return A, b
+        AM = [[A[..., i, 0] * m[0][j] + A[..., i, 1] * m[1][j] for j in range(2)]
+              for i in range(2)]
+        MtAM = np.empty(A.shape)
+        for i in range(2):
+            for j in range(2):
+                MtAM[..., i, j] = m[0][i] * AM[0][j] + m[1][i] * AM[1][j]
+        return MtAM
 
     def derivatives(self, C, rows=slice(None), degree=None, orders=(0, 1, 2)):
         """[v, gx, gy, hxx, hxy, hyy], each (g, nq), at the nodes of the
@@ -274,24 +269,12 @@ def _quadrature_sums(quad, fields):
 
 
 # ---------------------------------------------------------------------------
-# the linear elliptic weak form
+# the Galerkin weak form int grad(u) . A grad(v) = int f v
 
-@dataclass
-class LinearEllipticProblem:
-    """Coefficients of the weak form
-    int grad(u) . A grad(v) + int v b . grad(u) + int c u v = int f v.
-
-    Each field is a callable of one QuadratureChunk that returns its
-    values at the chunk's nodes: A (g, nq, 2, 2) matrices, b (g, nq, 2),
-    c and f (g, nq).  None means the term is absent.  Analytic
-    coefficients are functions of the points alone (see ``pointwise`` and
-    ``constant_matrix``)."""
-
-    A: object = None
-    b: object = None
-    c: object = None
-    f: object = None
-
+# A and f are coefficient fields: callables of one QuadratureChunk that
+# return their values at the chunk's nodes, A (g, nq, 2, 2) matrices and f
+# (g, nq).  Analytic coefficients are functions of the points alone (see
+# pointwise and constant_matrix).
 
 def pointwise(fn):
     """Wrap a callable of (n, 2) points as a weak-form coefficient field."""
@@ -310,17 +293,16 @@ class SparseSystem:
     rhs: np.ndarray
 
 
-def assemble(problem, quad):
-    """Galerkin system of the weak form in the determining-set basis of
-    quad.space.
+def assemble(A, quad):
+    """CSR stiffness matrix of int grad(u) . A grad(v) in the
+    determining-set basis of quad.space, for the coefficient field A.
 
     Local matrices are computed for a chunk of triangles at a time with
     stacked matmuls, which per triangle run the same BLAS products as a
     loop over single triangles; the local blocks are then summed in mesh
-    order, so the system does not depend on the chunking.  The gradient
-    terms are formed in each chunk's frame (QuadratureChunk.gradient_maps
-    and in_frame).  The right-hand side is assemble_rhs of the problem
-    (zero without f)."""
+    order, so the matrix does not depend on the chunking.  The gradients
+    and A are formed in each chunk's frame (QuadratureChunk.gradient_maps
+    and in_frame)."""
     space = quad.space
     n = space.dimension
     sizes = np.diff(space.tri_cols_offset)
@@ -332,52 +314,33 @@ def assemble(problem, quad):
     vals = np.empty(block[-1])
     for ch in quad.chunks:
         g, k = ch.cols.shape
-        w = ch.weights[:, :, None]
-        loc = np.zeros((g, k, k))
-        if problem.A is not None or problem.b is not None:
-            D0, D1 = ch.gradient_maps()
-            Amat, bvec = ch.in_frame(
-                None if problem.A is None else np.asarray(problem.A(ch)),
-                None if problem.b is None else np.asarray(problem.b(ch)))
-        if problem.b is not None or problem.c is not None:
-            Phi = ch.B[ch.degree] @ ch.Z
-            PhiT = Phi.swapaxes(1, 2)
+        D0, D1 = ch.gradient_maps()
         # weighting the (g, nq, 2, 2) coefficients costs less than the (g, nq, k) products
-        if problem.A is not None:
-            wA = w[..., None] * Amat
-            q0 = wA[:, :, 0, 0, None] * D0
-            q0 += wA[:, :, 0, 1, None] * D1
-            q1 = wA[:, :, 1, 0, None] * D0
-            q1 += wA[:, :, 1, 1, None] * D1
-            loc += D0.swapaxes(1, 2) @ q0 + D1.swapaxes(1, 2) @ q1
-        if problem.b is not None:
-            wb = w * bvec
-            q = wb[:, :, 0, None] * D0
-            q += wb[:, :, 1, None] * D1
-            loc += PhiT @ q
-        if problem.c is not None:
-            loc += PhiT @ ((ch.weights * np.asarray(problem.c(ch)))[:, :, None] * Phi)
+        wA = ch.weights[:, :, None, None] * ch.in_frame(np.asarray(A(ch)))
+        q0 = wA[:, :, 0, 0, None] * D0
+        q0 += wA[:, :, 0, 1, None] * D1
+        q1 = wA[:, :, 1, 0, None] * D0
+        q1 += wA[:, :, 1, 1, None] * D1
+        loc = D0.swapaxes(1, 2) @ q0 + D1.swapaxes(1, 2) @ q1
         slots = block[ch.tris][:, None] + np.arange(k * k)
         rows[slots] = np.repeat(ch.cols, k, axis=1)
         cols[slots] = np.tile(ch.cols, (1, k))
         vals[slots] = loc.reshape(g, k * k)
-    rhs = assemble_rhs(problem, quad) if problem.f is not None else np.zeros(n)
-    matrix = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return SparseSystem(matrix, rhs)
+    return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble_rhs(problem, quad):
-    """Right-hand side int f v of the weak form alone (problem.f must be
-    given): per chunk only the basis values Phi = B_d @ Z and Phi^T (w f),
-    then one unbuffered sum per dof, triangle by triangle in mesh order.
-    A Newton step whose matrix is already factored needs only this."""
+def assemble_rhs(f, quad):
+    """Load vector int f v of the coefficient field f: per chunk only the
+    basis values Phi = B_d @ Z and Phi^T (w f), then one unbuffered sum per
+    dof, triangle by triangle in mesh order.  A Newton step whose matrix
+    is already factored needs only this."""
     space = quad.space
     piece = space.tri_cols_offset
     rhs_vals = np.empty(piece[-1])
     for ch in quad.chunks:
         k = ch.cols.shape[1]
         PhiT = (ch.B[ch.degree] @ ch.Z).swapaxes(1, 2)
-        wf = (ch.weights * np.asarray(problem.f(ch)))[:, :, None]
+        wf = (ch.weights * np.asarray(f(ch)))[:, :, None]
         rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
     rhs = np.zeros(space.dimension)
     np.add.at(rhs, space.tri_cols, rhs_vals)

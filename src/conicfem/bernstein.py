@@ -62,15 +62,6 @@ def triangle_area(tri):
     return 0.5 * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
 
 
-def barycentric(tri, x):
-    """Barycentric coordinates of point x w.r.t. triangle tri ((3,2) array).
-
-    Works for points outside the triangle as well (affine extension).
-    Raises ValueError for (near-)degenerate triangles.
-    """
-    return barycentric_many(tri, np.asarray(x, dtype=float).reshape(1, 2))[0]
-
-
 def barycentric_many(tri, pts):
     """Barycentric coordinates for an (n, 2) array of points; returns (n, 3).
 
@@ -187,10 +178,10 @@ def frame_derivatives(d, C, B, M, orders=(0, 1, 2)):
     C (g, nc, k) are BB coefficients on g triangles with frames M
     (g, 2, 2) (see frames); B[s] is the degree-(d-s) Bernstein matrix at
     n points, shared (n, .) or stacked (g, n, .).  Derivatives difference
-    the coefficients (frame_diff) and evaluate the differences one and two
-    degrees lower.  Returns, for each derivative order in `orders`
-    (ascending), [v], [gx, gy] (M times the frame gradient) or
-    [hxx, hxy, hyy] (M Href M^T), each (g, n, k)."""
+    the coefficients (frame_diff, once per call) and evaluate the
+    differences one and two degrees lower.  Returns, for each derivative
+    order in `orders` (ascending), [v], [gx, gy] (M times the frame
+    gradient) or [hxx, hxy, hyy] (M Href M^T), each (g, n, k)."""
     m = M[:, :, :, None, None]
 
     def frame(a, b):        # M (a, b)
@@ -199,10 +190,11 @@ def frame_derivatives(d, C, B, M, orders=(0, 1, 2)):
     out = []
     if 0 in orders:
         out.append(B[0] @ C)
-    if 1 in orders:
-        out += frame(*frame_gradients(d, C, B[1]))
-    if 2 in orders:
+    if max(orders) > 0:
         c0, c1 = (Ds @ C for Ds in frame_diff(d))
+    if 1 in orders:
+        out += frame(B[1] @ c0, B[1] @ c1)
+    if 2 in orders:
         E0, E1 = frame_diff(d - 1)
         h00, h01, h11 = (B[2] @ (E @ c) for E, c in ((E0, c0), (E1, c0), (E1, c1)))
         (p00, p10), (p01, p11) = frame(h00, h01), frame(h01, h11)     # M Href
@@ -334,11 +326,6 @@ def vertex_ring(d, slot):
     if slot == 3:
         return [(b, c, a) for (a, b, c) in base]
     raise ValueError("slot must be 1, 2 or 3")
-
-
-def ring_edge_slots(slot):
-    """Slots of the two neighbor vertices, in the order used by vertex_ring."""
-    return {1: (2, 3), 2: (1, 3), 3: (1, 2)}[slot]
 
 
 def edge_row_indices(d, slots, off):

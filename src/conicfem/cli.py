@@ -96,11 +96,17 @@ def print_table(rows, stream=None):
 
 
 def _custom_g(expr):
-    """Compile a g(x1, x2) expression over a restricted numpy namespace."""
+    """Compile a g(x1, x2) expression over a restricted numpy namespace.
+    A syntax error, or a value at a probe point that is not a number,
+    is a ValueError; non-finite values are left to the solver's check of
+    g at the quadrature points, so g evaluates without numpy warnings."""
     allowed = {name: getattr(np, name) for name in
                ("exp", "sin", "cos", "tan", "sqrt", "abs", "log", "pi", "e",
                 "cosh", "sinh", "tanh", "arctan", "minimum", "maximum")}
-    code = compile(expr, "<g-expr>", "eval")
+    try:
+        code = compile(expr, "<g-expr>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"--g-expr {expr!r} is not an expression: {exc.msg}") from exc
     for name in code.co_names:
         if name not in allowed and name not in ("x1", "x2"):
             raise ValueError(f"name {name!r} not allowed in --g-expr")
@@ -108,10 +114,15 @@ def _custom_g(expr):
     def g(pts):
         pts = np.asarray(pts, dtype=float)
         env = dict(allowed, x1=pts[..., 0], x2=pts[..., 1])
-        vals = eval(code, {"__builtins__": {}}, env)
+        with np.errstate(all="ignore"):
+            vals = eval(code, {"__builtins__": {}}, env)
         return np.broadcast_to(np.asarray(vals, dtype=float),
                                pts.shape[:-1]).copy()
 
+    try:
+        g(np.zeros((1, 2)))
+    except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+        raise ValueError(f"--g-expr {expr!r} does not evaluate to numbers: {exc}") from exc
     return g
 
 
@@ -162,10 +173,9 @@ def cmd_solve(args):
         print(f"wrote {args.plot_data}")
     if args.dump_matrix:
         quad = asm.TriangleQuadrature(u.space)
-        problem, _ = sol.linearize_ma(u, prob.g, quad)
-        system = asm.assemble(problem, quad)
+        A, _, _ = sol.linearize_ma(u, prob.g, quad)
         from scipy.io import mmwrite
-        mmwrite(args.dump_matrix, system.matrix)
+        mmwrite(args.dump_matrix, asm.assemble(A, quad))
         print(f"wrote {args.dump_matrix}")
     if any(r.diverged for r in reports):
         print("warning: Newton iteration hit the cap on some level",

@@ -16,7 +16,7 @@ start from a quasi-interpolant of the previous level's last iterate.
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,18 +106,18 @@ class LevelContext:
 
 def _check_positive_g(problem, ctx):
     for ch in ctx.quad.chunks:
-        if np.any(ch.at_nodes(problem.g) <= 0.0):
-            raise ValueError("datum g must be positive at all quadrature points")
+        g = ch.at_nodes(problem.g)
+        if not np.all(np.isfinite(g) & (g > 0.0)):
+            raise ValueError("datum g must be finite and positive at all quadrature points")
 
 
 def linearize_ma(u, g, quad):
-    """Linear elliptic problem of one Newton step at the iterate u.
-
-    A is the cofactor of the spline's Hessian (tabulated at the quadrature
-    nodes), b and c vanish, and f is the current residual det(Hessian) - g.
-    Also returns the minimum eigenvalue of A over all quadrature points
-    (the ellipticity monitor; for 2x2 cofactors these are exactly the
-    Hessian eigenvalues).  A and f are tabulated per chunk of quad."""
+    """Coefficient fields (A, f, eigmin) of one Newton step at the iterate
+    u, tabulated per chunk of quad: A is the cofactor of the spline's
+    Hessian at the quadrature nodes and f the current residual
+    det(Hessian) - g.  eigmin is the minimum eigenvalue of A over all
+    quadrature points (the ellipticity monitor; for 2x2 cofactors these
+    are exactly the Hessian eigenvalues)."""
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
@@ -131,18 +131,15 @@ def linearize_ma(u, g, quad):
         half_tr = 0.5 * (hxx + hyy)
         rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
         eigmin = min(eigmin, float((half_tr - rad).min()))
-    problem = asm.LinearEllipticProblem(A=cof_tab.__getitem__, f=res_tab.__getitem__)
-    return problem, eigmin
+    return cof_tab.__getitem__, res_tab.__getitem__, eigmin
 
 
 def poisson_initial_guess(ctx, g):
     """Galerkin solution of laplace(u) = 2 sqrt(g) with zero boundary values."""
-    prob = asm.LinearEllipticProblem(
-        A=asm.constant_matrix(np.eye(2)),
-        f=asm.pointwise(lambda pts: 2.0 * np.sqrt(np.asarray(g(pts)))),
-    )
-    system = asm.assemble(prob, ctx.quad)
-    result = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
+    matrix = asm.assemble(asm.constant_matrix(np.eye(2)), ctx.quad)
+    rhs = asm.assemble_rhs(asm.pointwise(lambda pts: 2.0 * np.sqrt(np.asarray(g(pts)))),
+                           ctx.quad)
+    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs))
     return ctx.space.spline(result.dofs)
 
 
@@ -194,9 +191,9 @@ class NewtonSolves:
 
 def newton_rhs(ctx, u, g):
     """The linearization at u and the right-hand side of its Galerkin
-    system: (problem, eigmin, rhs), see linearize_ma."""
-    problem, eigmin = linearize_ma(u, g, ctx.quad)
-    return problem, eigmin, asm.assemble_rhs(problem, ctx.quad)
+    system: (A, eigmin, rhs), see linearize_ma."""
+    A, f, eigmin = linearize_ma(u, g, ctx.quad)
+    return A, eigmin, asm.assemble_rhs(f, ctx.quad)
 
 
 def _corrected(ctx, u, dofs):
@@ -213,9 +210,8 @@ def newton_step(ctx, u, g, solves=None, linearized=None):
     records the solve and keeps the step's factors."""
     if linearized is None:
         linearized = newton_rhs(ctx, u, g)
-    problem, eigmin, rhs = linearized
-    # the right-hand side comes with the linearization: the matrix alone here
-    matrix = asm.assemble(replace(problem, f=None), ctx.quad).matrix
+    A, eigmin, rhs = linearized
+    matrix = asm.assemble(A, ctx.quad)
     result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs))
     if solves is not None:
         solves.factored(matrix.nnz, result)

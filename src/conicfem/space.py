@@ -160,7 +160,8 @@ def build_mds(mesh):
 # ---------------------------------------------------------------------------
 # jet <-> vertex ring maps
 
-_RING_EDGE = np.array([[1, 2], [0, 2], [0, 1]])   # bb.ring_edge_slots, 0-based
+# the two other vertices of each slot, 0-based, in the order of bb.vertex_ring
+_RING_EDGE = np.array([[1, 2], [0, 2], [0, 1]])
 
 
 def _stack(rows):

@@ -26,8 +26,9 @@ that builds the triangles and edges one at a time as records, and its
 array refinement against the refinement that numbers midpoints one
 triangle at a time; the mesh queries that only tests use (stars,
 interior edges, vertex fans) are written here over the mesh arrays, as
-are the other helpers only tests use (BB products, domain points, the
-cross-edge smoothness gaps, integrals of pointwise fields).
+are the other helpers only tests use (one-point barycentric coordinates,
+the ring's edge slots, BB products, domain points, the cross-edge
+smoothness gaps, integrals of pointwise fields).
 """
 
 import copy
@@ -49,6 +50,17 @@ from conicfem.space import _Propagator
 
 # ---------------------------------------------------------------------------
 # scalar evaluation of one BB polynomial at one point
+
+def barycentric(tri, x):
+    """Barycentric coordinates of one point x w.r.t. triangle tri ((3, 2)
+    array), also outside it; ValueError for (near-)degenerate triangles."""
+    return bb.barycentric_many(tri, np.asarray(x, dtype=float).reshape(1, 2))[0]
+
+
+def ring_edge_slots(slot):
+    """Slots of the two neighbor vertices, in the order used by vertex_ring."""
+    return {1: (2, 3), 2: (1, 3), 3: (1, 2)}[slot]
+
 
 def de_casteljau(d, coeffs, b):
     """Reference scalar evaluation of a BB polynomial by de Casteljau steps."""
@@ -79,7 +91,7 @@ def eval_bb(d, coeffs, tri, x, order=0):
         if order == 2:
             return np.zeros((2, 2))
     coeffs = np.asarray(coeffs, dtype=float)
-    b = bb.barycentric(tri, x)
+    b = barycentric(tri, x)
     if order == 0:
         return de_casteljau(d, coeffs, b)
     ax = bb.directional_coords(tri, (1.0, 0.0))
@@ -135,7 +147,7 @@ def bb_to_monomial(d, coeffs, tri):
         [x**a * y**b for a in range(d + 1) for b in range(d + 1 - a)]
         for x, y in pts
     ])
-    vals = [de_casteljau(d, coeffs, bb.barycentric(tri, p)) for p in pts]
+    vals = [de_casteljau(d, coeffs, barycentric(tri, p)) for p in pts]
     return np.linalg.solve(V, vals)
 
 
@@ -229,7 +241,7 @@ def space_dimension_by_rank(mesh):
         # C1: first interior row of side b from side a
         off_b = 6 - slots_b[0] - slots_b[1]
         w = mesh.vertices[mesh.tri_verts[tb, off_b - 1]]
-        b_off = bb.barycentric(mesh.tri_coords(ta), w)
+        b_off = barycentric(mesh.tri_coords(ta), w)
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 1)):
             base = [0, 0, 0]
             base[slots_a[0] - 1] = 5 - m
@@ -297,7 +309,7 @@ def jet_to_ring_matrix(tri, slot, d):
     scalar form of space.jet_to_ring_matrices)."""
     tri = np.asarray(tri, dtype=float)
     corner = tri[slot - 1]
-    sa, sb = bb.ring_edge_slots(slot)
+    sa, sb = ring_edge_slots(slot)
     ua = tri[sa - 1] - corner
     ub = tri[sb - 1] - corner
     d1 = float(d)
@@ -356,7 +368,7 @@ def smoothness_residual_matrix(space):
             rows.append(B6[im6[gb]] - A6[im6[tuple(ga)]])
         off_b = 6 - slots_b[0] - slots_b[1]
         w = mesh.vertices[mesh.tri_verts[tb, off_b - 1]]
-        b_off = bb.barycentric(mesh.tri_coords(ta), w)
+        b_off = barycentric(mesh.tri_coords(ta), w)
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 1)):
             base = [0, 0, 0]
             base[slots_a[0] - 1] = 5 - m
@@ -478,7 +490,7 @@ def smoothness_gaps(d, tri_a, coef_a, slots_a, tri_b, coef_b, slots_b):
     """
     off_b = 6 - slots_b[0] - slots_b[1]
     w = np.asarray(tri_b, dtype=float)[off_b - 1]
-    b_off = bb.barycentric(tri_a, w)
+    b_off = barycentric(tri_a, w)
     c0, c1 = cross_edge_rows(d, coef_a, slots_a, slots_b, b_off)
     im = bb.index_map(d)
     coef_b = np.asarray(coef_b, dtype=float)
@@ -639,8 +651,8 @@ def domain_area(quad):
 class StoredChunk(asm.QuadratureChunk):
     """A quadrature chunk that stores Cartesian design matrices G = [Gx,
     Gy] and H = [Hxx, Hxy, Hyy], each (g, nq, nc), and reads derivatives
-    and basis gradients from them, in x and y (in_frame leaves A and b as
-    they are): the stored form that frames and differenced coefficients
+    and basis gradients from them, in x and y (in_frame leaves A as it
+    is): the stored form that frames and differenced coefficients
     replace."""
 
     G: list = None
@@ -649,8 +661,8 @@ class StoredChunk(asm.QuadratureChunk):
     def gradient_maps(self):
         return [Gs @ self.Z for Gs in self.G]
 
-    def in_frame(self, A=None, b=None):
-        return A, b
+    def in_frame(self, A):
+        return A
 
     def derivatives(self, C, rows=slice(None), degree=None, orders=(0, 1, 2)):
         if degree not in (None, self.degree):
@@ -680,24 +692,19 @@ def _chunk_rows(quad):
     return {t: (ch, i) for ch in quad.chunks for i, t in enumerate(ch.tris)}
 
 
-def assemble_per_triangle(problem, quad):
-    """(CSR matrix, rhs) of a LinearEllipticProblem, one triangle at a time
-    in mesh order.  Coefficient fields are evaluated once per chunk and
-    read row by row.  The gradient terms are formed along the reference
-    directions e0 - e2 and e1 - e2, with A and b written in them as
-    M^T A M and M^T b."""
+def assemble_per_triangle(A, f, quad):
+    """(CSR matrix of int grad(u) . A grad(v), rhs int f v) of the
+    coefficient fields A and f, one triangle at a time in mesh order.  The
+    fields are evaluated once per chunk and read row by row.  The gradients
+    are formed along the reference directions e0 - e2 and e1 - e2, with A
+    written in them as M^T A M."""
     space = quad.space
     mesh = space.mesh
     n = space.dimension
     designs = triangle_designs(quad)
     nodes = triangle_nodes(quad)
     at = _chunk_rows(quad)
-    tables = {name: {ch: np.asarray(fn(ch)) for ch in quad.chunks}
-              for name, fn in vars(problem).items() if fn is not None}
-
-    def field(name, t):
-        ch, i = at[t]
-        return tables[name][ch][i]
+    tables = [{ch: np.asarray(fn(ch)) for ch in quad.chunks} for fn in (A, f)]
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
@@ -705,33 +712,20 @@ def assemble_per_triangle(problem, quad):
         gdofs, Z = space.local_map(t)
         B, M = designs[t]
         w = nodes[t][1]
-        Phi = B[0] @ Z
+        ch, r = at[t]
+        Amat, fvals = (tab[ch][r] for tab in tables)
         D0, D1 = frame_gradient_maps(space.tri_degree(t), B[1], Z)
-        loc = np.zeros((len(gdofs), len(gdofs)))
-        if problem.A is not None:
-            Amat = field("A", t)
-            AM = [[Amat[:, i, 0] * M[0, j] + Amat[:, i, 1] * M[1, j] for j in range(2)]
-                  for i in range(2)]
-            Amat = np.empty(Amat.shape)
-            for i in range(2):
-                for j in range(2):
-                    Amat[:, i, j] = M[0, i] * AM[0][j] + M[1, i] * AM[1][j]
-            wA = w[:, None, None] * Amat
-            q0 = wA[:, 0, 0, None] * D0 + wA[:, 0, 1, None] * D1
-            q1 = wA[:, 1, 0, None] * D0 + wA[:, 1, 1, None] * D1
-            loc += D0.T @ q0 + D1.T @ q1
-        if problem.b is not None:
-            bvec = field("b", t)
-            bvec = np.stack([M[0, j] * bvec[:, 0] + M[1, j] * bvec[:, 1]
-                             for j in range(2)], axis=-1)
-            wb = w[:, None] * bvec
-            loc += Phi.T @ (wb[:, 0, None] * D0 + wb[:, 1, None] * D1)
-        if problem.c is not None:
-            cvals = field("c", t)
-            loc += Phi.T @ ((w * cvals)[:, None] * Phi)
-        if problem.f is not None:
-            fvals = field("f", t)
-            rhs[gdofs] += Phi.T @ (w * fvals)
+        AM = [[Amat[:, i, 0] * M[0, j] + Amat[:, i, 1] * M[1, j] for j in range(2)]
+              for i in range(2)]
+        Amat = np.empty(Amat.shape)
+        for i in range(2):
+            for j in range(2):
+                Amat[:, i, j] = M[0, i] * AM[0][j] + M[1, i] * AM[1][j]
+        wA = w[:, None, None] * Amat
+        q0 = wA[:, 0, 0, None] * D0 + wA[:, 0, 1, None] * D1
+        q1 = wA[:, 1, 0, None] * D0 + wA[:, 1, 1, None] * D1
+        loc = D0.T @ q0 + D1.T @ q1
+        rhs[gdofs] += (B[0] @ Z).T @ (w * fvals)
         ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
         rows.append(ii.ravel())
         cols.append(jj.ravel())

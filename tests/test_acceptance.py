@@ -218,12 +218,9 @@ def test_criterion_8_geometry_and_poisson():
     area_ell = domain_area(equad)
     a_ok = (abs(area_disk - np.pi) <= 1e-9 * np.pi
             and abs(area_ell - 0.4 * np.pi) <= 1e-9 * 0.4 * np.pi)
-    prob = asm.LinearEllipticProblem(
-        A=asm.constant_matrix(np.eye(2)),
-        f=asm.pointwise(lambda x: 2.0 * np.ones(len(x))),
-    )
-    system = asm.assemble(prob, dquad)
-    res = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
+    rhs = asm.assemble_rhs(asm.pointwise(lambda x: 2.0 * np.ones(len(x))), dquad)
+    res = asm.solve_sparse(asm.SparseSystem(
+        asm.assemble(asm.constant_matrix(np.eye(2)), dquad), -rhs))
     u = dspace.spline(res.dofs)
     ref = (
         lambda x: 0.5 * (x[:, 0] ** 2 + x[:, 1] ** 2 - 1.0),

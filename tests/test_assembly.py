@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -112,10 +113,10 @@ def test_pie_quadrature_errors_name_the_first_failing_pie(disk_mesh2, c2dom, whe
 
 
 def test_mass_matrix_spd_and_symmetry(disk_space):
+    # the weak form has no mass term: the A = I stiffness matrix, SPD on
+    # the space of zero boundary values
     quad = asm.TriangleQuadrature(disk_space)
-    mass = asm.assemble(asm.LinearEllipticProblem(
-        c=asm.pointwise(lambda x: np.ones(len(x)))), quad)
-    M = mass.matrix.toarray()
+    M = asm.assemble(EYE, quad).toarray()
     assert np.abs(M - M.T).max() < 1e-12 * np.abs(M).max()
     assert np.linalg.eigvalsh(M).min() > 0
 
@@ -129,7 +130,7 @@ def test_stiffness_symmetric_for_symmetric_A(disk_space):
         out[..., 1, 1] = 2.0 + pts[..., 1] ** 2
         out[..., 0, 1] = out[..., 1, 0] = 0.3 * pts[..., 0] * pts[..., 1]
         return out
-    K = asm.assemble(asm.LinearEllipticProblem(A=A), quad).matrix.toarray()
+    K = asm.assemble(A, quad).toarray()
     assert np.abs(K - K.T).max() < 1e-12 * np.abs(K).max()
 
 
@@ -141,10 +142,9 @@ def test_solve_sparse_identity_and_mass_roundtrip(disk_space):
     res = asm.solve_sparse(asm.SparseSystem(sps.identity(n, format="csr"), b))
     assert np.allclose(res.dofs, b)
     quad = asm.TriangleQuadrature(disk_space)
-    mass = asm.assemble(asm.LinearEllipticProblem(
-        c=asm.pointwise(lambda x: np.ones(len(x)))), quad)
+    K = asm.assemble(EYE, quad)
     x = rng.standard_normal(n)
-    res = asm.solve_sparse(asm.SparseSystem(mass.matrix, mass.matrix @ x))
+    res = asm.solve_sparse(asm.SparseSystem(K, K @ x))
     assert np.abs(res.dofs - x).max() < 1e-10 * max(1.0, np.abs(x).max())
     assert res.rel_residual < 1e-10
 
@@ -162,7 +162,7 @@ def test_singular_poisson_solve_raises_solver_error(disk_space):
     # column set to explicit zeros
     n = disk_space.dimension
     quad = asm.TriangleQuadrature(disk_space)
-    K = asm.assemble(asm.LinearEllipticProblem(A=EYE), quad).matrix
+    K = asm.assemble(EYE, quad)
     coo = K.tocoo()
     coo.data[(coo.row == n // 2) | (coo.col == n // 2)] = 0.0
     A = coo.tocsr()
@@ -180,7 +180,7 @@ def test_frozen_resolve_of_ill_conditioned_system_raises(disk_space, scale, mess
     import scipy.sparse as sps
     n = disk_space.dimension
     quad = asm.TriangleQuadrature(disk_space)
-    K = asm.assemble(asm.LinearEllipticProblem(A=EYE), quad).matrix
+    K = asm.assemble(EYE, quad)
     d = np.ones(n)
     d[n // 2] = scale
     A = (sps.diags(d) @ K @ sps.diags(d)).tocsr()
@@ -192,8 +192,8 @@ def test_frozen_resolve_of_ill_conditioned_system_raises(disk_space, scale, mess
 
 def test_frozen_resolve_matches_a_fresh_solve(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
-    system = asm.assemble(asm.LinearEllipticProblem(
-        A=EYE, f=asm.pointwise(lambda x: np.ones(len(x)))), quad)
+    system = asm.SparseSystem(asm.assemble(EYE, quad),
+                              asm.assemble_rhs(asm.pointwise(lambda x: np.ones(len(x))), quad))
     first = asm.solve_sparse(system)
     b = np.random.default_rng(3).standard_normal(disk_space.dimension)
     again = first.factors.solve(b)
@@ -207,13 +207,12 @@ def test_frozen_resolve_matches_a_fresh_solve(disk_space):
 def test_rhs_only_assembly_is_the_assembled_rhs(disk_space2, monkeypatch):
     # the right-hand side alone forms no derivative products and no matrix
     quad = asm.TriangleQuadrature(disk_space2)
-    problem = asm.LinearEllipticProblem(
-        A=EYE, f=asm.pointwise(lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2))
-    want = asm.assemble(problem, quad).rhs
+    f = asm.pointwise(lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+    _, want = assemble_per_triangle(EYE, f, quad)
     monkeypatch.setattr(asm.sps, "coo_matrix", None)
     for ch in quad.chunks:
         monkeypatch.setattr(ch, "gradient_maps", None)
-    np.testing.assert_array_equal(asm.assemble_rhs(problem, quad), want)
+    np.testing.assert_array_equal(asm.assemble_rhs(f, quad), want)
 
 
 def test_assemble_fills_int32_indices_bit_identical_to_int64(disk_space2, monkeypatch):
@@ -227,7 +226,7 @@ def test_assemble_fills_int32_indices_bit_identical_to_int64(disk_space2, monkey
         return coo_matrix(arg, shape=shape)
 
     monkeypatch.setattr(asm.sps, "coo_matrix", recording)
-    got = asm.assemble(_all_terms_problem(), quad).matrix
+    got = asm.assemble(_all_terms_problem()[0], quad)
     (vals, (rows, cols)), = seen
     assert rows.dtype == cols.dtype == np.int32
     want = coo_matrix((vals, (rows.astype(np.int64), cols.astype(np.int64))),
@@ -276,16 +275,44 @@ def test_straight_chunks_hold_no_per_triangle_design_stacks(hierarchies):
 def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
     import scipy.sparse.linalg as spla
     quad = asm.TriangleQuadrature(disk_space2)
-    system = asm.assemble(asm.LinearEllipticProblem(
-        A=EYE, f=asm.pointwise(lambda x: np.ones(len(x)))), quad)
-    res = asm.solve_sparse(system)
-    colamd = spla.splu(system.matrix.tocsc())
+    K = asm.assemble(EYE, quad)
+    res = asm.solve_sparse(asm.SparseSystem(
+        K, asm.assemble_rhs(asm.pointwise(lambda x: np.ones(len(x))), quad)))
+    colamd = spla.splu(K.tocsc())
     assert 0 < res.lu_fill < colamd.L.nnz + colamd.U.nnz
     assert res.rel_residual < 1e-12
 
 
+def test_chunk_derivatives_difference_the_coefficients_once(disk_space, monkeypatch):
+    # all orders at once equal the orders one at a time, bit for bit, and
+    # difference the coefficients (frame_diff(d) products) once per call
+    quad = asm.TriangleQuadrature(disk_space)
+    pie = next(ch for ch in quad.chunks if ch.B is not quad.B)
+    straight = next(ch for ch in quad.chunks if ch.B is quad.B)
+    u = disk_space.spline(np.random.default_rng(5).standard_normal(disk_space.dimension))
+    real, products = bb.frame_diff, collections.Counter()
+
+    class Counted:
+        def __init__(self, d, Ds):
+            self.d, self.Ds = d, Ds
+
+        def __matmul__(self, C):
+            products[self.d] += 1
+            return self.Ds @ C
+
+    monkeypatch.setattr(bb, "frame_diff", lambda d: [Counted(d, Ds) for Ds in real(d)])
+    for ch in (pie, straight):
+        C = u.pieces(ch.Z, ch.cols)
+        products.clear()
+        got = ch.derivatives(C)
+        assert products == {ch.degree: 2, ch.degree - 1: 3}
+        want = [f for order in (0, 1, 2) for f in ch.derivatives(C, orders=(order,))]
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
 def _all_terms_problem():
-    # A and b also depend on the triangle index
+    # (A, f); A also depends on the triangle index
     def A(chunk):
         pts, t = chunk.nodes, chunk.tris[:, None]
         out = np.empty(pts.shape[:-1] + (2, 2))
@@ -294,16 +321,7 @@ def _all_terms_problem():
         out[..., 0, 1] = out[..., 1, 0] = 0.3 * pts[..., 0] * pts[..., 1]
         return out
 
-    def b(chunk):
-        pts, t = chunk.nodes, chunk.tris[:, None]
-        return np.stack([np.cos(pts[..., 0]), pts[..., 1] - 0.1 * t], axis=-1)
-
-    return asm.LinearEllipticProblem(
-        A=A,
-        b=b,
-        c=asm.pointwise(lambda x: 1.0 + np.exp(x[:, 0])),
-        f=asm.pointwise(lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1] - 0.5),
-    )
+    return A, asm.pointwise(lambda x: np.sin(3.0 * x[:, 0]) * x[:, 1] - 0.5)
 
 
 @pytest.mark.parametrize("space_name", ["c2_space", "disk_space2"])
@@ -338,21 +356,20 @@ def test_assemble_is_bit_identical_to_per_triangle_loop(space_name, request):
     # c2_space has ordinary, buffer and pie triangles
     space = request.getfixturevalue(space_name)
     quad = asm.TriangleQuadrature(space)
-    problem = _all_terms_problem()
-    system = asm.assemble(problem, quad)
-    matrix, rhs = assemble_per_triangle(problem, quad)
-    np.testing.assert_array_equal(system.matrix.indptr, matrix.indptr)
-    np.testing.assert_array_equal(system.matrix.indices, matrix.indices)
-    np.testing.assert_array_equal(system.matrix.data, matrix.data)
-    np.testing.assert_array_equal(system.rhs, rhs)
+    A, f = _all_terms_problem()
+    got = asm.assemble(A, quad)
+    matrix, rhs = assemble_per_triangle(A, f, quad)
+    np.testing.assert_array_equal(got.indptr, matrix.indptr)
+    np.testing.assert_array_equal(got.indices, matrix.indices)
+    np.testing.assert_array_equal(got.data, matrix.data)
+    np.testing.assert_array_equal(asm.assemble_rhs(f, quad), rhs)
     assert np.abs(rhs).max() > 0
 
 
 def test_poisson_reproduces_in_space_solution(disk_space2):
     quad = asm.TriangleQuadrature(disk_space2)
-    prob = asm.LinearEllipticProblem(A=EYE, f=asm.pointwise(lambda x: 2.0 * np.ones(len(x))))
-    sys0 = asm.assemble(prob, quad)
-    res = asm.solve_sparse(asm.SparseSystem(sys0.matrix, -sys0.rhs))
+    rhs = asm.assemble_rhs(asm.pointwise(lambda x: 2.0 * np.ones(len(x))), quad)
+    res = asm.solve_sparse(asm.SparseSystem(asm.assemble(EYE, quad), -rhs))
     u = disk_space2.spline(res.dofs)
     ref = (
         lambda x: 0.5 * (x[:, 0] ** 2 + x[:, 1] ** 2 - 1.0),
@@ -366,11 +383,8 @@ def test_poisson_reproduces_in_space_solution(disk_space2):
 def test_manufactured_solution_and_orthogonality(disk_space2):
     # u* = (1 - x^2 - y^2)^2 lies in the space; f = -laplace(u*) = 8 - 16 r^2
     quad = asm.TriangleQuadrature(disk_space2)
-    prob = asm.LinearEllipticProblem(
-        A=EYE,
-        f=asm.pointwise(lambda x: 8.0 - 16.0 * (x[:, 0] ** 2 + x[:, 1] ** 2)),
-    )
-    system = asm.assemble(prob, quad)
+    system = asm.SparseSystem(asm.assemble(EYE, quad), asm.assemble_rhs(
+        asm.pointwise(lambda x: 8.0 - 16.0 * (x[:, 0] ** 2 + x[:, 1] ** 2)), quad))
     res = asm.solve_sparse(asm.SparseSystem(system.matrix, system.rhs))
     u = disk_space2.spline(res.dofs)
 
@@ -403,8 +417,7 @@ def test_dense_bilinear_form_agreement():
     mesh = wheel_mesh(dom, pts, [0, 1, 2, 3], shrink=0.5)
     space = build_space(mesh)
     quad = asm.TriangleQuadrature(space)
-    prob = asm.LinearEllipticProblem(A=EYE)
-    K = asm.assemble(prob, quad).matrix.toarray()
+    K = asm.assemble(EYE, quad).toarray()
     rng = np.random.default_rng(1)
     nodes = triangle_nodes(quad)
     eye = np.eye(space.dimension)
@@ -463,9 +476,8 @@ def test_zero_spline_vs_exact_matches_radial_oracle(disk_space2):
 def test_residual_norm_cases(disk_space2):
     quad = asm.TriangleQuadrature(disk_space2)
     # det(Hessian) of the in-space paraboloid (r^2-1)/2 is exactly 1
-    prob = asm.LinearEllipticProblem(A=EYE, f=asm.pointwise(lambda x: 2.0 * np.ones(len(x))))
-    system = asm.assemble(prob, quad)
-    res = asm.solve_sparse(asm.SparseSystem(system.matrix, -system.rhs))
+    rhs = asm.assemble_rhs(asm.pointwise(lambda x: 2.0 * np.ones(len(x))), quad)
+    res = asm.solve_sparse(asm.SparseSystem(asm.assemble(EYE, quad), -rhs))
     u = disk_space2.spline(res.dofs)
     assert asm.residual_norm(u, quad, lambda x: np.ones(len(x))) < 1e-10
     zero = disk_space2.zero()

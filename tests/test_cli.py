@@ -232,8 +232,8 @@ def test_dump_matrix_reuses_final_space(tmp_path, monkeypatch):
     assert len(builds) == 3
     u = final["u"]
     quad = asm.TriangleQuadrature(u.space)
-    problem, _ = sol.linearize_ma(u, problem_g("disk"), quad)
-    want = asm.assemble(problem, quad).matrix
+    A, _, _ = sol.linearize_ma(u, problem_g("disk"), quad)
+    want = asm.assemble(A, quad)
     got = mmread(str(mat)).tocsr()
     assert got.shape == want.shape
     assert abs(got - want).max() <= 1e-14 * abs(want).max()
@@ -255,3 +255,19 @@ def test_custom_problem(tmp_path, disk_mesh, capsys):
     assert run(["solve", "--problem", "custom", "--levels", "1"]) == 1
     assert run(["solve", "--problem", "custom", "--mesh", str(path),
                 "--g-expr", "__import__('os')", "--levels", "1"]) == 1
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("x1 +", "is not an expression"),
+    ("sqrt", "does not evaluate to numbers"),
+    ("x1 + 'a'", "does not evaluate to numbers"),
+    ("sqrt(x1)", "must be finite and positive"),      # NaN where x1 < 0
+    ("1/(x1-x1)", "must be finite and positive"),     # inf everywhere
+])
+def test_bad_g_expr_is_an_error_not_a_traceback(tmp_path, disk_mesh, capsys, expr, message):
+    path = tmp_path / "mesh.json"
+    msh.save_mesh(disk_mesh, path)
+    assert run(["solve", "--problem", "custom", "--mesh", str(path),
+                "--g-expr", expr, "--levels", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err

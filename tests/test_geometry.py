@@ -10,7 +10,8 @@ from conicfem import bernstein as bb
 from conicfem import geometry as geo
 from conicfem.problems import c2_domain, disk_domain, ellipse_domain
 
-from _oracles import arc_point_on_ray_scalar, corner_is_tangent, de_casteljau, domain_points
+from _oracles import (arc_point_on_ray_scalar, barycentric, corner_is_tangent, de_casteljau,
+                      domain_points)
 
 CIRCLE = geo.Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))      # 1 - x^2 - y^2
 ELLIPSE = geo.Conic((-1.0, 0.0, -6.25, 0.0, 0.0, 1.0))    # 1 - x^2 - 6.25 y^2
@@ -144,7 +145,7 @@ def test_conic_bb_form_constant_and_circle():
     line = geo.Conic((0, 0, 0, 0.0, -1.0, 1.0), degree=1)
     c = geo.conic_bb_form(line, TRI)
     for g, x in zip(bb.multi_indices(2), domain_points(2, TRI)):
-        assert abs(de_casteljau(2, c, bb.barycentric(TRI, x))
+        assert abs(de_casteljau(2, c, barycentric(TRI, x))
                    - geo.eval_conic(line, x)) < 1e-14
     c = geo.conic_bb_form(CIRCLE, TRI)
     im = bb.index_map(2)
@@ -172,7 +173,7 @@ def test_conic_bb_form_random_identity():
         scale = max(1.0, np.abs(c).max())
         for _ in range(10):
             x = rng.standard_normal(2)
-            v = de_casteljau(2, c, bb.barycentric(tri, x))
+            v = de_casteljau(2, c, barycentric(tri, x))
             ref = geo.eval_conic(q, x)
             assert abs(v - ref) < 1e-13 * max(scale, abs(ref))
 

@@ -96,12 +96,12 @@ def test_frechet_first_order_in_t():
 def test_linearize_ma_on_paraboloid(disk_ctx):
     # Hessian of the in-space paraboloid is I: cofactor I, residual 1 - g
     u = sol.poisson_initial_guess(disk_ctx, lambda x: np.ones(len(x)))
-    problem, eigmin = sol.linearize_ma(u, lambda x: np.ones(len(x)), disk_ctx.quad)
+    A, f, eigmin = sol.linearize_ma(u, lambda x: np.ones(len(x)), disk_ctx.quad)
     for ch in disk_ctx.quad.chunks:
         # the discrete paraboloid matches (r^2-1)/2 up to the curved-panel
         # quadrature perturbation of the level-1 stiffness entries
-        assert np.abs(problem.A(ch) - np.eye(2)).max() < 1e-6
-        assert np.abs(problem.f(ch)).max() < 1e-6
+        assert np.abs(A(ch) - np.eye(2)).max() < 1e-6
+        assert np.abs(f(ch)).max() < 1e-6
     assert abs(eigmin - 1.0) < 1e-6
 
 
@@ -112,11 +112,11 @@ def test_linearize_ma_is_bit_identical_to_per_triangle_loop(ctx_name, request):
     g = problem_g("c2-domain" if ctx_name == "c2_ctx" else "disk")
     rng = np.random.default_rng(4)
     u = ctx.space.spline(rng.standard_normal(ctx.space.dimension))
-    problem, eigmin = sol.linearize_ma(u, g, ctx.quad)
+    A_field, f_field, eigmin = sol.linearize_ma(u, g, ctx.quad)
     cof_tab, res_tab, want_eigmin = linearize_ma_per_triangle(u, g, ctx.quad)
     assert eigmin == want_eigmin
     for ch in ctx.quad.chunks:
-        A, f = problem.A(ch), problem.f(ch)
+        A, f = A_field(ch), f_field(ch)
         for i, t in enumerate(ch.tris):
             np.testing.assert_array_equal(A[i], cof_tab[t])
             np.testing.assert_array_equal(f[i], res_tab[t])
@@ -148,20 +148,21 @@ def test_reference_quadrature_matches_stored_derivatives(name, hierarchies):
     g = problem_g(name)
     rng = np.random.default_rng(4)
     u = quad.space.spline(rng.standard_normal(quad.space.dimension))
-    new_problem, new_eigmin = sol.linearize_ma(u, g, quad)
-    old_problem, old_eigmin = sol.linearize_ma(u, g, old)
-    for field, bound in (("A", 16), ("f", 64)):
-        new_tab = [getattr(new_problem, field)(ch) for ch in quad.chunks]
-        old_tab = [getattr(old_problem, field)(ch) for ch in old.chunks]
+    *new_fields, new_eigmin = sol.linearize_ma(u, g, quad)
+    *old_fields, old_eigmin = sol.linearize_ma(u, g, old)
+    for new_field, old_field, bound in zip(new_fields, old_fields, (16, 64)):
+        new_tab = [new_field(ch) for ch in quad.chunks]
+        old_tab = [old_field(ch) for ch in old.chunks]
         scale = max(np.abs(t).max() for t in old_tab)
         assert max(np.abs(a - b).max() for a, b in zip(new_tab, old_tab)) <= bound * eps * scale
     assert abs(new_eigmin - old_eigmin) <= 8 * np.spacing(abs(old_eigmin))
-    new_system = asm.assemble(new_problem, quad)
-    old_system = asm.assemble(old_problem, old)
-    np.testing.assert_array_equal(new_system.matrix.indices, old_system.matrix.indices)
-    np.testing.assert_array_equal(new_system.matrix.indptr, old_system.matrix.indptr)
-    for got, want, bound in ((new_system.matrix.data, old_system.matrix.data, 16),
-                             (new_system.rhs, old_system.rhs, 64)):
+    new_matrix = asm.assemble(new_fields[0], quad)
+    old_matrix = asm.assemble(old_fields[0], old)
+    np.testing.assert_array_equal(new_matrix.indices, old_matrix.indices)
+    np.testing.assert_array_equal(new_matrix.indptr, old_matrix.indptr)
+    for got, want, bound in ((new_matrix.data, old_matrix.data, 16),
+                             (asm.assemble_rhs(new_fields[1], quad),
+                              asm.assemble_rhs(old_fields[1], old), 64)):
         assert np.abs(got - want).max() <= bound * eps * np.abs(want).max()
     # the norms read values, gradients and Hessians through the chunks
     np.testing.assert_allclose(asm.error_norms(u, quad), asm.error_norms(u, old),
@@ -173,7 +174,7 @@ def test_reference_quadrature_matches_stored_derivatives(name, hierarchies):
 def test_ellipticity_monitor_flags_indefinite(disk_ctx):
     rng = np.random.default_rng(2)
     u = disk_ctx.space.spline(rng.standard_normal(disk_ctx.space.dimension))
-    _, eigmin = sol.linearize_ma(u, lambda x: np.ones(len(x)), disk_ctx.quad)
+    _, _, eigmin = sol.linearize_ma(u, lambda x: np.ones(len(x)), disk_ctx.quad)
     assert eigmin < 0  # random splines are nowhere near convex
 
 
@@ -213,9 +214,8 @@ def test_newton_fixed_point_and_quadratic_decay(disk_ctx, disk_problem):
     _, n, _ = sol.newton_step(disk_ctx, state.spline, disk_problem.g)
     assert n < 5e-14
     # defining equations: the residual functional vanishes on all basis fns
-    problem, _ = sol.linearize_ma(state.spline, disk_problem.g, disk_ctx.quad)
-    system = asm.assemble(problem, disk_ctx.quad)
-    assert np.abs(system.rhs).max() < 1e-9
+    _, f, _ = sol.linearize_ma(state.spline, disk_problem.g, disk_ctx.quad)
+    assert np.abs(asm.assemble_rhs(f, disk_ctx.quad)).max() < 1e-9
 
 
 def test_run_level_infinite_tolerance(disk_ctx, disk_problem):
@@ -466,9 +466,9 @@ def test_no_factorization_outlives_its_step(disk_problem, monkeypatch):
             super().__init__(matrix)
             made.append(weakref.ref(self))
 
-    def assemble(problem, quad):
+    def assemble(A, quad):
         assert all(ref() is None for ref in made)
-        return real_assemble(problem, quad)
+        return real_assemble(A, quad)
 
     monkeypatch.setattr(asm, "Factors", Tracked)
     monkeypatch.setattr(asm, "assemble", assemble)
@@ -514,9 +514,9 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
         calls[0] += 1
         return real(system)
 
-    def counting_rhs(problem, quad):
+    def counting_rhs(f, quad):
         rhs_calls[0] += 1
-        return real_rhs(problem, quad)
+        return real_rhs(f, quad)
 
     monkeypatch.setattr(asm, "solve_sparse", counting)
     monkeypatch.setattr(asm, "assemble_rhs", counting_rhs)

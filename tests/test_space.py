@@ -10,10 +10,10 @@ from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
 from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
                             solve_factor_ring)
 
-from _oracles import (apply_design, basis_support, bb_product, boundary_samples_max,
-                      cross_edge_rows, derivative_matrices, eval_bb, jet_to_ring_matrix,
-                      plain_interior_edges, smoothness_report, space_dimension_by_rank, star,
-                      vertex_triangles)
+from _oracles import (apply_design, barycentric, basis_support, bb_product,
+                      boundary_samples_max, cross_edge_rows, derivative_matrices, eval_bb,
+                      jet_to_ring_matrix, plain_interior_edges, smoothness_report,
+                      space_dimension_by_rank, star, vertex_triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +257,7 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
             dst_slots = tuple(verts.index(v) + 1 for v in shared)
             off_dst = 6 - dst_slots[0] - dst_slots[1]
             w = mesh.vertices[verts[off_dst - 1]]
-            b_off = bb.barycentric(mesh.tri_coords(buf), w)
+            b_off = barycentric(mesh.tri_coords(buf), w)
             _, c1 = cross_edge_rows(6, s.patch(buf), src_slots, dst_slots,
                                        b_off)
             via_smoothness = c1[target]
@@ -283,7 +283,7 @@ def _points_by_kind(space, rng, per_tri=3):
             chord = tri[1] + rng.uniform(0.1, 0.9, per_tri)[:, None] * (tri[2] - tri[1])
             for c, a in zip(chord, arc_point_on_ray(mesh.domain.arcs[arc], tri[0], chord)):
                 pts.append(tri[0] + rng.uniform(0.3, 0.9) * (a - tri[0]))
-                if bb.barycentric(tri, a)[0] < 0:    # the arc bulges out
+                if barycentric(tri, a)[0] < 0:    # the arc bulges out
                     pts.append(c + rng.uniform(0.1, 0.9) * (a - c))
                 tris += [t] * (len(pts) - len(tris))
     return np.array(pts), np.array(tris)
@@ -296,7 +296,7 @@ def test_point_queries_match_oracle(c2_space):
     s = space.spline(rng.standard_normal(space.dimension))
     pts, want = _points_by_kind(space, rng)
     beyond = [t for t, x in zip(want, pts) if mesh.tri_kind[t] == PIE
-              and bb.barycentric(mesh.tri_coords(t), x)[0] < 0]
+              and barycentric(mesh.tri_coords(t), x)[0] < 0]
     assert len(beyond) > 20        # between a pie's chord and its arc
     np.testing.assert_array_equal(space.locate(pts), want)
     got = s.evaluate(pts)
