@@ -9,12 +9,15 @@ approximation of the boundary.
 
 The quadrature data is stored per chunk of triangles of one kind and
 local dof count (stacked arrays, see QuadratureChunk).  Assembly and the
-norms walk those chunks and sum the per-triangle contributions in mesh
-order (deterministic by construction); rules and maps are immutable and
-shareable across threads.
+norms walk those chunks.  The norms and the load vector sum the
+per-triangle contributions in mesh order; the stiffness matrix sums its
+duplicate entries in the order coo_matrix(...).tocsr() sums the mesh-order
+triplets (ScatterPlan), so no result depends on the chunking.  Rules and
+maps are immutable and shareable across threads.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -225,6 +228,11 @@ class TriangleQuadrature:
         self.chunks = [self._chunk(grp, slice(i, i + CHUNK))
                        for grp in space.groups for i in range(0, len(grp.tris), CHUNK)]
 
+    @cached_property
+    def scatter(self):
+        """The ScatterPlan of assemble, built on its first call."""
+        return ScatterPlan(self)
+
     def _chunk(self, grp, rows):
         mesh = self.space.mesh
         idx, d = grp.tris[rows], grp.degree
@@ -299,20 +307,14 @@ def assemble(A, quad):
 
     Local matrices are computed for a chunk of triangles at a time with
     stacked matmuls, which per triangle run the same BLAS products as a
-    loop over single triangles; the local blocks are then summed in mesh
-    order, so the matrix does not depend on the chunking.  The gradients
-    and A are formed in each chunk's frame (QuadratureChunk.gradient_maps
-    and in_frame)."""
-    space = quad.space
-    n = space.dimension
-    sizes = np.diff(space.tri_cols_offset)
-    block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # COO slots
-    # scipy keeps 32-bit indices whenever they fit; 64-bit ones it would copy
-    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    rows = np.empty(block[-1], dtype=index)
-    cols = np.empty(block[-1], dtype=index)
-    vals = np.empty(block[-1])
-    for ch in quad.chunks:
+    loop over single triangles, and written into the chunk's slots of the
+    quadrature's ScatterPlan (built on the first call); the plan then sums
+    the duplicates in the order of coo_matrix(...).tocsr(), so the matrix
+    does not depend on the chunking.  The gradients and A are formed in
+    each chunk's frame (QuadratureChunk.gradient_maps and in_frame)."""
+    plan = quad.scatter
+    vals = np.empty(plan.perm.size)
+    for ch, slots in zip(quad.chunks, plan.slots):
         g, k = ch.cols.shape
         D0, D1 = ch.gradient_maps()
         # weighting the (g, nq, 2, 2) coefficients costs less than the (g, nq, k) products
@@ -321,12 +323,83 @@ def assemble(A, quad):
         q0 += wA[:, :, 0, 1, None] * D1
         q1 = wA[:, :, 1, 0, None] * D0
         q1 += wA[:, :, 1, 1, None] * D1
-        loc = D0.swapaxes(1, 2) @ q0 + D1.swapaxes(1, 2) @ q1
-        slots = block[ch.tris][:, None] + np.arange(k * k)
-        rows[slots] = np.repeat(ch.cols, k, axis=1)
-        cols[slots] = np.tile(ch.cols, (1, k))
-        vals[slots] = loc.reshape(g, k * k)
-    return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        loc = vals[slots].reshape(g, k, k)
+        np.matmul(D0.swapaxes(1, 2), q0, out=loc)
+        loc += D1.swapaxes(1, 2) @ q1
+    return plan.csr(vals)
+
+
+class ScatterPlan:
+    """The CSR pattern of the stiffness matrices of a quadrature's space,
+    and the order in which tocsr() sums their COO triplets (the local
+    blocks of the triangles in mesh order, each row by row).
+
+    assemble writes the local blocks of chunk c, row by row, into the
+    slice slots[c] of one value array; entry s of the CSR data is the sum,
+    left to right as tocsr() adds them, of the values at the slots
+    perm[p] for the positions p with seg[p] == s.  tocsr() buckets the
+    triplets by row, stably, and sorts each row by column with
+    csr_sort_indices, whose order of equal columns depends on the columns
+    alone; perm is that order, captured once by running both on slot ids.
+    Index arrays are int32 unless the slots outnumber it; indptr and
+    indices are shared, read-only, by every matrix of csr."""
+
+    def __init__(self, quad):
+        space = quad.space
+        n = space.dimension
+        sizes = np.diff(space.tri_cols_offset)
+        block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # mesh-order COO slots
+        total = int(block[-1])
+        # scipy keeps 32-bit indices whenever they fit
+        index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
+        rows = np.empty(total, dtype=index)
+        cols = np.empty(total, dtype=index)
+        ids = np.empty(total, dtype=index)
+        self.slots = []
+        start = 0
+        for ch in quad.chunks:
+            g, k = ch.cols.shape
+            at = block[ch.tris][:, None] + np.arange(k * k)
+            rows[at] = np.repeat(ch.cols, k, axis=1)
+            cols[at] = np.tile(ch.cols, (1, k))
+            ids[at] = np.arange(start, start + g * k * k, dtype=index).reshape(g, k * k)
+            self.slots.append(slice(start, start + g * k * k))
+            start += g * k * k
+        # tocsr() of triplets marked canonical runs the same bucket pass
+        # without the sum; sort_indices then runs csr_sort_indices
+        triplets = sps.coo_matrix((ids, (rows, cols)), shape=(n, n))
+        triplets.has_canonical_format = True
+        order = triplets.tocsr()
+        del triplets, rows, cols, ids
+        order.sort_indices()
+        self.perm, cols, indptr = order.data, order.indices, order.indptr
+        del order
+        # a segment per distinct (row, column): a new column or a new row
+        new = np.ones(total, dtype=bool)
+        np.not_equal(cols[1:], cols[:-1], out=new[1:])
+        new[indptr[:-1][np.diff(indptr) > 0]] = True
+        self.seg = np.cumsum(new, dtype=index)
+        self.seg -= 1
+        self.indices = cols[new]
+        del cols, new
+        self.indptr = np.where(indptr > 0, self.seg[indptr - 1] + 1, 0).astype(index)
+        self.shape = (n, n)
+        for a in (self.perm, self.seg, self.indices, self.indptr):
+            a.flags.writeable = False
+
+    def csr(self, vals):
+        """The CSR matrix of the slot values vals (see the class)."""
+        vals = vals[self.perm]
+        data = np.bincount(self.seg, weights=vals, minlength=self.indices.size)
+        zero = data == 0.0
+        if zero.any():      # tocsr() sums from the first term: -0.0 + -0.0 stays -0.0
+            terms = zero[self.seg]
+            kept = np.bincount(self.seg[terms], minlength=data.size,
+                               weights=(vals[terms] != 0.0) | ~np.signbit(vals[terms]))
+            data[zero & (kept == 0)] = -0.0
+        matrix = sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        matrix.has_canonical_format = True
+        return matrix
 
 
 def assemble_rhs(f, quad):
@@ -351,8 +424,17 @@ def assemble_rhs(f, quad):
 class SolveResult:
     dofs: np.ndarray
     rel_residual: float
-    lu_fill: int            # nonzeros of the L and U factors
+    lu_fill: int            # entries SuperLU stores for the factors (Factors.lu_fill)
     factors: object = None  # of solve_sparse: the Factors it made
+
+
+# the largest relative residual |A x - b| / |b| a solve may leave
+MAX_REL_RESIDUAL = 1e-6
+
+
+def _rel_residual(A, x, b):
+    bn = np.linalg.norm(b)
+    return float(np.linalg.norm(A @ x - b) / (bn if bn > 0 else 1.0))
 
 
 class Factors:
@@ -362,7 +444,12 @@ class Factors:
 
     The Galerkin matrices are symmetric (or nearly so), so SuperLU runs in
     symmetric mode: minimum-degree ordering on A + A^T and diagonal pivots
-    unless one is below 0.01 of its column's largest entry."""
+    unless one is below 0.01 of its column's largest entry.  lu_fill is
+    SuperLU's own count of the entries it stores for the factors
+    (SuperLU.nnz: the supernodal columns of L, their dense diagonal blocks
+    included, and the rest of U), which exceeds the nonzeros of L and U
+    (2 717 716 against 2 495 284 on the c2-domain L4 Newton matrix); the
+    factors are never copied out to count them."""
 
     def __init__(self, matrix):
         try:
@@ -372,26 +459,25 @@ class Factors:
         except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
             raise SolverError(f"matrix is singular: {exc}") from exc
         self.matrix = matrix
-        self.lu_fill = int(self.lu.L.nnz + self.lu.U.nnz)
+        self.lu_fill = int(self.lu.nnz)
 
     def solve(self, rhs):
         """Solve with the factors, one step of iterative refinement, and a
         residual check; SolverError when the result is not finite or its
-        relative residual exceeds 1e-6."""
+        relative residual exceeds MAX_REL_RESIDUAL."""
         A, b, lu = self.matrix, rhs, self.lu
         x = lu.solve(b)
         x += lu.solve(b - A @ x)
         if not np.all(np.isfinite(x)):
             raise SolverError("sparse factorization produced non-finite values "
                               "(matrix singular or severely ill-conditioned)")
-        bn = np.linalg.norm(b)
-        res = np.linalg.norm(A @ x - b) / (bn if bn > 0 else 1.0)
-        if res > 1e-6:
-            est = spla.norm(A) * np.linalg.norm(x) / max(bn, 1e-300)
+        res = _rel_residual(A, x, b)
+        if res > MAX_REL_RESIDUAL:
+            est = spla.norm(A) * np.linalg.norm(x) / max(np.linalg.norm(b), 1e-300)
             raise SolverError(
                 f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
             )
-        return SolveResult(x, float(res), self.lu_fill)
+        return SolveResult(x, res, self.lu_fill)
 
 
 def solve_sparse(system):
@@ -403,6 +489,34 @@ def solve_sparse(system):
     result = factors.solve(system.rhs)
     result.factors = factors
     return result
+
+
+# conjugate gradients preconditioned by the factors of a nearby matrix:
+# the relative residual they must reach, within at most this many iterations
+KRYLOV_RTOL = 1e-13
+KRYLOV_MAXITER = 40
+
+
+def solve_preconditioned(matrix, rhs, factors):
+    """Solve matrix x = rhs by conjugate gradients preconditioned with the
+    Factors of another, nearby symmetric positive definite matrix (a
+    Newton matrix of the same level).  Returns (SolveResult, iterations);
+    the result is None when CG does not reach the relative residual
+    KRYLOV_RTOL within KRYLOV_MAXITER iterations, or its solution fails
+    the residual check of Factors.solve, so that the caller can factor
+    the matrix itself."""
+    iterations = [0]
+
+    def count(_):
+        iterations[0] += 1
+
+    precond = spla.LinearOperator(matrix.shape, matvec=factors.lu.solve, dtype=float)
+    x, info = spla.cg(matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAXITER,
+                      M=precond, callback=count)
+    res = _rel_residual(matrix, x, rhs) if info == 0 else np.inf
+    result = (SolveResult(x, res, factors.lu_fill) if res <= MAX_REL_RESIDUAL
+              else None)      # not converged, or not finite (res is then nan)
+    return result, iterations[0]
 
 
 # ---------------------------------------------------------------------------

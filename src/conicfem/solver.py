@@ -80,14 +80,17 @@ class LevelReport:
     # Poisson solve on level 1), newton, norms (residual, errors, init
     # norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
-    # facts of the level's Newton solves: the largest matrix "nnz",
-    # "lu_fill" (L + U nonzeros) and "rel_residual"; the counts of
-    # "factorizations" (one per real step) and "frozen_solves" (solves with
-    # the factors of the step before); the "newton_floor" (the roundoff
-    # floor at the final iterate, see newton_floor) and the "stop_ratio"
-    # (the last correction over the threshold STOP_MARGIN * newton_floor
-    # it passed); the "fill_defect" of the level's space; and "quad_mb",
-    # the MB (2**20 bytes) of its quadrature data (TriangleQuadrature.nbytes)
+    # facts of the level's Newton solves (see NewtonSolves): the largest
+    # matrix "nnz", "lu_fill" (Factors.lu_fill: the entries SuperLU stores
+    # for the factors) and "rel_residual"; the counts of "factorizations"
+    # (1 + "refactorizations", the fresh factorizations after CG failed)
+    # and "frozen_solves" (solves with the level's factors, one per real
+    # step); "krylov_iters", the CG iterations of each real step after the
+    # first; the "newton_floor" (the roundoff floor at the final iterate,
+    # see newton_floor) and the "stop_ratio" (the last correction over the
+    # threshold STOP_MARGIN * newton_floor it passed); the "fill_defect" of
+    # the level's space; and "quad_mb", the MB (2**20 bytes) of its
+    # quadrature data (TriangleQuadrature.nbytes)
     solver: dict = field(default_factory=dict)
 
 
@@ -146,39 +149,57 @@ def poisson_initial_guess(ctx, g):
 # The stop rule of run_level.  A correction below the floor
 # NEWTON_FLOOR * eps * |u| is roundoff: the nominal tolerance can sit below
 # what double precision resolves in an assembled correction.  A level stops
-# on a correction below STOP_MARGIN times that floor.  Roundoff-only
-# corrections measure up to 1.7x the floor (c2-domain L5; up to 0.82x on
-# c2-domain L4 under one-ulp changes of its iterate), and the smallest real
-# correction that must not stop a level is 42.8x (ellipse-sin L3;
-# c2-domain L3 55x, disk L3 100x).  A margin of 8 leaves 4.7x below it and
-# 5.3x above it.
+# on a correction below STOP_MARGIN times that floor.  Measured with the
+# level's factors: roundoff-only corrections read up to 0.69x the floor
+# (ellipse-sin L5; c2-domain L5 0.41x), and up to 1.24x on c2-domain L4
+# under one-ulp changes of its iterate; the smallest real correction that
+# must not stop a level is 43.1x (ellipse-sin L3; c2-domain L3 54.5x, disk
+# L3 100x).  A margin of 8 leaves 6.5x below it and 5.4x above it.
 NEWTON_FLOOR = 100.0
 STOP_MARGIN = 8.0
 
 
 class NewtonSolves:
-    """Facts of one level's sparse solves, and its live factorization.
+    """The linear-algebra plan of one level's Newton solves: one live
+    factorization, the level's, and the facts of the solves.
 
-    Keeps the largest matrix nnz, LU fill and relative residual, and counts
-    factorizations and frozen-factor solves.  factors holds the Factors of
-    the latest factorization only: the caller sets it to None before the
-    next matrix is assembled, so at most one factorization is alive."""
+    The first real step factors its matrix, and those factors become the
+    level's.  Later real steps solve their own matrix by conjugate
+    gradients preconditioned with the level's factors
+    (assembly.solve_preconditioned); when CG fails, the matrix is factored
+    afresh and its factors replace the level's (a refactorization).
+    Simplified Newton corrections solve with the level's factors.  Keeps
+    the largest matrix nnz, LU fill and relative residual, the counts of
+    factorizations, refactorizations and frozen-factor solves, and the CG
+    iterations of each real step after the first."""
 
     def __init__(self):
-        self.nnz = self.lu_fill = self.factorizations = self.frozen_solves = 0
+        self.nnz = self.lu_fill = self.factorizations = self.refactorizations = 0
+        self.frozen_solves = 0
+        self.krylov_iters = []
         self.rel_residual = 0.0
         self.factors = None
 
-    def factored(self, nnz, result):
-        """Record the solve of a fresh factorization and keep its factors."""
+    def solve(self, matrix, rhs):
+        """The SolveResult of a real step's system matrix x = rhs."""
+        self.nnz = max(self.nnz, matrix.nnz)
+        if self.factors is not None:
+            result, iters = asm.solve_preconditioned(matrix, rhs, self.factors)
+            self.krylov_iters.append(iters)
+            if result is not None:
+                self.rel_residual = max(self.rel_residual, result.rel_residual)
+                return result
+            self.refactorizations += 1
+            self.factors = None         # released before the next factorization
+        result = asm.solve_sparse(asm.SparseSystem(matrix, rhs))
         self.factorizations += 1
-        self.nnz = max(self.nnz, nnz)
         self.lu_fill = max(self.lu_fill, result.lu_fill)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
-        self.factors = result.factors
+        self.factors, result.factors = result.factors, None
+        return result
 
     def re_solved(self, result):
-        """Record a solve with the kept factors."""
+        """Record a solve with the level's factors."""
         self.frozen_solves += 1
         self.rel_residual = max(self.rel_residual, result.rel_residual)
 
@@ -186,6 +207,8 @@ class NewtonSolves:
         return {"nnz": self.nnz, "lu_fill": self.lu_fill,
                 "rel_residual": self.rel_residual,
                 "factorizations": self.factorizations,
+                "refactorizations": self.refactorizations,
+                "krylov_iters": list(self.krylov_iters),
                 "frozen_solves": self.frozen_solves}
 
 
@@ -203,25 +226,24 @@ def _corrected(ctx, u, dofs):
 
 
 def newton_step(ctx, u, g, solves=None, linearized=None):
-    """One real Newton step: linearize at u, assemble, factor and solve.
-    Returns (new iterate, L2 norm of the correction, eigmin of the
-    linearization).  linearized, the newton_rhs of u when the caller has
-    it, is used instead of forming it again.  solves, a NewtonSolves,
-    records the solve and keeps the step's factors."""
+    """One real Newton step: linearize at u, assemble and solve.  Returns
+    (new iterate, L2 norm of the correction, eigmin of the linearization).
+    linearized, the newton_rhs of u when the caller has it, is used
+    instead of forming it again.  solves, the level's NewtonSolves, solves
+    the system (see there) and records it; without it the matrix is
+    factored and the factors dropped."""
     if linearized is None:
         linearized = newton_rhs(ctx, u, g)
     A, eigmin, rhs = linearized
-    matrix = asm.assemble(A, ctx.quad)
-    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs))
-    if solves is not None:
-        solves.factored(matrix.nnz, result)
+    result = (solves or NewtonSolves()).solve(asm.assemble(A, ctx.quad), -rhs)
     return (*_corrected(ctx, u, result.dofs), eigmin)
 
 
 def frozen_step(ctx, u, linearized, factors):
     """Simplified Newton correction at u: the right-hand side of
     linearized (the newton_rhs of u) solved with the factors of an earlier
-    step.  Returns (new iterate, L2 norm of the correction, SolveResult)."""
+    matrix (the level's).  Returns (new iterate, L2 norm of the
+    correction, SolveResult)."""
     result = factors.solve(-linearized[2])
     return (*_corrected(ctx, u, result.dofs), result)
 
@@ -238,16 +260,21 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
     Deuflhard's error-oriented Newton code NLEQ-ERR (P. Deuflhard, Newton
     Methods for Nonlinear Problems, Springer 2004, sec. 2.1).
 
-    Each real step (newton_step) linearizes, assembles, factors and solves.
-    After it, the linearization at the new iterate gives a right-hand side
-    alone, solved with that step's factors: the simplified Newton
-    correction.  Near convergence it differs from the full correction by
-    O(|previous correction| * |correction|).  When it is below STOP_MARGIN
-    times newton_floor of the corrected iterate it is applied and the level
-    stops; otherwise the factors are released and the next real step
-    assembles its matrix from that same linearization.  A real correction
-    below the threshold also stops the level.  At most max_iter real steps
-    run; four growing corrections in a row count as divergence.
+    Each real step (newton_step) linearizes, assembles and solves, through
+    the level's NewtonSolves: the first real step factors its matrix, and
+    later ones solve theirs by CG preconditioned with those factors, so a
+    level makes one factorization unless CG falls back to a fresh one.
+    After each real step, the linearization at the new iterate gives a
+    right-hand side alone, solved with the level's factors: the
+    simplified Newton correction.  It differs from the full correction
+    by O(|previous correction| * |correction|), and by the change of the
+    matrix since the level's factorization.  When it is below STOP_MARGIN
+    times newton_floor of the corrected iterate it is applied and the
+    level stops; otherwise the next real step assembles its matrix from
+    that same linearization.  A real correction below the threshold also
+    stops the level.  At most max_iter real steps run; four growing
+    corrections in a row count as divergence.  The level's factors live
+    in its NewtonSolves, so they are released when it returns.
 
     Every iterate after the starting one must be strictly convex (Hessian
     eigmin > 0 at all quadrature nodes), or the linearization is not
@@ -263,7 +290,6 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
     eigmin = np.inf
     stopped_by = None
     for k in range(1, max_iter + 1):
-        solves.factors = None       # released before the next assembly
         u, n, e = newton_step(ctx, u, g, solves, linearized)
         norms.append(n)
         eigmin = min(eigmin, e)
@@ -429,10 +455,11 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             prev_report.eps_errors = asm.error_norms(
                 u, ctx.quad, ref_coeffs=list(zip(coarse.degree, coarse.exact)))
         timings["norms"] = time.perf_counter() - start
-        log.info("level %d: dim=%d m=%d factorizations=%d R=%.3e updates=%s",
-                 lev, rep.dimension, rep.iterations,
-                 rep.solver["factorizations"], rep.residual,
-                 ["%.1e" % n for n in rep.update_norms])
+        log.info("level %d: dim=%d m=%d factorizations=%d refactorizations=%d "
+                 "krylov_iters=%s R=%.3e updates=%s",
+                 lev, rep.dimension, rep.iterations, rep.solver["factorizations"],
+                 rep.solver["refactorizations"], rep.solver["krylov_iters"],
+                 rep.residual, ["%.1e" % n for n in rep.update_norms])
         reports.append(rep)
         prev_u, prev_report = u, rep
 

@@ -737,6 +737,46 @@ def assemble_per_triangle(A, f, quad):
     return matrix, rhs
 
 
+def mesh_slots(quad):
+    """For each slot of the value array assemble fills (the chunks in
+    order, each triangle's local block row by row), its slot among the COO
+    triplets in mesh order (the triangles in mesh order, each block row by
+    row)."""
+    sizes = np.diff(quad.space.tri_cols_offset)
+    block = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    return np.concatenate([(block[ch.tris][:, None] + np.arange(ch.cols.shape[1] ** 2)).ravel()
+                           for ch in quad.chunks])
+
+
+def coo_triplets(quad, vals=None, A=None):
+    """(vals, rows, cols) of the stiffness matrix as COO triplets in mesh
+    order with int32 indices: the values given in assemble's chunk layout
+    (see mesh_slots), or the local matrices of the coefficient field A
+    computed chunk by chunk as assemble computes them."""
+    slots = mesh_slots(quad)
+    rows = np.empty(slots.size, dtype=np.int32)
+    cols = np.empty(slots.size, dtype=np.int32)
+    at = 0
+    chunk_vals = []
+    for ch in quad.chunks:
+        g, k = ch.cols.shape
+        here = slots[at:at + g * k * k]
+        at += g * k * k
+        rows[here] = np.repeat(ch.cols, k, axis=1).ravel()
+        cols[here] = np.tile(ch.cols, (1, k)).ravel()
+        if A is not None:
+            D0, D1 = ch.gradient_maps()
+            wA = ch.weights[:, :, None, None] * ch.in_frame(np.asarray(A(ch)))
+            q0 = wA[:, :, 0, 0, None] * D0 + wA[:, :, 0, 1, None] * D1
+            q1 = wA[:, :, 1, 0, None] * D0 + wA[:, :, 1, 1, None] * D1
+            chunk_vals.append((D0.swapaxes(1, 2) @ q0 + D1.swapaxes(1, 2) @ q1).ravel())
+    if A is not None:
+        vals = np.concatenate(chunk_vals)
+    out = np.empty(slots.size)
+    out[slots] = vals
+    return out, rows, cols
+
+
 def linearize_ma_per_triangle(u, g, quad):
     """(cofactor table, residual table, eigmin) of the Monge-Ampere
     linearization at u, one triangle at a time."""

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
@@ -13,7 +14,7 @@ from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
                                disk_wheel_points, wheel_mesh)
 from conicfem.space import build_space
 
-from _oracles import (assemble_per_triangle, disk_radial_integral, domain_area,
+from _oracles import (assemble_per_triangle, coo_triplets, disk_radial_integral, domain_area,
                       error_norms_per_triangle, integrate, pie_quadrature_scalar,
                       triangle_designs, triangle_maps, triangle_nodes)
 
@@ -215,25 +216,59 @@ def test_rhs_only_assembly_is_the_assembled_rhs(disk_space2, monkeypatch):
     np.testing.assert_array_equal(asm.assemble_rhs(f, quad), want)
 
 
-def test_assemble_fills_int32_indices_bit_identical_to_int64(disk_space2, monkeypatch):
-    # scipy keeps 32-bit COO indices as they are and would copy 64-bit ones
-    import scipy.sparse as sps
-    quad = asm.TriangleQuadrature(disk_space2)
-    seen, coo_matrix = [], sps.coo_matrix
-
-    def recording(arg, shape):
-        seen.append(arg)
-        return coo_matrix(arg, shape=shape)
-
-    monkeypatch.setattr(asm.sps, "coo_matrix", recording)
-    got = asm.assemble(_all_terms_problem()[0], quad)
-    (vals, (rows, cols)), = seen
-    assert rows.dtype == cols.dtype == np.int32
-    want = coo_matrix((vals, (rows.astype(np.int64), cols.astype(np.int64))),
-                      shape=got.shape).tocsr()
+def _assert_same_bits(got, want):
+    assert got.indptr.dtype == got.indices.dtype == want.indices.dtype == np.int32
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+
+
+@pytest.mark.parametrize("space_name", ["disk_space2", "c2_space", "lens_space"])
+def test_assemble_is_bit_identical_to_coo_tocsr(space_name, request):
+    # the scatter plan sums the duplicates as coo_matrix(...).tocsr() of
+    # the mesh-order triplets does: the same int32 pattern and the same
+    # data bit for bit, zero signs included
+    quad = asm.TriangleQuadrature(request.getfixturevalue(space_name))
+    n = quad.space.dimension
+    for A in (EYE, _all_terms_problem()[0]):
+        vals, rows, cols = coo_triplets(quad, A=A)
+        want = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        _assert_same_bits(asm.assemble(A, quad), want)
+    # any slot values: nonzeros, and zeros of both signs, so that some
+    # entries sum only -0.0 terms (tocsr keeps -0.0 there, a sum from +0.0
+    # would not)
+    rng = np.random.default_rng(5)
+    size = quad.scatter.perm.size
+    for choices, p in (([-0.0, 0.0], [0.9, 0.1]), ([-0.0, 0.0, -1.5, 1e-300], None)):
+        slot_vals = rng.choice(choices, size, p=p)
+        vals, rows, cols = coo_triplets(quad, vals=slot_vals)
+        want = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        assert np.signbit(want.data[want.data == 0.0]).any()
+        _assert_same_bits(quad.scatter.csr(slot_vals), want)
+
+
+def test_scatter_plan_is_built_once_per_quadrature(disk_mesh2, monkeypatch):
+    # on the first assemble call, never by the level's set-up; its pattern
+    # is shared by the matrices, read-only
+    from conicfem import solver as sol
+    built = []
+
+    class Counted(asm.ScatterPlan):
+        def __init__(self, quad):
+            built.append(quad)
+            super().__init__(quad)
+
+    monkeypatch.setattr(asm, "ScatterPlan", Counted)
+    ctx = sol.LevelContext(disk_mesh2)
+    assert built == []
+    first = asm.assemble(EYE, ctx.quad)
+    again = asm.assemble(EYE, ctx.quad)
+    assert built == [ctx.quad]
+    assert np.shares_memory(first.indices, again.indices)
+    assert np.shares_memory(first.indptr, again.indptr)
+    assert not first.indices.flags.writeable and not first.indptr.flags.writeable
+    assert first.data is not again.data
+    np.testing.assert_array_equal(first.data, again.data)
 
 
 def test_straight_chunks_hold_no_per_triangle_design_stacks(hierarchies):
@@ -279,7 +314,12 @@ def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
     res = asm.solve_sparse(asm.SparseSystem(
         K, asm.assemble_rhs(asm.pointwise(lambda x: np.ones(len(x))), quad)))
     colamd = spla.splu(K.tocsc())
-    assert 0 < res.lu_fill < colamd.L.nnz + colamd.U.nnz
+    # lu_fill is SuperLU's stored count, which pads the supernodes of so
+    # small a matrix (85 302 against 75 068 for COLAMD here); the fill
+    # itself is the nonzeros of L and U
+    lu = res.factors.lu
+    assert res.lu_fill == lu.nnz
+    assert 0 < lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     assert res.rel_residual < 1e-12
 
 

@@ -168,7 +168,9 @@ def test_solve_report_json(tmp_path, monkeypatch):
         for name in names:
             assert same(getattr(rep, name), got[name]), name
     assert {"space", "quad", "newton"} <= set(levels[1]["timings"])
-    assert {"nnz", "lu_fill", "fill_defect", "quad_mb"} <= set(levels[1]["solver"])
+    assert {"nnz", "lu_fill", "fill_defect", "quad_mb", "factorizations",
+            "refactorizations", "krylov_iters"} <= set(levels[1]["solver"])
+    assert levels[0]["solver"]["krylov_iters"] == reports[0].solver["krylov_iters"] == [6, 6]
 
 
 def test_config_file_defaults(tmp_path, capsys):

@@ -349,9 +349,13 @@ def test_level_solver_facts(disk_problem):
         facts = rep.solver
         assert facts["lu_fill"] > facts["nnz"] > 0
         assert facts["rel_residual"] < 1e-10
-        # one factorization per real step, each followed by a frozen solve;
+        # one factorization per level (no CG fallback here), a CG solve for
+        # each later real step, and a frozen solve after each real step;
         # the last one stopped the level
-        assert facts["factorizations"] == facts["frozen_solves"] == rep.iterations
+        assert facts["factorizations"] == 1 + facts["refactorizations"] == 1
+        assert len(facts["krylov_iters"]) == rep.iterations - 1
+        assert all(0 < it < asm.KRYLOV_MAXITER for it in facts["krylov_iters"])
+        assert facts["frozen_solves"] == rep.iterations
         assert len(rep.update_norms) == rep.iterations + 1
         assert facts["stop_ratio"] == rep.update_norms[-1] / (
             sol.STOP_MARGIN * facts["newton_floor"])
@@ -393,7 +397,8 @@ def test_multilevel_run_rejects_levels_below_one(disk_problem, levels):
 def test_level_line_is_logged(disk_problem, caplog):
     with caplog.at_level(logging.INFO, logger="conicfem"):
         sol.multilevel_run(disk_problem, 1)
-    assert "level 1: dim=134 m=3 factorizations=3" in caplog.text
+    assert ("level 1: dim=134 m=3 factorizations=1 refactorizations=0 "
+            "krylov_iters=[6, 6] R=") in caplog.text
 
 
 def test_rates_do_not_depend_on_levels_run(disk_problem):
@@ -453,12 +458,14 @@ def test_non_convex_iterate_after_the_first_raises(disk_ctx, disk_problem):
         sol.run_level(disk_ctx, g, disk_ctx.space.spline(-u0.dofs))
 
 
-def test_no_factorization_outlives_its_step(disk_problem, monkeypatch):
-    # at most one set of factors is alive, and none while a matrix is
-    # assembled: each is released before the next real step assembles
+def test_no_factorization_outlives_its_level(disk_problem, monkeypatch):
+    # at most one set of factors is alive: the Poisson guess's is released
+    # before the level's is made, and each level makes one and releases it
+    # when it ends
     import weakref
     made = []
-    real_assemble = asm.assemble
+    per_level = []
+    real_run_level = sol.run_level
 
     class Tracked(asm.Factors):
         def __init__(self, matrix):
@@ -466,15 +473,55 @@ def test_no_factorization_outlives_its_step(disk_problem, monkeypatch):
             super().__init__(matrix)
             made.append(weakref.ref(self))
 
-    def assemble(A, quad):
+    def run_level(*args, **kwargs):
+        before = len(made)
+        out = real_run_level(*args, **kwargs)
         assert all(ref() is None for ref in made)
-        return real_assemble(A, quad)
+        per_level.append(len(made) - before)
+        return out
 
     monkeypatch.setattr(asm, "Factors", Tracked)
-    monkeypatch.setattr(asm, "assemble", assemble)
+    monkeypatch.setattr(sol, "run_level", run_level)
     reports, _ = sol.multilevel_run(disk_problem, 2)
-    assert len(made) == 1 + sum(rep.iterations for rep in reports)
+    assert per_level == [1, 1]
+    assert [rep.solver["factorizations"] for rep in reports] == per_level
+    assert len(made) == 1 + sum(per_level)
     assert all(ref() is None for ref in made)
+
+
+def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_problem,
+                                                                 monkeypatch):
+    # the second Newton matrix with the first one's factors: CG capped at
+    # one iteration misses its tolerance, so the old factors are released,
+    # the matrix is factored afresh, its factors become the level's, and
+    # the step's solution is the direct one
+    import weakref
+    ctx, g = disk_ctx, disk_problem.g
+    u0 = sol.poisson_initial_guess(ctx, g)
+    solves = sol.NewtonSolves()
+    u1, _, _ = sol.newton_step(ctx, u0, g, solves)
+    first = weakref.ref(solves.factors)
+    A, _, rhs = sol.newton_rhs(ctx, u1, g)
+    matrix = asm.assemble(A, ctx.quad)
+    want = asm.solve_sparse(asm.SparseSystem(matrix, -rhs)).dofs
+
+    class Fresh(asm.Factors):
+        def __init__(self, matrix):
+            assert first() is None
+            super().__init__(matrix)
+
+    monkeypatch.setattr(asm, "Factors", Fresh)
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 1)
+    got = solves.solve(matrix, -rhs)
+    assert (solves.factorizations, solves.refactorizations, solves.krylov_iters) == (2, 1, [1])
+    assert isinstance(solves.factors, Fresh) and solves.factors.matrix is matrix
+    assert got.factors is None
+    assert np.abs(got.dofs - want).max() <= 1e-12 * np.abs(want).max()
+    # with the cap back, the next solve is CG with the new factors
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 40)
+    again = solves.solve(matrix, -rhs)
+    assert solves.factorizations == 2 and solves.krylov_iters[1:] == [1]
+    assert np.abs(again.dofs - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # m of levels 1-2 in the convergence tables
@@ -502,8 +549,8 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
                                                monkeypatch):
     # the same m and, to roundoff, the same final iterate as confirming
     # convergence by one more full step, with one factorization (one
-    # solve_sparse call) per counted step instead of m + 1, and one
-    # right-hand side per iterate linearized at.  ellipse-sin L3 has the
+    # solve_sparse call) per level instead of m + 1, and one right-hand
+    # side per iterate linearized at.  ellipse-sin L3 has the
     # smallest real correction relative to the floor (42.8x), which a
     # wider stop margin would take for converged
     calls = [0]
@@ -534,10 +581,11 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
         assert not state.diverged and not diverged
         assert (state.spline.space.dimension, state.iterations) == (
             want.space.dimension, m)
-        assert state.solver["factorizations"] == new_calls == m
+        assert state.solver["factorizations"] == new_calls == (
+            1 + state.solver["refactorizations"])
         assert calls[0] == len(norms) == m + 1
-        # measured 0: the two last corrections differ far below one ulp
-        # of the dofs, so the final iterates agree bit for bit here
+        # measured at most 1.1e-14 (c2-domain L2): the later steps solve by
+        # CG, the full steps factor each matrix
         rel = np.abs(state.spline.dofs - want.dofs).max() / np.abs(want.dofs).max()
         assert rel < 1e-12
         u = state.spline
@@ -548,29 +596,49 @@ def c2_ctx4(hierarchies):
     return sol.LevelContext(refine_uniform(hierarchies["c2-domain"][2]))
 
 
+def _frozen_ratio(ctx, g, u, factors):
+    """The simplified Newton correction at u with the factors, over the
+    stop threshold at the corrected iterate."""
+    u_next, n, _ = sol.frozen_step(ctx, u, sol.newton_rhs(ctx, u, g), factors)
+    return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad, 1e-15))
+
+
+def _one_ulp_ratios(ctx, g, u, factors, draws=20):
+    rng = np.random.default_rng(11)
+    return [_frozen_ratio(ctx, g, ctx.space.spline(
+                u.dofs + rng.integers(-1, 2, u.dofs.shape) * np.spacing(u.dofs)), factors)
+            for _ in range(draws)]
+
+
 def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
     # c2-domain L4 from the Poisson guess: the frozen correction fails the
     # stop rule after real steps 1-3 and passes after step 4, also when
     # the iterate after step 4 moves by random one-ulp changes, so m = 4
     # is no roundoff draw
     ctx, g = c2_ctx4, problem_g("c2-domain")
-
-    def frozen_ratio(u, factors):
-        u_next, n, _ = sol.frozen_step(ctx, u, sol.newton_rhs(ctx, u, g), factors)
-        return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad, 1e-15))
-
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
     for k in range(1, 5):
         solves.factors = None
         u, n, _ = sol.newton_step(ctx, u, g, solves)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
-        assert (frozen_ratio(u, solves.factors) < 1.0) == (k == 4)
-    rng = np.random.default_rng(11)
-    ratios = [frozen_ratio(ctx.space.spline(
-                  u.dofs + rng.integers(-1, 2, u.dofs.shape) * np.spacing(u.dofs)),
-                  solves.factors)
-              for _ in range(20)]
-    # measured at most 0.097 (0.78x the floor), so this keeps more than a
+        assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
+    # measured at most 0.102 (0.82x the floor), so this keeps more than a
     # 4x margin under the threshold
-    assert max(ratios) < 0.25
+    assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
+
+
+def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
+    # the same as run_level steps: one factorization, steps 2-4 by CG, and
+    # every stop test with the level's (step 1) factors
+    ctx, g = c2_ctx4, problem_g("c2-domain")
+    solves = sol.NewtonSolves()
+    u = sol.poisson_initial_guess(ctx, g)
+    for k in range(1, 5):
+        u, n, _ = sol.newton_step(ctx, u, g, solves)
+        assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
+        assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
+    assert solves.factorizations == 1 and len(solves.krylov_iters) == 3
+    # measured at most 0.155 (1.24x the floor): the level's factors read
+    # the roundoff of the step-4 iterate larger than its own (0.102 above)
+    assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
