@@ -10,14 +10,18 @@ approximation of the boundary.
 The quadrature data is stored per chunk of triangles of one kind and
 local dof count (stacked arrays, see QuadratureChunk).  Assembly and the
 norms walk those chunks.  The norms and the load vector sum the
-per-triangle contributions in mesh order; the stiffness matrix sums its
-duplicate entries in the order coo_matrix(...).tocsr() sums the mesh-order
-triplets (ScatterPlan), so no result depends on the chunking.  Rules and
-maps are immutable and shareable across threads.
+per-triangle contributions in mesh order, from per-triangle products, so
+they do not depend on the chunking.  The stiffness matrix forms each
+triangle's block in its Bernstein basis first, on straight triangles as
+rows of one GEMM per chunk with a shared product table (product_table),
+and sums its duplicate entries in the order coo_matrix(...).tocsr() sums
+the mesh-order triplets (ScatterPlan); BLAS blocks that GEMM's rows by
+their number and position, so the matrix's last bits depend on the chunk
+size (CHUNK).  Rules and maps are immutable and shareable across threads.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sps
@@ -74,6 +78,30 @@ def triangle_rule(degree):
             weights.append((wj[i] / 4.0) * (wl[j] / 2.0))
     w = np.asarray(weights)
     return QuadratureRule(degree, np.asarray(bary), w / w.sum())
+
+
+@lru_cache(maxsize=None)
+def product_table(d):
+    """(3 nq, nc * nc) table P of the stiffness blocks of degree d on
+    straight triangles, at the nq nodes of the reference rule.
+
+    The basis gradients along e0 - e2 and e1 - e2 there, G_s = B_{d-1} @
+    frame_diff(d)[s], are the same for every straight triangle.  Row
+    (q, ij) of P holds G_i[q, a] G_j[q, b] at column (a, b) for ij = 00
+    and 11, and G_0[q, a] G_1[q, b] + G_1[q, a] G_0[q, b] for ij = 01,
+    which folds A01 and A10 of a symmetric A.  A triangle's block in its
+    Bernstein basis is then W @ P, W its (nq, 3) weights of
+    QuadratureChunk.frame_weights (the element-independent tensor form of
+    R. C. Kirby, Numer. Math. 117 (2011)).  Built once per degree and
+    process, read-only."""
+    bary = triangle_rule(QUAD_DEGREE).bary
+    B1 = bb.bernstein_matrix(d - 1, bary)
+    G0, G1 = (B1 @ Ds for Ds in bb.frame_diff(d))
+    P = np.stack([G0[:, :, None] * G0[:, None],
+                  G0[:, :, None] * G1[:, None] + G1[:, :, None] * G0[:, None],
+                  G1[:, :, None] * G1[:, None]], axis=1).reshape(3 * len(bary), -1)
+    P.flags.writeable = False
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +163,9 @@ def pie_quadrature(mesh, tris):
 # ---------------------------------------------------------------------------
 # quadrature data per chunk of triangles, shared by assembly and norms
 
-# triangles per chunk: keeps each stacked (g, q, c) array of assemble near 2 MB
+# triangles per chunk: the rows of a straight chunk's stiffness GEMM, and
+# the size of the stacked arrays (a pie chunk's (g, nq, n1) products of
+# assemble take 3 MB)
 CHUNK = 128
 
 @dataclass(eq=False)
@@ -151,8 +181,9 @@ class QuadratureChunk:
     triangles the quadrature's shared (nq, nc) matrices of degrees 3-6,
     on pies the chunk's own (g, nq, nc) stacks of degrees 4-6 (the chord
     triangle's basis at the curved nodes).  Derivatives come from
-    bernstein.frame_derivatives.  Chunks compare by identity, so they can
-    key per-chunk tables."""
+    bernstein.frame_derivatives, stiffness blocks from frame_weights and
+    bb_stiffness.  Chunks compare by identity, so they can key per-chunk
+    tables."""
 
     degree: int
     tris: np.ndarray
@@ -175,25 +206,41 @@ class QuadratureChunk:
         Bernstein matrices included (the maps Z and cols are the space's)."""
         return [self.coords, self.nodes, self.weights, self.M, *self.B.values()]
 
-    def gradient_maps(self):
-        """Gradients of the local basis at the nodes in the chunk's frame,
-        [D0, D1] with each (g, nq, k): the derivatives along e0 - e2 and
-        e1 - e2.  in_frame writes the weak form's coefficients in the same
-        frame."""
-        return bb.frame_gradients(self.degree, self.Z, self.B[self.degree - 1])
+    def frame_weights(self, A):
+        """(g, nq, 3) weighted coefficients of the weak form in the chunk's
+        frame: w F00, w F01 and w F11 with F = M^T A M, for symmetric A
+        (g, nq, 2, 2) (grad u . A grad v equals (D u) . F (D v) for the
+        gradients D along e0 - e2 and e1 - e2).  F_ij sums M_si A_st M_tj
+        over the four entries (s, t): one (nq, 4) @ (4, 3) product per
+        triangle."""
+        g, nq = self.weights.shape
+        m = self.M
+        C = np.stack([m[:, :, None, i] * m[:, None, :, j] for i, j in ((0, 0), (0, 1), (1, 1))],
+                     axis=-1).reshape(g, 4, 3)
+        return (A.reshape(g, nq, 4) @ C) * self.weights[:, :, None]
 
-    def in_frame(self, A):
-        """A (g, nq, 2, 2) in the frame of gradient_maps: M^T A M
-        (grad u . A grad v equals D u . (M^T A M) D v for the frame
-        gradients D)."""
-        m = [[self.M[:, i, j, None] for j in range(2)] for i in range(2)]
-        AM = [[A[..., i, 0] * m[0][j] + A[..., i, 1] * m[1][j] for j in range(2)]
-              for i in range(2)]
-        MtAM = np.empty(A.shape)
-        for i in range(2):
-            for j in range(2):
-                MtAM[..., i, j] = m[0][i] * AM[0][j] + m[1][i] * AM[1][j]
-        return MtAM
+    def bb_stiffness(self, W):
+        """(g, nc, nc) local stiffness matrices of the chunk's triangles in
+        their Bernstein bases, sum_q sum_ij W_ij G_i^T G_j, from the
+        weights W of frame_weights (G_i the basis gradients along the
+        frame's directions at the nodes).  Straight chunks make one GEMM
+        with the shared product_table; pies, whose Bernstein matrices are
+        their own, contract the weighted Gram blocks B_{d-1}^T W_ij B_{d-1}
+        with the shared difference matrices frame_diff(d), and form no
+        gradient stacks."""
+        d = self.degree
+        g, nq, _ = W.shape
+        nc = bb.n_coeffs(d)
+        B1 = self.B[d - 1]
+        if B1.ndim == 2:
+            return (W.reshape(g, 3 * nq) @ product_table(d)).reshape(g, nc, nc)
+        n1 = B1.shape[2]
+        N = np.empty((g, 2, n1, 2, n1))
+        for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+            N[:, i, :, j] = B1.swapaxes(1, 2) @ (W[:, :, r, None] * B1)
+        N[:, 1, :, 0] = N[:, 0, :, 1]
+        D = bb.frame_diff(d).reshape(2 * n1, nc)
+        return D.T @ (N.reshape(g, 2 * n1, 2 * n1) @ D)
 
     def derivatives(self, C, rows=slice(None), degree=None, orders=(0, 1, 2)):
         """[v, gx, gy, hxx, hxy, hyy], each (g, nq), at the nodes of the
@@ -303,29 +350,30 @@ class SparseSystem:
 
 def assemble(A, quad):
     """CSR stiffness matrix of int grad(u) . A grad(v) in the
-    determining-set basis of quad.space, for the coefficient field A.
+    determining-set basis of quad.space, for the coefficient field A,
+    which must be symmetric (AssemblyError otherwise: the blocks fold
+    A01 and A10 together, and the solver's CG assumes a symmetric
+    matrix).
 
-    Local matrices are computed for a chunk of triangles at a time with
-    stacked matmuls, which per triangle run the same BLAS products as a
-    loop over single triangles, and written into the chunk's slots of the
-    quadrature's ScatterPlan (built on the first call); the plan then sums
-    the duplicates in the order of coo_matrix(...).tocsr(), so the matrix
-    does not depend on the chunking.  The gradients and A are formed in
-    each chunk's frame (QuadratureChunk.gradient_maps and in_frame)."""
+    Each chunk forms its triangles' blocks L in the Bernstein basis
+    (QuadratureChunk.frame_weights and bb_stiffness: one GEMM with the
+    shared product_table on straight chunks) and writes Z^T L Z, Z each
+    triangle's map, into its slots of the quadrature's ScatterPlan (built
+    on the first call); the plan then sums the duplicates in the order of
+    coo_matrix(...).tocsr().  BLAS blocks the rows of a straight chunk's
+    GEMM as it sees fit, so a block's last bits can depend on the chunk
+    size (CHUNK) and on the triangle's row in its chunk; the load vector
+    and the norms do not depend on the chunking."""
     plan = quad.scatter
     vals = np.empty(plan.perm.size)
     for ch, slots in zip(quad.chunks, plan.slots):
         g, k = ch.cols.shape
-        D0, D1 = ch.gradient_maps()
-        # weighting the (g, nq, 2, 2) coefficients costs less than the (g, nq, k) products
-        wA = ch.weights[:, :, None, None] * ch.in_frame(np.asarray(A(ch)))
-        q0 = wA[:, :, 0, 0, None] * D0
-        q0 += wA[:, :, 0, 1, None] * D1
-        q1 = wA[:, :, 1, 0, None] * D0
-        q1 += wA[:, :, 1, 1, None] * D1
-        loc = vals[slots].reshape(g, k, k)
-        np.matmul(D0.swapaxes(1, 2), q0, out=loc)
-        loc += D1.swapaxes(1, 2) @ q1
+        coef = np.asarray(A(ch))
+        a01, a10 = coef[..., 0, 1], coef[..., 1, 0]
+        if (a01 != a10).any() and not np.array_equal(a01, a10, equal_nan=True):
+            raise AssemblyError("the coefficient A of the weak form is not symmetric")
+        L = ch.bb_stiffness(ch.frame_weights(coef))
+        np.matmul(ch.Z.swapaxes(1, 2) @ L, ch.Z, out=vals[slots].reshape(g, k, k))
     return plan.csr(vals)
 
 
@@ -335,14 +383,19 @@ class ScatterPlan:
     blocks of the triangles in mesh order, each row by row).
 
     assemble writes the local blocks of chunk c, row by row, into the
-    slice slots[c] of one value array; entry s of the CSR data is the sum,
+    slice slots[c] of one value array (their last bits depend on the
+    chunk size, see assemble; the plan sums whatever they hold in one
+    fixed order); entry s of the CSR data is the sum,
     left to right as tocsr() adds them, of the values at the slots
     perm[p] for the positions p with seg[p] == s.  tocsr() buckets the
     triplets by row, stably, and sorts each row by column with
     csr_sort_indices, whose order of equal columns depends on the columns
     alone; perm is that order, captured once by running both on slot ids.
     Index arrays are int32 unless the slots outnumber it; indptr and
-    indices are shared, read-only, by every matrix of csr."""
+    indices are shared, read-only, by every matrix of csr.  seg is a
+    writeable intp array, which np.bincount reads in place: it copies an
+    index array of another type, or a read-only one, on every call (8
+    bytes per slot)."""
 
     def __init__(self, quad):
         space = quad.space
@@ -378,13 +431,13 @@ class ScatterPlan:
         new = np.ones(total, dtype=bool)
         np.not_equal(cols[1:], cols[:-1], out=new[1:])
         new[indptr[:-1][np.diff(indptr) > 0]] = True
-        self.seg = np.cumsum(new, dtype=index)
+        self.seg = np.cumsum(new, dtype=np.intp)
         self.seg -= 1
         self.indices = cols[new]
         del cols, new
         self.indptr = np.where(indptr > 0, self.seg[indptr - 1] + 1, 0).astype(index)
         self.shape = (n, n)
-        for a in (self.perm, self.seg, self.indices, self.indptr):
+        for a in (self.perm, self.indices, self.indptr):
             a.flags.writeable = False
 
     def csr(self, vals):
@@ -403,18 +456,19 @@ class ScatterPlan:
 
 
 def assemble_rhs(f, quad):
-    """Load vector int f v of the coefficient field f: per chunk only the
-    basis values Phi = B_d @ Z and Phi^T (w f), then one unbuffered sum per
-    dof, triangle by triangle in mesh order.  A Newton step whose matrix
-    is already factored needs only this."""
+    """Load vector int f v of the coefficient field f: per triangle
+    Z^T (B_d^T (w f)) as batched products, whose bits do not depend on
+    the chunking, then one unbuffered sum per dof, triangle by triangle
+    in mesh order.  A Newton step whose matrix is already factored needs
+    only this."""
     space = quad.space
     piece = space.tri_cols_offset
     rhs_vals = np.empty(piece[-1])
     for ch in quad.chunks:
         k = ch.cols.shape[1]
-        PhiT = (ch.B[ch.degree] @ ch.Z).swapaxes(1, 2)
         wf = (ch.weights * np.asarray(f(ch)))[:, :, None]
-        rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (PhiT @ wf)[:, :, 0]
+        Bwf = ch.B[ch.degree].swapaxes(-1, -2) @ wf
+        rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (ch.Z.swapaxes(1, 2) @ Bwf)[:, :, 0]
     rhs = np.zeros(space.dimension)
     np.add.at(rhs, space.tri_cols, rhs_vals)
     return rhs

@@ -165,13 +165,6 @@ def frame_diff(d):
     return D
 
 
-def frame_gradients(d, C, B1):
-    """[D0, D1]: the derivatives along e0 - e2 and e1 - e2, at the points
-    of the degree-(d-1) Bernstein matrix B1, of the degree-d polynomials
-    with BB coefficients C (g, nc, k); each (g, n, k)."""
-    return [B1 @ (Ds @ C) for Ds in frame_diff(d)]
-
-
 def frame_derivatives(d, C, B, M, orders=(0, 1, 2)):
     """Values, Cartesian gradients and Hessians of degree-d polynomials.
 

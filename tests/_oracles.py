@@ -8,7 +8,10 @@ unreduced patch coefficients and counts its rank; the product oracle multiplies 
 monomial basis; radial quadrature integrates rotationally symmetric fields
 with a 1-D Gauss rule.  The per-triangle Bernstein matrices and frames,
 assembly and linearization loops are the straightforward forms of the chunked kernels
-in ``assembly`` and ``solver``, which must reproduce them bit for bit, as
+in ``assembly`` and ``solver``, which must reproduce them bit for bit (but
+for the straight triangles' Bernstein-basis stiffness blocks, one GEMM per
+chunk whose row bits depend on the chunk, which the assembly loop takes
+from the chunk's product), as
 the space's stacked maps must reproduce the per-triangle extraction from
 the fill; the per-triangle error norms evaluate the spline through its
 own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
@@ -651,18 +654,11 @@ def domain_area(quad):
 class StoredChunk(asm.QuadratureChunk):
     """A quadrature chunk that stores Cartesian design matrices G = [Gx,
     Gy] and H = [Hxx, Hxy, Hyy], each (g, nq, nc), and reads derivatives
-    and basis gradients from them, in x and y (in_frame leaves A as it
-    is): the stored form that frames and differenced coefficients
-    replace."""
+    from them: the stored form that frames and differenced coefficients
+    replace (assemble_cartesian assembles from G)."""
 
     G: list = None
     H: list = None
-
-    def gradient_maps(self):
-        return [Gs @ self.Z for Gs in self.G]
-
-    def in_frame(self, A):
-        return A
 
     def derivatives(self, C, rows=slice(None), degree=None, orders=(0, 1, 2)):
         if degree not in (None, self.degree):
@@ -687,17 +683,58 @@ def stored_quadrature(quad):
     return out
 
 
+def assemble_cartesian(A, quad):
+    """CSR stiffness matrix of int grad(u) . A grad(v) from the Cartesian
+    gradients of a stored_quadrature: per chunk the gradient stacks Gx @ Z
+    and Gy @ Z and the sums over the nodes of w A_ij (G_i Z)^T (G_j Z),
+    summed by the quadrature's ScatterPlan."""
+    vals = np.empty(quad.scatter.perm.size)
+    for ch, slots in zip(quad.chunks, quad.scatter.slots):
+        g, k = ch.cols.shape
+        Gx, Gy = (Gs @ ch.Z for Gs in ch.G)
+        wA = ch.weights[:, :, None, None] * np.asarray(A(ch))
+        qx = wA[:, :, 0, 0, None] * Gx + wA[:, :, 0, 1, None] * Gy
+        qy = wA[:, :, 1, 0, None] * Gx + wA[:, :, 1, 1, None] * Gy
+        vals[slots] = (Gx.swapaxes(1, 2) @ qx + Gy.swapaxes(1, 2) @ qy).ravel()
+    return quad.scatter.csr(vals)
+
+
 def _chunk_rows(quad):
     """Triangle -> (its chunk, its row in the chunk)."""
     return {t: (ch, i) for ch in quad.chunks for i, t in enumerate(ch.tris)}
 
 
+def frame_weights(A, w, M):
+    """(nq, 3) weights w F00, w F01, w F11 of one triangle, F = M^T A M,
+    from its A (nq, 2, 2), weights w (nq,) and frame M (2, 2): F_ij sums
+    M_si A_st M_tj over the four entries (s, t)."""
+    C = np.stack([M[:, None, i] * M[None, :, j] for i, j in ((0, 0), (0, 1), (1, 1))],
+                 axis=-1).reshape(4, 3)
+    return (A.reshape(-1, 4) @ C) * w[:, None]
+
+
+def pie_block(d, W, B1):
+    """One pie's stiffness block in its Bernstein basis from its weights W
+    (nq, 3) and degree-(d-1) Bernstein matrix B1 (nq, n1): the weighted
+    Gram blocks N_ij = B1^T diag(W_ij) B1, contracted with the shared
+    difference matrices as D^T N D."""
+    n1 = B1.shape[1]
+    N = np.empty((2, n1, 2, n1))
+    for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
+        N[i, :, j] = B1.T @ (W[:, r, None] * B1)
+    N[1, :, 0] = N[0, :, 1]
+    D = bb.frame_diff(d).reshape(2 * n1, -1)
+    return D.T @ (N.reshape(2 * n1, 2 * n1) @ D)
+
+
 def assemble_per_triangle(A, f, quad):
     """(CSR matrix of int grad(u) . A grad(v), rhs int f v) of the
     coefficient fields A and f, one triangle at a time in mesh order.  The
-    fields are evaluated once per chunk and read row by row.  The gradients
-    are formed along the reference directions e0 - e2 and e1 - e2, with A
-    written in them as M^T A M."""
+    fields are evaluated once per chunk and read row by row.  A triangle's
+    block in its Bernstein basis comes from its weights w M^T A M: on a
+    pie from pie_block, on a straight triangle from the row of the chunk's
+    product of the stacked weights with asm.product_table (the only step
+    taken per chunk); the block in the dofs is Z^T L Z."""
     space = quad.space
     mesh = space.mesh
     n = space.dimension
@@ -705,27 +742,28 @@ def assemble_per_triangle(A, f, quad):
     nodes = triangle_nodes(quad)
     at = _chunk_rows(quad)
     tables = [{ch: np.asarray(fn(ch)) for ch in quad.chunks} for fn in (A, f)]
+    weights = {}
+    for t in range(mesh.n_triangles):
+        ch, r = at[t]
+        weights[t] = frame_weights(tables[0][ch][r], nodes[t][1], designs[t][1])
+    straight = {ch: np.stack([weights[t] for t in ch.tris]).reshape(len(ch.tris), -1)
+                @ asm.product_table(ch.degree)
+                for ch in quad.chunks if mesh.tri_kind[ch.tris[0]] != PIE}
 
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
     for t in range(mesh.n_triangles):
         gdofs, Z = space.local_map(t)
-        B, M = designs[t]
-        w = nodes[t][1]
+        d = space.tri_degree(t)
+        B = designs[t][0]
         ch, r = at[t]
-        Amat, fvals = (tab[ch][r] for tab in tables)
-        D0, D1 = frame_gradient_maps(space.tri_degree(t), B[1], Z)
-        AM = [[Amat[:, i, 0] * M[0, j] + Amat[:, i, 1] * M[1, j] for j in range(2)]
-              for i in range(2)]
-        Amat = np.empty(Amat.shape)
-        for i in range(2):
-            for j in range(2):
-                Amat[:, i, j] = M[0, i] * AM[0][j] + M[1, i] * AM[1][j]
-        wA = w[:, None, None] * Amat
-        q0 = wA[:, 0, 0, None] * D0 + wA[:, 0, 1, None] * D1
-        q1 = wA[:, 1, 0, None] * D0 + wA[:, 1, 1, None] * D1
-        loc = D0.T @ q0 + D1.T @ q1
-        rhs[gdofs] += (B[0] @ Z).T @ (w * fvals)
+        if mesh.tri_kind[t] == PIE:
+            L = pie_block(d, weights[t], B[1])
+        else:
+            L = straight[ch][r].reshape(Z.shape[0], Z.shape[0])
+        loc = (Z.T @ L) @ Z
+        wf = nodes[t][1] * tables[1][ch][r]
+        rhs[gdofs] += (Z.T @ (B[0].T @ wf[:, None]))[:, 0]
         ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
         rows.append(ii.ravel())
         cols.append(jj.ravel())
@@ -751,8 +789,8 @@ def mesh_slots(quad):
 def coo_triplets(quad, vals=None, A=None):
     """(vals, rows, cols) of the stiffness matrix as COO triplets in mesh
     order with int32 indices: the values given in assemble's chunk layout
-    (see mesh_slots), or the local matrices of the coefficient field A
-    computed chunk by chunk as assemble computes them."""
+    (see mesh_slots), or the local matrices Z^T L Z of the coefficient
+    field A computed chunk by chunk as assemble computes them."""
     slots = mesh_slots(quad)
     rows = np.empty(slots.size, dtype=np.int32)
     cols = np.empty(slots.size, dtype=np.int32)
@@ -765,11 +803,8 @@ def coo_triplets(quad, vals=None, A=None):
         rows[here] = np.repeat(ch.cols, k, axis=1).ravel()
         cols[here] = np.tile(ch.cols, (1, k)).ravel()
         if A is not None:
-            D0, D1 = ch.gradient_maps()
-            wA = ch.weights[:, :, None, None] * ch.in_frame(np.asarray(A(ch)))
-            q0 = wA[:, :, 0, 0, None] * D0 + wA[:, :, 0, 1, None] * D1
-            q1 = wA[:, :, 1, 0, None] * D0 + wA[:, :, 1, 1, None] * D1
-            chunk_vals.append((D0.swapaxes(1, 2) @ q0 + D1.swapaxes(1, 2) @ q1).ravel())
+            L = ch.bb_stiffness(ch.frame_weights(np.asarray(A(ch))))
+            chunk_vals.append(((ch.Z.swapaxes(1, 2) @ L) @ ch.Z).ravel())
     if A is not None:
         vals = np.concatenate(chunk_vals)
     out = np.empty(slots.size)

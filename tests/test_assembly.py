@@ -15,8 +15,8 @@ from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
 from conicfem.space import build_space
 
 from _oracles import (assemble_per_triangle, coo_triplets, disk_radial_integral, domain_area,
-                      error_norms_per_triangle, integrate, pie_quadrature_scalar,
-                      triangle_designs, triangle_maps, triangle_nodes)
+                      error_norms_per_triangle, frame_gradient_maps, integrate,
+                      pie_quadrature_scalar, triangle_designs, triangle_maps, triangle_nodes)
 
 EYE = asm.constant_matrix(np.eye(2))
 
@@ -211,8 +211,9 @@ def test_rhs_only_assembly_is_the_assembled_rhs(disk_space2, monkeypatch):
     f = asm.pointwise(lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
     _, want = assemble_per_triangle(EYE, f, quad)
     monkeypatch.setattr(asm.sps, "coo_matrix", None)
+    monkeypatch.setattr(asm, "product_table", None)
     for ch in quad.chunks:
-        monkeypatch.setattr(ch, "gradient_maps", None)
+        monkeypatch.setattr(ch, "bb_stiffness", None)
     np.testing.assert_array_equal(asm.assemble_rhs(f, quad), want)
 
 
@@ -404,6 +405,64 @@ def test_assemble_is_bit_identical_to_per_triangle_loop(space_name, request):
     np.testing.assert_array_equal(got.data, matrix.data)
     np.testing.assert_array_equal(asm.assemble_rhs(f, quad), rhs)
     assert np.abs(rhs).max() > 0
+
+
+@pytest.mark.parametrize("space_name", ["c2_space", "disk_space2"])
+def test_product_table_blocks_match_the_quadrature_sum(space_name, request):
+    # each triangle's block in its Bernstein basis, pies included, against
+    # sum_q sum_ij W_ij G_i^T G_j in extended precision, G_i = B_{d-1} D_i.
+    # Every term W_ij B[q, m] D_i[m, a] B[q, n] D_j[n, b] passes through at
+    # most N = 3 nq + 4 n1 + 2 roundings on either route (straight: two
+    # n1-term sums for G, their product, the 01 sum and the 3 nq-term dot
+    # product with the table, 3 nq + 2 n1 + 2; pies: the weighted Gram's
+    # nq + 1, then two 2 n1-term products with D, nq + 4 n1 + 1), so the
+    # error is below gamma_N times the sum of the terms' absolute values,
+    # plus the same bound for the reference
+    quad = asm.TriangleQuadrature(request.getfixturevalue(space_name))
+    A = _all_terms_problem()[0]
+
+    def gamma(n, dtype):
+        u = np.finfo(dtype).eps / 2
+        return n * u / (1 - n * u)
+
+    ld = np.longdouble
+    for ch in quad.chunks:
+        d = ch.degree
+        W = ch.frame_weights(np.asarray(A(ch)))
+        L = ch.bb_stiffness(W)
+        nq, n1 = ch.B[d - 1].shape[-2:]
+        n = 3 * nq + 4 * n1 + 2
+        eye = np.eye(bb.n_coeffs(d), dtype=ld)
+        for i in range(len(ch.tris)):
+            B1 = (ch.B[d - 1] if ch.B[d - 1].ndim == 2 else ch.B[d - 1][i]).astype(ld)
+            G = frame_gradient_maps(d, B1, eye)
+            Gabs = [np.abs(B1) @ np.abs(Ds) for Ds in bb.frame_diff(d)]
+            w = W[i].astype(ld)
+            want = np.zeros(L.shape[1:], dtype=ld)
+            size = np.zeros(L.shape[1:], dtype=ld)
+            for r, pairs in enumerate([[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]):
+                for a, b in pairs:
+                    want += (w[:, r, None] * G[a]).T @ G[b]
+                    size += (np.abs(w[:, r, None]) * Gabs[a]).T @ Gabs[b]
+            bound = (gamma(n, float) + gamma(n, ld)) * size
+            assert (np.abs(L[i] - want) <= bound).all()
+
+
+def test_non_symmetric_coefficient_is_rejected(disk_space):
+    # the blocks fold A01 and A10 together: a field with A01 != A10 at one
+    # node of the last chunk raises instead of giving a matrix
+    quad = asm.TriangleQuadrature(disk_space)
+    A = _all_terms_problem()[0]
+
+    def skewed(chunk):
+        out = A(chunk)
+        if chunk is quad.chunks[-1]:
+            out[-1, -1, 0, 1] += 1e-12
+        return out
+
+    with pytest.raises(asm.AssemblyError, match="not symmetric"):
+        asm.assemble(skewed, quad)
+    assert asm.assemble(A, quad).nnz > 0
 
 
 def test_poisson_reproduces_in_space_solution(disk_space2):

@@ -273,3 +273,44 @@ def test_bad_g_expr_is_an_error_not_a_traceback(tmp_path, disk_mesh, capsys, exp
                 "--g-expr", expr, "--levels", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+def _dump_reports_tool():
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "dump_reports.py"
+    spec = importlib.util.spec_from_file_location("dump_reports", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_dump_reports_compare(tmp_path, capsys):
+    # the same dump compares equal; a moved error is reported as its
+    # relative change, and a changed m or dimension exits 1
+    tool = _dump_reports_tool()
+    a = tmp_path / "a.json"
+    assert tool.main(["--problem", "disk", "--levels", "2", "-o", str(a)]) == 0
+    assert tool.main(["--compare", str(a), str(a)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "disk against disk"
+    assert out[1].startswith("level 1: dimension 134 134, m 3 3, krylov_iters [6, 6] [6, 6]; "
+                             "largest relative change: errors 0.00e+00, eps_errors 0.00e+00, "
+                             "R 0.00e+00")
+    assert "eps_errors -" in out[2] and "DIFFERS" not in "".join(out)
+
+    moved = json.loads(a.read_text())
+    l2 = tool.from_bits(moved["levels"][0]["errors"][0])
+    moved["levels"][0]["errors"][0] = tool.to_bits(l2 * (1 + 1e-6))
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(moved))
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    assert "errors 1.00e-06, eps_errors 0.00e+00" in capsys.readouterr().out
+    for field in ("iterations", "dimension"):
+        changed = json.loads(a.read_text())
+        changed["levels"][1][field] += 1
+        b.write_text(json.dumps(changed))
+        assert tool.main(["--compare", str(a), str(b)]) == 1
+        assert capsys.readouterr().out.splitlines()[2].endswith("DIFFERS")
+    with pytest.raises(SystemExit):
+        tool.main(["--problem", "disk"])

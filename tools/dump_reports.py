@@ -1,6 +1,7 @@
 """Dump the reports of a multilevel run bit for bit, for diffing two checkouts.
 
     python tools/dump_reports.py --problem disk --levels 5 -o disk.json
+    python tools/dump_reports.py --compare parent.json change.json
 
 Runs `solver.multilevel_run` on a built-in problem and writes every
 `LevelReport` field except `timings`, then the final dofs, as JSON.  Each
@@ -8,6 +9,12 @@ float is written as the hex digits of its IEEE-754 bit pattern, so two
 dumps are equal exactly when the runs agree bit for bit.  The package is
 imported from this checkout's src/, so the same command run in two
 checkouts gives two files to diff.
+
+`--compare A B` reads two dumps and prints, per level, the `dimension`,
+the Newton count `m` (`iterations`) and the `krylov_iters` of both, and
+the largest relative change from A to B of the `errors`, the
+`eps_errors` and the residual `R`.  It exits 1 when the dumps differ in
+their number of levels, or in a level's `dimension` or `m`.
 """
 
 import argparse
@@ -40,6 +47,17 @@ def to_bits(x):
     return [to_bits(v) for v in x]
 
 
+def from_bits(x):
+    """The inverse of to_bits (a tuple comes back as a list)."""
+    if isinstance(x, str) and x.startswith(BITS):
+        return struct.unpack(">d", bytes.fromhex(x[len(BITS):]))[0]
+    if isinstance(x, dict):
+        return {k: from_bits(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [from_bits(v) for v in x]
+    return x
+
+
 def dump(problem_id, levels):
     domain, mesh = builtin_domain(problem_id)
     exact = disk_exact_solution() if problem_id == "disk" else None
@@ -51,12 +69,56 @@ def dump(problem_id, levels):
     return to_bits({"problem": problem_id, "levels": fields, "dofs": u.dofs})
 
 
+def rel_change(a, b):
+    """The largest |b - a| / |a| over the entries of two equal-length
+    sequences (or two numbers); 0 where both are 0, None where either is
+    missing."""
+    if a is None or b is None:
+        return None
+    a, b = ([a], [b]) if isinstance(a, float) else (a, b)
+    return max(0.0 if x == y else abs(y - x) / abs(x) if x else float("inf")
+               for x, y in zip(a, b, strict=True))
+
+
+def compare(a, b):
+    """(lines, ok) of the per-level comparison of the dumps a and b (see
+    the module docstring)."""
+    a, b = from_bits(a), from_bits(b)
+    lines = [f"{a['problem']} against {b['problem']}"]
+    ok = a["problem"] == b["problem"] and len(a["levels"]) == len(b["levels"])
+    if len(a["levels"]) != len(b["levels"]):
+        lines.append(f"levels: {len(a['levels'])} against {len(b['levels'])}")
+    for la, lb in zip(a["levels"], b["levels"]):
+        same = la["dimension"] == lb["dimension"] and la["iterations"] == lb["iterations"]
+        ok = ok and same
+        changes = ", ".join(
+            f"{name} {'-' if r is None else f'{r:.2e}'}"
+            for name, r in (("errors", rel_change(la["errors"], lb["errors"])),
+                            ("eps_errors", rel_change(la["eps_errors"], lb["eps_errors"])),
+                            ("R", rel_change(la["residual"], lb["residual"]))))
+        lines.append(
+            f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
+            f"m {la['iterations']} {lb['iterations']}, krylov_iters "
+            f"{la['solver'].get('krylov_iters')} {lb['solver'].get('krylov_iters')}; "
+            f"largest relative change: {changes}{'' if same else '  DIFFERS'}")
+    return lines, ok
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--problem", choices=PROBLEM_IDS, required=True)
-    ap.add_argument("--levels", type=int, required=True)
-    ap.add_argument("-o", "--output", required=True)
+    ap.add_argument("--problem", choices=PROBLEM_IDS)
+    ap.add_argument("--levels", type=int)
+    ap.add_argument("-o", "--output")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                    help="compare two dumps level by level instead of running")
     args = ap.parse_args(argv)
+    if args.compare:
+        dumps = [json.loads(pathlib.Path(p).read_text()) for p in args.compare]
+        lines, ok = compare(*dumps)
+        print("\n".join(lines))
+        return 0 if ok else 1
+    if None in (args.problem, args.levels, args.output):
+        ap.error("--problem, --levels and -o are required without --compare")
     pathlib.Path(args.output).write_text(json.dumps(dump(args.problem, args.levels), indent=1))
     return 0
 
