@@ -581,20 +581,20 @@ def hessian_det(hxx, hxy, hyy):
     return hxx * hyy - hxy * hxy
 
 
-def error_norms(spline, quad, ref=None, ref_coeffs=None):
+def error_norms(spline, quad, ref=None, coarse=None):
     """(L2, H1, H2) norms of spline - reference.
 
     ref: (value, gradient, hessian) callables on (n,2) arrays, or None to
-    measure the spline itself.  ref_coeffs: per triangle, a (degree, BB
-    coefficients) pair of a polynomial on that triangle, at least the
-    spline's degree there (a coarser spline re-expanded, see
-    solver.coarse_on_fine); its coefficients are subtracted from the
-    spline's before evaluation.  Full norms: H1 and H2 include the
-    lower-order terms.
+    measure the spline itself.  coarse: a coarser spline re-expanded on
+    the triangles of quad.space (a solver.CoarseOnFine): the first
+    n_coeffs(coarse.degree[t]) entries of coarse.exact[t] are subtracted
+    from the spline's BB coefficients on triangle t, raised to that
+    degree where it exceeds the spline's, before evaluation.  Full norms:
+    H1 and H2 include the lower-order terms.
     """
     def fields(ch):
         C = spline.pieces(ch.Z, ch.cols)
-        if ref_coeffs is None:
+        if coarse is None:
             diff = ch.derivatives(C)
             if ref is not None:
                 rv, rg, rh = (ch.at_nodes(r) for r in ref)
@@ -602,10 +602,10 @@ def error_norms(spline, quad, ref=None, ref_coeffs=None):
                     rv, rg[..., 0], rg[..., 1], rh[..., 0, 0], rh[..., 0, 1], rh[..., 1, 1]))]
         else:
             diff = [np.empty(ch.weights.shape) for _ in range(6)]
-            degree = np.array([ref_coeffs[t][0] for t in ch.tris])
+            degree = coarse.degree[ch.tris]
             for d in np.unique(degree).tolist():
                 rows = slice(None) if (degree == d).all() else degree == d
-                R = np.array([ref_coeffs[t][1] for t in ch.tris[rows]])[:, :, None]
+                R = coarse.exact[ch.tris[rows], :bb.n_coeffs(d), None]
                 if d == ch.degree:
                     D = C[rows] - R
                 else:   # a straight triangle under a parent of higher degree

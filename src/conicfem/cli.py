@@ -324,8 +324,8 @@ def main(argv=None):
                  if key.replace("-", "_") not in passed and val is not None]
         args = parser.parse_args(argv + extra)
     if hasattr(args, "levels") and hasattr(args, "tol"):
-        if args.levels < 1 or args.tol <= 0:
-            parser.error("levels must be >= 1 and tol > 0")
+        if args.levels < 1 or not (np.isfinite(args.tol) and args.tol > 0):
+            parser.error("levels must be >= 1 and tol finite and > 0")
     if args.fn is cmd_space_info and args.levels < 1:
         parser.error("levels must be >= 1")
     if args.fn is cmd_mesh_refine and args.levels < 0:

@@ -122,6 +122,11 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     """
     vertices = np.array(vertices, dtype=float)
     n = len(vertices)
+    # indices must be integers: a cast to int would truncate them
+    for what, raw in (("triangle", triangles), ("boundary edge", boundary_edges)):
+        raw = np.asarray(raw, dtype=float).reshape(-1, 3)
+        for i in np.flatnonzero((raw % 1 != 0).any(axis=1))[:1]:
+            raise MeshError("mesh", f"{what} {i} {tuple(raw[i].tolist())} has a non-integral index")
     tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
     bnd = np.asarray(boundary_edges, dtype=int).reshape(-1, 3)
     scale = max(1.0, float(np.abs(vertices).max()))

@@ -285,6 +285,8 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and > 0")
     solves = NewtonSolves()
     u, norms, linearized = u0, [], None
     eigmin = np.inf
@@ -327,58 +329,54 @@ class CoarseOnFine:
     """A coarse spline written in the BB basis of each triangle of the next,
     uniformly refined level (the parent's piece re-expanded on the child).
 
-    Per fine triangle t: degree[t] is the larger of its own and its
-    parent's degree and exact[t] the parent's piece at that degree.  stored
-    is the fine space's stored form (see SplineSpace) of these pieces:
-    the parent's factor times the ratio of the pie scales on pies, since
-    s = p_c q / scale_c = p_f q / scale_f; on ordinary children of
-    degree-6 parents the quintic_reduction of the exact piece; the exact
-    piece elsewhere.
+    Arrays over the fine triangles: degree (n,), the larger of each one's
+    own and its parent's degree, and exact (n, 28), whose row t holds the
+    parent's piece at that degree in its first n_coeffs(degree[t])
+    entries (zeros after them).  stored is the fine space's stored form
+    (see SplineSpace) of these pieces: the parent's factor times the ratio
+    of the pie scales on pies, since s = p_c q / scale_c = p_f q /
+    scale_f; on ordinary children of degree-6 parents the
+    quintic_reduction of the exact piece; the exact piece elsewhere.
     """
 
-    degree: list
-    exact: list
+    degree: np.ndarray
+    exact: np.ndarray
     stored: np.ndarray
 
 
 def coarse_on_fine(u_coarse, fine_space):
-    """Re-expand every piece of a coarse spline on its fine children."""
+    """Re-expand every piece of a coarse spline on its fine children, one
+    coarse map group and fine triangle kind at a time."""
     mesh_f = fine_space.mesh
     if mesh_f.parents is None:
         raise ValueError("fine mesh does not record its parent triangles")
     space_c = u_coarse.space
     mesh_c = space_c.mesh
     parents = mesh_f.parents
-    n = mesh_f.n_triangles
     S = bb.barycentric_many(mesh_c.vertices[mesh_c.tri_verts[parents]],
                             mesh_f.vertices[mesh_f.tri_verts])
-    if ((mesh_f.tri_kind == PIE) & (mesh_c.tri_kind[parents] != PIE)).any():
+    kinds = mesh_f.tri_kind
+    if ((kinds == PIE) & (mesh_c.tri_kind[parents] != PIE)).any():
         raise ValueError("pie triangle refined from a non-pie parent")
-    kinds = mesh_f.tri_kind.tolist()
-    d_parent = [space_c.tri_degree(p) for p in parents]
-    # the coarse pieces and pie factors, formed one map group at a time
-    patch_c, factor_c = {}, {}
-    for grp in space_c.groups:
-        patch_c.update(zip(grp.tris.tolist(), u_coarse.pieces(grp.Z, grp.cols)[:, :, 0]))
-        if grp.kind == PIE:
-            factor_c.update(zip(grp.tris.tolist(),
-                                u_coarse.pieces(grp.stored, grp.cols)[:, :, 0]))
-    degree = [max(dp, fine_space.tri_degree(t)) for t, dp in enumerate(d_parent)]
-    exact = [None] * n
+    degree = np.where((kinds == ORDINARY) & (mesh_c.tri_kind[parents] == ORDINARY), 5, 6)
+    exact = np.zeros((mesh_f.n_triangles, bb.n_coeffs(6)))
     stored = np.empty(fine_space.coef_offset[-1])
-    for dp, kind in set(zip(d_parent, kinds)):
-        idx = [t for t in range(n) if (d_parent[t], kinds[t]) == (dp, kind)]
-        C = np.array([patch_c[parents[t]] for t in idx])
-        rows = bb.reexpand(dp, C, S[idx], degree[idx[0]])
-        for t, e in zip(idx, rows):
-            exact[t] = e
-        if kind == PIE:
-            ratio = [fine_space.pie_scale[t] / space_c.pie_scale[parents[t]] for t in idx]
-            F = np.array([factor_c[parents[t]] for t in idx])
-            rows = np.array(ratio)[:, None] * bb.reexpand(4, F, S[idx], 4)
-        elif kind == ORDINARY and dp == 6:
-            rows = rows @ quintic_reduction().T
-        stored[fine_space.coef_offset[idx][:, None] + np.arange(rows.shape[1])] = rows
+    for grp in space_c.groups:
+        children = np.flatnonzero(np.isin(parents, grp.tris))
+        rows = np.searchsorted(grp.tris, parents[children])
+        C = u_coarse.pieces(grp.Z, grp.cols)[:, :, 0]
+        for kind in np.unique(kinds[children]).tolist():
+            of_kind = kinds[children] == kind
+            idx, r = children[of_kind], rows[of_kind]
+            e = bb.reexpand(grp.degree, C[r], S[idx], int(degree[idx[0]]))
+            exact[idx, :e.shape[1]] = e
+            if kind == PIE:
+                F = u_coarse.pieces(grp.stored, grp.cols)[r, :, 0]
+                ratio = fine_space.pie_scale[idx] / space_c.pie_scale[parents[idx]]
+                e = ratio[:, None] * bb.reexpand(4, F, S[idx], 4)
+            elif kind == ORDINARY and grp.degree == 6:
+                e = e @ quintic_reduction().T
+            stored[fine_space.coef_offset[idx][:, None] + np.arange(e.shape[1])] = e
     return CoarseOnFine(degree, exact, stored)
 
 
@@ -452,8 +450,7 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             # difference of consecutive-level solutions on the finer
             # quadrature: the coarse pieces re-expanded on the fine
             # triangles are subtracted coefficient by coefficient
-            prev_report.eps_errors = asm.error_norms(
-                u, ctx.quad, ref_coeffs=list(zip(coarse.degree, coarse.exact)))
+            prev_report.eps_errors = asm.error_norms(u, ctx.quad, coarse=coarse)
         timings["norms"] = time.perf_counter() - start
         log.info("level %d: dim=%d m=%d factorizations=%d refactorizations=%d "
                  "krylov_iters=%s R=%.3e updates=%s",

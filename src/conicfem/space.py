@@ -19,11 +19,11 @@ definition of a coefficient is checked against the first.  Solving them
 gives, per triangle, the linear map from its local dofs to its BB
 coefficients.  The maps are stored once, stacked per group of triangles
 of one kind and local dof count (MapGroup); a spline is its dof vector,
-and its pieces are these maps applied to it.  Point queries locate all
-points at once (SplineSpace.locate) and evaluate each piece at its
-points through design matrices (SplineFunction.evaluate).  Spaces and
-splines are immutable after construction and safe to share across
-threads; propagation of different dof vectors may run concurrently.
+and its pieces are these maps applied to it, read only through the
+groups: point queries locate all points at once (SplineSpace.locate),
+then evaluate them one map group at a time (SplineFunction.evaluate).
+Spaces and splines are immutable after construction and safe to share
+across threads; propagation of different dof vectors may run concurrently.
 """
 
 import json
@@ -288,11 +288,12 @@ class _Propagator:
         self.targets = []                      # per step, in fill order
         self.n_eq = 0
         self.entries = {False: [], True: []}   # keyed by "sources are dofs"
-        self.pie_q, self.pie_scale, self.pie_P = {}, {}, {}
+        self.pie_q, self.pie_P = {}, {}
+        self.pie_scale = np.full(len(self.verts), np.nan)
         for t in np.flatnonzero(self.kinds == PIE).tolist():
             conic = mesh.pie_conic(t)
             self.pie_q[t] = normalized_pie_conic(conic, self.coords[t])
-            self.pie_scale[t] = float(eval_conic(conic, self.coords[t, 0]))
+            self.pie_scale[t] = eval_conic(conic, self.coords[t, 0])
             self.pie_P[t] = bb.product_matrix(4, 2, self.pie_q[t])
 
     # -- helpers ----------------------------------------------------------
@@ -452,9 +453,8 @@ class _Propagator:
         tangent = mesh.vertex_tangent[v]
         # value on the designated pie is the dof; the partner is scaled by
         # the ratio of the normalized conic gradients
-        scale = np.array([self.pie_scale[x] for x in t.tolist()])
         g = (conic_rows(grad_conic, mesh.domain, mesh.tri_arc[t], mesh.vertices[v])
-             / scale[:, None]).reshape(-1, 2, 2)
+             / self.pie_scale[t, None]).reshape(-1, 2, 2)
         i = np.argmax(np.abs(g[:, 1]), axis=1)
         g1, g2 = (g[np.arange(len(i)), k, i] for k in (0, 1))
         for u in v[::2][tangent[::2] & (g2 == 0.0)][:1]:
@@ -521,7 +521,8 @@ class SplineSpace:
     The stored form of a spline is the flat vector of every triangle's
     stored coefficients (the quartic factor on pies) in triangle order,
     those of triangle t at coef_offset[t]:coef_offset[t + 1]; determining
-    functional j reads its entry dof_coef[j]."""
+    functional j reads its entry dof_coef[j].  pie_scale (a float per
+    triangle, NaN off pies) is each pie's conic at its interior vertex."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -665,7 +666,7 @@ def build_space(mesh):
 
 class SplineFunction:
     """A spline: the space and a dof vector.  Its pieces are formed from
-    the space's maps on demand, per triangle or per stack of triangles."""
+    the space's maps on demand, per stack of triangles of a map group."""
 
     def __init__(self, space, dofs):
         dofs = np.asarray(dofs, dtype=float)
@@ -688,40 +689,36 @@ class SplineFunction:
         cols, Z = self.space.local_map(t)
         return Z @ self.dofs[cols]
 
-    def factor(self, t):
-        """Degree-4 factor coefficients of a pie triangle (the coefficients
-        the fill stores; the piece itself on other triangles)."""
-        cols, F = self.space.local_map(t, stored=True)
-        return F @ self.dofs[cols]
-
-    def eval_batch(self, t, pts, order=2):
-        """Values, gradients and Hessians of the piece on triangle t at many
-        points (vectorized; points need not lie inside the triangle)."""
-        d = self.space.tri_degree(t)
-        tri = self.space.mesh.tri_coords(t)
-        B = bb.design_matrices(d, bb.barycentric_many(tri, pts), order=order)
-        f = [a[0, :, 0] for a in bb.frame_derivatives(
-            d, self.patch(t)[None, :, None], B, bb.frames(tri[None]), range(order + 1))]
-        grads = np.column_stack(f[1:3]) if order >= 1 else None
-        hess = np.array([f[3:5], f[4:]]).transpose(2, 0, 1) if order >= 2 else None
-        return f[0], grads, hess
-
     def evaluate(self, pts, tris=None, order=2):
-        """(values, gradients, Hessians) at points (n, 2) as eval_batch gives
-        them, each point on its triangle in tris (space.locate when not
-        given).  Raises ValueError for a point outside the triangulation."""
+        """(values, gradients, Hessians) up to `order` at points (n, 2), each
+        on its triangle in tris (space.locate when not given; a point need
+        not lie in its triangle): one bernstein.frame_derivatives call per
+        map group, with each point's own piece, Bernstein matrices and
+        frame.  ValueError for a point outside the triangulation (tris -1),
+        or unless tris holds one index in -1..n_triangles - 1 per point."""
+        space, mesh = self.space, self.space.mesh
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        tris = self.space.locate(pts) if tris is None else np.asarray(tris)
+        tris = space.locate(pts) if tris is None else np.asarray(tris)
+        if tris.shape != (len(pts),):
+            raise ValueError(f"triangle indices of shape {tris.shape} for {len(pts)} points")
+        for i in np.flatnonzero((tris < -1) | (tris >= mesh.n_triangles))[:1]:
+            raise ValueError(f"triangle index {tris[i]} of point {i} is outside "
+                             f"-1..{mesh.n_triangles - 1}")
         if (tris < 0).any():
             raise ValueError(f"point {tuple(pts[np.argmin(tris)].tolist())} is outside "
                              "the triangulation")
-        out = [np.empty(len(pts)), np.empty((len(pts), 2)),
-               np.empty((len(pts), 2, 2))][:order + 1]
-        for t in np.unique(tris):
-            rows = np.flatnonzero(tris == t)
-            for o, r in zip(out, self.eval_batch(t, pts[rows], order)):
-                o[rows] = r
-        return tuple(out) + (None,) * (2 - order)
+        out = np.empty((len(pts), (1, 3, 6)[order]))
+        group = space._group[tris]
+        for g in np.unique(group).tolist():
+            grp, at = space.groups[g], np.flatnonzero(group == g)
+            rows, inv = np.unique(space._row[tris[at]], return_inverse=True)
+            coords = mesh.vertices[mesh.tri_verts[tris[at]]]
+            B = bb.design_matrices(grp.degree, bb.barycentric_many(coords, pts[at, None]), order)
+            out[at] = np.column_stack([f[:, 0, 0] for f in bb.frame_derivatives(
+                grp.degree, self.pieces(grp.Z[rows], grp.cols[rows])[inv], B,
+                bb.frames(coords), range(order + 1))])
+        return (out[:, 0], out[:, 1:3] if order >= 1 else None,
+                out[:, [3, 4, 4, 5]].reshape(-1, 2, 2) if order >= 2 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ array refinement against the refinement that numbers midpoints one
 triangle at a time; the mesh queries that only tests use (stars,
 interior edges, vertex fans) are written here over the mesh arrays, as
 are the other helpers only tests use (one-point barycentric coordinates,
+a pie's stored factor,
 the ring's edge slots, BB products, domain points, the cross-edge
 smoothness gaps, integrals of pointwise fields).
 """
@@ -400,6 +401,13 @@ def boundary_sample_matrix(space, per_arc=30):
         G[:, cols] = V @ Z
         rows.append(G)
     return np.vstack(rows)
+
+
+def factor(spline, t):
+    """Degree-4 factor coefficients of the pie triangle t (the coefficients
+    the fill stores; the piece itself on other triangles)."""
+    cols, F = spline.space.local_map(t, stored=True)
+    return F @ spline.dofs[cols]
 
 
 def extraction_matrix(space):
@@ -835,14 +843,14 @@ def linearize_ma_per_triangle(u, g, quad):
 
 def error_norms_per_triangle(spline, quad, ref_batch):
     """(L2, H1, H2) norms of spline - reference, with the spline evaluated
-    triangle by triangle at its quadrature nodes (SplineFunction.eval_batch)
-    and the reference given per triangle: ref_batch(t, points) ->
+    triangle by triangle at its quadrature nodes (SplineFunction.evaluate
+    with the triangle given) and the reference given per triangle: ref_batch(t, points) ->
     (values, gradients, hessians)."""
     l2 = h1s = h2s = 0.0
     nodes = triangle_nodes(quad)
     for t in range(quad.space.mesh.n_triangles):
         pts, w = nodes[t]
-        vals, grads, hess = spline.eval_batch(t, pts)
+        vals, grads, hess = spline.evaluate(pts, np.full(len(pts), t))
         rv, rg, rh = ref_batch(t, pts)
         vals, grads, hess = vals - rv, grads - rg, hess - rh
         l2 += float(w @ (vals * vals))

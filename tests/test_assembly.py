@@ -529,8 +529,9 @@ def test_dense_bilinear_form_agreement():
         total = 0.0
         for t in range(mesh.n_triangles):
             pts, w = nodes[t]
-            _, gl, _ = s_l.eval_batch(t, pts, order=1)
-            _, gm, _ = s_m.eval_batch(t, pts, order=1)
+            at = np.full(len(pts), t)
+            _, gl, _ = s_l.evaluate(pts, at, order=1)
+            _, gm, _ = s_m.evaluate(pts, at, order=1)
             total += float(w @ (gl[:, 0] * gm[:, 0] + gl[:, 1] * gm[:, 1]))
         scale = max(np.abs(K).max(), 1e-12)
         assert abs(K[lam, mu] - total) < 1e-10 * scale

@@ -113,6 +113,27 @@ def test_mesh_validate_reports_out_of_range_indices(tmp_path, capsys, where, val
     assert capsys.readouterr().err == f"error: condition (mesh): {message}\n"
 
 
+def test_mesh_validate_rejects_fractional_indices(tmp_path, capsys):
+    # a cast to int would truncate 1.7 to 1 and pass the shipped mesh
+    from importlib import resources
+    data = json.loads(resources.files("conicfem.data").joinpath("disk_mesh.json").read_text())
+    data["triangles"] = [[t[0] + 0.7] + t[1:] for t in data["triangles"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["mesh", "validate", str(path)]) == 1
+    t0 = tuple(float(v) for v in data["triangles"][0])
+    assert capsys.readouterr().err == (f"error: condition (mesh): triangle 0 {t0} "
+                                       "has a non-integral index\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_solve_rejects_tol_that_is_not_finite_and_positive(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--problem", "disk", "--levels", "1", "--tol", tol])
+    assert exc.value.code == 2
+    assert "tol finite and > 0" in capsys.readouterr().err
+
+
 def test_space_info(capsys):
     assert run(["space", "info", "--problem", "disk"]) == 0
     out = capsys.readouterr().out

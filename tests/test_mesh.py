@@ -349,6 +349,24 @@ def test_boundary_mismatch_reported(tmp_path, disk_mesh):
         msh.mesh_from_dict(data)
 
 
+def test_fractional_indices_rejected(disk_mesh):
+    # 0.7 more on every triangle's first vertex would truncate back to the
+    # original mesh; the first triangle or boundary edge is named
+    data = msh.mesh_to_dict(disk_mesh)
+    good = [list(t) for t in data["triangles"]]
+    data["triangles"] = [[t[0] + 0.7] + t[1:] for t in good]
+    with pytest.raises(MeshError, match=r"^condition \(mesh\): triangle 0 \(.*\) has a "
+                                        "non-integral index$"):
+        msh.mesh_from_dict(data)
+    data["triangles"] = good
+    data["boundary"] = [list(b) for b in data["boundary"]]
+    data["boundary"][3][2] = 1.5
+    with pytest.raises(MeshError, match=r"boundary edge 3 \(.*, 1\.5\) has a non-integral"):
+        msh.mesh_from_dict(data)
+    data["boundary"][3][2] = 1.0      # integral floats pass
+    assert msh.mesh_from_dict(data).n_triangles == disk_mesh.n_triangles
+
+
 # ---------------------------------------------------------------------------
 # the array validation against the scalar walk
 

@@ -220,8 +220,12 @@ def test_newton_fixed_point_and_quadratic_decay(disk_ctx, disk_problem):
 
 
 def test_run_level_infinite_tolerance(disk_ctx, disk_problem):
+    # an infinite tolerance would stop every level after one step as if
+    # it had converged; a huge finite one does stop there, with m = 1
     u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
-    state, _ = sol.run_level(disk_ctx, disk_problem.g, u0, tol=np.inf)
+    with pytest.raises(ValueError, match=r"^tol must be finite and > 0$"):
+        sol.run_level(disk_ctx, disk_problem.g, u0, tol=np.inf)
+    state, _ = sol.run_level(disk_ctx, disk_problem.g, u0, tol=1e300)
     assert state.iterations == 1
     assert len(state.update_norms) == 1
 
@@ -232,6 +236,13 @@ def test_run_level_needs_one_step(disk_ctx, disk_problem):
         sol.run_level(disk_ctx, disk_problem.g, u0, max_iter=0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_run_level_needs_finite_positive_tol(disk_ctx, disk_problem, tol):
+    u0 = disk_ctx.space.zero()
+    with pytest.raises(ValueError, match=r"^tol must be finite and > 0$"):
+        sol.run_level(disk_ctx, disk_problem.g, u0, tol=tol)
+
+
 def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     fine_ctx = sol.LevelContext(disk_mesh2)
     zero = disk_ctx.space.zero()
@@ -240,7 +251,7 @@ def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     # a globally smooth in-space function transfers exactly
     u = sol.poisson_initial_guess(disk_ctx, lambda x: np.ones(len(x)))
     tu = sol.transfer_guess(u, fine_ctx.space)
-    ref_batch = lambda t, pts: u.eval_batch(disk_mesh2.parents[t], pts)
+    ref_batch = lambda t, pts: u.evaluate(pts, np.full(len(pts), disk_mesh2.parents[t]))
     diff = error_norms_per_triangle(tu, fine_ctx.quad, ref_batch)
     assert diff[0] < 1e-10
 
@@ -291,10 +302,10 @@ def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
     assert any(mesh1.tri_kind[mesh2.parents[t]] == BUFFER
                and mesh2.tri_kind[t] == ORDINARY
                and coarse.degree[t] == 6 for t in range(mesh2.n_triangles))
-    got = asm.error_norms(u2, disk_ctx2.quad,
-                          ref_coeffs=list(zip(coarse.degree, coarse.exact)))
+    got = asm.error_norms(u2, disk_ctx2.quad, coarse=coarse)
     want = error_norms_per_triangle(
-        u2, disk_ctx2.quad, lambda t, pts: u1.eval_batch(mesh2.parents[t], pts))
+        u2, disk_ctx2.quad,
+        lambda t, pts: u1.evaluate(pts, np.full(len(pts), mesh2.parents[t])))
     np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
@@ -323,7 +334,7 @@ def test_transfer_and_eps_norms_build_no_design_matrices(disk_problem,
         raise AssertionError("point query in the level transfer")
 
     monkeypatch.setattr(bb, "design_matrices", counting)
-    monkeypatch.setattr(SplineFunction, "eval_batch", point_query)
+    monkeypatch.setattr(SplineFunction, "evaluate", point_query)
     monkeypatch.setattr(SplineSpace, "locate", point_query)
     for name in ("coarse_on_fine", "transfer_guess"):
         monkeypatch.setattr(sol, name, watched(getattr(sol, name)))
@@ -443,7 +454,7 @@ def test_chunks_and_splines_read_the_space_maps(disk_ctx, disk_ctx2, disk_proble
         raise AssertionError("per-triangle piece formed")
 
     monkeypatch.setattr(SplineFunction, "patch", per_triangle)
-    monkeypatch.setattr(SplineFunction, "factor", per_triangle)
+    monkeypatch.setattr(SplineSpace, "local_map", per_triangle)
     sol.newton_step(disk_ctx2, u, g)
     sol.coarse_on_fine(u1, disk_ctx2.space)
 

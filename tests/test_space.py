@@ -11,7 +11,7 @@ from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
                             solve_factor_ring)
 
 from _oracles import (apply_design, barycentric, basis_support, bb_product,
-                      boundary_samples_max, cross_edge_rows, derivative_matrices, eval_bb,
+                      boundary_samples_max, cross_edge_rows, derivative_matrices, eval_bb, factor,
                       jet_to_ring_matrix, plain_interior_edges, smoothness_report,
                       space_dimension_by_rank, star, vertex_triangles)
 
@@ -115,7 +115,7 @@ def test_duality(disk_space, lens_space, c2_space):
         eye = np.eye(space.dimension)
         for j in range(space.dimension):
             s = space.spline(eye[j])
-            stored = [s.factor(t) for t in range(space.mesh.n_triangles)]
+            stored = [factor(s, t) for t in range(space.mesh.n_triangles)]
             ex = space.extract_dofs(np.concatenate(stored))
             assert np.abs(ex - eye[j]).max() < 1e-12
 
@@ -218,7 +218,7 @@ def test_twice_differentiable_at_interior_vertices(disk_space):
     mesh = disk_space.mesh
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     for v in np.flatnonzero(~mesh.vertex_is_boundary):
-        hs = [s.eval_batch(t, mesh.vertices[v][None])[2][0]
+        hs = [s.evaluate(mesh.vertices[v], [t])[2][0]
               for t in vertex_triangles(mesh, v)]
         scale = max(np.abs(hs[0]).max(), 1.0)
         for h in hs[1:]:
@@ -231,7 +231,7 @@ def test_pie_patch_is_product(disk_space):
     mesh = disk_space.mesh
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         a = s.patch(t)
-        p = s.factor(t)
+        p = factor(s, t)
         prod = bb_product(4, p, 2, disk_space.pie_q[t])
         assert np.abs(a - prod).max() < 1e-12 * max(1.0, np.abs(a).max())
 
@@ -324,21 +324,55 @@ def test_point_queries_match_oracle(c2_space):
         s.evaluate(np.vstack([pts[:3], out]))
 
 
-def test_eval_spline_matches_patches(disk_space):
+def test_eval_spline_matches_patches(disk_space, disk_space2, c2_space):
+    # a point's values do not depend on the points evaluated with it: one
+    # call over points on triangles of every map group, some outside the
+    # triangle they are given, against each point alone, bit for bit
     rng = np.random.default_rng(4)
-    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
-    for _ in range(30):
-        x = rng.uniform(-0.6, 0.6, 2)
-        if x @ x > 0.9:
-            continue
-        t = disk_space.locate(x)[0]
-        assert abs(s.evaluate(x, order=0)[0][0] - s.eval_batch(t, x[None], 0)[0][0]) == 0.0
+    for space in (disk_space2, build_space(refine_uniform(c2_space.mesh))):
+        assert {grp.kind for grp in space.groups} == {ORDINARY, BUFFER, PIE}
+        s = space.spline(rng.standard_normal(space.dimension))
+        tris = np.concatenate([rng.choice(grp.tris, min(3, len(grp.tris)), replace=False)
+                               for grp in space.groups])
+        tris = rng.permutation(np.repeat(tris, 2))
+        b = 1.6 * rng.dirichlet((1.0, 1.0, 1.0), len(tris)) - 0.2
+        assert (b < 0).any(axis=1).sum() > 5
+        pts = np.einsum("ni,nij->nj", b, space.mesh.vertices[space.mesh.tri_verts[tris]])
+        for order in range(3):
+            together = s.evaluate(pts, tris, order)
+            for i in range(len(pts)):
+                alone = s.evaluate(pts[i], tris[i:i + 1], order)
+                for x, y in zip(together[:order + 1], alone[:order + 1], strict=True):
+                    np.testing.assert_array_equal(x[i], y[0])
     # boundary points vanish
+    s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     th = np.linspace(0, 2 * np.pi, 17)[:-1]
     x = np.column_stack([np.cos(th), np.sin(th)]) * (1 - 1e-14)
     assert np.abs(s.evaluate(x, order=0)[0]).max() < 1e-10 * np.abs(s.dofs).max()
     with pytest.raises(ValueError):
         s.evaluate(np.array([2.0, 2.0]))
+
+
+def test_evaluate_needs_one_triangle_per_point(disk_space):
+    s = disk_space.spline(np.ones(disk_space.dimension))
+    pts = 0.1 * disk_space.mesh.vertices[:4]
+    with pytest.raises(ValueError, match=r"triangle indices of shape \(2,\) for 4 points"):
+        s.evaluate(pts, [0, 1])
+    with pytest.raises(ValueError, match="for 4 points"):
+        s.evaluate(pts, [[0, 1, 2, 3]])
+
+
+def test_evaluate_rejects_triangle_indices_out_of_range(disk_space):
+    s = disk_space.spline(np.ones(disk_space.dimension))
+    pts = 0.1 * disk_space.mesh.vertices[:4]
+    n = disk_space.mesh.n_triangles
+    for bad in (n, n + 7, -2):
+        with pytest.raises(ValueError, match=rf"^triangle index {bad} of point 2 is outside "
+                                             rf"-1\.\.{n - 1}$"):
+            s.evaluate(pts, [0, 1, bad, 3])
+    # -1 marks a point outside the triangulation, as space.locate gives it
+    with pytest.raises(ValueError, match=r"^point \(.*\) is outside the triangulation"):
+        s.evaluate(pts, [0, -1, 1, 2])
 
 
 def test_eval_gradient_fd(disk_space):
@@ -364,7 +398,7 @@ def test_eval_batch_consistent(disk_space):
     tri = disk_space.mesh.tri_coords(t)
     pts = bb.barycentric_many(tri, tri).mean(axis=0, keepdims=True) @ tri
     pts = np.vstack([pts, tri.mean(axis=0)[None, :] * 0.9])
-    vals, grads, hess = s.eval_batch(t, pts)
+    vals, grads, hess = s.evaluate(pts, np.full(len(pts), t))
     d, c = disk_space.tri_degree(t), s.patch(t)
     for i, x in enumerate(pts):
         assert abs(vals[i] - eval_bb(d, c, tri, x, 0)) < 1e-12
