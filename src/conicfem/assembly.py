@@ -479,11 +479,20 @@ class SolveResult:
     dofs: np.ndarray
     rel_residual: float
     lu_fill: int            # entries SuperLU stores for the factors (Factors.lu_fill)
+    iterations: int         # of the preconditioned CG that solved it (Factors.cg)
     factors: object = None  # of solve_sparse: the Factors it made
 
 
 # the largest relative residual |A x - b| / |b| a solve may leave
 MAX_REL_RESIDUAL = 1e-6
+
+# conjugate gradients preconditioned by single-precision factors
+# (Factors.cg): the relative residual every solve must reach, within at
+# most REFINE_MAXITER iterations on the factored matrix itself and
+# KRYLOV_MAXITER on a nearby one
+KRYLOV_RTOL = 1e-13
+REFINE_MAXITER = 20
+KRYLOV_MAXITER = 40
 
 
 def _rel_residual(A, x, b):
@@ -492,36 +501,83 @@ def _rel_residual(A, x, b):
 
 
 class Factors:
-    """SuperLU factors of a sparse matrix, kept with the matrix so that
-    every solve with them, the first or a later one with another
-    right-hand side, runs the same refinement step and residual check.
+    """Single-precision SuperLU factors of a sparse matrix's equilibration,
+    kept with the matrix, so that every solve with them, the first or a
+    later one with another right-hand side, runs the same preconditioned
+    conjugate gradients on the float64 matrix and the same residual check
+    (mixed-precision iterative refinement with a Krylov solver, E. Carson
+    and N. J. Higham, SIAM J. Sci. Comput. 40 (2018)).
 
-    The Galerkin matrices are symmetric (or nearly so), so SuperLU runs in
-    symmetric mode: minimum-degree ordering on A + A^T and diagonal pivots
-    unless one is below 0.01 of its column's largest entry.  lu_fill is
-    SuperLU's own count of the entries it stores for the factors
-    (SuperLU.nnz: the supernodal columns of L, their dense diagonal blocks
-    included, and the rest of U), which exceeds the nonzeros of L and U
-    (2 717 716 against 2 495 284 on the c2-domain L4 Newton matrix); the
-    factors are never copied out to count them."""
+    S = diag(|a_ii|^-1/2), with 1 where a_ii = 0, scales the matrix to
+    S A S, so that float32 holds its entries whatever the matrix's scale;
+    the float32 copy of S A S is the one copy made.  The Galerkin matrices
+    are symmetric (or nearly so), so SuperLU runs in symmetric mode:
+    minimum-degree ordering on A + A^T and diagonal pivots unless one is
+    below 0.01 of its column's largest entry.  SuperLU reads the CSR
+    arrays of S A S as the CSC arrays of its transpose, so it factors
+    (S A S)^T and the solves pass trans="T".  lu_fill is SuperLU's own
+    count of the entries it stores for the factors (SuperLU.nnz: the
+    supernodal columns of L, their dense diagonal blocks included, and the
+    rest of U), which exceeds the nonzeros of L and U (2 717 716 against
+    2 495 284 on the c2-domain L4 Newton matrix); the factors are never
+    copied out to count them.  lu_mb is the MB (2**20 bytes) of those
+    float32 values.  The matrix's CSR form is canonicalized in place
+    (sum_duplicates)."""
 
     def __init__(self, matrix):
+        matrix = matrix.tocsr()
+        if not np.isfinite(matrix.data).all():
+            raise SolverError("matrix has non-finite entries")
+        matrix.sum_duplicates()     # SuperLU would sort the shared indices otherwise
+        diag = np.abs(matrix.diagonal())
+        self.scale = np.divide(1.0, np.sqrt(diag), out=np.ones_like(diag), where=diag > 0)
+        scaled = np.repeat(self.scale, np.diff(matrix.indptr))
+        scaled *= matrix.data
+        scaled *= self.scale[matrix.indices]
+        scaled = scaled.astype(np.float32)
         try:
-            self.lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.01,
+            self.lu = spla.splu(sps.csc_matrix((scaled, matrix.indices, matrix.indptr),
+                                               shape=matrix.shape),
+                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
                                 options={"SymmetricMode": True})
         except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
             raise SolverError(f"matrix is singular: {exc}") from exc
         self.matrix = matrix
         self.lu_fill = int(self.lu.nnz)
+        self.lu_mb = self.lu_fill * scaled.itemsize / 2**20
+
+    def precondition(self, r):
+        """S LU32^-1 (S r), with S r divided by its max-norm before the
+        float32 cast and multiplied back after it, so that the cast
+        neither overflows nor flushes the vector to zero."""
+        y = self.scale * r
+        top = np.abs(y).max() or 1.0
+        y /= top
+        z = self.lu.solve(y.astype(np.float32), trans="T").astype(float)
+        z *= top
+        z *= self.scale
+        return z
+
+    def cg(self, matrix, rhs, maxiter):
+        """Conjugate gradients on matrix x = rhs, preconditioned by
+        precondition, to the relative residual KRYLOV_RTOL within maxiter
+        iterations: (x, iterations, whether it converged)."""
+        iterations = [0]
+
+        def count(_):
+            iterations[0] += 1
+
+        precond = spla.LinearOperator(matrix.shape, matvec=self.precondition, dtype=float)
+        x, info = spla.cg(matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=maxiter,
+                          M=precond, callback=count)
+        return x, iterations[0], info == 0
 
     def solve(self, rhs):
-        """Solve with the factors, one step of iterative refinement, and a
-        residual check; SolverError when the result is not finite or its
-        relative residual exceeds MAX_REL_RESIDUAL."""
-        A, b, lu = self.matrix, rhs, self.lu
-        x = lu.solve(b)
-        x += lu.solve(b - A @ x)
+        """Solve the factored matrix by cg, within REFINE_MAXITER
+        iterations, and check the residual; SolverError when the result is
+        not finite or its relative residual exceeds MAX_REL_RESIDUAL."""
+        A, b = self.matrix, rhs
+        x, iterations, _ = self.cg(A, b, REFINE_MAXITER)
         if not np.all(np.isfinite(x)):
             raise SolverError("sparse factorization produced non-finite values "
                               "(matrix singular or severely ill-conditioned)")
@@ -531,11 +587,11 @@ class Factors:
             raise SolverError(
                 f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
             )
-        return SolveResult(x, res, self.lu_fill)
+        return SolveResult(x, res, self.lu_fill, iterations)
 
 
 def solve_sparse(system):
-    """Direct sparse solve with a residual check (see Factors).  The
+    """Factor the system's matrix and solve it (see Factors).  The
     result's factors solve further right-hand sides with the same matrix
     without factoring it again; results of those solves hold no factors,
     so dropping this result and the factors frees them."""
@@ -545,32 +601,18 @@ def solve_sparse(system):
     return result
 
 
-# conjugate gradients preconditioned by the factors of a nearby matrix:
-# the relative residual they must reach, within at most this many iterations
-KRYLOV_RTOL = 1e-13
-KRYLOV_MAXITER = 40
-
-
 def solve_preconditioned(matrix, rhs, factors):
-    """Solve matrix x = rhs by conjugate gradients preconditioned with the
-    Factors of another, nearby symmetric positive definite matrix (a
-    Newton matrix of the same level).  Returns (SolveResult, iterations);
-    the result is None when CG does not reach the relative residual
-    KRYLOV_RTOL within KRYLOV_MAXITER iterations, or its solution fails
-    the residual check of Factors.solve, so that the caller can factor
-    the matrix itself."""
-    iterations = [0]
-
-    def count(_):
-        iterations[0] += 1
-
-    precond = spla.LinearOperator(matrix.shape, matvec=factors.lu.solve, dtype=float)
-    x, info = spla.cg(matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAXITER,
-                      M=precond, callback=count)
-    res = _rel_residual(matrix, x, rhs) if info == 0 else np.inf
-    result = (SolveResult(x, res, factors.lu_fill) if res <= MAX_REL_RESIDUAL
+    """Solve matrix x = rhs by Factors.cg with the factors of another,
+    nearby symmetric positive definite matrix (a Newton matrix of the
+    same level), within KRYLOV_MAXITER iterations.  Returns (SolveResult,
+    iterations); the result is None when CG does not reach KRYLOV_RTOL, or
+    its solution fails the residual check of Factors.solve, so that the
+    caller can factor the matrix itself."""
+    x, iterations, converged = factors.cg(matrix, rhs, KRYLOV_MAXITER)
+    res = _rel_residual(matrix, x, rhs) if converged else np.inf
+    result = (SolveResult(x, res, factors.lu_fill, iterations) if res <= MAX_REL_RESIDUAL
               else None)      # not converged, or not finite (res is then nan)
-    return result, iterations[0]
+    return result, iterations
 
 
 # ---------------------------------------------------------------------------

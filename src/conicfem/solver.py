@@ -82,11 +82,15 @@ class LevelReport:
     timings: dict = field(default_factory=dict)
     # facts of the level's Newton solves (see NewtonSolves): the largest
     # matrix "nnz", "lu_fill" (Factors.lu_fill: the entries SuperLU stores
-    # for the factors) and "rel_residual"; the counts of "factorizations"
-    # (1 + "refactorizations", the fresh factorizations after CG failed)
-    # and "frozen_solves" (solves with the level's factors, one per real
+    # for the factors), "lu_mb" (the MB, 2**20 bytes, of those float32
+    # values) and "rel_residual"; the counts of "factorizations" (1 +
+    # "refactorizations", the fresh factorizations after CG failed) and
+    # "frozen_solves" (solves with the level's factors, one per real
     # step); "krylov_iters", the CG iterations of each real step after the
-    # first; the "newton_floor" (the roundoff floor at the final iterate,
+    # first (on its own matrix, preconditioned by the level's factors);
+    # "frozen_iters", the CG iterations of each solve of a factored matrix
+    # itself, in order: a factorization's first solve and each frozen
+    # solve; the "newton_floor" (the roundoff floor at the final iterate,
     # see newton_floor) and the "stop_ratio" (the last correction over the
     # threshold STOP_MARGIN * newton_floor it passed); the "fill_defect" of
     # the level's space; and "quad_mb", the MB (2**20 bytes) of its
@@ -150,11 +154,13 @@ def poisson_initial_guess(ctx, g):
 # NEWTON_FLOOR * eps * |u| is roundoff: the nominal tolerance can sit below
 # what double precision resolves in an assembled correction.  A level stops
 # on a correction below STOP_MARGIN times that floor.  Measured with the
-# level's factors: roundoff-only corrections read up to 0.69x the floor
-# (ellipse-sin L5; c2-domain L5 0.41x), and up to 1.24x on c2-domain L4
-# under one-ulp changes of its iterate; the smallest real correction that
-# must not stop a level is 43.1x (ellipse-sin L3; c2-domain L3 54.5x, disk
-# L3 100x).  A margin of 8 leaves 6.5x below it and 5.4x above it.
+# level's factors, frozen corrections solved by CG, in runs of levels 1-5:
+# roundoff-only corrections read up to 1.51x the floor (c2-domain L5;
+# ellipse-exp L5 1.15x, ellipse-sin L5 0.55x), and up to 1.39x on
+# c2-domain L4 under one-ulp changes of its iterate; the smallest real
+# correction that must not stop a level is 42.8x (ellipse-sin L3;
+# c2-domain L3 54.6x, disk L3 100x).  A margin of 8 leaves 5.3x below it
+# and 5.3x above it.
 NEWTON_FLOOR = 100.0
 STOP_MARGIN = 8.0
 
@@ -169,14 +175,17 @@ class NewtonSolves:
     (assembly.solve_preconditioned); when CG fails, the matrix is factored
     afresh and its factors replace the level's (a refactorization).
     Simplified Newton corrections solve with the level's factors.  Keeps
-    the largest matrix nnz, LU fill and relative residual, the counts of
+    the largest matrix nnz, LU fill, factor MB and relative residual, the counts of
     factorizations, refactorizations and frozen-factor solves, and the CG
-    iterations of each real step after the first."""
+    iterations of each real step after the first and of each solve of a
+    factored matrix itself (frozen_iters)."""
 
     def __init__(self):
         self.nnz = self.lu_fill = self.factorizations = self.refactorizations = 0
         self.frozen_solves = 0
+        self.lu_mb = 0.0
         self.krylov_iters = []
+        self.frozen_iters = []
         self.rel_residual = 0.0
         self.factors = None
 
@@ -194,6 +203,8 @@ class NewtonSolves:
         result = asm.solve_sparse(asm.SparseSystem(matrix, rhs))
         self.factorizations += 1
         self.lu_fill = max(self.lu_fill, result.lu_fill)
+        self.lu_mb = max(self.lu_mb, result.factors.lu_mb)
+        self.frozen_iters.append(result.iterations)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
         self.factors, result.factors = result.factors, None
         return result
@@ -201,14 +212,16 @@ class NewtonSolves:
     def re_solved(self, result):
         """Record a solve with the level's factors."""
         self.frozen_solves += 1
+        self.frozen_iters.append(result.iterations)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
 
     def facts(self):
-        return {"nnz": self.nnz, "lu_fill": self.lu_fill,
+        return {"nnz": self.nnz, "lu_fill": self.lu_fill, "lu_mb": self.lu_mb,
                 "rel_residual": self.rel_residual,
                 "factorizations": self.factorizations,
                 "refactorizations": self.refactorizations,
                 "krylov_iters": list(self.krylov_iters),
+                "frozen_iters": list(self.frozen_iters),
                 "frozen_solves": self.frozen_solves}
 
 
@@ -453,10 +466,11 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             prev_report.eps_errors = asm.error_norms(u, ctx.quad, coarse=coarse)
         timings["norms"] = time.perf_counter() - start
         log.info("level %d: dim=%d m=%d factorizations=%d refactorizations=%d "
-                 "krylov_iters=%s R=%.3e updates=%s",
+                 "krylov_iters=%s R=%.3e updates=%s lu_mb=%.2f frozen_iters=%s",
                  lev, rep.dimension, rep.iterations, rep.solver["factorizations"],
                  rep.solver["refactorizations"], rep.solver["krylov_iters"],
-                 rep.residual, ["%.1e" % n for n in rep.update_norms])
+                 rep.residual, ["%.1e" % n for n in rep.update_norms],
+                 rep.solver["lu_mb"], rep.solver["frozen_iters"])
         reports.append(rep)
         prev_u, prev_report = u, rep
 

@@ -205,6 +205,44 @@ def test_frozen_resolve_matches_a_fresh_solve(disk_space):
     assert again.factors is None      # only solve_sparse hands factors back
 
 
+def test_factors_are_single_precision(disk_space):
+    quad = asm.TriangleQuadrature(disk_space)
+    factors = asm.Factors(asm.assemble(EYE, quad))
+    assert factors.lu.L.dtype == factors.lu.U.dtype == np.float32
+    assert factors.lu_mb * 2**20 == 4 * factors.lu_fill > 0
+
+
+def test_solve_beyond_the_single_precision_range(disk_space):
+    # the Poisson matrix scaled symmetrically by 1e20 has entries beyond
+    # the float32 maximum; its equilibration is the unscaled one's
+    import scipy.sparse as sps
+    n = disk_space.dimension
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(EYE, quad)
+    b = np.random.default_rng(5).standard_normal(n)
+    D = sps.diags(np.full(n, 1e20))
+    A = (D @ K @ D).tocsr()
+    assert np.abs(A.data).max() > np.finfo(np.float32).max
+    for matrix in (K, A):
+        res = asm.solve_sparse(asm.SparseSystem(matrix, b))
+        assert np.all(np.isfinite(res.dofs)) and res.rel_residual < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_entry_raises(disk_space, bad, monkeypatch):
+    # rejected before anything is scaled, cast or factored
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(EYE, quad)
+    K.data[K.nnz // 2] = bad
+
+    def no_splu(*args, **kwargs):
+        raise AssertionError("factored a non-finite matrix")
+
+    monkeypatch.setattr(asm.spla, "splu", no_splu)
+    with pytest.raises(asm.SolverError, match="non-finite entries"):
+        asm.solve_sparse(asm.SparseSystem(K, np.ones(disk_space.dimension)))
+
+
 def test_rhs_only_assembly_is_the_assembled_rhs(disk_space2, monkeypatch):
     # the right-hand side alone forms no derivative products and no matrix
     quad = asm.TriangleQuadrature(disk_space2)

@@ -319,6 +319,21 @@ def test_dump_reports_compare(tmp_path, capsys):
                              "largest relative change: errors 0.00e+00, eps_errors 0.00e+00, "
                              "R 0.00e+00")
     assert "eps_errors -" in out[2] and "DIFFERS" not in "".join(out)
+    levels = tool.from_bits(json.loads(a.read_text()))["levels"]
+    for line, level in zip(out[1:], levels):
+        ratio = f"{level['solver']['stop_ratio']:.3g}"
+        assert line.endswith(f"; stop_ratio {ratio} {ratio}, factorizations 1 1")
+
+    # the stop test and the factorizations are shown, not judged
+    moved = json.loads(a.read_text())
+    moved["levels"][0]["solver"]["stop_ratio"] = tool.to_bits(0.5)
+    moved["levels"][0]["solver"]["factorizations"] = 2
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(moved))
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    ratio = f"{levels[0]['solver']['stop_ratio']:.3g}"
+    assert capsys.readouterr().out.splitlines()[1].endswith(
+        f"; stop_ratio {ratio} 0.5, factorizations 1 2")
 
     moved = json.loads(a.read_text())
     l2 = tool.from_bits(moved["levels"][0]["errors"][0])

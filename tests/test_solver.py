@@ -392,6 +392,17 @@ def test_level_reports_quadrature_megabytes(disk, disk_problem):
     assert reports[0].solver["quad_mb"] == quad.nbytes / 2**20 > 0
 
 
+def test_level_reports_factor_megabytes_and_frozen_iters(disk_problem):
+    # float32 factor values, and a CG solve of the factored matrix for the
+    # factorization and after each real step
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    for rep in reports:
+        facts = rep.solver
+        assert facts["lu_mb"] * 2**20 == 4 * facts["lu_fill"]
+        assert len(facts["frozen_iters"]) == facts["factorizations"] + facts["frozen_solves"]
+        assert all(0 < it < asm.REFINE_MAXITER for it in facts["frozen_iters"])
+
+
 def test_multilevel_single_level_report(disk_problem):
     reports, u = sol.multilevel_run(disk_problem, 1)
     assert len(reports) == 1
@@ -532,7 +543,7 @@ def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_
     # with the cap back, the next solve is CG with the new factors
     monkeypatch.setattr(asm, "KRYLOV_MAXITER", 40)
     again = solves.solve(matrix, -rhs)
-    assert solves.factorizations == 2 and solves.krylov_iters[1:] == [1]
+    assert solves.factorizations == 2 and solves.krylov_iters[1:] == [got.iterations]
     assert np.abs(again.dofs - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -635,7 +646,7 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
         u, n, _ = sol.newton_step(ctx, u, g, solves)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
         assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
-    # measured at most 0.102 (0.82x the floor), so this keeps more than a
+    # measured at most 0.142 (1.14x the floor), so this keeps more than a
     # 4x margin under the threshold
     assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
 
@@ -651,6 +662,6 @@ def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
         assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     assert solves.factorizations == 1 and len(solves.krylov_iters) == 3
-    # measured at most 0.155 (1.24x the floor): the level's factors read
-    # the roundoff of the step-4 iterate larger than its own (0.102 above)
+    # measured at most 0.174 (1.39x the floor): the level's factors read
+    # the roundoff of the step-4 iterate larger than its own (0.142 above)
     assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25

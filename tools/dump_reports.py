@@ -11,10 +11,12 @@ imported from this checkout's src/, so the same command run in two
 checkouts gives two files to diff.
 
 `--compare A B` reads two dumps and prints, per level, the `dimension`,
-the Newton count `m` (`iterations`) and the `krylov_iters` of both, and
-the largest relative change from A to B of the `errors`, the
-`eps_errors` and the residual `R`.  It exits 1 when the dumps differ in
-their number of levels, or in a level's `dimension` or `m`.
+the Newton count `m` (`iterations`) and the `krylov_iters` of both, the
+largest relative change from A to B of the `errors`, the `eps_errors`
+and the residual `R`, and the `stop_ratio` and `factorizations` of both
+(roundoff moves the stop test before it moves `m`).  It exits 1 when the
+dumps differ in their number of levels, or in a level's `dimension` or
+`m`.
 """
 
 import argparse
@@ -96,11 +98,16 @@ def compare(a, b):
             for name, r in (("errors", rel_change(la["errors"], lb["errors"])),
                             ("eps_errors", rel_change(la["eps_errors"], lb["eps_errors"])),
                             ("R", rel_change(la["residual"], lb["residual"]))))
+        ratios = " ".join("-" if r is None else f"{r:.3g}"
+                          for r in (la["solver"].get("stop_ratio"),
+                                    lb["solver"].get("stop_ratio")))
         lines.append(
             f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
             f"m {la['iterations']} {lb['iterations']}, krylov_iters "
             f"{la['solver'].get('krylov_iters')} {lb['solver'].get('krylov_iters')}; "
-            f"largest relative change: {changes}{'' if same else '  DIFFERS'}")
+            f"largest relative change: {changes}; stop_ratio {ratios}, factorizations "
+            f"{la['solver'].get('factorizations')} {lb['solver'].get('factorizations')}"
+            f"{'' if same else '  DIFFERS'}")
     return lines, ok
 
 
