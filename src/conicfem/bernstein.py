@@ -285,11 +285,12 @@ def product_matrix_structure(d1, d2):
 
 def product_matrix(d1, d2, c2):
     """Matrix P mapping c to the BB coefficients of the product of the degree-d1
-    polynomial c with the degree-d2 polynomial c2 on the same triangle."""
+    polynomial c with the degree-d2 polynomial c2 on the same triangle; for
+    a stack of coefficient vectors c2 (..., n), the stack of matrices."""
     c2 = np.asarray(c2, dtype=float)
     rows, i1, i2, w = product_matrix_structure(d1, d2)
-    P = np.zeros((n_coeffs(d1 + d2), n_coeffs(d1)))
-    np.add.at(P, (rows, i1), w * c2[i2])
+    P = np.zeros(c2.shape[:-1] + (n_coeffs(d1 + d2), n_coeffs(d1)))
+    np.add.at(P, (..., rows, i1), w * c2[..., i2])
     return P
 
 

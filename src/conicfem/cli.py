@@ -330,6 +330,9 @@ def main(argv=None):
         parser.error("levels must be >= 1")
     if args.fn is cmd_mesh_refine and args.levels < 0:
         parser.error("levels must be >= 0")
+    for flag in ("plot_grid", "grid"):      # the lattice of solve and of export plot
+        if getattr(args, flag, 2) < 2:
+            parser.error(f"--{flag.replace('_', '-')} must be >= 2")
     try:
         return args.fn(args)
     except (MeshError, GeometryError, SpaceError, asm.AssemblyError,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bernstein import index_map, multi_indices
+from .bernstein import index_map
 
 
 class GeometryError(ValueError):
@@ -238,45 +238,42 @@ def arc_point_on_ray(arc, origin, through):
 
 
 def conic_bb_form(q, tri):
-    """Degree-2 BB coefficients of the conic over a triangle (exact).
+    """Degree-2 BB coefficients (..., 6) of the conic over a triangle
+    (3, 2), or over each of a stack of them (..., 3, 2) (exact).
 
     Corner coefficients are values at the vertices; edge coefficients come
     from midpoint values.  Ordering follows bernstein.multi_indices(2):
     (200, 110, 101, 020, 011, 002).
     """
-    tri = np.asarray(tri, dtype=float)
-    v1, v2, v3 = tri
-    vals = {
-        (2, 0, 0): float(eval_conic(q, v1)),
-        (0, 2, 0): float(eval_conic(q, v2)),
-        (0, 0, 2): float(eval_conic(q, v3)),
-    }
-    m12 = 0.5 * (v1 + v2)
-    m13 = 0.5 * (v1 + v3)
-    m23 = 0.5 * (v2 + v3)
-    vals[(1, 1, 0)] = 2.0 * float(eval_conic(q, m12)) - 0.5 * (vals[(2, 0, 0)] + vals[(0, 2, 0)])
-    vals[(1, 0, 1)] = 2.0 * float(eval_conic(q, m13)) - 0.5 * (vals[(2, 0, 0)] + vals[(0, 0, 2)])
-    vals[(0, 1, 1)] = 2.0 * float(eval_conic(q, m23)) - 0.5 * (vals[(0, 2, 0)] + vals[(0, 0, 2)])
-    return np.array([vals[g] for g in multi_indices(2)])
+    v1, v2, v3 = np.moveaxis(np.asarray(tri, dtype=float), -2, 0)
+    c200, c020, c002 = eval_conic(q, v1), eval_conic(q, v2), eval_conic(q, v3)
+    c110 = 2.0 * eval_conic(q, 0.5 * (v1 + v2)) - 0.5 * (c200 + c020)
+    c101 = 2.0 * eval_conic(q, 0.5 * (v1 + v3)) - 0.5 * (c200 + c002)
+    c011 = 2.0 * eval_conic(q, 0.5 * (v2 + v3)) - 0.5 * (c020 + c002)
+    return np.stack([c200, c110, c101, c020, c011, c002], axis=-1)
 
 
 def normalized_pie_conic(q, tri):
-    """BB form of q over the chord triangle, scaled so q(v1) = 1.
+    """BB form of q over the chord triangle (3, 2), or over each of a stack
+    of them (..., 3, 2), scaled so q(v1) = 1.
 
     v1 is the interior vertex of the pie triangle; the conic must vanish at
-    the other two vertices.
+    the other two vertices.  The error is that of the first failing
+    triangle of the stack.
     """
     c = conic_bb_form(q, tri)
     im = index_map(2)
-    c200 = c[im[(2, 0, 0)]]
-    scale = max(1.0, float(np.abs(c).max()))
-    if abs(c200) <= 1e-12 * scale:
-        raise GeometryError("conic vanishes at the pie interior vertex")
-    c = c / c200
-    for g in ((0, 2, 0), (0, 0, 2)):
-        if abs(c[im[g]]) > 1e-9:
-            raise GeometryError("chord triangle corners are not on the conic")
-        c[im[g]] = 0.0
+    c200 = c[..., im[(2, 0, 0)]]
+    far = [im[(0, 2, 0)], im[(0, 0, 2)]]
+    vanishes = np.abs(c200) <= 1e-12 * np.maximum(1.0, np.abs(c).max(axis=-1))
+    with np.errstate(all="ignore"):
+        c = c / c200[..., None]
+    off = (np.abs(c[..., far]) > 1e-9).any(axis=-1) | vanishes
+    if off.any():
+        r = np.argmax(off.ravel())
+        raise GeometryError("conic vanishes at the pie interior vertex" if vanishes.ravel()[r]
+                            else "chord triangle corners are not on the conic")
+    c[..., far] = 0.0
     return c
 
 

@@ -67,7 +67,7 @@ class MinimalDeterminingSet:
     `tri`, whose stored coefficients carry the dof's coefficient (the
     quartic factor's on pies) at position `pos`, and the `owner` vertex,
     edge or triangle.  Dofs come in category blocks (slices in `blocks`),
-    in the order of `counts`; the dicts map each owner to its first dof."""
+    in the order of `counts`, each owner's dofs in a row."""
 
     mesh: object
     tri: np.ndarray
@@ -79,9 +79,6 @@ class MinimalDeterminingSet:
         ends = np.cumsum([n * self.counts[c] for c, n in _PER_OWNER.items()])
         self.blocks = {c: slice(int(e) - n * self.counts[c], int(e))
                        for (c, n), e in zip(_PER_OWNER.items(), ends)}
-        self.vertex_block, self.edge_pos, self.corner_pos, _, self.buffer_block = (
-            dict(zip(self.owner[s][::n].tolist(), range(s.start, s.stop, n)))
-            for s, n in zip(self.blocks.values(), _PER_OWNER.values()))
 
     @property
     def dimension(self):
@@ -288,13 +285,16 @@ class _Propagator:
         self.targets = []                      # per step, in fill order
         self.n_eq = 0
         self.entries = {False: [], True: []}   # keyed by "sources are dofs"
-        self.pie_q, self.pie_P = {}, {}
+        # per pie, in mesh order: the normalized conic (n_pies, 6) and its
+        # product matrix (n_pies, 28, 15); pie t is row pie_row[t]
+        pies = np.flatnonzero(self.kinds == PIE)
+        self.pie_row = np.full(len(self.verts), -1)
+        self.pie_row[pies] = np.arange(len(pies))
+        arcs = mesh.tri_arc[pies]
+        self.pie_q = conic_rows(normalized_pie_conic, mesh.domain, arcs, self.coords[pies])
+        self.pie_P = bb.product_matrix(4, 2, self.pie_q)
         self.pie_scale = np.full(len(self.verts), np.nan)
-        for t in np.flatnonzero(self.kinds == PIE).tolist():
-            conic = mesh.pie_conic(t)
-            self.pie_q[t] = normalized_pie_conic(conic, self.coords[t])
-            self.pie_scale[t] = eval_conic(conic, self.coords[t, 0])
-            self.pie_P[t] = bb.product_matrix(4, 2, self.pie_q[t])
+        self.pie_scale[pies] = conic_rows(eval_conic, mesh.domain, arcs, self.coords[pies, 0])
 
     # -- helpers ----------------------------------------------------------
 
@@ -324,7 +324,7 @@ class _Propagator:
     def _qparts(self, pies):
         """q110, q101, q011 (each (n,)) of the normalized conics of pies (n,)."""
         im = bb.index_map(2)
-        q = np.array([self.pie_q[t] for t in pies]).reshape(-1, 6)
+        q = self.pie_q[self.pie_row[pies]]
         return q[:, [im[(1, 1, 0)], im[(1, 0, 1)], im[(0, 1, 1)]]].T
 
     def _neighbours(self, tris, edges):
@@ -461,8 +461,10 @@ class _Propagator:
             raise SpaceError(f"vanishing conic gradient at boundary vertex {u}")
         ratio = np.divide(g1, g2, out=np.zeros_like(g1), where=tangent[::2])
         weights = np.where(tangent, np.column_stack([np.ones_like(ratio), ratio]).ravel(), 0.0)
-        src = [self.mds.corner_pos.get(u, 0) for u in v.tolist()]
-        self._emit(t, _ring_pos(4)[slot, :1], weights[:, None, None], np.array(src)[:, None],
+        corners = self.mds.blocks[TANGENT_CORNER]
+        dof = np.zeros(mesh.n_vertices, dtype=np.int64)     # the corner dof of a vertex
+        dof[self.mds.owner[corners]] = np.arange(corners.start, corners.stop)
+        self._emit(t, _ring_pos(4)[slot, :1], weights[:, None, None], dof[v, None],
                    from_dofs=True)
 
     def _pie_edges(self):
@@ -486,7 +488,7 @@ class _Propagator:
         for i in np.flatnonzero(np.abs(q_edge) < 1e-12)[:1]:
             raise SpaceError(f"pie {t[i]}: conic edge coefficient vanishes (gradient condition)")
         ss, ds, b_off = self._across(buf, t, shared)
-        n, P = len(t), np.array([self.pie_P[x] for x in t])
+        n, P = len(t), self.pie_P[self.pie_row[t]]
         row = P[np.arange(n), _edge_rows(6, ds, 1)[:, 4]]
         weights = np.concatenate([bb.c1_matrix(6, ss + 1, b_off)[:, 4], -row], axis=1)
         weights[np.arange(n), bb.n_coeffs(6) + chord] = 0.0   # the unknown itself
@@ -506,13 +508,21 @@ class _Propagator:
         """Each buffer's first row off its pie edges, from the pie."""
         t, buf, shared, _, _ = self._pie_edges()
         ss, ds, b_off = self._across(t, buf, shared)
-        weights = bb.c1_matrix(6, ss + 1, b_off) @ np.array([self.pie_P[x] for x in t])
+        weights = bb.c1_matrix(6, ss + 1, b_off) @ self.pie_P[self.pie_row[t]]
         self._emit(buf, _edge_rows(6, ds, 1), weights,
                    self.offset[t, None] + np.arange(bb.n_coeffs(4)))
 
 
 # ---------------------------------------------------------------------------
 # the assembled space
+
+def _points(pts):
+    """pts as an (n, 2) float array; ValueError unless of shape (n, 2) or (2,)."""
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim not in (1, 2) or pts.shape[-1] != 2:
+        raise ValueError(f"points of shape {pts.shape}, expected (n, 2) or (2,)")
+    return pts.reshape(-1, 2)
+
 
 class SplineSpace:
     """Mesh + determining set + dof-to-coefficient maps, stored once per
@@ -532,7 +542,7 @@ class SplineSpace:
         self.fill_defect = prop.defect
         self.coef_offset = prop.offset
         self.dof_coef = prop.offset[self.mds.tri] + self.mds.pos
-        self.pie_q, self.pie_scale = prop.pie_q, prop.pie_scale
+        self.pie_scale = prop.pie_scale
         # the dofs of triangle t are tri_cols[tri_cols_offset[t]:...[t + 1]],
         # its map is row _row[t] of groups[_group[t]]
         self._group, self._row = np.zeros((2, mesh.n_triangles), dtype=np.int64)
@@ -542,16 +552,6 @@ class SplineSpace:
     @property
     def dimension(self):
         return self.mds.dimension
-
-    def tri_degree(self, t):
-        return 5 if self.mesh.tri_kind[t] == ORDINARY else 6
-
-    def local_map(self, t, stored=False):
-        """(t's dofs, the map from them to the BB coefficients of t's piece:
-        the degree-6 product form on pies), or with stored set, to the
-        coefficients the fill stores (the degree-4 factor on pies)."""
-        grp, i = self.groups[self._group[t]], self._row[t]
-        return grp.cols[i], (grp.stored if stored else grp.Z)[i]
 
     def spline(self, dofs):
         return SplineFunction(self, dofs)
@@ -569,7 +569,8 @@ class SplineSpace:
         return stored[self.dof_coef]
 
     def locate(self, pts):
-        """Triangle of each point (n, 2), -1 for points outside.
+        """Triangle of each point (n, 2) (or of one point (2,)), -1 for
+        points outside.
 
         A point lies in the first triangle in mesh order that misses it by
         at most 1e-12, else in the first that misses it least if by less
@@ -580,7 +581,7 @@ class SplineSpace:
         (normalized to 1 at the interior vertex).  Points and triangles
         are taken _BLOCK at a time."""
         mesh = self.mesh
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        pts = _points(pts)
         coords = mesh.vertices[mesh.tri_verts]
         span = np.abs(coords).max(axis=(1, 2)) + 1.0
         lo = coords.min(axis=1) - 1e-12 * span[:, None]
@@ -597,11 +598,11 @@ class SplineSpace:
                 box = ((x[:, 0] < lo[tris, 0, None]) | (x[:, 0] > hi[tris, 0, None])
                        | (x[:, 1] < lo[tris, 1, None]) | (x[:, 1] > hi[tris, 1, None]))
                 miss[box & straight[tris, None]] = np.inf
-                for j in np.flatnonzero(~straight[tris]):
-                    t = int(tris[j])
-                    q = eval_conic(mesh.pie_conic(t), x) / self.pie_scale[t]
-                    miss[j] = np.maximum(np.maximum(-b[j, :, 1], -b[j, :, 2]),
-                                         np.maximum(-q, 0.0))
+                j = np.flatnonzero(~straight[tris])
+                q = (conic_rows(eval_conic, mesh.domain, mesh.tri_arc[tris[j]],
+                                np.broadcast_to(x, (len(j),) + x.shape))
+                     / self.pie_scale[tris[j], None])
+                miss[j] = np.maximum(np.maximum(-b[j, :, 1], -b[j, :, 2]), np.maximum(-q, 0.0))
                 # the first triangle that holds the point, else the first closest
                 miss[miss <= 1e-12] = 0.0
                 first = miss.argmin(axis=0)
@@ -654,7 +655,7 @@ def _map_groups(mesh, prop, Z):
         scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1.0)
         M[np.abs(M) < 1e-15 * scale[:, None, None]] = 0.0
         cols = keys[member[keys // dim] == g].reshape(len(tris), kt) % dim
-        piece = np.array([prop.pie_P[t] for t in tris]) @ M if kind == PIE else M
+        piece = prop.pie_P[prop.pie_row[tris]] @ M if kind == PIE else M
         groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))
     return groups, keys % dim, start
 
@@ -683,22 +684,21 @@ class SplineFunction:
         QuadratureChunk's)."""
         return Z @ self.dofs[cols][:, :, None]
 
-    def patch(self, t):
-        """BB coefficients of the piece on triangle t (degree-6 product form
-        over the chord triangle for pies)."""
-        cols, Z = self.space.local_map(t)
-        return Z @ self.dofs[cols]
-
     def evaluate(self, pts, tris=None, order=2):
         """(values, gradients, Hessians) up to `order` at points (n, 2), each
         on its triangle in tris (space.locate when not given; a point need
         not lie in its triangle): one bernstein.frame_derivatives call per
         map group, with each point's own piece, Bernstein matrices and
         frame.  ValueError for a point outside the triangulation (tris -1),
-        or unless tris holds one index in -1..n_triangles - 1 per point."""
+        and unless pts has shape (n, 2) or (2,), order is 0, 1 or 2 and
+        tris holds one integer in -1..n_triangles - 1 per point."""
         space, mesh = self.space, self.space.mesh
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        pts = _points(pts)
+        if not (isinstance(order, (int, np.integer)) and 0 <= order <= 2):
+            raise ValueError(f"derivative order {order!r} is not 0, 1 or 2")
         tris = space.locate(pts) if tris is None else np.asarray(tris)
+        if tris.dtype.kind not in "iu":
+            raise ValueError(f"triangle indices of type {tris.dtype}, expected integers")
         if tris.shape != (len(pts),):
             raise ValueError(f"triangle indices of shape {tris.shape} for {len(pts)} points")
         for i in np.flatnonzero((tris < -1) | (tris >= mesh.n_triangles))[:1]:
@@ -724,16 +724,11 @@ class SplineFunction:
 # ---------------------------------------------------------------------------
 # spline file IO
 
-def save_spline(spline, path, include_patches=False):
+def save_spline(spline, path):
     data = {
         "mesh": mesh_to_dict(spline.space.mesh),
         "dofs": [float(v) for v in spline.dofs],
     }
-    if include_patches:
-        data["patches"] = {
-            str(t): [float(v) for v in spline.patch(t)]
-            for t in range(spline.space.mesh.n_triangles)
-        }
     with open(path, "w") as f:
         json.dump(data, f)
 

@@ -30,7 +30,8 @@ array refinement against the refinement that numbers midpoints one
 triangle at a time; the mesh queries that only tests use (stars,
 interior edges, vertex fans) are written here over the mesh arrays, as
 are the other helpers only tests use (one-point barycentric coordinates,
-a pie's stored factor,
+a triangle's dofs and map, piece, degree and a pie's stored factor, read
+off its map group, each owner's first dof in the determining set,
 the ring's edge slots, BB products, domain points, the cross-edge
 smoothness gaps, integrals of pointwise fields).
 """
@@ -49,7 +50,7 @@ from conicfem import solver as sol
 from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
                                normalized_pie_conic)
 from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError
-from conicfem.space import _Propagator
+from conicfem.space import _PER_OWNER, _Propagator
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def _global_degree6_maps(space):
     raise56 = bb.degree_raise_matrix(5, 6)
     out = []
     for t in range(mesh.n_triangles):
-        cols, Z = space.local_map(t)
+        cols, Z = local_map(space, t)
         if mesh.tri_kind[t] == ORDINARY:
             Z = raise56 @ Z
         G = np.zeros((28, dim))
@@ -397,17 +398,48 @@ def boundary_sample_matrix(space, per_arc=30):
         pts = arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2))
         V = bb.bernstein_matrix(6, bb.barycentric_many(tri, pts))
         G = np.zeros((per_arc, space.dimension))
-        cols, Z = space.local_map(t)
+        cols, Z = local_map(space, t)
         G[:, cols] = V @ Z
         rows.append(G)
     return np.vstack(rows)
 
 
+# ---------------------------------------------------------------------------
+# the space read one triangle or one owner at a time
+
+def tri_degree(space, t):
+    """Degree of the piece on triangle t (6 on pies: the product form)."""
+    return 5 if space.mesh.tri_kind[t] == ORDINARY else 6
+
+
+def local_map(space, t, stored=False):
+    """(t's dofs, the map from them to the BB coefficients of t's piece:
+    the degree-6 product form on pies), or with stored set, to the
+    coefficients the fill stores (the degree-4 factor on pies), read off
+    t's row of its map group."""
+    grp, i = space.groups[space._group[t]], space._row[t]
+    return grp.cols[i], (grp.stored if stored else grp.Z)[i]
+
+
+def patch(spline, t):
+    """BB coefficients of the piece of a spline on triangle t (degree-6
+    product form over the chord triangle on pies)."""
+    cols, Z = local_map(spline.space, t)
+    return Z @ spline.dofs[cols]
+
+
 def factor(spline, t):
     """Degree-4 factor coefficients of the pie triangle t (the coefficients
     the fill stores; the piece itself on other triangles)."""
-    cols, F = spline.space.local_map(t, stored=True)
+    cols, F = local_map(spline.space, t, stored=True)
     return F @ spline.dofs[cols]
+
+
+def owner_dofs(mds, category):
+    """Owner (vertex, edge or triangle) -> its first dof, for the dofs of
+    one category of the determining set."""
+    block, n = mds.blocks[category], _PER_OWNER[category]
+    return dict(zip(mds.owner[block][::n].tolist(), range(block.start, block.stop, n)))
 
 
 def extraction_matrix(space):
@@ -415,7 +447,7 @@ def extraction_matrix(space):
     dim = space.dimension
     E = np.zeros((dim, dim))
     for j, (t, pos) in enumerate(zip(space.mds.tri, space.mds.pos)):
-        cols, Z = space.local_map(t, stored=True)
+        cols, Z = local_map(space, t, stored=True)
         E[j, cols] = Z[pos]
     return E
 
@@ -445,7 +477,7 @@ def triangle_maps(space):
     out = []
     for t in range(space.mesh.n_triangles):
         cols, M = _densify(Z, prop.offset[t], prop.offset[t + 1])
-        piece = prop.pie_P[t] @ M if space.mesh.tri_kind[t] == PIE else M
+        piece = prop.pie_P[prop.pie_row[t]] @ M if space.mesh.tri_kind[t] == PIE else M
         out.append((cols, piece, M))
     return out
 
@@ -516,7 +548,7 @@ def smoothness_report(space, spline):
     worst0 = worst1 = 0.0
     for e in interior_edges(mesh):
         ta, tb = mesh.edge_tris[e]
-        ca, cb = spline.patch(ta), spline.patch(tb)
+        ca, cb = patch(spline, ta), patch(spline, tb)
         da = 5 if mesh.tri_kind[ta] == ORDINARY else 6
         db = 5 if mesh.tri_kind[tb] == ORDINARY else 6
         if da < 6 <= db:
@@ -541,7 +573,7 @@ def boundary_samples_max(space, spline, per_arc=30):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         v1, v2, v3 = mesh.tri_coords(t)
         for x in arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2)):
-            worst = max(worst, abs(eval_bb(6, spline.patch(t), mesh.tri_coords(t), x)))
+            worst = max(worst, abs(eval_bb(6, patch(spline, t), mesh.tri_coords(t), x)))
     return worst
 
 
@@ -610,7 +642,7 @@ def triangle_designs(quad):
     shared = {d: [bb.bernstein_matrix(d - s, rule.bary) for s in range(3)] for d in (5, 6)}
     out = []
     for t in range(mesh.n_triangles):
-        d = quad.space.tri_degree(t)
+        d = tri_degree(quad.space, t)
         tri = mesh.tri_coords(t)
         M = np.array([bb.directional_coords(tri, (1.0, 0.0))[:2],
                       bb.directional_coords(tri, (0.0, 1.0))[:2]])
@@ -761,8 +793,8 @@ def assemble_per_triangle(A, f, quad):
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
     for t in range(mesh.n_triangles):
-        gdofs, Z = space.local_map(t)
-        d = space.tri_degree(t)
+        gdofs, Z = local_map(space, t)
+        d = tri_degree(space, t)
         B = designs[t][0]
         ch, r = at[t]
         if mesh.tri_kind[t] == PIE:
@@ -828,7 +860,7 @@ def linearize_ma_per_triangle(u, g, quad):
     eigmin = np.inf
     nodes = triangle_nodes(quad)
     for t, (B, M) in enumerate(triangle_designs(quad)):
-        hxx, hxy, hyy = frame_hessians(quad.space.tri_degree(t), B, M, u.patch(t))
+        hxx, hxy, hyy = frame_hessians(tri_degree(quad.space, t), B, M, patch(u, t))
         cof = np.empty(hxx.shape + (2, 2))
         cof[:, 0, 0] = hyy
         cof[:, 1, 1] = hxx
@@ -895,10 +927,10 @@ def corner_dofs_by_gradient(u_coarse, fine_space):
     there is p grad q / scale, as q vanishes)."""
     mesh_f, space_c = fine_space.mesh, u_coarse.space
     out = {}
-    for v, pos in fine_space.mds.corner_pos.items():
+    for v, pos in owner_dofs(fine_space.mds, "tangent-corner").items():
         t = fine_space.mds.tri[pos]
         p, x = mesh_f.parents[t], mesh_f.vertices[v]
-        gr = eval_bb(space_c.tri_degree(p), u_coarse.patch(p),
+        gr = eval_bb(tri_degree(space_c, p), patch(u_coarse, p),
                      space_c.mesh.tri_coords(p), x, order=1)
         gq = grad_conic(mesh_f.pie_conic(t), x) / fine_space.pie_scale[t]
         out[pos] = float(gr @ gq) / float(gq @ gq)

@@ -148,6 +148,25 @@ def test_space_info_rejects_levels_below_one(levels, capsys):
     assert "levels must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how", ["solve", "config", "export"])
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_lattice_below_two_points_is_rejected(tmp_path, how, grid, capsys):
+    out, conf = tmp_path / "plot.csv", tmp_path / "conf.json"
+    conf.write_text(json.dumps({"plot_grid": int(grid)}))
+    argv = {
+        "solve": ["solve", "--plot-data", str(out), "--plot-grid", grid],
+        "config": ["solve", "--plot-data", str(out), "--config", str(conf)],
+        "export": ["export", "plot", "--solution", str(tmp_path / "u.json"),
+                   "--grid", grid, "--output", str(out)],
+    }[how]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    flag = "--grid" if how == "export" else "--plot-grid"
+    assert f"{flag} must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("levels", ["-1", "-2"])
 def test_mesh_refine_rejects_negative_levels(tmp_path, disk_mesh, levels, capsys):
     path = tmp_path / "mesh.json"

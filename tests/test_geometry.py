@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conicfem import bernstein as bb
 from conicfem import geometry as geo
+from conicfem.mesh import PIE, refine_uniform
 from conicfem.problems import c2_domain, disk_domain, ellipse_domain
 
 from _oracles import (arc_point_on_ray_scalar, barycentric, corner_is_tangent, de_casteljau,
@@ -178,7 +179,7 @@ def test_conic_bb_form_random_identity():
             assert abs(v - ref) < 1e-13 * max(scale, abs(ref))
 
 
-def test_normalized_pie_conic():
+def test_normalized_pie_conic(c2dom):
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     c = geo.normalized_pie_conic(CIRCLE, tri)
     im = bb.index_map(2)
@@ -191,6 +192,30 @@ def test_normalized_pie_conic():
     bad_tri = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(geo.GeometryError):
         geo.normalized_pie_conic(CIRCLE, bad_tri)
+    # the chord triangles of every pie of each arc as one stack: each row
+    # equals the one-triangle call bit for bit, and so does each row of
+    # the stacked product matrix
+    mesh = refine_uniform(c2dom[1])
+    for a, arc in enumerate(mesh.domain.arcs):
+        pies = np.flatnonzero((mesh.tri_kind == PIE) & (mesh.tri_arc == a))
+        tris = mesh.vertices[mesh.tri_verts[pies]]
+        assert len(pies) >= 4
+        got = geo.normalized_pie_conic(arc.conic, tris)
+        want = np.array([geo.normalized_pie_conic(arc.conic, tri) for tri in tris])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(geo.normalized_pie_conic(arc.conic, tris[None])[0], want)
+        np.testing.assert_array_equal(
+            bb.product_matrix(4, 2, got), [bb.product_matrix(4, 2, q) for q in want])
+        # one bad triangle in the stack raises its error
+        k = len(tris) // 2
+        on_conic = tris.copy()
+        on_conic[k] = tris[k, [1, 0, 2]]          # the interior vertex on the arc
+        with pytest.raises(geo.GeometryError, match="vanishes at the pie interior vertex"):
+            geo.normalized_pie_conic(arc.conic, on_conic)
+        off_conic = tris.copy()
+        off_conic[k, 1] = 0.5 * (tris[k, 0] + tris[k, 1])   # a corner off the arc
+        with pytest.raises(geo.GeometryError, match="corners are not on the conic"):
+            geo.normalized_pie_conic(arc.conic, off_conic)
 
 
 def test_domain_chain_validation():

@@ -12,7 +12,7 @@ from conicfem.problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, 
 from conicfem.space import SplineFunction, SplineSpace, build_space
 
 from _oracles import (assemble_cartesian, corner_dofs_by_gradient, error_norms_per_triangle,
-                      eval_bb, linearize_ma_per_triangle, run_level_full_steps,
+                      eval_bb, linearize_ma_per_triangle, owner_dofs, run_level_full_steps,
                       stored_quadrature)
 
 
@@ -274,7 +274,7 @@ def test_transfer_corner_dofs_follow_the_coarse_gradient(space_name, request):
     # fine pie's normalized conic gradient
     space = request.getfixturevalue(space_name)
     fine = build_space(refine_uniform(space.mesh))
-    assert fine.mds.corner_pos
+    assert owner_dofs(fine.mds, "tangent-corner")
     rng = np.random.default_rng(6)
     u = space.spline(rng.standard_normal(space.dimension))
     got = sol.transfer_guess(u, fine).dofs
@@ -448,26 +448,16 @@ def test_g_positivity_checked(disk):
         sol.multilevel_run(bad, 1)
 
 
-def test_chunks_and_splines_read_the_space_maps(disk_ctx, disk_ctx2, disk_problem,
-                                                monkeypatch):
+def test_chunks_and_splines_read_the_space_maps(disk_ctx, disk_ctx2):
     # every map is stored once: the chunks hold views of the space's groups
     for ctx in (disk_ctx, disk_ctx2):
         for ch in ctx.quad.chunks:
             assert any(np.shares_memory(ch.Z, grp.Z) for grp in ctx.space.groups)
             assert any(np.shares_memory(ch.cols, grp.cols) for grp in ctx.space.groups)
-    # and the Newton step and the coarse-to-fine re-expansion form the
-    # pieces per group, never one triangle at a time
-    g = disk_problem.g
-    u = sol.poisson_initial_guess(disk_ctx2, g)
-    u1 = sol.poisson_initial_guess(disk_ctx, g)
-
-    def per_triangle(self, t):
-        raise AssertionError("per-triangle piece formed")
-
-    monkeypatch.setattr(SplineFunction, "patch", per_triangle)
-    monkeypatch.setattr(SplineSpace, "local_map", per_triangle)
-    sol.newton_step(disk_ctx2, u, g)
-    sol.coarse_on_fine(u1, disk_ctx2.space)
+    # and pieces are formed per group only: no per-triangle reader is left
+    for name in ("local_map", "tri_degree", "pie_q"):
+        assert not hasattr(SplineSpace, name) and not hasattr(disk_ctx.space, name)
+    assert not hasattr(SplineFunction, "patch")
 
 
 def test_non_convex_iterate_after_the_first_raises(disk_ctx, disk_problem):

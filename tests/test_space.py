@@ -1,19 +1,18 @@
-import json
-
 import numpy as np
 import pytest
 
 from conicfem import bernstein as bb
 from conicfem import space as sp
-from conicfem.geometry import arc_point_on_ray
+from conicfem.geometry import arc_point_on_ray, normalized_pie_conic
 from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
 from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
                             solve_factor_ring)
 
 from _oracles import (apply_design, barycentric, basis_support, bb_product,
                       boundary_samples_max, cross_edge_rows, derivative_matrices, eval_bb, factor,
-                      jet_to_ring_matrix, plain_interior_edges, smoothness_report,
-                      space_dimension_by_rank, star, vertex_triangles)
+                      jet_to_ring_matrix, owner_dofs, patch, plain_interior_edges,
+                      smoothness_report, space_dimension_by_rank, star, tri_degree,
+                      vertex_triangles)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +95,7 @@ def test_non_tangent_corner_has_no_dof(lens_mesh, lens_space):
         d = np.linalg.norm(lens_mesh.vertices - z, axis=1)
         corner_ids.append(int(np.argmin(d)))
     for v in corner_ids:
-        assert v not in space.mds.corner_pos
+        assert v not in owner_dofs(space.mds, "tangent-corner")
     assert space_dimension_by_rank(lens_mesh) == space.dimension
 
 
@@ -106,7 +105,7 @@ def test_non_tangent_corner_has_no_dof(lens_mesh, lens_space):
 def test_zero_dofs_give_zero_spline(disk_space):
     z = disk_space.zero()
     for t in range(disk_space.mesh.n_triangles):
-        assert np.abs(z.patch(t)).max() == 0.0
+        assert np.abs(patch(z, t)).max() == 0.0
 
 
 def test_duality(disk_space, lens_space, c2_space):
@@ -230,9 +229,9 @@ def test_pie_patch_is_product(disk_space):
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     mesh = disk_space.mesh
     for t in np.flatnonzero(mesh.tri_kind == PIE):
-        a = s.patch(t)
+        a = patch(s, t)
         p = factor(s, t)
-        prod = bb_product(4, p, 2, disk_space.pie_q[t])
+        prod = bb_product(4, p, 2, normalized_pie_conic(mesh.pie_conic(t), mesh.tri_coords(t)))
         assert np.abs(a - prod).max() < 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -258,10 +257,10 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
             off_dst = 6 - dst_slots[0] - dst_slots[1]
             w = mesh.vertices[verts[off_dst - 1]]
             b_off = barycentric(mesh.tri_coords(buf), w)
-            _, c1 = cross_edge_rows(6, s.patch(buf), src_slots, dst_slots,
+            _, c1 = cross_edge_rows(6, patch(s, buf), src_slots, dst_slots,
                                        b_off)
             via_smoothness = c1[target]
-            via_product = s.patch(t)[im6[target]]
+            via_product = patch(s, t)[im6[target]]
             scale = max(1.0, abs(via_product))
             assert abs(via_smoothness - via_product) < 1e-12 * scale
 
@@ -301,7 +300,7 @@ def test_point_queries_match_oracle(c2_space):
     np.testing.assert_array_equal(space.locate(pts), want)
     got = s.evaluate(pts)
     for order in range(3):
-        ref = np.array([eval_bb(space.tri_degree(t), s.patch(t), mesh.tri_coords(t),
+        ref = np.array([eval_bb(tri_degree(space, t), patch(s, t), mesh.tri_coords(t),
                                 x, order=order) for t, x in zip(want, pts)])
         assert np.abs(got[order] - ref).max() <= 1e-12 * np.abs(ref).max()
     # values only, on points located once
@@ -360,6 +359,16 @@ def test_evaluate_needs_one_triangle_per_point(disk_space):
         s.evaluate(pts, [0, 1])
     with pytest.raises(ValueError, match="for 4 points"):
         s.evaluate(pts, [[0, 1, 2, 3]])
+    # points come as (n, 2) or (2,): a (2, 3) array is not 3 points
+    for bad in (pts.T[:, :3], pts[None], pts[0, :1], 0.1):
+        with pytest.raises(ValueError, match=r"^points of shape .*, expected \(n, 2\) or \(2,\)$"):
+            s.evaluate(bad)
+        with pytest.raises(ValueError, match=r"^points of shape"):
+            disk_space.locate(bad)
+    # derivative orders are 0, 1 and 2
+    for order in (3, -1, 1.0, None):
+        with pytest.raises(ValueError, match=rf"^derivative order {order!r} is not 0, 1 or 2$"):
+            s.evaluate(pts, order=order)
 
 
 def test_evaluate_rejects_triangle_indices_out_of_range(disk_space):
@@ -370,6 +379,11 @@ def test_evaluate_rejects_triangle_indices_out_of_range(disk_space):
         with pytest.raises(ValueError, match=rf"^triangle index {bad} of point 2 is outside "
                                              rf"-1\.\.{n - 1}$"):
             s.evaluate(pts, [0, 1, bad, 3])
+    # and they are integers
+    for bad in ([0.0, 1.0, 2.0, 3.0], [True, False, True, False], [0, 1, 2.5, 3]):
+        with pytest.raises(ValueError, match=r"^triangle indices of type (float64|bool), "
+                                             r"expected integers$"):
+            s.evaluate(pts, bad)
     # -1 marks a point outside the triangulation, as space.locate gives it
     with pytest.raises(ValueError, match=r"^point \(.*\) is outside the triangulation"):
         s.evaluate(pts, [0, -1, 1, 2])
@@ -399,7 +413,7 @@ def test_eval_batch_consistent(disk_space):
     pts = bb.barycentric_many(tri, tri).mean(axis=0, keepdims=True) @ tri
     pts = np.vstack([pts, tri.mean(axis=0)[None, :] * 0.9])
     vals, grads, hess = s.evaluate(pts, np.full(len(pts), t))
-    d, c = disk_space.tri_degree(t), s.patch(t)
+    d, c = tri_degree(disk_space, t), patch(s, t)
     for i, x in enumerate(pts):
         assert abs(vals[i] - eval_bb(d, c, tri, x, 0)) < 1e-12
         assert np.abs(grads[i] - eval_bb(d, c, tri, x, 1)).max() < 1e-10
@@ -438,14 +452,14 @@ def test_quintic_reduction():
 
 def test_edge_dof_support_is_edge_pair(disk_space):
     mesh = disk_space.mesh
-    for e, pos in disk_space.mds.edge_pos.items():
+    for e, pos in owner_dofs(disk_space.mds, "edge").items():
         supp = basis_support(disk_space, pos)
         assert supp <= set(mesh.edge_tris[e].tolist())
 
 
 def test_buffer_interior_dof_support(disk_space):
     mesh = disk_space.mesh
-    for t, start in disk_space.mds.buffer_block.items():
+    for t, start in owner_dofs(disk_space.mds, "buffer").items():
         supp = basis_support(disk_space, start + 1)   # the (2,2,2) dof
         assert supp <= star(mesh, [t])
 
@@ -465,11 +479,10 @@ def test_spline_file_roundtrip(tmp_path, disk_space):
     rng = np.random.default_rng(7)
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     path = tmp_path / "spline.json"
-    sp.save_spline(s, path, include_patches=True)
+    sp.save_spline(s, path)
     s2 = sp.load_spline(path)
-    assert np.allclose(s2.dofs, s.dofs)
-    for t in range(disk_space.mesh.n_triangles):
-        assert np.allclose(s2.patch(t), s.patch(t), atol=1e-12)
-    with open(path) as f:
-        data = json.load(f)
-    assert "patches" in data and len(data["patches"]) == disk_space.mesh.n_triangles
+    # JSON writes floats exactly: the same dofs, and the same pieces
+    np.testing.assert_array_equal(s2.dofs, s.dofs)
+    assert len(s2.space.groups) == len(disk_space.groups)
+    for g2, grp in zip(s2.space.groups, disk_space.groups):
+        np.testing.assert_array_equal(s2.pieces(g2.Z, g2.cols), s.pieces(grp.Z, grp.cols))
