@@ -20,7 +20,7 @@ import numpy as np
 from . import assembly as asm
 from . import solver as sol
 from .geometry import GeometryError, load_domain
-from .mesh import MeshError, load_mesh, mesh_to_dict, refine_uniform
+from .mesh import MeshError, load_mesh, refine_uniform, save_mesh
 from .problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
 from .space import SpaceError, build_space, load_spline, save_spline
 
@@ -216,8 +216,7 @@ def cmd_mesh_refine(args):
     mesh = load_mesh(args.path, domain=domain)
     for _ in range(args.levels):
         mesh = refine_uniform(mesh)
-    with open(args.output, "w") as f:
-        json.dump(mesh_to_dict(mesh), f)
+    save_mesh(mesh, args.output)
     print(f"wrote {args.output} ({mesh.n_triangles} triangles)")
     return 0
 
@@ -311,13 +310,22 @@ def main(argv=None):
     argv = list(argv if argv is not None else sys.argv[1:])
     args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            conf = json.load(f)
+        try:
+            with open(args.config) as f:
+                conf = json.load(f)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
+        if not isinstance(conf, dict):
+            parser.error(f"--config {args.config} must hold a JSON object")
         unknown = [k for k in conf if k.replace("-", "_") not in _CONFIG_KEYS]
         if unknown:
             parser.error(f"unknown --config key(s): {', '.join(unknown)}")
-        passed = {a.lstrip("-").replace("-", "_").split("=")[0]
-                  for a in argv if a.startswith("--")}
+        # argparse accepted argv, so each --name in it is a flag or an
+        # abbreviation of exactly one flag: a flag was given when a name is
+        # a prefix of it (no flag of solve is a prefix of another)
+        given = [a.split("=")[0] for a in argv if a.startswith("--") and a != "--"]
+        passed = {key for key in _CONFIG_KEYS
+                  if any(f"--{key}".replace("_", "-").startswith(a) for a in given)}
         # each value is parsed as its flag's text (type and choices
         # checked by argparse); explicit flags win, null keeps the default
         extra = [f"--{key.replace('_', '-')}={val}" for key, val in conf.items()
@@ -333,6 +341,10 @@ def main(argv=None):
     for flag in ("plot_grid", "grid"):      # the lattice of solve and of export plot
         if getattr(args, flag, 2) < 2:
             parser.error(f"--{flag.replace('_', '-')} must be >= 2")
+    if args.fn is cmd_solve and args.problem != "custom" and (args.mesh or args.g_expr):
+        parser.error("--mesh and --g-expr need --problem custom")
+    if args.fn is cmd_space_info and args.problem and (args.path or args.domain):
+        parser.error("space info takes a mesh file or --problem, not both")
     try:
         return args.fn(args)
     except (MeshError, GeometryError, SpaceError, asm.AssemblyError,

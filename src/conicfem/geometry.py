@@ -358,8 +358,3 @@ def load_domain(path):
     """
     with open(path) as f:
         return domain_from_dict(json.load(f))
-
-
-def save_domain(domain, path):
-    with open(path, "w") as f:
-        json.dump(domain_to_dict(domain), f, indent=1)

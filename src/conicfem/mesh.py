@@ -64,8 +64,7 @@ class CurvedTriangulation:
     edge_tris (E, 2) the incident triangles, ascending (-1 in column 1 of
     a boundary edge), edge_arc (E,) the arc of a boundary edge (-1 on
     interior edges).  vertex_tangent marks V_B^1, the boundary vertices
-    whose two arcs share a tangent.  The triangles at vertex v are
-    vertex_tris[vertex_tri_start[v]:vertex_tri_start[v + 1]], ascending.
+    whose two arcs share a tangent.
     """
 
     domain: object
@@ -79,8 +78,6 @@ class CurvedTriangulation:
     edge_arc: np.ndarray
     vertex_is_boundary: np.ndarray
     vertex_tangent: np.ndarray
-    vertex_tri_start: np.ndarray
-    vertex_tris: np.ndarray
     level: int = 1
     parents: np.ndarray = None
 
@@ -96,13 +93,6 @@ class CurvedTriangulation:
     @property
     def n_triangles(self):
         return len(self.tri_verts)
-
-    def tri_coords(self, t):
-        return self.vertices[self.tri_verts[t]]
-
-    def pie_conic(self, t):
-        """The boundary conic of a pie triangle."""
-        return self.domain.arcs[self.tri_arc[t]].conic
 
 
 # ---------------------------------------------------------------------------
@@ -255,24 +245,22 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     # interior vertex and a path between two boundary edges at a boundary
     # vertex; its link needs no further check.
     corners = tris.ravel()
-    vertex_tris = np.argsort(corners, kind="stable")
+    by_vertex = np.argsort(corners, kind="stable")
     fan_size = np.bincount(corners, minlength=n)
-    vertex_tri_start = np.concatenate([[0], np.cumsum(fan_size)])
     h1, h2 = by_edge[start[inner]], by_edge[start[inner] + 1]   # the halves of interior edges
     e1, e2 = (h - h % 3 + (h + 1) % 3 for h in (h1, h2))         # the corners at their ends
     same = corners[h1] == corners[h2]
     rows = np.concatenate([h1, e1])
     cols = np.concatenate([np.where(same, h2, e2), np.where(same, e2, h2)])
     joins = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(len(corners),) * 2)
-    label = connected_components(joins, directed=False)[1][vertex_tris]
-    at = corners[vertex_tris]
+    label = connected_components(joins, directed=False)[1][by_vertex]
+    at = corners[by_vertex]
     split = np.zeros(n, dtype=bool)
     split[at[1:][(at[1:] == at[:-1]) & (label[1:] != label[:-1])]] = True
     isolated = fan_size == 0
     for v in np.flatnonzero(isolated | split)[:1]:
         raise MeshError("mesh", f"isolated vertex {v}" if isolated[v]
                         else f"vertex {v} has a disconnected triangle fan")
-    vertex_tris //= 3
 
     # V_B^1: boundary tangent continuity via gradient collinearity
     bd = np.flatnonzero(~inner)
@@ -294,14 +282,14 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     buffers_at = np.bincount(corners[np.repeat(buffer, 3)], minlength=n)
     fan = (fan_size == 3) & (pies_at == 2) & (buffers_at == 1)
     for v in np.flatnonzero(vertex_is_boundary & ~fan)[:1]:
-        ks = sorted(tri_kind[vertex_tris[vertex_tri_start[v]:vertex_tri_start[v + 1]]].tolist())
+        ks = sorted(tri_kind[(tris == v).any(axis=1)].tolist())
         raise MeshError(
             "mesh", f"boundary vertex {v} fan is {ks}, expected one buffer between two pies"
         )
 
     return CurvedTriangulation(
         domain, vertices, tri_verts, tri_kind, tri_arc, tri_edges, edge_verts, edge_tris,
-        edge_arc, vertex_is_boundary, vertex_tangent, vertex_tri_start, vertex_tris,
+        edge_arc, vertex_is_boundary, vertex_tangent,
         level=level, parents=None if parents is None else np.array(parents, dtype=int),
     )
 
@@ -422,15 +410,13 @@ def refine_uniform(mesh):
 # ---------------------------------------------------------------------------
 # mesh file IO
 
-def mesh_to_dict(mesh, include_domain=True):
-    data = {
+def mesh_to_dict(mesh):
+    return {
         "vertices": mesh.vertices.tolist(),
         "triangles": mesh.tri_verts.tolist(),
         "boundary": np.column_stack([mesh.edge_verts, mesh.edge_arc])[mesh.edge_arc >= 0].tolist(),
+        "domain": domain_to_dict(mesh.domain),
     }
-    if include_domain:
-        data["domain"] = domain_to_dict(mesh.domain)
-    return data
 
 
 def mesh_from_dict(data, domain=None):
@@ -451,6 +437,6 @@ def load_mesh(path, domain=None):
         return mesh_from_dict(json.load(f), domain=domain)
 
 
-def save_mesh(mesh, path, include_domain=True):
+def save_mesh(mesh, path):
     with open(path, "w") as f:
-        json.dump(mesh_to_dict(mesh, include_domain=include_domain), f, indent=1)
+        json.dump(mesh_to_dict(mesh), f, indent=1)

@@ -1,19 +1,15 @@
 """Built-in test domains, initial meshes and model problems.
 
-The three shipped domains are the unit disk, the ellipse
+The three built-in domains are the unit disk, the ellipse
 x1^2 + 6.25 x2^2 = 1, and a centrally symmetric C2 domain made of two
 elliptic and two circular segments that join with continuous curvature.
-Initial meshes ship as JSON data files (written by tools/generate_builtin_data.py)
-and are re-validated on load.
+Each initial mesh is a wheel (wheel_mesh), built and validated on each call.
 """
-
-import json
-from importlib import resources
 
 import numpy as np
 
 from .geometry import BoundaryArc, Conic, ConicDomain
-from .mesh import classify_and_validate, mesh_from_dict
+from .mesh import classify_and_validate
 
 PROBLEM_IDS = ("disk", "ellipse-exp", "ellipse-sin", "c2-domain")
 
@@ -38,13 +34,19 @@ def ellipse_domain():
     return ConicDomain(arcs)
 
 
-def c2_domain_params(a=4.0, b=1.3, t0=0.85 * np.pi):
+# the C2 domain's ellipse (C2_A cos t, C2_B sin t) and its cut parameter
+C2_A, C2_B, C2_T0 = 4.0, 1.3, 0.85 * np.pi
+
+
+def c2_domain_params():
     """Radius and center of the osculating circle at the ellipse point t0.
 
-    Returns (r, c1, c2) for the ellipse (a cos t, b sin t); the C2 test
-    domain shifts the ellipse down by c2 so the circle center lands on the
-    x axis.  Curvature kappa = a b / (a^2 sin^2 t + b^2 cos^2 t)^(3/2).
+    Returns (r, c1, c2) for the ellipse (a cos t, b sin t) with
+    (a, b, t0) = (C2_A, C2_B, C2_T0); the C2 test domain shifts the
+    ellipse down by c2 so the circle center lands on the x axis.
+    Curvature kappa = a b / (a^2 sin^2 t + b^2 cos^2 t)^(3/2).
     """
+    a, b, t0 = C2_A, C2_B, C2_T0
     st, ct = np.sin(t0), np.cos(t0)
     kappa = a * b / (a * a * st * st + b * b * ct * ct) ** 1.5
     r = 1.0 / kappa
@@ -54,14 +56,15 @@ def c2_domain_params(a=4.0, b=1.3, t0=0.85 * np.pi):
     return float(r), float(c1), float(c2)
 
 
-def c2_domain(a=4.0, b=1.3, t0=0.85 * np.pi):
+def c2_domain():
     """Centrally symmetric C2 domain: two elliptic and two circular segments.
 
     The top segment is (a cos t, b sin t - c2), t in [pi - t0, t0]; the left
     cap is the osculating circle at t0 (center (c1, 0) after the shift), and
     the bottom/right pieces are the point reflections through the origin.
     """
-    r, c1, c2 = c2_domain_params(a, b, t0)
+    a, b, t0 = C2_A, C2_B, C2_T0
+    r, c1, c2 = c2_domain_params()
     t1 = np.pi - t0
 
     def top_pt(t):
@@ -95,22 +98,20 @@ def c2_domain(a=4.0, b=1.3, t0=0.85 * np.pi):
 # ---------------------------------------------------------------------------
 # wheel meshes: ring of pie/buffer triangles around an ordinary fan
 
-def wheel_mesh(domain, boundary_pts, boundary_arcs, shrink=0.55, center=(0.0, 0.0)):
-    """Initial triangulation with one ring of pies/buffers around a hub fan.
+def wheel_mesh(domain, boundary_pts, boundary_arcs, shrink=0.55):
+    """Initial triangulation with one ring of pies/buffers around a hub fan
+    at the origin.
 
     boundary_pts: ccw list of boundary vertices (on the domain arcs);
     boundary_arcs[i] is the arc index of the edge boundary_pts[i] ->
     boundary_pts[i+1].  Ring vertex i sits at shrink * (chord midpoint of
-    edge i, relative to the center).  Every boundary vertex then has the
-    pie-buffer-pie fan the dof construction expects.
+    edge i).  Every boundary vertex then has the pie-buffer-pie fan the
+    dof construction expects.
     """
     b = np.asarray(boundary_pts, dtype=float)
     n = len(b)
-    center = np.asarray(center, dtype=float)
-    ring = np.array([
-        center + shrink * (0.5 * (b[i] + b[(i + 1) % n]) - center) for i in range(n)
-    ])
-    vertices = np.vstack([b, ring, center])
+    ring = shrink * (0.5 * (b + np.roll(b, -1, axis=0)))
+    vertices = np.vstack([b, ring, np.zeros(2)])
     ctr = 2 * n
     tris = []
     for i in range(n):
@@ -136,9 +137,12 @@ def ellipse_wheel_points():
     return pts, arcs
 
 
-def c2_wheel_points(a=4.0, b=1.3, t0=0.85 * np.pi, n_ellipse=4, n_circle=2):
-    """Boundary vertices for the C2 domain wheel (per-arc subdivision)."""
-    r, c1, c2 = c2_domain_params(a, b, t0)
+def c2_wheel_points():
+    """Boundary vertices for the C2 domain wheel: each elliptic arc in 4
+    pieces, each circular arc in 2."""
+    a, b, t0 = C2_A, C2_B, C2_T0
+    n_ellipse, n_circle = 4, 2
+    r, c1, c2 = c2_domain_params()
     t1 = np.pi - t0
     top = [
         (a * np.cos(t), b * np.sin(t) - c2)
@@ -162,11 +166,11 @@ def c2_wheel_points(a=4.0, b=1.3, t0=0.85 * np.pi, n_ellipse=4, n_circle=2):
     return pts, arcs
 
 
-_BUILTIN = {
-    "disk": (disk_domain, "disk_mesh.json"),
-    "ellipse-exp": (ellipse_domain, "ellipse_mesh.json"),
-    "ellipse-sin": (ellipse_domain, "ellipse_mesh.json"),
-    "c2-domain": (c2_domain, "c2_mesh.json"),
+_BUILTIN = {     # domain, wheel boundary points, ring shrink
+    "disk": (disk_domain, disk_wheel_points, 0.55),
+    "ellipse-exp": (ellipse_domain, ellipse_wheel_points, 0.55),
+    "ellipse-sin": (ellipse_domain, ellipse_wheel_points, 0.55),
+    "c2-domain": (c2_domain, c2_wheel_points, 0.5),
 }
 
 
@@ -174,13 +178,9 @@ def builtin_domain(problem_id):
     """Analytic domain and validated initial mesh of a built-in problem."""
     if problem_id not in _BUILTIN:
         raise KeyError(f"unknown problem id {problem_id!r}; choose from {PROBLEM_IDS}")
-    domain_fn, mesh_file = _BUILTIN[problem_id]
+    domain_fn, points_fn, shrink = _BUILTIN[problem_id]
     domain = domain_fn()
-    data = json.loads(
-        resources.files("conicfem.data").joinpath(mesh_file).read_text()
-    )
-    mesh = mesh_from_dict(data, domain=domain)
-    return domain, mesh
+    return domain, wheel_mesh(domain, *points_fn(), shrink=shrink)
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,8 @@ def space_dimension_by_rank(mesh):
         if kind == ORDINARY:
             to6.append(raise56)
         elif kind == PIE:
-            qbb = normalized_pie_conic(mesh.pie_conic(t), mesh.tri_coords(t))
+            qbb = normalized_pie_conic(mesh.domain.arcs[mesh.tri_arc[t]].conic,
+                                       mesh.vertices[mesh.tri_verts[t]])
             to6.append(bb.product_matrix(4, 2, qbb))
         else:
             to6.append(np.eye(28))
@@ -246,7 +247,7 @@ def space_dimension_by_rank(mesh):
         # C1: first interior row of side b from side a
         off_b = 6 - slots_b[0] - slots_b[1]
         w = mesh.vertices[mesh.tri_verts[tb, off_b - 1]]
-        b_off = barycentric(mesh.tri_coords(ta), w)
+        b_off = barycentric(mesh.vertices[mesh.tri_verts[ta]], w)
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 1)):
             base = [0, 0, 0]
             base[slots_a[0] - 1] = 5 - m
@@ -285,7 +286,7 @@ def space_dimension_by_rank(mesh):
 
 def _jet_rows(mesh, t, v):
     """Rows extracting the 2-jet at vertex v from a degree-6 patch on t."""
-    tri = mesh.tri_coords(t)
+    tri = mesh.vertices[mesh.tri_verts[t]]
     slot = _slot(mesh, t, v)
     ring = bb.vertex_ring(6, slot)
     im = bb.index_map(6)
@@ -373,7 +374,7 @@ def smoothness_residual_matrix(space):
             rows.append(B6[im6[gb]] - A6[im6[tuple(ga)]])
         off_b = 6 - slots_b[0] - slots_b[1]
         w = mesh.vertices[mesh.tri_verts[tb, off_b - 1]]
-        b_off = barycentric(mesh.tri_coords(ta), w)
+        b_off = barycentric(mesh.vertices[mesh.tri_verts[ta]], w)
         for m, gb in enumerate(bb.edge_row_indices(6, slots_b, 1)):
             base = [0, 0, 0]
             base[slots_a[0] - 1] = 5 - m
@@ -393,7 +394,7 @@ def boundary_sample_matrix(space, per_arc=30):
     rows = []
     u = np.linspace(0.03, 0.97, per_arc)[:, None]
     for t in np.flatnonzero(mesh.tri_kind == PIE):
-        tri = mesh.tri_coords(t)
+        tri = mesh.vertices[mesh.tri_verts[t]]
         v1, v2, v3 = tri
         pts = arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2))
         V = bb.bernstein_matrix(6, bb.barycentric_many(tri, pts))
@@ -557,8 +558,8 @@ def smoothness_report(space, spline):
             cb = degree_raise(5, cb, 6)
         d = max(da, db)
         slots_a, slots_b = _edge_slots(mesh, e, ta), _edge_slots(mesh, e, tb)
-        g0, g1 = smoothness_gaps(d, mesh.tri_coords(ta), ca, slots_a,
-                                 mesh.tri_coords(tb), cb, slots_b)
+        g0, g1 = smoothness_gaps(d, mesh.vertices[mesh.tri_verts[ta]], ca, slots_a,
+                                 mesh.vertices[mesh.tri_verts[tb]], cb, slots_b)
         scale = max(np.abs(ca).max(), np.abs(cb).max(), 1e-300)
         worst0 = max(worst0, g0 / scale)
         worst1 = max(worst1, g1 / scale)
@@ -571,9 +572,10 @@ def boundary_samples_max(space, spline, per_arc=30):
     worst = 0.0
     u = np.linspace(0.03, 0.97, per_arc)[:, None]
     for t in np.flatnonzero(mesh.tri_kind == PIE):
-        v1, v2, v3 = mesh.tri_coords(t)
+        tri = mesh.vertices[mesh.tri_verts[t]]
+        v1, v2, v3 = tri
         for x in arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2)):
-            worst = max(worst, abs(eval_bb(6, patch(spline, t), mesh.tri_coords(t), x)))
+            worst = max(worst, abs(eval_bb(6, patch(spline, t), tri, x)))
     return worst
 
 
@@ -643,7 +645,7 @@ def triangle_designs(quad):
     out = []
     for t in range(mesh.n_triangles):
         d = tri_degree(quad.space, t)
-        tri = mesh.tri_coords(t)
+        tri = mesh.vertices[mesh.tri_verts[t]]
         M = np.array([bb.directional_coords(tri, (1.0, 0.0))[:2],
                       bb.directional_coords(tri, (0.0, 1.0))[:2]])
         if mesh.tri_kind[t] == PIE:
@@ -931,8 +933,8 @@ def corner_dofs_by_gradient(u_coarse, fine_space):
         t = fine_space.mds.tri[pos]
         p, x = mesh_f.parents[t], mesh_f.vertices[v]
         gr = eval_bb(tri_degree(space_c, p), patch(u_coarse, p),
-                     space_c.mesh.tri_coords(p), x, order=1)
-        gq = grad_conic(mesh_f.pie_conic(t), x) / fine_space.pie_scale[t]
+                     space_c.mesh.vertices[space_c.mesh.tri_verts[p]], x, order=1)
+        gq = grad_conic(mesh_f.domain.arcs[mesh_f.tri_arc[t]].conic, x) / fine_space.pie_scale[t]
         out[pos] = float(gr @ gq) / float(gq @ gq)
     return out
 
@@ -1023,7 +1025,7 @@ def curved_midpoints_scalar(mesh):
     vertex through its chord midpoint meets its arc."""
     out = []
     for t in np.flatnonzero(mesh.tri_kind == PIE):
-        v1, v2, v3 = mesh.tri_coords(t)
+        v1, v2, v3 = mesh.vertices[mesh.tri_verts[t]]
         out.append(arc_point_on_ray_scalar(mesh.domain.arcs[mesh.tri_arc[t]], v1, 0.5 * (v2 + v3)))
     return np.array(out)
 
@@ -1033,7 +1035,7 @@ def pie_quadrature_scalar(mesh, t):
     on pie t, one ray at a time (see assembly.pie_quadrature)."""
     if mesh.tri_kind[t] != PIE:
         raise asm.AssemblyError(f"triangle {t} is not pie-shaped")
-    v1, v2, v3 = mesh.tri_coords(t)
+    v1, v2, v3 = mesh.vertices[mesh.tri_verts[t]]
     arc = mesh.domain.arcs[mesh.tri_arc[t]]
     n = asm.PIE_ORDER
     xg, wg = roots_legendre(n)
@@ -1068,7 +1070,7 @@ def pie_quadrature_scalar(mesh, t):
 
 def vertex_triangles(mesh, v):
     """The triangles at vertex v, ascending."""
-    return mesh.vertex_tris[mesh.vertex_tri_start[v]:mesh.vertex_tri_start[v + 1]]
+    return np.flatnonzero((mesh.tri_verts == v).any(axis=1))
 
 
 def interior_edges(mesh):

@@ -8,7 +8,7 @@ from conicfem import assembly as asm
 from conicfem import cli
 from conicfem import mesh as msh
 from conicfem import solver as sol
-from conicfem.problems import disk_domain, problem_g
+from conicfem.problems import builtin_domain, disk_domain, problem_g
 
 
 def run(argv):
@@ -99,10 +99,9 @@ def test_mesh_validate_reports_condition(tmp_path, capsys):
     ((2, 2), 9, "boundary edge 2 (1, 2, 9) has an arc index outside 0..3"),
 ])
 def test_mesh_validate_reports_out_of_range_indices(tmp_path, capsys, where, value, message):
-    # the shipped disk mesh (17 vertices, centre 16, 4 arcs) with one bad
+    # the built-in disk mesh (17 vertices, centre 16, 4 arcs) with one bad
     # index: the centre in every triangle, or one entry of a boundary edge
-    from importlib import resources
-    data = json.loads(resources.files("conicfem.data").joinpath("disk_mesh.json").read_text())
+    data = msh.mesh_to_dict(builtin_domain("disk")[1])
     if where == "centre":
         data["triangles"] = [[value if v == 16 else v for v in t] for t in data["triangles"]]
     else:
@@ -114,9 +113,8 @@ def test_mesh_validate_reports_out_of_range_indices(tmp_path, capsys, where, val
 
 
 def test_mesh_validate_rejects_fractional_indices(tmp_path, capsys):
-    # a cast to int would truncate 1.7 to 1 and pass the shipped mesh
-    from importlib import resources
-    data = json.loads(resources.files("conicfem.data").joinpath("disk_mesh.json").read_text())
+    # a cast to int would truncate 1.7 to 1 and pass the built-in mesh
+    data = msh.mesh_to_dict(builtin_domain("disk")[1])
     data["triangles"] = [[t[0] + 0.7] + t[1:] for t in data["triangles"]]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -219,6 +217,12 @@ def test_config_file_defaults(tmp_path, capsys):
     assert run(["solve", "--config", str(conf)]) == 0
     out = capsys.readouterr().out
     assert "init" in out
+    # an explicit flag wins over the config, also when abbreviated
+    conf.write_text(json.dumps({"problem": "disk", "levels": 2}))
+    for flag in (["--levels", "1"], ["--lev", "1"], ["--lev=1"]):
+        assert run(["solve", *flag, "--config", str(conf)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [r[0] for r in rows if r and r[0].isdigit()] == ["1"]
 
 
 def test_unknown_config_key_fails(tmp_path, capsys):
@@ -228,6 +232,14 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         run(["solve", "--config", str(conf), "--levels", "1"])
     assert exc.value.code != 0
     assert "levles" in capsys.readouterr().err
+    # a config that is not a JSON object, or not JSON, is a usage error too
+    for text in ("[1, 2]", "null", '"disk"', "{"):
+        conf.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--config", str(conf), "--levels", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and "Traceback" not in err
 
 
 def test_config_values_are_parsed_like_flags(tmp_path, capsys):
@@ -250,6 +262,24 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
         run(["solve", "--config", str(conf)])
     assert exc.value.code == 2
     assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--problem", "disk", "--mesh", "none.json"], "--problem custom"),
+    (["solve", "--problem", "disk", "--g-expr", "1+"], "--problem custom"),
+    (["solve", "--g-expr", "exp(x1)"], "--problem custom"),
+    (["solve", "--config", "conf.json"], "--problem custom"),
+    (["space", "info", "none.json", "--problem", "disk"], "not both"),
+    (["space", "info", "--problem", "disk", "--domain", "none.json"], "not both"),
+], ids=["mesh", "g-expr", "g-expr-default-problem", "config-mesh", "space-path", "space-domain"])
+def test_flags_that_would_be_ignored_are_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "conf.json").write_text(json.dumps({"mesh": "none.json"}))
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_dump_matrix_reuses_final_space(tmp_path, monkeypatch):

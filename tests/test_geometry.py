@@ -235,7 +235,7 @@ def test_domain_file_roundtrip(tmp_path):
     arcs = [geo.BoundaryArc(CIRCLE, pts[j], pts[(j + 1) % 4]) for j in range(4)]
     dom = geo.ConicDomain(tuple(arcs))
     path = tmp_path / "disk.json"
-    geo.save_domain(dom, path)
+    path.write_text(json.dumps(geo.domain_to_dict(dom)))
     dom2 = geo.load_domain(path)
     assert len(dom2.arcs) == 4
     assert np.allclose(dom2.corners, dom.corners)

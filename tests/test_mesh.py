@@ -16,7 +16,7 @@ from _oracles import (arc_point_on_ray_scalar, classify_and_validate_scalar,
 
 def raw(m):
     """The domain, vertices, triangles and boundary edges that rebuild m."""
-    data = msh.mesh_to_dict(m, include_domain=False)
+    data = msh.mesh_to_dict(m)
     return m.domain, m.vertices, data["triangles"], data["boundary"]
 
 
@@ -52,8 +52,7 @@ def test_mesh_copies_its_input_and_is_read_only(wheels):
     verts[0] += 5.0
     np.testing.assert_array_equal(m.vertices, before)
     for name in ("vertices", "tri_verts", "tri_kind", "tri_arc", "tri_edges", "edge_verts",
-                 "edge_tris", "edge_arc", "vertex_is_boundary", "vertex_tangent",
-                 "vertex_tri_start", "vertex_tris"):
+                 "edge_tris", "edge_arc", "vertex_is_boundary", "vertex_tangent"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(m, name)[0] = getattr(m, name)[1]
     with pytest.raises(ValueError, match="read-only"):
@@ -246,7 +245,7 @@ def test_refine_straight_midpoint_rule():
     dom, mesh = builtin_domain("disk")
     fine = refine_uniform(mesh)
     t = np.flatnonzero(mesh.tri_kind == ORDINARY)[0]
-    tri = mesh.tri_coords(t)
+    tri = mesh.vertices[mesh.tri_verts[t]]
     mids = {tuple(np.round(0.5 * (tri[i] + tri[j]), 12))
             for i in range(3) for j in range(i + 1, 3)}
     children = [c for c in range(fine.n_triangles) if fine.parents[c] == t]
@@ -262,7 +261,7 @@ def test_refine_pie_curved_midpoint():
     dom, mesh = builtin_domain("disk")
     fine = refine_uniform(mesh)
     t = np.flatnonzero(mesh.tri_kind == PIE)[0]
-    v1, v2, v3 = mesh.tri_coords(t)
+    v1, v2, v3 = mesh.vertices[mesh.tri_verts[t]]
     chord_mid = 0.5 * (v2 + v3)
     direction = chord_mid - v1
     # the curved-edge midpoint lies on the ray from the interior vertex

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from conicfem import geometry as geo
+from conicfem.mesh import mesh_to_dict
 from conicfem.problems import (PROBLEM_IDS, builtin_domain, c2_domain,
                                c2_domain_params, disk_domain,
                                disk_exact_solution, ellipse_domain, problem_g)
@@ -28,7 +32,7 @@ def _implicit_curvature(conic, x):
 
 def test_osculating_circle_parameters():
     a, b, t0 = 4.0, 1.3, 0.85 * np.pi
-    r, c1, c2 = c2_domain_params(a, b, t0)
+    r, c1, c2 = c2_domain_params()
     # radius against a finite-difference curvature of the parameterization
     kappa_fd = _param_curvature_fd(a, b, t0)
     assert abs(1.0 / kappa_fd - r) < 1e-5 * r
@@ -108,17 +112,16 @@ def test_disk_and_ellipse_conics():
     assert np.allclose(edom.interior_angles, np.pi)
 
 
-def test_generated_meshes_equal_shipped_data():
-    import importlib.util
-    from importlib import resources
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "tools" / "generate_builtin_data.py"
-    spec = importlib.util.spec_from_file_location("generate_builtin_data", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    meshes = tool.builtin_meshes()
-    assert len(meshes) == 3
-    for name, mesh in meshes.items():
-        shipped = resources.files("conicfem.data").joinpath(name).read_text()
-        assert tool.mesh_text(mesh) == shipped
+def test_builtin_meshes_are_pinned():
+    # SHA-256 of each initial mesh's file text: a change to the wheel code
+    # that moves a vertex, a slot or an arc of a built-in mesh fails here
+    ellipse = "d940027b5a6e0d4597c63093f2064053fb9cbb0b7a5c6f812dbf9f6febf8a3d8"
+    digests = {
+        "disk": "059fa46beffda9dc3f17427042f36b06d88bbbeb957ddab456388a4af2d7b2c4",
+        "ellipse-exp": ellipse,
+        "ellipse-sin": ellipse,
+        "c2-domain": "0c27a564f0d237bc5285e3ae56a76bc85c874fd8c3c6ae8028a3787ce400f75a",
+    }
+    for pid in PROBLEM_IDS:
+        text = json.dumps(mesh_to_dict(builtin_domain(pid)[1]), indent=1)
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[pid], pid

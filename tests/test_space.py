@@ -187,7 +187,7 @@ def test_jet_to_ring_matches_scalar_rule(c2_space):
     # bit for bit, on every (triangle, slot) of the fill and on random
     # triangles, where x * x in place of the scalar x ** 2 shows
     mesh = c2_space.mesh
-    tris = np.array([mesh.tri_coords(t) for t in range(mesh.n_triangles)])
+    tris = np.array([mesh.vertices[mesh.tri_verts[t]] for t in range(mesh.n_triangles)])
     tris, slots = np.repeat(tris, 3, axis=0), np.tile([1, 2, 3], mesh.n_triangles)
     d = np.repeat(np.where(mesh.tri_kind == ORDINARY, 5, 6), 3)
     rng = np.random.default_rng(10)
@@ -231,7 +231,9 @@ def test_pie_patch_is_product(disk_space):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         a = patch(s, t)
         p = factor(s, t)
-        prod = bb_product(4, p, 2, normalized_pie_conic(mesh.pie_conic(t), mesh.tri_coords(t)))
+        q = normalized_pie_conic(mesh.domain.arcs[mesh.tri_arc[t]].conic,
+                                 mesh.vertices[mesh.tri_verts[t]])
+        prod = bb_product(4, p, 2, q)
         assert np.abs(a - prod).max() < 1e-12 * max(1.0, np.abs(a).max())
 
 
@@ -256,7 +258,7 @@ def test_pie_corner_product_coefficient_two_routes(disk_space):
             dst_slots = tuple(verts.index(v) + 1 for v in shared)
             off_dst = 6 - dst_slots[0] - dst_slots[1]
             w = mesh.vertices[verts[off_dst - 1]]
-            b_off = barycentric(mesh.tri_coords(buf), w)
+            b_off = barycentric(mesh.vertices[mesh.tri_verts[buf]], w)
             _, c1 = cross_edge_rows(6, patch(s, buf), src_slots, dst_slots,
                                        b_off)
             via_smoothness = c1[target]
@@ -274,7 +276,7 @@ def _points_by_kind(space, rng, per_tri=3):
     mesh = space.mesh
     pts, tris = [], []
     for t, (kind, arc) in enumerate(zip(mesh.tri_kind, mesh.tri_arc)):
-        tri = mesh.tri_coords(t)
+        tri = mesh.vertices[mesh.tri_verts[t]]
         b = 0.1 + 0.7 * rng.dirichlet((1.0, 1.0, 1.0), per_tri)
         pts += list((b / b.sum(axis=1, keepdims=True)) @ tri)
         tris += [t] * per_tri
@@ -295,13 +297,14 @@ def test_point_queries_match_oracle(c2_space):
     s = space.spline(rng.standard_normal(space.dimension))
     pts, want = _points_by_kind(space, rng)
     beyond = [t for t, x in zip(want, pts) if mesh.tri_kind[t] == PIE
-              and barycentric(mesh.tri_coords(t), x)[0] < 0]
+              and barycentric(mesh.vertices[mesh.tri_verts[t]], x)[0] < 0]
     assert len(beyond) > 20        # between a pie's chord and its arc
     np.testing.assert_array_equal(space.locate(pts), want)
     got = s.evaluate(pts)
     for order in range(3):
-        ref = np.array([eval_bb(tri_degree(space, t), patch(s, t), mesh.tri_coords(t),
-                                x, order=order) for t, x in zip(want, pts)])
+        ref = np.array([eval_bb(tri_degree(space, t), patch(s, t),
+                                mesh.vertices[mesh.tri_verts[t]], x, order=order)
+                        for t, x in zip(want, pts)])
         assert np.abs(got[order] - ref).max() <= 1e-12 * np.abs(ref).max()
     # values only, on points located once
     vals, grads, hess = s.evaluate(pts, want, order=0)
@@ -311,7 +314,7 @@ def test_point_queries_match_oracle(c2_space):
     arc_pts = []
     u = np.array([0.25, 0.5, 0.75])[:, None]
     for t in np.flatnonzero(mesh.tri_kind == PIE):
-        tri = mesh.tri_coords(t)
+        tri = mesh.vertices[mesh.tri_verts[t]]
         arc = mesh.domain.arcs[mesh.tri_arc[t]]
         arc_pts += list(arc_point_on_ray(arc, tri[0], tri[1] + u * (tri[2] - tri[1])))
     assert (space.locate(arc_pts) >= 0).all()
@@ -409,7 +412,7 @@ def test_eval_batch_consistent(disk_space):
     rng = np.random.default_rng(6)
     s = disk_space.spline(rng.standard_normal(disk_space.dimension))
     t = 0
-    tri = disk_space.mesh.tri_coords(t)
+    tri = disk_space.mesh.vertices[disk_space.mesh.tri_verts[t]]
     pts = bb.barycentric_many(tri, tri).mean(axis=0, keepdims=True) @ tri
     pts = np.vstack([pts, tri.mean(axis=0)[None, :] * 0.9])
     vals, grads, hess = s.evaluate(pts, np.full(len(pts), t))
