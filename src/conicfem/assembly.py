@@ -9,15 +9,17 @@ approximation of the boundary.
 
 The quadrature data is stored per chunk of triangles of one kind and
 local dof count (stacked arrays, see QuadratureChunk).  Assembly and the
-norms walk those chunks.  The norms and the load vector sum the
-per-triangle contributions in mesh order, from per-triangle products, so
-they do not depend on the chunking.  The stiffness matrix forms each
-triangle's block in its Bernstein basis first, on straight triangles as
-rows of one GEMM per chunk with a shared product table (product_table),
-and sums its duplicate entries in the order coo_matrix(...).tocsr() sums
-the mesh-order triplets (ScatterPlan); BLAS blocks that GEMM's rows by
-their number and position, so the matrix's last bits depend on the chunk
-size (CHUNK).  Rules and maps are immutable and shareable across threads.
+norms walk those chunks.  The norms sum the per-triangle integrals in
+mesh order, and the load vector and the stiffness matrix sum their
+per-triangle terms in slot order (map groups in order, their triangles
+in mesh order; see ScatterPlan), so the order of the sums does not
+depend on the chunking.  The norms and the load vector come from
+per-triangle products, so their bits do not either.  The stiffness
+matrix forms each triangle's block in its Bernstein basis first, on
+straight triangles as rows of one GEMM per chunk with a shared product
+table (product_table); BLAS blocks that GEMM's rows by their number and
+position, so the matrix's last bits depend on the chunk size (CHUNK).
+Rules and maps are immutable and shareable across threads.
 """
 
 from dataclasses import dataclass
@@ -358,98 +360,85 @@ def assemble(A, quad):
     Each chunk forms its triangles' blocks L in the Bernstein basis
     (QuadratureChunk.frame_weights and bb_stiffness: one GEMM with the
     shared product_table on straight chunks) and writes Z^T L Z, Z each
-    triangle's map, into its slots of the quadrature's ScatterPlan (built
-    on the first call); the plan then sums the duplicates in the order of
-    coo_matrix(...).tocsr().  BLAS blocks the rows of a straight chunk's
-    GEMM as it sees fit, so a block's last bits can depend on the chunk
-    size (CHUNK) and on the triangle's row in its chunk; the load vector
-    and the norms do not depend on the chunking."""
+    triangle's map, into its slots, the next g k^2 entries of one value
+    array; the quadrature's ScatterPlan (built on the first call) sums
+    them in slot order.  BLAS blocks the rows of a straight chunk's GEMM
+    as it sees fit, so a block's last bits can depend on the chunk size
+    (CHUNK) and on the triangle's row in its chunk; the order of the sums
+    does not."""
     plan = quad.scatter
-    vals = np.empty(plan.perm.size)
-    for ch, slots in zip(quad.chunks, plan.slots):
+    vals = np.empty(plan.target.size)
+    start = 0
+    for ch in quad.chunks:
         g, k = ch.cols.shape
         coef = np.asarray(A(ch))
         a01, a10 = coef[..., 0, 1], coef[..., 1, 0]
         if (a01 != a10).any() and not np.array_equal(a01, a10, equal_nan=True):
             raise AssemblyError("the coefficient A of the weak form is not symmetric")
         L = ch.bb_stiffness(ch.frame_weights(coef))
-        np.matmul(ch.Z.swapaxes(1, 2) @ L, ch.Z, out=vals[slots].reshape(g, k, k))
+        out = vals[start:start + g * k * k].reshape(g, k, k)
+        np.matmul(ch.Z.swapaxes(1, 2) @ L, ch.Z, out=out)
+        start += out.size
     return plan.csr(vals)
 
 
 class ScatterPlan:
     """The CSR pattern of the stiffness matrices of a quadrature's space,
-    and the order in which tocsr() sums their COO triplets (the local
-    blocks of the triangles in mesh order, each row by row).
+    and the entry of each slot.
 
-    assemble writes the local blocks of chunk c, row by row, into the
-    slice slots[c] of one value array (their last bits depend on the
-    chunk size, see assemble; the plan sums whatever they hold in one
-    fixed order); entry s of the CSR data is the sum,
-    left to right as tocsr() adds them, of the values at the slots
-    perm[p] for the positions p with seg[p] == s.  tocsr() buckets the
-    triplets by row, stably, and sorts each row by column with
-    csr_sort_indices, whose order of equal columns depends on the columns
-    alone; perm is that order, captured once by running both on slot ids.
-    Index arrays are int32 unless the slots outnumber it; indptr and
-    indices are shared, read-only, by every matrix of csr.  seg is a
-    writeable intp array, which np.bincount reads in place: it copies an
-    index array of another type, or a read-only one, on every call (8
-    bytes per slot)."""
+    A slot is one entry of one triangle's local block; slots run over the
+    space's map groups in order, their triangles in mesh order, each
+    block row by row, which is also the order of the chunks.  target[s]
+    is the CSR entry of slot s, and csr sums each entry's slots from +0.0
+    in slot order (np.bincount), so the order of the sums does not depend
+    on the chunk size, and an entry whose terms are all -0.0 reads +0.0.
+    The build finds the entries with tocsr() of the slot ids, marked
+    canonical so that it sums none of them (AssemblyError if it did), and
+    sort_indices.  indptr and indices are int32 unless the slots
+    outnumber it; they and the intp target are read-only, and every
+    matrix of csr shares indptr and indices (np.bincount copies the
+    read-only target on each call, 8 bytes per slot)."""
 
     def __init__(self, quad):
-        space = quad.space
-        n = space.dimension
-        sizes = np.diff(space.tri_cols_offset)
-        block = np.concatenate([[0], np.cumsum(sizes * sizes)])   # mesh-order COO slots
-        total = int(block[-1])
+        n = quad.space.dimension
+        total = sum(grp.cols.size * grp.cols.shape[1] for grp in quad.space.groups)
         # scipy keeps 32-bit indices whenever they fit
         index = np.int32 if max(total, n) <= np.iinfo(np.int32).max else np.int64
         rows = np.empty(total, dtype=index)
         cols = np.empty(total, dtype=index)
-        ids = np.empty(total, dtype=index)
-        self.slots = []
         start = 0
-        for ch in quad.chunks:
-            g, k = ch.cols.shape
-            at = block[ch.tris][:, None] + np.arange(k * k)
-            rows[at] = np.repeat(ch.cols, k, axis=1)
-            cols[at] = np.tile(ch.cols, (1, k))
-            ids[at] = np.arange(start, start + g * k * k, dtype=index).reshape(g, k * k)
-            self.slots.append(slice(start, start + g * k * k))
+        for grp in quad.space.groups:
+            g, k = grp.cols.shape
+            rows[start:start + g * k * k].reshape(g, k, k)[...] = grp.cols[:, :, None]
+            cols[start:start + g * k * k].reshape(g, k, k)[...] = grp.cols[:, None, :]
             start += g * k * k
-        # tocsr() of triplets marked canonical runs the same bucket pass
-        # without the sum; sort_indices then runs csr_sort_indices
-        triplets = sps.coo_matrix((ids, (rows, cols)), shape=(n, n))
+        triplets = sps.coo_matrix((np.arange(total, dtype=index), (rows, cols)), shape=(n, n))
         triplets.has_canonical_format = True
         order = triplets.tocsr()
-        del triplets, rows, cols, ids
+        del triplets, rows, cols
+        if order.nnz != total:
+            raise AssemblyError(f"tocsr() summed slot ids: {order.nnz} entries for {total} slots")
         order.sort_indices()
-        self.perm, cols, indptr = order.data, order.indices, order.indptr
+        slot, cols, indptr = order.data, order.indices, order.indptr
         del order
-        # a segment per distinct (row, column): a new column or a new row
+        # a new entry at a new column or a new row
         new = np.ones(total, dtype=bool)
         np.not_equal(cols[1:], cols[:-1], out=new[1:])
         new[indptr[:-1][np.diff(indptr) > 0]] = True
-        self.seg = np.cumsum(new, dtype=np.intp)
-        self.seg -= 1
+        entry = np.cumsum(new, dtype=index)
+        entry -= 1
         self.indices = cols[new]
+        self.indptr = np.where(indptr > 0, entry[indptr - 1] + 1, 0).astype(index)
         del cols, new
-        self.indptr = np.where(indptr > 0, self.seg[indptr - 1] + 1, 0).astype(index)
+        self.target = np.empty(total, dtype=np.intp)
+        self.target[slot] = entry
         self.shape = (n, n)
-        for a in (self.perm, self.indices, self.indptr):
+        for a in (self.target, self.indices, self.indptr):
             a.flags.writeable = False
 
     def csr(self, vals):
         """The CSR matrix of the slot values vals (see the class)."""
-        vals = vals[self.perm]
-        data = np.bincount(self.seg, weights=vals, minlength=self.indices.size)
-        zero = data == 0.0
-        if zero.any():      # tocsr() sums from the first term: -0.0 + -0.0 stays -0.0
-            terms = zero[self.seg]
-            kept = np.bincount(self.seg[terms], minlength=data.size,
-                               weights=(vals[terms] != 0.0) | ~np.signbit(vals[terms]))
-            data[zero & (kept == 0)] = -0.0
+        data = np.bincount(self.target, weights=vals, minlength=self.indices.size)
         matrix = sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         matrix.has_canonical_format = True
         return matrix
@@ -458,20 +447,16 @@ class ScatterPlan:
 def assemble_rhs(f, quad):
     """Load vector int f v of the coefficient field f: per triangle
     Z^T (B_d^T (w f)) as batched products, whose bits do not depend on
-    the chunking, then one unbuffered sum per dof, triangle by triangle
-    in mesh order.  A Newton step whose matrix is already factored needs
-    only this."""
-    space = quad.space
-    piece = space.tri_cols_offset
-    rhs_vals = np.empty(piece[-1])
+    the chunking, then one sum per dof from +0.0 over its triangles in
+    slot order (see ScatterPlan).  A Newton step whose matrix is already
+    factored needs only this."""
+    vals = []
     for ch in quad.chunks:
-        k = ch.cols.shape[1]
         wf = (ch.weights * np.asarray(f(ch)))[:, :, None]
         Bwf = ch.B[ch.degree].swapaxes(-1, -2) @ wf
-        rhs_vals[piece[ch.tris][:, None] + np.arange(k)] = (ch.Z.swapaxes(1, 2) @ Bwf)[:, :, 0]
-    rhs = np.zeros(space.dimension)
-    np.add.at(rhs, space.tri_cols, rhs_vals)
-    return rhs
+        vals.append((ch.Z.swapaxes(1, 2) @ Bwf).ravel())
+    cols = np.concatenate([ch.cols.ravel() for ch in quad.chunks])
+    return np.bincount(cols, weights=np.concatenate(vals), minlength=quad.space.dimension)
 
 
 @dataclass

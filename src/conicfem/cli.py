@@ -144,8 +144,6 @@ def cmd_solve(args):
         logging.basicConfig(format="%(message)s")
         logging.getLogger("conicfem").setLevel(logging.INFO)
     if args.problem == "custom":
-        if not args.mesh or not args.g_expr:
-            raise ValueError("--problem custom requires --mesh and --g-expr")
         mesh = load_mesh(args.mesh)
         prob = sol.MongeAmpereProblem(mesh.domain, mesh, _custom_g(args.g_expr),
                                       name="custom")
@@ -224,11 +222,9 @@ def cmd_mesh_refine(args):
 def cmd_space_info(args):
     if args.problem:
         _, mesh = builtin_domain(args.problem)
-    elif args.path:
+    else:
         domain = load_domain(args.domain) if args.domain else None
         mesh = load_mesh(args.path, domain=domain)
-    else:
-        raise ValueError("space info needs a mesh file or --problem")
     for _ in range(args.levels - 1):
         mesh = refine_uniform(mesh)
     space = build_space(mesh)
@@ -343,6 +339,10 @@ def main(argv=None):
             parser.error(f"--{flag.replace('_', '-')} must be >= 2")
     if args.fn is cmd_solve and args.problem != "custom" and (args.mesh or args.g_expr):
         parser.error("--mesh and --g-expr need --problem custom")
+    if args.fn is cmd_solve and args.problem == "custom" and not (args.mesh and args.g_expr):
+        parser.error("--problem custom requires --mesh and --g-expr")
+    if args.fn is cmd_space_info and not (args.problem or args.path):
+        parser.error("space info needs a mesh file or --problem")
     if args.fn is cmd_space_info and args.problem and (args.path or args.domain):
         parser.error("space info takes a mesh file or --problem, not both")
     try:

@@ -538,13 +538,12 @@ class SplineSpace:
         self.mesh = mesh
         self.mds = build_mds(mesh)
         prop = _Propagator(mesh, self.mds)
-        self.groups, self.tri_cols, self.tri_cols_offset = _map_groups(mesh, prop, prop.run())
+        self.groups = _map_groups(mesh, prop, prop.run())
         self.fill_defect = prop.defect
         self.coef_offset = prop.offset
         self.dof_coef = prop.offset[self.mds.tri] + self.mds.pos
         self.pie_scale = prop.pie_scale
-        # the dofs of triangle t are tri_cols[tri_cols_offset[t]:...[t + 1]],
-        # its map is row _row[t] of groups[_group[t]]
+        # the map of triangle t is row _row[t] of groups[_group[t]]
         self._group, self._row = np.zeros((2, mesh.n_triangles), dtype=np.int64)
         for g, grp in enumerate(self.groups):
             self._group[grp.tris], self._row[grp.tris] = g, np.arange(len(grp.tris))
@@ -631,8 +630,7 @@ class MapGroup:
 
 
 def _map_groups(mesh, prop, Z):
-    """Split the CSR map Z (stored coefficients x dofs) into MapGroups;
-    also gives every triangle's dofs, concatenated, and where each starts.
+    """Split the CSR map Z (stored coefficients x dofs) into MapGroups.
 
     Per triangle the dofs are the sorted columns its rows touch, and
     entries below 1e-15 of the triangle's largest (or of 1) are dropped."""
@@ -657,7 +655,7 @@ def _map_groups(mesh, prop, Z):
         cols = keys[member[keys // dim] == g].reshape(len(tris), kt) % dim
         piece = prop.pie_P[prop.pie_row[tris]] @ M if kind == PIE else M
         groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))
-    return groups, keys % dim, start
+    return groups
 
 
 def build_space(mesh):

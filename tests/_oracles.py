@@ -729,21 +729,15 @@ def assemble_cartesian(A, quad):
     """CSR stiffness matrix of int grad(u) . A grad(v) from the Cartesian
     gradients of a stored_quadrature: per chunk the gradient stacks Gx @ Z
     and Gy @ Z and the sums over the nodes of w A_ij (G_i Z)^T (G_j Z),
-    summed by the quadrature's ScatterPlan."""
-    vals = np.empty(quad.scatter.perm.size)
-    for ch, slots in zip(quad.chunks, quad.scatter.slots):
-        g, k = ch.cols.shape
+    summed by the quadrature's ScatterPlan in slot order."""
+    vals = []
+    for ch in quad.chunks:
         Gx, Gy = (Gs @ ch.Z for Gs in ch.G)
         wA = ch.weights[:, :, None, None] * np.asarray(A(ch))
         qx = wA[:, :, 0, 0, None] * Gx + wA[:, :, 0, 1, None] * Gy
         qy = wA[:, :, 1, 0, None] * Gx + wA[:, :, 1, 1, None] * Gy
-        vals[slots] = (Gx.swapaxes(1, 2) @ qx + Gy.swapaxes(1, 2) @ qy).ravel()
-    return quad.scatter.csr(vals)
-
-
-def _chunk_rows(quad):
-    """Triangle -> (its chunk, its row in the chunk)."""
-    return {t: (ch, i) for ch in quad.chunks for i, t in enumerate(ch.tris)}
+        vals.append((Gx.swapaxes(1, 2) @ qx + Gy.swapaxes(1, 2) @ qy).ravel())
+    return quad.scatter.csr(np.concatenate(vals))
 
 
 def frame_weights(A, w, M):
@@ -771,7 +765,8 @@ def pie_block(d, W, B1):
 
 def assemble_per_triangle(A, f, quad):
     """(CSR matrix of int grad(u) . A grad(v), rhs int f v) of the
-    coefficient fields A and f, one triangle at a time in mesh order.  The
+    coefficient fields A and f, one triangle at a time in slot order (the
+    chunks' triangles in order), each entry summed from +0.0.  The
     fields are evaluated once per chunk and read row by row.  A triangle's
     block in its Bernstein basis comes from its weights w M^T A M: on a
     pie from pie_block, on a straight triangle from the row of the chunk's
@@ -779,79 +774,69 @@ def assemble_per_triangle(A, f, quad):
     taken per chunk); the block in the dofs is Z^T L Z."""
     space = quad.space
     mesh = space.mesh
-    n = space.dimension
     designs = triangle_designs(quad)
     nodes = triangle_nodes(quad)
-    at = _chunk_rows(quad)
     tables = [{ch: np.asarray(fn(ch)) for ch in quad.chunks} for fn in (A, f)]
     weights = {}
-    for t in range(mesh.n_triangles):
-        ch, r = at[t]
-        weights[t] = frame_weights(tables[0][ch][r], nodes[t][1], designs[t][1])
+    for ch in quad.chunks:
+        for r, t in enumerate(ch.tris):
+            weights[t] = frame_weights(tables[0][ch][r], nodes[t][1], designs[t][1])
     straight = {ch: np.stack([weights[t] for t in ch.tris]).reshape(len(ch.tris), -1)
                 @ asm.product_table(ch.degree)
                 for ch in quad.chunks if mesh.tri_kind[ch.tris[0]] != PIE}
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(n)
-    for t in range(mesh.n_triangles):
-        gdofs, Z = local_map(space, t)
-        d = tri_degree(space, t)
-        B = designs[t][0]
-        ch, r = at[t]
-        if mesh.tri_kind[t] == PIE:
-            L = pie_block(d, weights[t], B[1])
-        else:
-            L = straight[ch][r].reshape(Z.shape[0], Z.shape[0])
-        loc = (Z.T @ L) @ Z
-        wf = nodes[t][1] * tables[1][ch][r]
-        rhs[gdofs] += (Z.T @ (B[0].T @ wf[:, None]))[:, 0]
-        ii, jj = np.meshgrid(gdofs, gdofs, indexing="ij")
-        rows.append(ii.ravel())
-        cols.append(jj.ravel())
-        vals.append(loc.ravel())
-    matrix = sps.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    return matrix, rhs
-
-
-def mesh_slots(quad):
-    """For each slot of the value array assemble fills (the chunks in
-    order, each triangle's local block row by row), its slot among the COO
-    triplets in mesh order (the triangles in mesh order, each block row by
-    row)."""
-    sizes = np.diff(quad.space.tri_cols_offset)
-    block = np.concatenate([[0], np.cumsum(sizes * sizes)])
-    return np.concatenate([(block[ch.tris][:, None] + np.arange(ch.cols.shape[1] ** 2)).ravel()
-                           for ch in quad.chunks])
-
-
-def coo_triplets(quad, vals=None, A=None):
-    """(vals, rows, cols) of the stiffness matrix as COO triplets in mesh
-    order with int32 indices: the values given in assemble's chunk layout
-    (see mesh_slots), or the local matrices Z^T L Z of the coefficient
-    field A computed chunk by chunk as assemble computes them."""
-    slots = mesh_slots(quad)
-    rows = np.empty(slots.size, dtype=np.int32)
-    cols = np.empty(slots.size, dtype=np.int32)
-    at = 0
-    chunk_vals = []
+    blocks = []
+    rhs = np.zeros(space.dimension)
     for ch in quad.chunks:
-        g, k = ch.cols.shape
-        here = slots[at:at + g * k * k]
-        at += g * k * k
-        rows[here] = np.repeat(ch.cols, k, axis=1).ravel()
-        cols[here] = np.tile(ch.cols, (1, k)).ravel()
-        if A is not None:
-            L = ch.bb_stiffness(ch.frame_weights(np.asarray(A(ch))))
-            chunk_vals.append(((ch.Z.swapaxes(1, 2) @ L) @ ch.Z).ravel())
-    if A is not None:
-        vals = np.concatenate(chunk_vals)
-    out = np.empty(slots.size)
-    out[slots] = vals
-    return out, rows, cols
+        for r, t in enumerate(ch.tris):
+            gdofs, Z = local_map(space, t)
+            d = tri_degree(space, t)
+            B = designs[t][0]
+            if mesh.tri_kind[t] == PIE:
+                L = pie_block(d, weights[t], B[1])
+            else:
+                L = straight[ch][r].reshape(Z.shape[0], Z.shape[0])
+            blocks.append((gdofs, (Z.T @ L) @ Z))
+            wf = nodes[t][1] * tables[1][ch][r]
+            rhs[gdofs] += (Z.T @ (B[0].T @ wf[:, None]))[:, 0]
+    return sum_in_slot_order(space.dimension, blocks), rhs
+
+
+def slot_blocks(quad, vals):
+    """(dofs, local block) of each triangle in slot order (the chunks'
+    triangles in order), read off the slot values vals, each block's row
+    by row."""
+    blocks, at = [], 0
+    for ch in quad.chunks:
+        k = ch.cols.shape[1]
+        for dofs in ch.cols:
+            blocks.append((dofs, vals[at:at + k * k].reshape(k, k)))
+            at += k * k
+    return blocks
+
+
+def sum_in_slot_order(n, blocks):
+    """The n x n CSR matrix, with int32 indices, of the sum of the local
+    blocks of blocks, (dofs, local block) pairs, one triangle at a time in
+    their order, each entry from +0.0; its pattern is every (row, column)
+    pair of the blocks, also where the sum is zero."""
+    keys = [(dofs[:, None] * n + dofs).ravel() for dofs, _ in blocks]
+    pattern = np.unique(np.concatenate(keys))
+    data = np.zeros(pattern.size)
+    for key, (_, block) in zip(keys, blocks):
+        data[np.searchsorted(pattern, key)] += block.ravel()
+    indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32)
+    return sps.csr_matrix((data, (pattern % n).astype(np.int32), indptr), shape=(n, n))
+
+
+def slot_values(A, quad):
+    """The local matrices Z^T L Z of the coefficient field A, computed
+    chunk by chunk as assemble computes them, flat in slot order."""
+    vals = []
+    for ch in quad.chunks:
+        L = ch.bb_stiffness(ch.frame_weights(np.asarray(A(ch))))
+        vals.append(((ch.Z.swapaxes(1, 2) @ L) @ ch.Z).ravel())
+    return np.concatenate(vals)
 
 
 def linearize_ma_per_triangle(u, g, quad):

@@ -11,12 +11,13 @@ from conicfem import bernstein as bb
 from conicfem.geometry import GeometryError
 from conicfem.mesh import PIE
 from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
-                               disk_wheel_points, wheel_mesh)
+                               disk_wheel_points, problem_g, wheel_mesh)
 from conicfem.space import build_space
 
-from _oracles import (assemble_per_triangle, coo_triplets, disk_radial_integral, domain_area,
+from _oracles import (assemble_per_triangle, disk_radial_integral, domain_area,
                       error_norms_per_triangle, frame_gradient_maps, integrate, local_map,
-                      pie_quadrature_scalar, triangle_designs, triangle_maps, triangle_nodes)
+                      pie_quadrature_scalar, slot_blocks, slot_values, sum_in_slot_order,
+                      triangle_designs, triangle_maps, triangle_nodes)
 
 EYE = asm.constant_matrix(np.eye(2))
 
@@ -263,27 +264,63 @@ def _assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("space_name", ["disk_space2", "c2_space", "lens_space"])
-def test_assemble_is_bit_identical_to_coo_tocsr(space_name, request):
-    # the scatter plan sums the duplicates as coo_matrix(...).tocsr() of
-    # the mesh-order triplets does: the same int32 pattern and the same
-    # data bit for bit, zero signs included
+def test_assemble_sums_each_entry_in_slot_order(space_name, request):
+    # each entry sums its slots' values from +0.0 in slot order (map groups
+    # in order, their triangles in mesh order, each block row by row): the
+    # int32 pattern of the blocks' (row, column) pairs, the data bit for bit
     quad = asm.TriangleQuadrature(request.getfixturevalue(space_name))
     n = quad.space.dimension
     for A in (EYE, _all_terms_problem()[0]):
-        vals, rows, cols = coo_triplets(quad, A=A)
-        want = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        want = sum_in_slot_order(n, slot_blocks(quad, slot_values(A, quad)))
         _assert_same_bits(asm.assemble(A, quad), want)
     # any slot values: nonzeros, and zeros of both signs, so that some
-    # entries sum only -0.0 terms (tocsr keeps -0.0 there, a sum from +0.0
-    # would not)
+    # entries sum only -0.0 terms; a sum from +0.0 reads +0.0 there
     rng = np.random.default_rng(5)
-    size = quad.scatter.perm.size
+    size = quad.scatter.target.size
     for choices, p in (([-0.0, 0.0], [0.9, 0.1]), ([-0.0, 0.0, -1.5, 1e-300], None)):
         slot_vals = rng.choice(choices, size, p=p)
-        vals, rows, cols = coo_triplets(quad, vals=slot_vals)
-        want = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        assert np.signbit(want.data[want.data == 0.0]).any()
-        _assert_same_bits(quad.scatter.csr(slot_vals), want)
+        got = quad.scatter.csr(slot_vals)
+        _assert_same_bits(got, sum_in_slot_order(n, slot_blocks(quad, slot_vals)))
+        not_minus_zero = ((slot_vals != 0.0) | ~np.signbit(slot_vals)).astype(float)
+        only_minus_zero = sum_in_slot_order(n, slot_blocks(quad, not_minus_zero)).data == 0.0
+        assert only_minus_zero.any()
+        assert (got.data[only_minus_zero].view(np.uint64) == 0).all()
+
+
+def test_scatter_plan_rejects_summed_slot_ids(disk_space, monkeypatch):
+    # the plan finds each slot's entry by tocsr() of the slot ids marked
+    # canonical, which keeps duplicates apart; a tocsr() that summed them
+    # would merge slots, so the build refuses it
+    class Summing(sps.coo_matrix):
+        def tocsr(self, copy=False):
+            self.has_canonical_format = False
+            return super().tocsr(copy=copy)
+
+    quad = asm.TriangleQuadrature(disk_space)
+    monkeypatch.setattr(asm.sps, "coo_matrix", Summing)
+    with pytest.raises(asm.AssemblyError, match="summed slot ids"):
+        asm.ScatterPlan(quad)
+
+
+def test_sums_do_not_depend_on_the_chunk_size(hierarchies, monkeypatch):
+    # chunks of 7 triangles against the default: the load vector and the
+    # norms bit for bit, the matrix's pattern and the plan's targets
+    space = build_space(hierarchies["c2-domain"][1])
+    default = asm.TriangleQuadrature(space)
+    monkeypatch.setattr(asm, "CHUNK", 7)
+    small = asm.TriangleQuadrature(space)
+    assert len(small.chunks) > len(default.chunks)
+    g = problem_g("c2-domain")
+    f = asm.pointwise(lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
+    u = space.spline(np.random.default_rng(8).standard_normal(space.dimension))
+    want, got = (asm.assemble(_all_terms_problem()[0], q) for q in (default, small))
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(small.scatter.target, default.scatter.target)
+    for fn in (lambda q: asm.assemble_rhs(f, q), lambda q: asm.error_norms(u, q),
+               lambda q: asm.residual_norm(u, q, g)):
+        np.testing.assert_array_equal(np.asarray(fn(small)).view(np.uint64),
+                                      np.asarray(fn(default)).view(np.uint64))
 
 
 def test_scatter_plan_is_built_once_per_quadrature(disk_mesh2, monkeypatch):

@@ -271,7 +271,11 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
     (["solve", "--config", "conf.json"], "--problem custom"),
     (["space", "info", "none.json", "--problem", "disk"], "not both"),
     (["space", "info", "--problem", "disk", "--domain", "none.json"], "not both"),
-], ids=["mesh", "g-expr", "g-expr-default-problem", "config-mesh", "space-path", "space-domain"])
+    # missing inputs are usage errors too
+    (["solve", "--problem", "custom", "--mesh", "none.json"], "requires --mesh and --g-expr"),
+    (["space", "info"], "needs a mesh file or --problem"),
+], ids=["mesh", "g-expr", "g-expr-default-problem", "config-mesh", "space-path", "space-domain",
+        "custom-no-g-expr", "space-none"])
 def test_flags_that_would_be_ignored_are_rejected(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "conf.json").write_text(json.dumps({"mesh": "none.json"}))
@@ -323,8 +327,10 @@ def test_custom_problem(tmp_path, disk_mesh, capsys):
               "--g-expr", "exp(x1)", "--levels", "1"])
     assert rc == 0
     assert "init" in capsys.readouterr().out
-    # missing pieces and unsafe names are rejected
-    assert run(["solve", "--problem", "custom", "--levels", "1"]) == 1
+    # missing pieces are a usage error, unsafe names a run-time one
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--problem", "custom", "--levels", "1"])
+    assert exc.value.code == 2
     assert run(["solve", "--problem", "custom", "--mesh", str(path),
                 "--g-expr", "__import__('os')", "--levels", "1"]) == 1
 
