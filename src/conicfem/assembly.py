@@ -359,27 +359,23 @@ def assemble(A, quad):
 
     Each chunk forms its triangles' blocks L in the Bernstein basis
     (QuadratureChunk.frame_weights and bb_stiffness: one GEMM with the
-    shared product_table on straight chunks) and writes Z^T L Z, Z each
-    triangle's map, into its slots, the next g k^2 entries of one value
-    array; the quadrature's ScatterPlan (built on the first call) sums
-    them in slot order.  BLAS blocks the rows of a straight chunk's GEMM
-    as it sees fit, so a block's last bits can depend on the chunk size
-    (CHUNK) and on the triangle's row in its chunk; the order of the sums
-    does not."""
-    plan = quad.scatter
-    vals = np.empty(plan.target.size)
-    start = 0
-    for ch in quad.chunks:
-        g, k = ch.cols.shape
-        coef = np.asarray(A(ch))
-        a01, a10 = coef[..., 0, 1], coef[..., 1, 0]
-        if (a01 != a10).any() and not np.array_equal(a01, a10, equal_nan=True):
-            raise AssemblyError("the coefficient A of the weak form is not symmetric")
-        L = ch.bb_stiffness(ch.frame_weights(coef))
-        out = vals[start:start + g * k * k].reshape(g, k, k)
-        np.matmul(ch.Z.swapaxes(1, 2) @ L, ch.Z, out=out)
-        start += out.size
-    return plan.csr(vals)
+    shared product_table on straight chunks), and the quadrature's
+    ScatterPlan (built on the first call) adds Z^T L Z, Z each triangle's
+    map, into the matrix's entries in slot order, one chunk at a time, so
+    no array of all the slot values exists.  BLAS blocks the rows of a
+    straight chunk's GEMM as it sees fit, so a block's last bits can
+    depend on the chunk size (CHUNK) and on the triangle's row in its
+    chunk; the order of the sums does not."""
+    def blocks():
+        for ch in quad.chunks:
+            coef = np.asarray(A(ch))
+            a01, a10 = coef[..., 0, 1], coef[..., 1, 0]
+            if (a01 != a10).any() and not np.array_equal(a01, a10, equal_nan=True):
+                raise AssemblyError("the coefficient A of the weak form is not symmetric")
+            L = ch.bb_stiffness(ch.frame_weights(coef))
+            yield ch.Z.swapaxes(1, 2) @ L @ ch.Z
+
+    return quad.scatter.csr(blocks())
 
 
 class ScatterPlan:
@@ -389,15 +385,14 @@ class ScatterPlan:
     A slot is one entry of one triangle's local block; slots run over the
     space's map groups in order, their triangles in mesh order, each
     block row by row, which is also the order of the chunks.  target[s]
-    is the CSR entry of slot s, and csr sums each entry's slots from +0.0
-    in slot order (np.bincount), so the order of the sums does not depend
-    on the chunk size, and an entry whose terms are all -0.0 reads +0.0.
-    The build finds the entries with tocsr() of the slot ids, marked
-    canonical so that it sums none of them (AssemblyError if it did), and
-    sort_indices.  indptr and indices are int32 unless the slots
-    outnumber it; they and the intp target are read-only, and every
-    matrix of csr shares indptr and indices (np.bincount copies the
-    read-only target on each call, 8 bytes per slot)."""
+    is the CSR entry of slot s, and csr adds the slot values into the
+    entries in slot order (np.add.at from +0.0), so each entry sums its
+    slots in slot order, whatever the chunk size, and an entry whose
+    terms are all -0.0 reads +0.0.  The build finds the entries with
+    tocsr() of the slot ids, marked canonical so that it sums none of
+    them (AssemblyError if it did), and sort_indices.  target, indptr and
+    indices are int32 unless the slots outnumber it, and read-only;
+    every matrix of csr shares indptr and indices."""
 
     def __init__(self, quad):
         n = quad.space.dimension
@@ -430,18 +425,35 @@ class ScatterPlan:
         self.indices = cols[new]
         self.indptr = np.where(indptr > 0, entry[indptr - 1] + 1, 0).astype(index)
         del cols, new
-        self.target = np.empty(total, dtype=np.intp)
+        self.target = np.empty(total, dtype=index)
         self.target[slot] = entry
         self.shape = (n, n)
         for a in (self.target, self.indices, self.indptr):
             a.flags.writeable = False
 
-    def csr(self, vals):
-        """The CSR matrix of the slot values vals (see the class)."""
-        data = np.bincount(self.target, weights=vals, minlength=self.indices.size)
+    def csr(self, pieces):
+        """The CSR matrix of the slot values, given as an iterable of
+        consecutive pieces in slot order (arrays of any shape, read in C
+        order), each added into the data as it comes (see the class)."""
+        data = np.zeros(self.indices.size)
+        start = 0
+        for piece in pieces:
+            piece = np.ravel(piece)
+            target = self.target[start:start + piece.size]
+            start += piece.size
+            if target.size < piece.size:
+                break
+            np.add.at(data, target, piece)
+        if start != self.target.size:
+            raise AssemblyError(f"the slot values do not fill the {self.target.size} slots")
         matrix = sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
         matrix.has_canonical_format = True
         return matrix
+
+    @property
+    def nbytes(self):
+        """Bytes held by target, indices and indptr."""
+        return self.target.nbytes + self.indices.nbytes + self.indptr.nbytes
 
 
 def assemble_rhs(f, quad):
@@ -463,7 +475,7 @@ def assemble_rhs(f, quad):
 class SolveResult:
     dofs: np.ndarray
     rel_residual: float
-    lu_fill: int            # entries SuperLU stores for the factors (Factors.lu_fill)
+    lu_fill: int            # nonzeros of SuperLU's L and U (Factors.lu_fill)
     iterations: int         # of the preconditioned CG that solved it (Factors.cg)
     factors: object = None  # of solve_sparse: the Factors it made
 
@@ -498,16 +510,18 @@ class Factors:
     the float32 copy of S A S is the one copy made.  The Galerkin matrices
     are symmetric (or nearly so), so SuperLU runs in symmetric mode:
     minimum-degree ordering on A + A^T and diagonal pivots unless one is
-    below 0.01 of its column's largest entry.  SuperLU reads the CSR
-    arrays of S A S as the CSC arrays of its transpose, so it factors
-    (S A S)^T and the solves pass trans="T".  lu_fill is SuperLU's own
-    count of the entries it stores for the factors (SuperLU.nnz: the
-    supernodal columns of L, their dense diagonal blocks included, and the
-    rest of U), which exceeds the nonzeros of L and U (2 717 716 against
-    2 495 284 on the c2-domain L4 Newton matrix); the factors are never
-    copied out to count them.  lu_mb is the MB (2**20 bytes) of those
-    float32 values.  The matrix's CSR form is canonicalized in place
-    (sum_duplicates)."""
+    below 0.01 of its column's largest entry.  Its supernodes are exact
+    (relax=1): columns join one only where their structure agrees, so no
+    stored entry is padding; SuperLU's default relaxed supernodes padded
+    the c2-domain L4 Newton matrix's factors from 2 495 284 to 2 717 716
+    entries, and the disk L6 factorization took 1.6 times as long.
+    SuperLU reads the CSR arrays of S A S as the CSC arrays of its
+    transpose, so it factors (S A S)^T and the solves pass trans="T".
+    lu_fill is SuperLU's own count of the factors' entries (SuperLU.nnz),
+    the structural nonzeros of L and U, so the factors are never copied
+    out to count them; lu_mb is the MB (2**20 bytes) of those float32
+    values.  The
+    matrix's CSR form is canonicalized in place (sum_duplicates)."""
 
     def __init__(self, matrix):
         matrix = matrix.tocsr()
@@ -524,7 +538,7 @@ class Factors:
             self.lu = spla.splu(sps.csc_matrix((scaled, matrix.indices, matrix.indptr),
                                                shape=matrix.shape),
                                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
-                                options={"SymmetricMode": True})
+                                relax=1, options={"SymmetricMode": True})
         except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
             raise SolverError(f"matrix is singular: {exc}") from exc
         self.matrix = matrix

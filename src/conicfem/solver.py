@@ -81,20 +81,22 @@ class LevelReport:
     # norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
     # facts of the level's Newton solves (see NewtonSolves): the largest
-    # matrix "nnz", "lu_fill" (Factors.lu_fill: the entries SuperLU stores
-    # for the factors), "lu_mb" (the MB, 2**20 bytes, of those float32
-    # values) and "rel_residual"; the counts of "factorizations" (1 +
-    # "refactorizations", the fresh factorizations after CG failed) and
-    # "frozen_solves" (solves with the level's factors, one per real
-    # step); "krylov_iters", the CG iterations of each real step after the
-    # first (on its own matrix, preconditioned by the level's factors);
-    # "frozen_iters", the CG iterations of each solve of a factored matrix
-    # itself, in order: a factorization's first solve and each frozen
-    # solve; the "newton_floor" (the roundoff floor at the final iterate,
-    # see newton_floor) and the "stop_ratio" (the last correction over the
-    # threshold STOP_MARGIN * newton_floor it passed); the "fill_defect" of
-    # the level's space; and "quad_mb", the MB (2**20 bytes) of its
-    # quadrature data (TriangleQuadrature.nbytes)
+    # matrix "nnz", "lu_fill" (Factors.lu_fill: the nonzeros of the
+    # factors, which SuperLU stores without padding), "lu_mb" (the MB,
+    # 2**20 bytes, of those float32 values) and "rel_residual"; the counts
+    # of "factorizations" (1 + "refactorizations", the fresh
+    # factorizations after CG failed) and "frozen_solves" (solves with the
+    # level's factors, one per real step); "krylov_iters", the CG
+    # iterations of each real step after the first (on its own matrix,
+    # preconditioned by the level's factors); "frozen_iters", the CG
+    # iterations of each solve of a factored matrix itself, in order: a
+    # factorization's first solve and each frozen solve; the
+    # "newton_floor" (the roundoff floor at the final iterate, see
+    # newton_floor) and the "stop_ratio" (the last correction over the
+    # threshold STOP_MARGIN * newton_floor it passed); the "fill_defect"
+    # of the level's space; "quad_mb", the MB (2**20 bytes) of its
+    # quadrature data (TriangleQuadrature.nbytes); and "plan_mb", the MB
+    # of its assembly plan (ScatterPlan.nbytes)
     solver: dict = field(default_factory=dict)
 
 
@@ -455,7 +457,8 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             init_residual=init_res,
             timings=timings,
             solver=dict(state.solver, fill_defect=ctx.space.fill_defect,
-                        quad_mb=ctx.quad.nbytes / 2**20),
+                        quad_mb=ctx.quad.nbytes / 2**20,
+                        plan_mb=ctx.quad.scatter.nbytes / 2**20),
         )
         if problem.exact is not None:
             rep.errors = asm.error_norms(u, ctx.quad, ref=problem.exact)
@@ -473,6 +476,9 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
                  rep.solver["lu_mb"], rep.solver["frozen_iters"])
         reports.append(rep)
         prev_u, prev_report = u, rep
+        # the next level's transfer needs prev_u alone: release this
+        # level's quadrature and plan before the next space is built
+        ctx = coarse = None
 
     _fill_rates(reports)
     return reports, u

@@ -737,7 +737,7 @@ def assemble_cartesian(A, quad):
         qx = wA[:, :, 0, 0, None] * Gx + wA[:, :, 0, 1, None] * Gy
         qy = wA[:, :, 1, 0, None] * Gx + wA[:, :, 1, 1, None] * Gy
         vals.append((Gx.swapaxes(1, 2) @ qx + Gy.swapaxes(1, 2) @ qy).ravel())
-    return quad.scatter.csr(np.concatenate(vals))
+    return quad.scatter.csr([np.concatenate(vals)])
 
 
 def frame_weights(A, w, M):

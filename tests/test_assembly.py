@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,12 +280,51 @@ def test_assemble_sums_each_entry_in_slot_order(space_name, request):
     size = quad.scatter.target.size
     for choices, p in (([-0.0, 0.0], [0.9, 0.1]), ([-0.0, 0.0, -1.5, 1e-300], None)):
         slot_vals = rng.choice(choices, size, p=p)
-        got = quad.scatter.csr(slot_vals)
+        got = quad.scatter.csr([slot_vals])
         _assert_same_bits(got, sum_in_slot_order(n, slot_blocks(quad, slot_vals)))
         not_minus_zero = ((slot_vals != 0.0) | ~np.signbit(slot_vals)).astype(float)
         only_minus_zero = sum_in_slot_order(n, slot_blocks(quad, not_minus_zero)).data == 0.0
         assert only_minus_zero.any()
         assert (got.data[only_minus_zero].view(np.uint64) == 0).all()
+
+
+def test_assemble_streams_its_blocks_into_the_csr_data(hierarchies, monkeypatch):
+    # assemble adds each chunk's blocks into the CSR data as they come, so
+    # a call holds the data (8 bytes per entry) and one chunk's
+    # temporaries, and no array of all the slot values (8 bytes per slot)
+    # or an intp copy of target (8 more); one triangle per chunk keeps the
+    # chunk's part small, so that such an array would show.  Measured at
+    # c2-domain L2: a peak of 317 472 bytes, 8 nnz = 226 944, one chunk's
+    # blocks at most 3 528 bytes, so 87 000 bytes of a pie's quadrature
+    # products and index copies (the margin allows 131 072); 8 slots =
+    # 458 688, so the peak is 0.69 of one slot-length array
+    monkeypatch.setattr(asm, "CHUNK", 1)
+    quad = asm.TriangleQuadrature(build_space(hierarchies["c2-domain"][1]))
+    plan = quad.scatter
+    assert plan.target.dtype == np.int32 and not plan.target.flags.writeable
+    want = asm.assemble(EYE, quad)          # the product tables are built by now
+    tracemalloc.start()
+    try:
+        got = asm.assemble(EYE, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_bits(got, want)
+    nnz, slots = plan.indices.size, plan.target.size
+    block = max(8 * ch.cols.size * ch.cols.shape[1] for ch in quad.chunks)
+    assert peak < 8 * nnz + block + 2**17
+    assert peak < 0.8 * 8 * slots
+    # the slot values in any consecutive pieces, empty ones included, sum
+    # to the same bits as in one piece
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal(slots)
+    cuts = rng.integers(0, slots, 40)
+    pieces = np.split(vals, np.sort(np.r_[cuts, cuts[:1]]))
+    _assert_same_bits(plan.csr(pieces), plan.csr([vals]))
+    _assert_same_bits(plan.csr(p.reshape(-1, 1) for p in pieces), plan.csr([vals]))
+    for short in ([vals[:-1]], [vals, vals[:1]]):
+        with pytest.raises(asm.AssemblyError, match="do not fill"):
+            plan.csr(short)
 
 
 def test_scatter_plan_rejects_summed_slot_ids(disk_space, monkeypatch):
@@ -390,11 +430,13 @@ def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
     res = asm.solve_sparse(asm.SparseSystem(
         K, asm.assemble_rhs(asm.pointwise(lambda x: np.ones(len(x))), quad)))
     colamd = spla.splu(K.tocsc())
-    # lu_fill is SuperLU's stored count, which pads the supernodes of so
-    # small a matrix (85 302 against 75 068 for COLAMD here); the fill
-    # itself is the nonzeros of L and U
+    # lu_fill is SuperLU's count of the factors' entries; with exact
+    # supernodes none is padding, so it is the nonzeros of L and U, less
+    # those that come out exactly 0.0 in float32, which L and U leave out
+    # (43 920 against 43 918 here; relaxed supernodes stored 85 302)
     lu = res.factors.lu
     assert res.lu_fill == lu.nnz
+    assert 0 <= lu.nnz - (lu.L.nnz + lu.U.nnz) <= lu.nnz // 1000
     assert 0 < lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
     assert res.rel_residual < 1e-12
 

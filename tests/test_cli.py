@@ -206,7 +206,7 @@ def test_solve_report_json(tmp_path, monkeypatch):
         for name in names:
             assert same(getattr(rep, name), got[name]), name
     assert {"space", "quad", "newton"} <= set(levels[1]["timings"])
-    assert {"nnz", "lu_fill", "fill_defect", "quad_mb", "factorizations",
+    assert {"nnz", "lu_fill", "fill_defect", "quad_mb", "plan_mb", "factorizations",
             "refactorizations", "krylov_iters"} <= set(levels[1]["solver"])
     assert levels[0]["solver"]["krylov_iters"] == reports[0].solver["krylov_iters"] == [6, 6]
 
@@ -377,18 +377,22 @@ def test_dump_reports_compare(tmp_path, capsys):
     levels = tool.from_bits(json.loads(a.read_text()))["levels"]
     for line, level in zip(out[1:], levels):
         ratio = f"{level['solver']['stop_ratio']:.3g}"
-        assert line.endswith(f"; stop_ratio {ratio} {ratio}, factorizations 1 1")
+        lu_mb = f"{level['solver']['lu_mb']:.4g}"
+        assert line.endswith(f"; lu_mb {lu_mb} {lu_mb}; stop_ratio {ratio} {ratio}, "
+                             "factorizations 1 1")
 
-    # the stop test and the factorizations are shown, not judged
+    # the factor size, the stop test and the factorizations are shown, not judged
     moved = json.loads(a.read_text())
+    moved["levels"][0]["solver"]["lu_mb"] = tool.to_bits(2.5)
     moved["levels"][0]["solver"]["stop_ratio"] = tool.to_bits(0.5)
     moved["levels"][0]["solver"]["factorizations"] = 2
     b = tmp_path / "b.json"
     b.write_text(json.dumps(moved))
     assert tool.main(["--compare", str(a), str(b)]) == 0
     ratio = f"{levels[0]['solver']['stop_ratio']:.3g}"
+    lu_mb = f"{levels[0]['solver']['lu_mb']:.4g}"
     assert capsys.readouterr().out.splitlines()[1].endswith(
-        f"; stop_ratio {ratio} 0.5, factorizations 1 2")
+        f"; lu_mb {lu_mb} 2.5; stop_ratio {ratio} 0.5, factorizations 1 2")
 
     moved = json.loads(a.read_text())
     l2 = tool.from_bits(moved["levels"][0]["errors"][0])

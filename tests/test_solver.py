@@ -1,4 +1,5 @@
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -390,6 +391,31 @@ def test_level_reports_quadrature_megabytes(disk, disk_problem):
     reports, _ = sol.multilevel_run(disk_problem, 1)
     quad = asm.TriangleQuadrature(build_space(disk[1]))
     assert reports[0].solver["quad_mb"] == quad.nbytes / 2**20 > 0
+
+
+def test_level_reports_plan_megabytes(disk, disk_problem):
+    # target, indices and indptr: int32, 4 bytes per slot, entry and row
+    reports, _ = sol.multilevel_run(disk_problem, 1)
+    plan = asm.ScatterPlan(asm.TriangleQuadrature(build_space(disk[1])))
+    n, nnz, slots = plan.shape[0], plan.indices.size, plan.target.size
+    assert plan.nbytes == 4 * (slots + nnz + n + 1)
+    assert reports[0].solver["plan_mb"] == plan.nbytes / 2**20 > 0
+
+
+def test_each_level_context_is_released_before_the_next_is_built(disk_problem, monkeypatch):
+    # the transfer needs the previous solution alone, so the previous
+    # level's quadrature and plan are gone when the next space is built
+    quads = []
+
+    class Watched(sol.LevelContext):
+        def __init__(self, mesh):
+            assert all(q() is None for q in quads)
+            super().__init__(mesh)
+            quads.append(weakref.ref(self.quad))
+
+    monkeypatch.setattr(sol, "LevelContext", Watched)
+    sol.multilevel_run(disk_problem, 3)
+    assert len(quads) == 3
 
 
 def test_level_reports_factor_megabytes_and_frozen_iters(disk_problem):

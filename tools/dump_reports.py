@@ -13,10 +13,10 @@ checkouts gives two files to diff.
 `--compare A B` reads two dumps and prints, per level, the `dimension`,
 the Newton count `m` (`iterations`) and the `krylov_iters` of both, the
 largest relative change from A to B of the `errors`, the `eps_errors`
-and the residual `R`, and the `stop_ratio` and `factorizations` of both
-(roundoff moves the stop test before it moves `m`).  It exits 1 when the
-dumps differ in their number of levels, or in a level's `dimension` or
-`m`.
+and the residual `R`, the factors' `lu_mb` of both, and the
+`stop_ratio` and `factorizations` of both (roundoff moves the stop test
+before it moves `m`).  It exits 1 when the dumps differ in their number
+of levels, or in a level's `dimension` or `m`.
 """
 
 import argparse
@@ -98,15 +98,15 @@ def compare(a, b):
             for name, r in (("errors", rel_change(la["errors"], lb["errors"])),
                             ("eps_errors", rel_change(la["eps_errors"], lb["eps_errors"])),
                             ("R", rel_change(la["residual"], lb["residual"]))))
-        ratios = " ".join("-" if r is None else f"{r:.3g}"
-                          for r in (la["solver"].get("stop_ratio"),
-                                    lb["solver"].get("stop_ratio")))
+        def both(key, fmt=""):
+            return " ".join("-" if r is None else f"{r:{fmt}}"
+                            for r in (la["solver"].get(key), lb["solver"].get(key)))
+
         lines.append(
             f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
-            f"m {la['iterations']} {lb['iterations']}, krylov_iters "
-            f"{la['solver'].get('krylov_iters')} {lb['solver'].get('krylov_iters')}; "
-            f"largest relative change: {changes}; stop_ratio {ratios}, factorizations "
-            f"{la['solver'].get('factorizations')} {lb['solver'].get('factorizations')}"
+            f"m {la['iterations']} {lb['iterations']}, krylov_iters {both('krylov_iters')}; "
+            f"largest relative change: {changes}; lu_mb {both('lu_mb', '.4g')}; "
+            f"stop_ratio {both('stop_ratio', '.3g')}, factorizations {both('factorizations')}"
             f"{'' if same else '  DIFFERS'}")
     return lines, ok
 
