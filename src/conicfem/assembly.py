@@ -475,7 +475,6 @@ def assemble_rhs(f, quad):
 class SolveResult:
     dofs: np.ndarray
     rel_residual: float
-    lu_fill: int            # nonzeros of SuperLU's L and U (Factors.lu_fill)
     iterations: int         # of the preconditioned CG that solved it (Factors.cg)
     factors: object = None  # of solve_sparse: the Factors it made
 
@@ -586,7 +585,7 @@ class Factors:
             raise SolverError(
                 f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
             )
-        return SolveResult(x, res, self.lu_fill, iterations)
+        return SolveResult(x, res, iterations)
 
 
 def solve_sparse(system):
@@ -609,7 +608,7 @@ def solve_preconditioned(matrix, rhs, factors):
     caller can factor the matrix itself."""
     x, iterations, converged = factors.cg(matrix, rhs, KRYLOV_MAXITER)
     res = _rel_residual(matrix, x, rhs) if converged else np.inf
-    result = (SolveResult(x, res, factors.lu_fill, iterations) if res <= MAX_REL_RESIDUAL
+    result = (SolveResult(x, res, iterations) if res <= MAX_REL_RESIDUAL
               else None)      # not converged, or not finite (res is then nan)
     return result, iterations
 

@@ -25,7 +25,7 @@ from .problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_
 from .space import SpaceError, build_space, load_spline, save_spline
 
 _CONFIG_KEYS = (
-    "problem", "mesh", "g_expr", "levels", "tol", "max_iter", "output",
+    "problem", "mesh", "g_expr", "levels", "output",
     "plot_data", "plot_grid", "save_solution", "dump_matrix", "report_json",
 )
 
@@ -153,8 +153,7 @@ def cmd_solve(args):
         exact = disk_exact_solution() if args.problem == "disk" else None
         prob = sol.MongeAmpereProblem(domain, mesh, problem_g(args.problem),
                                       exact=exact, name=args.problem)
-    reports, u = sol.multilevel_run(prob, args.levels, tol=args.tol,
-                                    max_iter=args.max_iter)
+    reports, u = sol.multilevel_run(prob, args.levels)
     rows = convergence_rows(reports, use_exact=exact is not None)
     print_table(rows)
     if args.output:
@@ -176,8 +175,8 @@ def cmd_solve(args):
         mmwrite(args.dump_matrix, asm.assemble(A, quad))
         print(f"wrote {args.dump_matrix}")
     if any(r.diverged for r in reports):
-        print("warning: Newton iteration hit the cap on some level",
-              file=sys.stderr)
+        print("warning: Newton iteration diverged on some level (step cap hit "
+              "or four growing corrections)", file=sys.stderr)
         return 2
     return 0
 
@@ -254,8 +253,6 @@ def build_parser():
     ps.add_argument("--g-expr", help="expression in x1, x2 for the datum g "
                                      "(--problem custom)")
     ps.add_argument("--levels", type=int, default=3)
-    ps.add_argument("--tol", type=float, default=1e-15)
-    ps.add_argument("--max-iter", type=int, default=20)
     ps.add_argument("--output", help="CSV output path")
     ps.add_argument("--plot-data", help="lattice sample output path")
     ps.add_argument("--plot-grid", type=int, default=81)
@@ -327,10 +324,7 @@ def main(argv=None):
         extra = [f"--{key.replace('_', '-')}={val}" for key, val in conf.items()
                  if key.replace("-", "_") not in passed and val is not None]
         args = parser.parse_args(argv + extra)
-    if hasattr(args, "levels") and hasattr(args, "tol"):
-        if args.levels < 1 or not (np.isfinite(args.tol) and args.tol > 0):
-            parser.error("levels must be >= 1 and tol finite and > 0")
-    if args.fn is cmd_space_info and args.levels < 1:
+    if args.fn in (cmd_solve, cmd_space_info) and args.levels < 1:
         parser.error("levels must be >= 1")
     if args.fn is cmd_mesh_refine and args.levels < 0:
         parser.error("levels must be >= 0")

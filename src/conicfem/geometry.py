@@ -283,7 +283,8 @@ class ConicDomain:
 
     Simple connectivity is a documented assumption, not verified here.
     interior_angles[j] is the angle between incoming and outgoing tangents
-    at corner j (the start point of arc j).
+    at corner j (the start point of arc j), strictly between 0 and 2 pi: a
+    cusp, where the tangents are antiparallel, is a GeometryError.
     """
 
     arcs: tuple
@@ -305,8 +306,13 @@ class ConicDomain:
         angles = np.array(
             [_corner_angle(arcs[(j - 1) % n], arcs[j]) for j in range(n)]
         )
-        if np.any(angles <= 0):
-            raise GeometryError("non-positive interior corner angle")
+        # _corner_angle reads a cusp (antiparallel tangents) as 2 pi, or
+        # as a sliver above 0 after roundoff
+        cusp = np.minimum(angles, 2 * np.pi - angles) <= tol
+        if cusp.any():
+            j = int(np.argmax(cusp))
+            raise GeometryError(f"corner {j} at {arcs[j].start} is a cusp: "
+                                "its two tangents are antiparallel")
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "interior_angles", angles)

@@ -153,18 +153,19 @@ def poisson_initial_guess(ctx, g):
 
 
 # The stop rule of run_level.  A correction below the floor
-# NEWTON_FLOOR * eps * |u| is roundoff: the nominal tolerance can sit below
-# what double precision resolves in an assembled correction.  A level stops
-# on a correction below STOP_MARGIN times that floor.  Measured with the
+# NEWTON_FLOOR * eps * |u| is roundoff.  A level stops on a correction below
+# STOP_MARGIN times that floor, its only threshold: scaling g by c^2 scales
+# u by c and keeps the Newton counts.  Measured with the
 # level's factors, frozen corrections solved by CG, in runs of levels 1-5:
 # roundoff-only corrections read up to 1.51x the floor (c2-domain L5;
 # ellipse-exp L5 1.15x, ellipse-sin L5 0.55x), and up to 1.39x on
 # c2-domain L4 under one-ulp changes of its iterate; the smallest real
 # correction that must not stop a level is 42.8x (ellipse-sin L3;
 # c2-domain L3 54.6x, disk L3 100x).  A margin of 8 leaves 5.3x below it
-# and 5.3x above it.
+# and 5.3x above it.  A level runs at most MAX_STEPS real steps.
 NEWTON_FLOOR = 100.0
 STOP_MARGIN = 8.0
+MAX_STEPS = 20
 
 
 class NewtonSolves:
@@ -204,7 +205,7 @@ class NewtonSolves:
             self.factors = None         # released before the next factorization
         result = asm.solve_sparse(asm.SparseSystem(matrix, rhs))
         self.factorizations += 1
-        self.lu_fill = max(self.lu_fill, result.lu_fill)
+        self.lu_fill = max(self.lu_fill, result.factors.lu_fill)
         self.lu_mb = max(self.lu_mb, result.factors.lu_mb)
         self.frozen_iters.append(result.iterations)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
@@ -263,14 +264,14 @@ def frozen_step(ctx, u, linearized, factors):
     return (*_corrected(ctx, u, result.dofs), result)
 
 
-def newton_floor(u, quad, tol):
-    """The roundoff floor max(tol, NEWTON_FLOOR * eps * |u|) of a Newton
+def newton_floor(u, quad):
+    """The roundoff floor NEWTON_FLOOR * eps * |u|_L2 of a Newton
     correction that gave the iterate u; the stop threshold is STOP_MARGIN
     times it."""
-    return max(tol, NEWTON_FLOOR * np.finfo(float).eps * asm.l2_norm(u, quad))
+    return NEWTON_FLOOR * np.finfo(float).eps * asm.l2_norm(u, quad)
 
 
-def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
+def run_level(ctx, g, u0):
     """Newton iteration on one level, stopped by the termination test of
     Deuflhard's error-oriented Newton code NLEQ-ERR (P. Deuflhard, Newton
     Methods for Nonlinear Problems, Springer 2004, sec. 2.1).
@@ -287,7 +288,7 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
     times newton_floor of the corrected iterate it is applied and the
     level stops; otherwise the next real step assembles its matrix from
     that same linearization.  A real correction below the threshold also
-    stops the level.  At most max_iter real steps run; four growing
+    stops the level.  At most MAX_STEPS real steps run; four growing
     corrections in a row count as divergence.  The level's factors live
     in its NewtonSolves, so they are released when it returns.
 
@@ -298,19 +299,15 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
     correction that passed the stop rule unless it is the only one: the
     convention of the reference convergence tables.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and > 0")
     solves = NewtonSolves()
     u, norms, linearized = u0, [], None
     eigmin = np.inf
     stopped_by = None
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_STEPS + 1):
         u, n, e = newton_step(ctx, u, g, solves, linearized)
         norms.append(n)
         eigmin = min(eigmin, e)
-        floor = newton_floor(u, ctx.quad, tol)
+        floor = newton_floor(u, ctx.quad)
         if n < STOP_MARGIN * floor:
             stopped_by = "real"
             break
@@ -326,7 +323,7 @@ def run_level(ctx, g, u0, tol=1e-15, max_iter=20):
                 "is not elliptic")
         u_next, n_next, result = frozen_step(ctx, u, linearized, solves.factors)
         solves.re_solved(result)
-        floor_next = newton_floor(u_next, ctx.quad, tol)
+        floor_next = newton_floor(u_next, ctx.quad)
         if n_next < STOP_MARGIN * floor_next:
             u, n, floor = u_next, n_next, floor_next
             norms.append(n)
@@ -404,7 +401,7 @@ def transfer_guess(u_coarse, fine_space, coarse=None):
     return fine_space.spline(fine_space.extract_dofs(coarse.stored))
 
 
-def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
+def multilevel_run(problem, levels):
     """Newton-Galerkin runs on a hierarchy of uniformly refined meshes.
 
     Returns the list of LevelReports (with consecutive-level eps errors
@@ -436,7 +433,7 @@ def multilevel_run(problem, levels, tol=1e-15, max_iter=20):
             u0 = transfer_guess(prev_u, ctx.space, coarse)
         timings["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
-        state, eigmin = run_level(ctx, problem.g, u0, tol=tol, max_iter=max_iter)
+        state, eigmin = run_level(ctx, problem.g, u0)
         timings["newton"] = time.perf_counter() - start
         start = time.perf_counter()
         init_res = init_err = None

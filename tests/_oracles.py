@@ -882,20 +882,21 @@ def error_norms_per_triangle(spline, quad, ref_batch):
 # ---------------------------------------------------------------------------
 # Newton termination by one more full step
 
-def run_level_full_steps(ctx, g, u0, tol=1e-15, max_iter=20):
+def run_level_full_steps(ctx, g, u0):
     """Newton iteration that confirms convergence with one more full step:
     every correction, the confirming one too, linearizes, assembles and
     factors anew (solver.newton_step), and the loop stops on the first
-    correction below max(tol, 100 eps |u|) at the corrected iterate.
+    correction below 100 eps |u| at the corrected iterate, within
+    solver.MAX_STEPS steps.
     Returns (final iterate, m, correction norms, diverged), m counting the
     corrections but the confirming one, unless that is the only one."""
     u = u0
     norms = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(sol.MAX_STEPS):
         u, n, _ = sol.newton_step(ctx, u, g)
         norms.append(n)
-        if n < max(tol, 100.0 * np.finfo(float).eps * asm.l2_norm(u, ctx.quad)):
+        if n < 100.0 * np.finfo(float).eps * asm.l2_norm(u, ctx.quad):
             converged = True
             break
         if len(norms) >= 4 and norms[-1] > norms[-2] > norms[-3] > norms[-4]:

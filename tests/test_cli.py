@@ -124,12 +124,31 @@ def test_mesh_validate_rejects_fractional_indices(tmp_path, capsys):
                                        "has a non-integral index\n")
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
-def test_solve_rejects_tol_that_is_not_finite_and_positive(tol, capsys):
+@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+def test_solve_has_no_stop_flags(flag, capsys):
+    # the Newton stop rule has no settings
     with pytest.raises(SystemExit) as exc:
-        run(["solve", "--problem", "disk", "--levels", "1", "--tol", tol])
+        run(["solve", "--problem", "disk", "--levels", "1", flag, "1e-10"])
     assert exc.value.code == 2
-    assert "tol finite and > 0" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tol", "max_iter"])
+def test_config_has_no_stop_keys(key, tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"problem": "disk", key: 10}))
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--config", str(conf), "--levels", "1"])
+    assert exc.value.code == 2
+    assert f"unknown --config key(s): {key}" in capsys.readouterr().err
+
+
+def test_solve_exits_2_when_a_level_diverges(monkeypatch, capsys):
+    # c2-domain L1 takes m = 4, so a cap of one real step leaves it unconverged
+    monkeypatch.setattr(sol, "MAX_STEPS", 1)
+    assert run(["solve", "--problem", "c2-domain", "--levels", "1"]) == 2
+    assert capsys.readouterr().err == ("warning: Newton iteration diverged on some "
+                                       "level (step cap hit or four growing corrections)\n")
 
 
 def test_space_info(capsys):

@@ -230,6 +230,19 @@ def test_domain_chain_validation():
         geo.ConicDomain(tuple(bad))
 
 
+def test_domain_rejects_a_cusp_corner():
+    # y = x^2 from (0,0) to (1,1), a circle arc to (1,2), y = 2 x^2 back to
+    # (0,0): the two parabolas leave the origin along the same tangent
+    arcs = (geo.BoundaryArc(geo.Conic((-1.0, 0.0, 0.0, 0.0, 1.0, 0.0)), (0.0, 0.0), (1.0, 1.0)),
+            geo.BoundaryArc(geo.Conic((-1.0, 0.0, -1.0, 1.0, 3.0, -2.0)), (1.0, 1.0), (1.0, 2.0)),
+            geo.BoundaryArc(geo.Conic((-2.0, 0.0, 0.0, 0.0, 1.0, 0.0)), (1.0, 2.0), (0.0, 0.0)))
+    with pytest.raises(geo.GeometryError, match=r"^corner 0 at \(0\.0, 0\.0\) is a cusp"):
+        geo.ConicDomain(arcs)
+    # the same corner rotated to the middle of the chain is named by its index
+    with pytest.raises(geo.GeometryError, match=r"^corner 2 at \(0\.0, 0\.0\) is a cusp"):
+        geo.ConicDomain(arcs[1:] + arcs[:1])
+
+
 def test_domain_file_roundtrip(tmp_path):
     pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     arcs = [geo.BoundaryArc(CIRCLE, pts[j], pts[(j + 1) % 4]) for j in range(4)]

@@ -220,28 +220,37 @@ def test_newton_fixed_point_and_quadratic_decay(disk_ctx, disk_problem):
     assert np.abs(asm.assemble_rhs(f, disk_ctx.quad)).max() < 1e-9
 
 
-def test_run_level_infinite_tolerance(disk_ctx, disk_problem):
-    # an infinite tolerance would stop every level after one step as if
-    # it had converged; a huge finite one does stop there, with m = 1
+def test_first_correction_below_the_threshold_stops_with_m_1(disk_ctx, disk_problem,
+                                                             monkeypatch):
+    # a real correction below the threshold stops the level at once; when
+    # it is the first one, m counts it (m = 1) and no frozen step runs
+    monkeypatch.setattr(sol, "STOP_MARGIN", 1e300)
     u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
-    with pytest.raises(ValueError, match=r"^tol must be finite and > 0$"):
-        sol.run_level(disk_ctx, disk_problem.g, u0, tol=np.inf)
-    state, _ = sol.run_level(disk_ctx, disk_problem.g, u0, tol=1e300)
-    assert state.iterations == 1
+    state, _ = sol.run_level(disk_ctx, disk_problem.g, u0)
+    assert state.iterations == 1 and not state.diverged
     assert len(state.update_norms) == 1
+    assert state.solver["frozen_solves"] == 0
 
 
-def test_run_level_needs_one_step(disk_ctx, disk_problem):
-    u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        sol.run_level(disk_ctx, disk_problem.g, u0, max_iter=0)
+def test_step_cap_reports_divergence(c2dom, monkeypatch):
+    # c2-domain L1 takes m = 4; capped at one real step the level stops
+    # unconverged
+    monkeypatch.setattr(sol, "MAX_STEPS", 1)
+    problem = sol.MongeAmpereProblem(*c2dom, problem_g("c2-domain"))
+    (rep,), _ = sol.multilevel_run(problem, 1)
+    assert rep.diverged and rep.iterations == 1
+    assert len(rep.update_norms) == 1 and rep.solver["stop_ratio"] > 1.0
 
 
-@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
-def test_run_level_needs_finite_positive_tol(disk_ctx, disk_problem, tol):
-    u0 = disk_ctx.space.zero()
-    with pytest.raises(ValueError, match=r"^tol must be finite and > 0$"):
-        sol.run_level(disk_ctx, disk_problem.g, u0, tol=tol)
+def test_newton_counts_do_not_depend_on_the_scale_of_g(disk):
+    # g scaled by c^2 scales u by c; the stop rule is relative to |u|, so
+    # disk L1-2 takes the same steps with g * 1e-8 as with g
+    dom, mesh = disk
+    g = problem_g("disk")
+    runs = [sol.multilevel_run(sol.MongeAmpereProblem(dom, mesh, lambda x, c=c: c * g(x)), 2)[0]
+            for c in (1.0, 1e-8)]
+    steps = [[(r.dimension, r.iterations) for r in reports] for reports in runs]
+    assert steps[0] == steps[1] == [(134, 3), (478, 2)]
 
 
 def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
@@ -639,7 +648,7 @@ def _frozen_ratio(ctx, g, u, factors):
     """The simplified Newton correction at u with the factors, over the
     stop threshold at the corrected iterate."""
     u_next, n, _ = sol.frozen_step(ctx, u, sol.newton_rhs(ctx, u, g), factors)
-    return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad, 1e-15))
+    return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad))
 
 
 def _one_ulp_ratios(ctx, g, u, factors, draws=20):
@@ -660,7 +669,7 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
     for k in range(1, 5):
         solves.factors = None
         u, n, _ = sol.newton_step(ctx, u, g, solves)
-        assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
+        assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
         assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     # measured at most 0.142 (1.14x the floor), so this keeps more than a
     # 4x margin under the threshold
@@ -675,7 +684,7 @@ def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
     u = sol.poisson_initial_guess(ctx, g)
     for k in range(1, 5):
         u, n, _ = sol.newton_step(ctx, u, g, solves)
-        assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad, 1e-15)
+        assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
         assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     assert solves.factorizations == 1 and len(solves.krylov_iters) == 3
     # measured at most 0.174 (1.39x the floor): the level's factors read
