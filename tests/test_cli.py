@@ -124,7 +124,16 @@ def test_mesh_validate_rejects_fractional_indices(tmp_path, capsys):
                                        "has a non-integral index\n")
 
 
-@pytest.mark.parametrize("flag", ["--tol", "--max-iter"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_solve_rejects_tol_that_is_not_finite_and_positive(tol, capsys):
+    # the Newton stop rule has no settings: any --tol is a usage error
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--problem", "disk", "--levels", "1", "--tol", tol])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--max-iter"])
 def test_solve_has_no_stop_flags(flag, capsys):
     # the Newton stop rule has no settings
     with pytest.raises(SystemExit) as exc:
