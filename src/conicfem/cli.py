@@ -19,7 +19,7 @@ import numpy as np
 
 from . import assembly as asm
 from . import solver as sol
-from .geometry import GeometryError, load_domain
+from .geometry import GeometryError
 from .mesh import MeshError, load_mesh, refine_uniform, save_mesh
 from .problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
 from .space import SpaceError, build_space, load_spline, save_spline
@@ -199,8 +199,7 @@ def _write_plot(u, n, path):
 
 
 def cmd_mesh_validate(args):
-    domain = load_domain(args.domain) if args.domain else None
-    mesh = load_mesh(args.path, domain=domain)
+    mesh = load_mesh(args.path)
     kinds = {k: int(np.count_nonzero(mesh.tri_kind == k)) for k in ("ordinary", "buffer", "pie")}
     print(f"OK: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles "
           f"({kinds['ordinary']} ordinary, {kinds['buffer']} buffer, "
@@ -209,8 +208,7 @@ def cmd_mesh_validate(args):
 
 
 def cmd_mesh_refine(args):
-    domain = load_domain(args.domain) if args.domain else None
-    mesh = load_mesh(args.path, domain=domain)
+    mesh = load_mesh(args.path)
     for _ in range(args.levels):
         mesh = refine_uniform(mesh)
     save_mesh(mesh, args.output)
@@ -219,11 +217,7 @@ def cmd_mesh_refine(args):
 
 
 def cmd_space_info(args):
-    if args.problem:
-        _, mesh = builtin_domain(args.problem)
-    else:
-        domain = load_domain(args.domain) if args.domain else None
-        mesh = load_mesh(args.path, domain=domain)
+    mesh = builtin_domain(args.problem)[1] if args.problem else load_mesh(args.path)
     for _ in range(args.levels - 1):
         mesh = refine_uniform(mesh)
     space = build_space(mesh)
@@ -270,12 +264,10 @@ def build_parser():
     msub = pm.add_subparsers(dest="mesh_command", required=True)
     pv = msub.add_parser("validate")
     pv.add_argument("path")
-    pv.add_argument("--domain", help="domain JSON (if not embedded)")
     pv.set_defaults(fn=cmd_mesh_validate)
     pr = msub.add_parser("refine")
     pr.add_argument("path")
     pr.add_argument("--levels", type=int, default=1)
-    pr.add_argument("--domain")
     pr.add_argument("--output", required=True)
     pr.set_defaults(fn=cmd_mesh_refine)
 
@@ -284,7 +276,6 @@ def build_parser():
     si = ssub.add_parser("info")
     si.add_argument("path", nargs="?")
     si.add_argument("--problem", choices=PROBLEM_IDS)
-    si.add_argument("--domain")
     si.add_argument("--levels", type=int, default=1)
     si.set_defaults(fn=cmd_space_info)
 
@@ -337,12 +328,12 @@ def main(argv=None):
         parser.error("--problem custom requires --mesh and --g-expr")
     if args.fn is cmd_space_info and not (args.problem or args.path):
         parser.error("space info needs a mesh file or --problem")
-    if args.fn is cmd_space_info and args.problem and (args.path or args.domain):
+    if args.fn is cmd_space_info and args.problem and args.path:
         parser.error("space info takes a mesh file or --problem, not both")
     try:
         return args.fn(args)
     except (MeshError, GeometryError, SpaceError, asm.AssemblyError,
-            asm.SolverError, FileNotFoundError, KeyError, ValueError) as exc:
+            asm.SolverError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

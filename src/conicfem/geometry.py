@@ -1,13 +1,13 @@
 """Implicit conics, boundary arcs and piecewise-conic domains.
 
 A boundary is an ordered, counter-clockwise chain of arcs, each the zero
-set of an implicit quadratic.  Arcs are kept purely implicit: point
-queries are answered by ray intersection, never by a stored
-parameterization.  All values are immutable after construction and all
-operations are pure functions.
+set of a genuine conic (an irreducible implicit quadratic; straight
+pieces are rejected).  Arcs are kept purely implicit: point queries are
+answered by ray intersection, never by a stored parameterization.  All
+values are immutable after construction and all operations are pure
+functions.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +26,11 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Conic:
-    """Implicit curve q(x) = k1 x1^2 + k2 x1 x2 + k3 x2^2 + k4 x1 + k5 x2 + k6.
-
-    degree is 1 for a straight line (k1 = k2 = k3 = 0) and 2 for a genuine
-    conic, which must be irreducible.
+    """Implicit curve q(x) = k1 x1^2 + k2 x1 x2 + k3 x2^2 + k4 x1 + k5 x2 + k6,
+    a genuine conic: the quadratic part is nonzero and q is irreducible.
     """
 
     coeffs: tuple
-    degree: int = 2
 
     def __post_init__(self):
         k = np.asarray(self.coeffs, dtype=float)
@@ -43,21 +40,14 @@ class Conic:
         scale = np.abs(k).max()
         if scale == 0.0:
             raise GeometryError("zero conic")
-        if self.degree == 1:
-            if np.abs(k[:3]).max() > 1e-12 * scale:
-                raise GeometryError("degree-1 conic has quadratic terms")
-            if np.abs(k[3:5]).max() <= 1e-12 * scale:
-                raise GeometryError("degenerate line")
-        elif self.degree == 2:
-            if np.abs(k[:3]).max() <= 1e-12 * scale:
-                raise GeometryError("degree-2 conic with zero quadratic part")
-            if not _is_irreducible(k):
-                raise GeometryError("reducible conic (factors into lines)")
-        else:
-            raise GeometryError("conic degree must be 1 or 2")
+        if np.abs(k[:3]).max() <= 1e-12 * scale:
+            raise GeometryError("conic has zero quadratic part: straight boundary pieces "
+                                "are not supported")
+        if not _is_irreducible(k):
+            raise GeometryError("reducible conic (factors into lines)")
 
     def negated(self):
-        return Conic(tuple(-c for c in self.coeffs), self.degree)
+        return Conic(tuple(-c for c in self.coeffs))
 
 
 def _is_irreducible(k):
@@ -335,12 +325,12 @@ def _corner_angle(arc_in, arc_out):
 
 
 # ---------------------------------------------------------------------------
-# domain file IO
+# the "domain" object of a mesh file
 
 def domain_to_dict(domain):
     return {
         "arcs": [
-            {"coeffs": list(a.conic.coeffs), "degree": a.conic.degree,
+            {"coeffs": list(a.conic.coeffs), "degree": 2,
              "from": list(a.start), "to": list(a.end)}
             for a in domain.arcs
         ]
@@ -348,19 +338,21 @@ def domain_to_dict(domain):
 
 
 def domain_from_dict(data):
-    arcs = []
-    for a in data["arcs"]:
-        conic = Conic(tuple(a["coeffs"]), int(a.get("degree", 2)))
-        arcs.append(BoundaryArc(conic, tuple(a["from"]), tuple(a["to"])))
-    return ConicDomain(tuple(arcs))
+    """The domain of a mesh file's "domain" object: an "arcs" list of arc
+    objects, each a conic of "degree" 2 (the only degree, and the default).
 
-
-def load_domain(path):
-    """Load and validate a domain description file (JSON).
-
-    The loader re-checks endpoint-on-conic (relative tolerance 1e-12, a
-    choice the source material leaves open) and chaining, and applies sign
-    normalization.
+    ConicDomain re-checks endpoint-on-conic (relative tolerance 1e-12, a
+    choice the source material leaves open), chaining and corners, and
+    normalizes the conic signs.
     """
-    with open(path) as f:
-        return domain_from_dict(json.load(f))
+    if not isinstance(data, dict) or not isinstance(data.get("arcs"), list):
+        raise GeometryError('domain: expected a JSON object with an "arcs" list')
+    arcs = []
+    for j, a in enumerate(data["arcs"]):
+        if not isinstance(a, dict):
+            raise GeometryError(f"arc {j}: expected a JSON object, got {type(a).__name__}")
+        if a.get("degree", 2) != 2:
+            raise GeometryError(f"arc {j} has degree {a['degree']!r}, expected 2: straight "
+                                "boundary pieces are not supported")
+        arcs.append(BoundaryArc(Conic(tuple(a["coeffs"])), tuple(a["from"]), tuple(a["to"])))
+    return ConicDomain(tuple(arcs))

@@ -13,10 +13,13 @@ reports violations by condition letter:
   (f) all boundary edges are curved
   (g) no two buffer triangles share an edge
 
+(f) holds by construction: every arc of a ConicDomain is a genuine conic
+(geometry.Conic rejects straight pieces), so it has no check of its own.
+
 A triangulation is a bundle of read-only arrays, built and checked in
 whole-mesh array steps.  Triangulations are immutable after validation;
 refinement returns a new value, so read-sharing across threads needs no
-coordination.
+coordination.  A mesh file is a JSON object that embeds its domain.
 """
 
 import json
@@ -103,22 +106,26 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     """Build a validated CurvedTriangulation from raw mesh data.
 
     vertices: (n, 2) float array; triangles: (m, 3) int array (any
-    orientation); boundary_edges: list of (va, vb, arc_index) chords lying
-    under the domain arcs.  The mesh keeps copies of the arrays.
+    orientation); boundary_edges: (k, 3) rows (va, vb, arc_index), chords
+    lying under the domain arcs.  The mesh keeps copies of the arrays.
 
     Each check reports the failure that a walk in mesh order meets first:
-    triangles, edges in order of first occurrence over the triangles'
-    edges (slots 0-1, 1-2, 2-0), vertices, declared boundary edges.
+    array shapes and finite coordinates, triangles, edges in order of
+    first occurrence over the triangles' edges (slots 0-1, 1-2, 2-0),
+    vertices, declared boundary edges.
     """
-    vertices = np.array(vertices, dtype=float)
+    vertices = _rows("vertices", vertices, 2)
+    raw_tris = _rows("triangles", triangles, 3)
+    raw_bnd = _rows("boundary", boundary_edges, 3)
+    for i in np.flatnonzero(~np.isfinite(vertices).all(axis=1))[:1]:
+        raise MeshError("mesh", f"vertices[{i}] is {vertices[i].tolist()}, expected finite "
+                        "numbers")
     n = len(vertices)
     # indices must be integers: a cast to int would truncate them
-    for what, raw in (("triangle", triangles), ("boundary edge", boundary_edges)):
-        raw = np.asarray(raw, dtype=float).reshape(-1, 3)
+    for what, raw in (("triangle", raw_tris), ("boundary edge", raw_bnd)):
         for i in np.flatnonzero((raw % 1 != 0).any(axis=1))[:1]:
             raise MeshError("mesh", f"{what} {i} {tuple(raw[i].tolist())} has a non-integral index")
-    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
-    bnd = np.asarray(boundary_edges, dtype=int).reshape(-1, 3)
+    tris, bnd = raw_tris.astype(int), raw_bnd.astype(int)
     scale = max(1.0, float(np.abs(vertices).max()))
 
     # indices in range: vertices of triangles and boundary edges, then arcs
@@ -177,18 +184,14 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     edge_arc = np.full(len(count), -1)
     edge_arc[~inner] = [declared[k] for k in map(tuple, edge_verts[~inner].tolist())]
 
-    # boundary edge endpoints must sit on their arc's conic, and the conic be curved
+    # boundary edge endpoints must sit on their arc's conic
     ends = np.array(list(declared), dtype=int).reshape(-1, 2)
     arcs = np.array(list(declared.values()), dtype=int)
     q = np.abs(conic_rows(eval_conic, domain, arcs, vertices[ends]))
     kmax = np.array([max(np.abs(arc.conic.coeffs)) for arc in domain.arcs])
-    straight = np.array([arc.conic.degree != 2 for arc in domain.arcs])
-    bad = np.column_stack([q > 1e-9 * scale * scale * kmax[arcs, None], straight[arcs]])
+    bad = q > 1e-9 * scale * scale * kmax[arcs, None]
     if bad.any():
-        i, k = divmod(int(np.argmax(bad)), 3)
-        if k == 2:
-            raise MeshError(
-                "f", f"boundary edge {tuple(ends[i].tolist())} lies on a straight segment")
+        i, k = divmod(int(np.argmax(bad)), 2)
         raise MeshError(
             "mesh", f"vertex {ends[i, k]} not on conic of arc {arcs[i]} (|q|={q[i, k]:.2e})"
         )
@@ -292,6 +295,33 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
         edge_arc, vertex_is_boundary, vertex_tangent,
         level=level, parents=None if parents is None else np.array(parents, dtype=int),
     )
+
+
+def _rows(name, raw, width):
+    """The mesh array `name` as a float (n, width) array with n >= 1, else
+    a MeshError that names the array and its first entry that is not
+    `width` numbers."""
+    try:
+        a = np.array(raw, dtype=float)
+    except (TypeError, ValueError):     # ragged rows, or entries that are not numbers
+        a = None
+    if a is not None and a.ndim == 2 and a.shape[1] == width and len(a):
+        return a
+    if not isinstance(raw, (list, tuple, np.ndarray)):
+        raise MeshError("mesh", f"{name}: expected a list of rows of {width} numbers, got "
+                        f"{type(raw).__name__}")
+    if not len(raw):
+        raise MeshError("mesh", f"{name} is empty")
+
+    def is_row(r):
+        try:
+            return np.shape(np.array(r, dtype=float)) == (width,)
+        except (TypeError, ValueError):
+            return False
+
+    i = next(i for i, r in enumerate(raw) if not is_row(r))
+    row = raw[i].tolist() if hasattr(raw[i], "tolist") else raw[i]
+    raise MeshError("mesh", f"{name}[{i}] is {row!r}, expected {width} numbers")
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +449,20 @@ def mesh_to_dict(mesh):
     }
 
 
-def mesh_from_dict(data, domain=None):
-    if domain is None:
-        if "domain" not in data:
-            raise MeshError("mesh", "mesh file has no embedded domain and none was given")
-        domain = domain_from_dict(data["domain"])
-    return classify_and_validate(
-        domain,
-        np.asarray(data["vertices"], dtype=float),
-        data["triangles"],
-        data["boundary"],
-    )
+def mesh_from_dict(data):
+    """The validated mesh of a mesh file's JSON object, which embeds its
+    domain."""
+    if not isinstance(data, dict):
+        raise MeshError("mesh", f"mesh file: expected a JSON object, got {type(data).__name__}")
+    if "domain" not in data:
+        raise MeshError("mesh", "mesh file has no embedded domain")
+    return classify_and_validate(domain_from_dict(data["domain"]), data["vertices"],
+                                 data["triangles"], data["boundary"])
 
 
-def load_mesh(path, domain=None):
+def load_mesh(path):
     with open(path) as f:
-        return mesh_from_dict(json.load(f), domain=domain)
+        return mesh_from_dict(json.load(f))
 
 
 def save_mesh(mesh, path):

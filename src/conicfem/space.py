@@ -69,7 +69,6 @@ class MinimalDeterminingSet:
     edge or triangle.  Dofs come in category blocks (slices in `blocks`),
     in the order of `counts`, each owner's dofs in a row."""
 
-    mesh: object
     tri: np.ndarray
     pos: np.ndarray
     owner: np.ndarray
@@ -150,8 +149,7 @@ def build_mds(mesh):
     owner, tri = (np.concatenate([np.repeat(p[k], _PER_OWNER[c]) for c, p in parts.items()])
                   for k in (0, 1))
     pos = np.concatenate([p[2].ravel() for p in parts.values()]).astype(np.int64)
-    return MinimalDeterminingSet(mesh, tri, pos, owner,
-                                 {c: len(p[0]) for c, p in parts.items()})
+    return MinimalDeterminingSet(tri, pos, owner, {c: len(p[0]) for c, p in parts.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +732,9 @@ def save_spline(spline, path):
 def load_spline(path):
     with open(path) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError('spline file: expected a JSON object with "mesh" and "dofs", got '
+                         f"{type(data).__name__}")
     mesh = mesh_from_dict(data["mesh"])
     space = build_space(mesh)
     return space.spline(np.asarray(data["dofs"], dtype=float))

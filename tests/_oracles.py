@@ -1174,8 +1174,6 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
                 raise MeshError(
                     "mesh", f"vertex {v} not on conic of arc {arc_idx} (|q|={q:.2e})"
                 )
-        if domain.arcs[arc_idx].conic.degree != 2:
-            raise MeshError("f", f"boundary edge {key} lies on a straight segment")
 
     vertex_is_boundary = np.zeros(len(vertices), dtype=bool)
     for key in actual_boundary:

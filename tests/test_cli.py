@@ -74,6 +74,53 @@ def test_mesh_validate_and_refine(tmp_path, disk_mesh):
     assert fine.n_triangles == 4 * disk_mesh.n_triangles
 
 
+@pytest.mark.parametrize("argv", [
+    ["mesh", "validate", "mesh.json"],
+    ["mesh", "refine", "mesh.json", "--output", "fine.json"],
+    ["space", "info", "mesh.json"],
+], ids=["mesh-validate", "mesh-refine", "space-info"])
+def test_no_command_takes_a_domain_flag(argv, capsys):
+    # a mesh file embeds its domain: there is no other way to give one
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--domain", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --domain x" in capsys.readouterr().err
+
+
+def test_mesh_validate_without_embedded_domain(tmp_path, disk_mesh, capsys):
+    data = msh.mesh_to_dict(disk_mesh)
+    del data["domain"]
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(data))
+    assert run(["mesh", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == "error: condition (mesh): mesh file has no embedded domain\n"
+
+
+def test_os_errors_exit_1(tmp_path, capsys):
+    # a directory where a file is expected is an error, not a traceback
+    assert run(["mesh", "validate", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(tmp_path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: [s], 'spline file: expected a JSON object with "mesh" and "dofs", got list'),
+    (lambda s: dict(s, mesh=[s["mesh"]]), "condition (mesh): mesh file: expected a JSON "
+                                           "object, got list"),
+    (lambda s: dict(s, mesh=dict(s["mesh"], domain=[])),
+     'domain: expected a JSON object with an "arcs" list'),
+    (lambda s: dict(s, mesh=dict(s["mesh"], domain={"arcs": [[0.0] * 6]})),
+     "arc 0: expected a JSON object, got list"),
+], ids=["spline", "mesh", "domain", "arc"])
+def test_export_plot_rejects_json_that_is_not_an_object(tmp_path, edit, message, capsys):
+    sol_file = tmp_path / "sol.json"
+    data = {"mesh": msh.mesh_to_dict(builtin_domain("disk")[1]), "dofs": [0.0] * 134}
+    sol_file.write_text(json.dumps(edit(data)))
+    assert run(["export", "plot", "--solution", str(sol_file), "--output",
+                str(tmp_path / "plot.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_mesh_validate_reports_condition(tmp_path, capsys):
     # all-pie fan: violates condition (c)
     from conicfem.geometry import domain_to_dict
@@ -298,11 +345,10 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
     (["solve", "--g-expr", "exp(x1)"], "--problem custom"),
     (["solve", "--config", "conf.json"], "--problem custom"),
     (["space", "info", "none.json", "--problem", "disk"], "not both"),
-    (["space", "info", "--problem", "disk", "--domain", "none.json"], "not both"),
     # missing inputs are usage errors too
     (["solve", "--problem", "custom", "--mesh", "none.json"], "requires --mesh and --g-expr"),
     (["space", "info"], "needs a mesh file or --problem"),
-], ids=["mesh", "g-expr", "g-expr-default-problem", "config-mesh", "space-path", "space-domain",
+], ids=["mesh", "g-expr", "g-expr-default-problem", "config-mesh", "space-path",
         "custom-no-g-expr", "space-none"])
 def test_flags_that_would_be_ignored_are_rejected(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -437,3 +483,12 @@ def test_dump_reports_compare(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines()[2].endswith("DIFFERS")
     with pytest.raises(SystemExit):
         tool.main(["--problem", "disk"])
+
+
+def test_dump_reports_rejects_levels_below_one(tmp_path, capsys):
+    tool = _dump_reports_tool()
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--problem", "disk", "--levels", "0", "-o", str(tmp_path / "a.json")])
+    assert exc.value.code == 2
+    assert "--levels must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "a.json").exists()

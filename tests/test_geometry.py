@@ -22,8 +22,9 @@ TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 def test_eval_and_grad():
     assert geo.eval_conic(CIRCLE, (0.0, 0.0)) == 1.0
     assert np.allclose(geo.grad_conic(CIRCLE, (1.0, 0.0)), (-2.0, 0.0))
-    line = geo.Conic((0, 0, 0, 0, -1.0, 1.0), degree=1)   # 1 - y
-    assert geo.eval_conic(line, (0.3, 1.0)) == 0.0
+    parabola = geo.Conic((-1.0, 0, 0, 0, -1.0, 1.0))   # 1 - y - x^2
+    assert geo.eval_conic(parabola, (0.5, 0.75)) == 0.0
+    assert np.allclose(geo.grad_conic(parabola, (0.5, 0.75)), (-1.0, -1.0))
     assert abs(geo.eval_conic(ELLIPSE, (0.0, 0.4))) < 1e-14
 
 
@@ -42,6 +43,16 @@ def test_reducible_conic_rejected():
         geo.Conic((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))    # x^2
     # genuine conics pass
     geo.Conic((-1.0, 0.2, -1.1, 0.1, 0.0, 0.9))
+
+
+def test_line_conic_rejected():
+    # every arc is a genuine conic: a zero quadratic part is a straight piece
+    for k in ((0, 0, 0, -1.0, 1.0, 1.0), (1e-13, 0, 0, 0, 1.0, 0)):
+        with pytest.raises(geo.GeometryError, match=r"^conic has zero quadratic part: straight "
+                                                    "boundary pieces are not supported$"):
+            geo.Conic(k)
+    with pytest.raises(TypeError):
+        geo.Conic((-1.0, 0, 0, 0, -1.0, 1.0), 2)      # Conic takes only coeffs
 
 
 def test_normalize_arc_sign_flip_and_idempotence():
@@ -143,11 +154,11 @@ def test_batched_ray_points_match_scalar_rule(arc, n, seed):
 
 
 def test_conic_bb_form_constant_and_circle():
-    line = geo.Conic((0, 0, 0, 0.0, -1.0, 1.0), degree=1)
-    c = geo.conic_bb_form(line, TRI)
+    parabola = geo.Conic((-1.0, 0, 0, 0.0, -1.0, 1.0))   # 1 - y - x^2
+    c = geo.conic_bb_form(parabola, TRI)
     for g, x in zip(bb.multi_indices(2), domain_points(2, TRI)):
         assert abs(de_casteljau(2, c, barycentric(TRI, x))
-                   - geo.eval_conic(line, x)) < 1e-14
+                   - geo.eval_conic(parabola, x)) < 1e-14
     c = geo.conic_bb_form(CIRCLE, TRI)
     im = bb.index_map(2)
     assert abs(c[im[(2, 0, 0)]] - 1.0) < 1e-14
@@ -243,19 +254,42 @@ def test_domain_rejects_a_cusp_corner():
         geo.ConicDomain(arcs[1:] + arcs[:1])
 
 
-def test_domain_file_roundtrip(tmp_path):
+def test_domain_file_roundtrip():
+    # a domain is read and written as the "domain" object of a mesh file
     pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     arcs = [geo.BoundaryArc(CIRCLE, pts[j], pts[(j + 1) % 4]) for j in range(4)]
     dom = geo.ConicDomain(tuple(arcs))
-    path = tmp_path / "disk.json"
-    path.write_text(json.dumps(geo.domain_to_dict(dom)))
-    dom2 = geo.load_domain(path)
+    text = json.dumps(geo.domain_to_dict(dom))
+    assert [a["degree"] for a in json.loads(text)["arcs"]] == [2] * 4
+    dom2 = geo.domain_from_dict(json.loads(text))
     assert len(dom2.arcs) == 4
     assert np.allclose(dom2.corners, dom.corners)
-    # loader rejects off-conic endpoints
-    data = geo.domain_to_dict(dom)
+    # the reader rejects off-conic endpoints
+    data = json.loads(text)
     data["arcs"][0]["from"] = [0.9, 0.0]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
-    with pytest.raises(geo.GeometryError):
-        geo.load_domain(bad)
+    with pytest.raises(geo.GeometryError, match="not on conic"):
+        geo.domain_from_dict(data)
+
+
+@pytest.mark.parametrize("degree", [1, 3, "2", None])
+def test_domain_arc_degree_other_than_two_rejected(degree):
+    # straight pieces (degree 1) and any other degree value; a missing
+    # degree reads as 2
+    data = geo.domain_to_dict(disk_domain())
+    data["arcs"][1]["degree"] = degree
+    with pytest.raises(geo.GeometryError, match=rf"^arc 1 has degree {degree!r}, expected 2: "
+                                                "straight boundary pieces are not supported$"):
+        geo.domain_from_dict(data)
+    del data["arcs"][1]["degree"]
+    assert len(geo.domain_from_dict(data).arcs) == 4
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: [d], r'^domain: expected a JSON object with an "arcs" list$'),
+    (lambda d: {"arcs": {}}, r'^domain: expected a JSON object with an "arcs" list$'),
+    (lambda d: {"arcs": d["arcs"][:2] + [list(d["arcs"][2].values())] + d["arcs"][3:]},
+     r"^arc 2: expected a JSON object, got list$"),
+], ids=["list", "arcs-object", "arc-list"])
+def test_domain_that_is_not_an_object_rejected(edit, message):
+    with pytest.raises(geo.GeometryError, match=message):
+        geo.domain_from_dict(edit(geo.domain_to_dict(disk_domain())))

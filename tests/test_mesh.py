@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicfem import mesh as msh
-from conicfem.geometry import (BoundaryArc, Conic, ConicDomain, GeometryError, arc_point_on_ray,
-                               eval_conic)
+from conicfem.geometry import GeometryError, arc_point_on_ray, eval_conic
 from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError, refine_uniform
 from conicfem.problems import builtin_domain, disk_domain, disk_wheel_points
 
@@ -341,6 +340,17 @@ def test_mesh_file_roundtrip(tmp_path, disk_mesh):
     np.testing.assert_array_equal(again.tri_kind, disk_mesh.tri_kind)
 
 
+def test_mesh_file_must_be_an_object_with_a_domain(disk_mesh):
+    with pytest.raises(MeshError, match=r"^condition \(mesh\): mesh file: expected a JSON "
+                                        "object, got list$"):
+        msh.mesh_from_dict([1, 2])
+    data = msh.mesh_to_dict(disk_mesh)
+    del data["domain"]
+    with pytest.raises(MeshError, match=r"^condition \(mesh\): mesh file has no embedded "
+                                        "domain$"):
+        msh.mesh_from_dict(data)
+
+
 def test_boundary_mismatch_reported(tmp_path, disk_mesh):
     data = msh.mesh_to_dict(disk_mesh)
     data["boundary"] = data["boundary"][:-1]
@@ -366,6 +376,41 @@ def test_fractional_indices_rejected(disk_mesh):
     assert msh.mesh_from_dict(data).n_triangles == disk_mesh.n_triangles
 
 
+def _disk_data(**change):
+    data = msh.mesh_to_dict(builtin_domain("disk")[1])
+    return dict(data, **{k: f(data) for k, f in change.items()})
+
+
+def _with_vertex(x):
+    return lambda d: d["vertices"][:3] + [x] + d["vertices"][4:]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"triangles": lambda d: [t[:2] for t in d["triangles"]]},
+     "triangles[0] is [8, 0], expected 3 numbers"),
+    ({"triangles": lambda d: [t + [8] for t in d["triangles"]]},
+     "triangles[0] is [8, 0, 1, 8], expected 3 numbers"),
+    ({"triangles": lambda d: sum(d["triangles"], [])}, "triangles[0] is 8, expected 3 numbers"),
+    ({"triangles": lambda d: d["triangles"][:5] + [[1, 2]] + d["triangles"][6:]},
+     "triangles[5] is [1, 2], expected 3 numbers"),
+    ({"triangles": lambda d: {}}, "triangles: expected a list of rows of 3 numbers, got dict"),
+    ({"boundary": lambda d: sum(d["boundary"], [])}, "boundary[0] is 0, expected 3 numbers"),
+    ({"vertices": lambda d: [v + [0.0] for v in d["vertices"]]},
+     "vertices[0] is [1.0, 0.0, 0.0], expected 2 numbers"),
+    ({"vertices": lambda d: sum(d["vertices"], [])}, "vertices[0] is 1.0, expected 2 numbers"),
+    ({k: lambda d: [] for k in ("vertices", "triangles", "boundary")}, "vertices is empty"),
+    ({"vertices": _with_vertex([np.nan, 0.0])}, "vertices[3] is [nan, 0.0], expected finite numbers"),
+    ({"vertices": _with_vertex([0.0, -np.inf])},
+     "vertices[3] is [0.0, -inf], expected finite numbers"),
+], ids=["pairs", "four-entry-rows", "flat-triangles", "ragged-triangles", "triangles-object",
+        "flat-boundary", "vertices-n-3", "flat-vertices", "empty", "nan-vertex", "inf-vertex"])
+def test_mesh_arrays_of_wrong_shape_or_non_finite_rejected(change, message):
+    # shapes and finite coordinates are checked before anything reads the arrays
+    with pytest.raises(MeshError) as err:
+        msh.mesh_from_dict(_disk_data(**change))
+    assert str(err.value) == f"condition (mesh): {message}"
+
+
 # ---------------------------------------------------------------------------
 # the array validation against the scalar walk
 
@@ -375,15 +420,6 @@ RING, CENTRE = N_RIM, 2 * N_RIM
 
 def _without(tris, *drop):
     return [t for t in tris if tuple(t) not in drop]
-
-
-def _segment_domain():
-    """The disk with its lower-right quarter arc replaced by the chord."""
-    circle = Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))
-    corners = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    chord = Conic((0.0, 0.0, 0.0, -1.0, 1.0, 1.0), degree=1)
-    return ConicDomain(tuple(BoundaryArc(circle, corners[j], corners[j + 1]) for j in range(3))
-                       + (BoundaryArc(chord, corners[3], corners[0]),))
 
 
 def _two_disks(dom, V, T, B, shared):
@@ -409,9 +445,6 @@ def _corrupted(name, dom, V, T, B):
     if name == "vertex not on its conic":
         V[3] *= 1.001
         return dom, V, T, B
-    if name == "(f) straight boundary edge":
-        V[7] = (0.5, -0.5)
-        return _segment_domain(), V, T, B
     if name == "(a) arc corner not a vertex":
         c, s = np.cos(0.1), np.sin(0.1)
         return dom, V @ np.array([[c, s], [-s, c]]), T, B
@@ -476,8 +509,6 @@ def _assert_same_outcome(data):
     ("edge shared by 3 triangles", "condition (mesh): edge (8, 16) shared by 3 triangles"),
     ("vertex not on its conic",
      "condition (mesh): vertex 3 not on conic of arc 1 (|q|=2.00e-03)"),
-    ("(f) straight boundary edge",
-     "condition (f): boundary edge (6, 7) lies on a straight segment"),
     ("(a) arc corner not a vertex",
      "condition (a): arc corner 0 at (1.0, 0.0) is not a boundary vertex"),
     ("boundary edge mismatch",

@@ -126,6 +126,8 @@ def main(argv=None):
         return 0 if ok else 1
     if None in (args.problem, args.levels, args.output):
         ap.error("--problem, --levels and -o are required without --compare")
+    if args.levels < 1:
+        ap.error("--levels must be >= 1")
     pathlib.Path(args.output).write_text(json.dumps(dump(args.problem, args.levels), indent=1))
     return 0
 
