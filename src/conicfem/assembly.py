@@ -40,7 +40,13 @@ class AssemblyError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    pass
+    """A sparse factorization or solve that failed.  `iterations` is the
+    number of CG iterations the failed solve ran (see Factors.solve), None
+    when it failed before CG."""
+
+    def __init__(self, message, iterations=None):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 QUAD_DEGREE = 16    # polynomial exactness of the straight-triangle rule
@@ -475,7 +481,7 @@ def assemble_rhs(f, quad):
 class SolveResult:
     dofs: np.ndarray
     rel_residual: float
-    iterations: int         # of the preconditioned CG that solved it (Factors.cg)
+    iterations: int         # of the preconditioned CG that solved it (Factors.solve)
     factors: object = None  # of solve_sparse: the Factors it made
 
 
@@ -483,11 +489,9 @@ class SolveResult:
 MAX_REL_RESIDUAL = 1e-6
 
 # conjugate gradients preconditioned by single-precision factors
-# (Factors.cg): the relative residual every solve must reach, within at
-# most REFINE_MAXITER iterations on the factored matrix itself and
-# KRYLOV_MAXITER on a nearby one
+# (Factors.solve): the relative residual every solve must reach, within at
+# most KRYLOV_MAXITER iterations, on the factored matrix or a nearby one
 KRYLOV_RTOL = 1e-13
-REFINE_MAXITER = 20
 KRYLOV_MAXITER = 40
 
 
@@ -498,11 +502,12 @@ def _rel_residual(A, x, b):
 
 class Factors:
     """Single-precision SuperLU factors of a sparse matrix's equilibration,
-    kept with the matrix, so that every solve with them, the first or a
-    later one with another right-hand side, runs the same preconditioned
-    conjugate gradients on the float64 matrix and the same residual check
-    (mixed-precision iterative refinement with a Krylov solver, E. Carson
-    and N. J. Higham, SIAM J. Sci. Comput. 40 (2018)).
+    kept with the matrix, so that every solve with them (solve), the first,
+    a later one with another right-hand side or one of a nearby matrix,
+    runs the same preconditioned conjugate gradients on the float64 matrix
+    and the same checks (mixed-precision iterative refinement with a
+    Krylov solver, E. Carson and N. J. Higham, SIAM J. Sci. Comput. 40
+    (2018)).
 
     S = diag(|a_ii|^-1/2), with 1 where a_ii = 0, scales the matrix to
     S A S, so that float32 holds its entries whatever the matrix's scale;
@@ -556,35 +561,34 @@ class Factors:
         z *= self.scale
         return z
 
-    def cg(self, matrix, rhs, maxiter):
-        """Conjugate gradients on matrix x = rhs, preconditioned by
-        precondition, to the relative residual KRYLOV_RTOL within maxiter
-        iterations: (x, iterations, whether it converged)."""
-        iterations = [0]
+    def solve(self, rhs, matrix=None):
+        """Solve matrix x = rhs, the factored matrix when matrix is None,
+        by conjugate gradients preconditioned by precondition, to the
+        relative residual KRYLOV_RTOL within KRYLOV_MAXITER iterations.
+        SolverError, carrying the iterations run, when x is not finite,
+        when its relative residual exceeds MAX_REL_RESIDUAL, or when CG
+        missed its tolerance, checked in that order."""
+        A = self.matrix if matrix is None else matrix
+        iterations = 0
 
         def count(_):
-            iterations[0] += 1
+            nonlocal iterations
+            iterations += 1
 
-        precond = spla.LinearOperator(matrix.shape, matvec=self.precondition, dtype=float)
-        x, info = spla.cg(matrix, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=maxiter,
+        precond = spla.LinearOperator(A.shape, matvec=self.precondition, dtype=float)
+        x, info = spla.cg(A, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAXITER,
                           M=precond, callback=count)
-        return x, iterations[0], info == 0
-
-    def solve(self, rhs):
-        """Solve the factored matrix by cg, within REFINE_MAXITER
-        iterations, and check the residual; SolverError when the result is
-        not finite or its relative residual exceeds MAX_REL_RESIDUAL."""
-        A, b = self.matrix, rhs
-        x, iterations, _ = self.cg(A, b, REFINE_MAXITER)
         if not np.all(np.isfinite(x)):
             raise SolverError("sparse factorization produced non-finite values "
-                              "(matrix singular or severely ill-conditioned)")
-        res = _rel_residual(A, x, b)
+                              "(matrix singular or severely ill-conditioned)", iterations)
+        res = _rel_residual(A, x, rhs)
         if res > MAX_REL_RESIDUAL:
-            est = spla.norm(A) * np.linalg.norm(x) / max(np.linalg.norm(b), 1e-300)
-            raise SolverError(
-                f"sparse solve residual {res:.2e} too large (condition estimate {est:.2e})"
-            )
+            est = spla.norm(A) * np.linalg.norm(x) / max(np.linalg.norm(rhs), 1e-300)
+            raise SolverError(f"sparse solve residual {res:.2e} too large "
+                              f"(condition estimate {est:.2e})", iterations)
+        if info != 0:
+            raise SolverError(f"CG missed the relative residual {KRYLOV_RTOL:.0e} "
+                              f"within {iterations} iterations", iterations)
         return SolveResult(x, res, iterations)
 
 
@@ -597,20 +601,6 @@ def solve_sparse(system):
     result = factors.solve(system.rhs)
     result.factors = factors
     return result
-
-
-def solve_preconditioned(matrix, rhs, factors):
-    """Solve matrix x = rhs by Factors.cg with the factors of another,
-    nearby symmetric positive definite matrix (a Newton matrix of the
-    same level), within KRYLOV_MAXITER iterations.  Returns (SolveResult,
-    iterations); the result is None when CG does not reach KRYLOV_RTOL, or
-    its solution fails the residual check of Factors.solve, so that the
-    caller can factor the matrix itself."""
-    x, iterations, converged = factors.cg(matrix, rhs, KRYLOV_MAXITER)
-    res = _rel_residual(matrix, x, rhs) if converged else np.inf
-    result = (SolveResult(x, res, iterations) if res <= MAX_REL_RESIDUAL
-              else None)      # not converged, or not finite (res is then nan)
-    return result, iterations
 
 
 # ---------------------------------------------------------------------------

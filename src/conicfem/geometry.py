@@ -8,6 +8,7 @@ values are immutable after construction and all operations are pure
 functions.
 """
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class Conic:
         k = np.asarray(self.coeffs, dtype=float)
         if k.shape != (6,):
             raise GeometryError("conic needs 6 coefficients")
+        if not np.isfinite(k).all():
+            raise GeometryError(f"conic coefficients {k.tolist()} are not all finite")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in k))
         scale = np.abs(k).max()
         if scale == 0.0:
@@ -354,5 +357,19 @@ def domain_from_dict(data):
         if a.get("degree", 2) != 2:
             raise GeometryError(f"arc {j} has degree {a['degree']!r}, expected 2: straight "
                                 "boundary pieces are not supported")
-        arcs.append(BoundaryArc(Conic(tuple(a["coeffs"])), tuple(a["from"]), tuple(a["to"])))
+        coeffs, start, end = (_arc_numbers(j, a, key, n)
+                              for key, n in (("coeffs", 6), ("from", 2), ("to", 2)))
+        arcs.append(BoundaryArc(Conic(coeffs), start, end))
     return ConicDomain(tuple(arcs))
+
+
+def _arc_numbers(j, arc, key, n):
+    """The field `key` of the arc object j as a tuple of n numbers, else a
+    GeometryError that names the arc and the field."""
+    if key not in arc:
+        raise GeometryError(f'arc {j} has no "{key}": expected a list of {n} numbers')
+    v = arc[key]
+    if not (isinstance(v, list) and len(v) == n and all(type(x) in (int, float) for x in v)):
+        raise GeometryError(f'arc {j}: "{key}" is {json.dumps(v)}, expected a list of '
+                            f"{n} numbers")
+    return tuple(v)

@@ -456,6 +456,10 @@ def mesh_from_dict(data):
         raise MeshError("mesh", f"mesh file: expected a JSON object, got {type(data).__name__}")
     if "domain" not in data:
         raise MeshError("mesh", "mesh file has no embedded domain")
+    for key, width in (("vertices", 2), ("triangles", 3), ("boundary", 3)):
+        if key not in data:
+            raise MeshError("mesh", f'mesh file has no "{key}": expected a list of rows of '
+                            f"{width} numbers")
     return classify_and_validate(domain_from_dict(data["domain"]), data["vertices"],
                                  data["triangles"], data["boundary"])
 

@@ -88,12 +88,14 @@ class LevelReport:
     # factorizations after CG failed) and "frozen_solves" (solves with the
     # level's factors, one per real step); "krylov_iters", the CG
     # iterations of each real step after the first (on its own matrix,
-    # preconditioned by the level's factors); "frozen_iters", the CG
+    # preconditioned by the level's factors; a solve that failed and fell
+    # back to a fresh factorization too); "frozen_iters", the CG
     # iterations of each solve of a factored matrix itself, in order: a
-    # factorization's first solve and each frozen solve; the
-    # "newton_floor" (the roundoff floor at the final iterate, see
-    # newton_floor) and the "stop_ratio" (the last correction over the
-    # threshold STOP_MARGIN * newton_floor it passed); the "fill_defect"
+    # factorization's first solve and each frozen solve
+    # (NewtonSolves.frozen), each count one Factors.solve within
+    # KRYLOV_MAXITER; the "newton_floor" (the roundoff floor at the final
+    # iterate, see newton_floor) and the "stop_ratio" (the last correction
+    # over the threshold STOP_MARGIN * newton_floor it passed); the "fill_defect"
     # of the level's space; "quad_mb", the MB (2**20 bytes) of its
     # quadrature data (TriangleQuadrature.nbytes); and "plan_mb", the MB
     # of its assembly plan (ScatterPlan.nbytes)
@@ -172,16 +174,18 @@ class NewtonSolves:
     """The linear-algebra plan of one level's Newton solves: one live
     factorization, the level's, and the facts of the solves.
 
-    The first real step factors its matrix, and those factors become the
-    level's.  Later real steps solve their own matrix by conjugate
-    gradients preconditioned with the level's factors
-    (assembly.solve_preconditioned); when CG fails, the matrix is factored
-    afresh and its factors replace the level's (a refactorization).
-    Simplified Newton corrections solve with the level's factors.  Keeps
-    the largest matrix nnz, LU fill, factor MB and relative residual, the counts of
-    factorizations, refactorizations and frozen-factor solves, and the CG
-    iterations of each real step after the first and of each solve of a
-    factored matrix itself (frozen_iters)."""
+    Every solve is assembly.Factors.solve: CG preconditioned by the
+    level's factors, under its one cap and one acceptance rule.  The first
+    real step factors its matrix, and those factors become the level's.
+    Later real steps solve their own matrix with the level's factors
+    (solve); when that fails, the matrix is factored afresh and its
+    factors replace the level's (a refactorization).  Simplified Newton
+    corrections solve the factored matrix itself (frozen).  Keeps the
+    largest matrix nnz, LU fill, factor MB and relative residual, the
+    counts of factorizations, refactorizations and frozen-factor solves,
+    and the CG iterations of each real step after the first (krylov_iters,
+    a failed one too) and of each solve of a factored matrix itself
+    (frozen_iters)."""
 
     def __init__(self):
         self.nnz = self.lu_fill = self.factorizations = self.refactorizations = 0
@@ -196,13 +200,16 @@ class NewtonSolves:
         """The SolveResult of a real step's system matrix x = rhs."""
         self.nnz = max(self.nnz, matrix.nnz)
         if self.factors is not None:
-            result, iters = asm.solve_preconditioned(matrix, rhs, self.factors)
-            self.krylov_iters.append(iters)
-            if result is not None:
+            try:
+                result = self.factors.solve(rhs, matrix)
+            except asm.SolverError as exc:
+                self.krylov_iters.append(exc.iterations)
+                self.refactorizations += 1
+                self.factors = None     # released before the next factorization
+            else:
+                self.krylov_iters.append(result.iterations)
                 self.rel_residual = max(self.rel_residual, result.rel_residual)
                 return result
-            self.refactorizations += 1
-            self.factors = None         # released before the next factorization
         result = asm.solve_sparse(asm.SparseSystem(matrix, rhs))
         self.factorizations += 1
         self.lu_fill = max(self.lu_fill, result.factors.lu_fill)
@@ -212,11 +219,13 @@ class NewtonSolves:
         self.factors, result.factors = result.factors, None
         return result
 
-    def re_solved(self, result):
-        """Record a solve with the level's factors."""
+    def frozen(self, rhs):
+        """The SolveResult of the level's factored matrix x = rhs."""
+        result = self.factors.solve(rhs)
         self.frozen_solves += 1
         self.frozen_iters.append(result.iterations)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
+        return result
 
     def facts(self):
         return {"nnz": self.nnz, "lu_fill": self.lu_fill, "lu_mb": self.lu_mb,
@@ -241,27 +250,13 @@ def _corrected(ctx, u, dofs):
     return ctx.space.spline(u.dofs - w.dofs), asm.l2_norm(w, ctx.quad)
 
 
-def newton_step(ctx, u, g, solves=None, linearized=None):
-    """One real Newton step: linearize at u, assemble and solve.  Returns
-    (new iterate, L2 norm of the correction, eigmin of the linearization).
-    linearized, the newton_rhs of u when the caller has it, is used
-    instead of forming it again.  solves, the level's NewtonSolves, solves
-    the system (see there) and records it; without it the matrix is
-    factored and the factors dropped."""
-    if linearized is None:
-        linearized = newton_rhs(ctx, u, g)
-    A, eigmin, rhs = linearized
-    result = (solves or NewtonSolves()).solve(asm.assemble(A, ctx.quad), -rhs)
-    return (*_corrected(ctx, u, result.dofs), eigmin)
-
-
-def frozen_step(ctx, u, linearized, factors):
-    """Simplified Newton correction at u: the right-hand side of
-    linearized (the newton_rhs of u) solved with the factors of an earlier
-    matrix (the level's).  Returns (new iterate, L2 norm of the
-    correction, SolveResult)."""
-    result = factors.solve(-linearized[2])
-    return (*_corrected(ctx, u, result.dofs), result)
+def newton_step(ctx, u, linearized, solves):
+    """One real Newton step at u: assemble the matrix of linearized (the
+    newton_rhs of u) and solve its system through solves, the level's
+    NewtonSolves.  Returns (new iterate, L2 norm of the correction)."""
+    A, _, rhs = linearized
+    result = solves.solve(asm.assemble(A, ctx.quad), -rhs)
+    return _corrected(ctx, u, result.dofs)
 
 
 def newton_floor(u, quad):
@@ -276,12 +271,14 @@ def run_level(ctx, g, u0):
     Deuflhard's error-oriented Newton code NLEQ-ERR (P. Deuflhard, Newton
     Methods for Nonlinear Problems, Springer 2004, sec. 2.1).
 
-    Each real step (newton_step) linearizes, assembles and solves, through
+    u0 is linearized before the first step, and every later iterate once,
+    after the real step that made it.  Each real step (newton_step)
+    assembles the matrix of the latest linearization and solves it through
     the level's NewtonSolves: the first real step factors its matrix, and
     later ones solve theirs by CG preconditioned with those factors, so a
     level makes one factorization unless CG falls back to a fresh one.
-    After each real step, the linearization at the new iterate gives a
-    right-hand side alone, solved with the level's factors: the
+    The right-hand side of the linearization at the new iterate is solved
+    with the level's factored matrix (NewtonSolves.frozen): the
     simplified Newton correction.  It differs from the full correction
     by O(|previous correction| * |correction|), and by the change of the
     matrix since the level's factorization.  When it is below STOP_MARGIN
@@ -294,19 +291,20 @@ def run_level(ctx, g, u0):
 
     Every iterate after the starting one must be strictly convex (Hessian
     eigmin > 0 at all quadrature nodes), or the linearization is not
-    elliptic and SolverError names the level and the iterate.  The reported
+    elliptic and SolverError names the level and the iterate; the eigmin
+    returned is the least over the linearizations.  The reported
     iteration count is the number of real steps, less a final real
     correction that passed the stop rule unless it is the only one: the
     convention of the reference convergence tables.
     """
     solves = NewtonSolves()
-    u, norms, linearized = u0, [], None
-    eigmin = np.inf
+    u, norms = u0, []
+    linearized = newton_rhs(ctx, u0, g)
+    eigmin = linearized[1]
     stopped_by = None
     for k in range(1, MAX_STEPS + 1):
-        u, n, e = newton_step(ctx, u, g, solves, linearized)
+        u, n = newton_step(ctx, u, linearized, solves)
         norms.append(n)
-        eigmin = min(eigmin, e)
         floor = newton_floor(u, ctx.quad)
         if n < STOP_MARGIN * floor:
             stopped_by = "real"
@@ -321,8 +319,7 @@ def run_level(ctx, g, u0):
                 f"level {ctx.mesh.level}: Newton iterate {k} is not convex "
                 f"(least Hessian eigenvalue {e:.3e}), so its linearization "
                 "is not elliptic")
-        u_next, n_next, result = frozen_step(ctx, u, linearized, solves.factors)
-        solves.re_solved(result)
+        u_next, n_next = _corrected(ctx, u, solves.frozen(-linearized[2]).dofs)
         floor_next = newton_floor(u_next, ctx.quad)
         if n_next < STOP_MARGIN * floor_next:
             u, n, floor = u_next, n_next, floor_next

@@ -54,7 +54,7 @@ _BLOCK = 256
 
 
 class SpaceError(RuntimeError):
-    """Spline-space construction failed."""
+    """Spline-space construction, or reading a spline file, failed."""
 
 
 class PropagationError(SpaceError):
@@ -733,8 +733,13 @@ def load_spline(path):
     with open(path) as f:
         data = json.load(f)
     if not isinstance(data, dict):
-        raise ValueError('spline file: expected a JSON object with "mesh" and "dofs", got '
+        raise SpaceError('spline file: expected a JSON object with "mesh" and "dofs", got '
                          f"{type(data).__name__}")
-    mesh = mesh_from_dict(data["mesh"])
-    space = build_space(mesh)
-    return space.spline(np.asarray(data["dofs"], dtype=float))
+    for key, expected in (("mesh", "a mesh object"), ("dofs", "a list of numbers")):
+        if key not in data:
+            raise SpaceError(f'spline file has no "{key}": expected {expected}')
+    dofs = data["dofs"]
+    if not (isinstance(dofs, list) and all(type(x) in (int, float) for x in dofs)):
+        raise SpaceError('spline file: "dofs" is not a list of numbers')
+    space = build_space(mesh_from_dict(data["mesh"]))
+    return space.spline(np.asarray(dofs, dtype=float))

@@ -885,16 +885,16 @@ def error_norms_per_triangle(spline, quad, ref_batch):
 def run_level_full_steps(ctx, g, u0):
     """Newton iteration that confirms convergence with one more full step:
     every correction, the confirming one too, linearizes, assembles and
-    factors anew (solver.newton_step), and the loop stops on the first
-    correction below 100 eps |u| at the corrected iterate, within
-    solver.MAX_STEPS steps.
+    factors anew (solver.newton_step with a fresh NewtonSolves), and the
+    loop stops on the first correction below 100 eps |u| at the corrected
+    iterate, within solver.MAX_STEPS steps.
     Returns (final iterate, m, correction norms, diverged), m counting the
     corrections but the confirming one, unless that is the only one."""
     u = u0
     norms = []
     converged = False
     for _ in range(sol.MAX_STEPS):
-        u, n, _ = sol.newton_step(ctx, u, g)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), sol.NewtonSolves())
         norms.append(n)
         if n < 100.0 * np.finfo(float).eps * asm.l2_norm(u, ctx.quad):
             converged = True

@@ -207,6 +207,35 @@ def test_frozen_resolve_matches_a_fresh_solve(disk_space):
     assert again.factors is None      # only solve_sparse hands factors back
 
 
+def test_solve_missing_the_cg_tolerance_raises_with_its_iterations(disk_space,
+                                                                   monkeypatch):
+    # one cap for every solve: a CG that stops short of KRYLOV_RTOL fails,
+    # also on the factored matrix itself, whatever its residual
+    quad = asm.TriangleQuadrature(disk_space)
+    factors = asm.Factors(asm.assemble(EYE, quad))
+    b = np.random.default_rng(3).standard_normal(disk_space.dimension)
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 1)
+    with pytest.raises(asm.SolverError) as info:
+        factors.solve(b)
+    assert info.value.iterations == 1
+
+
+def test_solve_of_a_nearby_matrix_with_the_factors(disk_space):
+    # the factors precondition CG on another matrix, whose residual the
+    # result reports
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(EYE, quad)
+    factors = asm.Factors(K)
+    nearby = (K + 1e-3 * asm.assemble(asm.constant_matrix([[2.0, 1.0], [1.0, 3.0]]),
+                                      quad)).tocsr()
+    b = np.random.default_rng(4).standard_normal(disk_space.dimension)
+    res = factors.solve(b, nearby)
+    assert 0 < res.iterations < asm.KRYLOV_MAXITER
+    rel = np.linalg.norm(nearby @ res.dofs - b) / np.linalg.norm(b)
+    assert res.rel_residual == rel < 1e-12
+    assert factors.matrix is K
+
+
 def test_factors_are_single_precision(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
     factors = asm.Factors(asm.assemble(EYE, quad))

@@ -121,6 +121,57 @@ def test_export_plot_rejects_json_that_is_not_an_object(tmp_path, edit, message,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _set(d, key, value):
+    """d with d[key] set to value, or without key when value is ...; d unchanged."""
+    d = dict(d)
+    if value is ...:
+        del d[key]
+    else:
+        d[key] = value
+    return d
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("from", 5, 'arc 1: "from" is 5, expected a list of 2 numbers'),
+    ("coeffs", None, 'arc 1: "coeffs" is null, expected a list of 6 numbers'),
+    ("coeffs", ..., 'arc 1 has no "coeffs": expected a list of 6 numbers'),
+], ids=["from-number", "coeffs-null", "coeffs-missing"])
+def test_mesh_validate_names_a_mistyped_or_missing_arc_field(tmp_path, capsys, key, value,
+                                                            message):
+    data = msh.mesh_to_dict(builtin_domain("disk")[1])
+    arcs = data["domain"]["arcs"]
+    arcs[1] = _set(arcs[1], key, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["mesh", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key, width", [("vertices", 2), ("triangles", 3), ("boundary", 3)])
+def test_mesh_validate_names_a_missing_mesh_field(tmp_path, capsys, key, width):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_set(msh.mesh_to_dict(builtin_domain("disk")[1]), key, ...)))
+    assert run(["mesh", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == (f'error: condition (mesh): mesh file has no "{key}": '
+                                       f"expected a list of rows of {width} numbers\n")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dofs", ..., 'spline file has no "dofs": expected a list of numbers'),
+    ("mesh", ..., 'spline file has no "mesh": expected a mesh object'),
+    ("dofs", None, 'spline file: "dofs" is not a list of numbers'),
+    ("dofs", ["0"] * 134, 'spline file: "dofs" is not a list of numbers'),
+], ids=["dofs-missing", "mesh-missing", "dofs-null", "dofs-strings"])
+def test_export_plot_names_a_mistyped_or_missing_spline_field(tmp_path, capsys, key, value,
+                                                             message):
+    data = {"mesh": msh.mesh_to_dict(builtin_domain("disk")[1]), "dofs": [0.0] * 134}
+    sol_file = tmp_path / "sol.json"
+    sol_file.write_text(json.dumps(_set(data, key, value)))
+    assert run(["export", "plot", "--solution", str(sol_file), "--output",
+                str(tmp_path / "plot.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_mesh_validate_reports_condition(tmp_path, capsys):
     # all-pie fan: violates condition (c)
     from conicfem.geometry import domain_to_dict
@@ -444,19 +495,25 @@ def test_dump_reports_compare(tmp_path, capsys):
     assert tool.main(["--compare", str(a), str(a)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "disk against disk"
-    assert out[1].startswith("level 1: dimension 134 134, m 3 3, krylov_iters [6, 6] [6, 6]; "
+    levels = tool.from_bits(json.loads(a.read_text()))["levels"]
+    frozen = levels[0]["solver"]["frozen_iters"]
+    assert len(frozen) == 4     # the factorization's solve and 3 frozen solves
+    assert out[1].startswith("level 1: dimension 134 134, m 3 3, krylov_iters [6, 6] [6, 6], "
+                             f"frozen_iters {frozen} {frozen}; "
                              "largest relative change: errors 0.00e+00, eps_errors 0.00e+00, "
                              "R 0.00e+00")
     assert "eps_errors -" in out[2] and "DIFFERS" not in "".join(out)
-    levels = tool.from_bits(json.loads(a.read_text()))["levels"]
     for line, level in zip(out[1:], levels):
         ratio = f"{level['solver']['stop_ratio']:.3g}"
         lu_mb = f"{level['solver']['lu_mb']:.4g}"
         assert line.endswith(f"; lu_mb {lu_mb} {lu_mb}; stop_ratio {ratio} {ratio}, "
                              "factorizations 1 1")
 
-    # the factor size, the stop test and the factorizations are shown, not judged
+    # the CG counts, the factor size, the stop test and the factorizations
+    # are shown, not judged
     moved = json.loads(a.read_text())
+    moved["levels"][0]["solver"]["frozen_iters"] = [7, 7]
+    moved["levels"][0]["solver"]["krylov_iters"] = [9]
     moved["levels"][0]["solver"]["lu_mb"] = tool.to_bits(2.5)
     moved["levels"][0]["solver"]["stop_ratio"] = tool.to_bits(0.5)
     moved["levels"][0]["solver"]["factorizations"] = 2
@@ -465,8 +522,9 @@ def test_dump_reports_compare(tmp_path, capsys):
     assert tool.main(["--compare", str(a), str(b)]) == 0
     ratio = f"{levels[0]['solver']['stop_ratio']:.3g}"
     lu_mb = f"{levels[0]['solver']['lu_mb']:.4g}"
-    assert capsys.readouterr().out.splitlines()[1].endswith(
-        f"; lu_mb {lu_mb} 2.5; stop_ratio {ratio} 0.5, factorizations 1 2")
+    line = capsys.readouterr().out.splitlines()[1]
+    assert f"krylov_iters [6, 6] [9], frozen_iters {frozen} [7, 7]; " in line
+    assert line.endswith(f"; lu_mb {lu_mb} 2.5; stop_ratio {ratio} 0.5, factorizations 1 2")
 
     moved = json.loads(a.read_text())
     l2 = tool.from_bits(moved["levels"][0]["errors"][0])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,18 @@ def test_reducible_conic_rejected():
         geo.Conic((1.0, 0.0, 0.0, 0.0, 0.0, 0.0))    # x^2
     # genuine conics pass
     geo.Conic((-1.0, 0.2, -1.1, 0.1, 0.0, 0.9))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_conic_coefficients_rejected(bad):
+    # before any other check, which would warn or misname the fault
+    k = [1.0, 0.0, 1.0, 0.0, 0.0, -1.0]
+    for j in (0, 5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(geo.GeometryError, match=r"^conic coefficients .* are not all "
+                                                         "finite$"):
+                geo.Conic(tuple(k[:j] + [bad] + k[j + 1:]))
 
 
 def test_line_conic_rejected():

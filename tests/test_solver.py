@@ -213,7 +213,9 @@ def test_newton_fixed_point_and_quadratic_decay(disk_ctx, disk_problem):
         if a < 1e-3:
             assert b <= max(10.0 * a * a, floor)
     # one more step from the fixed point barely moves
-    _, n, _ = sol.newton_step(disk_ctx, state.spline, disk_problem.g)
+    _, n = sol.newton_step(disk_ctx, state.spline,
+                           sol.newton_rhs(disk_ctx, state.spline, disk_problem.g),
+                           sol.NewtonSolves())
     assert n < 5e-14
     # defining equations: the residual functional vanishes on all basis fns
     _, f, _ = sol.linearize_ma(state.spline, disk_problem.g, disk_ctx.quad)
@@ -435,7 +437,7 @@ def test_level_reports_factor_megabytes_and_frozen_iters(disk_problem):
         facts = rep.solver
         assert facts["lu_mb"] * 2**20 == 4 * facts["lu_fill"]
         assert len(facts["frozen_iters"]) == facts["factorizations"] + facts["frozen_solves"]
-        assert all(0 < it < asm.REFINE_MAXITER for it in facts["frozen_iters"])
+        assert all(0 < it < asm.KRYLOV_MAXITER for it in facts["frozen_iters"])
 
 
 def test_multilevel_single_level_report(disk_problem):
@@ -539,15 +541,15 @@ def test_no_factorization_outlives_its_level(disk_problem, monkeypatch):
 
 def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_problem,
                                                                  monkeypatch):
-    # the second Newton matrix with the first one's factors: CG capped at
-    # one iteration misses its tolerance, so the old factors are released,
-    # the matrix is factored afresh, its factors become the level's, and
-    # the step's solution is the direct one
+    # the second Newton matrix with the first one's factors: that one CG
+    # call, capped at one iteration, misses its tolerance, so the old
+    # factors are released, the matrix is factored afresh, its factors
+    # become the level's, and the step's solution is the direct one
     import weakref
     ctx, g = disk_ctx, disk_problem.g
     u0 = sol.poisson_initial_guess(ctx, g)
     solves = sol.NewtonSolves()
-    u1, _, _ = sol.newton_step(ctx, u0, g, solves)
+    u1, _ = sol.newton_step(ctx, u0, sol.newton_rhs(ctx, u0, g), solves)
     first = weakref.ref(solves.factors)
     A, _, rhs = sol.newton_rhs(ctx, u1, g)
     matrix = asm.assemble(A, ctx.quad)
@@ -558,15 +560,23 @@ def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_
             assert first() is None
             super().__init__(matrix)
 
+    real_cg, missed = asm.spla.cg, []
+
+    def cg_missing_once(*args, **kwargs):
+        if not missed:
+            missed.append(kwargs["maxiter"])
+            kwargs["maxiter"] = 1
+        return real_cg(*args, **kwargs)
+
     monkeypatch.setattr(asm, "Factors", Fresh)
-    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 1)
+    monkeypatch.setattr(asm.spla, "cg", cg_missing_once)
     got = solves.solve(matrix, -rhs)
+    assert missed == [asm.KRYLOV_MAXITER]
     assert (solves.factorizations, solves.refactorizations, solves.krylov_iters) == (2, 1, [1])
     assert isinstance(solves.factors, Fresh) and solves.factors.matrix is matrix
     assert got.factors is None
     assert np.abs(got.dofs - want).max() <= 1e-12 * np.abs(want).max()
-    # with the cap back, the next solve is CG with the new factors
-    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 40)
+    # the next solve is CG with the new factors
     again = solves.solve(matrix, -rhs)
     assert solves.factorizations == 2 and solves.krylov_iters[1:] == [got.iterations]
     assert np.abs(again.dofs - want).max() <= 1e-12 * np.abs(want).max()
@@ -647,7 +657,7 @@ def c2_ctx4(hierarchies):
 def _frozen_ratio(ctx, g, u, factors):
     """The simplified Newton correction at u with the factors, over the
     stop threshold at the corrected iterate."""
-    u_next, n, _ = sol.frozen_step(ctx, u, sol.newton_rhs(ctx, u, g), factors)
+    u_next, n = sol._corrected(ctx, u, factors.solve(-sol.newton_rhs(ctx, u, g)[2]).dofs)
     return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad))
 
 
@@ -668,7 +678,7 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
     u = sol.poisson_initial_guess(ctx, g)
     for k in range(1, 5):
         solves.factors = None
-        u, n, _ = sol.newton_step(ctx, u, g, solves)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
         assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     # measured at most 0.142 (1.14x the floor), so this keeps more than a
@@ -683,7 +693,7 @@ def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
     for k in range(1, 5):
-        u, n, _ = sol.newton_step(ctx, u, g, solves)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
         assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     assert solves.factorizations == 1 and len(solves.krylov_iters) == 3

@@ -11,7 +11,8 @@ imported from this checkout's src/, so the same command run in two
 checkouts gives two files to diff.
 
 `--compare A B` reads two dumps and prints, per level, the `dimension`,
-the Newton count `m` (`iterations`) and the `krylov_iters` of both, the
+the Newton count `m` (`iterations`), the `krylov_iters` and the
+`frozen_iters` (every CG count of the level's solves) of both, the
 largest relative change from A to B of the `errors`, the `eps_errors`
 and the residual `R`, the factors' `lu_mb` of both, and the
 `stop_ratio` and `factorizations` of both (roundoff moves the stop test
@@ -104,7 +105,8 @@ def compare(a, b):
 
         lines.append(
             f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
-            f"m {la['iterations']} {lb['iterations']}, krylov_iters {both('krylov_iters')}; "
+            f"m {la['iterations']} {lb['iterations']}, krylov_iters {both('krylov_iters')}, "
+            f"frozen_iters {both('frozen_iters')}; "
             f"largest relative change: {changes}; lu_mb {both('lu_mb', '.4g')}; "
             f"stop_ratio {both('stop_ratio', '.3g')}, factorizations {both('factorizations')}"
             f"{'' if same else '  DIFFERS'}")
