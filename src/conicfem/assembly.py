@@ -69,8 +69,10 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=None)
 def triangle_rule(degree):
-    """Rule of the requested polynomial exactness via a collapsed tensor grid."""
+    """Rule of the requested polynomial exactness via a collapsed tensor
+    grid.  Built once per degree and process, read-only."""
     n = degree // 2 + 1
     xj, wj = roots_jacobi(n, 1.0, 0.0)
     xl, wl = roots_legendre(n)
@@ -85,7 +87,21 @@ def triangle_rule(degree):
             bary.append((1.0 - u - v, u, v))
             weights.append((wj[i] / 4.0) * (wl[j] / 2.0))
     w = np.asarray(weights)
-    return QuadratureRule(degree, np.asarray(bary), w / w.sum())
+    rule = QuadratureRule(degree, np.asarray(bary), w / w.sum())
+    rule.bary.flags.writeable = rule.weights.flags.writeable = False
+    return rule
+
+
+@lru_cache(maxsize=None)
+def _reference_bernstein():
+    """The Bernstein matrices of degrees 6 down to 3 at the nodes of the
+    reference rule, keyed by degree, that every straight chunk shares.
+    Built once per process, read-only."""
+    B = dict(zip(range(6, 2, -1),
+                 bb.design_matrices(6, triangle_rule(QUAD_DEGREE).bary, order=3)))
+    for b in B.values():
+        b.flags.writeable = False
+    return B
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +295,7 @@ class TriangleQuadrature:
     def __init__(self, space):
         self.space = space
         self.rule = triangle_rule(QUAD_DEGREE)
-        self.B = dict(zip(range(6, 2, -1), bb.design_matrices(6, self.rule.bary, order=3)))
+        self.B = _reference_bernstein()
         self.chunks = [self._chunk(grp, slice(i, i + CHUNK))
                        for grp in space.groups for i in range(0, len(grp.tris), CHUNK)]
 

@@ -102,16 +102,7 @@ def bernstein_matrix(d, bary):
 
     bary: (..., n, 3) array; returns (..., n, n_coeffs(d)).
     """
-    bary = np.asarray(bary, dtype=float)
-    flat = bary.reshape(-1, 3)
-    cols = []
-    for ijk in multi_indices(d):
-        i, j, k = ijk
-        cols.append(
-            multinomial(d, ijk)
-            * flat[:, 0] ** i * flat[:, 1] ** j * flat[:, 2] ** k
-        )
-    return np.column_stack(cols).reshape(bary.shape[:-1] + (len(cols),))
+    return design_matrices(d, bary, order=0)[0]
 
 
 @lru_cache(maxsize=None)
@@ -141,8 +132,22 @@ def diff_matrix(d, a):
 def design_matrices(d, bary, order=2):
     """Bernstein matrices [B_d, B_{d-1}, ..., B_{d-order}] at barycentric
     points (..., n, 3), each (..., n, n_coeffs(d - s)): what
-    frame_derivatives reads for derivatives up to `order`."""
-    return [bernstein_matrix(d - s, bary) for s in range(min(order, d) + 1)]
+    frame_derivatives reads for derivatives up to `order`.
+
+    Each coordinate is raised to the powers 0..d once, and the column of
+    (i, j, k) is multinomial * x**i * y**j * z**k from that table, in
+    that order."""
+    _check_degree(d)
+    bary = np.asarray(bary, dtype=float)
+    flat = bary.reshape(-1, 3)
+    x, y, z = (np.array([flat[:, c] ** p for p in range(d + 1)]) for c in range(3))
+    out = []
+    for e in range(d, d - min(order, d) - 1, -1):
+        i, j, k = np.array(multi_indices(e)).T
+        m = np.array([multinomial(e, ijk) for ijk in multi_indices(e)], dtype=float)
+        B = np.ascontiguousarray((m[:, None] * x[i] * y[j] * z[k]).T)   # columns as rows
+        out.append(B.reshape(bary.shape[:-1] + (len(m),)))
+    return out
 
 
 def frames(tri):

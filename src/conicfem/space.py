@@ -16,8 +16,11 @@ five categories:
 equations: each step sets BB coefficients of all its triangles at once
 to weighted sums of dofs or of coefficients set before it, and a later
 definition of a coefficient is checked against the first.  Solving them
-gives, per triangle, the linear map from its local dofs to its BB
-coefficients.  The maps are stored once, stacked per group of triangles
+level by level of the fill (a coefficient set from dofs alone is level
+0, any other one above the highest level it reads), each coefficient's
+row once, gives the map from dofs to all coefficients; split by
+triangle, it gives per triangle the linear map from its local dofs to
+its BB coefficients.  The maps are stored once, stacked per group of triangles
 of one kind and local dof count (MapGroup); a spline is its dof vector,
 and its pieces are these maps applied to it, read only through the
 groups: point queries locate all points at once (SplineSpace.locate),
@@ -250,8 +253,16 @@ def solve_factor_ring(a_ring, q110, q101, q011):
 # ---------------------------------------------------------------------------
 # the fill as sparse linear equations
 
+def _absmax(data, indptr):
+    """The largest |data| of each segment indptr[i]:indptr[i + 1], 0 when empty."""
+    out = np.zeros(len(indptr) - 1)
+    some = np.flatnonzero(np.diff(indptr))
+    out[some] = np.maximum.reduceat(np.abs(data[:indptr[-1]]), indptr[some])
+    return out
+
+
 def _row_absmax(M):
-    return abs(M).max(axis=1).toarray().ravel()
+    return _absmax(M.data, M.indptr)
 
 
 def _concat(entries):
@@ -267,9 +278,10 @@ class _Propagator:
     coefficients set by earlier steps.  The first equation of a coefficient
     defines it, as a row of W (coefficient sources) or of S (dof sources);
     every later equation for it is a check row.  A step reads only
-    coefficients set before it, so W is strictly triangular and sweeps
-    Z <- S + W Z reach the map Z from dofs to coefficients exactly, one
-    sweep per level of the fill.
+    coefficients set before it, so W is strictly triangular and the map
+    Z = S + W Z from dofs to coefficients is evaluated by fill level: the
+    rows of one level read only rows of lower levels, so each row is
+    formed once, from rows already exact (_by_level).
     """
 
     def __init__(self, mesh, mds):
@@ -307,9 +319,11 @@ class _Propagator:
         locs = np.asarray(locs, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         tris = np.asarray(tris)
-        a, i, j = np.nonzero(weights)
-        self.entries[from_dofs].append((self.n_eq + a * locs.shape[1] + i,
-                                        np.asarray(src, dtype=np.int64)[a, j], weights[a, i, j]))
+        _, r, c = weights.shape
+        k = np.flatnonzero(weights)            # (a, i, j) in C order
+        eq = k // c                            # a r + i
+        src = np.asarray(src, dtype=np.int64).ravel()[eq // r * c + k - eq * c]
+        self.entries[from_dofs].append((self.n_eq + eq, src, weights.ravel()[k]))
         self.targets.append((self.offset[tris if tris.ndim == 2 else tris[:, None]]
                              + locs).ravel())
         self.n_eq += locs.size
@@ -368,11 +382,8 @@ class _Propagator:
         eq, dof, w = _concat(self.entries[True])
         B = sparse.csr_matrix((w, (row[eq], dof)),
                               shape=(n + check.sum(), self.mds.dimension))
-        W, S = A[:n], B[:n]
-        # exact after one sweep per fill level; the next sweep changes nothing
-        Z, prev = S, None
-        while prev is None or (Z != prev).nnz:
-            Z, prev = S + W @ Z, Z
+        # each definition row once, level by level of the fill
+        Z = self._by_level(A[:n], B[:n])
         again = B[n:] + A[n:] @ Z
         first_def = Z[target[check]]
         scale = np.maximum(np.maximum(_row_absmax(again), _row_absmax(first_def)), 1.0)
@@ -386,6 +397,33 @@ class _Propagator:
         for k in np.flatnonzero(first == self.n_eq)[:1]:
             t, i = self._where(k)
             raise PropagationError(f"coefficient {i} of triangle {t} unset")
+        return Z
+
+    @staticmethod
+    def _by_level(W, S):
+        """The map Z = S + W Z from the definition rows W (coefficient
+        sources) and S (dof sources), each row formed once.  A coefficient
+        set from dofs alone has fill level 0, any other 1 + the highest
+        level it reads.  From Z = S, Z <- Z + W_L Z for each level L, W_L
+        the level-L rows of W: a row of level L reads only rows already
+        final, so it gets the sum S_r + W_r Z of the last of the sweeps
+        Z <- S + W Z, and every other row is left as it is."""
+        n = W.shape[0]
+        counts = np.diff(W.indptr)
+        reader = np.repeat(np.arange(n), counts)      # the row of each entry
+        level = np.zeros(n, dtype=np.int64)
+        above = counts > 0                     # the rows of level >= L, from L = 1
+        while above.any():                     # level >= L + 1: reads a row of level >= L
+            level += above
+            above = np.bincount(reader[above[W.indices]], minlength=n) > 0
+        Z = S
+        for L in range(1, level.max(initial=0) + 1):
+            rows = level == L
+            keep = rows[reader]
+            WL = sparse.csr_matrix((W.data[keep], W.indices[keep],
+                                    np.concatenate([[0], np.cumsum(counts * rows)])),
+                                   shape=W.shape)
+            Z = Z + WL @ Z
         return Z
 
     def _seed_dofs(self):
@@ -630,27 +668,38 @@ class MapGroup:
 def _map_groups(mesh, prop, Z):
     """Split the CSR map Z (stored coefficients x dofs) into MapGroups.
 
-    Per triangle the dofs are the sorted columns its rows touch, and
-    entries below 1e-15 of the triangle's largest (or of 1) are dropped."""
-    dim = Z.shape[1]
-    row = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr))    # per entry
-    tri = np.searchsorted(prop.offset, row, side="right") - 1
-    keys, pos = np.unique(tri * dim + Z.indices, return_inverse=True)
-    k = np.bincount(keys // dim, minlength=mesh.n_triangles)
+    Per triangle the dofs are the sorted columns its rows touch, found by
+    sorting its entries (one CSR row over the triangle's rows) by column,
+    and entries below 1e-15 of the triangle's largest (or of 1) are
+    dropped before the maps are scattered dense."""
+    n_tri = mesh.n_triangles
+    ends = Z.indptr[prop.offset]                        # each triangle's entry range
+    tri = np.repeat(np.arange(n_tri), np.diff(ends))    # per entry
+    row = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr)) - prop.offset[tri]
+    # each triangle's entries by column, carrying their entry numbers
+    by_col = sparse.csr_matrix((np.arange(Z.nnz), Z.indices, ends), shape=(n_tri, Z.shape[1]))
+    by_col.sort_indices()
+    new = np.ones(Z.nnz, dtype=bool)                    # first entry of a (triangle, column)
+    new[1:] = (tri[1:] != tri[:-1]) | (by_col.indices[1:] != by_col.indices[:-1])
+    k = np.bincount(tri[new], minlength=n_tri)
     start = np.concatenate([[0], np.cumsum(k)])
-    pos -= start[tri]                                   # column in its triangle
+    pos = np.empty(Z.nnz, dtype=np.int64)               # column in its triangle
+    pos[by_col.data] = np.cumsum(new) - 1 - start[tri]
+    cols_all = by_col.indices[new].astype(np.int64)
+    scale = np.maximum(_absmax(Z.data, ends), 1.0)
+    data = np.where(np.abs(Z.data) < 1e-15 * scale[tri], 0.0, Z.data)
     # groups in the order of their first triangle
     _, first, member = np.unique(prop.degree * (k.max(initial=0) + 1) + k,
                                  return_index=True, return_inverse=True)
-    groups = []
+    groups, within, group = [], np.zeros(n_tri, dtype=np.int64), member[tri]
     for g in np.argsort(first):
-        tris, nz = np.flatnonzero(member == g), member[tri] == g
+        tris, nz = np.flatnonzero(member == g), group == g
         kind, kt = str(mesh.tri_kind[tris[0]]), int(k[tris[0]])
-        M = np.zeros((len(tris), bb.n_coeffs(_STORED_DEGREE[kind]), kt))
-        M[np.searchsorted(tris, tri[nz]), (row - prop.offset[tri])[nz], pos[nz]] = Z.data[nz]
-        scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1.0)
-        M[np.abs(M) < 1e-15 * scale[:, None, None]] = 0.0
-        cols = keys[member[keys // dim] == g].reshape(len(tris), kt) % dim
+        nc = bb.n_coeffs(_STORED_DEGREE[kind])
+        within[tris] = np.arange(len(tris))
+        M = np.zeros((len(tris), nc, kt))
+        M.ravel()[(within[tri[nz]] * nc + row[nz]) * kt + pos[nz]] = data[nz]
+        cols = cols_all[start[tris, None] + np.arange(kt)]
         piece = prop.pie_P[prop.pie_row[tris]] @ M if kind == PIE else M
         groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))
     return groups
@@ -720,10 +769,17 @@ class SplineFunction:
 # ---------------------------------------------------------------------------
 # spline file IO
 
+def _finite_dofs(dofs):
+    """dofs (a float array); SpaceError naming the first that is not finite."""
+    for i in np.flatnonzero(~np.isfinite(dofs))[:1]:
+        raise SpaceError(f"spline file: dof {i} is {dofs[i]}, not a finite number")
+    return dofs
+
+
 def save_spline(spline, path):
     data = {
         "mesh": mesh_to_dict(spline.space.mesh),
-        "dofs": [float(v) for v in spline.dofs],
+        "dofs": [float(v) for v in _finite_dofs(spline.dofs)],
     }
     with open(path, "w") as f:
         json.dump(data, f)
@@ -741,5 +797,5 @@ def load_spline(path):
     dofs = data["dofs"]
     if not (isinstance(dofs, list) and all(type(x) in (int, float) for x in dofs)):
         raise SpaceError('spline file: "dofs" is not a list of numbers')
-    space = build_space(mesh_from_dict(data["mesh"]))
-    return space.spline(np.asarray(dofs, dtype=float))
+    dofs = _finite_dofs(np.asarray(dofs, dtype=float))
+    return build_space(mesh_from_dict(data["mesh"])).spline(dofs)

@@ -13,8 +13,12 @@ for the straight triangles' Bernstein-basis stiffness blocks, one GEMM per
 chunk whose row bits depend on the chunk, which the assembly loop takes
 from the chunk's product), as
 the space's stacked maps must reproduce the per-triangle extraction from
-the fill; the per-triangle error norms evaluate the spline through its
-own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
+the fill; the fill's map, evaluated by fill level and split by a sort
+of each triangle's entries, must reproduce bit for bit the sweeps
+Z <- S + W Z to a fixed point and the split by one global sort over
+(triangle, column) keys, and the Bernstein matrices from shared powers
+the per-column formula; the per-triangle error norms evaluate the
+spline through its own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
 every chunk, pies included, the form that frames and differenced
 coefficients replace; the two agree to a few eps.  Newton's termination by a frozen-factor
 correction is checked against the loop that confirms convergence with
@@ -50,7 +54,7 @@ from conicfem import solver as sol
 from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
                                normalized_pie_conic)
 from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError
-from conicfem.space import _PER_OWNER, _Propagator
+from conicfem.space import _PER_OWNER, _STORED_DEGREE, MapGroup, _Propagator
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +485,57 @@ def triangle_maps(space):
         piece = prop.pie_P[prop.pie_row[t]] @ M if space.mesh.tri_kind[t] == PIE else M
         out.append((cols, piece, M))
     return out
+
+
+class SweepPropagator(_Propagator):
+    """The fill with its map reached by sweeps Z <- S + W Z from Z = S
+    until a sweep changes nothing: one sweep per fill level, then one that
+    only confirms it."""
+
+    @staticmethod
+    def _by_level(W, S):
+        Z, prev = S, None
+        while prev is None or (Z != prev).nnz:
+            Z, prev = S + W @ Z, Z
+        return Z
+
+
+def map_groups_by_unique(mesh, prop, Z):
+    """space._map_groups by a global sort: per triangle the sorted columns
+    of its rows from one np.unique over (triangle, column) keys, each
+    group's maps scattered dense and cut at 1e-15 of each triangle's
+    largest entry (or of 1) there."""
+    dim = Z.shape[1]
+    row = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr))    # per entry
+    tri = np.searchsorted(prop.offset, row, side="right") - 1
+    keys, pos = np.unique(tri * dim + Z.indices, return_inverse=True)
+    k = np.bincount(keys // dim, minlength=mesh.n_triangles)
+    start = np.concatenate([[0], np.cumsum(k)])
+    pos -= start[tri]                                   # column in its triangle
+    # groups in the order of their first triangle
+    _, first, member = np.unique(prop.degree * (k.max(initial=0) + 1) + k,
+                                 return_index=True, return_inverse=True)
+    groups = []
+    for g in np.argsort(first):
+        tris, nz = np.flatnonzero(member == g), member[tri] == g
+        kind, kt = str(mesh.tri_kind[tris[0]]), int(k[tris[0]])
+        M = np.zeros((len(tris), bb.n_coeffs(_STORED_DEGREE[kind]), kt))
+        M[np.searchsorted(tris, tri[nz]), (row - prop.offset[tri])[nz], pos[nz]] = Z.data[nz]
+        scale = np.maximum(np.abs(M).max(axis=(1, 2), initial=0.0), 1.0)
+        M[np.abs(M) < 1e-15 * scale[:, None, None]] = 0.0
+        cols = keys[member[keys // dim] == g].reshape(len(tris), kt) % dim
+        piece = prop.pie_P[prop.pie_row[tris]] @ M if kind == PIE else M
+        groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))
+    return groups
+
+
+def bernstein_by_columns(d, bary):
+    """The degree-d Bernstein matrix at barycentric points (..., n, 3),
+    each column multinomial * x**i * y**j * z**k with its own powers."""
+    flat = np.asarray(bary, dtype=float).reshape(-1, 3)
+    cols = [bb.multinomial(d, (i, j, k)) * flat[:, 0] ** i * flat[:, 1] ** j * flat[:, 2] ** k
+            for i, j, k in bb.multi_indices(d)]
+    return np.column_stack(cols).reshape(np.shape(bary)[:-1] + (len(cols),))
 
 
 def basis_support(space, lam, tol=1e-13):

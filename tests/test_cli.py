@@ -172,6 +172,21 @@ def test_export_plot_names_a_mistyped_or_missing_spline_field(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_export_plot_rejects_a_non_finite_dof(tmp_path, capsys, value):
+    # json reads NaN and Infinity; the spline file names the first such dof
+    dofs = [0.0] * 134
+    dofs[17] = dofs[90] = value
+    sol_file = tmp_path / "sol.json"
+    sol_file.write_text(json.dumps({"mesh": msh.mesh_to_dict(builtin_domain("disk")[1]),
+                                    "dofs": dofs}))
+    out = tmp_path / "plot.csv"
+    assert run(["export", "plot", "--solution", str(sol_file), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: spline file: dof 17 is {value}, "
+                                       "not a finite number\n")
+    assert not out.exists()
+
+
 def test_mesh_validate_reports_condition(tmp_path, capsys):
     # all-pie fan: violates condition (c)
     from conicfem.geometry import domain_to_dict
@@ -506,15 +521,17 @@ def test_dump_reports_compare(tmp_path, capsys):
     for line, level in zip(out[1:], levels):
         ratio = f"{level['solver']['stop_ratio']:.3g}"
         lu_mb = f"{level['solver']['lu_mb']:.4g}"
-        assert line.endswith(f"; lu_mb {lu_mb} {lu_mb}; stop_ratio {ratio} {ratio}, "
-                             "factorizations 1 1")
+        defect = f"{level['solver']['fill_defect']:.3e}"
+        assert line.endswith(f"; lu_mb {lu_mb} {lu_mb}, fill_defect {defect} {defect}; "
+                             f"stop_ratio {ratio} {ratio}, factorizations 1 1")
 
-    # the CG counts, the factor size, the stop test and the factorizations
-    # are shown, not judged
+    # the CG counts, the factor size, the fill defect, the stop test and
+    # the factorizations are shown, not judged
     moved = json.loads(a.read_text())
     moved["levels"][0]["solver"]["frozen_iters"] = [7, 7]
     moved["levels"][0]["solver"]["krylov_iters"] = [9]
     moved["levels"][0]["solver"]["lu_mb"] = tool.to_bits(2.5)
+    moved["levels"][0]["solver"]["fill_defect"] = tool.to_bits(3e-9)
     moved["levels"][0]["solver"]["stop_ratio"] = tool.to_bits(0.5)
     moved["levels"][0]["solver"]["factorizations"] = 2
     b = tmp_path / "b.json"
@@ -522,9 +539,11 @@ def test_dump_reports_compare(tmp_path, capsys):
     assert tool.main(["--compare", str(a), str(b)]) == 0
     ratio = f"{levels[0]['solver']['stop_ratio']:.3g}"
     lu_mb = f"{levels[0]['solver']['lu_mb']:.4g}"
+    defect = f"{levels[0]['solver']['fill_defect']:.3e}"
     line = capsys.readouterr().out.splitlines()[1]
     assert f"krylov_iters [6, 6] [9], frozen_iters {frozen} [7, 7]; " in line
-    assert line.endswith(f"; lu_mb {lu_mb} 2.5; stop_ratio {ratio} 0.5, factorizations 1 2")
+    assert line.endswith(f"; lu_mb {lu_mb} 2.5, fill_defect {defect} 3.000e-09; "
+                         f"stop_ratio {ratio} 0.5, factorizations 1 2")
 
     moved = json.loads(a.read_text())
     l2 = tool.from_bits(moved["levels"][0]["errors"][0])

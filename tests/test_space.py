@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import space as sp
 from conicfem.geometry import arc_point_on_ray, normalized_pie_conic
@@ -8,9 +9,10 @@ from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
 from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
                             solve_factor_ring)
 
-from _oracles import (apply_design, barycentric, basis_support, bb_product,
-                      boundary_samples_max, cross_edge_rows, derivative_matrices, eval_bb, factor,
-                      jet_to_ring_matrix, owner_dofs, patch, plain_interior_edges,
+from _oracles import (SweepPropagator, apply_design, barycentric, basis_support, bb_product,
+                      bernstein_by_columns, boundary_samples_max, cross_edge_rows,
+                      derivative_matrices, eval_bb, factor, jet_to_ring_matrix,
+                      map_groups_by_unique, owner_dofs, patch, plain_interior_edges,
                       smoothness_report, space_dimension_by_rank, star, tri_degree,
                       vertex_triangles)
 
@@ -181,6 +183,50 @@ def test_fill_steps_emit_once_per_step(disk_mesh, disk_mesh2):
         return out
 
     assert calls(disk_mesh) == calls(refine_uniform(disk_mesh2)) == [1] * 7
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("name", ["disk_mesh", "ellipse_mesh", "lens_mesh", "c2"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_fill_by_level_matches_the_sweeps_and_the_global_sort(name, level, request,
+                                                              hierarchies):
+    # bit for bit, signs of zero included: the map evaluated level by level
+    # and split per triangle against sweeps to a fixed point and a split by
+    # one np.unique over (triangle, column) keys
+    mesh = (hierarchies["c2-domain"][0] if name == "c2" else request.getfixturevalue(name))
+    if level == 2:
+        mesh = refine_uniform(mesh)
+    space = build_space(mesh)
+    prop = SweepPropagator(mesh, space.mds)
+    want = map_groups_by_unique(mesh, prop, prop.run())
+    assert space.fill_defect == prop.defect
+    assert _same_bits(space.coef_offset, prop.offset)
+    assert len(space.groups) == len(want)
+    for got, ref in zip(space.groups, want):
+        assert (got.kind, got.degree) == (ref.kind, ref.degree)
+        for field in ("tris", "cols", "Z", "stored"):
+            assert _same_bits(getattr(got, field), getattr(ref, field)), field
+
+
+def test_design_matrices_match_the_per_column_formula(disk_space2):
+    # bit for bit at the curved quadrature nodes of the pies of disk L2,
+    # stacked per pie, and flat
+    mesh = disk_space2.mesh
+    pies = np.flatnonzero(mesh.tri_kind == PIE)
+    nodes, _ = asm.pie_quadrature(mesh, pies)
+    bary = bb.barycentric_many(mesh.vertices[mesh.tri_verts[pies]], nodes)
+    for b in (bary, bary.reshape(-1, 3)):
+        for order in range(4):
+            got = bb.design_matrices(6, b, order=order)
+            assert len(got) == order + 1
+            for s, B in enumerate(got):
+                assert _same_bits(B, bernstein_by_columns(6 - s, b)) and B.flags.c_contiguous
+        assert _same_bits(bb.bernstein_matrix(5, b), bernstein_by_columns(5, b))
 
 
 def test_jet_to_ring_matches_scalar_rule(c2_space):
@@ -489,3 +535,12 @@ def test_spline_file_roundtrip(tmp_path, disk_space):
     assert len(s2.space.groups) == len(disk_space.groups)
     for g2, grp in zip(s2.space.groups, disk_space.groups):
         np.testing.assert_array_equal(s2.pieces(g2.Z, g2.cols), s.pieces(grp.Z, grp.cols))
+
+
+def test_save_spline_refuses_a_non_finite_dof(tmp_path, disk_space):
+    dofs = np.zeros(disk_space.dimension)
+    dofs[[5, 9]] = -np.inf
+    path = tmp_path / "spline.json"
+    with pytest.raises(sp.SpaceError, match=r"^spline file: dof 5 is -inf, not a finite number$"):
+        sp.save_spline(disk_space.spline(dofs), path)
+    assert not path.exists()

@@ -14,9 +14,10 @@ checkouts gives two files to diff.
 the Newton count `m` (`iterations`), the `krylov_iters` and the
 `frozen_iters` (every CG count of the level's solves) of both, the
 largest relative change from A to B of the `errors`, the `eps_errors`
-and the residual `R`, the factors' `lu_mb` of both, and the
-`stop_ratio` and `factorizations` of both (roundoff moves the stop test
-before it moves `m`).  It exits 1 when the dumps differ in their number
+and the residual `R`, the factors' `lu_mb` and the space's
+`fill_defect` of both (a change to the fill shows in its defect), and
+the `stop_ratio` and `factorizations` of both (roundoff moves the stop
+test before it moves `m`).  It exits 1 when the dumps differ in their number
 of levels, or in a level's `dimension` or `m`.
 """
 
@@ -107,7 +108,8 @@ def compare(a, b):
             f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
             f"m {la['iterations']} {lb['iterations']}, krylov_iters {both('krylov_iters')}, "
             f"frozen_iters {both('frozen_iters')}; "
-            f"largest relative change: {changes}; lu_mb {both('lu_mb', '.4g')}; "
+            f"largest relative change: {changes}; lu_mb {both('lu_mb', '.4g')}, "
+            f"fill_defect {both('fill_defect', '.3e')}; "
             f"stop_ratio {both('stop_ratio', '.3g')}, factorizations {both('factorizations')}"
             f"{'' if same else '  DIFFERS'}")
     return lines, ok
