@@ -304,17 +304,13 @@ def main(argv=None):
         unknown = [k for k in conf if k.replace("-", "_") not in _CONFIG_KEYS]
         if unknown:
             parser.error(f"unknown --config key(s): {', '.join(unknown)}")
-        # argparse accepted argv, so each --name in it is a flag or an
-        # abbreviation of exactly one flag: a flag was given when a name is
-        # a prefix of it (no flag of solve is a prefix of another)
-        given = [a.split("=")[0] for a in argv if a.startswith("--") and a != "--"]
-        passed = {key for key in _CONFIG_KEYS
-                  if any(f"--{key}".replace("_", "-").startswith(a) for a in given)}
-        # each value is parsed as its flag's text (type and choices
-        # checked by argparse); explicit flags win, null keeps the default
+        # each value is parsed as its flag's text, placed right after the
+        # subcommand, so argparse checks its type and choices and a flag
+        # of the command line, given later, wins; null keeps the default
         extra = [f"--{key.replace('_', '-')}={val}" for key, val in conf.items()
-                 if key.replace("-", "_") not in passed and val is not None]
-        args = parser.parse_args(argv + extra)
+                 if val is not None]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + extra + argv[at:])
     if args.fn in (cmd_solve, cmd_space_info) and args.levels < 1:
         parser.error("levels must be >= 1")
     if args.fn is cmd_mesh_refine and args.levels < 0:

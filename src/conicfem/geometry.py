@@ -363,13 +363,21 @@ def domain_from_dict(data):
     return ConicDomain(tuple(arcs))
 
 
+def is_number_list(v, n=None):
+    """Whether the JSON value v is a list of numbers, of n of them when n is
+    given: the number rule of the domain, mesh and spline file readers.  A
+    number is an int or a float; a bool or a numeric string is not."""
+    return (isinstance(v, list) and (n is None or len(v) == n)
+            and all(type(x) in (int, float) for x in v))
+
+
 def _arc_numbers(j, arc, key, n):
     """The field `key` of the arc object j as a tuple of n numbers, else a
     GeometryError that names the arc and the field."""
     if key not in arc:
         raise GeometryError(f'arc {j} has no "{key}": expected a list of {n} numbers')
     v = arc[key]
-    if not (isinstance(v, list) and len(v) == n and all(type(x) in (int, float) for x in v)):
+    if not is_number_list(v, n):
         raise GeometryError(f'arc {j}: "{key}" is {json.dumps(v)}, expected a list of '
                             f"{n} numbers")
     return tuple(v)

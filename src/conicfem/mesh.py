@@ -37,6 +37,7 @@ from .geometry import (
     eval_conic,
     grad_conic,
     gradients_parallel,
+    is_number_list,
 )
 
 ORDINARY = "ordinary"
@@ -451,7 +452,8 @@ def mesh_to_dict(mesh):
 
 def mesh_from_dict(data):
     """The validated mesh of a mesh file's JSON object, which embeds its
-    domain."""
+    domain.  Every row of its arrays must be a list of numbers by the file
+    readers' rule (geometry.is_number_list)."""
     if not isinstance(data, dict):
         raise MeshError("mesh", f"mesh file: expected a JSON object, got {type(data).__name__}")
     if "domain" not in data:
@@ -460,6 +462,10 @@ def mesh_from_dict(data):
         if key not in data:
             raise MeshError("mesh", f'mesh file has no "{key}": expected a list of rows of '
                             f"{width} numbers")
+        for i, row in enumerate(data[key] if isinstance(data[key], list) else []):
+            if not is_number_list(row, width):
+                raise MeshError("mesh", f"{key}[{i}] is {json.dumps(row)}, expected {width} "
+                                "numbers")
     return classify_and_validate(domain_from_dict(data["domain"]), data["vertices"],
                                  data["triangles"], data["boundary"])
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy import sparse
 
 from . import bernstein as bb
-from .geometry import eval_conic, grad_conic, normalized_pie_conic
+from .geometry import eval_conic, grad_conic, is_number_list, normalized_pie_conic
 from .mesh import BUFFER, ORDINARY, PIE, conic_rows, mesh_from_dict, mesh_to_dict
 
 VERTEX_JET = "vertex-jet"
@@ -218,36 +218,14 @@ def quintic_reduction():
 # ---------------------------------------------------------------------------
 # the corner system of the pie factor
 
-def factor_ring_matrix(q110, q101, q011):
-    """Lower-triangular map from the factor's vertex ring to the product's
-    (one per entry, stacked, for arrays of conic coefficients).
-
-    Ring order is canonical (corner, +A, +B, ++A, ++B, mixed) at the pie
-    interior vertex; the conic is normalized to 1 there and vanishes at the
-    other two vertices.  Derived from the Bernstein product identity.
-    """
-    q110, q101, q011 = (np.asarray(q, dtype=float) for q in (q110, q101, q011))
-    o, c = np.zeros_like(q110), np.ones_like(q110)
-    return _stack([
-        [c, o, o, o, o, o],
-        [q110 / 3.0, 2 / 3.0 * c, o, o, o, o],
-        [q101 / 3.0, o, 2 / 3.0 * c, o, o, o],
-        [o, 8 * q110 / 15.0, o, 2 / 5.0 * c, o, o],
-        [o, o, 8 * q101 / 15.0, o, 2 / 5.0 * c, o],
-        [q011 / 15.0, 4 * q101 / 15.0, 4 * q110 / 15.0, o, o, 2 / 5.0 * c],
-    ])
-
-
-def solve_factor_ring(a_ring, q110, q101, q011):
-    """Recover the quartic factor's vertex ring from the product's.
-
-    a_ring holds the degree-6 ring coefficients of (factor * conic) at the
-    pie interior vertex, canonical ring order (or a map to them, one column
-    per input); returns the factor's degree-4 ring, same order.  The system
-    is unconditionally lower-triangular with positive diagonal.
-    """
-    return np.linalg.solve(factor_ring_matrix(q110, q101, q011),
-                           np.asarray(a_ring, dtype=float))
+def corner_block(P):
+    """The (..., 6, 6) block of pie product matrices P (..., 28, 15)
+    (bernstein.product_matrix(4, 2, q)) that maps the factor's vertex ring
+    at the pie interior vertex (0-based slot 0) to the product's, canonical
+    ring order.  With q normalized by geometry.normalized_pie_conic (1 at the
+    interior vertex, 0 at the other two) it is lower triangular with a
+    positive diagonal: the corner system that fixes the factor's ring."""
+    return P[..., _ring_pos(6)[0][:, None], _ring_pos(4)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +310,6 @@ class _Propagator:
         """(triangle, local position) of a global coefficient index."""
         t = int(np.searchsorted(self.offset, k, side="right")) - 1
         return t, int(k - self.offset[t])
-
-    def _qparts(self, pies):
-        """q110, q101, q011 (each (n,)) of the normalized conics of pies (n,)."""
-        im = bb.index_map(2)
-        q = self.pie_q[self.pie_row[pies]]
-        return q[:, [im[(1, 1, 0)], im[(1, 0, 1)], im[(0, 1, 1)]]].T
 
     def _neighbours(self, tris, edges):
         """The triangle across the interior edge edges[i] from tris[i]."""
@@ -447,7 +419,8 @@ class _Propagator:
         weights = jet_to_ring_matrices(self.coords[tt], ss + 1,
                                        np.where(kinds[tt] == ORDINARY, 5, 6)) @ R[j]
         pie = np.flatnonzero(kinds[tt] == PIE)
-        weights[pie] = solve_factor_ring(weights[pie], *self._qparts(tt[pie]))
+        weights[pie] = np.linalg.solve(corner_block(self.pie_P[self.pie_row[tt[pie]]]),
+                                       weights[pie])
         locs = np.array([_ring_pos(d) for d in (4, 5, 6)])[self.degree[tt] - 4, ss]
         self._emit(tt, locs, weights, 6 * j[:, None] + np.arange(6), from_dofs=True)
 
@@ -511,8 +484,8 @@ class _Propagator:
         shared = np.column_stack([self.verts[pies, 0],
                                   self.verts[pies[::2]][:, [2, 1]].ravel()])
         chord = np.tile([bb.index_map(4)[g] for g in ((0, 1, 3), (0, 3, 1))], len(pies) // 2)
-        q110, q101, _ = self._qparts(pies[::2])
-        q_edge = np.column_stack([q101, q110]).ravel()
+        im = bb.index_map(2)
+        q_edge = self.pie_q[self.pie_row[pies[::2]]][:, [im[(1, 0, 1)], im[(1, 1, 0)]]].ravel()
         edges = self.mesh.tri_edges[pies[::2]][:, [2, 0]].ravel()
         return pies, self._neighbours(pies, edges), shared, chord, q_edge
 
@@ -795,7 +768,7 @@ def load_spline(path):
         if key not in data:
             raise SpaceError(f'spline file has no "{key}": expected {expected}')
     dofs = data["dofs"]
-    if not (isinstance(dofs, list) and all(type(x) in (int, float) for x in dofs)):
+    if not is_number_list(dofs):
         raise SpaceError('spline file: "dofs" is not a list of numbers')
     dofs = _finite_dofs(np.asarray(dofs, dtype=float))
     return build_space(mesh_from_dict(data["mesh"])).spline(dofs)

@@ -236,6 +236,22 @@ def test_solve_of_a_nearby_matrix_with_the_factors(disk_space):
     assert factors.matrix is K
 
 
+def test_solve_of_a_nearby_matrix_missing_the_cg_tolerance_raises(disk_space, monkeypatch):
+    # CG on the nearby matrix needs 6 iterations for KRYLOV_RTOL; capped at
+    # 4 its residual passes MAX_REL_RESIDUAL, so the third check fails
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(EYE, quad)
+    factors = asm.Factors(K)
+    nearby = (K + 1e-3 * asm.assemble(asm.constant_matrix([[2.0, 1.0], [1.0, 3.0]]),
+                                      quad)).tocsr()
+    b = np.random.default_rng(4).standard_normal(disk_space.dimension)
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 4)
+    with pytest.raises(asm.SolverError, match="CG missed the relative residual 1e-13 "
+                                              "within 4 iterations") as info:
+        factors.solve(b, nearby)
+    assert info.value.iterations == 4
+
+
 def test_factors_are_single_precision(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
     factors = asm.Factors(asm.assemble(EYE, quad))

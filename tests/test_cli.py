@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -237,6 +238,60 @@ def test_mesh_validate_rejects_fractional_indices(tmp_path, capsys):
                                        "has a non-integral index\n")
 
 
+def _strings(data):
+    """data with every vertex coordinate and arc index a JSON string."""
+    return dict(data, vertices=[[str(x) for x in v] for v in data["vertices"]],
+                boundary=[[a, b, str(arc)] for a, b, arc in data["boundary"]])
+
+
+def _arc_strings(data):
+    return dict(data, boundary=[[a, b, str(arc)] for a, b, arc in data["boundary"]])
+
+
+def _booleans(data):
+    """data with vertex 0 [true, false] and one triangle index true."""
+    tris = [list(t) for t in data["triangles"]]
+    tris[2][1] = True
+    return dict(data, vertices=[[True, False]] + data["vertices"][1:], triangles=tris)
+
+
+def _triangle_boolean(data):
+    return dict(_booleans(data), vertices=data["vertices"])
+
+
+# the built-in disk mesh: vertex 0 (1.0, 0.0), triangle 2 (16, 15, 8),
+# boundary edge 0 (0, 1) on arc 0
+_NOT_NUMBERS = [
+    (_strings, 'vertices[0] is ["1.0", "0.0"], expected 2 numbers'),
+    (_arc_strings, 'boundary[0] is [0, 1, "0"], expected 3 numbers'),
+    (_booleans, "vertices[0] is [true, false], expected 2 numbers"),
+    (_triangle_boolean, "triangles[2] is [16, true, 8], expected 3 numbers"),
+]
+_NOT_NUMBERS_IDS = ["strings", "arc-strings", "booleans", "triangle-boolean"]
+
+
+@pytest.mark.parametrize("edit, message", _NOT_NUMBERS, ids=_NOT_NUMBERS_IDS)
+def test_mesh_validate_rejects_entries_that_are_not_numbers(tmp_path, capsys, edit, message):
+    # numeric strings and booleans convert to floats, but a mesh file holds
+    # numbers only, as its domain and a spline file's dofs do
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(msh.mesh_to_dict(builtin_domain("disk")[1]))))
+    assert run(["mesh", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: condition (mesh): {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", _NOT_NUMBERS, ids=_NOT_NUMBERS_IDS)
+def test_export_plot_rejects_a_mesh_entry_that_is_not_a_number(tmp_path, capsys, edit,
+                                                               message):
+    sol_file = tmp_path / "sol.json"
+    sol_file.write_text(json.dumps({"mesh": edit(msh.mesh_to_dict(builtin_domain("disk")[1])),
+                                    "dofs": [0.0] * 134}))
+    out = tmp_path / "plot.csv"
+    assert run(["export", "plot", "--solution", str(sol_file), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: condition (mesh): {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_solve_rejects_tol_that_is_not_finite_and_positive(tol, capsys):
     # the Newton stop rule has no settings: any --tol is a usage error
@@ -277,6 +332,22 @@ def test_space_info(capsys):
     assert run(["space", "info", "--problem", "disk"]) == 0
     out = capsys.readouterr().out
     assert "dimension: 134" in out
+
+
+def test_space_info_refines_to_levels(capsys):
+    assert run(["space", "info", "--problem", "disk", "--levels", "2"]) == 0
+    assert "dimension: 478" in capsys.readouterr().out
+
+
+def test_solve_verbose_logs_one_line_per_level(caplog):
+    logger = logging.getLogger("conicfem")
+    level = logger.level
+    try:
+        assert run(["solve", "--problem", "disk", "--levels", "2", "--verbose"]) == 0
+    finally:
+        logger.setLevel(level)
+    lines = [r.getMessage() for r in caplog.records if r.name == "conicfem.solver"]
+    assert [line.split(" m=")[0] for line in lines] == ["level 1: dim=134", "level 2: dim=478"]
 
 
 @pytest.mark.parametrize("levels", ["0", "-3"])
@@ -397,12 +468,15 @@ def test_config_values_are_parsed_like_flags(tmp_path, capsys):
         assert [r[0] for r in rows if r and r[0].isdigit()] == ["1", "2"]
     else:
         assert rc == 2
-    # a value its flag cannot parse fails as a usage error naming the flag
+    # a value its flag cannot parse fails as a usage error naming the flag,
+    # also when the command line gives that flag
     conf.write_text(json.dumps({"problem": "disk", "levels": "two"}))
-    with pytest.raises(SystemExit) as exc:
-        run(["solve", "--config", str(conf)])
-    assert exc.value.code == 2
-    assert "--levels" in capsys.readouterr().err
+    for flags in ([], ["--levels", "1"], ["--lev=1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--config", str(conf), *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--levels" in err and "'two'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import weakref
 
@@ -242,6 +243,18 @@ def test_step_cap_reports_divergence(c2dom, monkeypatch):
     (rep,), _ = sol.multilevel_run(problem, 1)
     assert rep.diverged and rep.iterations == 1
     assert len(rep.update_norms) == 1 and rep.solver["stop_ratio"] > 1.0
+
+
+def test_four_growing_corrections_report_divergence(disk_ctx, disk_problem, monkeypatch):
+    # corrections of L2 norm 1, 2, 3, ... that leave the iterate as it is:
+    # the real steps read 1, 3, 5, 7 (the frozen ones 2, 4, 6), so the
+    # fourth real step stops the level unconverged with m = 4
+    growing = itertools.count(1.0)
+    monkeypatch.setattr(sol, "_corrected", lambda ctx, u, dofs: (u, next(growing)))
+    u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
+    state, _ = sol.run_level(disk_ctx, disk_problem.g, u0)
+    assert state.diverged and state.iterations == 4
+    assert state.update_norms == [1.0, 3.0, 5.0, 7.0]
 
 
 def test_newton_counts_do_not_depend_on_the_scale_of_g(disk):

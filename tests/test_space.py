@@ -5,9 +5,8 @@ from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import space as sp
 from conicfem.geometry import arc_point_on_ray, normalized_pie_conic
-from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
-from conicfem.space import (build_space, factor_ring_matrix, quintic_reduction,
-                            solve_factor_ring)
+from conicfem.mesh import BUFFER, ORDINARY, PIE, conic_rows, refine_uniform
+from conicfem.space import build_space, corner_block, quintic_reduction
 
 from _oracles import (SweepPropagator, apply_design, barycentric, basis_support, bb_product,
                       bernstein_by_columns, boundary_samples_max, cross_edge_rows,
@@ -20,13 +19,28 @@ from _oracles import (SweepPropagator, apply_design, barycentric, basis_support,
 # ---------------------------------------------------------------------------
 # the triangular corner system of the pie factor
 
+def _corner_solve(a_ring, q):
+    """The factor's vertex ring from the product's a_ring (6,), for the
+    normalized conic q (6,), by the pie corner block."""
+    return np.linalg.solve(corner_block(bb.product_matrix(4, 2, q)), a_ring)
+
+
+def _normalized(q110, q101, q011):
+    """BB form of a conic normalized like a pie's: 1 at the interior
+    vertex, 0 at the two others."""
+    im = bb.index_map(2)
+    q = np.zeros(6)
+    q[[im[(2, 0, 0)], im[(1, 1, 0)], im[(1, 0, 1)], im[(0, 1, 1)]]] = 1.0, q110, q101, q011
+    return q
+
+
 def test_factor_ring_diagonal_case():
     # vanishing off-corner conic coefficients decouple the system
     a = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-    c = solve_factor_ring(a, 0.0, 0.0, 0.0)
+    c = _corner_solve(a, _normalized(0.0, 0.0, 0.0))
     assert np.allclose(c, [1.0, 3.0, 4.5, 10.0, 12.5, 15.0])
     # homogeneity
-    assert np.allclose(solve_factor_ring(np.zeros(6), 0.3, -0.2, 0.7), 0.0)
+    assert np.allclose(_corner_solve(np.zeros(6), _normalized(0.3, -0.2, 0.7)), 0.0)
 
 
 def test_factor_ring_product_round_trip():
@@ -37,23 +51,25 @@ def test_factor_ring_product_round_trip():
     ring4 = bb.vertex_ring(4, 1)
     for _ in range(200):
         p = rng.standard_normal(15)
-        q110, q101, q011 = rng.standard_normal(3)
-        q = np.zeros(6)
-        q[bb.index_map(2)[(2, 0, 0)]] = 1.0
-        q[bb.index_map(2)[(1, 1, 0)]] = q110
-        q[bb.index_map(2)[(1, 0, 1)]] = q101
-        q[bb.index_map(2)[(0, 1, 1)]] = q011
+        q = _normalized(*rng.standard_normal(3))
         a = bb_product(4, p, 2, q)
         a_ring = np.array([a[im6[g]] for g in ring6])
-        c = solve_factor_ring(a_ring, q110, q101, q011)
+        c = _corner_solve(a_ring, q)
         expect = np.array([p[im4[g]] for g in ring4])
         assert np.abs(c - expect).max() < 1e-12 * max(1.0, np.abs(expect).max())
 
 
-def test_factor_ring_matrix_lower_triangular():
-    L = factor_ring_matrix(0.3, -0.7, 0.2)
-    assert np.allclose(L, np.tril(L))
-    assert np.all(np.diag(L) > 0)
+def test_factor_ring_matrix_lower_triangular(hierarchies, lens_mesh):
+    # on every pie of the disk, ellipse, c2 and lens meshes at levels 1-2
+    meshes = [m for pid in ("disk", "ellipse-exp", "c2-domain") for m in hierarchies[pid][:2]]
+    for mesh in meshes + [lens_mesh, refine_uniform(lens_mesh)]:
+        pies = np.flatnonzero(mesh.tri_kind == PIE)
+        q = conic_rows(normalized_pie_conic, mesh.domain, mesh.tri_arc[pies],
+                       mesh.vertices[mesh.tri_verts[pies]])
+        L = corner_block(bb.product_matrix(4, 2, q))
+        assert L.shape == (len(pies), 6, 6)
+        assert np.array_equal(L, np.tril(L))
+        assert (np.diagonal(L, axis1=1, axis2=2) > 0).all()
 
 
 # ---------------------------------------------------------------------------
