@@ -26,7 +26,7 @@ from .space import SpaceError, build_space, load_spline, save_spline
 
 _CONFIG_KEYS = (
     "problem", "mesh", "g_expr", "levels", "output",
-    "plot_data", "plot_grid", "save_solution", "dump_matrix", "report_json",
+    "save_solution", "dump_matrix", "report_json",
 )
 
 
@@ -76,23 +76,18 @@ def write_csv(rows, path):
     lines = [",".join(_COLUMNS)]
     for row in rows:
         lines.append(",".join(_cell(c, row.get(c)) for c in _COLUMNS))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
-def print_table(rows, stream=None):
-    stream = stream if stream is not None else sys.stdout
+def print_table(rows):
     widths = {c: max(len(c), 12 if not c.endswith("rate") and c != "level"
                      and c != "m" else 7) for c in _COLUMNS}
     head = " ".join(c.rjust(widths[c]) for c in _COLUMNS)
-    print(head, file=stream)
-    print("-" * len(head), file=stream)
+    print(head)
+    print("-" * len(head))
     for row in rows:
-        print(" ".join(_cell(c, row.get(c)).rjust(widths[c]) for c in _COLUMNS),
-              file=stream)
+        print(" ".join(_cell(c, row.get(c)).rjust(widths[c]) for c in _COLUMNS))
 
 
 def _custom_g(expr):
@@ -165,9 +160,6 @@ def cmd_solve(args):
     if args.save_solution:
         save_spline(u, args.save_solution)
         print(f"wrote {args.save_solution}")
-    if args.plot_data:
-        _write_plot(u, args.plot_grid, args.plot_data)
-        print(f"wrote {args.plot_data}")
     if args.dump_matrix:
         quad = asm.TriangleQuadrature(u.space)
         A, _, _ = sol.linearize_ma(u, prob.g, quad)
@@ -179,23 +171,6 @@ def cmd_solve(args):
               "or four growing corrections)", file=sys.stderr)
         return 2
     return 0
-
-
-def _write_plot(u, n, path):
-    """Values of u on the n x n lattice over the mesh's bounding box, row
-    by row; points outside the domain are left out."""
-    verts = u.space.mesh.vertices
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    xs, ys = np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n)
-    pts = np.column_stack([np.tile(xs, n), np.repeat(ys, n)])
-    tris = u.space.locate(pts)
-    pts = pts[tris >= 0]
-    vals = u.evaluate(pts, tris[tris >= 0], order=0)[0]
-    lines = ["x,y,value"]
-    lines += [f"{x:.8e},{y:.8e},{v:.8e}" for (x, y), v in zip(pts, vals)]
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
 
 
 def cmd_mesh_validate(args):
@@ -229,8 +204,23 @@ def cmd_space_info(args):
 
 
 def cmd_export_plot(args):
+    """Values of the saved solution on the grid x grid lattice over its
+    mesh's bounding box, row by row; points outside the domain are left
+    out."""
     u = load_spline(args.solution)
-    _write_plot(u, args.grid, args.output)
+    n = args.grid
+    verts = u.space.mesh.vertices
+    lo = verts.min(axis=0)
+    hi = verts.max(axis=0)
+    xs, ys = np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n)
+    pts = np.column_stack([np.tile(xs, n), np.repeat(ys, n)])
+    tris = u.space.locate(pts)
+    pts = pts[tris >= 0]
+    vals = u.evaluate(pts, tris[tris >= 0], order=0)[0]
+    lines = ["x,y,value"]
+    lines += [f"{x:.8e},{y:.8e},{v:.8e}" for (x, y), v in zip(pts, vals)]
+    with open(args.output, "w") as f:
+        f.write("\n".join(lines) + "\n")
     print(f"wrote {args.output}")
     return 0
 
@@ -248,8 +238,6 @@ def build_parser():
                                      "(--problem custom)")
     ps.add_argument("--levels", type=int, default=3)
     ps.add_argument("--output", help="CSV output path")
-    ps.add_argument("--plot-data", help="lattice sample output path")
-    ps.add_argument("--plot-grid", type=int, default=81)
     ps.add_argument("--save-solution", help="save final-level spline (JSON)")
     ps.add_argument("--dump-matrix", help="Matrix Market dump of the final "
                                           "linearized system")
@@ -315,9 +303,8 @@ def main(argv=None):
         parser.error("levels must be >= 1")
     if args.fn is cmd_mesh_refine and args.levels < 0:
         parser.error("levels must be >= 0")
-    for flag in ("plot_grid", "grid"):      # the lattice of solve and of export plot
-        if getattr(args, flag, 2) < 2:
-            parser.error(f"--{flag.replace('_', '-')} must be >= 2")
+    if args.fn is cmd_export_plot and args.grid < 2:
+        parser.error("--grid must be >= 2")
     if args.fn is cmd_solve and args.problem != "custom" and (args.mesh or args.g_expr):
         parser.error("--mesh and --g-expr need --problem custom")
     if args.fn is cmd_solve and args.problem == "custom" and not (args.mesh and args.g_expr):

@@ -122,24 +122,28 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
         raise MeshError("mesh", f"vertices[{i}] is {vertices[i].tolist()}, expected finite "
                         "numbers")
     n = len(vertices)
-    # indices must be integers: a cast to int would truncate them
+    # indices must be finite integers: a cast to int would truncate them
     for what, raw in (("triangle", raw_tris), ("boundary edge", raw_bnd)):
-        for i in np.flatnonzero((raw % 1 != 0).any(axis=1))[:1]:
+        for i in np.flatnonzero((~np.isfinite(raw) | (np.trunc(raw) != raw)).any(axis=1))[:1]:
             raise MeshError("mesh", f"{what} {i} {tuple(raw[i].tolist())} has a non-integral index")
-    tris, bnd = raw_tris.astype(int), raw_bnd.astype(int)
-    scale = max(1.0, float(np.abs(vertices).max()))
 
-    # indices in range: vertices of triangles and boundary edges, then arcs
-    for t in np.flatnonzero(((tris < 0) | (tris >= n)).any(axis=1))[:1]:
-        raise MeshError("mesh", f"triangle {t} {tuple(tris[t].tolist())} has a vertex "
+    # indices in range, checked before the cast that would wrap one beyond
+    # int64: vertices of triangles and boundary edges, then arcs
+    def named(raw, i):
+        return tuple(int(v) for v in raw[i].tolist())
+
+    for t in np.flatnonzero(((raw_tris < 0) | (raw_tris >= n)).any(axis=1))[:1]:
+        raise MeshError("mesh", f"triangle {t} {named(raw_tris, t)} has a vertex "
                         f"index outside 0..{n - 1}")
-    for i in np.flatnonzero(((bnd[:, :2] < 0) | (bnd[:, :2] >= n)).any(axis=1))[:1]:
-        raise MeshError("mesh", f"boundary edge {i} {tuple(bnd[i].tolist())} has a vertex "
+    for i in np.flatnonzero(((raw_bnd[:, :2] < 0) | (raw_bnd[:, :2] >= n)).any(axis=1))[:1]:
+        raise MeshError("mesh", f"boundary edge {i} {named(raw_bnd, i)} has a vertex "
                         f"index outside 0..{n - 1}")
     n_arcs = len(domain.arcs)
-    for i in np.flatnonzero((bnd[:, 2] < 0) | (bnd[:, 2] >= n_arcs))[:1]:
-        raise MeshError("mesh", f"boundary edge {i} {tuple(bnd[i].tolist())} has an arc "
+    for i in np.flatnonzero((raw_bnd[:, 2] < 0) | (raw_bnd[:, 2] >= n_arcs))[:1]:
+        raise MeshError("mesh", f"boundary edge {i} {named(raw_bnd, i)} has an arc "
                         f"index outside 0..{n_arcs - 1}")
+    tris, bnd = raw_tris.astype(int), raw_bnd.astype(int)
+    scale = max(1.0, float(np.abs(vertices).max()))
 
     # consistent ccw orientation
     a, b, c = vertices[tris].transpose(1, 0, 2)
@@ -172,7 +176,10 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
 
     declared = {}
     for va, vb, arc in bnd.tolist():
-        declared[(min(va, vb), max(va, vb))] = arc
+        edge = (min(va, vb), max(va, vb))
+        if edge in declared:
+            raise MeshError("mesh", f"boundary edge {edge} declared twice")
+        declared[edge] = arc
     actual_boundary = set(map(tuple, edge_verts[~inner].tolist()))
     if actual_boundary != set(declared):
         missing = actual_boundary - set(declared)
@@ -300,29 +307,20 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
 
 def _rows(name, raw, width):
     """The mesh array `name` as a float (n, width) array with n >= 1, else
-    a MeshError that names the array and its first entry that is not
-    `width` numbers."""
-    try:
-        a = np.array(raw, dtype=float)
-    except (TypeError, ValueError):     # ragged rows, or entries that are not numbers
-        a = None
-    if a is not None and a.ndim == 2 and a.shape[1] == width and len(a):
-        return a
+    a MeshError that names the array.  Mesh files have each row checked
+    by mesh_from_dict, which names the first bad one."""
     if not isinstance(raw, (list, tuple, np.ndarray)):
         raise MeshError("mesh", f"{name}: expected a list of rows of {width} numbers, got "
                         f"{type(raw).__name__}")
     if not len(raw):
         raise MeshError("mesh", f"{name} is empty")
-
-    def is_row(r):
-        try:
-            return np.shape(np.array(r, dtype=float)) == (width,)
-        except (TypeError, ValueError):
-            return False
-
-    i = next(i for i, r in enumerate(raw) if not is_row(r))
-    row = raw[i].tolist() if hasattr(raw[i], "tolist") else raw[i]
-    raise MeshError("mesh", f"{name}[{i}] is {row!r}, expected {width} numbers")
+    try:
+        a = np.array(raw, dtype=float)
+    except (TypeError, ValueError):     # ragged rows, or entries that are not numbers
+        a = None
+    if a is None or a.ndim != 2 or a.shape[1] != width:
+        raise MeshError("mesh", f"{name}: expected a list of rows of {width} numbers")
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -389,12 +389,10 @@ def coarse_on_fine(u_coarse, fine_space):
     return CoarseOnFine(degree, exact, stored)
 
 
-def transfer_guess(u_coarse, fine_space, coarse=None):
+def transfer_guess(coarse, fine_space):
     """Quasi-interpolant of a coarse spline in the next level's space: the
     fine determining functionals applied to the coarse spline in the fine
-    stored form (coarse.stored, from coarse_on_fine when not given)."""
-    if coarse is None:
-        coarse = coarse_on_fine(u_coarse, fine_space)
+    stored form (coarse.stored of its CoarseOnFine)."""
     return fine_space.spline(fine_space.extract_dofs(coarse.stored))
 
 
@@ -427,7 +425,7 @@ def multilevel_run(problem, levels):
             u0 = poisson_initial_guess(ctx, problem.g)
         else:
             coarse = coarse_on_fine(prev_u, ctx.space)
-            u0 = transfer_guess(prev_u, ctx.space, coarse)
+            u0 = transfer_guess(coarse, ctx.space)
         timings["transfer"] = time.perf_counter() - start
         start = time.perf_counter()
         state, eigmin = run_level(ctx, problem.g, u0)

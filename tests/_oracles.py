@@ -1209,7 +1209,10 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
 
     declared = {}
     for va, vb, arc in boundary_edges:
-        declared[tuple(sorted((int(va), int(vb))))] = int(arc)
+        edge = tuple(sorted((int(va), int(vb))))
+        if edge in declared:
+            raise MeshError("mesh", f"boundary edge {edge} declared twice")
+        declared[edge] = int(arc)
     actual_boundary = {k for k, owners in edge_tris.items() if len(owners) == 1}
     if actual_boundary != set(declared):
         missing = actual_boundary - set(declared)

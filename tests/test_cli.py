@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -36,22 +37,12 @@ def test_solve_writes_deterministic_csv(tmp_path):
 def test_solve_artifacts(tmp_path):
     csv = tmp_path / "t.csv"
     sol_file = tmp_path / "sol.json"
-    plot = tmp_path / "plot.csv"
     mat = tmp_path / "mat.mtx"
     rc = run(["solve", "--problem", "disk", "--levels", "1",
               "--output", str(csv), "--save-solution", str(sol_file),
-              "--plot-data", str(plot), "--plot-grid", "21",
               "--dump-matrix", str(mat)])
     assert rc == 0
     assert csv.exists() and sol_file.exists() and mat.exists()
-    rows = plot.read_text().strip().splitlines()
-    assert rows[0] == "x,y,value"
-    assert len(rows) > 100
-    # lattice samples stay inside the disk and are negative (convex, zero bc)
-    for row in rows[1:10]:
-        x, y, v = map(float, row.split(","))
-        assert x * x + y * y <= 1.0 + 1e-9
-        assert v < 1e-9
 
 
 def test_export_plot_roundtrip(tmp_path):
@@ -61,7 +52,26 @@ def test_export_plot_roundtrip(tmp_path):
     out = tmp_path / "plot.csv"
     assert run(["export", "plot", "--solution", str(sol_file),
                 "--grid", "15", "--output", str(out)]) == 0
-    assert out.exists()
+    rows = out.read_text().strip().splitlines()
+    assert rows[0] == "x,y,value"
+    assert len(rows) > 100
+    # lattice samples stay inside the disk and are negative (convex, zero bc)
+    for row in rows[1:10]:
+        x, y, v = map(float, row.split(","))
+        assert x * x + y * y <= 1.0 + 1e-9
+        assert v < 1e-9
+
+
+@pytest.mark.parametrize("flag", ["--plot-data", "--plot-grid"])
+def test_solve_has_no_plot_flags(flag, tmp_path, capsys):
+    # a saved solution and export plot are the one way to sample a solution
+    out = tmp_path / "plot.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["solve", "--problem", "disk", "--levels", "1", flag,
+             str(out) if flag == "--plot-data" else "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mesh_validate_and_refine(tmp_path, disk_mesh):
@@ -211,10 +221,19 @@ def test_mesh_validate_reports_condition(tmp_path, capsys):
     ("centre", -1, "triangle 2 (-1, 15, 8) has a vertex index outside 0..16"),
     ((1, 1), 17, "boundary edge 1 (0, 17, 3) has a vertex index outside 0..16"),
     ((2, 2), 9, "boundary edge 2 (1, 2, 9) has an arc index outside 0..3"),
+    ("centre", 1e20, "triangle 2 (100000000000000000000, 15, 8) has a vertex index "
+                     "outside 0..16"),
+    ("centre", 2**63, "triangle 2 (9223372036854775808, 15, 8) has a vertex index "
+                      "outside 0..16"),
+    ((1, 1), 1e20, "boundary edge 1 (0, 100000000000000000000, 3) has a vertex index "
+                   "outside 0..16"),
+    ("centre", float("inf"), "triangle 2 (inf, 15.0, 8.0) has a non-integral index"),
 ])
 def test_mesh_validate_reports_out_of_range_indices(tmp_path, capsys, where, value, message):
     # the built-in disk mesh (17 vertices, centre 16, 4 arcs) with one bad
-    # index: the centre in every triangle, or one entry of a boundary edge
+    # index: the centre in every triangle, or one entry of a boundary edge.
+    # An index beyond int64 is named by its exact value, with no numpy
+    # warning: the range is checked before the cast that would wrap it
     data = msh.mesh_to_dict(builtin_domain("disk")[1])
     if where == "centre":
         data["triangles"] = [[value if v == 16 else v for v in t] for t in data["triangles"]]
@@ -222,8 +241,34 @@ def test_mesh_validate_reports_out_of_range_indices(tmp_path, capsys, where, val
         data["boundary"][where[0]][where[1]] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert run(["mesh", "validate", str(path)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["mesh", "validate", str(path)]) == 1
     assert capsys.readouterr().err == f"error: condition (mesh): {message}\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: dict(d, domain=dict(d["domain"], arcs=[])), "domain needs at least one arc"),
+    (lambda d: dict(d, domain=dict(d["domain"], arcs=[dict(d["domain"]["arcs"][0],
+                                                           coeffs=[0.0] * 6)]
+                                   + d["domain"]["arcs"][1:])), "zero conic"),
+], ids=["no-arcs", "zero-conic"])
+def test_mesh_refine_rejects_a_domain_the_file_cannot_hold(tmp_path, capsys, edit, message):
+    path, out = tmp_path / "bad.json", tmp_path / "out.json"
+    path.write_text(json.dumps(edit(msh.mesh_to_dict(builtin_domain("disk")[1]))))
+    assert run(["mesh", "refine", str(path), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_export_plot_rejects_dofs_of_the_wrong_count(tmp_path, capsys):
+    # the disk mesh's space has 134 dofs
+    sol_file, out = tmp_path / "sol.json", tmp_path / "plot.csv"
+    sol_file.write_text(json.dumps({"mesh": msh.mesh_to_dict(builtin_domain("disk")[1]),
+                                    "dofs": [0.0] * 5}))
+    assert run(["export", "plot", "--solution", str(sol_file), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: dof vector has shape (5,), expected (134,)\n"
+    assert not out.exists()
 
 
 def test_mesh_validate_rejects_fractional_indices(tmp_path, capsys):
@@ -358,22 +403,15 @@ def test_space_info_rejects_levels_below_one(levels, capsys):
     assert "levels must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("how", ["solve", "config", "export"])
+@pytest.mark.parametrize("how", ["export"])
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])
 def test_lattice_below_two_points_is_rejected(tmp_path, how, grid, capsys):
-    out, conf = tmp_path / "plot.csv", tmp_path / "conf.json"
-    conf.write_text(json.dumps({"plot_grid": int(grid)}))
-    argv = {
-        "solve": ["solve", "--plot-data", str(out), "--plot-grid", grid],
-        "config": ["solve", "--plot-data", str(out), "--config", str(conf)],
-        "export": ["export", "plot", "--solution", str(tmp_path / "u.json"),
-                   "--grid", grid, "--output", str(out)],
-    }[how]
+    out = tmp_path / "plot.csv"
     with pytest.raises(SystemExit) as exc:
-        run(argv)
+        run(["export", "plot", "--solution", str(tmp_path / "u.json"),
+             "--grid", grid, "--output", str(out)])
     assert exc.value.code == 2
-    flag = "--grid" if how == "export" else "--plot-grid"
-    assert f"{flag} must be >= 2" in capsys.readouterr().err
+    assert "--grid must be >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -444,6 +482,13 @@ def test_unknown_config_key_fails(tmp_path, capsys):
         run(["solve", "--config", str(conf), "--levels", "1"])
     assert exc.value.code != 0
     assert "levles" in capsys.readouterr().err
+    # the lattice keys went with solve's lattice flags: export plot samples
+    for key, value in (("plot_data", "plot.csv"), ("plot_grid", 41)):
+        conf.write_text(json.dumps({"problem": "disk", key: value}))
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--config", str(conf), "--levels", "1"])
+        assert exc.value.code == 2
+        assert f"unknown --config key(s): {key}" in capsys.readouterr().err
     # a config that is not a JSON object, or not JSON, is a usage error too
     for text in ("[1, 2]", "null", '"disk"', "{"):
         conf.write_text(text)

@@ -450,6 +450,9 @@ def _corrupted(name, dom, V, T, B):
         return dom, V @ np.array([[c, s], [-s, c]]), T, B
     if name == "boundary edge mismatch":
         return dom, V, T, B[:-1]
+    if name == "boundary edge declared twice":
+        va, vb, arc = B[0]
+        return dom, V, T, B + [(vb, va, (arc + 2) % len(dom.arcs))]
     if name == "more than one boundary edge":
         n, ang = len(V), np.array([0.3, 0.4, 0.5])
         return (dom, np.vstack([V, np.column_stack([np.cos(ang), np.sin(ang)])]),
@@ -513,6 +516,7 @@ def _assert_same_outcome(data):
      "condition (a): arc corner 0 at (1.0, 0.0) is not a boundary vertex"),
     ("boundary edge mismatch",
      "condition (mesh): boundary edge mismatch (undeclared: [(0, 7)], declared-but-interior: [])"),
+    ("boundary edge declared twice", "condition (mesh): boundary edge (0, 1) declared twice"),
     ("more than one boundary edge", "condition (mesh): triangle 24 has 3 boundary edges"),
     ("(g) buffers share an edge", "condition (g): buffer triangles [22, 23] share edge (2, 17)"),
     ("Euler relation", "condition (mesh): Euler relation |V|-|E|+|T| = 1 violated"),

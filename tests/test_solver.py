@@ -271,11 +271,11 @@ def test_newton_counts_do_not_depend_on_the_scale_of_g(disk):
 def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     fine_ctx = sol.LevelContext(disk_mesh2)
     zero = disk_ctx.space.zero()
-    tz = sol.transfer_guess(zero, fine_ctx.space)
+    tz = sol.transfer_guess(sol.coarse_on_fine(zero, fine_ctx.space), fine_ctx.space)
     assert asm.l2_norm(tz, fine_ctx.quad) == 0.0
     # a globally smooth in-space function transfers exactly
     u = sol.poisson_initial_guess(disk_ctx, lambda x: np.ones(len(x)))
-    tu = sol.transfer_guess(u, fine_ctx.space)
+    tu = sol.transfer_guess(sol.coarse_on_fine(u, fine_ctx.space), fine_ctx.space)
     ref_batch = lambda t, pts: u.evaluate(pts, np.full(len(pts), disk_mesh2.parents[t]))
     diff = error_norms_per_triangle(tu, fine_ctx.quad, ref_batch)
     assert diff[0] < 1e-10
@@ -285,7 +285,7 @@ def test_transfer_makes_newton_fast(disk_ctx, disk_mesh2, disk_problem):
     u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
     state, _ = sol.run_level(disk_ctx, disk_problem.g, u0)
     fine_ctx = sol.LevelContext(disk_mesh2)
-    guess = sol.transfer_guess(state.spline, fine_ctx.space)
+    guess = sol.transfer_guess(sol.coarse_on_fine(state.spline, fine_ctx.space), fine_ctx.space)
     state2, _ = sol.run_level(fine_ctx, disk_problem.g, guess)
     assert state2.iterations <= 2
     # first fine correction is at the coarse-error scale, far below the guess
@@ -302,7 +302,7 @@ def test_transfer_corner_dofs_follow_the_coarse_gradient(space_name, request):
     assert owner_dofs(fine.mds, "tangent-corner")
     rng = np.random.default_rng(6)
     u = space.spline(rng.standard_normal(space.dimension))
-    got = sol.transfer_guess(u, fine).dofs
+    got = sol.transfer_guess(sol.coarse_on_fine(u, fine), fine).dofs
     want = corner_dofs_by_gradient(u, fine)
     scale = max(abs(w) for w in want.values())
     for pos, w in want.items():
@@ -311,7 +311,7 @@ def test_transfer_corner_dofs_follow_the_coarse_gradient(space_name, request):
 
 def test_transfer_needs_parent_triangles(disk_ctx):
     with pytest.raises(ValueError, match="parent triangles"):
-        sol.transfer_guess(disk_ctx.space.zero(), disk_ctx.space)
+        sol.coarse_on_fine(disk_ctx.space.zero(), disk_ctx.space)
 
 
 def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
@@ -319,9 +319,9 @@ def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,
     g = disk_problem.g
     u1, _ = sol.run_level(disk_ctx, g, sol.poisson_initial_guess(disk_ctx, g))
     u1 = u1.spline
-    u2, _ = sol.run_level(disk_ctx2, g, sol.transfer_guess(u1, disk_ctx2.space))
-    u2 = u2.spline
     coarse = sol.coarse_on_fine(u1, disk_ctx2.space)
+    u2, _ = sol.run_level(disk_ctx2, g, sol.transfer_guess(coarse, disk_ctx2.space))
+    u2 = u2.spline
     mesh2, mesh1 = disk_ctx2.mesh, disk_ctx.mesh
     # buffer parents with ordinary children: compared at the parent's degree
     assert any(mesh1.tri_kind[mesh2.parents[t]] == BUFFER
@@ -643,7 +643,7 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
     for mesh in hierarchies[pid.replace("-sin", "-exp")][:levels]:
         ctx = sol.LevelContext(mesh)
         u0 = (sol.poisson_initial_guess(ctx, g) if u is None
-              else sol.transfer_guess(u, ctx.space))
+              else sol.transfer_guess(sol.coarse_on_fine(u, ctx.space), ctx.space))
         calls[0] = rhs_calls[0] = 0
         state, _ = sol.run_level(ctx, g, u0)
         new_calls, calls[0] = calls[0], 0
