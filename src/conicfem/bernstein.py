@@ -232,14 +232,13 @@ def _de_casteljau_step(r, X, b):
             + b[:, None, 2] * X[:, st[:, 2]])
 
 
-def reexpand(d, coeffs, S, d_to):
+def reexpand(d, coeffs, S):
     """Degree-d BB polynomials on a triangle T rewritten on other triangles.
 
     coeffs: (n, n_coeffs(d)), one polynomial per row; S: (n, 3, 3), row i
     of S[k] holding the barycentric coordinates w.r.t. T of vertex i of
     target triangle k (which may reach outside T).  Returns the (n,
-    n_coeffs(d_to)) coefficients of the same polynomials on the targets,
-    at degree d_to >= d.
+    n_coeffs(d)) coefficients of the same polynomials on the targets.
 
     This is de Casteljau subdivision: target coefficient
     (i, j, k) is the blossom at i copies of the first target vertex, j of
@@ -248,8 +247,6 @@ def reexpand(d, coeffs, S, d_to):
     """
     S = np.asarray(S, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    if d_to < d:
-        raise DegreeError("cannot lower degree")
     out = np.empty_like(coeffs)
     im = index_map(d)
     P = coeffs
@@ -264,7 +261,7 @@ def reexpand(d, coeffs, S, d_to):
                 Q = _de_casteljau_step(d - i - j, Q, S[:, 1])
         if i < d:
             P = _de_casteljau_step(d - i, P, S[:, 0])
-    return out if d_to == d else out @ degree_raise_matrix(d, d_to).T
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ from . import assembly as asm
 from . import solver as sol
 from .geometry import GeometryError
 from .mesh import MeshError, load_mesh, refine_uniform, save_mesh
-from .problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
+from .problems import PROBLEM_IDS, builtin_domain, problem_exact, problem_g
 from .space import SpaceError, build_space, load_spline, save_spline
 
 _CONFIG_KEYS = (
@@ -145,7 +145,7 @@ def cmd_solve(args):
         exact = None
     else:
         domain, mesh = builtin_domain(args.problem)
-        exact = disk_exact_solution() if args.problem == "disk" else None
+        exact = problem_exact(args.problem)
         prob = sol.MongeAmpereProblem(domain, mesh, problem_g(args.problem),
                                       exact=exact, name=args.problem)
     reports, u = sol.multilevel_run(prob, args.levels)

@@ -145,11 +145,12 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     tris, bnd = raw_tris.astype(int), raw_bnd.astype(int)
     scale = max(1.0, float(np.abs(vertices).max()))
 
-    # consistent ccw orientation
+    # consistent ccw orientation; degenerate relative to each triangle's size
     a, b, c = vertices[tris].transpose(1, 0, 2)
     ab, ac = b - a, c - a
     area2 = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-    for t in np.flatnonzero(np.abs(area2) < 1e-14 * scale * scale)[:1]:
+    tri_scale = np.maximum(1.0, np.abs(vertices[tris]).max(axis=(1, 2)))
+    for t in np.flatnonzero(np.abs(area2) < 1e-14 * tri_scale * tri_scale)[:1]:
         raise MeshError("mesh", f"degenerate triangle {tuple(tris[t].tolist())}")
     tris = np.where((area2 > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
@@ -297,6 +298,12 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
         raise MeshError(
             "mesh", f"boundary vertex {v} fan is {ks}, expected one buffer between two pies"
         )
+
+    # no fold: the two ccw triangles of an interior edge run it in opposite directions
+    folded = np.flatnonzero(inner)[same]
+    for e in folded[np.argsort(first[folded])][:1]:
+        raise MeshError("mesh", f"triangles {edge_tris[e].tolist()} lie on the same side "
+                        f"of their edge {key(e)}")
 
     return CurvedTriangulation(
         domain, vertices, tri_verts, tri_kind, tri_arc, tri_edges, edge_verts, edge_tris,

@@ -11,27 +11,23 @@ import numpy as np
 from .geometry import BoundaryArc, Conic, ConicDomain
 from .mesh import classify_and_validate
 
-PROBLEM_IDS = ("disk", "ellipse-exp", "ellipse-sin", "c2-domain")
+
+def _ellipse_domain(k):
+    """The conic x1^2 + k x2^2 = 1 as four quarter arcs."""
+    b = 1.0 / np.sqrt(k)
+    q = Conic((-1.0, 0.0, -k, 0.0, 0.0, 1.0))
+    pts = [(1.0, 0.0), (0.0, b), (-1.0, 0.0), (0.0, -b)]
+    return ConicDomain(tuple(BoundaryArc(q, pts[j], pts[(j + 1) % 4]) for j in range(4)))
 
 
 def disk_domain():
     """Unit circle boundary as four quarter arcs of the same conic."""
-    q = Conic((-1.0, 0.0, -1.0, 0.0, 0.0, 1.0))
-    pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-    arcs = tuple(
-        BoundaryArc(q, pts[j], pts[(j + 1) % 4]) for j in range(4)
-    )
-    return ConicDomain(arcs)
+    return _ellipse_domain(1.0)
 
 
 def ellipse_domain():
     """Ellipse x1^2 + 6.25 x2^2 = 1 as four quarter arcs."""
-    q = Conic((-1.0, 0.0, -6.25, 0.0, 0.0, 1.0))
-    pts = [(1.0, 0.0), (0.0, 0.4), (-1.0, 0.0), (0.0, -0.4)]
-    arcs = tuple(
-        BoundaryArc(q, pts[j], pts[(j + 1) % 4]) for j in range(4)
-    )
-    return ConicDomain(arcs)
+    return _ellipse_domain(6.25)
 
 
 # the C2 domain's ellipse (C2_A cos t, C2_B sin t) and its cut parameter
@@ -123,18 +119,19 @@ def wheel_mesh(domain, boundary_pts, boundary_arcs, shrink=0.55):
     return classify_and_validate(domain, vertices, tris, boundary_edges)
 
 
+def _ellipse_wheel_points(k):
+    """Eight boundary vertices of x1^2 + k x2^2 = 1, two on each quarter arc."""
+    b = 1.0 / np.sqrt(k)
+    pts = [(np.cos(t), b * np.sin(t)) for t in (np.pi * j / 4 for j in range(8))]
+    return pts, [j // 2 for j in range(8)]
+
+
 def disk_wheel_points():
-    ang = [np.pi * k / 4 for k in range(8)]
-    pts = [(np.cos(t), np.sin(t)) for t in ang]
-    arcs = [k // 2 for k in range(8)]
-    return pts, arcs
+    return _ellipse_wheel_points(1.0)
 
 
 def ellipse_wheel_points():
-    ang = [np.pi * k / 4 for k in range(8)]
-    pts = [(np.cos(t), 0.4 * np.sin(t)) for t in ang]
-    arcs = [k // 2 for k in range(8)]
-    return pts, arcs
+    return _ellipse_wheel_points(6.25)
 
 
 def c2_wheel_points():
@@ -164,23 +161,6 @@ def c2_wheel_points():
         [0] * n_ellipse + [1] * n_circle + [2] * n_ellipse + [3] * n_circle
     )
     return pts, arcs
-
-
-_BUILTIN = {     # domain, wheel boundary points, ring shrink
-    "disk": (disk_domain, disk_wheel_points, 0.55),
-    "ellipse-exp": (ellipse_domain, ellipse_wheel_points, 0.55),
-    "ellipse-sin": (ellipse_domain, ellipse_wheel_points, 0.55),
-    "c2-domain": (c2_domain, c2_wheel_points, 0.5),
-}
-
-
-def builtin_domain(problem_id):
-    """Analytic domain and validated initial mesh of a built-in problem."""
-    if problem_id not in _BUILTIN:
-        raise KeyError(f"unknown problem id {problem_id!r}; choose from {PROBLEM_IDS}")
-    domain_fn, points_fn, shrink = _BUILTIN[problem_id]
-    domain = domain_fn()
-    return domain, wheel_mesh(domain, *points_fn(), shrink=shrink)
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +199,47 @@ def disk_exact_solution():
     return value, gradient, hessian
 
 
+def _disk_g(x):
+    x = np.asarray(x, dtype=float)
+    r2 = x[..., 0] ** 2 + x[..., 1] ** 2
+    return np.exp(r2) * (1.0 + r2)
+
+
+def _ellipse_sin_g(x):
+    return np.sin(np.pi * np.abs(np.asarray(x, dtype=float)[..., 0])) + 1.1
+
+
+_BUILTIN = {    # domain, wheel boundary points, ring shrink, datum g, exact solution
+    "disk": (disk_domain, disk_wheel_points, 0.55, _disk_g, disk_exact_solution),
+    "ellipse-exp": (ellipse_domain, ellipse_wheel_points, 0.55,
+                    lambda x: np.exp(np.asarray(x, dtype=float)[..., 0]), None),
+    "ellipse-sin": (ellipse_domain, ellipse_wheel_points, 0.55, _ellipse_sin_g, None),
+    "c2-domain": (c2_domain, c2_wheel_points, 0.5,
+                  lambda x: np.ones(np.asarray(x, dtype=float).shape[:-1]), None),
+}
+PROBLEM_IDS = tuple(_BUILTIN)
+
+
+def _row(problem_id):
+    if problem_id not in _BUILTIN:
+        raise KeyError(f"unknown problem id {problem_id!r}; choose from {PROBLEM_IDS}")
+    return _BUILTIN[problem_id]
+
+
+def builtin_domain(problem_id):
+    """Analytic domain and validated initial mesh of a built-in problem."""
+    domain_fn, points_fn, shrink, _, _ = _row(problem_id)
+    domain = domain_fn()
+    return domain, wheel_mesh(domain, *points_fn(), shrink=shrink)
+
+
 def problem_g(problem_id):
     """The positive Monge-Ampere datum g of a built-in problem."""
-    if problem_id == "disk":
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-            return np.exp(r2) * (1.0 + r2)
-        return g
-    if problem_id == "ellipse-exp":
-        return lambda x: np.exp(np.asarray(x, dtype=float)[..., 0])
-    if problem_id == "ellipse-sin":
-        def g(x):
-            x = np.asarray(x, dtype=float)
-            return np.sin(np.pi * np.abs(x[..., 0])) + 1.1
-        return g
-    if problem_id == "c2-domain":
-        return lambda x: np.ones(np.asarray(x, dtype=float).shape[:-1])
-    raise KeyError(problem_id)
+    return _row(problem_id)[3]
+
+
+def problem_exact(problem_id):
+    """The exact solution (value, gradient, hessian) of a built-in problem,
+    or None where it is not known."""
+    exact_fn = _row(problem_id)[4]
+    return None if exact_fn is None else exact_fn()

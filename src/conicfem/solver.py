@@ -338,13 +338,13 @@ class CoarseOnFine:
     """A coarse spline written in the BB basis of each triangle of the next,
     uniformly refined level (the parent's piece re-expanded on the child).
 
-    Arrays over the fine triangles: degree (n,), the larger of each one's
-    own and its parent's degree, and exact (n, 28), whose row t holds the
-    parent's piece at that degree in its first n_coeffs(degree[t])
-    entries (zeros after them).  stored is the fine space's stored form
-    (see SplineSpace) of these pieces: the parent's factor times the ratio
-    of the pie scales on pies, since s = p_c q / scale_c = p_f q /
-    scale_f; on ordinary children of degree-6 parents the
+    Arrays over the fine triangles: degree (n,), the parent's degree (never
+    below the child's: every boundary fan is pie-buffer-pie, so ordinary
+    triangles have ordinary children), and two (n, 28) tables, row t
+    zero-padded: exact, the parent's piece, and stored, the fine stored
+    form of it (see SplineSpace.extract_dofs): the parent's factor times
+    the ratio of the pie scales on pies, since s = p_c q / scale_c = p_f q
+    / scale_f; on ordinary children of degree-6 parents the
     quintic_reduction of the exact piece; the exact piece elsewhere.
     """
 
@@ -367,25 +367,25 @@ def coarse_on_fine(u_coarse, fine_space):
     kinds = mesh_f.tri_kind
     if ((kinds == PIE) & (mesh_c.tri_kind[parents] != PIE)).any():
         raise ValueError("pie triangle refined from a non-pie parent")
-    degree = np.where((kinds == ORDINARY) & (mesh_c.tri_kind[parents] == ORDINARY), 5, 6)
-    exact = np.zeros((mesh_f.n_triangles, bb.n_coeffs(6)))
-    stored = np.empty(fine_space.coef_offset[-1])
+    degree = np.empty(mesh_f.n_triangles, dtype=np.int64)
+    exact, stored = np.zeros((2, mesh_f.n_triangles, bb.n_coeffs(6)))
     for grp in space_c.groups:
         children = np.flatnonzero(np.isin(parents, grp.tris))
         rows = np.searchsorted(grp.tris, parents[children])
+        degree[children] = grp.degree
         C = u_coarse.pieces(grp.Z, grp.cols)[:, :, 0]
         for kind in np.unique(kinds[children]).tolist():
             of_kind = kinds[children] == kind
             idx, r = children[of_kind], rows[of_kind]
-            e = bb.reexpand(grp.degree, C[r], S[idx], int(degree[idx[0]]))
+            e = bb.reexpand(grp.degree, C[r], S[idx])
             exact[idx, :e.shape[1]] = e
             if kind == PIE:
                 F = u_coarse.pieces(grp.stored, grp.cols)[r, :, 0]
                 ratio = fine_space.pie_scale[idx] / space_c.pie_scale[parents[idx]]
-                e = ratio[:, None] * bb.reexpand(4, F, S[idx], 4)
+                e = ratio[:, None] * bb.reexpand(4, F, S[idx])
             elif kind == ORDINARY and grp.degree == 6:
                 e = e @ quintic_reduction().T
-            stored[fine_space.coef_offset[idx][:, None] + np.arange(e.shape[1])] = e
+            stored[idx, :e.shape[1]] = e
     return CoarseOnFine(degree, exact, stored)
 
 

@@ -537,11 +537,8 @@ class SplineSpace:
     """Mesh + determining set + dof-to-coefficient maps, stored once per
     group of triangles (see MapGroup) in `groups`.
 
-    The stored form of a spline is the flat vector of every triangle's
-    stored coefficients (the quartic factor on pies) in triangle order,
-    those of triangle t at coef_offset[t]:coef_offset[t + 1]; determining
-    functional j reads its entry dof_coef[j].  pie_scale (a float per
-    triangle, NaN off pies) is each pie's conic at its interior vertex."""
+    pie_scale (a float per triangle, NaN off pies) is each pie's conic at
+    its interior vertex."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -549,8 +546,6 @@ class SplineSpace:
         prop = _Propagator(mesh, self.mds)
         self.groups = _map_groups(mesh, prop, prop.run())
         self.fill_defect = prop.defect
-        self.coef_offset = prop.offset
-        self.dof_coef = prop.offset[self.mds.tri] + self.mds.pos
         self.pie_scale = prop.pie_scale
         # the map of triangle t is row _row[t] of groups[_group[t]]
         self._group, self._row = np.zeros((2, mesh.n_triangles), dtype=np.int64)
@@ -569,12 +564,13 @@ class SplineSpace:
 
     def extract_dofs(self, stored):
         """Apply every determining functional to coefficients in the stored
-        form (dual extraction); stored need not be smooth."""
+        form (dual extraction), whose row t holds triangle t's stored
+        coefficients, zero-padded; stored need not be smooth."""
         stored = np.asarray(stored, dtype=float)
-        if stored.shape != (self.coef_offset[-1],):
+        if stored.shape != (self.mesh.n_triangles, bb.n_coeffs(6)):
             raise ValueError(f"stored form has shape {stored.shape}, "
-                             f"expected ({self.coef_offset[-1]},)")
-        return stored[self.dof_coef]
+                             f"expected (n_triangles, 28) = ({self.mesh.n_triangles}, 28)")
+        return stored[self.mds.tri, self.mds.pos]
 
     def locate(self, pts):
         """Triangle of each point (n, 2) (or of one point (2,)), -1 for

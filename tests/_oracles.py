@@ -1187,13 +1187,14 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
     tris_in = [tuple(int(v) for v in t) for t in np.asarray(triangles, dtype=int)]
     scale = max(1.0, float(np.abs(vertices).max()))
 
-    # consistent ccw orientation
+    # consistent ccw orientation; degenerate relative to each triangle's size
     tris = []
     for t in tris_in:
         a, b, c = vertices[t[0]], vertices[t[1]], vertices[t[2]]
         ab, ac = b - a, c - a
         area2 = float(ab[0] * ac[1] - ab[1] * ac[0])
-        if abs(area2) < 1e-14 * scale * scale:
+        tri_scale = max(1.0, float(np.abs(vertices[list(t)]).max()))
+        if abs(area2) < 1e-14 * tri_scale * tri_scale:
             raise MeshError("mesh", f"degenerate triangle {t}")
         tris.append(t if area2 > 0 else (t[0], t[2], t[1]))
 
@@ -1375,6 +1376,14 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
                 "mesh",
                 f"boundary vertex {v} fan is {ks}, expected one buffer between two pies",
             )
+
+    # no fold: the two triangles of an interior edge run it in opposite directions
+    for key, owners in edge_tris.items():
+        forward = [any((tris[ti][k], tris[ti][(k + 1) % 3]) == key for k in range(3))
+                   for ti in owners]
+        if len(owners) == 2 and forward[0] == forward[1]:
+            raise MeshError("mesh", f"triangles {owners} lie on the same side of their "
+                            f"edge {key}")
     return SimpleNamespace(triangles=records, edges=edges,
                            vertex_is_boundary=vertex_is_boundary,
                            vertex_tangent=vertex_tangent, vertex_tris=vert_tris)

@@ -216,6 +216,23 @@ def test_mesh_validate_reports_condition(tmp_path, capsys):
     assert "condition (c)" in captured.err
 
 
+@pytest.mark.parametrize("hub, message", [
+    # across the ring: the triangles at edge (8, 15) fold over it
+    ([0.6, 0.0], "triangles [1, 2] lie on the same side of their edge (8, 15)"),
+    # far out: each triangle is degenerate relative to its own size, so the
+    # sliver named is one at the hub, not a small triangle of the rim
+    ([1e8, 0.0], "degenerate triangle (16, 9, 10)"),
+], ids=["fold", "far-hub"])
+def test_mesh_validate_rejects_a_moved_hub(tmp_path, capsys, hub, message):
+    # the built-in disk mesh with its hub, vertex 16, moved
+    data = msh.mesh_to_dict(builtin_domain("disk")[1])
+    data["vertices"][16] = hub
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["mesh", "validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: condition (mesh): {message}\n"
+
+
 @pytest.mark.parametrize("where, value, message", [
     ("centre", 17, "triangle 2 (17, 15, 8) has a vertex index outside 0..16"),
     ("centre", -1, "triangle 2 (-1, 15, 8) has a vertex index outside 0..16"),
@@ -629,7 +646,7 @@ def test_dump_reports_compare(tmp_path, capsys):
     assert tool.main(["--compare", str(a), str(a)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "disk against disk"
-    levels = tool.from_bits(json.loads(a.read_text()))["levels"]
+    levels = json.loads(a.read_text())["levels"]
     frozen = levels[0]["solver"]["frozen_iters"]
     assert len(frozen) == 4     # the factorization's solve and 3 frozen solves
     assert out[1].startswith("level 1: dimension 134 134, m 3 3, krylov_iters [6, 6] [6, 6], "
@@ -649,9 +666,9 @@ def test_dump_reports_compare(tmp_path, capsys):
     moved = json.loads(a.read_text())
     moved["levels"][0]["solver"]["frozen_iters"] = [7, 7]
     moved["levels"][0]["solver"]["krylov_iters"] = [9]
-    moved["levels"][0]["solver"]["lu_mb"] = tool.to_bits(2.5)
-    moved["levels"][0]["solver"]["fill_defect"] = tool.to_bits(3e-9)
-    moved["levels"][0]["solver"]["stop_ratio"] = tool.to_bits(0.5)
+    moved["levels"][0]["solver"]["lu_mb"] = 2.5
+    moved["levels"][0]["solver"]["fill_defect"] = 3e-9
+    moved["levels"][0]["solver"]["stop_ratio"] = 0.5
     moved["levels"][0]["solver"]["factorizations"] = 2
     b = tmp_path / "b.json"
     b.write_text(json.dumps(moved))
@@ -665,8 +682,7 @@ def test_dump_reports_compare(tmp_path, capsys):
                          f"stop_ratio {ratio} 0.5, factorizations 1 2")
 
     moved = json.loads(a.read_text())
-    l2 = tool.from_bits(moved["levels"][0]["errors"][0])
-    moved["levels"][0]["errors"][0] = tool.to_bits(l2 * (1 + 1e-6))
+    moved["levels"][0]["errors"][0] *= 1 + 1e-6
     b = tmp_path / "b.json"
     b.write_text(json.dumps(moved))
     assert tool.main(["--compare", str(a), str(b)]) == 0

@@ -448,6 +448,9 @@ def _corrupted(name, dom, V, T, B):
     if name == "(a) arc corner not a vertex":
         c, s = np.cos(0.1), np.sin(0.1)
         return dom, V @ np.array([[c, s], [-s, c]]), T, B
+    if name == "triangles fold over an edge":
+        V[CENTRE] = [0.6, 0.0]
+        return dom, V, T, B
     if name == "boundary edge mismatch":
         return dom, V, T, B[:-1]
     if name == "boundary edge declared twice":
@@ -524,6 +527,8 @@ def _assert_same_outcome(data):
     ("boundary fan not buffer between pies",
      "condition (mesh): boundary vertex 2 fan is ['buffer', 'buffer', 'ordinary', 'pie', "
      "'pie'], expected one buffer between two pies"),
+    ("triangles fold over an edge",
+     "condition (mesh): triangles [1, 2] lie on the same side of their edge (8, 15)"),
     ("disk", 4), ("ellipse-exp", 4), ("c2-domain", 3),
 ])
 def test_validation_matches_scalar_walk(wheels, monkeypatch, case, message):

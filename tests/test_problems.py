@@ -8,7 +8,8 @@ from conicfem import geometry as geo
 from conicfem.mesh import mesh_to_dict
 from conicfem.problems import (PROBLEM_IDS, builtin_domain, c2_domain,
                                c2_domain_params, disk_domain,
-                               disk_exact_solution, ellipse_domain, problem_g)
+                               disk_exact_solution, ellipse_domain, problem_exact,
+                               problem_g)
 
 from _oracles import corner_is_tangent
 
@@ -99,6 +100,20 @@ def test_builtin_domains_load_and_validate():
         assert mesh.n_triangles % 3 == 0   # wheel construction
     with pytest.raises(KeyError):
         builtin_domain("nonesuch")
+
+
+def test_unknown_problem_id_names_the_choices():
+    for fn in (builtin_domain, problem_g, problem_exact):
+        with pytest.raises(KeyError) as err:
+            fn("nope")
+        assert err.value.args == (f"unknown problem id 'nope'; choose from {PROBLEM_IDS}",)
+
+
+def test_only_the_disk_has_an_exact_solution():
+    assert [pid for pid in PROBLEM_IDS if problem_exact(pid) is not None] == ["disk"]
+    x = np.array([[0.3, -0.2]])
+    assert [f(x).tolist() for f in problem_exact("disk")] == [
+        f(x).tolist() for f in disk_exact_solution()]
 
 
 def test_disk_and_ellipse_conics():

@@ -7,8 +7,9 @@ import pytest
 
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
+from conicfem import mesh as msh
 from conicfem import solver as sol
-from conicfem.mesh import BUFFER, ORDINARY
+from conicfem.mesh import BUFFER, ORDINARY, PIE
 from conicfem.mesh import refine_uniform
 from conicfem.problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
 from conicfem.space import SplineFunction, SplineSpace, build_space
@@ -312,6 +313,18 @@ def test_transfer_corner_dofs_follow_the_coarse_gradient(space_name, request):
 def test_transfer_needs_parent_triangles(disk_ctx):
     with pytest.raises(ValueError, match="parent triangles"):
         sol.coarse_on_fine(disk_ctx.space.zero(), disk_ctx.space)
+
+
+def test_transfer_needs_pies_refined_from_pies(disk_ctx, disk_mesh2):
+    # disk L2 rebuilt with its first pie's parent an ordinary triangle
+    parents = disk_mesh2.parents.copy()
+    parents[np.flatnonzero(disk_mesh2.tri_kind == PIE)[0]] = np.flatnonzero(
+        disk_ctx.mesh.tri_kind == ORDINARY)[0]
+    data = msh.mesh_to_dict(disk_mesh2)
+    fine = msh.classify_and_validate(disk_mesh2.domain, disk_mesh2.vertices, data["triangles"],
+                                     data["boundary"], level=2, parents=parents)
+    with pytest.raises(ValueError, match="pie triangle refined from a non-pie parent"):
+        sol.coarse_on_fine(disk_ctx.space.zero(), build_space(fine))
 
 
 def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,

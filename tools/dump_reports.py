@@ -4,11 +4,12 @@
     python tools/dump_reports.py --compare parent.json change.json
 
 Runs `solver.multilevel_run` on a built-in problem and writes every
-`LevelReport` field except `timings`, then the final dofs, as JSON.  Each
-float is written as the hex digits of its IEEE-754 bit pattern, so two
-dumps are equal exactly when the runs agree bit for bit.  The package is
-imported from this checkout's src/, so the same command run in two
-checkouts gives two files to diff.
+`LevelReport` field except `timings`, then the final dofs, as plain JSON.
+`json` writes each float as its shortest repr, which reads back to the
+same bits (infinities and -0.0 too), so two dumps are equal exactly when
+the runs agree bit for bit.  The package is imported from this
+checkout's src/, so the same command run in two checkouts gives two
+files to diff.
 
 `--compare A B` reads two dumps and prints, per level, the `dimension`,
 the Newton count `m` (`iterations`), the `krylov_iters` and the
@@ -25,7 +26,6 @@ import argparse
 import dataclasses
 import json
 import pathlib
-import struct
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -33,44 +33,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from conicfem import solver as sol  # noqa: E402
 from conicfem.problems import (PROBLEM_IDS, builtin_domain,  # noqa: E402
-                               disk_exact_solution, problem_g)
-
-BITS = "f64:"       # prefix of a float's bit pattern
-
-
-def to_bits(x):
-    """x with every float replaced by BITS + its 16 hex digits."""
-    if isinstance(x, bool) or x is None or isinstance(x, (int, str)):
-        return x
-    if isinstance(x, float):        # numpy's float64 too
-        return BITS + struct.pack(">d", float(x)).hex()
-    if isinstance(x, dict):
-        return {k: to_bits(v) for k, v in x.items()}
-    if hasattr(x, "tolist"):
-        return to_bits(x.tolist())
-    return [to_bits(v) for v in x]
-
-
-def from_bits(x):
-    """The inverse of to_bits (a tuple comes back as a list)."""
-    if isinstance(x, str) and x.startswith(BITS):
-        return struct.unpack(">d", bytes.fromhex(x[len(BITS):]))[0]
-    if isinstance(x, dict):
-        return {k: from_bits(v) for k, v in x.items()}
-    if isinstance(x, list):
-        return [from_bits(v) for v in x]
-    return x
+                               problem_exact, problem_g)
 
 
 def dump(problem_id, levels):
     domain, mesh = builtin_domain(problem_id)
-    exact = disk_exact_solution() if problem_id == "disk" else None
-    problem = sol.MongeAmpereProblem(domain, mesh, problem_g(problem_id), exact=exact,
-                                     name=problem_id)
+    problem = sol.MongeAmpereProblem(domain, mesh, problem_g(problem_id),
+                                     exact=problem_exact(problem_id), name=problem_id)
     reports, u = sol.multilevel_run(problem, levels)
     fields = [{k: v for k, v in dataclasses.asdict(rep).items() if k != "timings"}
               for rep in reports]
-    return to_bits({"problem": problem_id, "levels": fields, "dofs": u.dofs})
+    return {"problem": problem_id, "levels": fields, "dofs": u.dofs.tolist()}
 
 
 def rel_change(a, b):
@@ -87,7 +60,6 @@ def rel_change(a, b):
 def compare(a, b):
     """(lines, ok) of the per-level comparison of the dumps a and b (see
     the module docstring)."""
-    a, b = from_bits(a), from_bits(b)
     lines = [f"{a['problem']} against {b['problem']}"]
     ok = a["problem"] == b["problem"] and len(a["levels"]) == len(b["levels"])
     if len(a["levels"]) != len(b["levels"]):
