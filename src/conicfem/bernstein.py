@@ -368,17 +368,17 @@ def c1_positions(d):
     return pos
 
 
-def c1_matrix(d, src_slots, b_off):
+def c1_matrix(d, src_slots, b_off, rows=slice(None)):
     """The C1 rule across an edge, as a linear map on the source patch.
 
     Row m gives the neighbor's first-interior-row coefficient with m steps
     toward the edge's second shared vertex (src_slots[1]): the degree-d
     source coefficients one step off the edge point (d-1-m, m) toward each
     vertex, weighted by b_off.  Slot pairs (n, 2) and weights (n, 3) give
-    the n maps stacked.
+    the n maps stacked.  Only the rows that the slice rows selects are built.
     """
     slots = np.asarray(src_slots)
-    pos = c1_positions(d)[slots[..., 0] - 1, slots[..., 1] - 1]
+    pos = c1_positions(d)[slots[..., 0] - 1, slots[..., 1] - 1, ..., rows, :]
     C = np.zeros(pos.shape[:-1] + (n_coeffs(d),))
     b_off = np.asarray(b_off, dtype=float)[..., None, :]
     np.put_along_axis(C, pos, np.broadcast_to(b_off, pos.shape), axis=-1)

@@ -31,7 +31,7 @@ across threads; propagation of different dof vectors may run concurrently.
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -433,7 +433,7 @@ class _Propagator:
         keep = self.kinds[dst] == ORDINARY
         src, dst, shared = src[keep], dst[keep], shared[keep]
         ss, ds, b_off = self._across(src, dst, shared)
-        self._emit(dst, _edge_rows(5, ds, 1)[:, 2:3], bb.c1_matrix(5, ss + 1, b_off)[:, 2:3],
+        self._emit(dst, _edge_rows(5, ds, 1)[:, 2:3], bb.c1_matrix(5, ss + 1, b_off, slice(2, 3)),
                    self.offset[src, None] + np.arange(bb.n_coeffs(5)))
 
     def _fill_buffer_from_ordinary(self):
@@ -476,6 +476,7 @@ class _Propagator:
         self._emit(t, _ring_pos(4)[slot, :1], weights[:, None, None], dof[v, None],
                    from_dofs=True)
 
+    @cached_property
     def _pie_edges(self):
         """Two per pie, (v1, v3) then (v1, v2): the pie, the buffer across
         the edge, the edge's vertices (n, 2), the position of the chord
@@ -493,13 +494,13 @@ class _Propagator:
         """Per pie edge, in turn: the buffer's edge row from the product's,
         then the pie's chord coefficient, which C1 from the buffer fixes
         through the product's first-row entry at the boundary-vertex end."""
-        t, buf, shared, chord, q_edge = self._pie_edges()
+        t, buf, shared, chord, q_edge = self._pie_edges
         for i in np.flatnonzero(np.abs(q_edge) < 1e-12)[:1]:
             raise SpaceError(f"pie {t[i]}: conic edge coefficient vanishes (gradient condition)")
         ss, ds, b_off = self._across(buf, t, shared)
         n, P = len(t), self.pie_P[self.pie_row[t]]
         row = P[np.arange(n), _edge_rows(6, ds, 1)[:, 4]]
-        weights = np.concatenate([bb.c1_matrix(6, ss + 1, b_off)[:, 4], -row], axis=1)
+        weights = np.concatenate([bb.c1_matrix(6, ss + 1, b_off, slice(4, 5))[:, 0], -row], axis=1)
         weights[np.arange(n), bb.n_coeffs(6) + chord] = 0.0   # the unknown itself
         weights /= row[np.arange(n), chord][:, None]
         # per edge 8 rows: the buffer's 7 edge-row entries from the pie's
@@ -515,7 +516,7 @@ class _Propagator:
 
     def _finish_pies_and_buffers(self):
         """Each buffer's first row off its pie edges, from the pie."""
-        t, buf, shared, _, _ = self._pie_edges()
+        t, buf, shared, _, _ = self._pie_edges
         ss, ds, b_off = self._across(t, buf, shared)
         weights = bb.c1_matrix(6, ss + 1, b_off) @ self.pie_P[self.pie_row[t]]
         self._emit(buf, _edge_rows(6, ds, 1), weights,
