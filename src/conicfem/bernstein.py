@@ -62,6 +62,13 @@ def triangle_area(tri):
     return 0.5 * (a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0])
 
 
+def degenerate(tri):
+    """Whether each triangle of (..., 3, 2) is degenerate: twice its area
+    below 2e-14 times the square of its largest coordinate (at least 1)."""
+    scale = np.maximum(np.abs(tri).max(axis=(-2, -1)), 1.0)
+    return np.abs(2.0 * triangle_area(tri)) < 2e-14 * scale * scale
+
+
 def barycentric_many(tri, pts):
     """Barycentric coordinates for an (n, 2) array of points; returns (n, 3).
 
@@ -73,8 +80,7 @@ def barycentric_many(tri, pts):
     v1 = tri[..., :1, :]
     e2, e3 = tri[..., 1:2, :] - v1, tri[..., 2:, :] - v1
     area2 = e2[..., 0] * e3[..., 1] - e2[..., 1] * e3[..., 0]
-    scale = np.maximum(np.abs(tri).max(axis=(-2, -1), keepdims=True)[..., 0], 1.0)
-    if (np.abs(area2) < 2e-14 * scale * scale).any():
+    if degenerate(tri).any():
         raise ValueError("degenerate triangle in barycentric computation")
     d = pts - v1
     b2 = (d[..., 0] * e3[..., 1] - d[..., 1] * e3[..., 0]) / area2
@@ -89,7 +95,6 @@ def barycentric_many(tri, pts):
 def directional_coords(tri, u):
     """Barycentric directional coordinates of a vector u (they sum to 0)."""
     tri = np.asarray(tri, dtype=float)
-    u = np.asarray(u, dtype=float)
     b = barycentric_many(tri, np.stack([tri[..., 0, :] + u, tri[..., 0, :]], axis=-2))
     return b[..., 0, :] - b[..., 1, :]
 
@@ -151,10 +156,9 @@ def design_matrices(d, bary, order=2):
 
 
 def frames(tri):
-    """(..., 2, 2) frames of triangles (..., 3, 2): row 0 holds the first
-    two directional coordinates of x, row 1 those of y, so that the
-    Cartesian gradient is M @ (the gradient along e0 - e2 and e1 - e2)
-    and the Hessian M @ Href @ M^T."""
+    """(..., 2, 2) frames M of triangles (..., 3, 2): row 0 holds the first
+    two directional coordinates of x, row 1 those of y, so that M maps the
+    derivatives along e0 - e2 and e1 - e2 to those along x and y."""
     ax = directional_coords(tri, (1.0, 0.0))
     ay = directional_coords(tri, (0.0, 1.0))
     return np.stack([ax[..., :2], ay[..., :2]], axis=-2)
@@ -170,34 +174,29 @@ def frame_diff(d):
     return D
 
 
+def cartesian_diff(d, C, M):
+    """[cx, cy], each (g, n_coeffs(d - 1), k): BB coefficients of the x and
+    y derivatives of degree-d polynomials C (g, nc, k) on triangles with
+    frames M (g, 2, 2): M, constant on a triangle, applied to the stacked
+    frame_diff(d) product, one per triangle."""
+    c0, c1 = np.split(frame_diff(d).reshape(-1, C.shape[-2]) @ C, 2, axis=-2)
+    return [M[:, i, :1, None] * c0 + M[:, i, 1:, None] * c1 for i in (0, 1)]
+
+
 def frame_derivatives(d, C, B, M, orders=(0, 1, 2)):
-    """Values, Cartesian gradients and Hessians of degree-d polynomials.
-
-    C (g, nc, k) are BB coefficients on g triangles with frames M
-    (g, 2, 2) (see frames); B[s] is the degree-(d-s) Bernstein matrix at
-    n points, shared (n, .) or stacked (g, n, .).  Derivatives difference
-    the coefficients (frame_diff, once per call) and evaluate the
-    differences one and two degrees lower.  Returns, for each derivative
-    order in `orders` (ascending), [v], [gx, gy] (M times the frame
-    gradient) or [hxx, hxy, hyy] (M Href M^T), each (g, n, k)."""
-    m = M[:, :, :, None, None]
-
-    def frame(a, b):        # M (a, b)
-        return [m[:, 0, 0] * a + m[:, 0, 1] * b, m[:, 1, 0] * a + m[:, 1, 1] * b]
-
-    out = []
-    if 0 in orders:
-        out.append(B[0] @ C)
+    """[v], [gx, gy] or [hxx, hxy, hyy], each (g, n, k), for each order in
+    `orders` (ascending), of the degree-d BB coefficients C (g, nc, k) on g
+    triangles with frames M (g, 2, 2) (see frames), at the n points of the
+    degree-(d-s) Bernstein matrices B[s], shared (n, .) or stacked (g, n, .):
+    the gradient's coefficients are cartesian_diff of C, the Hessian's
+    cartesian_diff of cx (hxx, hxy) and of cy (hyy), Bernstein matrices last."""
+    coeffs = [[C]]
     if max(orders) > 0:
-        c0, c1 = (Ds @ C for Ds in frame_diff(d))
-    if 1 in orders:
-        out += frame(B[1] @ c0, B[1] @ c1)
+        coeffs.append(cartesian_diff(d, C, M))
     if 2 in orders:
-        E0, E1 = frame_diff(d - 1)
-        h00, h01, h11 = (B[2] @ (E @ c) for E, c in ((E0, c0), (E1, c0), (E1, c1)))
-        (p00, p10), (p01, p11) = frame(h00, h01), frame(h01, h11)     # M Href
-        out += frame(p00, p01) + frame(p10, p11)[1:]
-    return out
+        cx, cy = coeffs[1]
+        coeffs.append(cartesian_diff(d - 1, cx, M) + cartesian_diff(d - 1, cy, M)[1:])
+    return [B[s] @ c for s in orders for c in coeffs[s]]
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +374,9 @@ def c1_matrix(d, src_slots, b_off, rows=slice(None)):
     toward the edge's second shared vertex (src_slots[1]): the degree-d
     source coefficients one step off the edge point (d-1-m, m) toward each
     vertex, weighted by b_off.  Slot pairs (n, 2) and weights (n, 3) give
-    the n maps stacked.  Only the rows that the slice rows selects are built.
-    """
+    the n maps stacked, each built only in the slice `rows` of its rows."""
     slots = np.asarray(src_slots)
-    pos = c1_positions(d)[slots[..., 0] - 1, slots[..., 1] - 1, ..., rows, :]
+    pos = c1_positions(d)[slots[..., 0] - 1, slots[..., 1] - 1, rows]
     C = np.zeros(pos.shape[:-1] + (n_coeffs(d),))
     b_off = np.asarray(b_off, dtype=float)[..., None, :]
     np.put_along_axis(C, pos, np.broadcast_to(b_off, pos.shape), axis=-1)

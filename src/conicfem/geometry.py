@@ -302,6 +302,10 @@ class ConicDomain:
         # _corner_angle reads a cusp (antiparallel tangents) as 2 pi, or
         # as a sliver above 0 after roundoff
         cusp = np.minimum(angles, 2 * np.pi - angles) <= tol
+        for j in np.flatnonzero(cusp & np.roll(cusp, -1))[:1]:     # see normalize_arc_sign
+            raise GeometryError(f"arc {j} from {arcs[j].start} to {arcs[j].end} makes both its "
+                                "corners cusps: it is longer than the piece of its conic nearest "
+                                "its chord's midpoint, which sets its side; split it in two")
         if cusp.any():
             j = int(np.argmax(cusp))
             raise GeometryError(f"corner {j} at {arcs[j].start} is a cusp: "

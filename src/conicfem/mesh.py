@@ -29,6 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from . import bernstein as bb
 from .geometry import (
     GeometryError,
     arc_point_on_ray,
@@ -146,13 +147,9 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     scale = max(1.0, float(np.abs(vertices).max()))
 
     # consistent ccw orientation; degenerate relative to each triangle's size
-    a, b, c = vertices[tris].transpose(1, 0, 2)
-    ab, ac = b - a, c - a
-    area2 = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
-    tri_scale = np.maximum(1.0, np.abs(vertices[tris]).max(axis=(1, 2)))
-    for t in np.flatnonzero(np.abs(area2) < 1e-14 * tri_scale * tri_scale)[:1]:
+    for t in np.flatnonzero(bb.degenerate(vertices[tris]))[:1]:
         raise MeshError("mesh", f"degenerate triangle {tuple(tris[t].tolist())}")
-    tris = np.where((area2 > 0)[:, None], tris, tris[:, [0, 2, 1]])
+    tris = np.where((bb.triangle_area(vertices[tris]) > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
     # edges: one per sorted vertex pair; half-edge 3t + k runs from slot k to k + 1
     halves = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1), axis=-1)

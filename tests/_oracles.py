@@ -719,15 +719,16 @@ def frame_gradient_maps(d, B1, Z):
 
 def frame_hessians(d, B, M, c):
     """(hxx, hxy, hyy) of one triangle's coefficients c from the design of
-    triangle_designs: second differences along e0 - e2 and e1 - e2,
-    evaluated by B[2], then M Href M^T."""
-    c0, c1 = (Ds @ c for Ds in bb.frame_diff(d))
-    E0, E1 = bb.frame_diff(d - 1)
-    h00, h01, h11 = (B[2] @ (E @ x) for E, x in ((E0, c0), (E1, c0), (E1, c1)))
-    (m00, m01), (m10, m11) = M
-    p00, p01 = m00 * h00 + m01 * h01, m00 * h01 + m01 * h11
-    p10, p11 = m10 * h00 + m11 * h01, m10 * h01 + m11 * h11
-    return p00 * m00 + p01 * m01, p00 * m10 + p01 * m11, p10 * m10 + p11 * m11
+    triangle_designs: M on the stacked differences along e0 - e2 and
+    e1 - e2 of c gives the gradient's coefficients, the same rule on those
+    the Hessian's, and B[2] evaluates them."""
+    def grad(d, c):
+        n1 = bb.n_coeffs(d - 1)
+        e = bb.frame_diff(d).reshape(2 * n1, -1) @ c
+        return [m0 * e[:n1] + m1 * e[n1:] for m0, m1 in M]
+
+    cx, cy = grad(d, c)
+    return [B[2] @ h for h in (*grad(d - 1, cx), grad(d - 1, cy)[1])]
 
 
 def triangle_nodes(quad):
@@ -1194,7 +1195,7 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
         ab, ac = b - a, c - a
         area2 = float(ab[0] * ac[1] - ab[1] * ac[0])
         tri_scale = max(1.0, float(np.abs(vertices[list(t)]).max()))
-        if abs(area2) < 1e-14 * tri_scale * tri_scale:
+        if abs(area2) < 2e-14 * tri_scale * tri_scale:
             raise MeshError("mesh", f"degenerate triangle {t}")
         tris.append(t if area2 > 0 else (t[0], t[2], t[1]))
 

@@ -209,6 +209,21 @@ def test_smoothness_predicates_on_raised_polynomial():
     assert g1b > 0.1
 
 
+def test_c1_matrix_builds_the_selected_rows_alone():
+    # the rows a slice selects equal those rows of the whole matrix, for
+    # every ordered pair of shared slots, stacked and alone
+    rng = np.random.default_rng(3)
+    pairs = np.array([(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)])
+    b_off = rng.standard_normal((len(pairs), 3))
+    for d in (5, 6):
+        full = bb.c1_matrix(d, pairs, b_off)
+        assert full.shape == (len(pairs), d, bb.n_coeffs(d))
+        for m in range(d):
+            rows = slice(m, m + 1)
+            np.testing.assert_array_equal(bb.c1_matrix(d, pairs, b_off, rows), full[:, rows])
+            np.testing.assert_array_equal(bb.c1_matrix(d, pairs[1], b_off[1], rows), full[1, rows])
+
+
 def test_max_degree_cap():
     with pytest.raises(bb.DegreeError):
         bb.multi_indices(11)
@@ -244,3 +259,37 @@ def test_frame_derivatives_match_cartesian_design(d, stacked):
             assert np.all(np.abs(a - w) <= 32 * eps * scale)
         every = bb.frame_derivatives(d, C, B, M, orders=range(order + 1))
         np.testing.assert_array_equal(every[-len(got):], got)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_cartesian_diff_twice_gives_the_hessians_of_quadratics(d):
+    # the degree-d BB forms of x1^2, x1 x2 and x2^2 on random well-shaped
+    # triangles of sizes 0.05-1 (coefficient (i, j, k): the blossom of
+    # x^T Q x at i copies of v1, j of v2 and k of v3, with
+    # sum_{r != s} u_r^T Q u_s = S^T Q S - sum_r u_r^T Q u_r): cartesian_diff
+    # applied twice gives the coefficients of their constant Hessians
+    # (2, 0, 0), (0, 1, 0) and (0, 0, 2), and the two mixed derivatives
+    # (y of cx, x of cy) agree.  Two differences amplify roundoff by
+    # d (d - 1) |M|^2, so the bounds are 32 and 4 units of
+    # eps d (d - 1) |C| |M|^2 per triangle (measured at most 12.4 and 1.3
+    # over 1800 triangles per degree; up to 1.2e4 eps unscaled)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(d)
+    g = 9
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]])
+    tri = (rng.uniform(-1, 1, (g, 1, 2)) + rng.uniform(0.05, 1.0, (g, 1, 1))
+           * (ref + 0.2 * rng.standard_normal((g, 3, 2))))
+    Q = np.array([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.5], [0.5, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
+    ijk = np.array(bb.multi_indices(d), dtype=float)
+    S = ijk @ tri
+    vQv = np.einsum("gva,qab,gvb->gvq", tri, Q, tri)
+    C = (np.einsum("gna,qab,gnb->gnq", S, Q, S) - ijk @ vQv) / (d * (d - 1))
+    M = bb.frames(tri)
+    cx, cy = bb.cartesian_diff(d, C, M)
+    (hxx, hxy), (hyx, hyy) = bb.cartesian_diff(d - 1, cx, M), bb.cartesian_diff(d - 1, cy, M)
+    assert hxx.shape == (g, bb.n_coeffs(d - 2), 3)
+    unit = eps * d * (d - 1) * np.abs(C).max(axis=(1, 2)) * np.abs(M).max(axis=(1, 2)) ** 2
+    unit = unit[:, None, None]
+    for h, want in zip((hxx, hxy, hyy), ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 2.0))):
+        assert np.all(np.abs(h - np.array(want)) <= 32 * unit)
+    assert np.all(np.abs(hxy - hyx) <= 4 * unit)

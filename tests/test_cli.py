@@ -222,7 +222,10 @@ def test_mesh_validate_reports_condition(tmp_path, capsys):
     # far out: each triangle is degenerate relative to its own size, so the
     # sliver named is one at the hub, not a small triangle of the rim
     ([1e8, 0.0], "degenerate triangle (16, 9, 10)"),
-], ids=["fold", "far-hub"])
+    # on the chord (9, 10): twice the area 1.5e-14, degenerate by the rule
+    # of bernstein.degenerate that the space build also applies
+    ([4.163336342343995e-17, 0.469454364826262], "degenerate triangle (16, 9, 10)"),
+], ids=["fold", "far-hub", "flat-hub"])
 def test_mesh_validate_rejects_a_moved_hub(tmp_path, capsys, hub, message):
     # the built-in disk mesh with its hub, vertex 16, moved
     data = msh.mesh_to_dict(builtin_domain("disk")[1])
@@ -658,7 +661,9 @@ def test_dump_reports_compare(tmp_path, capsys):
         ratio = f"{level['solver']['stop_ratio']:.3g}"
         lu_mb = f"{level['solver']['lu_mb']:.4g}"
         defect = f"{level['solver']['fill_defect']:.3e}"
-        assert line.endswith(f"; lu_mb {lu_mb} {lu_mb}, fill_defect {defect} {defect}; "
+        eigmin = level["hessian_eigmin"]
+        assert line.endswith(f"; hessian_eigmin {eigmin} {eigmin}; "
+                             f"lu_mb {lu_mb} {lu_mb}, fill_defect {defect} {defect}; "
                              f"stop_ratio {ratio} {ratio}, factorizations 1 1")
 
     # the CG counts, the factor size, the fill defect, the stop test and
@@ -670,6 +675,7 @@ def test_dump_reports_compare(tmp_path, capsys):
     moved["levels"][0]["solver"]["fill_defect"] = 3e-9
     moved["levels"][0]["solver"]["stop_ratio"] = 0.5
     moved["levels"][0]["solver"]["factorizations"] = 2
+    moved["levels"][0]["hessian_eigmin"] = -0.25
     b = tmp_path / "b.json"
     b.write_text(json.dumps(moved))
     assert tool.main(["--compare", str(a), str(b)]) == 0
@@ -678,7 +684,8 @@ def test_dump_reports_compare(tmp_path, capsys):
     defect = f"{levels[0]['solver']['fill_defect']:.3e}"
     line = capsys.readouterr().out.splitlines()[1]
     assert f"krylov_iters [6, 6] [9], frozen_iters {frozen} [7, 7]; " in line
-    assert line.endswith(f"; lu_mb {lu_mb} 2.5, fill_defect {defect} 3.000e-09; "
+    assert line.endswith(f"; hessian_eigmin {levels[0]['hessian_eigmin']} -0.25; "
+                         f"lu_mb {lu_mb} 2.5, fill_defect {defect} 3.000e-09; "
                          f"stop_ratio {ratio} 0.5, factorizations 1 2")
 
     moved = json.loads(a.read_text())

@@ -267,6 +267,21 @@ def test_domain_rejects_a_cusp_corner():
         geo.ConicDomain(arcs[1:] + arcs[:1])
 
 
+def test_domain_names_an_arc_longer_than_its_near_piece():
+    # the unit circle cut at 0, 190 and 280 degrees: arc 0 is oriented at
+    # the circle's point nearest its chord's midpoint, which lies on arc 1,
+    # so both its corners read as cusps; cut at 0, 120 and 240 it is fine
+    def circle(*degrees):
+        pts = [(float(np.cos(t)), float(np.sin(t))) for t in np.radians(degrees)]
+        return tuple(geo.BoundaryArc(CIRCLE, p, q) for p, q in zip(pts, pts[1:] + pts[:1]))
+
+    geo.ConicDomain(circle(0, 120, 240))
+    with pytest.raises(geo.GeometryError,
+                       match=r"^arc 0 from \(1\.0, 0\.0\) to .* makes both its corners "
+                             r"cusps: .* split it in two$"):
+        geo.ConicDomain(circle(0, 190, 280))
+
+
 def test_domain_file_roundtrip():
     # a domain is read and written as the "domain" object of a mesh file
     pts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]

@@ -15,11 +15,13 @@ files to diff.
 the Newton count `m` (`iterations`), the `krylov_iters` and the
 `frozen_iters` (every CG count of the level's solves) of both, the
 largest relative change from A to B of the `errors`, the `eps_errors`
-and the residual `R`, the factors' `lu_mb` and the space's
-`fill_defect` of both (a change to the fill shows in its defect), and
-the `stop_ratio` and `factorizations` of both (roundoff moves the stop
-test before it moves `m`).  It exits 1 when the dumps differ in their number
-of levels, or in a level's `dimension` or `m`.
+and the residual `R`, the `hessian_eigmin` of both (the convexity
+monitor, in full: a change to the Hessians shows in it), the factors'
+`lu_mb` and the space's `fill_defect` of both (a change to the fill
+shows in its defect), and the `stop_ratio` and `factorizations` of
+both (roundoff moves the stop test before it moves `m`).  It exits 1
+when the dumps differ in their number of levels, or in a level's
+`dimension` or `m`.
 """
 
 import argparse
@@ -72,15 +74,17 @@ def compare(a, b):
             for name, r in (("errors", rel_change(la["errors"], lb["errors"])),
                             ("eps_errors", rel_change(la["eps_errors"], lb["eps_errors"])),
                             ("R", rel_change(la["residual"], lb["residual"]))))
-        def both(key, fmt=""):
+        def both(key, fmt="", section="solver"):
             return " ".join("-" if r is None else f"{r:{fmt}}"
-                            for r in (la["solver"].get(key), lb["solver"].get(key)))
+                            for r in ((lev[section] if section else lev).get(key)
+                                      for lev in (la, lb)))
 
         lines.append(
             f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
             f"m {la['iterations']} {lb['iterations']}, krylov_iters {both('krylov_iters')}, "
             f"frozen_iters {both('frozen_iters')}; "
-            f"largest relative change: {changes}; lu_mb {both('lu_mb', '.4g')}, "
+            f"largest relative change: {changes}; "
+            f"hessian_eigmin {both('hessian_eigmin', section=None)}; lu_mb {both('lu_mb', '.4g')}, "
             f"fill_defect {both('fill_defect', '.3e')}; "
             f"stop_ratio {both('stop_ratio', '.3g')}, factorizations {both('factorizations')}"
             f"{'' if same else '  DIFFERS'}")
