@@ -15,11 +15,13 @@ per-triangle terms in slot order (map groups in order, their triangles
 in mesh order; see ScatterPlan), so the order of the sums does not
 depend on the chunking.  The norms and the load vector come from
 per-triangle products, so their bits do not either.  The stiffness
-matrix forms each triangle's block in its Bernstein basis first, on
-straight triangles as rows of one GEMM per chunk with a shared product
-table (product_table); BLAS blocks that GEMM's rows by their number and
-position, so the matrix's last bits depend on the chunk size (CHUNK).
-Rules and maps are immutable and shareable across threads.
+matrix forms each triangle's block in its Bernstein basis first.  Its
+coefficient is given by its BB coefficients, so on straight triangles
+the block is exact and one GEMM per chunk of the frame-weighted
+coefficients with a shared table (stiffness_table); BLAS blocks that
+GEMM's rows by their number and position, so the matrix's last bits
+depend on the chunk size (CHUNK).  Rules and maps are immutable and
+shareable across threads.
 """
 
 from dataclasses import dataclass
@@ -104,28 +106,43 @@ def _reference_bernstein():
     return B
 
 
-@lru_cache(maxsize=None)
 def product_table(d):
-    """(3 nq, nc * nc) table P of the stiffness blocks of degree d on
-    straight triangles, at the nq nodes of the reference rule.
+    """(3 nq, nc * nc) table P of the products of the basis gradients of
+    degree d on straight triangles, at the nq nodes of the reference rule:
+    the source of stiffness_table.
 
     The basis gradients along e0 - e2 and e1 - e2 there, G_s = B_{d-1} @
     frame_diff(d)[s], are the same for every straight triangle.  Row
     (q, ij) of P holds G_i[q, a] G_j[q, b] at column (a, b) for ij = 00
     and 11, and G_0[q, a] G_1[q, b] + G_1[q, a] G_0[q, b] for ij = 01,
-    which folds A01 and A10 of a symmetric A.  A triangle's block in its
-    Bernstein basis is then W @ P, W its (nq, 3) weights of
-    QuadratureChunk.frame_weights (the element-independent tensor form of
-    R. C. Kirby, Numer. Math. 117 (2011)).  Built once per degree and
-    process, read-only."""
-    bary = triangle_rule(QUAD_DEGREE).bary
-    B1 = bb.bernstein_matrix(d - 1, bary)
+    which folds A01 and A10 of a symmetric A."""
+    B1 = _reference_bernstein()[d - 1]
     G0, G1 = (B1 @ Ds for Ds in bb.frame_diff(d))
-    P = np.stack([G0[:, :, None] * G0[:, None],
-                  G0[:, :, None] * G1[:, None] + G1[:, :, None] * G0[:, None],
-                  G1[:, :, None] * G1[:, None]], axis=1).reshape(3 * len(bary), -1)
-    P.flags.writeable = False
-    return P
+    return np.stack([G0[:, :, None] * G0[:, None],
+                     G0[:, :, None] * G1[:, None] + G1[:, :, None] * G0[:, None],
+                     G1[:, :, None] * G1[:, None]], axis=1).reshape(3 * len(B1), -1)
+
+
+@lru_cache(maxsize=None)
+def stiffness_table(d):
+    """(3 nk, nc * nc) table T of the stiffness blocks of degree d on
+    straight triangles from the BB coefficients of the weak form's
+    coefficient, nk = n_coeffs(d - 2): row (k, ij) holds sum_q w_q
+    B_{d-2}[q, k] P[(q, ij), (a, b)] at column (a, b), P the
+    product_table(d) and w the weights of the reference rule.  A
+    triangle's block in its Bernstein basis is then W @ T, W its (nk, 3)
+    frame-weighted coefficients of QuadratureChunk.frame_weights (the
+    element-independent tensor form of R. C. Kirby, Numer. Math. 117
+    (2011), on Bernstein coefficients as in M. Ainsworth, G. Andriamaro
+    and O. Davydov, SIAM J. Sci. Comput. 33 (2011)).  The integrand
+    B_{d-2} G_i G_j has degree 3 d - 4 <= 14, below the rule's exactness
+    QUAD_DEGREE, so T is exact up to roundoff.  Built once per degree and
+    process, read-only."""
+    rule = triangle_rule(QUAD_DEGREE)
+    wB = rule.weights[:, None] * _reference_bernstein()[d - 2]
+    T = (wB.T @ product_table(d).reshape(len(wB), -1)).reshape(3 * wB.shape[1], -1)
+    T.flags.writeable = False
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +223,9 @@ class QuadratureChunk:
     on pies the chunk's own (g, nq, nc) stacks of degrees 4-6 (the chord
     triangle's basis at the curved nodes).  Derivatives come from
     bernstein.frame_derivatives, stiffness blocks from frame_weights and
-    bb_stiffness.  Chunks compare by identity, so they can key per-chunk
-    tables."""
+    bb_stiffness: straight chunks contract the weak form's coefficient
+    in BB form with stiffness_table, pies evaluate it at their nodes.
+    Chunks compare by identity, so they can key per-chunk tables."""
 
     degree: int
     tris: np.ndarray
@@ -230,34 +248,48 @@ class QuadratureChunk:
         Bernstein matrices included (the maps Z and cols are the space's)."""
         return [self.coords, self.nodes, self.weights, self.M, *self.B.values()]
 
+    @property
+    def coefficient_shape(self):
+        """(g, n_coeffs(d - 2), 2, 2): the shape of a matrix coefficient
+        field on the chunk, the degree-(d - 2) BB coefficients of a 2 x 2
+        matrix polynomial on each triangle (the chord triangle's basis on
+        pies)."""
+        return (len(self.tris), bb.n_coeffs(self.degree - 2), 2, 2)
+
     def frame_weights(self, A):
-        """(g, nq, 3) weighted coefficients of the weak form in the chunk's
-        frame: w F00, w F01 and w F11 with F = M^T A M, for symmetric A
-        (g, nq, 2, 2) (grad u . A grad v equals (D u) . F (D v) for the
-        gradients D along e0 - e2 and e1 - e2).  F_ij sums M_si A_st M_tj
-        over the four entries (s, t): one (nq, 4) @ (4, 3) product per
-        triangle."""
-        g, nq = self.weights.shape
+        """The weighted coefficient of the weak form in the chunk's frame,
+        F = M^T A M for the symmetric BB coefficients A (coefficient_shape)
+        (grad u . A grad v equals (D u) . F (D v) for the gradients D along
+        e0 - e2 and e1 - e2): F_ij sums M_si A_st M_tj over the four
+        entries (s, t), one (nk, 4) @ (4, 3) product per triangle.  On
+        straight chunks the (g, nk, 3) coefficients of F00, F01 and F11
+        times each triangle's area (the frame scaled by it); on pies
+        w F00, w F01 and w F11 at the nodes, (g, nq, 3), from the chunk's
+        degree-(d - 2) Bernstein matrices."""
         m = self.M
         C = np.stack([m[:, :, None, i] * m[:, None, :, j] for i, j in ((0, 0), (0, 1), (1, 1))],
-                     axis=-1).reshape(g, 4, 3)
-        return (A.reshape(g, nq, 4) @ C) * self.weights[:, :, None]
+                     axis=-1).reshape(-1, 4, 3)
+        B2 = self.B[self.degree - 2]
+        if B2.ndim == 2:
+            C *= np.abs(bb.triangle_area(self.coords))[:, None, None]
+        F = A.reshape(len(C), -1, 4) @ C
+        return F if B2.ndim == 2 else (B2 @ F) * self.weights[:, :, None]
 
     def bb_stiffness(self, W):
         """(g, nc, nc) local stiffness matrices of the chunk's triangles in
-        their Bernstein bases, sum_q sum_ij W_ij G_i^T G_j, from the
-        weights W of frame_weights (G_i the basis gradients along the
-        frame's directions at the nodes).  Straight chunks make one GEMM
-        with the shared product_table; pies, whose Bernstein matrices are
-        their own, contract the weighted Gram blocks B_{d-1}^T W_ij B_{d-1}
-        with the shared difference matrices frame_diff(d), and form no
-        gradient stacks."""
+        their Bernstein bases, int sum_ij F_ij G_i^T G_j, from the weights
+        W of frame_weights (G_i the basis gradients along the frame's
+        directions).  Straight chunks make one (g, 3 nk) @ (3 nk, nc^2)
+        GEMM with the shared stiffness_table; pies, whose Bernstein
+        matrices are their own, contract the weighted Gram blocks
+        B_{d-1}^T W_ij B_{d-1} with the shared difference matrices
+        frame_diff(d), and form no gradient stacks."""
         d = self.degree
-        g, nq, _ = W.shape
+        g = len(W)
         nc = bb.n_coeffs(d)
         B1 = self.B[d - 1]
         if B1.ndim == 2:
-            return (W.reshape(g, 3 * nq) @ product_table(d)).reshape(g, nc, nc)
+            return (W.reshape(g, -1) @ stiffness_table(d)).reshape(g, nc, nc)
         n1 = B1.shape[2]
         N = np.empty((g, 2, n1, 2, n1))
         for r, (i, j) in enumerate(((0, 0), (0, 1), (1, 1))):
@@ -350,20 +382,24 @@ def _quadrature_sums(quad, fields):
 # ---------------------------------------------------------------------------
 # the Galerkin weak form int grad(u) . A grad(v) = int f v
 
-# A and f are coefficient fields: callables of one QuadratureChunk that
-# return their values at the chunk's nodes, A (g, nq, 2, 2) matrices and f
-# (g, nq).  Analytic coefficients are functions of the points alone (see
-# pointwise and constant_matrix).
+# A and f are coefficient fields: callables of one QuadratureChunk.  A
+# returns the BB coefficients of a symmetric matrix polynomial of degree
+# d - 2 on each triangle, in the shape QuadratureChunk.coefficient_shape
+# (g, n_coeffs(d - 2), 2, 2) (see constant_matrix; the Newton steps' cofactor
+# is one), and f its values (g, nq) at the chunk's nodes (see pointwise).
 
 def pointwise(fn):
-    """Wrap a callable of (n, 2) points as a weak-form coefficient field."""
+    """Wrap a callable of (n, 2) points as a load coefficient field f."""
     return lambda chunk: chunk.at_nodes(fn)
 
 
 def constant_matrix(M):
-    """Constant matrix-valued coefficient field (e.g. the identity)."""
+    """Constant matrix coefficient field A (e.g. the identity): every BB
+    coefficient is the 2 x 2 matrix M (ValueError for any other shape)."""
     M = np.asarray(M, dtype=float)
-    return lambda chunk: np.tile(M, chunk.weights.shape + (1, 1))
+    if M.shape != (2, 2):
+        raise ValueError(f"a constant matrix coefficient is 2 x 2, not {M.shape}")
+    return lambda chunk: np.broadcast_to(M, chunk.coefficient_shape)
 
 
 @dataclass
@@ -374,23 +410,28 @@ class SparseSystem:
 
 def assemble(A, quad):
     """CSR stiffness matrix of int grad(u) . A grad(v) in the
-    determining-set basis of quad.space, for the coefficient field A,
-    which must be symmetric (AssemblyError otherwise: the blocks fold
-    A01 and A10 together, and the solver's CG assumes a symmetric
-    matrix).
+    determining-set basis of quad.space, for the coefficient field A of BB
+    coefficients, which must have each chunk's coefficient_shape and be
+    symmetric (AssemblyError otherwise: the blocks fold A01 and A10
+    together, and the solver's CG assumes a symmetric matrix).
 
     Each chunk forms its triangles' blocks L in the Bernstein basis
-    (QuadratureChunk.frame_weights and bb_stiffness: one GEMM with the
-    shared product_table on straight chunks), and the quadrature's
-    ScatterPlan (built on the first call) adds Z^T L Z, Z each triangle's
-    map, into the matrix's entries in slot order, one chunk at a time, so
-    no array of all the slot values exists.  BLAS blocks the rows of a
-    straight chunk's GEMM as it sees fit, so a block's last bits can
-    depend on the chunk size (CHUNK) and on the triangle's row in its
-    chunk; the order of the sums does not."""
+    (QuadratureChunk.frame_weights and bb_stiffness: one GEMM of the
+    frame-weighted coefficients with the shared stiffness_table on
+    straight chunks), and the quadrature's ScatterPlan (built on the
+    first call) adds Z^T L Z, Z each triangle's map, into the matrix's
+    entries in slot order, one chunk at a time, so no array of all the
+    slot values exists.  BLAS blocks the rows of a straight chunk's GEMM
+    as it sees fit, so a block's last bits can depend on the chunk size
+    (CHUNK) and on the triangle's row in its chunk; the order of the
+    sums does not."""
     def blocks():
         for ch in quad.chunks:
             coef = np.asarray(A(ch))
+            if coef.shape != ch.coefficient_shape:
+                raise AssemblyError(
+                    f"the coefficient A has shape {coef.shape} on a chunk of degree "
+                    f"{ch.degree}, which takes its BB coefficients {ch.coefficient_shape}")
             a01, a10 = coef[..., 0, 1], coef[..., 1, 0]
             if (a01 != a10).any() and not np.array_equal(a01, a10, equal_nan=True):
                 raise AssemblyError("the coefficient A of the weak form is not symmetric")
@@ -536,7 +577,11 @@ class Factors:
     the c2-domain L4 Newton matrix's factors from 2 495 284 to 2 717 716
     entries, and the disk L6 factorization took 1.6 times as long.
     SuperLU reads the CSR arrays of S A S as the CSC arrays of its
-    transpose, so it factors (S A S)^T and the solves pass trans="T".
+    transpose, so it factors (S A S)^T, and the solves apply those
+    factors as they are (trans="N", faster than SuperLU's transposed
+    solve): the matrices CG sees are symmetric to about 1e-16 relative
+    (c2-domain L4, disk L4 and L5 Newton matrices), far below the
+    float32 factors' own error, so (S A S)^T preconditions as S A S does.
     lu_fill is SuperLU's own count of the factors' entries (SuperLU.nnz),
     the structural nonzeros of L and U, so the factors are never copied
     out to count them; lu_mb is the MB (2**20 bytes) of those float32
@@ -572,7 +617,7 @@ class Factors:
         y = self.scale * r
         top = np.abs(y).max() or 1.0
         y /= top
-        z = self.lu.solve(y.astype(np.float32), trans="T").astype(float)
+        z = self.lu.solve(y.astype(np.float32)).astype(float)
         z *= top
         z *= self.scale
         return z

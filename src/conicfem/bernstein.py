@@ -183,19 +183,29 @@ def cartesian_diff(d, C, M):
     return [M[:, i, :1, None] * c0 + M[:, i, 1:, None] * c1 for i in (0, 1)]
 
 
+def frame_coefficients(d, C, M, order=2):
+    """[[C], [cx, cy], [cxx, cxy, cyy]] up to the derivative order `order`:
+    the BB coefficients, each (g, n_coeffs(d - s), k) for order s, of the
+    derivatives of the degree-d polynomials C (g, nc, k) on g triangles
+    with frames M (g, 2, 2) (see frames).  The gradient's coefficients are
+    cartesian_diff of C, the Hessian's cartesian_diff of cx (cxx, cxy) and
+    of cy (cyy)."""
+    coeffs = [[C]]
+    if order > 0:
+        coeffs.append(cartesian_diff(d, C, M))
+    if order > 1:
+        cx, cy = coeffs[1]
+        coeffs.append(cartesian_diff(d - 1, cx, M) + cartesian_diff(d - 1, cy, M)[1:])
+    return coeffs
+
+
 def frame_derivatives(d, C, B, M, orders=(0, 1, 2)):
     """[v], [gx, gy] or [hxx, hxy, hyy], each (g, n, k), for each order in
     `orders` (ascending), of the degree-d BB coefficients C (g, nc, k) on g
-    triangles with frames M (g, 2, 2) (see frames), at the n points of the
-    degree-(d-s) Bernstein matrices B[s], shared (n, .) or stacked (g, n, .):
-    the gradient's coefficients are cartesian_diff of C, the Hessian's
-    cartesian_diff of cx (hxx, hxy) and of cy (hyy), Bernstein matrices last."""
-    coeffs = [[C]]
-    if max(orders) > 0:
-        coeffs.append(cartesian_diff(d, C, M))
-    if 2 in orders:
-        cx, cy = coeffs[1]
-        coeffs.append(cartesian_diff(d - 1, cx, M) + cartesian_diff(d - 1, cy, M)[1:])
+    triangles with frames M (g, 2, 2), at the n points of the degree-(d-s)
+    Bernstein matrices B[s], shared (n, .) or stacked (g, n, .): the
+    frame_coefficients of C, Bernstein matrices last."""
+    coeffs = frame_coefficients(d, C, M, max(orders))
     return [B[s] @ c for s in orders for c in coeffs[s]]
 
 

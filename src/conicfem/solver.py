@@ -125,19 +125,24 @@ def _check_positive_g(problem, ctx):
 def linearize_ma(u, g, quad):
     """Coefficient fields (A, f, eigmin) of one Newton step at the iterate
     u, tabulated per chunk of quad: A is the cofactor of the spline's
-    Hessian at the quadrature nodes and f the current residual
-    det(Hessian) - g.  eigmin is the minimum eigenvalue of A over all
-    quadrature points (the ellipticity monitor; for 2x2 cofactors these
-    are exactly the Hessian eigenvalues)."""
+    Hessian in BB form (the chunk's coefficient_shape: on each triangle
+    the degree-(d - 2) coefficients that bernstein.frame_coefficients
+    gives the Hessian) and f the current residual det(Hessian) - g at the
+    quadrature nodes.  eigmin is the minimum eigenvalue of the cofactor
+    over all quadrature points (the ellipticity monitor; for 2x2
+    cofactors these are exactly the Hessian eigenvalues).  The nodal
+    Hessians of f and eigmin are the Hessian's coefficients evaluated by
+    the chunk's degree-(d - 2) Bernstein matrices."""
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
     for ch in quad.chunks:
-        hxx, hxy, hyy = ch.hessians(u.pieces(ch.Z, ch.cols))
-        cof = np.empty(hxx.shape + (2, 2))
-        cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
-        cof[..., 0, 1] = cof[..., 1, 0] = -hxy
+        cxx, cxy, cyy = bb.frame_coefficients(ch.degree, u.pieces(ch.Z, ch.cols), ch.M)[2]
+        cof = np.empty(ch.coefficient_shape)
+        cof[..., 0, 0], cof[..., 1, 1] = cyy[..., 0], cxx[..., 0]
+        cof[..., 0, 1] = cof[..., 1, 0] = -cxy[..., 0]
         cof_tab[ch] = cof
+        hxx, hxy, hyy = ((ch.B[ch.degree - 2] @ c)[..., 0] for c in (cxx, cxy, cyy))
         res_tab[ch] = asm.hessian_det(hxx, hxy, hyy) - ch.at_nodes(g)
         half_tr = 0.5 * (hxx + hyy)
         rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)

@@ -20,7 +20,9 @@ Z <- S + W Z to a fixed point and the split by one global sort over
 the per-column formula; the per-triangle error norms evaluate the
 spline through its own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
 every chunk, pies included, the form that frames and differenced
-coefficients replace; the two agree to a few eps.  Newton's termination by a frozen-factor
+coefficients replace; the two agree to a few eps, and
+``linearize_ma_at_nodes`` reads the Newton linearization, the cofactor
+tabulated at the nodes, through either.  Newton's termination by a frozen-factor
 correction is checked against the loop that confirms convergence with
 one more full step.  The level transfer's tangent-corner dofs are checked
 against the projection of the coarse gradient at the corner.  The
@@ -717,18 +719,18 @@ def frame_gradient_maps(d, B1, Z):
     return [B1 @ (Ds @ Z) for Ds in bb.frame_diff(d)]
 
 
-def frame_hessians(d, B, M, c):
-    """(hxx, hxy, hyy) of one triangle's coefficients c from the design of
-    triangle_designs: M on the stacked differences along e0 - e2 and
+def hessian_coefficients(d, M, c):
+    """[cxx, cxy, cyy] of one triangle's coefficients c (nc,) and its
+    frame M (2, 2): M on the stacked differences along e0 - e2 and
     e1 - e2 of c gives the gradient's coefficients, the same rule on those
-    the Hessian's, and B[2] evaluates them."""
+    the Hessian's."""
     def grad(d, c):
         n1 = bb.n_coeffs(d - 1)
         e = bb.frame_diff(d).reshape(2 * n1, -1) @ c
         return [m0 * e[:n1] + m1 * e[n1:] for m0, m1 in M]
 
     cx, cy = grad(d, c)
-    return [B[2] @ h for h in (*grad(d - 1, cx), grad(d - 1, cy)[1])]
+    return [*grad(d - 1, cx), grad(d - 1, cy)[1]]
 
 
 def triangle_nodes(quad):
@@ -796,13 +798,14 @@ def assemble_cartesian(A, quad):
     return quad.scatter.csr([np.concatenate(vals)])
 
 
-def frame_weights(A, w, M):
-    """(nq, 3) weights w F00, w F01, w F11 of one triangle, F = M^T A M,
-    from its A (nq, 2, 2), weights w (nq,) and frame M (2, 2): F_ij sums
-    M_si A_st M_tj over the four entries (s, t)."""
+def frame_weights(A, M, scale=1.0):
+    """(nk, 3) BB coefficients of F00, F01 and F11 of one triangle, F =
+    M^T A M, from its coefficients A (nk, 2, 2) and its frame M (2, 2)
+    scaled by `scale`: F_ij sums M_si A_st M_tj over the four entries
+    (s, t)."""
     C = np.stack([M[:, None, i] * M[None, :, j] for i, j in ((0, 0), (0, 1), (1, 1))],
                  axis=-1).reshape(4, 3)
-    return (A.reshape(-1, 4) @ C) * w[:, None]
+    return A.reshape(-1, 4) @ (C * scale)
 
 
 def pie_block(d, W, B1):
@@ -821,13 +824,15 @@ def pie_block(d, W, B1):
 
 def assemble_per_triangle(A, f, quad):
     """(CSR matrix of int grad(u) . A grad(v), rhs int f v) of the
-    coefficient fields A and f, one triangle at a time in slot order (the
-    chunks' triangles in order), each entry summed from +0.0.  The
-    fields are evaluated once per chunk and read row by row.  A triangle's
-    block in its Bernstein basis comes from its weights w M^T A M: on a
-    pie from pie_block, on a straight triangle from the row of the chunk's
-    product of the stacked weights with asm.product_table (the only step
-    taken per chunk); the block in the dofs is Z^T L Z."""
+    coefficient fields A (BB coefficients) and f (nodal), one triangle at
+    a time in slot order (the chunks' triangles in order), each entry
+    summed from +0.0.  The fields are evaluated once per chunk and read
+    row by row.  A triangle's block in its Bernstein basis comes from the
+    coefficients of M^T A M: on a pie, evaluated at its nodes and
+    weighted, from pie_block; on a straight triangle, with the frame
+    scaled by its area, from the row of the chunk's product of the
+    stacked coefficients with asm.stiffness_table (the only step taken
+    per chunk); the block in the dofs is Z^T L Z."""
     space = quad.space
     mesh = space.mesh
     designs = triangle_designs(quad)
@@ -836,9 +841,14 @@ def assemble_per_triangle(A, f, quad):
     weights = {}
     for ch in quad.chunks:
         for r, t in enumerate(ch.tris):
-            weights[t] = frame_weights(tables[0][ch][r], nodes[t][1], designs[t][1])
+            (B, M), w = designs[t], nodes[t][1]
+            if mesh.tri_kind[t] == PIE:
+                weights[t] = (B[2] @ frame_weights(tables[0][ch][r], M)) * w[:, None]
+            else:
+                area = abs(bb.triangle_area(mesh.vertices[mesh.tri_verts[t]]))
+                weights[t] = frame_weights(tables[0][ch][r], M, area)
     straight = {ch: np.stack([weights[t] for t in ch.tris]).reshape(len(ch.tris), -1)
-                @ asm.product_table(ch.degree)
+                @ asm.stiffness_table(ch.degree)
                 for ch in quad.chunks if mesh.tri_kind[ch.tris[0]] != PIE}
 
     blocks = []
@@ -897,23 +907,53 @@ def slot_values(A, quad):
 
 def linearize_ma_per_triangle(u, g, quad):
     """(cofactor table, residual table, eigmin) of the Monge-Ampere
-    linearization at u, one triangle at a time."""
+    linearization at u, one triangle at a time: the cofactor in BB form
+    from hessian_coefficients, the residual and eigmin from those
+    coefficients evaluated at the triangle's nodes."""
     cof_tab = {}
     res_tab = {}
     eigmin = np.inf
     nodes = triangle_nodes(quad)
     for t, (B, M) in enumerate(triangle_designs(quad)):
-        hxx, hxy, hyy = frame_hessians(tri_degree(quad.space, t), B, M, patch(u, t))
-        cof = np.empty(hxx.shape + (2, 2))
-        cof[:, 0, 0] = hyy
-        cof[:, 1, 1] = hxx
-        cof[:, 0, 1] = cof[:, 1, 0] = -hxy
+        cxx, cxy, cyy = hessian_coefficients(tri_degree(quad.space, t), M, patch(u, t))
+        cof = np.empty(cxx.shape + (2, 2))
+        cof[:, 0, 0] = cyy
+        cof[:, 1, 1] = cxx
+        cof[:, 0, 1] = cof[:, 1, 0] = -cxy
         cof_tab[t] = cof
+        hxx, hxy, hyy = (B[2] @ c for c in (cxx, cxy, cyy))
         res_tab[t] = hxx * hyy - hxy * hxy - np.asarray(g(nodes[t][0]))
         half_tr = 0.5 * (hxx + hyy)
         rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
         eigmin = min(eigmin, float((half_tr - rad).min()))
     return cof_tab, res_tab, eigmin
+
+
+def linearize_ma_at_nodes(u, g, quad):
+    """(A, f, eigmin) of the Monge-Ampere linearization at u with the
+    cofactor tabulated at the quadrature nodes, (g, nq, 2, 2) per chunk,
+    from each chunk's nodal `hessians` (a stored_quadrature's read its
+    Cartesian H stacks)."""
+    cof_tab, res_tab = {}, {}
+    eigmin = np.inf
+    for ch in quad.chunks:
+        hxx, hxy, hyy = ch.hessians(u.pieces(ch.Z, ch.cols))
+        cof = np.empty(hxx.shape + (2, 2))
+        cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
+        cof[..., 0, 1] = cof[..., 1, 0] = -hxy
+        cof_tab[ch] = cof
+        res_tab[ch] = hxx * hyy - hxy * hxy - ch.at_nodes(g)
+        half_tr = 0.5 * (hxx + hyy)
+        rad = np.sqrt((0.5 * (hxx - hyy)) ** 2 + hxy ** 2)
+        eigmin = min(eigmin, float((half_tr - rad).min()))
+    return cof_tab.__getitem__, res_tab.__getitem__, eigmin
+
+
+def coefficients_at_nodes(ch, A):
+    """A matrix coefficient field's BB coefficients A (g, nk, 2, 2) on a
+    chunk evaluated at its nodes, (g, nq, 2, 2)."""
+    g, nk = A.shape[:2]
+    return (ch.B[ch.degree - 2] @ A.reshape(g, nk, 4)).reshape(g, -1, 2, 2)
 
 
 def error_norms_per_triangle(spline, quad, ref_batch):

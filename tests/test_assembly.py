@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from conicfem.problems import (builtin_domain, disk_domain, disk_exact_solution,
                                disk_wheel_points, problem_g, wheel_mesh)
 from conicfem.space import build_space
 
-from _oracles import (assemble_per_triangle, disk_radial_integral, domain_area,
+from _oracles import (assemble_per_triangle, disk_radial_integral, domain_area, domain_points,
                       error_norms_per_triangle, frame_gradient_maps, integrate, local_map,
                       pie_quadrature_scalar, slot_blocks, slot_values, sum_in_slot_order,
                       triangle_designs, triangle_maps, triangle_nodes)
@@ -127,8 +128,8 @@ def test_mass_matrix_spd_and_symmetry(disk_space):
 def test_stiffness_symmetric_for_symmetric_A(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
     def A(chunk):
-        pts = chunk.nodes
-        out = np.empty(pts.shape[:-1] + (2, 2))
+        pts = domain_points(chunk.degree - 2, chunk.coords)
+        out = np.empty(chunk.coefficient_shape)
         out[..., 0, 0] = 1.0 + pts[..., 0] ** 2
         out[..., 1, 1] = 2.0 + pts[..., 1] ** 2
         out[..., 0, 1] = out[..., 1, 0] = 0.3 * pts[..., 0] * pts[..., 1]
@@ -296,7 +297,7 @@ def test_rhs_only_assembly_is_the_assembled_rhs(disk_space2, monkeypatch):
     f = asm.pointwise(lambda x: np.sin(x[:, 0]) + x[:, 1] ** 2)
     _, want = assemble_per_triangle(EYE, f, quad)
     monkeypatch.setattr(asm.sps, "coo_matrix", None)
-    monkeypatch.setattr(asm, "product_table", None)
+    monkeypatch.setattr(asm, "stiffness_table", None)
     for ch in quad.chunks:
         monkeypatch.setattr(ch, "bb_stiffness", None)
     np.testing.assert_array_equal(asm.assemble_rhs(f, quad), want)
@@ -524,10 +525,11 @@ def test_chunk_derivatives_difference_the_coefficients_once(disk_space, monkeypa
 
 
 def _all_terms_problem():
-    # (A, f); A also depends on the triangle index
+    # (A, f); A's BB coefficients are a function at the domain points that
+    # also depends on the triangle index
     def A(chunk):
-        pts, t = chunk.nodes, chunk.tris[:, None]
-        out = np.empty(pts.shape[:-1] + (2, 2))
+        pts, t = domain_points(chunk.degree - 2, chunk.coords), chunk.tris[:, None]
+        out = np.empty(chunk.coefficient_shape)
         out[..., 0, 0] = 1.0 + pts[..., 0] ** 2
         out[..., 1, 1] = 2.0 + np.sin(pts[..., 1]) + 0.01 * t
         out[..., 0, 1] = out[..., 1, 0] = 0.3 * pts[..., 0] * pts[..., 1]
@@ -579,44 +581,84 @@ def test_assemble_is_bit_identical_to_per_triangle_loop(space_name, request):
 
 
 @pytest.mark.parametrize("space_name", ["c2_space", "disk_space2"])
-def test_product_table_blocks_match_the_quadrature_sum(space_name, request):
+def test_stiffness_table_blocks_match_the_quadrature_sum(space_name, request):
     # each triangle's block in its Bernstein basis, pies included, against
-    # sum_q sum_ij W_ij G_i^T G_j in extended precision, G_i = B_{d-1} D_i.
-    # Every term W_ij B[q, m] D_i[m, a] B[q, n] D_j[n, b] passes through at
-    # most N = 3 nq + 4 n1 + 2 roundings on either route (straight: two
-    # n1-term sums for G, their product, the 01 sum and the 3 nq-term dot
-    # product with the table, 3 nq + 2 n1 + 2; pies: the weighted Gram's
-    # nq + 1, then two 2 n1-term products with D, nq + 4 n1 + 1), so the
-    # error is below gamma_N times the sum of the terms' absolute values,
-    # plus the same bound for the reference
-    quad = asm.TriangleQuadrature(request.getfixturevalue(space_name))
-    A = _all_terms_problem()[0]
+    # the nodal sum sum_q sum_ij W_ij G_i^T G_j in extended precision,
+    # G_i = B_{d-1} D_i, for the weights W of frame_weights of a random
+    # symmetric coefficient field and of a random spline's cofactor.  On
+    # straight triangles W holds BB coefficients, evaluated at the nodes
+    # and weighted by the reference: w_q (B_{d-2} W_ij)[q].  Every term
+    # W_ij[k] w_q B_{d-2}[q, k] B_{d-1}[q, m] D_i[m, a] B_{d-1}[q, n] D_j[n, b]
+    # passes through at most N roundings on either route.  Straight: the
+    # table route's two n1-term sums for G, their product and the 01 sum
+    # (product_table), w_q B_{d-2}, the nq-term sum of stiffness_table and
+    # the 3 nk-term dot product with it, N = nq + 3 nk + 2 n1 + 3; the
+    # reference's nk + 1 for the weights, then 2 n1 + nq + 4, fewer.  Pies:
+    # the weighted Gram's nq + 1, then two 2 n1-term products with D,
+    # N = nq + 4 n1 + 1.  So the error is below gamma_N times the sum of
+    # the terms' absolute values, plus the same bound for the reference
+    from conicfem import solver as sol
+    space = request.getfixturevalue(space_name)
+    quad = asm.TriangleQuadrature(space)
+    rng = np.random.default_rng(6)
+
+    def random_field(chunk):
+        out = rng.standard_normal(chunk.coefficient_shape)
+        out[..., 1, 0] = out[..., 0, 1]
+        return out
+
+    u = space.spline(rng.standard_normal(space.dimension))
+    cofactor = sol.linearize_ma(u, lambda x: np.ones(len(x)), quad)[0]
 
     def gamma(n, dtype):
         u = np.finfo(dtype).eps / 2
         return n * u / (1 - n * u)
 
     ld = np.longdouble
-    for ch in quad.chunks:
-        d = ch.degree
-        W = ch.frame_weights(np.asarray(A(ch)))
-        L = ch.bb_stiffness(W)
-        nq, n1 = ch.B[d - 1].shape[-2:]
-        n = 3 * nq + 4 * n1 + 2
-        eye = np.eye(bb.n_coeffs(d), dtype=ld)
-        for i in range(len(ch.tris)):
-            B1 = (ch.B[d - 1] if ch.B[d - 1].ndim == 2 else ch.B[d - 1][i]).astype(ld)
-            G = frame_gradient_maps(d, B1, eye)
-            Gabs = [np.abs(B1) @ np.abs(Ds) for Ds in bb.frame_diff(d)]
-            w = W[i].astype(ld)
-            want = np.zeros(L.shape[1:], dtype=ld)
-            size = np.zeros(L.shape[1:], dtype=ld)
-            for r, pairs in enumerate([[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]):
-                for a, b in pairs:
-                    want += (w[:, r, None] * G[a]).T @ G[b]
-                    size += (np.abs(w[:, r, None]) * Gabs[a]).T @ Gabs[b]
-            bound = (gamma(n, float) + gamma(n, ld)) * size
-            assert (np.abs(L[i] - want) <= bound).all()
+    rule_w = quad.rule.weights.astype(ld)[:, None]
+    for A in (random_field, cofactor):
+        for ch in quad.chunks:
+            d = ch.degree
+            W = ch.frame_weights(np.asarray(A(ch)))
+            L = ch.bb_stiffness(W)
+            B1, B2 = ch.B[d - 1], ch.B[d - 2]
+            straight = B1.ndim == 2
+            nq, n1 = B1.shape[-2:]
+            n = nq + 3 * B2.shape[-1] + 2 * n1 + 3 if straight else nq + 4 * n1 + 1
+            eye = np.eye(bb.n_coeffs(d), dtype=ld)
+            for i in range(len(ch.tris)):
+                B1i = (B1 if straight else B1[i]).astype(ld)
+                G = frame_gradient_maps(d, B1i, eye)
+                Gabs = [np.abs(B1i) @ np.abs(Ds) for Ds in bb.frame_diff(d)]
+                w, wabs = W[i].astype(ld), np.abs(W[i]).astype(ld)
+                if straight:
+                    w, wabs = (rule_w * (B2.astype(ld) @ x) for x in (w, wabs))
+                want = np.zeros(L.shape[1:], dtype=ld)
+                size = np.zeros(L.shape[1:], dtype=ld)
+                for r, pairs in enumerate([[(0, 0)], [(0, 1), (1, 0)], [(1, 1)]]):
+                    for a, b in pairs:
+                        want += (w[:, r, None] * G[a]).T @ G[b]
+                        size += (wabs[:, r, None] * Gabs[a]).T @ Gabs[b]
+                bound = (gamma(n, float) + gamma(n, ld)) * size
+                assert (np.abs(L[i] - want) <= bound).all()
+
+
+def test_mis_shaped_coefficient_is_rejected(disk_space):
+    # A is a table of BB coefficients of degree d - 2: a 3 x 3 constant,
+    # a vector field and a nodal table are refused, naming both shapes
+    quad = asm.TriangleQuadrature(disk_space)
+    with pytest.raises(ValueError, match=r"2 x 2, not \(3, 3\)"):
+        asm.constant_matrix(np.eye(3))
+    with pytest.raises(ValueError, match="2 x 2"):
+        asm.constant_matrix([1.0, 2.0])
+    ch = quad.chunks[0]
+    want = re.escape(str(ch.coefficient_shape))
+    for field in (lambda chunk: np.ones(chunk.weights.shape + (2,)),
+                  lambda chunk: np.tile(np.eye(2), chunk.weights.shape + (1, 1))):
+        got = re.escape(str(field(ch).shape))
+        with pytest.raises(asm.AssemblyError, match=f"shape {got} .* {want}"):
+            asm.assemble(field, quad)
+    assert ch.coefficient_shape == (len(ch.tris), bb.n_coeffs(ch.degree - 2), 2, 2)
 
 
 def test_non_symmetric_coefficient_is_rejected(disk_space):

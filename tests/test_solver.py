@@ -14,9 +14,10 @@ from conicfem.mesh import refine_uniform
 from conicfem.problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
 from conicfem.space import SplineFunction, SplineSpace, build_space
 
-from _oracles import (assemble_cartesian, corner_dofs_by_gradient, error_norms_per_triangle,
-                      eval_bb, linearize_ma_per_triangle, owner_dofs, run_level_full_steps,
-                      stored_quadrature)
+from _oracles import (assemble_cartesian, coefficients_at_nodes,
+                      corner_dofs_by_gradient, error_norms_per_triangle, eval_bb,
+                      linearize_ma_at_nodes, linearize_ma_per_triangle, owner_dofs,
+                      run_level_full_steps, stored_quadrature)
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +130,12 @@ def test_linearize_ma_is_bit_identical_to_per_triangle_loop(ctx_name, request):
 def test_reference_quadrature_matches_stored_derivatives(name, hierarchies):
     # the chunks' frames and differenced coefficients against the
     # Cartesian G, H stacks they replace (stored_quadrature, every chunk,
-    # pies included), at L3 on a random spline; differences are in units
-    # of eps relative to the largest entry (measured at most: G and H
-    # 3.5, cofactor 2.2, residual 9.6, matrix 4.7 against the Cartesian
-    # assembly of assemble_cartesian, rhs 5.9; eigmin 2 ulps)
+    # pies included, with the cofactor tabulated at the nodes by
+    # linearize_ma_at_nodes), at L3 on a random spline; differences are in
+    # units of eps relative to the largest entry (measured at most: G and
+    # H 3.5, cofactor 2.2 with its BB coefficients evaluated at the nodes,
+    # residual 11.0, matrix 6.2 against the Cartesian assembly of
+    # assemble_cartesian, rhs 5.9; eigmin 2 ulps)
     eps = np.finfo(float).eps
     quad = asm.TriangleQuadrature(build_space(hierarchies[name][2]))
     old = stored_quadrature(quad)
@@ -153,8 +156,9 @@ def test_reference_quadrature_matches_stored_derivatives(name, hierarchies):
     rng = np.random.default_rng(4)
     u = quad.space.spline(rng.standard_normal(quad.space.dimension))
     *new_fields, new_eigmin = sol.linearize_ma(u, g, quad)
-    *old_fields, old_eigmin = sol.linearize_ma(u, g, old)
-    for new_field, old_field, bound in zip(new_fields, old_fields, (16, 64)):
+    *old_fields, old_eigmin = linearize_ma_at_nodes(u, g, old)
+    nodal = [lambda ch: coefficients_at_nodes(ch, new_fields[0](ch)), new_fields[1]]
+    for new_field, old_field, bound in zip(nodal, old_fields, (16, 64)):
         new_tab = [new_field(ch) for ch in quad.chunks]
         old_tab = [old_field(ch) for ch in old.chunks]
         scale = max(np.abs(t).max() for t in old_tab)
