@@ -546,8 +546,10 @@ class SolveResult:
 MAX_REL_RESIDUAL = 1e-6
 
 # conjugate gradients preconditioned by single-precision factors
-# (Factors.solve): the relative residual every solve must reach, within at
-# most KRYLOV_MAXITER iterations, on the factored matrix or a nearby one
+# (Factors.solve): the tightest relative residual a solve is asked for,
+# and the default of direct callers (the Newton solves ask for looser
+# ones, see solver.step_rtol), within at most KRYLOV_MAXITER iterations,
+# on the factored matrix or a nearby one
 KRYLOV_RTOL = 1e-13
 KRYLOV_MAXITER = 40
 
@@ -622,13 +624,13 @@ class Factors:
         z *= self.scale
         return z
 
-    def solve(self, rhs, matrix=None):
+    def solve(self, rhs, matrix=None, *, rtol=KRYLOV_RTOL):
         """Solve matrix x = rhs, the factored matrix when matrix is None,
         by conjugate gradients preconditioned by precondition, to the
-        relative residual KRYLOV_RTOL within KRYLOV_MAXITER iterations.
+        relative residual rtol within KRYLOV_MAXITER iterations.
         SolverError, carrying the iterations run, when x is not finite,
         when its relative residual exceeds MAX_REL_RESIDUAL, or when CG
-        missed its tolerance, checked in that order."""
+        missed rtol, checked in that order."""
         A = self.matrix if matrix is None else matrix
         iterations = 0
 
@@ -637,7 +639,7 @@ class Factors:
             iterations += 1
 
         precond = spla.LinearOperator(A.shape, matvec=self.precondition, dtype=float)
-        x, info = spla.cg(A, rhs, rtol=KRYLOV_RTOL, atol=0.0, maxiter=KRYLOV_MAXITER,
+        x, info = spla.cg(A, rhs, rtol=rtol, atol=0.0, maxiter=KRYLOV_MAXITER,
                           M=precond, callback=count)
         if not np.all(np.isfinite(x)):
             raise SolverError("sparse factorization produced non-finite values "
@@ -648,18 +650,19 @@ class Factors:
             raise SolverError(f"sparse solve residual {res:.2e} too large "
                               f"(condition estimate {est:.2e})", iterations)
         if info != 0:
-            raise SolverError(f"CG missed the relative residual {KRYLOV_RTOL:.0e} "
+            raise SolverError(f"CG missed the relative residual {rtol:.3g} "
                               f"within {iterations} iterations", iterations)
         return SolveResult(x, res, iterations)
 
 
-def solve_sparse(system):
-    """Factor the system's matrix and solve it (see Factors).  The
-    result's factors solve further right-hand sides with the same matrix
-    without factoring it again; results of those solves hold no factors,
-    so dropping this result and the factors frees them."""
+def solve_sparse(system, *, rtol=KRYLOV_RTOL):
+    """Factor the system's matrix and solve it to the relative residual
+    rtol (see Factors).  The result's factors solve further right-hand
+    sides with the same matrix without factoring it again; results of
+    those solves hold no factors, so dropping this result and the factors
+    frees them."""
     factors = Factors(system.matrix)
-    result = factors.solve(system.rhs)
+    result = factors.solve(system.rhs, rtol=rtol)
     result.factors = factors
     return result
 

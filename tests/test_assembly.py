@@ -253,6 +253,25 @@ def test_solve_of_a_nearby_matrix_missing_the_cg_tolerance_raises(disk_space, mo
     assert info.value.iterations == 4
 
 
+def test_solve_to_a_looser_tolerance(disk_space, monkeypatch):
+    # rtol is the relative residual CG is asked for: a looser one stops
+    # sooner, within it, and a missed one is named in the error
+    quad = asm.TriangleQuadrature(disk_space)
+    K = asm.assemble(EYE, quad)
+    factors = asm.Factors(K)
+    nearby = (K + 1e-3 * asm.assemble(asm.constant_matrix([[2.0, 1.0], [1.0, 3.0]]),
+                                      quad)).tocsr()
+    b = np.random.default_rng(4).standard_normal(disk_space.dimension)
+    loose, tight = factors.solve(b, nearby, rtol=1e-7), factors.solve(b, nearby)
+    assert loose.iterations < tight.iterations
+    assert tight.rel_residual < loose.rel_residual <= 1e-7
+    assert asm.solve_sparse(asm.SparseSystem(K, b), rtol=1e-7).rel_residual <= 1e-7
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 4)
+    with pytest.raises(asm.SolverError, match="CG missed the relative residual 2.5e-11 "
+                                              "within 4 iterations"):
+        factors.solve(b, nearby, rtol=2.5e-11)
+
+
 def test_factors_are_single_precision(disk_space):
     quad = asm.TriangleQuadrature(disk_space)
     factors = asm.Factors(asm.assemble(EYE, quad))

@@ -402,7 +402,7 @@ def test_level_solver_facts(disk_problem):
     for rep in reports:
         facts = rep.solver
         assert facts["lu_fill"] > facts["nnz"] > 0
-        assert facts["rel_residual"] < 1e-10
+        assert facts["rel_residual"] <= asm.MAX_REL_RESIDUAL / 10
         # one factorization per level (no CG fallback here), a CG solve for
         # each later real step, and a frozen solve after each real step;
         # the last one stopped the level
@@ -488,7 +488,7 @@ def test_level_line_is_logged(disk_problem, caplog):
     with caplog.at_level(logging.INFO, logger="conicfem"):
         sol.multilevel_run(disk_problem, 1)
     assert ("level 1: dim=134 m=3 factorizations=1 refactorizations=0 "
-            "krylov_iters=[6, 6] R=") in caplog.text
+            "krylov_iters=[3, 3] krylov_rtols=['1.0e-07', '1.0e-07'] R=") in caplog.text
 
 
 def test_rates_do_not_depend_on_levels_run(disk_problem):
@@ -645,9 +645,9 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
     rhs_calls = [0]
     real, real_rhs = asm.solve_sparse, asm.assemble_rhs
 
-    def counting(system):
+    def counting(system, **kwargs):
         calls[0] += 1
-        return real(system)
+        return real(system, **kwargs)
 
     def counting_rhs(f, quad):
         rhs_calls[0] += 1
@@ -672,8 +672,9 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
         assert state.solver["factorizations"] == new_calls == (
             1 + state.solver["refactorizations"])
         assert calls[0] == len(norms) == m + 1
-        # measured at most 1.1e-14 (c2-domain L2): the later steps solve by
-        # CG, the full steps factor each matrix
+        # measured at most 7.0e-15 (c2-domain L1): the later steps solve by
+        # CG to their step_rtol, the full steps factor each matrix and
+        # solve it to KRYLOV_RTOL
         rel = np.abs(state.spline.dofs - want.dofs).max() / np.abs(want.dofs).max()
         assert rel < 1e-12
         u = state.spline
@@ -684,11 +685,20 @@ def c2_ctx4(hierarchies):
     return sol.LevelContext(refine_uniform(hierarchies["c2-domain"][2]))
 
 
+def _frozen(ctx, g, u, factors):
+    """The norm of the simplified Newton correction at u with the factors,
+    solved to run_level's tolerance, and the stop threshold at the
+    corrected iterate."""
+    rhs = -sol.newton_rhs(ctx, u, g)[2]
+    u_next, n = sol._corrected(ctx, u, factors.solve(rhs, rtol=sol.LOOSEST_RTOL).dofs)
+    return n, sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad)
+
+
 def _frozen_ratio(ctx, g, u, factors):
     """The simplified Newton correction at u with the factors, over the
     stop threshold at the corrected iterate."""
-    u_next, n = sol._corrected(ctx, u, factors.solve(-sol.newton_rhs(ctx, u, g)[2]).dofs)
-    return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad))
+    n, threshold = _frozen(ctx, g, u, factors)
+    return n / threshold
 
 
 def _one_ulp_ratios(ctx, g, u, factors, draws=20):
@@ -702,31 +712,106 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
     # c2-domain L4 from the Poisson guess: the frozen correction fails the
     # stop rule after real steps 1-3 and passes after step 4, also when
     # the iterate after step 4 moves by random one-ulp changes, so m = 4
-    # is no roundoff draw
+    # is no roundoff draw; each step factors its own matrix and solves to
+    # run_level's tolerances
     ctx, g = c2_ctx4, problem_g("c2-domain")
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
+    rtol = sol.LOOSEST_RTOL
     for k in range(1, 5):
         solves.factors = None
-        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves, rtol=rtol)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
-        assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
-    # measured at most 0.142 (1.14x the floor), so this keeps more than a
+        nu, threshold = _frozen(ctx, g, u, solves.factors)
+        assert (nu < threshold) == (k == 4)
+        rtol = sol.step_rtol(n, nu, threshold)
+    # measured at most 0.082 (0.66x the floor), so this keeps more than a
     # 4x margin under the threshold
     assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
 
 
 def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
-    # the same as run_level steps: one factorization, steps 2-4 by CG, and
-    # every stop test with the level's (step 1) factors
+    # the same as run_level steps: one factorization, steps 2-4 by CG to
+    # their step_rtol, and every stop test with the level's (step 1) factors
     ctx, g = c2_ctx4, problem_g("c2-domain")
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
+    rtol = sol.LOOSEST_RTOL
     for k in range(1, 5):
-        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves, rtol=rtol)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
-        assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
+        nu, threshold = _frozen(ctx, g, u, solves.factors)
+        assert (nu < threshold) == (k == 4)
+        rtol = sol.step_rtol(n, nu, threshold)
     assert solves.factorizations == 1 and len(solves.krylov_iters) == 3
-    # measured at most 0.174 (1.39x the floor): the level's factors read
-    # the roundoff of the step-4 iterate larger than its own (0.142 above)
+    # measured at most 0.180 (1.44x the floor): the level's factors read
+    # the roundoff of the step-4 iterate larger than its own (0.082 above)
     assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
+
+
+def test_last_tolerance_of_c2_l4_is_set_by_the_floor(c2_ctx4, monkeypatch):
+    # c2-domain L4 from the Poisson guess: step 4 asks CG for
+    # FORCING * threshold / nu, from the step-3 correction n, the frozen
+    # correction nu after it and the threshold at its corrected iterate;
+    # the floor term is larger than Theta^2 there, and no clip applies
+    ctx, g = c2_ctx4, problem_g("c2-domain")
+    corrections, floors = [], []
+    real_corrected, real_floor = sol._corrected, sol.newton_floor
+
+    def corrected(ctx, u, dofs):
+        out = real_corrected(ctx, u, dofs)
+        corrections.append(out[1])
+        return out
+
+    def floor(u, quad):
+        floors.append(real_floor(u, quad))
+        return floors[-1]
+
+    monkeypatch.setattr(sol, "_corrected", corrected)
+    monkeypatch.setattr(sol, "newton_floor", floor)
+    state, _ = sol.run_level(ctx, g, sol.poisson_initial_guess(ctx, g))
+    # a real and a frozen correction per step, each with its floor
+    assert state.iterations == 4 and len(corrections) == len(floors) == 8
+    assert corrections[0::2] == state.update_norms[:4]
+    rtols = state.solver["krylov_rtols"]
+    assert len(rtols) == len(state.solver["krylov_iters"]) == 3
+    n, nu, threshold = state.update_norms[2], corrections[5], sol.STOP_MARGIN * floors[5]
+    assert threshold / nu > (nu / n) ** 2
+    want = sol.FORCING * threshold / nu
+    assert asm.KRYLOV_RTOL < want < asm.MAX_REL_RESIDUAL / 10
+    assert rtols[-1] == want
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_every_cg_tolerance_lies_between_the_tightest_and_the_loosest(pid, monkeypatch):
+    # run_level asks each later real step for its step_rtol and every
+    # other solve (the Poisson guess, first steps, frozen solves) for
+    # LOOSEST_RTOL = MAX_REL_RESIDUAL / 10; krylov_rtols reports the former
+    asked = []
+    real = asm.Factors.solve
+
+    def solve(self, rhs, matrix=None, *, rtol=asm.KRYLOV_RTOL):
+        asked.append(rtol)
+        return real(self, rhs, matrix, rtol=rtol)
+
+    monkeypatch.setattr(asm.Factors, "solve", solve)
+    dom, mesh = builtin_domain(pid)
+    reports, _ = sol.multilevel_run(sol.MongeAmpereProblem(dom, mesh, problem_g(pid)), 2)
+    assert sol.LOOSEST_RTOL == asm.MAX_REL_RESIDUAL / 10
+    assert all(asm.KRYLOV_RTOL <= r <= sol.LOOSEST_RTOL for r in asked)
+    krylov = [r for rep in reports for r in rep.solver["krylov_rtols"]]
+    for rep in reports:
+        assert len(rep.solver["krylov_rtols"]) == len(rep.solver["krylov_iters"])
+    assert sorted(asked) == sorted(krylov + [sol.LOOSEST_RTOL] * (len(asked) - len(krylov)))
+
+
+def test_step_rtol_is_clipped_and_guards_zero_norms():
+    loose, tight = sol.LOOSEST_RTOL, asm.KRYLOV_RTOL
+    # a fast contraction: the quadratic term, or the loosest when it is larger
+    assert sol.step_rtol(1.0, 1e-3, 1e-14) == sol.FORCING * (1e-3 / 1.0) ** 2
+    assert sol.step_rtol(1.0, 0.5, 1e-3) == loose
+    # a near-final step: the floor term, never below the tightest
+    assert sol.step_rtol(1e-2, 1e-6, 1e-13) == sol.FORCING * 1e-13 / 1e-6
+    assert sol.step_rtol(1.0, 1e-6, 1e-20) == tight
+    # no contraction estimate without both norms
+    assert sol.step_rtol(0.0, 1e-3, 1e-14) == sol.step_rtol(1.0, 0.0, 0.0) == loose
