@@ -546,10 +546,9 @@ class SolveResult:
 MAX_REL_RESIDUAL = 1e-6
 
 # conjugate gradients preconditioned by single-precision factors
-# (Factors.solve): the tightest relative residual a solve is asked for,
-# and the default of direct callers (the Newton solves ask for looser
-# ones, see solver.step_rtol), within at most KRYLOV_MAXITER iterations,
-# on the factored matrix or a nearby one
+# (Factors.solve): the relative residual a solve reaches by default (the
+# Newton solves ask for solver.NEWTON_RTOL), within at most
+# KRYLOV_MAXITER iterations, on the factored matrix or a nearby one
 KRYLOV_RTOL = 1e-13
 KRYLOV_MAXITER = 40
 

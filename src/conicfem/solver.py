@@ -89,9 +89,8 @@ class LevelReport:
     # level's factors, one per real step); "krylov_iters", the CG
     # iterations of each real step after the first (on its own matrix,
     # preconditioned by the level's factors; a solve that failed and fell
-    # back to a fresh factorization too), and "krylov_rtols", the
-    # tolerance each of them was asked for (step_rtol); "rel_residual" is
-    # at most LOOSEST_RTOL (1e-7) by design; "frozen_iters", the CG
+    # back to a fresh factorization too); "rel_residual" is at most
+    # NEWTON_RTOL (1e-7) by design; "frozen_iters", the CG
     # iterations of each solve of a factored matrix itself, in order: a
     # factorization's first solve and each frozen solve
     # (NewtonSolves.frozen), each count one Factors.solve within
@@ -157,7 +156,7 @@ def poisson_initial_guess(ctx, g):
     matrix = asm.assemble(asm.constant_matrix(np.eye(2)), ctx.quad)
     rhs = asm.assemble_rhs(asm.pointwise(lambda pts: 2.0 * np.sqrt(np.asarray(g(pts)))),
                            ctx.quad)
-    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs), rtol=LOOSEST_RTOL)
+    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs), rtol=NEWTON_RTOL)
     return ctx.space.spline(result.dofs)
 
 
@@ -165,50 +164,34 @@ def poisson_initial_guess(ctx, g):
 # NEWTON_FLOOR * eps * |u| is roundoff.  A level stops on a correction below
 # STOP_MARGIN times that floor, its only threshold: scaling g by c^2 scales
 # u by c and keeps the Newton counts.  Measured with the level's factors,
-# every solve by CG to the tolerances of step_rtol, in runs of levels 1-5:
-# roundoff-only corrections read up to 1.05x the floor (c2-domain L5;
-# disk L5 0.57x, ellipse-exp L5 0.52x, ellipse-sin L5 0.50x), and up to
-# 1.44x on c2-domain L4 under one-ulp changes of its iterate; the smallest
+# every solve by CG to NEWTON_RTOL, in runs of levels 1-5: roundoff-only
+# corrections read up to 1.05x the floor (c2-domain L5; disk L5 0.57x,
+# ellipse-exp L5 0.52x, ellipse-sin L5 0.50x; disk L6 0.96x), and up to
+# 1.22x on c2-domain L4 under one-ulp changes of its iterate; the smallest
 # real correction that must not stop a level is 42.8x (ellipse-sin L3;
-# c2-domain L3 54.6x, disk L3 100x).  A margin of 8 leaves 5.6x below it
+# c2-domain L3 54.6x, disk L3 100x).  A margin of 8 leaves 6.5x below it
 # and 5.4x above it.  A level runs at most MAX_STEPS real steps.
 NEWTON_FLOOR = 100.0
 STOP_MARGIN = 8.0
 MAX_STEPS = 20
 
-# The CG tolerances of run_level (inexact Newton: R. Dembo, S. Eisenstat
-# and T. Steihaug, SIAM J. Numer. Anal. 19 (1982); Deuflhard, sec. 2.1.5).
-# The Poisson guess, the first real step and every frozen solve ask for
-# LOOSEST_RTOL: later steps correct the start and step 1, and a frozen
-# correction is applied only below the stop threshold.  A later real step
-# asks for step_rtol.  Measured in runs of levels 1-4 of the four problems
-# and on c2-domain L4 from the Poisson guess: FORCING = 1, 0.1, 0.01 and
-# 0.001 keep every m and a largest stop_ratio of 0.075-0.076, and the final
-# iterates of the levels of test_frozen_termination_matches_full_steps
-# within 1.1e-14 of full steps solved to KRYLOV_RTOL.  The floor term binds
-# only at step 4 of c2-domain L4, which asks 2.9e-8 and takes 7 CG
-# iterations at 0.01 (6 at the loosest, 8 at 0.001, 13 at KRYLOV_RTOL):
-# at 0.01 that solve's relative residual times its correction is a
-# hundredth of the stop threshold.
-LOOSEST_RTOL = asm.MAX_REL_RESIDUAL / 10
-FORCING = 0.01
-
-
-def step_rtol(n, nu, threshold):
-    """The CG tolerance of the real step after a real correction of norm n
-    whose frozen correction, of norm nu, failed the stop threshold:
-    FORCING * max(Theta^2, threshold / nu) within [KRYLOV_RTOL,
-    LOOSEST_RTOL], where Theta = nu / n is Deuflhard's contraction
-    estimate.  nu predicts the coming correction and Theta^2 nu, under
-    quadratic convergence, the one after it, so a solve error small
-    against that leaves Newton's path as it is; threshold / nu keeps the
-    error of a near-final step small against the stop threshold.  A zero
-    n or nu asks for LOOSEST_RTOL."""
-    if n > 0.0 and nu > 0.0:
-        eta = FORCING * max((nu / n) ** 2, threshold / nu)
-    else:
-        eta = LOOSEST_RTOL
-    return float(min(max(eta, asm.KRYLOV_RTOL), LOOSEST_RTOL))
+# The relative residual every CG solve of run_level and of the Poisson
+# guess is asked for (inexact Newton: R. Dembo, S. Eisenstat and T.
+# Steihaug, SIAM J. Numer. Anal. 19 (1982); Deuflhard, sec. 2.1.5).
+# Newton needs each correction's error small, not its residual; CG
+# preconditioned by the level's float32 factors is nearly exact, so the
+# error follows the residual.  Measured against the same right-hand sides
+# solved to KRYLOV_RTOL, in runs of levels 1-5 of the four problems, disk
+# L6 and c2-domain L4 from the Poisson guess: every correction's relative
+# L2 error is at most 9.1e-8 (a later real step of c2-domain L2; 7.0e-9
+# on a factored matrix itself).  The steps after a real step correct its
+# error, and the last real step's error is at most 3e-3 of the stop
+# threshold; a frozen correction read to 7.0e-9 relative (at most 1e-9 of
+# the threshold at the stops) decides the stop as one solved to
+# KRYLOV_RTOL would.  Every m is unchanged and the final iterates of
+# the levels of test_frozen_termination_matches_full_steps are within
+# 7.0e-15 of full steps solved to KRYLOV_RTOL.
+NEWTON_RTOL = asm.MAX_REL_RESIDUAL / 10
 
 
 class NewtonSolves:
@@ -216,9 +199,8 @@ class NewtonSolves:
     factorization, the level's, and the facts of the solves.
 
     Every solve is assembly.Factors.solve: CG preconditioned by the
-    level's factors to the tolerance rtol its caller asks for (run_level:
-    step_rtol for real steps after the first, LOOSEST_RTOL otherwise),
-    under its one cap and one acceptance rule.  The first real step
+    level's factors to the relative residual NEWTON_RTOL, under its one
+    cap and one acceptance rule.  The first real step
     factors its matrix, and those factors become the level's.
     Later real steps solve their own matrix with the level's factors
     (solve); when that fails, the matrix is factored afresh and its
@@ -226,28 +208,25 @@ class NewtonSolves:
     corrections solve the factored matrix itself (frozen).  Keeps the
     largest matrix nnz, LU fill, factor MB and relative residual, the
     counts of factorizations, refactorizations and frozen-factor solves,
-    the CG iterations and tolerance of each real step after the first
-    (krylov_iters and krylov_rtols, a failed one too) and the CG
-    iterations of each solve of a factored matrix itself (frozen_iters)."""
+    and the CG iterations of each real step after the first
+    (krylov_iters, a failed one too) and of each solve of a factored
+    matrix itself (frozen_iters)."""
 
     def __init__(self):
         self.nnz = self.lu_fill = self.factorizations = self.refactorizations = 0
         self.frozen_solves = 0
         self.lu_mb = 0.0
         self.krylov_iters = []
-        self.krylov_rtols = []
         self.frozen_iters = []
         self.rel_residual = 0.0
         self.factors = None
 
-    def solve(self, matrix, rhs, *, rtol=asm.KRYLOV_RTOL):
-        """The SolveResult of a real step's system matrix x = rhs, solved
-        to the relative residual rtol."""
+    def solve(self, matrix, rhs):
+        """The SolveResult of a real step's system matrix x = rhs."""
         self.nnz = max(self.nnz, matrix.nnz)
         if self.factors is not None:
-            self.krylov_rtols.append(rtol)
             try:
-                result = self.factors.solve(rhs, matrix, rtol=rtol)
+                result = self.factors.solve(rhs, matrix, rtol=NEWTON_RTOL)
             except asm.SolverError as exc:
                 self.krylov_iters.append(exc.iterations)
                 self.refactorizations += 1
@@ -256,7 +235,7 @@ class NewtonSolves:
                 self.krylov_iters.append(result.iterations)
                 self.rel_residual = max(self.rel_residual, result.rel_residual)
                 return result
-        result = asm.solve_sparse(asm.SparseSystem(matrix, rhs), rtol=rtol)
+        result = asm.solve_sparse(asm.SparseSystem(matrix, rhs), rtol=NEWTON_RTOL)
         self.factorizations += 1
         self.lu_fill = max(self.lu_fill, result.factors.lu_fill)
         self.lu_mb = max(self.lu_mb, result.factors.lu_mb)
@@ -265,10 +244,9 @@ class NewtonSolves:
         self.factors, result.factors = result.factors, None
         return result
 
-    def frozen(self, rhs, *, rtol=asm.KRYLOV_RTOL):
-        """The SolveResult of the level's factored matrix x = rhs, solved
-        to the relative residual rtol."""
-        result = self.factors.solve(rhs, rtol=rtol)
+    def frozen(self, rhs):
+        """The SolveResult of the level's factored matrix x = rhs."""
+        result = self.factors.solve(rhs, rtol=NEWTON_RTOL)
         self.frozen_solves += 1
         self.frozen_iters.append(result.iterations)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
@@ -280,7 +258,6 @@ class NewtonSolves:
                 "factorizations": self.factorizations,
                 "refactorizations": self.refactorizations,
                 "krylov_iters": list(self.krylov_iters),
-                "krylov_rtols": list(self.krylov_rtols),
                 "frozen_iters": list(self.frozen_iters),
                 "frozen_solves": self.frozen_solves}
 
@@ -298,13 +275,12 @@ def _corrected(ctx, u, dofs):
     return ctx.space.spline(u.dofs - w.dofs), asm.l2_norm(w, ctx.quad)
 
 
-def newton_step(ctx, u, linearized, solves, *, rtol=asm.KRYLOV_RTOL):
+def newton_step(ctx, u, linearized, solves):
     """One real Newton step at u: assemble the matrix of linearized (the
     newton_rhs of u) and solve its system through solves, the level's
-    NewtonSolves, to the relative residual rtol.  Returns (new iterate,
-    L2 norm of the correction)."""
+    NewtonSolves.  Returns (new iterate, L2 norm of the correction)."""
     A, _, rhs = linearized
-    result = solves.solve(asm.assemble(A, ctx.quad), -rhs, rtol=rtol)
+    result = solves.solve(asm.assemble(A, ctx.quad), -rhs)
     return _corrected(ctx, u, result.dofs)
 
 
@@ -333,13 +309,11 @@ def run_level(ctx, g, u0):
     matrix since the level's factorization.  When it is below STOP_MARGIN
     times newton_floor of the corrected iterate it is applied and the
     level stops; otherwise the next real step assembles its matrix from
-    that same linearization, and its CG is asked for step_rtol of the last
-    real correction, the frozen one and the threshold (the first real step
-    and every frozen solve ask for LOOSEST_RTOL).  A real correction below
-    the threshold also stops the level.  At most MAX_STEPS real steps
-    run; four growing corrections in a row count as divergence.  The
-    level's factors live in its NewtonSolves, so they are released when
-    it returns.
+    that same linearization.  Every solve asks CG for NEWTON_RTOL.  A real
+    correction below the threshold also stops the level.  At most
+    MAX_STEPS real steps run; four growing corrections in a row count as
+    divergence.  The level's factors live in its NewtonSolves, so they are
+    released when it returns.
 
     Every iterate after the starting one must be strictly convex (Hessian
     eigmin > 0 at all quadrature nodes), or the linearization is not
@@ -354,9 +328,8 @@ def run_level(ctx, g, u0):
     linearized = newton_rhs(ctx, u0, g)
     eigmin = linearized[1]
     stopped_by = None
-    rtol = LOOSEST_RTOL
     for k in range(1, MAX_STEPS + 1):
-        u, n = newton_step(ctx, u, linearized, solves, rtol=rtol)
+        u, n = newton_step(ctx, u, linearized, solves)
         norms.append(n)
         floor = newton_floor(u, ctx.quad)
         if n < STOP_MARGIN * floor:
@@ -372,16 +345,13 @@ def run_level(ctx, g, u0):
                 f"level {ctx.mesh.level}: Newton iterate {k} is not convex "
                 f"(least Hessian eigenvalue {e:.3e}), so its linearization "
                 "is not elliptic")
-        u_next, n_next = _corrected(
-            ctx, u, solves.frozen(-linearized[2], rtol=LOOSEST_RTOL).dofs)
+        u_next, n_next = _corrected(ctx, u, solves.frozen(-linearized[2]).dofs)
         floor_next = newton_floor(u_next, ctx.quad)
-        threshold = STOP_MARGIN * floor_next
-        if n_next < threshold:
+        if n_next < STOP_MARGIN * floor_next:
             u, n, floor = u_next, n_next, floor_next
             norms.append(n)
             stopped_by = "frozen"
             break
-        rtol = step_rtol(n, n_next, threshold)
     m = k - 1 if stopped_by == "real" and k > 1 else k
     facts = dict(solves.facts(), newton_floor=float(floor),
                  stop_ratio=float(n / (STOP_MARGIN * floor)))
@@ -517,11 +487,9 @@ def multilevel_run(problem, levels):
             prev_report.eps_errors = asm.error_norms(u, ctx.quad, coarse=coarse)
         timings["norms"] = time.perf_counter() - start
         log.info("level %d: dim=%d m=%d factorizations=%d refactorizations=%d "
-                 "krylov_iters=%s krylov_rtols=%s R=%.3e updates=%s lu_mb=%.2f "
-                 "frozen_iters=%s",
+                 "krylov_iters=%s R=%.3e updates=%s lu_mb=%.2f frozen_iters=%s",
                  lev, rep.dimension, rep.iterations, rep.solver["factorizations"],
                  rep.solver["refactorizations"], rep.solver["krylov_iters"],
-                 ["%.1e" % r for r in rep.solver["krylov_rtols"]],
                  rep.residual, ["%.1e" % n for n in rep.update_norms],
                  rep.solver["lu_mb"], rep.solver["frozen_iters"])
         reports.append(rep)

@@ -488,7 +488,7 @@ def test_level_line_is_logged(disk_problem, caplog):
     with caplog.at_level(logging.INFO, logger="conicfem"):
         sol.multilevel_run(disk_problem, 1)
     assert ("level 1: dim=134 m=3 factorizations=1 refactorizations=0 "
-            "krylov_iters=[3, 3] krylov_rtols=['1.0e-07', '1.0e-07'] R=") in caplog.text
+            "krylov_iters=[3, 3] R=") in caplog.text
 
 
 def test_rates_do_not_depend_on_levels_run(disk_problem):
@@ -574,7 +574,8 @@ def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_
     # the second Newton matrix with the first one's factors: that one CG
     # call, capped at one iteration, misses its tolerance, so the old
     # factors are released, the matrix is factored afresh, its factors
-    # become the level's, and the step's solution is the direct one
+    # become the level's, and the step's solution is the direct one (both
+    # solved to NEWTON_RTOL)
     import weakref
     ctx, g = disk_ctx, disk_problem.g
     u0 = sol.poisson_initial_guess(ctx, g)
@@ -583,7 +584,7 @@ def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_
     first = weakref.ref(solves.factors)
     A, _, rhs = sol.newton_rhs(ctx, u1, g)
     matrix = asm.assemble(A, ctx.quad)
-    want = asm.solve_sparse(asm.SparseSystem(matrix, -rhs)).dofs
+    want = asm.solve_sparse(asm.SparseSystem(matrix, -rhs), rtol=sol.NEWTON_RTOL).dofs
 
     class Fresh(asm.Factors):
         def __init__(self, matrix):
@@ -672,9 +673,9 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
         assert state.solver["factorizations"] == new_calls == (
             1 + state.solver["refactorizations"])
         assert calls[0] == len(norms) == m + 1
-        # measured at most 7.0e-15 (c2-domain L1): the later steps solve by
-        # CG to their step_rtol, the full steps factor each matrix and
-        # solve it to KRYLOV_RTOL
+        # measured at most 7.0e-15 (c2-domain L1): run_level's solves ask
+        # CG for NEWTON_RTOL, the full steps factor each matrix and solve
+        # it to KRYLOV_RTOL
         rel = np.abs(state.spline.dofs - want.dofs).max() / np.abs(want.dofs).max()
         assert rel < 1e-12
         u = state.spline
@@ -685,20 +686,13 @@ def c2_ctx4(hierarchies):
     return sol.LevelContext(refine_uniform(hierarchies["c2-domain"][2]))
 
 
-def _frozen(ctx, g, u, factors):
-    """The norm of the simplified Newton correction at u with the factors,
-    solved to run_level's tolerance, and the stop threshold at the
-    corrected iterate."""
-    rhs = -sol.newton_rhs(ctx, u, g)[2]
-    u_next, n = sol._corrected(ctx, u, factors.solve(rhs, rtol=sol.LOOSEST_RTOL).dofs)
-    return n, sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad)
-
-
 def _frozen_ratio(ctx, g, u, factors):
-    """The simplified Newton correction at u with the factors, over the
-    stop threshold at the corrected iterate."""
-    n, threshold = _frozen(ctx, g, u, factors)
-    return n / threshold
+    """The simplified Newton correction at u with the factors, solved to
+    run_level's NEWTON_RTOL, over the stop threshold at the corrected
+    iterate."""
+    rhs = -sol.newton_rhs(ctx, u, g)[2]
+    u_next, n = sol._corrected(ctx, u, factors.solve(rhs, rtol=sol.NEWTON_RTOL).dofs)
+    return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad))
 
 
 def _one_ulp_ratios(ctx, g, u, factors, draws=20):
@@ -712,81 +706,41 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
     # c2-domain L4 from the Poisson guess: the frozen correction fails the
     # stop rule after real steps 1-3 and passes after step 4, also when
     # the iterate after step 4 moves by random one-ulp changes, so m = 4
-    # is no roundoff draw; each step factors its own matrix and solves to
-    # run_level's tolerances
+    # is no roundoff draw; each step factors its own matrix and solves it,
+    # as run_level does, to NEWTON_RTOL
     ctx, g = c2_ctx4, problem_g("c2-domain")
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
-    rtol = sol.LOOSEST_RTOL
     for k in range(1, 5):
         solves.factors = None
-        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves, rtol=rtol)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
-        nu, threshold = _frozen(ctx, g, u, solves.factors)
-        assert (nu < threshold) == (k == 4)
-        rtol = sol.step_rtol(n, nu, threshold)
+        assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     # measured at most 0.082 (0.66x the floor), so this keeps more than a
     # 4x margin under the threshold
     assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
 
 
 def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
-    # the same as run_level steps: one factorization, steps 2-4 by CG to
-    # their step_rtol, and every stop test with the level's (step 1) factors
+    # the same as run_level steps: one factorization, steps 2-4 by CG, and
+    # every stop test with the level's (step 1) factors, all to NEWTON_RTOL
     ctx, g = c2_ctx4, problem_g("c2-domain")
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
-    rtol = sol.LOOSEST_RTOL
     for k in range(1, 5):
-        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves, rtol=rtol)
+        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), solves)
         assert n > sol.STOP_MARGIN * sol.newton_floor(u, ctx.quad)
-        nu, threshold = _frozen(ctx, g, u, solves.factors)
-        assert (nu < threshold) == (k == 4)
-        rtol = sol.step_rtol(n, nu, threshold)
+        assert (_frozen_ratio(ctx, g, u, solves.factors) < 1.0) == (k == 4)
     assert solves.factorizations == 1 and len(solves.krylov_iters) == 3
-    # measured at most 0.180 (1.44x the floor): the level's factors read
+    # measured at most 0.153 (1.22x the floor): the level's factors read
     # the roundoff of the step-4 iterate larger than its own (0.082 above)
     assert max(_one_ulp_ratios(ctx, g, u, solves.factors)) < 0.25
 
 
-def test_last_tolerance_of_c2_l4_is_set_by_the_floor(c2_ctx4, monkeypatch):
-    # c2-domain L4 from the Poisson guess: step 4 asks CG for
-    # FORCING * threshold / nu, from the step-3 correction n, the frozen
-    # correction nu after it and the threshold at its corrected iterate;
-    # the floor term is larger than Theta^2 there, and no clip applies
-    ctx, g = c2_ctx4, problem_g("c2-domain")
-    corrections, floors = [], []
-    real_corrected, real_floor = sol._corrected, sol.newton_floor
-
-    def corrected(ctx, u, dofs):
-        out = real_corrected(ctx, u, dofs)
-        corrections.append(out[1])
-        return out
-
-    def floor(u, quad):
-        floors.append(real_floor(u, quad))
-        return floors[-1]
-
-    monkeypatch.setattr(sol, "_corrected", corrected)
-    monkeypatch.setattr(sol, "newton_floor", floor)
-    state, _ = sol.run_level(ctx, g, sol.poisson_initial_guess(ctx, g))
-    # a real and a frozen correction per step, each with its floor
-    assert state.iterations == 4 and len(corrections) == len(floors) == 8
-    assert corrections[0::2] == state.update_norms[:4]
-    rtols = state.solver["krylov_rtols"]
-    assert len(rtols) == len(state.solver["krylov_iters"]) == 3
-    n, nu, threshold = state.update_norms[2], corrections[5], sol.STOP_MARGIN * floors[5]
-    assert threshold / nu > (nu / n) ** 2
-    want = sol.FORCING * threshold / nu
-    assert asm.KRYLOV_RTOL < want < asm.MAX_REL_RESIDUAL / 10
-    assert rtols[-1] == want
-
-
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
-def test_every_cg_tolerance_lies_between_the_tightest_and_the_loosest(pid, monkeypatch):
-    # run_level asks each later real step for its step_rtol and every
-    # other solve (the Poisson guess, first steps, frozen solves) for
-    # LOOSEST_RTOL = MAX_REL_RESIDUAL / 10; krylov_rtols reports the former
+def test_every_solve_of_a_run_asks_newton_rtol(pid, monkeypatch):
+    # the Poisson guess, every real step and every frozen solve ask CG for
+    # NEWTON_RTOL = MAX_REL_RESIDUAL / 10
     asked = []
     real = asm.Factors.solve
 
@@ -797,21 +751,7 @@ def test_every_cg_tolerance_lies_between_the_tightest_and_the_loosest(pid, monke
     monkeypatch.setattr(asm.Factors, "solve", solve)
     dom, mesh = builtin_domain(pid)
     reports, _ = sol.multilevel_run(sol.MongeAmpereProblem(dom, mesh, problem_g(pid)), 2)
-    assert sol.LOOSEST_RTOL == asm.MAX_REL_RESIDUAL / 10
-    assert all(asm.KRYLOV_RTOL <= r <= sol.LOOSEST_RTOL for r in asked)
-    krylov = [r for rep in reports for r in rep.solver["krylov_rtols"]]
-    for rep in reports:
-        assert len(rep.solver["krylov_rtols"]) == len(rep.solver["krylov_iters"])
-    assert sorted(asked) == sorted(krylov + [sol.LOOSEST_RTOL] * (len(asked) - len(krylov)))
-
-
-def test_step_rtol_is_clipped_and_guards_zero_norms():
-    loose, tight = sol.LOOSEST_RTOL, asm.KRYLOV_RTOL
-    # a fast contraction: the quadratic term, or the loosest when it is larger
-    assert sol.step_rtol(1.0, 1e-3, 1e-14) == sol.FORCING * (1e-3 / 1.0) ** 2
-    assert sol.step_rtol(1.0, 0.5, 1e-3) == loose
-    # a near-final step: the floor term, never below the tightest
-    assert sol.step_rtol(1e-2, 1e-6, 1e-13) == sol.FORCING * 1e-13 / 1e-6
-    assert sol.step_rtol(1.0, 1e-6, 1e-20) == tight
-    # no contraction estimate without both norms
-    assert sol.step_rtol(0.0, 1e-3, 1e-14) == sol.step_rtol(1.0, 0.0, 0.0) == loose
+    assert sol.NEWTON_RTOL == asm.MAX_REL_RESIDUAL / 10
+    assert len(asked) == 1 + sum(len(rep.solver["krylov_iters"]) + len(rep.solver["frozen_iters"])
+                                 for rep in reports)
+    assert set(asked) == {sol.NEWTON_RTOL}

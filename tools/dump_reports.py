@@ -12,8 +12,7 @@ checkout's src/, so the same command run in two checkouts gives two
 files to diff.
 
 `--compare A B` reads two dumps and prints, per level, the `dimension`,
-the Newton count `m` (`iterations`), the `krylov_iters`, the
-`krylov_rtols` (the tolerances those CG solves were asked for) and the
+the Newton count `m` (`iterations`), the `krylov_iters` and the
 `frozen_iters` (every CG count of the level's solves) of both, the
 largest relative change from A to B of the `errors`, the `eps_errors`
 and the residual `R`, the `hessian_eigmin` of both (the convexity
@@ -75,21 +74,14 @@ def compare(a, b):
             for name, r in (("errors", rel_change(la["errors"], lb["errors"])),
                             ("eps_errors", rel_change(la["eps_errors"], lb["eps_errors"])),
                             ("R", rel_change(la["residual"], lb["residual"]))))
-        def show(r, fmt):
-            if r is None:
-                return "-"
-            if isinstance(r, list):
-                return "[" + ", ".join(f"{x:{fmt}}" for x in r) + "]"
-            return f"{r:{fmt}}"
-
         def both(key, fmt="", section="solver"):
-            return " ".join(show((lev[section] if section else lev).get(key), fmt)
-                            for lev in (la, lb))
+            return " ".join("-" if r is None else f"{r:{fmt}}"
+                            for r in ((lev[section] if section else lev).get(key)
+                                      for lev in (la, lb)))
 
         lines.append(
             f"level {la['level']}: dimension {la['dimension']} {lb['dimension']}, "
             f"m {la['iterations']} {lb['iterations']}, krylov_iters {both('krylov_iters')}, "
-            f"krylov_rtols {both('krylov_rtols', '.2g')}, "
             f"frozen_iters {both('frozen_iters')}; "
             f"largest relative change: {changes}; "
             f"hessian_eigmin {both('hessian_eigmin', section=None)}; lu_mb {both('lu_mb', '.4g')}, "
