@@ -200,17 +200,17 @@ class NewtonSolves:
 
     Every solve is assembly.Factors.solve: CG preconditioned by the
     level's factors to the relative residual NEWTON_RTOL, under its one
-    cap and one acceptance rule.  The first real step
-    factors its matrix, and those factors become the level's.
+    cap and one acceptance rule.  The first real step factors its matrix,
+    and those factors become the level's.
     Later real steps solve their own matrix with the level's factors
     (solve); when that fails, the matrix is factored afresh and its
     factors replace the level's (a refactorization).  Simplified Newton
     corrections solve the factored matrix itself (frozen).  Keeps the
     largest matrix nnz, LU fill, factor MB and relative residual, the
     counts of factorizations, refactorizations and frozen-factor solves,
-    and the CG iterations of each real step after the first
-    (krylov_iters, a failed one too) and of each solve of a factored
-    matrix itself (frozen_iters)."""
+    and the CG iterations of each real step after the first (krylov_iters,
+    a failed one too) and of each solve of a factored matrix itself
+    (frozen_iters)."""
 
     def __init__(self):
         self.nnz = self.lu_fill = self.factorizations = self.refactorizations = 0
