@@ -21,7 +21,7 @@ from . import assembly as asm
 from . import solver as sol
 from .geometry import GeometryError
 from .mesh import MeshError, load_mesh, refine_uniform, save_mesh
-from .problems import PROBLEM_IDS, builtin_domain, problem_exact, problem_g
+from .problems import PROBLEM_IDS, builtin_domain, builtin_problem
 from .space import SpaceError, build_space, load_spline, save_spline
 
 _CONFIG_KEYS = (
@@ -142,14 +142,10 @@ def cmd_solve(args):
         mesh = load_mesh(args.mesh)
         prob = sol.MongeAmpereProblem(mesh.domain, mesh, _custom_g(args.g_expr),
                                       name="custom")
-        exact = None
     else:
-        domain, mesh = builtin_domain(args.problem)
-        exact = problem_exact(args.problem)
-        prob = sol.MongeAmpereProblem(domain, mesh, problem_g(args.problem),
-                                      exact=exact, name=args.problem)
+        prob = builtin_problem(args.problem)
     reports, u = sol.multilevel_run(prob, args.levels)
-    rows = convergence_rows(reports, use_exact=exact is not None)
+    rows = convergence_rows(reports, use_exact=prob.exact is not None)
     print_table(rows)
     if args.output:
         write_csv(rows, args.output)

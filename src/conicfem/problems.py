@@ -10,6 +10,7 @@ import numpy as np
 
 from .geometry import BoundaryArc, Conic, ConicDomain
 from .mesh import classify_and_validate
+from .solver import MongeAmpereProblem
 
 
 def _ellipse_domain(k):
@@ -243,3 +244,10 @@ def problem_exact(problem_id):
     or None where it is not known."""
     exact_fn = _row(problem_id)[4]
     return None if exact_fn is None else exact_fn()
+
+
+def builtin_problem(problem_id):
+    """The MongeAmpereProblem of a built-in problem, read off its row."""
+    domain, mesh = builtin_domain(problem_id)
+    return MongeAmpereProblem(domain, mesh, problem_g(problem_id),
+                              exact=problem_exact(problem_id), name=problem_id)

@@ -80,26 +80,25 @@ class LevelReport:
     # Poisson solve on level 1), newton, norms (residual, errors, init
     # norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
-    # facts of the level's Newton solves (see NewtonSolves): the largest
-    # matrix "nnz", "lu_fill" (Factors.lu_fill: the nonzeros of the
-    # factors, which SuperLU stores without padding), "lu_mb" (the MB,
-    # 2**20 bytes, of those float32 values) and "rel_residual"; the counts
-    # of "factorizations" (1 + "refactorizations", the fresh
-    # factorizations after CG failed) and "frozen_solves" (solves with the
-    # level's factors, one per real step); "krylov_iters", the CG
-    # iterations of each real step after the first (on its own matrix,
-    # preconditioned by the level's factors; a solve that failed and fell
-    # back to a fresh factorization too); "rel_residual" is at most
-    # NEWTON_RTOL (1e-7) by design; "frozen_iters", the CG
-    # iterations of each solve of a factored matrix itself, in order: a
-    # factorization's first solve and each frozen solve
+    # facts of the level's Newton solves (see NewtonSolves): the largest matrix
+    # "nnz", "lu_fill" (Factors.lu_fill: the nonzeros of the factors, which
+    # SuperLU stores without padding), "lu_mb" (the MB, 2**20 bytes, of those
+    # float32 values) and "rel_residual"; the counts of "factorizations" (1 +
+    # "refactorizations", the fresh factorizations after CG failed) and
+    # "frozen_solves" (solves with the level's factors, one per real step);
+    # "krylov_iters", the CG iterations of each real step after the first (on
+    # its own matrix, preconditioned by the level's factors; a solve that
+    # failed and fell back to a fresh factorization too); "rel_residual" is at
+    # most the one tolerance of assembly.Factors.solve (1e-7) by design;
+    # "frozen_iters", the CG iterations of each solve of a factored matrix
+    # itself, in order: a factorization's first solve and each frozen solve
     # (NewtonSolves.frozen), each count one Factors.solve within
     # KRYLOV_MAXITER; the "newton_floor" (the roundoff floor at the final
-    # iterate, see newton_floor) and the "stop_ratio" (the last correction
-    # over the threshold STOP_MARGIN * newton_floor it passed); the "fill_defect"
-    # of the level's space; "quad_mb", the MB (2**20 bytes) of its
-    # quadrature data (TriangleQuadrature.nbytes); and "plan_mb", the MB
-    # of its assembly plan (ScatterPlan.nbytes)
+    # iterate, see newton_floor) and the "stop_ratio" (the last correction over
+    # the threshold STOP_MARGIN * newton_floor it passed); the "fill_defect" of
+    # the level's space; "quad_mb", the MB (2**20 bytes) of its quadrature data
+    # (TriangleQuadrature.nbytes); and "plan_mb", the MB of its assembly plan
+    # (ScatterPlan.nbytes)
     solver: dict = field(default_factory=dict)
 
 
@@ -156,42 +155,24 @@ def poisson_initial_guess(ctx, g):
     matrix = asm.assemble(asm.constant_matrix(np.eye(2)), ctx.quad)
     rhs = asm.assemble_rhs(asm.pointwise(lambda pts: 2.0 * np.sqrt(np.asarray(g(pts)))),
                            ctx.quad)
-    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs), rtol=NEWTON_RTOL)
+    result = asm.solve_sparse(asm.SparseSystem(matrix, -rhs))
     return ctx.space.spline(result.dofs)
 
 
-# The stop rule of run_level.  A correction below the floor
-# NEWTON_FLOOR * eps * |u| is roundoff.  A level stops on a correction below
-# STOP_MARGIN times that floor, its only threshold: scaling g by c^2 scales
-# u by c and keeps the Newton counts.  Measured with the level's factors,
-# every solve by CG to NEWTON_RTOL, in runs of levels 1-5: roundoff-only
-# corrections read up to 1.05x the floor (c2-domain L5; disk L5 0.57x,
-# ellipse-exp L5 0.52x, ellipse-sin L5 0.50x; disk L6 0.96x), and up to
-# 1.22x on c2-domain L4 under one-ulp changes of its iterate; the smallest
-# real correction that must not stop a level is 42.8x (ellipse-sin L3;
-# c2-domain L3 54.6x, disk L3 100x).  A margin of 8 leaves 6.5x below it
+# The stop rule of run_level.  A correction below the floor NEWTON_FLOOR *
+# eps * |u| is roundoff.  A level stops on a correction below STOP_MARGIN
+# times that floor, its only threshold: scaling g by c^2 scales u by c and
+# keeps the Newton counts.  Measured with the level's factors, every solve by
+# CG to the tolerance of assembly.Factors.solve, in runs of levels 1-5:
+# roundoff-only corrections read up to 1.05x the floor (c2-domain L5; disk
+# L5 0.57x, ellipse-exp L5 0.52x, ellipse-sin L5 0.50x; disk L6 0.96x), and
+# up to 1.22x on c2-domain L4 under one-ulp changes of its iterate; the
+# smallest real correction that must not stop a level is 42.8x (ellipse-sin
+# L3; c2-domain L3 54.6x, disk L3 100x).  A margin of 8 leaves 6.5x below it
 # and 5.4x above it.  A level runs at most MAX_STEPS real steps.
 NEWTON_FLOOR = 100.0
 STOP_MARGIN = 8.0
 MAX_STEPS = 20
-
-# The relative residual every CG solve of run_level and of the Poisson
-# guess is asked for (inexact Newton: R. Dembo, S. Eisenstat and T.
-# Steihaug, SIAM J. Numer. Anal. 19 (1982); Deuflhard, sec. 2.1.5).
-# Newton needs each correction's error small, not its residual; CG
-# preconditioned by the level's float32 factors is nearly exact, so the
-# error follows the residual.  Measured against the same right-hand sides
-# solved to KRYLOV_RTOL, in runs of levels 1-5 of the four problems, disk
-# L6 and c2-domain L4 from the Poisson guess: every correction's relative
-# L2 error is at most 9.1e-8 (a later real step of c2-domain L2; 7.0e-9
-# on a factored matrix itself).  The steps after a real step correct its
-# error, and the last real step's error is at most 3e-3 of the stop
-# threshold; a frozen correction read to 7.0e-9 relative (at most 1e-9 of
-# the threshold at the stops) decides the stop as one solved to
-# KRYLOV_RTOL would.  Every m is unchanged and the final iterates of
-# the levels of test_frozen_termination_matches_full_steps are within
-# 7.0e-15 of full steps solved to KRYLOV_RTOL.
-NEWTON_RTOL = asm.MAX_REL_RESIDUAL / 10
 
 
 class NewtonSolves:
@@ -199,9 +180,9 @@ class NewtonSolves:
     factorization, the level's, and the facts of the solves.
 
     Every solve is assembly.Factors.solve: CG preconditioned by the
-    level's factors to the relative residual NEWTON_RTOL, under its one
-    cap and one acceptance rule.  The first real step factors its matrix,
-    and those factors become the level's.
+    level's factors, under its one tolerance, one cap and one acceptance
+    rule.  The first real step factors its matrix, and those factors
+    become the level's.
     Later real steps solve their own matrix with the level's factors
     (solve); when that fails, the matrix is factored afresh and its
     factors replace the level's (a refactorization).  Simplified Newton
@@ -226,7 +207,7 @@ class NewtonSolves:
         self.nnz = max(self.nnz, matrix.nnz)
         if self.factors is not None:
             try:
-                result = self.factors.solve(rhs, matrix, rtol=NEWTON_RTOL)
+                result = self.factors.solve(rhs, matrix)
             except asm.SolverError as exc:
                 self.krylov_iters.append(exc.iterations)
                 self.refactorizations += 1
@@ -235,7 +216,7 @@ class NewtonSolves:
                 self.krylov_iters.append(result.iterations)
                 self.rel_residual = max(self.rel_residual, result.rel_residual)
                 return result
-        result = asm.solve_sparse(asm.SparseSystem(matrix, rhs), rtol=NEWTON_RTOL)
+        result = asm.solve_sparse(asm.SparseSystem(matrix, rhs))
         self.factorizations += 1
         self.lu_fill = max(self.lu_fill, result.factors.lu_fill)
         self.lu_mb = max(self.lu_mb, result.factors.lu_mb)
@@ -246,7 +227,7 @@ class NewtonSolves:
 
     def frozen(self, rhs):
         """The SolveResult of the level's factored matrix x = rhs."""
-        result = self.factors.solve(rhs, rtol=NEWTON_RTOL)
+        result = self.factors.solve(rhs)
         self.frozen_solves += 1
         self.frozen_iters.append(result.iterations)
         self.rel_residual = max(self.rel_residual, result.rel_residual)
@@ -309,11 +290,11 @@ def run_level(ctx, g, u0):
     matrix since the level's factorization.  When it is below STOP_MARGIN
     times newton_floor of the corrected iterate it is applied and the
     level stops; otherwise the next real step assembles its matrix from
-    that same linearization.  Every solve asks CG for NEWTON_RTOL.  A real
-    correction below the threshold also stops the level.  At most
-    MAX_STEPS real steps run; four growing corrections in a row count as
-    divergence.  The level's factors live in its NewtonSolves, so they are
-    released when it returns.
+    that same linearization.  Every solve asks CG for the one tolerance of
+    assembly.Factors.solve.  A real correction below the threshold also stops
+    the level.  At most MAX_STEPS real steps run; four growing corrections in
+    a row count as divergence.  The level's factors live in its NewtonSolves,
+    so they are released when it returns.
 
     Every iterate after the starting one must be strictly convex (Hessian
     eigmin > 0 at all quadrature nodes), or the linearization is not

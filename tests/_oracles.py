@@ -24,8 +24,9 @@ coefficients replace; the two agree to a few eps, and
 ``linearize_ma_at_nodes`` reads the Newton linearization, the cofactor
 tabulated at the nodes, through either.  Newton's termination by a frozen-factor
 correction is checked against the loop that confirms convergence with
-one more full step.  The level transfer's tangent-corner dofs are checked
-against the projection of the coarse gradient at the corner.  The
+one more full step, every step solved to TIGHT_RTOL.  The level
+transfer's tangent-corner dofs are checked against the projection of
+the coarse gradient at the corner.  The
 scalar ray/arc rule, one ray at a time, and the pie rules built on it
 (the (d)/(e) walk, curved midpoints, the per-pie quadrature) are the
 straightforward forms of the batched per-arc queries in ``geometry``,
@@ -47,6 +48,7 @@ import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import scipy.sparse as sps
 from scipy.special import roots_legendre
 
@@ -978,25 +980,32 @@ def error_norms_per_triangle(spline, quad, ref_batch):
 # ---------------------------------------------------------------------------
 # Newton termination by one more full step
 
+# the relative residual of the tight solves that tests compare against:
+# the tight_cg fixture's and run_level_full_steps'
+TIGHT_RTOL = 1e-13
+
+
 def run_level_full_steps(ctx, g, u0):
     """Newton iteration that confirms convergence with one more full step:
     every correction, the confirming one too, linearizes, assembles and
-    factors anew (solver.newton_step with a fresh NewtonSolves), and the
-    loop stops on the first correction below 100 eps |u| at the corrected
-    iterate, within solver.MAX_STEPS steps.
+    factors anew (solver.newton_step with a fresh NewtonSolves) and solves
+    by CG to TIGHT_RTOL, and the loop stops on the first correction below
+    100 eps |u| at the corrected iterate, within solver.MAX_STEPS steps.
     Returns (final iterate, m, correction norms, diverged), m counting the
     corrections but the confirming one, unless that is the only one."""
     u = u0
     norms = []
     converged = False
-    for _ in range(sol.MAX_STEPS):
-        u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), sol.NewtonSolves())
-        norms.append(n)
-        if n < 100.0 * np.finfo(float).eps * asm.l2_norm(u, ctx.quad):
-            converged = True
-            break
-        if len(norms) >= 4 and norms[-1] > norms[-2] > norms[-3] > norms[-4]:
-            break
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asm, "KRYLOV_RTOL", TIGHT_RTOL)
+        for _ in range(sol.MAX_STEPS):
+            u, n = sol.newton_step(ctx, u, sol.newton_rhs(ctx, u, g), sol.NewtonSolves())
+            norms.append(n)
+            if n < 100.0 * np.finfo(float).eps * asm.l2_norm(u, ctx.quad):
+                converged = True
+                break
+            if len(norms) >= 4 and norms[-1] > norms[-2] > norms[-3] > norms[-4]:
+                break
     m = len(norms) - 1 if converged and len(norms) > 1 else len(norms)
     return u, m, norms, not converged
 

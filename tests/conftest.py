@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
+from conicfem import assembly as asm
 from conicfem.geometry import BoundaryArc, Conic, ConicDomain
 from conicfem.mesh import refine_uniform
 from conicfem.problems import builtin_domain, disk_domain, disk_wheel_points, wheel_mesh
 from conicfem.space import build_space
+
+from _oracles import TIGHT_RTOL
+
+
+@pytest.fixture
+def tight_cg(monkeypatch):
+    """Every CG solve (assembly.Factors.solve) asked for the relative
+    residual TIGHT_RTOL (1e-13), not KRYLOV_RTOL (1e-7): for the tests that
+    check a solution or its residual near roundoff."""
+    monkeypatch.setattr(asm, "KRYLOV_RTOL", TIGHT_RTOL)
 
 
 @pytest.fixture(scope="session")

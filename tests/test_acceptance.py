@@ -207,7 +207,7 @@ def test_criterion_7_linearization():
                  f"cofactor identity exact: {quad_ok}")
 
 
-def test_criterion_8_geometry_and_poisson():
+def test_criterion_8_geometry_and_poisson(tight_cg):
     _, dmesh = builtin_domain("disk")
     dspace = build_space(refine_uniform(dmesh))
     dquad = asm.TriangleQuadrature(dspace)

@@ -138,7 +138,7 @@ def test_stiffness_symmetric_for_symmetric_A(disk_space):
     assert np.abs(K - K.T).max() < 1e-12 * np.abs(K).max()
 
 
-def test_solve_sparse_identity_and_mass_roundtrip(disk_space):
+def test_solve_sparse_identity_and_mass_roundtrip(disk_space, tight_cg):
     import scipy.sparse as sps
     n = disk_space.dimension
     rng = np.random.default_rng(0)
@@ -177,7 +177,8 @@ def test_singular_poisson_solve_raises_solver_error(disk_space):
 
 @pytest.mark.parametrize("scale, message", [(1e-100, "residual"),
                                             (1e-160, "non-finite")])
-def test_frozen_resolve_of_ill_conditioned_system_raises(disk_space, scale, message):
+def test_frozen_resolve_of_ill_conditioned_system_raises(disk_space, scale, message,
+                                                         tight_cg):
     # the Poisson matrix with one dof's row and column scaled down: the
     # factors solve a right-hand side that does not reach that dof, and a
     # re-solve with them that does runs the same checks and fails
@@ -194,7 +195,7 @@ def test_frozen_resolve_of_ill_conditioned_system_raises(disk_space, scale, mess
         first.factors.solve(np.ones(n))
 
 
-def test_frozen_resolve_matches_a_fresh_solve(disk_space):
+def test_frozen_resolve_matches_a_fresh_solve(disk_space, tight_cg):
     quad = asm.TriangleQuadrature(disk_space)
     system = asm.SparseSystem(asm.assemble(EYE, quad),
                               asm.assemble_rhs(asm.pointwise(lambda x: np.ones(len(x))), quad))
@@ -209,9 +210,9 @@ def test_frozen_resolve_matches_a_fresh_solve(disk_space):
 
 
 def test_solve_missing_the_cg_tolerance_raises_with_its_iterations(disk_space,
-                                                                   monkeypatch):
+                                                                   monkeypatch, tight_cg):
     # one cap for every solve: a CG that stops short of KRYLOV_RTOL fails,
-    # also on the factored matrix itself, whatever its residual
+    # also on the factored matrix itself
     quad = asm.TriangleQuadrature(disk_space)
     factors = asm.Factors(asm.assemble(EYE, quad))
     b = np.random.default_rng(3).standard_normal(disk_space.dimension)
@@ -221,15 +222,20 @@ def test_solve_missing_the_cg_tolerance_raises_with_its_iterations(disk_space,
     assert info.value.iterations == 1
 
 
-def test_solve_of_a_nearby_matrix_with_the_factors(disk_space):
-    # the factors precondition CG on another matrix, whose residual the
-    # result reports
-    quad = asm.TriangleQuadrature(disk_space)
+def _nearby_system(space):
+    """(K, its Factors, a nearby matrix, a right-hand side) on the space:
+    the Poisson matrix K, and K plus 1e-3 times an anisotropic one."""
+    quad = asm.TriangleQuadrature(space)
     K = asm.assemble(EYE, quad)
-    factors = asm.Factors(K)
     nearby = (K + 1e-3 * asm.assemble(asm.constant_matrix([[2.0, 1.0], [1.0, 3.0]]),
                                       quad)).tocsr()
-    b = np.random.default_rng(4).standard_normal(disk_space.dimension)
+    return K, asm.Factors(K), nearby, np.random.default_rng(4).standard_normal(space.dimension)
+
+
+def test_solve_of_a_nearby_matrix_with_the_factors(disk_space, tight_cg):
+    # the factors precondition CG on another matrix, whose residual the
+    # result reports
+    K, factors, nearby, b = _nearby_system(disk_space)
     res = factors.solve(b, nearby)
     assert 0 < res.iterations < asm.KRYLOV_MAXITER
     rel = np.linalg.norm(nearby @ res.dofs - b) / np.linalg.norm(b)
@@ -237,15 +243,11 @@ def test_solve_of_a_nearby_matrix_with_the_factors(disk_space):
     assert factors.matrix is K
 
 
-def test_solve_of_a_nearby_matrix_missing_the_cg_tolerance_raises(disk_space, monkeypatch):
+def test_solve_of_a_nearby_matrix_missing_the_cg_tolerance_raises(disk_space, monkeypatch,
+                                                                  tight_cg):
     # CG on the nearby matrix needs 6 iterations for KRYLOV_RTOL; capped at
     # 4 its residual passes MAX_REL_RESIDUAL, so the third check fails
-    quad = asm.TriangleQuadrature(disk_space)
-    K = asm.assemble(EYE, quad)
-    factors = asm.Factors(K)
-    nearby = (K + 1e-3 * asm.assemble(asm.constant_matrix([[2.0, 1.0], [1.0, 3.0]]),
-                                      quad)).tocsr()
-    b = np.random.default_rng(4).standard_normal(disk_space.dimension)
+    _, factors, nearby, b = _nearby_system(disk_space)
     monkeypatch.setattr(asm, "KRYLOV_MAXITER", 4)
     with pytest.raises(asm.SolverError, match="CG missed the relative residual 1e-13 "
                                               "within 4 iterations") as info:
@@ -254,22 +256,41 @@ def test_solve_of_a_nearby_matrix_missing_the_cg_tolerance_raises(disk_space, mo
 
 
 def test_solve_to_a_looser_tolerance(disk_space, monkeypatch):
-    # rtol is the relative residual CG is asked for: a looser one stops
-    # sooner, within it, and a missed one is named in the error
-    quad = asm.TriangleQuadrature(disk_space)
-    K = asm.assemble(EYE, quad)
-    factors = asm.Factors(K)
-    nearby = (K + 1e-3 * asm.assemble(asm.constant_matrix([[2.0, 1.0], [1.0, 3.0]]),
-                                      quad)).tocsr()
-    b = np.random.default_rng(4).standard_normal(disk_space.dimension)
-    loose, tight = factors.solve(b, nearby, rtol=1e-7), factors.solve(b, nearby)
+    # KRYLOV_RTOL, read at each solve, is the relative residual CG is asked
+    # for: a looser one stops sooner, within it, and a missed one is named
+    # in the error
+    K, factors, nearby, b = _nearby_system(disk_space)
+    monkeypatch.setattr(asm, "KRYLOV_RTOL", 1e-13)
+    tight = factors.solve(b, nearby)
+    monkeypatch.setattr(asm, "KRYLOV_RTOL", 1e-7)
+    loose = factors.solve(b, nearby)
     assert loose.iterations < tight.iterations
     assert tight.rel_residual < loose.rel_residual <= 1e-7
-    assert asm.solve_sparse(asm.SparseSystem(K, b), rtol=1e-7).rel_residual <= 1e-7
-    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 4)
+    assert asm.solve_sparse(asm.SparseSystem(K, b)).rel_residual <= 1e-7
+    # its residual is 2.4e-9 after 3 iterations and 8.3e-13 after 4
+    monkeypatch.setattr(asm, "KRYLOV_RTOL", 2.5e-11)
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", 3)
     with pytest.raises(asm.SolverError, match="CG missed the relative residual 2.5e-11 "
-                                              "within 4 iterations"):
-        factors.solve(b, nearby, rtol=2.5e-11)
+                                              "within 3 iterations"):
+        factors.solve(b, nearby)
+
+
+def test_solve_converging_on_its_last_allowed_iteration_passes(disk_space, monkeypatch):
+    # scipy's cg tests its residual before each iteration only, so capped
+    # at the iterations it needs it reports the cap; the solve's relative
+    # residual within KRYLOV_RTOL accepts it, with the uncapped result.
+    # One iteration less still fails and carries its iterations
+    _, factors, nearby, b = _nearby_system(disk_space)
+    free = factors.solve(b, nearby)
+    assert free.iterations == 3 and free.rel_residual <= asm.KRYLOV_RTOL
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", free.iterations)
+    capped = factors.solve(b, nearby)
+    np.testing.assert_array_equal(capped.dofs, free.dofs)
+    assert (capped.iterations, capped.rel_residual) == (free.iterations, free.rel_residual)
+    monkeypatch.setattr(asm, "KRYLOV_MAXITER", free.iterations - 1)
+    with pytest.raises(asm.SolverError) as info:
+        factors.solve(b, nearby)
+    assert info.value.iterations == free.iterations - 1
 
 
 def test_factors_are_single_precision(disk_space):
@@ -279,7 +300,7 @@ def test_factors_are_single_precision(disk_space):
     assert factors.lu_mb * 2**20 == 4 * factors.lu_fill > 0
 
 
-def test_solve_beyond_the_single_precision_range(disk_space):
+def test_solve_beyond_the_single_precision_range(disk_space, tight_cg):
     # the Poisson matrix scaled symmetrically by 1e20 has entries beyond
     # the float32 maximum; its equilibration is the unscaled one's
     import scipy.sparse as sps
@@ -488,7 +509,7 @@ def test_straight_chunks_hold_no_per_triangle_design_stacks(hierarchies):
     assert quad.nbytes < 4 * 2**20
 
 
-def test_symmetric_ordering_fills_less_than_colamd(disk_space2):
+def test_symmetric_ordering_fills_less_than_colamd(disk_space2, tight_cg):
     import scipy.sparse.linalg as spla
     quad = asm.TriangleQuadrature(disk_space2)
     K = asm.assemble(EYE, quad)
@@ -697,7 +718,7 @@ def test_non_symmetric_coefficient_is_rejected(disk_space):
     assert asm.assemble(A, quad).nnz > 0
 
 
-def test_poisson_reproduces_in_space_solution(disk_space2):
+def test_poisson_reproduces_in_space_solution(disk_space2, tight_cg):
     quad = asm.TriangleQuadrature(disk_space2)
     rhs = asm.assemble_rhs(asm.pointwise(lambda x: 2.0 * np.ones(len(x))), quad)
     res = asm.solve_sparse(asm.SparseSystem(asm.assemble(EYE, quad), -rhs))
@@ -711,7 +732,7 @@ def test_poisson_reproduces_in_space_solution(disk_space2):
     assert errs[0] < 1e-10
 
 
-def test_manufactured_solution_and_orthogonality(disk_space2):
+def test_manufactured_solution_and_orthogonality(disk_space2, tight_cg):
     # u* = (1 - x^2 - y^2)^2 lies in the space; f = -laplace(u*) = 8 - 16 r^2
     quad = asm.TriangleQuadrature(disk_space2)
     system = asm.SparseSystem(asm.assemble(EYE, quad), asm.assemble_rhs(
@@ -805,7 +826,7 @@ def test_zero_spline_vs_exact_matches_radial_oracle(disk_space2):
     assert abs(h2 - h2_ref) < 1e-8 * h2_ref
 
 
-def test_residual_norm_cases(disk_space2):
+def test_residual_norm_cases(disk_space2, tight_cg):
     quad = asm.TriangleQuadrature(disk_space2)
     # det(Hessian) of the in-space paraboloid (r^2-1)/2 is exactly 1
     rhs = asm.assemble_rhs(asm.pointwise(lambda x: 2.0 * np.ones(len(x))), quad)

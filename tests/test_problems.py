@@ -6,7 +6,7 @@ import pytest
 
 from conicfem import geometry as geo
 from conicfem.mesh import mesh_to_dict
-from conicfem.problems import (PROBLEM_IDS, builtin_domain, c2_domain,
+from conicfem.problems import (PROBLEM_IDS, builtin_domain, builtin_problem, c2_domain,
                                c2_domain_params, disk_domain,
                                disk_exact_solution, ellipse_domain, problem_exact,
                                problem_g)
@@ -103,10 +103,20 @@ def test_builtin_domains_load_and_validate():
 
 
 def test_unknown_problem_id_names_the_choices():
-    for fn in (builtin_domain, problem_g, problem_exact):
+    for fn in (builtin_domain, builtin_problem, problem_g, problem_exact):
         with pytest.raises(KeyError) as err:
             fn("nope")
         assert err.value.args == (f"unknown problem id 'nope'; choose from {PROBLEM_IDS}",)
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_builtin_problem_is_its_row(pid):
+    prob = builtin_problem(pid)
+    domain, mesh = builtin_domain(pid)
+    assert prob.name == pid and prob.g is problem_g(pid)
+    assert mesh_to_dict(prob.initial_mesh) == mesh_to_dict(mesh)
+    assert geo.domain_to_dict(prob.domain) == geo.domain_to_dict(domain)
+    assert (prob.exact is None) == (problem_exact(pid) is None)
 
 
 def test_only_the_disk_has_an_exact_solution():

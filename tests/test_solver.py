@@ -11,7 +11,8 @@ from conicfem import mesh as msh
 from conicfem import solver as sol
 from conicfem.mesh import BUFFER, ORDINARY, PIE
 from conicfem.mesh import refine_uniform
-from conicfem.problems import PROBLEM_IDS, builtin_domain, disk_exact_solution, problem_g
+from conicfem.problems import (PROBLEM_IDS, builtin_domain, builtin_problem,
+                               disk_exact_solution, problem_g)
 from conicfem.space import SplineFunction, SplineSpace, build_space
 
 from _oracles import (assemble_cartesian, coefficients_at_nodes,
@@ -402,7 +403,7 @@ def test_level_solver_facts(disk_problem):
     for rep in reports:
         facts = rep.solver
         assert facts["lu_fill"] > facts["nnz"] > 0
-        assert facts["rel_residual"] <= asm.MAX_REL_RESIDUAL / 10
+        assert facts["rel_residual"] <= asm.KRYLOV_RTOL
         # one factorization per level (no CG fallback here), a CG solve for
         # each later real step, and a frozen solve after each real step;
         # the last one stopped the level
@@ -575,7 +576,7 @@ def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_
     # call, capped at one iteration, misses its tolerance, so the old
     # factors are released, the matrix is factored afresh, its factors
     # become the level's, and the step's solution is the direct one (both
-    # solved to NEWTON_RTOL)
+    # solved to KRYLOV_RTOL)
     import weakref
     ctx, g = disk_ctx, disk_problem.g
     u0 = sol.poisson_initial_guess(ctx, g)
@@ -584,7 +585,7 @@ def test_failed_krylov_solve_falls_back_to_a_fresh_factorization(disk_ctx, disk_
     first = weakref.ref(solves.factors)
     A, _, rhs = sol.newton_rhs(ctx, u1, g)
     matrix = asm.assemble(A, ctx.quad)
-    want = asm.solve_sparse(asm.SparseSystem(matrix, -rhs), rtol=sol.NEWTON_RTOL).dofs
+    want = asm.solve_sparse(asm.SparseSystem(matrix, -rhs)).dofs
 
     class Fresh(asm.Factors):
         def __init__(self, matrix):
@@ -646,9 +647,9 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
     rhs_calls = [0]
     real, real_rhs = asm.solve_sparse, asm.assemble_rhs
 
-    def counting(system, **kwargs):
+    def counting(system):
         calls[0] += 1
-        return real(system, **kwargs)
+        return real(system)
 
     def counting_rhs(f, quad):
         rhs_calls[0] += 1
@@ -674,8 +675,8 @@ def test_frozen_termination_matches_full_steps(hierarchies, pid, levels,
             1 + state.solver["refactorizations"])
         assert calls[0] == len(norms) == m + 1
         # measured at most 7.0e-15 (c2-domain L1): run_level's solves ask
-        # CG for NEWTON_RTOL, the full steps factor each matrix and solve
-        # it to KRYLOV_RTOL
+        # CG for KRYLOV_RTOL (1e-7), the full steps factor each matrix and
+        # solve it to TIGHT_RTOL (1e-13)
         rel = np.abs(state.spline.dofs - want.dofs).max() / np.abs(want.dofs).max()
         assert rel < 1e-12
         u = state.spline
@@ -688,10 +689,10 @@ def c2_ctx4(hierarchies):
 
 def _frozen_ratio(ctx, g, u, factors):
     """The simplified Newton correction at u with the factors, solved to
-    run_level's NEWTON_RTOL, over the stop threshold at the corrected
+    KRYLOV_RTOL as in run_level, over the stop threshold at the corrected
     iterate."""
     rhs = -sol.newton_rhs(ctx, u, g)[2]
-    u_next, n = sol._corrected(ctx, u, factors.solve(rhs, rtol=sol.NEWTON_RTOL).dofs)
+    u_next, n = sol._corrected(ctx, u, factors.solve(rhs).dofs)
     return n / (sol.STOP_MARGIN * sol.newton_floor(u_next, ctx.quad))
 
 
@@ -707,7 +708,7 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
     # stop rule after real steps 1-3 and passes after step 4, also when
     # the iterate after step 4 moves by random one-ulp changes, so m = 4
     # is no roundoff draw; each step factors its own matrix and solves it,
-    # as run_level does, to NEWTON_RTOL
+    # as run_level does, to KRYLOV_RTOL
     ctx, g = c2_ctx4, problem_g("c2-domain")
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
@@ -723,7 +724,7 @@ def test_one_ulp_perturbations_keep_c2_l4_at_four_steps(c2_ctx4):
 
 def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
     # the same as run_level steps: one factorization, steps 2-4 by CG, and
-    # every stop test with the level's (step 1) factors, all to NEWTON_RTOL
+    # every stop test with the level's (step 1) factors, all to KRYLOV_RTOL
     ctx, g = c2_ctx4, problem_g("c2-domain")
     solves = sol.NewtonSolves()
     u = sol.poisson_initial_guess(ctx, g)
@@ -739,19 +740,17 @@ def test_one_ulp_perturbations_through_the_level_factors(c2_ctx4):
 
 @pytest.mark.parametrize("pid", PROBLEM_IDS)
 def test_every_solve_of_a_run_asks_newton_rtol(pid, monkeypatch):
-    # the Poisson guess, every real step and every frozen solve ask CG for
-    # NEWTON_RTOL = MAX_REL_RESIDUAL / 10
-    asked = []
+    # the Poisson guess, every real step and every frozen solve are one
+    # Factors.solve each, which asks CG for KRYLOV_RTOL = MAX_REL_RESIDUAL / 10
+    calls = [0]
     real = asm.Factors.solve
 
-    def solve(self, rhs, matrix=None, *, rtol=asm.KRYLOV_RTOL):
-        asked.append(rtol)
-        return real(self, rhs, matrix, rtol=rtol)
+    def solve(self, rhs, matrix=None):
+        calls[0] += 1
+        return real(self, rhs, matrix)
 
     monkeypatch.setattr(asm.Factors, "solve", solve)
-    dom, mesh = builtin_domain(pid)
-    reports, _ = sol.multilevel_run(sol.MongeAmpereProblem(dom, mesh, problem_g(pid)), 2)
-    assert sol.NEWTON_RTOL == asm.MAX_REL_RESIDUAL / 10
-    assert len(asked) == 1 + sum(len(rep.solver["krylov_iters"]) + len(rep.solver["frozen_iters"])
-                                 for rep in reports)
-    assert set(asked) == {sol.NEWTON_RTOL}
+    reports, _ = sol.multilevel_run(builtin_problem(pid), 2)
+    assert asm.KRYLOV_RTOL == asm.MAX_REL_RESIDUAL / 10
+    assert calls[0] == 1 + sum(len(rep.solver["krylov_iters"]) + len(rep.solver["frozen_iters"])
+                               for rep in reports)

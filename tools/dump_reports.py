@@ -34,15 +34,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from conicfem import solver as sol  # noqa: E402
-from conicfem.problems import (PROBLEM_IDS, builtin_domain,  # noqa: E402
-                               problem_exact, problem_g)
+from conicfem.problems import PROBLEM_IDS, builtin_problem  # noqa: E402
 
 
 def dump(problem_id, levels):
-    domain, mesh = builtin_domain(problem_id)
-    problem = sol.MongeAmpereProblem(domain, mesh, problem_g(problem_id),
-                                     exact=problem_exact(problem_id), name=problem_id)
-    reports, u = sol.multilevel_run(problem, levels)
+    reports, u = sol.multilevel_run(builtin_problem(problem_id), levels)
     fields = [{k: v for k, v in dataclasses.asdict(rep).items() if k != "timings"}
               for rep in reports]
     return {"problem": problem_id, "levels": fields, "dofs": u.dofs.tolist()}
