@@ -45,6 +45,12 @@ ORDINARY = "ordinary"
 BUFFER = "buffer"
 PIE = "pie"
 
+# least twice the area over the longest edge squared of a triangle: the
+# fill's defect grows as about 1.5e-16 over this ratio (disk hub moved
+# towards a chord: 5.0e-9 at 2.6e-8, 6.5e-11 at 2.6e-6), so at 1e-6 it
+# stays near 1e-10, a hundredth of the 1e-8 at which the fill fails
+MIN_SHAPE = 1e-6
+
 
 class MeshError(ValueError):
     """Triangulation violates a structural condition."""
@@ -147,9 +153,15 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     scale = max(1.0, float(np.abs(vertices).max()))
 
     # consistent ccw orientation; degenerate relative to each triangle's size
-    for t in np.flatnonzero(bb.degenerate(vertices[tris]))[:1]:
+    xy = vertices[tris]
+    for t in np.flatnonzero(bb.degenerate(xy))[:1]:
         raise MeshError("mesh", f"degenerate triangle {tuple(tris[t].tolist())}")
-    tris = np.where((bb.triangle_area(vertices[tris]) > 0)[:, None], tris, tris[:, [0, 2, 1]])
+    area2, sides = 2.0 * bb.triangle_area(xy), np.roll(xy, -1, axis=1) - xy
+    shape = np.abs(area2) / (sides * sides).sum(axis=2).max(axis=1)
+    for t in np.flatnonzero(shape < MIN_SHAPE)[:1]:
+        raise MeshError("mesh", f"thin triangle {tuple(tris[t].tolist())}: twice its area over "
+                        f"its longest edge squared is {shape[t]:.2e}, below {MIN_SHAPE:g}")
+    tris = np.where((area2 > 0)[:, None], tris, tris[:, [0, 2, 1]])
 
     # edges: one per sorted vertex pair; half-edge 3t + k runs from slot k to k + 1
     halves = np.sort(np.stack([tris, np.roll(tris, -1, axis=1)], axis=-1), axis=-1)

@@ -15,6 +15,7 @@ start from a quasi-interpolant of the previous level's last iterate.
 """
 
 import logging
+import resource
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +81,9 @@ class LevelReport:
     # Poisson solve on level 1), newton, norms (residual, errors, init
     # norms and the previous level's eps errors)
     timings: dict = field(default_factory=dict)
+    # the process's high-water mark of resident memory in MB (ru_maxrss /
+    # 1024) read after each phase of `timings`, by the same keys
+    peak_mb: dict = field(default_factory=dict)
     # facts of the level's Newton solves (see NewtonSolves): the largest matrix
     # "nnz", "lu_fill" (Factors.lu_fill: the nonzeros of the factors, which
     # SuperLU stores without padding), "lu_mb" (the MB, 2**20 bytes, of those
@@ -102,6 +106,11 @@ class LevelReport:
     solver: dict = field(default_factory=dict)
 
 
+def _peak_mb():
+    """The process's high-water mark of resident memory so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 class LevelContext:
     """Space + quadrature of one refinement level."""
 
@@ -109,10 +118,11 @@ class LevelContext:
         self.mesh = mesh
         start = time.perf_counter()
         self.space = build_space(mesh)
-        built = time.perf_counter()
+        built, self.peak_mb = time.perf_counter(), {"space": _peak_mb()}
         self.quad = asm.TriangleQuadrature(self.space)
         self.timings = {"space": built - start,
                         "quad": time.perf_counter() - built}
+        self.peak_mb["quad"] = _peak_mb()
 
 
 def _check_positive_g(problem, ctx):
@@ -414,11 +424,12 @@ def multilevel_run(problem, levels):
         raise ValueError(f"levels must be >= 1, got {levels}")
     reports = []
     meshes = [problem.initial_mesh]
-    refine_s = [0.0]
+    refine_s, refine_mb = [0.0], [_peak_mb()]
     for _ in range(levels - 1):
         start = time.perf_counter()
         meshes.append(refine_uniform(meshes[-1]))
         refine_s.append(time.perf_counter() - start)
+        refine_mb.append(_peak_mb())
 
     prev_u = None
     prev_report = None
@@ -426,6 +437,7 @@ def multilevel_run(problem, levels):
     for lev, mesh in enumerate(meshes, start=1):
         ctx = LevelContext(mesh)
         timings = {"refine": refine_s[lev - 1], **ctx.timings}
+        peak_mb = {"refine": refine_mb[lev - 1], **ctx.peak_mb}
         _check_positive_g(problem, ctx)
         start = time.perf_counter()
         if lev == 1:
@@ -433,10 +445,10 @@ def multilevel_run(problem, levels):
         else:
             coarse = coarse_on_fine(prev_u, ctx.space)
             u0 = transfer_guess(coarse, ctx.space)
-        timings["transfer"] = time.perf_counter() - start
+        timings["transfer"], peak_mb["transfer"] = time.perf_counter() - start, _peak_mb()
         start = time.perf_counter()
         state, eigmin = run_level(ctx, problem.g, u0)
-        timings["newton"] = time.perf_counter() - start
+        timings["newton"], peak_mb["newton"] = time.perf_counter() - start, _peak_mb()
         start = time.perf_counter()
         init_res = init_err = None
         if lev == 1:
@@ -455,6 +467,7 @@ def multilevel_run(problem, levels):
             init_errors=init_err,
             init_residual=init_res,
             timings=timings,
+            peak_mb=peak_mb,
             solver=dict(state.solver, fill_defect=ctx.space.fill_defect,
                         quad_mb=ctx.quad.nbytes / 2**20,
                         plan_mb=ctx.quad.scatter.nbytes / 2**20),
@@ -466,7 +479,7 @@ def multilevel_run(problem, levels):
             # quadrature: the coarse pieces re-expanded on the fine
             # triangles are subtracted coefficient by coefficient
             prev_report.eps_errors = asm.error_norms(u, ctx.quad, coarse=coarse)
-        timings["norms"] = time.perf_counter() - start
+        timings["norms"], peak_mb["norms"] = time.perf_counter() - start, _peak_mb()
         log.info("level %d: dim=%d m=%d factorizations=%d refactorizations=%d "
                  "krylov_iters=%s R=%.3e updates=%s lu_mb=%.2f frozen_iters=%s",
                  lev, rep.dimension, rep.iterations, rep.solver["factorizations"],

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from . import bernstein as bb
 from .geometry import eval_conic, grad_conic, is_number_list, normalized_pie_conic
@@ -231,20 +230,58 @@ def corner_block(P):
 # ---------------------------------------------------------------------------
 # the fill as sparse linear equations
 
-def _absmax(data, indptr):
-    """The largest |data| of each segment indptr[i]:indptr[i + 1], 0 when empty."""
-    out = np.zeros(len(indptr) - 1)
-    some = np.flatnonzero(np.diff(indptr))
-    out[some] = np.maximum.reduceat(np.abs(data[:indptr[-1]]), indptr[some])
-    return out
-
-
-def _row_absmax(M):
-    return _absmax(M.data, M.indptr)
-
-
 def _concat(entries):
     return tuple(np.concatenate(x) for x in zip(*entries))
+
+
+def _ranges(start, length):
+    """The indices start[i]..start[i] + length[i] - 1 for each i, and the i of each."""
+    i = np.repeat(np.arange(len(start)), length)
+    return np.arange(len(i)) + (start + length - np.cumsum(length))[i], i
+
+
+def _bits(n):
+    return max(int(n) - 1, 0).bit_length()          # that hold 0..n - 1
+
+
+def _sorted(key, width):
+    """(order, key[order]) for int64 keys below 2**width, equal keys in
+    their order, sorting key in place: one sort of the keys with the
+    entry number in the low bits when that fits in int64."""
+    bits = _bits(len(key))
+    if width + bits > 63:
+        order = np.argsort(key, kind="stable")
+        key[:] = key[order]
+        return order, key
+    key <<= bits
+    key |= np.arange(len(key))
+    key.sort()
+    order = key & ((1 << bits) - 1)
+    key >>= bits
+    return order, key
+
+
+def _starts(key):
+    """The indices at which sorted keys change, from 0."""
+    return np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+
+
+def _sums(row, col, rank, val, bounds):
+    """The distinct (row, col) pairs of entries, in order, and the sum of
+    each pair's vals in order of rank (distinct within a pair), formed
+    from +0.0 by np.bincount; bounds are those of row, col and rank."""
+    rb, cb, kb = (_bits(b) for b in bounds)
+    order, key = _sorted((row << cb | col) << kb | rank, rb + cb + kb)
+    key >>= kb
+    at = _starts(key)
+    group = np.repeat(np.arange(len(at)), np.diff(at, append=len(key)))
+    return key[at] >> cb, key[at] & ((1 << cb) - 1), np.bincount(group, weights=val[order])
+
+
+def _absmax(row, val, n):
+    out = np.zeros(n)                                # 0 for a row without entries
+    np.maximum.at(out, row, np.abs(val))
+    return out
 
 
 class _Propagator:
@@ -252,14 +289,16 @@ class _Propagator:
 
     Every stored BB coefficient (patch coefficients on ordinary and buffer
     triangles, factor coefficients on pies) has a global index.  Each fill
-    step sets target coefficients to weighted sums of dofs or of
-    coefficients set by earlier steps.  The first equation of a coefficient
-    defines it, as a row of W (coefficient sources) or of S (dof sources);
-    every later equation for it is a check row.  A step reads only
-    coefficients set before it, so W is strictly triangular and the map
-    Z = S + W Z from dofs to coefficients is evaluated by fill level: the
-    rows of one level read only rows of lower levels, so each row is
-    formed once, from rows already exact (_by_level).
+    step sets target coefficients to weighted sums of dofs (a row of S) or
+    of coefficients set by earlier steps (a row of W).  Row k < n is the
+    first equation of coefficient k, which defines it; row n + i is the
+    i-th later equation (a check row).  W is strictly triangular, so the
+    map Z = S + W Z from dofs to coefficients is formed by fill level: a
+    row of level 0 is its dof entries as emitted, a row of level L >= 1
+    reads rows of lower levels only and is W_r Z, each entry summed from
+    +0.0 over W_r by ascending source, exact zeros dropped.  These are the
+    sums and entries of sparse products of W and S as CSR matrices, so the
+    maps and fill_defect are theirs bit for bit (_solve).
     """
 
     def __init__(self, mesh, mds):
@@ -297,11 +336,10 @@ class _Propagator:
         locs = np.asarray(locs, dtype=np.int64)
         weights = np.asarray(weights, dtype=float)
         tris = np.asarray(tris)
-        _, r, c = weights.shape
+        c = weights.shape[2]
         k = np.flatnonzero(weights)            # (a, i, j) in C order
-        eq = k // c                            # a r + i
-        src = np.asarray(src, dtype=np.int64).ravel()[eq // r * c + k - eq * c]
-        self.entries[from_dofs].append((self.n_eq + eq, src, weights.ravel()[k]))
+        src = np.broadcast_to(np.asarray(src, dtype=np.int64)[:, None], weights.shape)
+        self.entries[from_dofs].append((self.n_eq + k // c, src.ravel()[k], weights.ravel()[k]))
         self.targets.append((self.offset[tris if tris.ndim == 2 else tris[:, None]]
                              + locs).ravel())
         self.n_eq += locs.size
@@ -326,8 +364,8 @@ class _Propagator:
     # -- pipeline ----------------------------------------------------------
 
     def run(self):
-        """Run the fill and return the coefficient map Z (sparse, global
-        coefficients x dofs); sets self.defect from the check rows."""
+        """Run the fill and return the coefficient map Z (see _solve); sets
+        self.defect from the check rows."""
         self._seed_dofs()
         self._fill_rings()
         self._fill_ordinary()
@@ -338,65 +376,74 @@ class _Propagator:
         return self._solve()
 
     def _solve(self):
-        n = self.offset[-1]
+        """Z as entries (equation, dof, value) of its rows, each under its
+        equation, and the coefficient each equation defines (-1: a check)."""
+        n, n_eq, dim = self.offset[-1], self.n_eq, self.mds.dimension
         target = np.concatenate(self.targets)
-        first = np.full(n, self.n_eq)      # first equation of each coefficient
-        defined, pos = np.unique(target, return_index=True)
-        first[defined] = pos
-        eq, src, w = _concat(self.entries[False])
+        first = np.full(n, n_eq)           # first equation of each coefficient
+        np.minimum.at(first, target, np.arange(n_eq))
+        eq, src, w = _concat(self.entries.pop(False))
         for e in eq[first[src] >= eq][:1]:
             t, _ = self._where(target[e])
             raise PropagationError(f"fill of triangle {t} reads an unset coefficient")
-        # definitions are rows 0..n-1 (by target), check rows follow
-        check = first[target] != np.arange(self.n_eq)
-        row = np.where(check, n + np.cumsum(check) - 1, target)
-        A = sparse.csr_matrix((w, (row[eq], src)), shape=(n + check.sum(), n))
-        eq, dof, w = _concat(self.entries[True])
-        B = sparse.csr_matrix((w, (row[eq], dof)),
-                              shape=(n + check.sum(), self.mds.dimension))
-        # each definition row once, level by level of the fill
-        Z = self._by_level(A[:n], B[:n])
-        again = B[n:] + A[n:] @ Z
-        first_def = Z[target[check]]
-        scale = np.maximum(np.maximum(_row_absmax(again), _row_absmax(first_def)), 1.0)
-        gaps = _row_absmax(again - first_def) / scale
+        checks = np.flatnonzero(first[target] != np.arange(n_eq))
+        n_chk, eqs = len(checks), np.concatenate([first, checks])   # the equation of each row
+        row = target.copy()
+        row[checks] = n + np.arange(n_chk)
+        # W by row, then source (the order of each sum), with each entry's rank in its row
+        order, _ = _sorted(row[eq] << _bits(n) | src, _bits(n + n_chk) + _bits(n))
+        row, src, w = row[eq[order]], src[order], w[order]
+        rank = np.arange(len(src)) - np.searchsorted(row, row)
+        level = np.zeros(n + n_chk, dtype=np.int64)
+        above = np.zeros(n + n_chk, dtype=bool)     # the rows of level >= L, from L = 1
+        above[row] = True
+        while above.any():                          # level >= L + 1: reads a row of level >= L
+            level += above
+            above = np.bincount(row[above[src]], minlength=n + n_chk) > 0
+        # row k: entries start[k]:start[k] + length[k] of the dof entries at
+        # level 0, else of the rows formed so far
+        deq, dof, dw = _concat(self.entries.pop(True))
+        length = np.bincount(deq, minlength=n_eq + 1)
+        start, length = (np.cumsum(length) - length)[eqs], length[eqs]
+        formed = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)
+
+        def take(rows):
+            """Entries (i, dof, value) of the rows rows[i]."""
+            hi, parts = level[rows] > 0, []
+            for at, (_, cols, vals) in ((np.flatnonzero(~hi), (deq, dof, dw)),
+                                        (np.flatnonzero(hi), formed)):
+                idx, i = _ranges(start[rows[at]], length[rows[at]])
+                parts.append((at[i], cols[idx], vals[idx]))
+            return _concat(parts)
+
+        for L in range(1, level.max(initial=0) + 1):
+            rows, at = np.flatnonzero(level == L), np.flatnonzero(level[row] == L)
+            i, col, z = take(src[at])
+            r, c, v = _sums(np.searchsorted(rows, row[at])[i], col, rank[at][i], w[at][i] * z,
+                            (len(rows), dim, rank.max(initial=0) + 1))
+            r, c, v = r[v != 0], c[v != 0], v[v != 0]
+            length[rows] = np.bincount(r, minlength=len(rows))
+            start[rows] = len(formed[0]) + np.cumsum(length[rows]) - length[rows]
+            formed = _concat([formed, (eqs[rows[r]], c, v)])
+        # each check row minus its coefficient's row
+        a_row, a_col, a_val = take(n + np.arange(n_chk))
+        f_row, f_col, f_val = take(target[checks])
+        d_row, _, d_val = _sums(np.concatenate([a_row, f_row]), np.concatenate([a_col, f_col]),
+                                np.repeat([0, 1], [len(a_row), len(f_row)]),
+                                np.concatenate([a_val, -f_val]), (n_chk, dim, 2))
+        gaps = _absmax(d_row, d_val, n_chk) / np.maximum(np.maximum(
+            _absmax(a_row, a_val, n_chk), _absmax(f_row, f_val, n_chk)), 1.0)
         self.defect = float(gaps.max(initial=0.0))
         for c in np.flatnonzero(gaps > 1e-8)[:1]:
-            t, i = self._where(target[check][c])
+            t, i = self._where(target[checks[c]])
             g = bb.multi_indices(int(self.degree[t]))[i]
             raise PropagationError(f"inconsistent fill at triangle {t}, index {g} "
                                    f"(gap {gaps[c]:.2e})")
         for k in np.flatnonzero(first == self.n_eq)[:1]:
             t, i = self._where(k)
             raise PropagationError(f"coefficient {i} of triangle {t} unset")
-        return Z
-
-    @staticmethod
-    def _by_level(W, S):
-        """The map Z = S + W Z from the definition rows W (coefficient
-        sources) and S (dof sources), each row formed once.  A coefficient
-        set from dofs alone has fill level 0, any other 1 + the highest
-        level it reads.  From Z = S, Z <- Z + W_L Z for each level L, W_L
-        the level-L rows of W: a row of level L reads only rows already
-        final, so it gets the sum S_r + W_r Z of the last of the sweeps
-        Z <- S + W Z, and every other row is left as it is."""
-        n = W.shape[0]
-        counts = np.diff(W.indptr)
-        reader = np.repeat(np.arange(n), counts)      # the row of each entry
-        level = np.zeros(n, dtype=np.int64)
-        above = counts > 0                     # the rows of level >= L, from L = 1
-        while above.any():                     # level >= L + 1: reads a row of level >= L
-            level += above
-            above = np.bincount(reader[above[W.indices]], minlength=n) > 0
-        Z = S
-        for L in range(1, level.max(initial=0) + 1):
-            rows = level == L
-            keep = rows[reader]
-            WL = sparse.csr_matrix((W.data[keep], W.indices[keep],
-                                    np.concatenate([[0], np.cumsum(counts * rows)])),
-                                   shape=W.shape)
-            Z = Z + WL @ Z
-        return Z
+        target[checks] = -1
+        return _concat([(deq, dof, dw), formed]) + (target,)
 
     def _seed_dofs(self):
         n = self.mds.dimension
@@ -636,39 +683,44 @@ class MapGroup:
 
 
 def _map_groups(mesh, prop, Z):
-    """Split the CSR map Z (stored coefficients x dofs) into MapGroups.
-
-    Per triangle the dofs are the sorted columns its rows touch, found by
-    sorting its entries (one CSR row over the triangle's rows) by column,
-    and entries below 1e-15 of the triangle's largest (or of 1) are
-    dropped before the maps are scattered dense."""
-    n_tri = mesh.n_triangles
-    ends = Z.indptr[prop.offset]                        # each triangle's entry range
-    tri = np.repeat(np.arange(n_tri), np.diff(ends))    # per entry
-    row = np.repeat(np.arange(Z.shape[0]), np.diff(Z.indptr)) - prop.offset[tri]
-    # each triangle's entries by column, carrying their entry numbers
-    by_col = sparse.csr_matrix((np.arange(Z.nnz), Z.indices, ends), shape=(n_tri, Z.shape[1]))
-    by_col.sort_indices()
-    new = np.ones(Z.nnz, dtype=bool)                    # first entry of a (triangle, column)
-    new[1:] = (tri[1:] != tri[:-1]) | (by_col.indices[1:] != by_col.indices[:-1])
-    k = np.bincount(tri[new], minlength=n_tri)
-    start = np.concatenate([[0], np.cumsum(k)])
-    pos = np.empty(Z.nnz, dtype=np.int64)               # column in its triangle
-    pos[by_col.data] = np.cumsum(new) - 1 - start[tri]
-    cols_all = by_col.indices[new].astype(np.int64)
-    scale = np.maximum(_absmax(Z.data, ends), 1.0)
-    data = np.where(np.abs(Z.data) < 1e-15 * scale[tri], 0.0, Z.data)
-    # groups in the order of their first triangle
+    """Split the map Z of _Propagator.run into MapGroups, writing nothing
+    to Z: per triangle the dofs are the sorted columns its rows touch,
+    from one sort of the entries by (triangle, column); entries below
+    1e-15 of the triangle's largest (or of 1) are dropped, and the maps
+    are scattered dense, every group's into one buffer."""
+    eq, dof, val, coef = Z
+    n_tri, db = mesh.n_triangles, _bits(prop.mds.dimension)
+    tri = np.append(np.repeat(np.arange(n_tri), np.diff(prop.offset)), n_tri)[coef]
+    order, key = _sorted(tri[eq] << db | dof, _bits(n_tri + 1) + db)   # checks last
+    n = np.searchsorted(key, n_tri << db)
+    eq, val = eq[order[:n]], val[order[:n]]
+    at = _starts(key[:n])                               # first entry of each (triangle, column)
+    t, cols_all = key[at] >> db, key[at] & ((1 << db) - 1)
+    del order, key
+    k = np.bincount(t, minlength=n_tri)
+    mag, runs = np.abs(val), _starts(t)
+    scale = np.ones(n_tri + 1)
+    scale[t[runs]] = np.maximum(np.maximum.reduceat(mag, at[runs]), 1.0)
+    small = np.flatnonzero(mag < 1e-15 * scale.max())
+    val[small[mag[small] < 1e-15 * scale[tri[eq[small]]]]] = 0.0
+    # groups in the order of their first triangle, each a block of the buffer
     _, first, member = np.unique(prop.degree * (k.max(initial=0) + 1) + k,
                                  return_index=True, return_inverse=True)
-    groups, within, group = [], np.zeros(n_tri, dtype=np.int64), member[tri]
-    for g in np.argsort(first):
-        tris, nz = np.flatnonzero(member == g), group == g
-        kind, kt = str(mesh.tri_kind[tris[0]]), int(k[tris[0]])
-        nc = bb.n_coeffs(_STORED_DEGREE[kind])
-        within[tris] = np.arange(len(tris))
-        M = np.zeros((len(tris), nc, kt))
-        M.ravel()[(within[tri[nz]] * nc + row[nz]) * kt + pos[nz]] = data[nz]
+    member = np.argsort(np.argsort(first))[member]
+    by_group = np.argsort(member, kind="stable")
+    nc = (prop.degree + 1) * (prop.degree + 2) // 2
+    size, start = nc * k, np.cumsum(k) - k
+    base = np.empty(n_tri, dtype=np.int64)
+    base[by_group] = np.cumsum(size[by_group]) - size[by_group]
+    # entry (row, column) of triangle t at base[t] + row k[t] + the column's place
+    dest = np.repeat(base[t] + np.arange(len(at)) - start[t], np.diff(at, append=n))
+    dest += ((coef - np.append(prop.offset[:-1], 0)[tri]) * np.append(k, 0)[tri])[eq]
+    buf = np.zeros(size.sum())
+    buf[dest] = val
+    groups = []
+    for tris in np.split(by_group, np.cumsum(np.bincount(member))[:-1]):
+        kind, kt, nt = str(mesh.tri_kind[tris[0]]), int(k[tris[0]]), int(nc[tris[0]])
+        M = buf[base[tris[0]]:base[tris[0]] + len(tris) * nt * kt].reshape(len(tris), nt, kt)
         cols = cols_all[start[tris, None] + np.arange(kt)]
         piece = prop.pie_P[prop.pie_row[tris]] @ M if kind == PIE else M
         groups.append(MapGroup(kind, 5 if kind == ORDINARY else 6, tris, cols, piece, M))

@@ -13,10 +13,11 @@ for the straight triangles' Bernstein-basis stiffness blocks, one GEMM per
 chunk whose row bits depend on the chunk, which the assembly loop takes
 from the chunk's product), as
 the space's stacked maps must reproduce the per-triangle extraction from
-the fill; the fill's map, evaluated by fill level and split by a sort
-of each triangle's entries, must reproduce bit for bit the sweeps
-Z <- S + W Z to a fixed point and the split by one global sort over
-(triangle, column) keys, and the Bernstein matrices from shared powers
+the fill; the fill's map, evaluated by fill level from its equations and
+split by one sort of its entries, must reproduce bit for bit the fill's
+equations solved as global CSR matrices by sweeps Z <- S + W Z to a
+fixed point and the split by np.unique over (triangle, column) keys,
+and the Bernstein matrices from shared powers
 the per-column formula; the per-triangle error norms evaluate the
 spline through its own pieces.  ``stored_quadrature`` stores Cartesian design matrices for
 every chunk, pies included, the form that frames and differenced
@@ -57,8 +58,8 @@ from conicfem import bernstein as bb
 from conicfem import solver as sol
 from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
                                normalized_pie_conic)
-from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError
-from conicfem.space import _PER_OWNER, _STORED_DEGREE, MapGroup, _Propagator
+from conicfem.mesh import BUFFER, MIN_SHAPE, ORDINARY, PIE, MeshError
+from conicfem.space import _PER_OWNER, _STORED_DEGREE, MapGroup, PropagationError, _Propagator
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +482,7 @@ def triangle_maps(space):
     sparse map one triangle at a time: the stored map takes its rows of
     the fill, the piece map is the product form on pies (the stored map
     elsewhere)."""
-    prop = _Propagator(space.mesh, space.mds)
+    prop = SweepPropagator(space.mesh, space.mds)
     Z = prop.run()
     out = []
     for t in range(space.mesh.n_triangles):
@@ -491,16 +492,53 @@ def triangle_maps(space):
     return out
 
 
-class SweepPropagator(_Propagator):
-    """The fill with its map reached by sweeps Z <- S + W Z from Z = S
-    until a sweep changes nothing: one sweep per fill level, then one that
-    only confirms it."""
+def _row_absmax(M):
+    """The largest |entry| of each row of the CSR matrix M, 0 when empty."""
+    out = np.zeros(M.shape[0])
+    some = np.flatnonzero(np.diff(M.indptr))
+    out[some] = np.maximum.reduceat(np.abs(M.data[:M.indptr[-1]]), M.indptr[some])
+    return out
 
-    @staticmethod
-    def _by_level(W, S):
+
+class SweepPropagator(_Propagator):
+    """The fill's equations solved as global CSR matrices: A (coefficient
+    sources) and B (dof sources) over the definition rows, one per
+    coefficient, then the check rows; the map reached by sweeps
+    Z <- S + W Z from Z = S until a sweep changes nothing (W, S the
+    definition rows of A and B); run() returns Z, coefficients x dofs."""
+
+    def _solve(self):
+        n = self.offset[-1]
+        target = np.concatenate(self.targets)
+        first = np.full(n, self.n_eq)      # first equation of each coefficient
+        defined, pos = np.unique(target, return_index=True)
+        first[defined] = pos
+        eq, src, w = (np.concatenate(x) for x in zip(*self.entries[False]))
+        for e in eq[first[src] >= eq][:1]:
+            t, _ = self._where(target[e])
+            raise PropagationError(f"fill of triangle {t} reads an unset coefficient")
+        check = first[target] != np.arange(self.n_eq)
+        row = np.where(check, n + np.cumsum(check) - 1, target)
+        A = sps.csr_matrix((w, (row[eq], src)), shape=(n + check.sum(), n))
+        eq, dof, w = (np.concatenate(x) for x in zip(*self.entries[True]))
+        B = sps.csr_matrix((w, (row[eq], dof)), shape=(n + check.sum(), self.mds.dimension))
+        W, S = A[:n], B[:n]
         Z, prev = S, None
         while prev is None or (Z != prev).nnz:
             Z, prev = S + W @ Z, Z
+        again = B[n:] + A[n:] @ Z
+        first_def = Z[target[check]]
+        scale = np.maximum(np.maximum(_row_absmax(again), _row_absmax(first_def)), 1.0)
+        gaps = _row_absmax(again - first_def) / scale
+        self.defect = float(gaps.max(initial=0.0))
+        for c in np.flatnonzero(gaps > 1e-8)[:1]:
+            t, i = self._where(target[check][c])
+            g = bb.multi_indices(int(self.degree[t]))[i]
+            raise PropagationError(f"inconsistent fill at triangle {t}, index {g} "
+                                   f"(gap {gaps[c]:.2e})")
+        for k in np.flatnonzero(first == self.n_eq)[:1]:
+            t, i = self._where(k)
+            raise PropagationError(f"coefficient {i} of triangle {t} unset")
         return Z
 
 
@@ -1247,6 +1285,15 @@ def classify_and_validate_scalar(domain, vertices, triangles, boundary_edges):
         if abs(area2) < 2e-14 * tri_scale * tri_scale:
             raise MeshError("mesh", f"degenerate triangle {t}")
         tris.append(t if area2 > 0 else (t[0], t[2], t[1]))
+    for t in tris_in:
+        x = vertices[list(t)]
+        ab, ac = x[1] - x[0], x[2] - x[0]
+        longest = max(float(d[0] * d[0] + d[1] * d[1]) for d in (x[1] - x[0], x[2] - x[1],
+                                                                 x[0] - x[2]))
+        shape = abs(float(ab[0] * ac[1] - ab[1] * ac[0])) / longest
+        if shape < MIN_SHAPE:
+            raise MeshError("mesh", f"thin triangle {t}: twice its area over its longest edge "
+                            f"squared is {shape:.2e}, below {MIN_SHAPE:g}")
 
     # edge -> incident triangles
     edge_tris = {}

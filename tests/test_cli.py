@@ -225,7 +225,14 @@ def test_mesh_validate_reports_condition(tmp_path, capsys):
     # on the chord (9, 10): twice the area 1.5e-14, degenerate by the rule
     # of bernstein.degenerate that the space build also applies
     ([4.163336342343995e-17, 0.469454364826262], "degenerate triangle (16, 9, 10)"),
-], ids=["fold", "far-hub", "flat-hub"])
+    # just off that chord, twice the area 3.9e-14 and 3.9e-10: valid by
+    # the degeneracy rule, but the fill would fail ("inconsistent fill at
+    # triangle 7"), so the shape bound rejects them
+    ([4.163336342344337e-17, 0.46945436482620034], "thin triangle (16, 9, 10): twice its area over its longest edge squared "
+                   "is 2.58e-13, below 1e-06"),
+    ([4.163336342344337e-17, 0.4694543638234946], "thin triangle (16, 9, 10): twice its area over its longest edge squared "
+                   "is 2.58e-09, below 1e-06"),
+], ids=["fold", "far-hub", "flat-hub", "thin-hub-3.9e-14", "thin-hub-3.9e-10"])
 def test_mesh_validate_rejects_a_moved_hub(tmp_path, capsys, hub, message):
     # the built-in disk mesh with its hub, vertex 16, moved
     data = msh.mesh_to_dict(builtin_domain("disk")[1])

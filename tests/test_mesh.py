@@ -451,6 +451,10 @@ def _corrupted(name, dom, V, T, B):
     if name == "triangles fold over an edge":
         V[CENTRE] = [0.6, 0.0]
         return dom, V, T, B
+    if name == "thin triangle":
+        mid = 0.5 * (V[RING + 1] + V[RING + 2])
+        V[CENTRE] = mid - 1e-9 * mid / np.linalg.norm(mid)
+        return dom, V, T, B
     if name == "boundary edge mismatch":
         return dom, V, T, B[:-1]
     if name == "boundary edge declared twice":
@@ -512,6 +516,8 @@ def _assert_same_outcome(data):
 
 @pytest.mark.parametrize("case, message", [
     ("degenerate triangle", "condition (mesh): degenerate triangle (1, 1, 8)"),
+    ("thin triangle", "condition (mesh): thin triangle (16, 9, 10): twice its area over its "
+                      "longest edge squared is 2.57e-09, below 1e-06"),
     ("edge shared by 3 triangles", "condition (mesh): edge (8, 16) shared by 3 triangles"),
     ("vertex not on its conic",
      "condition (mesh): vertex 3 not on conic of arc 1 (|q|=2.00e-03)"),

@@ -398,6 +398,18 @@ def test_level_timings(disk_problem):
     assert reports[1].timings["refine"] > 0.0
 
 
+def test_level_peak_marks(disk_problem):
+    # one high-water mark per phase, read in the order the phases ran:
+    # every level's refinement first, then each level's other phases
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    marks = [rep.peak_mb["refine"] for rep in reports]
+    for rep in reports:
+        assert list(rep.peak_mb) == list(rep.timings)
+        marks += [rep.peak_mb[k] for k in ("space", "quad", "transfer", "newton", "norms")]
+    assert marks[0] > 0.0
+    assert all(a <= b for a, b in zip(marks, marks[1:]))
+
+
 def test_level_solver_facts(disk_problem):
     reports, u = sol.multilevel_run(disk_problem, 2)
     for rep in reports:

@@ -211,21 +211,56 @@ def test_fill_steps_emit_once_per_step(disk_mesh, disk_mesh2):
     assert calls(disk_mesh) == calls(refine_uniform(disk_mesh2)) == [1] * 7
 
 
+def test_fill_makes_no_sparse_matrices(disk_mesh, hierarchies, monkeypatch):
+    # the fixed cost of a build: no scipy sparse matrix at disk L1 or L3
+    from scipy.sparse import _base
+    made, init = [], _base._spbase.__init__
+    monkeypatch.setattr(_base._spbase, "__init__",
+                        lambda self, *args, **kwargs: made.append(1) or init(self, *args, **kwargs))
+
+    def count(mesh):
+        made.clear()
+        build_space(mesh)
+        return len(made)
+
+    assert count(disk_mesh) == count(hierarchies["disk"][2]) == 0
+
+
+def test_sorted_keys_agree_with_the_stable_argsort():
+    # the packed sort, and the stable argsort it falls back to when the keys
+    # and entry numbers do not fit in int64 together
+    keys = np.random.default_rng(3).integers(0, 50, 1000)
+    for width in (6, 64):
+        order, key = sp._sorted(keys.copy(), width)
+        assert np.array_equal(order, np.argsort(keys, kind="stable"))
+        assert np.array_equal(key, np.sort(keys))
+
+
+def test_map_groups_leave_the_fill_outputs_alone(disk_mesh):
+    prop = sp._Propagator(disk_mesh, sp.build_mds(disk_mesh))
+    Z = prop.run()
+    before = [a.copy() for a in Z]
+    sp._map_groups(disk_mesh, prop, Z)
+    assert all(_same_bits(a, b) for a, b in zip(Z, before))
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-@pytest.mark.parametrize("name", ["disk_mesh", "ellipse_mesh", "lens_mesh", "c2"])
-@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("level, name", [(level, name) for level in (1, 2) for name in
+                                         ("disk_mesh", "ellipse_mesh", "lens_mesh", "c2")]
+                         + [(3, "disk_mesh"), (3, "c2")])
 def test_fill_by_level_matches_the_sweeps_and_the_global_sort(name, level, request,
                                                               hierarchies):
     # bit for bit, signs of zero included: the map evaluated level by level
-    # and split per triangle against sweeps to a fixed point and a split by
-    # one np.unique over (triangle, column) keys
+    # and split per triangle against the equations solved as global CSR
+    # matrices by sweeps to a fixed point and split by one np.unique over
+    # (triangle, column) keys
     mesh = (hierarchies["c2-domain"][0] if name == "c2" else request.getfixturevalue(name))
-    if level == 2:
+    for _ in range(level - 1):
         mesh = refine_uniform(mesh)
     space = build_space(mesh)
     prop = SweepPropagator(mesh, space.mds)

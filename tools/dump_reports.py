@@ -4,7 +4,8 @@
     python tools/dump_reports.py --compare parent.json change.json
 
 Runs `solver.multilevel_run` on a built-in problem and writes every
-`LevelReport` field except `timings`, then the final dofs, as plain JSON.
+`LevelReport` field except `timings` and `peak_mb`, then the final dofs,
+as plain JSON.
 `json` writes each float as its shortest repr, which reads back to the
 same bits (infinities and -0.0 too), so two dumps are equal exactly when
 the runs agree bit for bit.  The package is imported from this
@@ -39,7 +40,8 @@ from conicfem.problems import PROBLEM_IDS, builtin_problem  # noqa: E402
 
 def dump(problem_id, levels):
     reports, u = sol.multilevel_run(builtin_problem(problem_id), levels)
-    fields = [{k: v for k, v in dataclasses.asdict(rep).items() if k != "timings"}
+    fields = [{k: v for k, v in dataclasses.asdict(rep).items()
+               if k not in ("timings", "peak_mb")}
               for rep in reports]
     return {"problem": problem_id, "levels": fields, "dofs": u.dofs.tolist()}
 
