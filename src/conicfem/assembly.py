@@ -34,7 +34,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from . import bernstein as bb
 from .geometry import grad_conic
-from .mesh import PIE, conic_rows, pie_arc_points
+from .mesh import PIE, pie_arc_points
 
 
 class AssemblyError(RuntimeError):
@@ -156,7 +156,7 @@ def pie_quadrature(mesh, tris):
     The map is (r, s) -> v1 + r*(A(s) - v1) where A(s) is the ray/arc
     intersection through the chord point at parameter s; the Jacobian
     r * det[A - v1, A'(s)] is exact (implicit differentiation of the arc).
-    The rays of all pies on one arc are one batched query; an error names
+    The rays of all the pies are one batched query; an error names
     the first pie, in the order of tris, whose rule fails.
     """
     tris = np.asarray(tris)
@@ -172,7 +172,7 @@ def pie_quadrature(mesh, tris):
     cdir = (v3 - v2)[:, None]
     c = v2[:, None] + s[:, None] * cdir
     a, failure = pie_arc_points(mesh.domain, arcs, v1, c)
-    g = conic_rows(grad_conic, mesh.domain, arcs, a)
+    g = grad_conic(mesh.domain.coeffs[arcs], a)
     cv = c - v1[:, None]
     denom = np.vecdot(g, cv)
     with np.errstate(all="ignore"):     # failing rays are reported below

@@ -52,6 +52,9 @@ class Conic:
     def negated(self):
         return Conic(tuple(-c for c in self.coeffs))
 
+    def __array__(self, dtype=None, copy=None):     # a Conic is a k of the conic functions
+        return np.array(self.coeffs, dtype=dtype)
+
 
 def _is_irreducible(k):
     """A quadratic factors into (possibly complex) linear forms iff the
@@ -67,10 +70,18 @@ def _is_irreducible(k):
     return abs(np.linalg.det(m)) > 1e-12
 
 
-def eval_conic(q, x):
-    """Value of the implicit quadratic at a point (or (n,2) array of points)."""
-    k = q.coeffs
+def _aligned(k, ndim):
+    """k (6,) or (n, 6) as ndim axes, to broadcast against points (..., 2)."""
+    k = np.asarray(k, dtype=float)
+    return k.reshape(k.shape[:-1] + (1,) * (ndim - k.ndim) + (6,))
+
+
+def eval_conic(k, x):
+    """Value of the implicit quadratic k at a point or points x (..., 2).
+    k, here and in every conic function, is one conic's coefficients (6,)
+    or rows of them (n, 6) with row i for the points x[i]."""
     x = np.asarray(x, dtype=float)
+    k = np.moveaxis(_aligned(k, x.ndim), -1, 0)
     x1, x2 = x[..., 0], x[..., 1]
     return (
         k[0] * x1 * x1 + k[1] * x1 * x2 + k[2] * x2 * x2
@@ -78,10 +89,10 @@ def eval_conic(q, x):
     )
 
 
-def grad_conic(q, x):
-    """Gradient of the implicit quadratic at a point (or points)."""
-    k = q.coeffs
+def grad_conic(k, x):
+    """Gradient of the implicit quadratic k at a point or points x (..., 2)."""
     x = np.asarray(x, dtype=float)
+    k = np.moveaxis(_aligned(k, x.ndim), -1, 0)
     x1, x2 = x[..., 0], x[..., 1]
     return np.stack(
         [2 * k[0] * x1 + k[1] * x2 + k[3], k[1] * x1 + 2 * k[2] * x2 + k[4]],
@@ -106,7 +117,7 @@ def conic_scale(q, x):
 
 
 def point_on_conic(q, x, tol=1e-12):
-    return abs(eval_conic(q, x)) <= tol * conic_scale(q, x)
+    return abs(eval_conic(q.coeffs, x)) <= tol * conic_scale(q, x)
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,7 @@ class BoundaryArc:
             if not point_on_conic(self.conic, z):
                 raise GeometryError(
                     f"arc endpoint {tuple(z.tolist())} not on conic "
-                    f"(|q| = {abs(eval_conic(self.conic, z)):.3e})"
+                    f"(|q| = {abs(eval_conic(self.conic.coeffs, z)):.3e})"
                 )
 
 
@@ -140,8 +151,8 @@ def arc_midpoint(arc):
     """A point on the arc near the chord midpoint (Newton projection)."""
     x = 0.5 * (np.asarray(arc.start) + np.asarray(arc.end))
     for _ in range(60):
-        qv = eval_conic(arc.conic, x)
-        g = grad_conic(arc.conic, x)
+        qv = eval_conic(arc.conic.coeffs, x)
+        g = grad_conic(arc.conic.coeffs, x)
         gn = float(g @ g)
         if gn == 0.0:
             raise GeometryError("vanishing conic gradient while projecting")
@@ -162,7 +173,7 @@ def normalize_arc_sign(arc):
     derivative of q must be negative there.  Idempotent.
     """
     x = arc_midpoint(arc)
-    g = grad_conic(arc.conic, x)
+    g = grad_conic(arc.conic.coeffs, x)
     gn = np.linalg.norm(g)
     if gn == 0.0:
         raise GeometryError("vanishing conic gradient on arc")
@@ -176,31 +187,31 @@ def normalize_arc_sign(arc):
     return BoundaryArc(arc.conic.negated(), arc.start, arc.end)
 
 
-def arc_point_on_ray(arc, origin, through):
-    """Intersection of the arc with the ray origin -> through (extended).
+def arc_point_on_ray(k, origin, through):
+    """Intersection of the conic k with the ray origin -> through (extended).
 
     origin and through are points (2,) or rows of points (n, 2), broadcast
-    against each other; the result has their broadcast shape.  Each
-    `through` must lie between its origin and the arc; the quadratic in the
-    ray parameter must then have exactly one admissible root at or beyond
-    `through`.  Anything else is reported as a geometry error (a violation
-    of the star-shapedness the construction relies on) for the first
-    failing row, whose index is the error's `row`.  Rows do not affect one
-    another: each gets the value, or the message, it gets alone.
+    against each other, and k one conic or a row per ray; the result has
+    their broadcast shape.  Each `through` must lie between its origin and
+    the arc; the quadratic in the ray parameter must then have exactly one
+    admissible root at or beyond `through`.  Anything else is reported as
+    a geometry error (a violation of the star-shapedness the construction
+    relies on) for the first failing row, whose index is the error's
+    `row`.  Rows do not affect one another: each gets the value, or the
+    message, it gets alone.
     """
     origin = np.asarray(origin, dtype=float)
     through = np.asarray(through, dtype=float)
     shape = np.broadcast_shapes(origin.shape, through.shape)
     o = np.broadcast_to(origin, shape).reshape(-1, 2)
     d = (through - origin).reshape(-1, 2)
-    conic = arc.conic
-    k = conic.coeffs
+    k = np.broadcast_to(_aligned(k, len(shape)), shape[:-1] + (6,)).reshape(-1, 6)
     with np.errstate(all="ignore"):
         # float_power and vecdot round as the scalar d[0] ** 2 and g @ d do
-        a2 = (k[0] * np.float_power(d[:, 0], 2) + k[1] * d[:, 0] * d[:, 1]
-              + k[2] * np.float_power(d[:, 1], 2))
-        a1 = np.vecdot(grad_conic(conic, o), d)
-        a0 = eval_conic(conic, o)
+        a2 = (k[:, 0] * np.float_power(d[:, 0], 2) + k[:, 1] * d[:, 0] * d[:, 1]
+              + k[:, 2] * np.float_power(d[:, 1], 2))
+        a1 = np.vecdot(grad_conic(k, o), d)
+        a0 = eval_conic(k, o)
         linear = np.abs(a2) < 1e-15 * np.maximum(np.maximum(np.abs(a1), np.abs(a0)), 1.0)
         disc = a1 * a1 - 4 * a2 * a0
         sq = np.sqrt(disc)
@@ -211,8 +222,8 @@ def arc_point_on_ray(arc, origin, through):
         found = ok1.astype(int) + ok2
         x = o + np.where(ok1, t1, t2)[:, None] * d
         # polish with one Newton step along the ray to kill rounding
-        g1 = np.vecdot(grad_conic(conic, x), d)
-        x = np.where((g1 != 0.0)[:, None], x + (-eval_conic(conic, x) / g1)[:, None] * d, x)
+        g1 = np.vecdot(grad_conic(k, x), d)
+        x = np.where((g1 != 0.0)[:, None], x + (-eval_conic(k, x) / g1)[:, None] * d, x)
     degenerate = np.sqrt(np.vecdot(d, d)) < 1e-15
     no_root = ~linear & (disc < 0)
     double = (found == 2) & (np.abs(t1 - t2) < 1e-12)
@@ -230,8 +241,8 @@ def arc_point_on_ray(arc, origin, through):
     return x.reshape(shape)
 
 
-def conic_bb_form(q, tri):
-    """Degree-2 BB coefficients (..., 6) of the conic over a triangle
+def conic_bb_form(k, tri):
+    """Degree-2 BB coefficients (..., 6) of the conic k over a triangle
     (3, 2), or over each of a stack of them (..., 3, 2) (exact).
 
     Corner coefficients are values at the vertices; edge coefficients come
@@ -239,22 +250,25 @@ def conic_bb_form(q, tri):
     (200, 110, 101, 020, 011, 002).
     """
     v1, v2, v3 = np.moveaxis(np.asarray(tri, dtype=float), -2, 0)
-    c200, c020, c002 = eval_conic(q, v1), eval_conic(q, v2), eval_conic(q, v3)
-    c110 = 2.0 * eval_conic(q, 0.5 * (v1 + v2)) - 0.5 * (c200 + c020)
-    c101 = 2.0 * eval_conic(q, 0.5 * (v1 + v3)) - 0.5 * (c200 + c002)
-    c011 = 2.0 * eval_conic(q, 0.5 * (v2 + v3)) - 0.5 * (c020 + c002)
+    c200, c020, c002 = eval_conic(k, v1), eval_conic(k, v2), eval_conic(k, v3)
+    c110 = 2.0 * eval_conic(k, 0.5 * (v1 + v2)) - 0.5 * (c200 + c020)
+    c101 = 2.0 * eval_conic(k, 0.5 * (v1 + v3)) - 0.5 * (c200 + c002)
+    c011 = 2.0 * eval_conic(k, 0.5 * (v2 + v3)) - 0.5 * (c020 + c002)
     return np.stack([c200, c110, c101, c020, c011, c002], axis=-1)
 
 
-def normalized_pie_conic(q, tri):
-    """BB form of q over the chord triangle (3, 2), or over each of a stack
-    of them (..., 3, 2), scaled so q(v1) = 1.
+def normalized_pie_conic(k, tri):
+    """pie_conic(k, tri) without its divisor: the BB form with q(v1) = 1."""
+    return pie_conic(k, tri)[0]
 
-    v1 is the interior vertex of the pie triangle; the conic must vanish at
-    the other two vertices.  The error is that of the first failing
-    triangle of the stack.
+
+def pie_conic(k, tri):
+    """BB form of the conic k over the chord triangle (3, 2), or over each
+    of a stack of them (..., 3, 2), divided by its value at the interior
+    vertex v1, and that divisor.  The conic must vanish at the other two
+    vertices; the error is that of the first failing triangle of the stack.
     """
-    c = conic_bb_form(q, tri)
+    c = conic_bb_form(k, tri)
     im = index_map(2)
     c200 = c[..., im[(2, 0, 0)]]
     far = [im[(0, 2, 0)], im[(0, 0, 2)]]
@@ -267,7 +281,7 @@ def normalized_pie_conic(q, tri):
         raise GeometryError("conic vanishes at the pie interior vertex" if vanishes.ravel()[r]
                             else "chord triangle corners are not on the conic")
     c[..., far] = 0.0
-    return c
+    return c, c200
 
 
 @dataclass(frozen=True)
@@ -283,6 +297,7 @@ class ConicDomain:
     arcs: tuple
     corners: np.ndarray = field(default=None)
     interior_angles: np.ndarray = field(default=None)
+    coeffs: np.ndarray = field(default=None)     # (n_arcs, 6), row j the conic of arc j
 
     def __post_init__(self):
         arcs = tuple(normalize_arc_sign(a) for a in self.arcs)
@@ -313,13 +328,15 @@ class ConicDomain:
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "corners", corners)
         object.__setattr__(self, "interior_angles", angles)
+        object.__setattr__(self, "coeffs", np.array([a.conic.coeffs for a in arcs]))
+        self.coeffs.flags.writeable = False
 
 
 def _corner_angle(arc_in, arc_out):
     """Interior angle between boundary tangents at the shared corner."""
     z = np.asarray(arc_out.start)
-    g_in = grad_conic(arc_in.conic, z)
-    g_out = grad_conic(arc_out.conic, z)
+    g_in = grad_conic(arc_in.conic.coeffs, z)
+    g_out = grad_conic(arc_out.conic.coeffs, z)
     # ccw travel: domain (q > 0) lies on the left, so the travel tangent is
     # the -90 degree rotation of the inward-pointing gradient
     t_in = np.array([g_in[1], -g_in[0]])

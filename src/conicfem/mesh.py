@@ -205,8 +205,8 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     # boundary edge endpoints must sit on their arc's conic
     ends = np.array(list(declared), dtype=int).reshape(-1, 2)
     arcs = np.array(list(declared.values()), dtype=int)
-    q = np.abs(conic_rows(eval_conic, domain, arcs, vertices[ends]))
-    kmax = np.array([max(np.abs(arc.conic.coeffs)) for arc in domain.arcs])
+    q = np.abs(eval_conic(domain.coeffs[arcs], vertices[ends]))
+    kmax = np.abs(domain.coeffs).max(axis=1)
     bad = q > 1e-9 * scale * scale * kmax[arcs, None]
     if bad.any():
         i, k = divmod(int(np.argmax(bad)), 2)
@@ -290,7 +290,7 @@ def classify_and_validate(domain, vertices, triangles, boundary_edges,
     two_arcs = np.repeat(edge_arc[bd], 2)[order].reshape(-1, 2)
     vertex_tangent = np.zeros(n, dtype=bool)
     vertex_tangent[bv] = gradients_parallel(
-        *(conic_rows(grad_conic, domain, two_arcs[:, i], vertices[bv]) for i in (0, 1)))
+        *(grad_conic(domain.coeffs[two_arcs[:, i]], vertices[bv]) for i in (0, 1)))
 
     # (d) + (e): pie star-shapedness and conic positivity
     pies = np.flatnonzero(pie)
@@ -340,44 +340,26 @@ def _rows(name, raw, width):
 
 
 # ---------------------------------------------------------------------------
-# pie rays: arc points of many pies, one batched query per arc
+# pie rays: arc points of many pies, one batched query
 
 def pie_arc_points(domain, arcs, v1, through):
     """Ray points of pies on their arcs: points[p, j] is arc_point_on_ray
-    of arc arcs[p] from pie p's interior vertex v1[p] through through[p, j]
-    ((P, m, 2) chord points), with one call per arc.
+    of the conic of arc arcs[p] from pie p's interior vertex v1[p] through
+    through[p, j] ((P, m, 2) chord points), in one query of rows p * m + j.
 
     Returns (points, failure).  failure is None when every ray meets its
     arc once, else (p, j, GeometryError) of the first failing ray in pie
-    order, then j order; from that ray on, the points of its arc are NaN.
+    order, then j order; from that ray on, the points are NaN.
     """
     P, m = through.shape[:2]
-    points = np.full((P * m, 2), np.nan)
-    failure = None
-    for a in np.unique(arcs):
-        pies = np.flatnonzero(arcs == a)
-        rows = (pies[:, None] * m + np.arange(m)).ravel()
-        origin = np.repeat(v1[pies], m, axis=0)
-        chord = through.reshape(-1, 2)[rows]
-        try:
-            points[rows] = arc_point_on_ray(domain.arcs[a], origin, chord)
-        except GeometryError as exc:
-            r = exc.row
-            points[rows[:r]] = arc_point_on_ray(domain.arcs[a], origin[:r], chord[:r])
-            p, j = divmod(int(rows[r]), m)
-            if failure is None or (p, j) < failure[:2]:
-                failure = (p, j, exc)
-    return points.reshape(P, m, 2), failure
-
-
-def conic_rows(fn, domain, arcs, x):
-    """fn(conic, points) (eval_conic or grad_conic) of the conic of arc
-    arcs[p] at the points x[p], one call per arc."""
-    out = np.empty(x.shape[:1] + fn(domain.arcs[0].conic, x[:0]).shape[1:])
-    for a in np.unique(arcs):
-        on = arcs == a
-        out[on] = fn(domain.arcs[a].conic, x[on])
-    return out
+    rays = (np.repeat(domain.coeffs[arcs], m, axis=0), np.repeat(v1, m, axis=0),
+            through.reshape(-1, 2))
+    try:
+        return arc_point_on_ray(*rays).reshape(P, m, 2), None
+    except GeometryError as exc:
+        points = np.full((P * m, 2), np.nan)
+        points[:exc.row] = arc_point_on_ray(*(a[:exc.row] for a in rays))
+        return points.reshape(P, m, 2), (*divmod(exc.row, m), exc)
 
 
 STAR_SAMPLES = np.linspace(0.02, 0.98, 50)      # chord parameters of (d), (e)
@@ -396,7 +378,7 @@ def _check_pies(domain, vertices, pies, verts, arcs):
     apt, failure = pie_arc_points(domain, arcs, v1, chord)
     x = v1[:, None, None] + STAR_RADII[:, None] * (apt - v1[:, None])[:, :, None]
     fails = []
-    outside = conic_rows(eval_conic, domain, arcs, v1) <= 0
+    outside = eval_conic(domain.coeffs[arcs], v1) <= 0
     if outside.any():
         p = int(np.argmax(outside))
         fails.append(((p, -1), MeshError(
@@ -404,7 +386,7 @@ def _check_pies(domain, vertices, pies, verts, arcs):
     if failure is not None:
         p, j, exc = failure
         fails.append(((p, j), MeshError("d", f"pie {pies[p]} not star-shaped: {exc}")))
-    inside = conic_rows(eval_conic, domain, arcs, x) <= 0
+    inside = eval_conic(domain.coeffs[arcs], x) <= 0
     if inside.any():
         p, j, k = np.unravel_index(np.argmax(inside), inside.shape)
         fails.append(((p, j), MeshError(

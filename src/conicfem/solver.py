@@ -481,11 +481,11 @@ def multilevel_run(problem, levels):
             prev_report.eps_errors = asm.error_norms(u, ctx.quad, coarse=coarse)
         timings["norms"], peak_mb["norms"] = time.perf_counter() - start, _peak_mb()
         log.info("level %d: dim=%d m=%d factorizations=%d refactorizations=%d "
-                 "krylov_iters=%s R=%.3e updates=%s lu_mb=%.2f frozen_iters=%s",
+                 "krylov_iters=%s R=%.3e updates=%s lu_mb=%.2f frozen_iters=%s peak_mb=%.0f",
                  lev, rep.dimension, rep.iterations, rep.solver["factorizations"],
                  rep.solver["refactorizations"], rep.solver["krylov_iters"],
                  rep.residual, ["%.1e" % n for n in rep.update_norms],
-                 rep.solver["lu_mb"], rep.solver["frozen_iters"])
+                 rep.solver["lu_mb"], rep.solver["frozen_iters"], peak_mb["norms"])
         reports.append(rep)
         prev_u, prev_report = u, rep
         # the next level's transfer needs prev_u alone: release this

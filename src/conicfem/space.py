@@ -36,8 +36,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import bernstein as bb
-from .geometry import eval_conic, grad_conic, is_number_list, normalized_pie_conic
-from .mesh import BUFFER, ORDINARY, PIE, conic_rows, mesh_from_dict, mesh_to_dict
+from .geometry import eval_conic, grad_conic, is_number_list, pie_conic
+from .mesh import BUFFER, ORDINARY, PIE, mesh_from_dict, mesh_to_dict
 
 VERTEX_JET = "vertex-jet"
 EDGE_INTERIOR = "edge"
@@ -317,11 +317,10 @@ class _Propagator:
         pies = np.flatnonzero(self.kinds == PIE)
         self.pie_row = np.full(len(self.verts), -1)
         self.pie_row[pies] = np.arange(len(pies))
-        arcs = mesh.tri_arc[pies]
-        self.pie_q = conic_rows(normalized_pie_conic, mesh.domain, arcs, self.coords[pies])
-        self.pie_P = bb.product_matrix(4, 2, self.pie_q)
         self.pie_scale = np.full(len(self.verts), np.nan)
-        self.pie_scale[pies] = conic_rows(eval_conic, mesh.domain, arcs, self.coords[pies, 0])
+        self.pie_q, self.pie_scale[pies] = pie_conic(mesh.domain.coeffs[mesh.tri_arc[pies]],
+                                                     self.coords[pies])
+        self.pie_P = bb.product_matrix(4, 2, self.pie_q)
 
     # -- helpers ----------------------------------------------------------
 
@@ -376,8 +375,8 @@ class _Propagator:
         return self._solve()
 
     def _solve(self):
-        """Z as entries (equation, dof, value) of its rows, each under its
-        equation, and the coefficient each equation defines (-1: a check)."""
+        """Z as entries (coefficient, dof, value): the definitions' dof
+        entries as emitted, then the rows formed by level; none of a check."""
         n, n_eq, dim = self.offset[-1], self.n_eq, self.mds.dimension
         target = np.concatenate(self.targets)
         first = np.full(n, n_eq)           # first equation of each coefficient
@@ -442,8 +441,10 @@ class _Propagator:
         for k in np.flatnonzero(first == self.n_eq)[:1]:
             t, i = self._where(k)
             raise PropagationError(f"coefficient {i} of triangle {t} unset")
-        target[checks] = -1
-        return _concat([(deq, dof, dw), formed]) + (target,)
+        del row, src, w, rank, a_row, a_col, a_val, f_row, f_col, f_val, d_row, d_val  # spent
+        eq, dof, val = _concat([(deq, dof, dw), formed])
+        keep = (first[target] == np.arange(n_eq))[eq]                  # not a check's entry
+        return target[eq[keep]], dof[keep], val[keep]
 
     def _seed_dofs(self):
         n = self.mds.dimension
@@ -509,7 +510,7 @@ class _Propagator:
         tangent = mesh.vertex_tangent[v]
         # value on the designated pie is the dof; the partner is scaled by
         # the ratio of the normalized conic gradients
-        g = (conic_rows(grad_conic, mesh.domain, mesh.tri_arc[t], mesh.vertices[v])
+        g = (grad_conic(mesh.domain.coeffs[mesh.tri_arc[t]], mesh.vertices[v])
              / self.pie_scale[t, None]).reshape(-1, 2, 2)
         i = np.argmax(np.abs(g[:, 1]), axis=1)
         g1, g2 = (g[np.arange(len(i)), k, i] for k in (0, 1))
@@ -651,8 +652,7 @@ class SplineSpace:
                        | (x[:, 1] < lo[tris, 1, None]) | (x[:, 1] > hi[tris, 1, None]))
                 miss[box & straight[tris, None]] = np.inf
                 j = np.flatnonzero(~straight[tris])
-                q = (conic_rows(eval_conic, mesh.domain, mesh.tri_arc[tris[j]],
-                                np.broadcast_to(x, (len(j),) + x.shape))
+                q = (eval_conic(mesh.domain.coeffs[mesh.tri_arc[tris[j]]], x[None])
                      / self.pie_scale[tris[j], None])
                 miss[j] = np.maximum(np.maximum(-b[j, :, 1], -b[j, :, 2]), np.maximum(-q, 0.0))
                 # the first triangle that holds the point, else the first closest
@@ -688,21 +688,21 @@ def _map_groups(mesh, prop, Z):
     from one sort of the entries by (triangle, column); entries below
     1e-15 of the triangle's largest (or of 1) are dropped, and the maps
     are scattered dense, every group's into one buffer."""
-    eq, dof, val, coef = Z
+    coef, dof, val = Z
     n_tri, db = mesh.n_triangles, _bits(prop.mds.dimension)
-    tri = np.append(np.repeat(np.arange(n_tri), np.diff(prop.offset)), n_tri)[coef]
-    order, key = _sorted(tri[eq] << db | dof, _bits(n_tri + 1) + db)   # checks last
-    n = np.searchsorted(key, n_tri << db)
-    eq, val = eq[order[:n]], val[order[:n]]
-    at = _starts(key[:n])                               # first entry of each (triangle, column)
+    tri = np.repeat(np.arange(n_tri), np.diff(prop.offset))         # of each coefficient
+    order, key = _sorted(tri[coef] << db | dof, _bits(n_tri) + db)
+    coef, val = coef[order], val[order]
+    at = _starts(key)                                   # first entry of each (triangle, column)
     t, cols_all = key[at] >> db, key[at] & ((1 << db) - 1)
-    del order, key
+    del order
+    tri = np.right_shift(key, db, out=key)              # sorted, in place of the keys
     k = np.bincount(t, minlength=n_tri)
     mag, runs = np.abs(val), _starts(t)
-    scale = np.ones(n_tri + 1)
+    scale = np.ones(n_tri)
     scale[t[runs]] = np.maximum(np.maximum.reduceat(mag, at[runs]), 1.0)
     small = np.flatnonzero(mag < 1e-15 * scale.max())
-    val[small[mag[small] < 1e-15 * scale[tri[eq[small]]]]] = 0.0
+    val[small[mag[small] < 1e-15 * scale[tri[small]]]] = 0.0
     # groups in the order of their first triangle, each a block of the buffer
     _, first, member = np.unique(prop.degree * (k.max(initial=0) + 1) + k,
                                  return_index=True, return_inverse=True)
@@ -713,8 +713,8 @@ def _map_groups(mesh, prop, Z):
     base = np.empty(n_tri, dtype=np.int64)
     base[by_group] = np.cumsum(size[by_group]) - size[by_group]
     # entry (row, column) of triangle t at base[t] + row k[t] + the column's place
-    dest = np.repeat(base[t] + np.arange(len(at)) - start[t], np.diff(at, append=n))
-    dest += ((coef - np.append(prop.offset[:-1], 0)[tri]) * np.append(k, 0)[tri])[eq]
+    dest = np.repeat(base[t] + np.arange(len(at)) - start[t], np.diff(at, append=len(val)))
+    dest += (coef - prop.offset[tri]) * k[tri]
     buf = np.zeros(size.sum())
     buf[dest] = val
     groups = []

@@ -405,7 +405,7 @@ def boundary_sample_matrix(space, per_arc=30):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         tri = mesh.vertices[mesh.tri_verts[t]]
         v1, v2, v3 = tri
-        pts = arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2))
+        pts = arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]].conic, v1, v2 + u * (v3 - v2))
         V = bb.bernstein_matrix(6, bb.barycentric_many(tri, pts))
         G = np.zeros((per_arc, space.dimension))
         cols, Z = local_map(space, t)
@@ -671,7 +671,7 @@ def boundary_samples_max(space, spline, per_arc=30):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         tri = mesh.vertices[mesh.tri_verts[t]]
         v1, v2, v3 = tri
-        for x in arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]], v1, v2 + u * (v3 - v2)):
+        for x in arc_point_on_ray(mesh.domain.arcs[mesh.tri_arc[t]].conic, v1, v2 + u * (v3 - v2)):
             worst = max(worst, abs(eval_bb(6, patch(spline, t), tri, x)))
     return worst
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conicfem import bernstein as bb
 from conicfem import geometry as geo
 from conicfem.mesh import PIE, refine_uniform
-from conicfem.problems import c2_domain, disk_domain, ellipse_domain
+from conicfem.problems import PROBLEM_IDS, builtin_domain, c2_domain, disk_domain, ellipse_domain
 
 from _oracles import (arc_point_on_ray_scalar, barycentric, corner_is_tangent, de_casteljau,
                       domain_points)
@@ -97,11 +97,11 @@ def test_degenerate_arc_rejected():
 
 def test_arc_point_on_ray_examples():
     arc = geo.BoundaryArc(CIRCLE, (1.0, 0.0), (0.0, 1.0))
-    assert np.allclose(geo.arc_point_on_ray(arc, (0, 0), (0.5, 0)), (1, 0), atol=1e-13)
-    p = geo.arc_point_on_ray(arc, (0, 0), (0.3, 0.3))
+    assert np.allclose(geo.arc_point_on_ray(arc.conic, (0, 0), (0.5, 0)), (1, 0), atol=1e-13)
+    p = geo.arc_point_on_ray(arc.conic, (0, 0), (0.3, 0.3))
     assert np.allclose(p, (np.sqrt(2) / 2, np.sqrt(2) / 2), atol=1e-13)
     earc = geo.BoundaryArc(ELLIPSE, (1.0, 0.0), (0.0, 0.4))
-    assert np.allclose(geo.arc_point_on_ray(earc, (0, 0), (0, 0.2)), (0, 0.4), atol=1e-13)
+    assert np.allclose(geo.arc_point_on_ray(earc.conic, (0, 0), (0, 0.2)), (0, 0.4), atol=1e-13)
 
 
 def test_arc_point_on_ray_residual_and_errors():
@@ -109,14 +109,14 @@ def test_arc_point_on_ray_residual_and_errors():
     rng = np.random.default_rng(1)
     for _ in range(30):
         th = rng.uniform(0.05, np.pi / 2 - 0.05)
-        x = geo.arc_point_on_ray(arc, (0.1, 0.1),
+        x = geo.arc_point_on_ray(arc.conic, (0.1, 0.1),
                                  (0.1 + 0.3 * np.cos(th), 0.1 + 0.3 * np.sin(th)))
         assert abs(geo.eval_conic(arc.conic, x)) < 1e-13
     with pytest.raises(geo.GeometryError):
-        geo.arc_point_on_ray(arc, (0.0, 0.0), (0.0, 0.0))   # degenerate ray
+        geo.arc_point_on_ray(arc.conic, (0.0, 0.0), (0.0, 0.0))   # degenerate ray
     with pytest.raises(geo.GeometryError):
         # through point already beyond the arc: both crossings behind it
-        geo.arc_point_on_ray(arc, (0.0, 0.0), (2.0, 0.0))
+        geo.arc_point_on_ray(arc.conic, (0.0, 0.0), (2.0, 0.0))
 
 
 BUILTIN_ARCS = [a for dom in (disk_domain(), ellipse_domain(), c2_domain()) for a in dom.arcs]
@@ -147,23 +147,23 @@ def test_batched_ray_points_match_scalar_rule(arc, n, seed):
         for o, t in ((origin[i], through[i]), (origin[i:i + 1], through[i:i + 1])):
             if i in failing:
                 with pytest.raises(geo.GeometryError) as err:
-                    geo.arc_point_on_ray(arc, o, t)
+                    geo.arc_point_on_ray(arc.conic, o, t)
                 assert str(err.value) == want[i] and err.value.row == 0
             else:
-                got = geo.arc_point_on_ray(arc, o, t)
+                got = geo.arc_point_on_ray(arc.conic, o, t)
                 assert got.shape == np.shape(t)
                 np.testing.assert_array_equal(got.reshape(2), want[i])
     if failing:
         with pytest.raises(geo.GeometryError) as err:
-            geo.arc_point_on_ray(arc, origin, through)
+            geo.arc_point_on_ray(arc.conic, origin, through)
         assert err.value.row == failing[0] and str(err.value) == want[failing[0]]
     ok = [i for i in range(n) if i not in failing]
-    got = geo.arc_point_on_ray(arc, origin[ok], through[ok])
+    got = geo.arc_point_on_ray(arc.conic, origin[ok], through[ok])
     np.testing.assert_array_equal(got, np.array([want[i] for i in ok]).reshape(-1, 2))
     # one origin broadcast against many through points
     got = [_scalar_outcome(arc, origin[0], t) for t in through]
     if all(not isinstance(g, str) for g in got):
-        np.testing.assert_array_equal(geo.arc_point_on_ray(arc, origin[0], through), got)
+        np.testing.assert_array_equal(geo.arc_point_on_ray(arc.conic, origin[0], through), got)
 
 
 def test_conic_bb_form_constant_and_circle():
@@ -240,6 +240,55 @@ def test_normalized_pie_conic(c2dom):
         off_conic[k, 1] = 0.5 * (tris[k, 0] + tris[k, 1])   # a corner off the arc
         with pytest.raises(geo.GeometryError, match="corners are not on the conic"):
             geo.normalized_pie_conic(arc.conic, off_conic)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("pid", PROBLEM_IDS)
+def test_conic_functions_on_rows_match_per_conic_calls(pid):
+    # row i of k goes with point row i: every entry is the per-conic
+    # call's, bit for bit, on rows of mixed arcs, for one point, for
+    # (n, m, 2) points, and for one conic as (6,) or as (n, 6)
+    mesh = refine_uniform(builtin_domain(pid)[1])
+    dom = mesh.domain
+    pies = np.flatnonzero(mesh.tri_kind == PIE)
+    arcs = mesh.tri_arc[pies]
+    assert len(set(arcs.tolist())) == len(dom.arcs)
+    k, conics = dom.coeffs[arcs], [dom.arcs[a].conic for a in arcs]
+    tris = mesh.vertices[mesh.tri_verts[pies]]
+    x = tris[:, :1] + np.linspace(-0.5, 1.5, 7)[:, None] * (tris[:, 1:2] - tris[:, :1])
+    for fn in (geo.eval_conic, geo.grad_conic):
+        _same_bits(fn(k, x), [fn(q, xi) for q, xi in zip(conics, x)])
+        _same_bits(fn(k, x[:, 0]), [fn(q, xi) for q, xi in zip(conics, x[:, 0])])
+        _same_bits(fn(k[0], x[0, 0]), fn(conics[0], x[0, 0]))
+        _same_bits(fn(dom.coeffs[0], x), fn(np.repeat(dom.coeffs[:1], len(x), axis=0), x))
+    for fn in (geo.conic_bb_form, geo.normalized_pie_conic):
+        _same_bits(fn(k, tris), [fn(q, tri) for q, tri in zip(conics, tris)])
+        _same_bits(fn(k[0], tris[0]), fn(conics[0], tris[0]))
+        one = arcs == arcs[0]
+        _same_bits(fn(k[0], tris[one]), fn(k[one], tris[one]))
+    c, scale = geo.pie_conic(k, tris)
+    _same_bits(c, geo.normalized_pie_conic(k, tris))
+    _same_bits(scale, geo.eval_conic(k, tris[:, 0]))
+    # rays from each pie's interior vertex through points of its chord
+    through = tris[:, 1:2] + np.linspace(0.1, 0.9, 5)[:, None] * (tris[:, 2:] - tris[:, 1:2])
+    got = geo.arc_point_on_ray(k, tris[:, :1], through)
+    _same_bits(got, [geo.arc_point_on_ray(q, tri[0], t)
+                     for q, tri, t in zip(conics, tris, through)])
+    _same_bits(geo.arc_point_on_ray(k[0], tris[0, 0], through[0, 0]), got[0, 0])
+    _same_bits(geo.arc_point_on_ray(k[0], tris[one, :1], through[one]),
+               geo.arc_point_on_ray(k[one], tris[one, :1], through[one]))
+
+
+def test_domain_coeffs_are_the_normalized_arcs_read_only():
+    for pid in PROBLEM_IDS:
+        dom = builtin_domain(pid)[0]
+        _same_bits(dom.coeffs, [a.conic.coeffs for a in dom.arcs])
+        with pytest.raises(ValueError):
+            dom.coeffs[0, 0] = 1.0
 
 
 def test_domain_chain_validation():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
+from conicfem import assembly as asm
 from conicfem import mesh as msh
 from conicfem.geometry import GeometryError, arc_point_on_ray, eval_conic
 from conicfem.mesh import BUFFER, ORDINARY, PIE, MeshError, refine_uniform
 from conicfem.problems import builtin_domain, disk_domain, disk_wheel_points
+from conicfem.space import build_space
 
 from _oracles import (arc_point_on_ray_scalar, classify_and_validate_scalar,
                       curved_midpoints_scalar, pie_conditions_scalar, refine_inputs_scalar, star,
@@ -136,25 +139,49 @@ def test_condition_d_message(wheels):
 
 
 def test_pie_check_casts_fifty_rays_per_pie(disk_mesh2, monkeypatch):
-    # (d)/(e) sample every pie at chord parameters 0.02, ..., 0.98 (50),
-    # one batched query per arc with the arc's pies in mesh order
+    # one query per use: (d)/(e) sample every pie at chord parameters 0.02,
+    # ..., 0.98 (50), row 50 p + j for pie p in mesh order and sample j;
+    # refinement casts one ray per pie through its chord midpoint, then
+    # checks the refined mesh; the quadrature casts its rays per pie chunk
     calls = []
 
-    def spy(arc, origin, through):
-        calls.append((arc, origin, through))
-        return arc_point_on_ray(arc, origin, through)
+    def spy(k, origin, through):
+        calls.append((k, origin, through))
+        return arc_point_on_ray(k, origin, through)
+
+    def check(call, m, pies, s=None):
+        # the rays from the pies' interior vertices through chord parameters
+        # s, or through the chord midpoints
+        k, origin, through = call
+        v1, v2, v3 = m.vertices[m.tri_verts[pies]].transpose(1, 0, 2)
+        want = (0.5 * (v2 + v3)[:, None] if s is None
+                else v2[:, None] + s[:, None] * (v3 - v2)[:, None])
+        r = want.shape[1]
+        np.testing.assert_array_equal(k, np.repeat(m.domain.coeffs[m.tri_arc[pies]], r, axis=0))
+        np.testing.assert_array_equal(origin, np.repeat(v1, r, axis=0))
+        np.testing.assert_array_equal(through, want.reshape(-1, 2))
 
     m = disk_mesh2
+    space = build_space(m)
+    pies = np.flatnonzero(m.tri_kind == PIE)
     monkeypatch.setattr(msh, "arc_point_on_ray", spy)
     msh.classify_and_validate(*raw(m))
-    assert [c[0] for c in calls] == list(m.domain.arcs)
-    s = np.linspace(0.02, 0.98, 50)[:, None]
-    for a, (_, origin, through) in enumerate(calls):
-        pies = m.tri_verts[(m.tri_kind == PIE) & (m.tri_arc == a)]
-        v1, v2, v3 = m.vertices[pies].transpose(1, 0, 2)
-        np.testing.assert_array_equal(origin, np.repeat(v1, 50, axis=0))
-        np.testing.assert_array_equal(
-            through, np.concatenate([b + s * (c - b) for b, c in zip(v2, v3)]))
+    assert len(calls) == 1
+    check(calls[0], m, pies, np.linspace(0.02, 0.98, 50))
+    calls.clear()
+    fine = refine_uniform(m)
+    assert len(calls) == 2
+    check(calls[0], m, pies)
+    check(calls[1], fine, np.flatnonzero(fine.tri_kind == PIE), np.linspace(0.02, 0.98, 50))
+    calls.clear()
+    monkeypatch.setattr(asm, "CHUNK", 5)
+    asm.TriangleQuadrature(space)
+    chunks = [grp.tris[i:i + 5] for grp in space.groups if grp.kind == PIE
+              for i in range(0, len(grp.tris), 5)]
+    assert len(calls) == len(chunks) > 2
+    s = 0.5 * (roots_legendre(asm.PIE_ORDER)[0] + 1.0)
+    for call, tris in zip(calls, chunks):
+        check(call, m, tris, s)
 
 
 def test_pie_conditions_match_scalar_walk(wheels, hierarchies):
@@ -191,23 +218,22 @@ def test_pie_conditions_match_scalar_walk(wheels, hierarchies):
        st.integers(min_value=0, max_value=10**9))
 def test_pie_arc_points_report_the_first_failing_ray(n_pies, m, seed):
     # pies on random arcs of the disk, rays from inside through points
-    # that may lie beyond the circle (no crossing ahead)
+    # that may lie beyond the circle (no crossing ahead): each point is the
+    # scalar rule's up to the first failing ray, NaN from there on
     dom = disk_domain()
     rng = np.random.default_rng(seed)
     arcs = rng.integers(0, len(dom.arcs), n_pies)
     v1 = rng.uniform(-0.6, 0.6, (n_pies, 2))
     through = v1[:, None] + rng.uniform(-0.7, 0.7, (n_pies, m, 2))
     points, failure = msh.pie_arc_points(dom, arcs, v1, through)
-    first, failed_arcs = None, set()
+    first = None
     for p in range(n_pies):
         for j in range(m):
             try:
                 want = arc_point_on_ray_scalar(dom.arcs[arcs[p]], v1[p], through[p, j])
             except GeometryError as exc:
                 first = first or (p, j, str(exc))
-                failed_arcs.add(arcs[p])
-                want = np.full(2, np.nan)
-            if arcs[p] in failed_arcs:      # from the arc's first failure on
+            if first:
                 want = np.full(2, np.nan)
             np.testing.assert_array_equal(points[p, j], want)
     assert (failure and (*failure[:2], str(failure[2]))) == first

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import re
 import weakref
 
 import numpy as np
@@ -502,6 +503,8 @@ def test_level_line_is_logged(disk_problem, caplog):
         sol.multilevel_run(disk_problem, 1)
     assert ("level 1: dim=134 m=3 factorizations=1 refactorizations=0 "
             "krylov_iters=[3, 3] R=") in caplog.text
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level 1:")]
+    assert re.search(r" frozen_iters=\[.*\] peak_mb=[1-9][0-9]*$", line)
 
 
 def test_rates_do_not_depend_on_levels_run(disk_problem):

@@ -5,7 +5,7 @@ from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import space as sp
 from conicfem.geometry import arc_point_on_ray, normalized_pie_conic
-from conicfem.mesh import BUFFER, ORDINARY, PIE, conic_rows, refine_uniform
+from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
 from conicfem.space import build_space, corner_block, quintic_reduction
 
 from _oracles import (SweepPropagator, apply_design, barycentric, basis_support, bb_product,
@@ -64,8 +64,8 @@ def test_factor_ring_matrix_lower_triangular(hierarchies, lens_mesh):
     meshes = [m for pid in ("disk", "ellipse-exp", "c2-domain") for m in hierarchies[pid][:2]]
     for mesh in meshes + [lens_mesh, refine_uniform(lens_mesh)]:
         pies = np.flatnonzero(mesh.tri_kind == PIE)
-        q = conic_rows(normalized_pie_conic, mesh.domain, mesh.tri_arc[pies],
-                       mesh.vertices[mesh.tri_verts[pies]])
+        q = normalized_pie_conic(mesh.domain.coeffs[mesh.tri_arc[pies]],
+                                 mesh.vertices[mesh.tri_verts[pies]])
         L = corner_block(bb.product_matrix(4, 2, q))
         assert L.shape == (len(pies), 6, 6)
         assert np.array_equal(L, np.tril(L))
@@ -388,7 +388,7 @@ def _points_by_kind(space, rng, per_tri=3):
         tris += [t] * per_tri
         if kind == PIE:
             chord = tri[1] + rng.uniform(0.1, 0.9, per_tri)[:, None] * (tri[2] - tri[1])
-            for c, a in zip(chord, arc_point_on_ray(mesh.domain.arcs[arc], tri[0], chord)):
+            for c, a in zip(chord, arc_point_on_ray(mesh.domain.arcs[arc].conic, tri[0], chord)):
                 pts.append(tri[0] + rng.uniform(0.3, 0.9) * (a - tri[0]))
                 if barycentric(tri, a)[0] < 0:    # the arc bulges out
                     pts.append(c + rng.uniform(0.1, 0.9) * (a - c))
@@ -422,7 +422,7 @@ def test_point_queries_match_oracle(c2_space):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         tri = mesh.vertices[mesh.tri_verts[t]]
         arc = mesh.domain.arcs[mesh.tri_arc[t]]
-        arc_pts += list(arc_point_on_ray(arc, tri[0], tri[1] + u * (tri[2] - tri[1])))
+        arc_pts += list(arc_point_on_ray(arc.conic, tri[0], tri[1] + u * (tri[2] - tri[1])))
     assert (space.locate(arc_pts) >= 0).all()
     assert np.abs(s.evaluate(arc_pts, order=0)[0]).max() < 1e-10 * np.abs(s.dofs).max()
     # outside the domain
