@@ -106,32 +106,21 @@ def _reference_bernstein():
     return B
 
 
-def product_table(d):
-    """(3 nq, nc * nc) table P of the products of the basis gradients of
-    degree d on straight triangles, at the nq nodes of the reference rule:
-    the source of stiffness_table.
-
-    The basis gradients along e0 - e2 and e1 - e2 there, G_s = B_{d-1} @
-    frame_diff(d)[s], are the same for every straight triangle.  Row
-    (q, ij) of P holds G_i[q, a] G_j[q, b] at column (a, b) for ij = 00
-    and 11, and G_0[q, a] G_1[q, b] + G_1[q, a] G_0[q, b] for ij = 01,
-    which folds A01 and A10 of a symmetric A."""
-    B1 = _reference_bernstein()[d - 1]
-    G0, G1 = (B1 @ Ds for Ds in bb.frame_diff(d))
-    return np.stack([G0[:, :, None] * G0[:, None],
-                     G0[:, :, None] * G1[:, None] + G1[:, :, None] * G0[:, None],
-                     G1[:, :, None] * G1[:, None]], axis=1).reshape(3 * len(B1), -1)
-
-
 @lru_cache(maxsize=None)
 def stiffness_table(d):
     """(3 nk, nc * nc) table T of the stiffness blocks of degree d on
     straight triangles from the BB coefficients of the weak form's
     coefficient, nk = n_coeffs(d - 2): row (k, ij) holds sum_q w_q
-    B_{d-2}[q, k] P[(q, ij), (a, b)] at column (a, b), P the
-    product_table(d) and w the weights of the reference rule.  A
-    triangle's block in its Bernstein basis is then W @ T, W its (nk, 3)
-    frame-weighted coefficients of QuadratureChunk.frame_weights (the
+    B_{d-2}[q, k] P[(q, ij), (a, b)] at column (a, b), w the weights of
+    the reference rule and P the (3 nq, nc * nc) table of the products of
+    the basis gradients at its nq nodes.  The basis gradients along
+    e0 - e2 and e1 - e2 there, G_s = B_{d-1} @ frame_diff(d)[s], are the
+    same for every straight triangle.  Row (q, ij) of P holds
+    G_i[q, a] G_j[q, b] at column (a, b) for ij = 00 and 11, and
+    G_0[q, a] G_1[q, b] + G_1[q, a] G_0[q, b] for ij = 01, which folds A01
+    and A10 of a symmetric A.  A triangle's block in its Bernstein basis is
+    then W @ T, W its (nk, 3) frame-weighted coefficients of
+    QuadratureChunk.frame_weights (the
     element-independent tensor form of R. C. Kirby, Numer. Math. 117
     (2011), on Bernstein coefficients as in M. Ainsworth, G. Andriamaro
     and O. Davydov, SIAM J. Sci. Comput. 33 (2011)).  The integrand
@@ -139,8 +128,13 @@ def stiffness_table(d):
     QUAD_DEGREE, so T is exact up to roundoff.  Built once per degree and
     process, read-only."""
     rule = triangle_rule(QUAD_DEGREE)
+    B1 = _reference_bernstein()[d - 1]
+    G0, G1 = (B1 @ Ds for Ds in bb.frame_diff(d))
+    P = np.stack([G0[:, :, None] * G0[:, None],
+                  G0[:, :, None] * G1[:, None] + G1[:, :, None] * G0[:, None],
+                  G1[:, :, None] * G1[:, None]], axis=1)
     wB = rule.weights[:, None] * _reference_bernstein()[d - 2]
-    T = (wB.T @ product_table(d).reshape(len(wB), -1)).reshape(3 * wB.shape[1], -1)
+    T = (wB.T @ P.reshape(len(wB), -1)).reshape(3 * wB.shape[1], -1)
     T.flags.writeable = False
     return T
 
@@ -308,14 +302,6 @@ class QuadratureChunk:
         B = [self.B[d - s] for s in range(max(orders) + 1)]
         B = [b if b.ndim == 2 else b[rows] for b in B]
         return [f[:, :, 0] for f in bb.frame_derivatives(d, C, B, self.M[rows], orders)]
-
-    def values(self, C):
-        """The values (g, nq) alone of derivatives."""
-        return self.derivatives(C, orders=(0,))[0]
-
-    def hessians(self, C):
-        """The Hessian entries [hxx, hxy, hyy] alone of derivatives."""
-        return self.derivatives(C, orders=(2,))
 
 
 class TriangleQuadrature:
@@ -730,7 +716,7 @@ def error_norms(spline, quad, ref=None, coarse=None):
 def l2_norm(spline, quad):
     """L2 norm of a spline (values only, no derivatives)."""
     def fields(ch):
-        vals = ch.values(spline.pieces(ch.Z, ch.cols))
+        vals = ch.derivatives(spline.pieces(ch.Z, ch.cols), orders=(0,))[0]
         return [vals * vals]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))
@@ -739,7 +725,8 @@ def l2_norm(spline, quad):
 def residual_norm(spline, quad, g):
     """L2 norm of det(Hessian of spline) - g over the domain."""
     def fields(ch):
-        r = hessian_det(*ch.hessians(spline.pieces(ch.Z, ch.cols))) - ch.at_nodes(g)
+        r = (hessian_det(*ch.derivatives(spline.pieces(ch.Z, ch.cols), orders=(2,)))
+             - ch.at_nodes(g))
         return [r * r]
 
     return float(np.sqrt(_quadrature_sums(quad, fields)[0]))

@@ -124,14 +124,8 @@ def _custom_g(expr):
 def write_report_json(reports, path):
     """Every field of each level's LevelReport, one JSON object per level,
     as a list in level order."""
-    def plain(x):    # numpy scalars and arrays as Python numbers and lists
-        if isinstance(x, (np.generic, np.ndarray)):
-            return x.tolist()
-        raise TypeError(f"{type(x).__name__} in a level report")
-
     with open(path, "w") as f:
-        json.dump([dataclasses.asdict(rep) for rep in reports], f, indent=1,
-                  default=plain)
+        json.dump([dataclasses.asdict(rep) for rep in reports], f, indent=1)
 
 
 def cmd_solve(args):

@@ -257,11 +257,6 @@ def conic_bb_form(k, tri):
     return np.stack([c200, c110, c101, c020, c011, c002], axis=-1)
 
 
-def normalized_pie_conic(k, tri):
-    """pie_conic(k, tri) without its divisor: the BB form with q(v1) = 1."""
-    return pie_conic(k, tri)[0]
-
-
 def pie_conic(k, tri):
     """BB form of the conic k over the chord triangle (3, 2), or over each
     of a stack of them (..., 3, 2), divided by its value at the interior

@@ -59,9 +59,9 @@ class LevelReport:
     level: int
     dimension: int
     iterations: int
-    # L2 norms of the applied corrections, one per real Newton step; the
-    # last one is the frozen-factor correction that stopped the level
-    # (unless a real correction stopped it, see run_level)
+    # L2 norms of the applied corrections, one per real Newton step; on a
+    # converged level the last one is the frozen-factor correction that
+    # stopped it (see run_level)
     update_norms: list
     residual: float
     errors: tuple = None        # vs exact solution, (L2, H1, H2)
@@ -97,9 +97,11 @@ class LevelReport:
     # "frozen_iters", the CG iterations of each solve of a factored matrix
     # itself, in order: a factorization's first solve and each frozen solve
     # (NewtonSolves.frozen), each count one Factors.solve within
-    # KRYLOV_MAXITER; the "newton_floor" (the roundoff floor at the final
-    # iterate, see newton_floor) and the "stop_ratio" (the last correction over
-    # the threshold STOP_MARGIN * newton_floor it passed); the "fill_defect" of
+    # KRYLOV_MAXITER; the "newton_floor" (the roundoff floor at the iterate
+    # of the last stop test, see newton_floor: the final iterate of a
+    # converged level) and the "stop_ratio" (that test's frozen correction
+    # over its threshold STOP_MARGIN * newton_floor: below 1 on a converged
+    # level, above 1 on one that is not); the "fill_defect" of
     # the level's space; "quad_mb", the MB (2**20 bytes) of its quadrature data
     # (TriangleQuadrature.nbytes); and "plan_mb", the MB of its assembly plan
     # (ScatterPlan.nbytes)
@@ -170,10 +172,10 @@ def poisson_initial_guess(ctx, g):
 
 
 # The stop rule of run_level.  A correction below the floor NEWTON_FLOOR *
-# eps * |u| is roundoff.  A level stops on a correction below STOP_MARGIN
-# times that floor, its only threshold: scaling g by c^2 scales u by c and
-# keeps the Newton counts.  Measured with the level's factors, every solve by
-# CG to the tolerance of assembly.Factors.solve, in runs of levels 1-5:
+# eps * |u| is roundoff.  A level stops on a frozen-factor correction below
+# STOP_MARGIN times that floor, its only threshold: scaling g by c^2 scales u
+# by c and keeps the Newton counts.  Measured with the level's factors, every
+# solve by CG to the tolerance of assembly.Factors.solve, in runs of levels 1-5:
 # roundoff-only corrections read up to 1.05x the floor (c2-domain L5; disk
 # L5 0.57x, ellipse-exp L5 0.52x, ellipse-sin L5 0.50x; disk L6 0.96x), and
 # up to 1.22x on c2-domain L4 under one-ulp changes of its iterate; the
@@ -299,33 +301,27 @@ def run_level(ctx, g, u0):
     by O(|previous correction| * |correction|), and by the change of the
     matrix since the level's factorization.  When it is below STOP_MARGIN
     times newton_floor of the corrected iterate it is applied and the
-    level stops; otherwise the next real step assembles its matrix from
-    that same linearization.  Every solve asks CG for the one tolerance of
-    assembly.Factors.solve.  A real correction below the threshold also stops
-    the level.  At most MAX_STEPS real steps run; four growing corrections in
-    a row count as divergence.  The level's factors live in its NewtonSolves,
-    so they are released when it returns.
+    level stops, its only stop test; otherwise the next real step assembles
+    its matrix from that same linearization.  Every solve asks CG for the
+    one tolerance of assembly.Factors.solve.  At most MAX_STEPS real steps
+    run; four growing corrections in a row count as divergence.  The
+    level's factors live in its NewtonSolves, so they are released when it
+    returns.
 
     Every iterate after the starting one must be strictly convex (Hessian
     eigmin > 0 at all quadrature nodes), or the linearization is not
     elliptic and SolverError names the level and the iterate; the eigmin
     returned is the least over the linearizations.  The reported
-    iteration count is the number of real steps, less a final real
-    correction that passed the stop rule unless it is the only one: the
-    convention of the reference convergence tables.
+    iteration count is the number of real steps.
     """
     solves = NewtonSolves()
     u, norms = u0, []
     linearized = newton_rhs(ctx, u0, g)
     eigmin = linearized[1]
-    stopped_by = None
+    converged = False
     for k in range(1, MAX_STEPS + 1):
         u, n = newton_step(ctx, u, linearized, solves)
         norms.append(n)
-        floor = newton_floor(u, ctx.quad)
-        if n < STOP_MARGIN * floor:
-            stopped_by = "real"
-            break
         if len(norms) >= 4 and norms[-1] > norms[-2] > norms[-3] > norms[-4]:
             break
         linearized = newton_rhs(ctx, u, g)
@@ -337,16 +333,14 @@ def run_level(ctx, g, u0):
                 f"(least Hessian eigenvalue {e:.3e}), so its linearization "
                 "is not elliptic")
         u_next, n_next = _corrected(ctx, u, solves.frozen(-linearized[2]).dofs)
-        floor_next = newton_floor(u_next, ctx.quad)
-        if n_next < STOP_MARGIN * floor_next:
-            u, n, floor = u_next, n_next, floor_next
-            norms.append(n)
-            stopped_by = "frozen"
+        floor = newton_floor(u_next, ctx.quad)
+        if n_next < STOP_MARGIN * floor:
+            u, converged = u_next, True
+            norms.append(n_next)
             break
-    m = k - 1 if stopped_by == "real" and k > 1 else k
     facts = dict(solves.facts(), newton_floor=float(floor),
-                 stop_ratio=float(n / (STOP_MARGIN * floor)))
-    state = NewtonState(u, m, norms, stopped_by is None, facts)
+                 stop_ratio=float(n_next / (STOP_MARGIN * floor)))
+    state = NewtonState(u, k, norms, not converged, facts)
     return state, eigmin
 
 

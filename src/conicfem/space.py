@@ -221,7 +221,7 @@ def corner_block(P):
     """The (..., 6, 6) block of pie product matrices P (..., 28, 15)
     (bernstein.product_matrix(4, 2, q)) that maps the factor's vertex ring
     at the pie interior vertex (0-based slot 0) to the product's, canonical
-    ring order.  With q normalized by geometry.normalized_pie_conic (1 at the
+    ring order.  With q normalized by geometry.pie_conic (1 at the
     interior vertex, 0 at the other two) it is lower triangular with a
     positive diagonal: the corner system that fixes the factor's ring."""
     return P[..., _ring_pos(6)[0][:, None], _ring_pos(4)[0]]
@@ -607,9 +607,6 @@ class SplineSpace:
 
     def spline(self, dofs):
         return SplineFunction(self, dofs)
-
-    def zero(self):
-        return self.spline(np.zeros(self.dimension))
 
     def extract_dofs(self, stored):
         """Apply every determining functional to coefficients in the stored

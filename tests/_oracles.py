@@ -56,8 +56,7 @@ from scipy.special import roots_legendre
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import solver as sol
-from conicfem.geometry import (GeometryError, arc_point_on_ray, eval_conic, grad_conic,
-                               normalized_pie_conic)
+from conicfem.geometry import GeometryError, arc_point_on_ray, eval_conic, grad_conic, pie_conic
 from conicfem.mesh import BUFFER, MIN_SHAPE, ORDINARY, PIE, MeshError
 from conicfem.space import _PER_OWNER, _STORED_DEGREE, MapGroup, PropagationError, _Propagator
 
@@ -227,8 +226,8 @@ def space_dimension_by_rank(mesh):
         if kind == ORDINARY:
             to6.append(raise56)
         elif kind == PIE:
-            qbb = normalized_pie_conic(mesh.domain.arcs[mesh.tri_arc[t]].conic,
-                                       mesh.vertices[mesh.tri_verts[t]])
+            qbb = pie_conic(mesh.domain.arcs[mesh.tri_arc[t]].conic,
+                            mesh.vertices[mesh.tri_verts[t]])[0]
             to6.append(bb.product_matrix(4, 2, qbb))
         else:
             to6.append(np.eye(28))
@@ -972,12 +971,12 @@ def linearize_ma_per_triangle(u, g, quad):
 def linearize_ma_at_nodes(u, g, quad):
     """(A, f, eigmin) of the Monge-Ampere linearization at u with the
     cofactor tabulated at the quadrature nodes, (g, nq, 2, 2) per chunk,
-    from each chunk's nodal `hessians` (a stored_quadrature's read its
-    Cartesian H stacks)."""
+    from each chunk's nodal Hessians, `derivatives(C, orders=(2,))` (a
+    stored_quadrature's read its Cartesian H stacks)."""
     cof_tab, res_tab = {}, {}
     eigmin = np.inf
     for ch in quad.chunks:
-        hxx, hxy, hyy = ch.hessians(u.pieces(ch.Z, ch.cols))
+        hxx, hxy, hyy = ch.derivatives(u.pieces(ch.Z, ch.cols), orders=(2,))
         cof = np.empty(hxx.shape + (2, 2))
         cof[..., 0, 0], cof[..., 1, 1] = hyy, hxx
         cof[..., 0, 1] = cof[..., 1, 0] = -hxy

@@ -631,7 +631,7 @@ def test_stiffness_table_blocks_match_the_quadrature_sum(space_name, request):
     # W_ij[k] w_q B_{d-2}[q, k] B_{d-1}[q, m] D_i[m, a] B_{d-1}[q, n] D_j[n, b]
     # passes through at most N roundings on either route.  Straight: the
     # table route's two n1-term sums for G, their product and the 01 sum
-    # (product_table), w_q B_{d-2}, the nq-term sum of stiffness_table and
+    # (P of stiffness_table), w_q B_{d-2}, the nq-term sum of stiffness_table and
     # the 3 nk-term dot product with it, N = nq + 3 nk + 2 n1 + 3; the
     # reference's nk + 1 for the weights, then 2 n1 + nq + 4, fewer.  Pies:
     # the weighted Gram's nq + 1, then two 2 n1-term products with D,
@@ -813,7 +813,7 @@ def test_error_norms_self_is_zero(disk_space):
 
 def test_zero_spline_vs_exact_matches_radial_oracle(disk_space2):
     quad = asm.TriangleQuadrature(disk_space2)
-    zero = disk_space2.zero()
+    zero = disk_space2.spline(np.zeros(disk_space2.dimension))
     exact = disk_exact_solution()
     l2, h1, h2 = asm.error_norms(zero, quad, ref=exact)
     c = np.exp(0.5)
@@ -833,5 +833,5 @@ def test_residual_norm_cases(disk_space2, tight_cg):
     res = asm.solve_sparse(asm.SparseSystem(asm.assemble(EYE, quad), -rhs))
     u = disk_space2.spline(res.dofs)
     assert asm.residual_norm(u, quad, lambda x: np.ones(len(x))) < 1e-10
-    zero = disk_space2.zero()
+    zero = disk_space2.spline(np.zeros(disk_space2.dimension))
     assert asm.residual_norm(zero, quad, lambda x: np.zeros(len(x))) == 0.0

@@ -205,17 +205,17 @@ def test_conic_bb_form_random_identity():
 
 def test_normalized_pie_conic(c2dom):
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    c = geo.normalized_pie_conic(CIRCLE, tri)
+    c = geo.pie_conic(CIRCLE, tri)[0]
     im = bb.index_map(2)
     assert c[im[(2, 0, 0)]] == 1.0
     assert c[im[(0, 2, 0)]] == 0.0 and c[im[(0, 0, 2)]] == 0.0
     # factor-scale invariance: the scaled conic normalizes identically
     scaled = geo.Conic(tuple(3.7 * np.array(CIRCLE.coeffs)))
-    assert np.allclose(geo.normalized_pie_conic(scaled, tri), c, atol=1e-14)
+    assert np.allclose(geo.pie_conic(scaled, tri)[0], c, atol=1e-14)
     # vanishing at the interior vertex is an error
     bad_tri = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(geo.GeometryError):
-        geo.normalized_pie_conic(CIRCLE, bad_tri)
+        geo.pie_conic(CIRCLE, bad_tri)
     # the chord triangles of every pie of each arc as one stack: each row
     # equals the one-triangle call bit for bit, and so does each row of
     # the stacked product matrix
@@ -224,10 +224,10 @@ def test_normalized_pie_conic(c2dom):
         pies = np.flatnonzero((mesh.tri_kind == PIE) & (mesh.tri_arc == a))
         tris = mesh.vertices[mesh.tri_verts[pies]]
         assert len(pies) >= 4
-        got = geo.normalized_pie_conic(arc.conic, tris)
-        want = np.array([geo.normalized_pie_conic(arc.conic, tri) for tri in tris])
+        got = geo.pie_conic(arc.conic, tris)[0]
+        want = np.array([geo.pie_conic(arc.conic, tri)[0] for tri in tris])
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(geo.normalized_pie_conic(arc.conic, tris[None])[0], want)
+        np.testing.assert_array_equal(geo.pie_conic(arc.conic, tris[None])[0][0], want)
         np.testing.assert_array_equal(
             bb.product_matrix(4, 2, got), [bb.product_matrix(4, 2, q) for q in want])
         # one bad triangle in the stack raises its error
@@ -235,11 +235,11 @@ def test_normalized_pie_conic(c2dom):
         on_conic = tris.copy()
         on_conic[k] = tris[k, [1, 0, 2]]          # the interior vertex on the arc
         with pytest.raises(geo.GeometryError, match="vanishes at the pie interior vertex"):
-            geo.normalized_pie_conic(arc.conic, on_conic)
+            geo.pie_conic(arc.conic, on_conic)
         off_conic = tris.copy()
         off_conic[k, 1] = 0.5 * (tris[k, 0] + tris[k, 1])   # a corner off the arc
         with pytest.raises(geo.GeometryError, match="corners are not on the conic"):
-            geo.normalized_pie_conic(arc.conic, off_conic)
+            geo.pie_conic(arc.conic, off_conic)
 
 
 def _same_bits(got, want):
@@ -265,14 +265,12 @@ def test_conic_functions_on_rows_match_per_conic_calls(pid):
         _same_bits(fn(k, x[:, 0]), [fn(q, xi) for q, xi in zip(conics, x[:, 0])])
         _same_bits(fn(k[0], x[0, 0]), fn(conics[0], x[0, 0]))
         _same_bits(fn(dom.coeffs[0], x), fn(np.repeat(dom.coeffs[:1], len(x), axis=0), x))
-    for fn in (geo.conic_bb_form, geo.normalized_pie_conic):
+    for fn in (geo.conic_bb_form, lambda k, tri: geo.pie_conic(k, tri)[0]):
         _same_bits(fn(k, tris), [fn(q, tri) for q, tri in zip(conics, tris)])
         _same_bits(fn(k[0], tris[0]), fn(conics[0], tris[0]))
         one = arcs == arcs[0]
         _same_bits(fn(k[0], tris[one]), fn(k[one], tris[one]))
-    c, scale = geo.pie_conic(k, tris)
-    _same_bits(c, geo.normalized_pie_conic(k, tris))
-    _same_bits(scale, geo.eval_conic(k, tris[:, 0]))
+    _same_bits(geo.pie_conic(k, tris)[1], geo.eval_conic(k, tris[:, 0]))
     # rays from each pie's interior vertex through points of its chord
     through = tris[:, 1:2] + np.linspace(0.1, 0.9, 5)[:, None] * (tris[:, 2:] - tris[:, 1:2])
     got = geo.arc_point_on_ray(k, tris[:, :1], through)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import re
@@ -230,16 +231,53 @@ def test_newton_fixed_point_and_quadratic_decay(disk_ctx, disk_problem):
     assert np.abs(asm.assemble_rhs(f, disk_ctx.quad)).max() < 1e-9
 
 
-def test_first_correction_below_the_threshold_stops_with_m_1(disk_ctx, disk_problem,
-                                                             monkeypatch):
-    # a real correction below the threshold stops the level at once; when
-    # it is the first one, m counts it (m = 1) and no frozen step runs
+def test_only_a_frozen_correction_stops_a_level(disk_ctx, disk_problem, monkeypatch):
+    # with every correction below the threshold, the real one does not stop
+    # the level: the frozen correction after it does, so m = 1 and both
+    # corrections are applied
     monkeypatch.setattr(sol, "STOP_MARGIN", 1e300)
     u0 = sol.poisson_initial_guess(disk_ctx, disk_problem.g)
     state, _ = sol.run_level(disk_ctx, disk_problem.g, u0)
     assert state.iterations == 1 and not state.diverged
-    assert len(state.update_norms) == 1
-    assert state.solver["frozen_solves"] == 0
+    assert len(state.update_norms) == 2
+    assert state.solver["frozen_solves"] == 1 and state.solver["stop_ratio"] < 1.0
+
+
+def test_one_newton_floor_per_real_step(disk_problem, monkeypatch):
+    # the stop test after each real step is the level's only newton_floor
+    calls = [0]
+    real = sol.newton_floor
+
+    def counting(u, quad):
+        calls[0] += 1
+        return real(u, quad)
+
+    monkeypatch.setattr(sol, "newton_floor", counting)
+    reports, _ = sol.multilevel_run(disk_problem, 2)
+    assert calls[0] == sum(rep.solver["frozen_solves"] for rep in reports) == sum(
+        rep.iterations for rep in reports) == 5
+
+
+def _leaves(x):
+    if isinstance(x, dict):
+        for v in x.values():
+            yield from _leaves(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _leaves(v)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("pid, levels", [("disk", 2), ("c2-domain", 1)])
+def test_level_report_values_are_plain_python(pid, levels):
+    # --report-json and tools/dump_reports.py write the dataclasses.asdict
+    # values as they are: no numpy scalar or array among them
+    reports, _ = sol.multilevel_run(builtin_problem(pid), levels)
+    plain = (bool, int, float, str, type(None))
+    for rep in reports:
+        bad = [x for x in _leaves(dataclasses.asdict(rep)) if type(x) not in plain]
+        assert not bad, [type(x).__name__ for x in bad]
 
 
 def test_step_cap_reports_divergence(c2dom, monkeypatch):
@@ -277,7 +315,7 @@ def test_newton_counts_do_not_depend_on_the_scale_of_g(disk):
 
 def test_transfer_guess_zero_and_smooth(disk_ctx, disk_mesh2):
     fine_ctx = sol.LevelContext(disk_mesh2)
-    zero = disk_ctx.space.zero()
+    zero = disk_ctx.space.spline(np.zeros(disk_ctx.space.dimension))
     tz = sol.transfer_guess(sol.coarse_on_fine(zero, fine_ctx.space), fine_ctx.space)
     assert asm.l2_norm(tz, fine_ctx.quad) == 0.0
     # a globally smooth in-space function transfers exactly
@@ -317,8 +355,9 @@ def test_transfer_corner_dofs_follow_the_coarse_gradient(space_name, request):
 
 
 def test_transfer_needs_parent_triangles(disk_ctx):
+    zero = disk_ctx.space.spline(np.zeros(disk_ctx.space.dimension))
     with pytest.raises(ValueError, match="parent triangles"):
-        sol.coarse_on_fine(disk_ctx.space.zero(), disk_ctx.space)
+        sol.coarse_on_fine(zero, disk_ctx.space)
 
 
 def test_transfer_needs_pies_refined_from_pies(disk_ctx, disk_mesh2):
@@ -329,8 +368,9 @@ def test_transfer_needs_pies_refined_from_pies(disk_ctx, disk_mesh2):
     data = msh.mesh_to_dict(disk_mesh2)
     fine = msh.classify_and_validate(disk_mesh2.domain, disk_mesh2.vertices, data["triangles"],
                                      data["boundary"], level=2, parents=parents)
+    zero = disk_ctx.space.spline(np.zeros(disk_ctx.space.dimension))
     with pytest.raises(ValueError, match="pie triangle refined from a non-pie parent"):
-        sol.coarse_on_fine(disk_ctx.space.zero(), build_space(fine))
+        sol.coarse_on_fine(zero, build_space(fine))
 
 
 def test_eps_norms_from_coefficients_match_evaluation(disk_ctx, disk_ctx2,

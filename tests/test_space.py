@@ -4,7 +4,7 @@ import pytest
 from conicfem import assembly as asm
 from conicfem import bernstein as bb
 from conicfem import space as sp
-from conicfem.geometry import arc_point_on_ray, normalized_pie_conic
+from conicfem.geometry import arc_point_on_ray, pie_conic
 from conicfem.mesh import BUFFER, ORDINARY, PIE, refine_uniform
 from conicfem.space import build_space, corner_block, quintic_reduction
 
@@ -64,8 +64,8 @@ def test_factor_ring_matrix_lower_triangular(hierarchies, lens_mesh):
     meshes = [m for pid in ("disk", "ellipse-exp", "c2-domain") for m in hierarchies[pid][:2]]
     for mesh in meshes + [lens_mesh, refine_uniform(lens_mesh)]:
         pies = np.flatnonzero(mesh.tri_kind == PIE)
-        q = normalized_pie_conic(mesh.domain.coeffs[mesh.tri_arc[pies]],
-                                 mesh.vertices[mesh.tri_verts[pies]])
+        q = pie_conic(mesh.domain.coeffs[mesh.tri_arc[pies]],
+                      mesh.vertices[mesh.tri_verts[pies]])[0]
         L = corner_block(bb.product_matrix(4, 2, q))
         assert L.shape == (len(pies), 6, 6)
         assert np.array_equal(L, np.tril(L))
@@ -121,7 +121,7 @@ def test_non_tangent_corner_has_no_dof(lens_mesh, lens_space):
 # propagation
 
 def test_zero_dofs_give_zero_spline(disk_space):
-    z = disk_space.zero()
+    z = disk_space.spline(np.zeros(disk_space.dimension))
     for t in range(disk_space.mesh.n_triangles):
         assert np.abs(patch(z, t)).max() == 0.0
 
@@ -337,8 +337,8 @@ def test_pie_patch_is_product(disk_space):
     for t in np.flatnonzero(mesh.tri_kind == PIE):
         a = patch(s, t)
         p = factor(s, t)
-        q = normalized_pie_conic(mesh.domain.arcs[mesh.tri_arc[t]].conic,
-                                 mesh.vertices[mesh.tri_verts[t]])
+        q = pie_conic(mesh.domain.arcs[mesh.tri_arc[t]].conic,
+                      mesh.vertices[mesh.tri_verts[t]])[0]
         prod = bb_product(4, p, 2, q)
         assert np.abs(a - prod).max() < 1e-12 * max(1.0, np.abs(a).max())
 
